@@ -50,8 +50,6 @@ class EtcConfig:
     c_lambda: float = 2.5
     b: int = 1
     f: int = 1
-    solver_tol: float = 1e-6
-    solver_max_iters: int = 500
 
 
 def run_explore_then_commit(
@@ -171,13 +169,18 @@ def kmeans_elbow(
     return labels
 
 
+# nuclear-norm solver settings of the per-phase solves
+SIMPLIFIED_SOLVER_TOL = 1e-5
+SIMPLIFIED_SOLVER_MAX_ITERS = 300
+
+
 @dataclass
 class SimplifiedConfig:
     """Schedule and elimination knobs for the simplified phased policy.
 
-    Phase lengths grow linearly (or come from an explicit list); the
-    per-phase reward-gap slack is p_inf * nu_scale / nu_base**phase, and the
-    nuclear-norm regularizer is lam_coeff * sqrt(phase_length / lam_denom).
+    Phase lengths grow linearly; the per-phase reward-gap slack is
+    p_inf * nu_scale / nu_base**phase, and the nuclear-norm regularizer is
+    lam_coeff * sqrt(phase_length / lam_denom).
     """
 
     num_clusters: int
@@ -186,18 +189,13 @@ class SimplifiedConfig:
     rho: float = 0.5
     phase_base: int = 1500
     phase_step: int = 500
-    phase_lengths: list[int] | None = None
     nu_scale: float = 1.0 / 6.0
     nu_base: float = 8.0
     lam_coeff: float = 5.0
     lam_denom: float = 200.0
     elbow_ratio: float = 0.6
     objective_floor: float = 100.0
-    kmeans_restarts: int = 10
-    kmeans_iters: int = 100
     p_inf_mode: str = "ground_truth"  # or "observed"
-    solver_tol: float = 1e-5
-    solver_max_iters: int = 300
 
     def __post_init__(self):
         if not 0 <= self.rho <= 1:
@@ -206,14 +204,6 @@ class SimplifiedConfig:
             raise ValueError("p_inf_mode must be 'ground_truth' or 'observed'")
 
     def schedule(self, horizon: int) -> list[int]:
-        if self.phase_lengths is not None:
-            out, total = [], 0
-            for length in self.phase_lengths:
-                if total >= horizon:
-                    break
-                out.append(min(length, horizon - total))
-                total += out[-1]
-            return out
         out, total, ell = [], 0, 0
         while total < horizon:
             length = min(self.phase_base + self.phase_step * ell, horizon - total)
@@ -294,8 +284,8 @@ def run_simplified_lattice(
                 (obs_rows, obs_cols),
                 (len(us_arr), len(arms)),
                 lam_ell,
-                tol=config.solver_tol,
-                max_iters=config.solver_max_iters,
+                tol=SIMPLIFIED_SOLVER_TOL,
+                max_iters=SIMPLIFIED_SOLVER_MAX_ITERS,
             )
             if ell <= config.L:
                 labels = kmeans_elbow(
@@ -304,8 +294,6 @@ def run_simplified_lattice(
                     elbow_ratio=config.elbow_ratio,
                     objective_floor=config.objective_floor,
                     seed=kmeans_ss.spawn(1)[0],
-                    restarts=config.kmeans_restarts,
-                    iters=config.kmeans_iters,
                 )
                 for lab in np.unique(labels):
                     members = np.flatnonzero(labels == lab)

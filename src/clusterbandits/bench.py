@@ -4,14 +4,18 @@ SVG emission, and regret-scaling studies.
 Config files are flat key = value text with [section] headers.  The
 [instance] section describes the problem (or points at a saved instance
 file), [experiment] holds horizon/seeds/output options, and each
-[algorithm <name>] section selects a policy with its parameters.  Every run
-of an experiment shares the instance; the interaction randomness varies with
-the per-run seed.
+[algorithm <name>] section selects a policy with its parameters: the fields
+of that policy's config dataclass, plus `explore_fraction` for etc (ucb takes
+only `sigma`).  Every run of an experiment shares the instance; the interaction randomness
+varies with the per-run seed.
 """
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,11 +23,68 @@ import numpy as np
 
 from . import baselines, checker, env, lattice, rcs
 
-ALGORITHM_NAMES = ("lattice", "lattice-rcs", "ucb", "etc", "simplified-lattice")
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
+
+
+# algorithm section -> (config dataclass, keys read outside it).  num_clusters,
+# sigma and nu, where a section has them, default to the instance's and the
+# noise model's values.
+_SECTIONS = {
+    "lattice": (lattice.LatticeConfig, {}),
+    "lattice-rcs": (rcs.RcsConfig, {}),
+    "ucb": (None, {"sigma": float}),
+    "etc": (baselines.EtcConfig, {"explore_fraction": float}),
+    "simplified-lattice": (baselines.SimplifiedConfig, {}),
+}
+ALGORITHM_NAMES = tuple(_SECTIONS)
+
+
+def _field_types(cls) -> dict[str, type]:
+    """Field name -> type of a config dataclass, reading `X | None` as X."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in dataclasses.fields(cls):
+        args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+        out[f.name] = args[0] if len(args) == 1 else hints[f.name]
+    return out
+
+
+# resolved once: get_type_hints is slow next to parsing a whole config
+_FIELD_TYPES = {cls: _field_types(cls) for cls, _ in _SECTIONS.values() if cls is not None}
+
+
+def _option_types(cls) -> dict[str, type]:
+    """Config key -> value type for every field of `cls`; a nested config
+    dataclass (`RcsConfig.base`) contributes its own fields."""
+    out: dict[str, type] = {}
+    for name, kind in _FIELD_TYPES[cls].items():
+        if kind in _FIELD_TYPES:
+            out.update(_option_types(kind))
+        elif kind in (int, float, str):
+            out[name] = kind
+        else:
+            raise TypeError(f"{cls.__name__}.{name}: no config parser for {kind}")
+    return out
+
+
+def _instantiate(cls, values: dict):
+    """`cls` built from the flat key values of its section."""
+    kwargs = {}
+    for name, kind in _FIELD_TYPES[cls].items():
+        if kind in _FIELD_TYPES:
+            kwargs[name] = _instantiate(kind, values)
+        elif name in values:
+            kwargs[name] = values[name]
+    return cls(**kwargs)
+
+
+# accepted keys and their value types, per algorithm section
+ALGORITHM_OPTIONS = {
+    name: {**(_option_types(cls) if cls else {}), **extra}
+    for name, (cls, extra) in _SECTIONS.items()
+}
 
 
 @dataclass
@@ -105,6 +166,50 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("instance.kind: must be one of cs, rcs, hard, file")
     if kind == "file" and not config.instance.get("path"):
         raise ConfigError("instance.path: required when kind = file")
+    for algo, params in config.algorithms:
+        parse_algorithm_options(algo, params)
+
+
+def parse_algorithm_options(name: str, params: dict[str, str]) -> dict[str, object]:
+    """Typed values of one [algorithm <name>] section.
+
+    Raises ConfigError naming the section and key of an unknown key or an
+    unparsable value.
+    """
+    types = ALGORITHM_OPTIONS[name]
+    values: dict[str, object] = {}
+    for key, raw in params.items():
+        kind = types.get(key)
+        if kind is None:
+            raise ConfigError(
+                f"algorithm {name}.{key}: unknown key; accepted keys: {', '.join(types)}"
+            )
+        try:
+            values[key] = kind(raw)
+        except ValueError:
+            raise ConfigError(
+                f"algorithm {name}.{key}: cannot parse {raw!r} as {kind.__name__}"
+            ) from None
+    return values
+
+
+def build_algorithm(
+    name: str, params: dict[str, str], instance: env.Instance, noise: env.NoiseModel
+) -> tuple[object | None, dict[str, object]]:
+    """The config dataclass of one algorithm section (None for ucb) and the
+    values of its keys read outside the dataclass."""
+    types = ALGORITHM_OPTIONS[name]
+    inherited = {"num_clusters": instance.num_clusters, "sigma": noise.sigma, "nu": instance.nu}
+    values = {k: v for k, v in inherited.items() if k in types}
+    values.update(parse_algorithm_options(name, params))
+    cls, extra = _SECTIONS[name]
+    extras = {k: values[k] for k in extra if k in values}
+    if cls is None:
+        return None, extras
+    try:
+        return _instantiate(cls, values), extras
+    except ValueError as exc:
+        raise ConfigError(f"algorithm {name}: {exc}") from None
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -148,76 +253,22 @@ def build_noise(spec: dict[str, str], instance: env.Instance) -> env.NoiseModel:
     return env.NoiseModel(kind, float(spec.get("sigma", "0")))
 
 
-def _float_or(params: dict[str, str], key: str, default: float | None) -> float | None:
-    if key in params:
-        return float(params[key])
-    return default
-
-
-def _run_algorithm(
-    name: str,
-    params: dict[str, str],
-    instance: env.Instance,
-    noise: env.NoiseModel,
-    horizon: int,
-    seed: int,
-):
-    """Dispatch one (algorithm, seed) cell; returns (history, trace_or_none)."""
-    sigma = float(params.get("sigma", noise.sigma))
-    C = int(params.get("num_clusters", instance.num_clusters))
+def _run_cell(name, config, extras, instance, noise, horizon, seed):
+    """One (algorithm, seed) cell; returns (history, trace or None)."""
     if name == "ucb":
-        return baselines.run_per_user_ucb(instance, horizon, sigma, seed, noise), None
+        return baselines.run_per_user_ucb(instance, horizon, extras["sigma"], seed, noise), None
     if name == "etc":
-        etc_cfg = baselines.EtcConfig(
-            num_clusters=C,
-            sigma=sigma,
-            mu=float(params.get("mu", "1.0")),
-            c_p=float(params.get("c_p", "1.0")),
-            c_lambda=float(params.get("c_lambda", "2.5")),
-            b=int(params.get("b", "1")),
-            f=int(params.get("f", "1")),
-        )
+        fraction = extras.get("explore_fraction", 0.1)
         history = baselines.run_explore_then_commit(
-            instance, horizon, float(params.get("explore_fraction", "0.1")), etc_cfg, seed, noise
+            instance, horizon, fraction, config, seed, noise
         )
         return history, None
-    if name == "simplified-lattice":
-        cfg = baselines.SimplifiedConfig(
-            num_clusters=C,
-            sigma=sigma,
-            L=int(params.get("L", "5")),
-            rho=float(params.get("rho", "0.5")),
-            phase_base=int(params.get("phase_base", "1500")),
-            phase_step=int(params.get("phase_step", "500")),
-            nu_scale=float(params.get("nu_scale", str(1.0 / 6.0))),
-            nu_base=float(params.get("nu_base", "8.0")),
-            lam_coeff=float(params.get("lam_coeff", "5.0")),
-            lam_denom=float(params.get("lam_denom", "200.0")),
-            elbow_ratio=float(params.get("elbow_ratio", "0.6")),
-            objective_floor=float(params.get("objective_floor", "100.0")),
-            p_inf_mode=params.get("p_inf_mode", "ground_truth"),
-        )
-        return baselines.run_simplified_lattice(instance, cfg, horizon, seed, noise)
-    base = lattice.LatticeConfig(
-        num_clusters=C,
-        sigma=sigma,
-        gamma=_float_or(params, "gamma", None),
-        c_prime=float(params.get("c_prime", "1.0")),
-        c_prime_override=_float_or(params, "c_prime_override", None),
-        mu=float(params.get("mu", "1.0")),
-        c_p=float(params.get("c_p", "1.0")),
-        c_b=float(params.get("c_b", "1.0")),
-        c_lambda=float(params.get("c_lambda", "2.5")),
-        f_cap=int(params.get("f_cap", "15")),
-    )
-    if name == "lattice":
-        return lattice.run_lattice(instance, base, horizon, seed, noise)
-    rcs_cfg = rcs.RcsConfig(
-        base=base,
-        nu=float(params.get("nu", str(instance.nu))),
-        edge_slack_multiplier=float(params.get("edge_slack_multiplier", "3.0")),
-    )
-    return rcs.run_lattice_rcs(instance, rcs_cfg, horizon, seed, noise)
+    run = {
+        "lattice": lattice.run_lattice,
+        "lattice-rcs": rcs.run_lattice_rcs,
+        "simplified-lattice": baselines.run_simplified_lattice,
+    }[name]
+    return run(instance, config, horizon, seed, noise)
 
 
 def checkpoint_grid(horizon: int, count: int = 100) -> np.ndarray:
@@ -271,24 +322,6 @@ class Report:
             out.setdefault(run.algorithm, []).append(run.history.final_regret)
         return out
 
-    def loglog_slope(self, algorithm: str, lower_frac: float = 0.5) -> float:
-        """Log-log slope of the mean cumulative regret over the last part of
-        the horizon."""
-        curves = []
-        for run in self.runs:
-            if run.algorithm != algorithm:
-                continue
-            ts = checkpoint_grid(run.horizon)
-            curves.append([run.history.regret_at(int(t)) for t in ts])
-        if not curves:
-            raise KeyError(algorithm)
-        ts = checkpoint_grid(self.runs[0].horizon)
-        mean = np.mean(curves, axis=0)
-        keep = (ts >= lower_frac * ts[-1]) & (mean > 0)
-        if keep.sum() < 2:
-            return math.nan
-        return float(np.polyfit(np.log(ts[keep]), np.log(mean[keep]), 1)[0])
-
 
 def summarize(regret_rows: list[dict]) -> list[dict]:
     """Mean and standard error of cumulative regret per (algorithm, t)."""
@@ -325,15 +358,23 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
     validate_config(config)
     instance = build_instance(config.instance)
     noise = build_noise(config.instance, instance)
+    # every section's config is built before any cell runs, so a bad value
+    # fails the experiment up front
+    algorithms = [
+        (algo, *build_algorithm(algo, params, instance, noise))
+        for algo, params in config.algorithms
+    ]
     horizons = config.horizons
     report = Report(config=config, checkpoints=checkpoint_grid(max(horizons)))
     if config.check:
         report.assumption = checker.assumption_report(instance)
     run_id = 0
     for horizon in horizons:
-        for algo, params in config.algorithms:
+        for algo, algo_config, extras in algorithms:
             for seed in config.seeds:
-                history, trace = _run_algorithm(algo, params, instance, noise, horizon, seed)
+                history, trace = _run_cell(
+                    algo, algo_config, extras, instance, noise, horizon, seed
+                )
                 report.runs.append(RunResult(run_id, algo, seed, horizon, history, trace))
                 run_id += 1
                 if progress is not None:
@@ -341,28 +382,16 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
     return report
 
 
-def _csv_line(values) -> str:
-    out = []
-    for v in values:
-        s = str(v)
-        if "," in s or '"' in s:
-            s = '"' + s.replace('"', '""') + '"'
-        out.append(s)
-    return ",".join(out)
-
-
 def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w") as fh:
-        fh.write(_csv_line(fieldnames) + "\n")
-        for row in rows:
-            fh.write(_csv_line([row.get(k, "") for k in fieldnames]) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
 
 
 def read_csv(path: Path) -> list[dict]:
-    import csv as _csv
-
-    with open(path) as fh:
-        return list(_csv.DictReader(fh))
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 REGRET_FIELDS = ["run_id", "algorithm", "seed", "t", "instant_regret", "cum_regret"]

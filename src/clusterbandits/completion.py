@@ -11,7 +11,6 @@ masked arms, otherwise a throwaway arm outside the mask.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -87,14 +86,6 @@ class Mask:
     def __len__(self) -> int:
         return len(self.entry_row)
 
-    @property
-    def omega(self) -> set[tuple[int, int]]:
-        """Masked cells as global (user, arm) pairs."""
-        return {
-            (int(self.rows[i]), int(self.cols[j]))
-            for i, j in zip(self.entry_row, self.entry_col)
-        }
-
 
 def sample_mask(users, arms, p: float, rng: np.random.Generator) -> Mask:
     """Include each (user, arm) cell independently with probability p."""
@@ -115,29 +106,6 @@ class ObservationBuffer:
         self.b = b
         self.sums = np.zeros(len(mask))
         self.counts = np.zeros(len(mask), dtype=int)
-
-    @property
-    def complete(self) -> bool:
-        return bool(np.all(self.counts >= self.b))
-
-    def count_of(self, user: int, arm: int) -> int:
-        idx = self._entry_index(user, arm)
-        return int(self.counts[idx])
-
-    def averaged_of(self, user: int, arm: int) -> float:
-        idx = self._entry_index(user, arm)
-        if self.counts[idx] == 0:
-            raise KeyError("no observations for this cell")
-        return float(self.sums[idx] / self.counts[idx])
-
-    def _entry_index(self, user: int, arm: int) -> int:
-        m = self.mask
-        i = int(np.flatnonzero(m.rows == user)[0])
-        j = int(np.flatnonzero(m.cols == arm)[0])
-        hits = np.flatnonzero((m.entry_row == i) & (m.entry_col == j))
-        if len(hits) == 0:
-            raise KeyError(f"cell ({user}, {arm}) not in mask")
-        return int(hits[0])
 
     def averaged_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(local rows, local cols, averaged values) for fully observed cells."""
@@ -208,50 +176,11 @@ class MaskCollection:
 
 
 @dataclass
-class CollectInfo:
-    rounds_used: int
-    complete: bool
-
-
-def collect_observations(env, mask: Mask, b: int, budget: int, seed: int = 0):
-    """Drive the environment until every masked cell has b observations.
-
-    Returns (ObservationBuffer, CollectInfo); an exhausted budget leaves the
-    partial buffer with `complete=False`.
-    """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    coll = MaskCollection(mask, b, rng)
-    members = set(int(u) for u in mask.rows)
-    cols = np.asarray(mask.cols, dtype=int)
-    rounds = 0
-    while not coll.done and rounds < budget and not env.done:
-        u = env.peek_user()
-        if u in members:
-            arm, masked = coll.choose(u)
-            env.step(lambda _u: arm)
-            if masked:
-                coll.record(u, arm, env.history.rewards[len(env.history) - 1])
-        else:
-            arm = int(cols[rng.integers(len(cols))])
-            env.step(lambda _u: arm)
-        rounds += 1
-    return coll.buffer, CollectInfo(rounds_used=rounds, complete=coll.done)
-
-
-@dataclass
 class SolveInfo:
     iterations: int
     converged: bool
     no_convergence: bool
     objectives: list[float] = field(default_factory=list)
-
-
-def nuclear_objective(Q: np.ndarray, row_idx, col_idx, values, lam: float) -> float:
-    fit = 0.5 * float(np.sum((Q[row_idx, col_idx] - values) ** 2))
-    nuc = float(np.linalg.svd(Q, compute_uv=False).sum())
-    return fit + lam * nuc
 
 
 def solve_nuclear_norm(
@@ -269,8 +198,9 @@ def solve_nuclear_norm(
     Small regularizers make the plain iteration crawl, so the threshold is
     annealed geometrically from the data's top singular value down to `lam`
     (warm starts); iterations at the target `lam` are the ones reported and
-    their objective 0.5 * sum_omega (Q - Z)^2 + lam * ||Q||_* is asserted
-    nonincreasing.  `max_iters` caps the total across all stages.
+    their objective 0.5 * sum_omega (Q - Z)^2 + lam * ||Q||_* is checked to
+    be nonincreasing (RuntimeError otherwise).  `max_iters` caps the total
+    across all stages.
     """
     row_idx, col_idx = omega
     if len(row_idx) == 0:
@@ -311,7 +241,8 @@ def solve_nuclear_norm(
                 # Q_new's singular values are exactly s_thr
                 fit = 0.5 * float(np.sum((Q_new[row_idx, col_idx] - values) ** 2))
                 obj = fit + lam * float(s_thr.sum())
-                assert obj <= prev_obj + 1e-9 * (1.0 + abs(prev_obj)), "objective increased"
+                if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj)):
+                    raise RuntimeError(f"soft-impute objective increased: {prev_obj!r} -> {obj!r}")
                 objectives.append(obj)
                 prev_obj = obj
             denom = max(float(np.linalg.norm(Q)), 1e-30)
@@ -355,14 +286,10 @@ def _partitioned_solve(
     n_cols: int,
     lam: float,
     rng: np.random.Generator,
-    tol: float,
-    max_iters: int,
 ) -> tuple[np.ndarray, list[dict]]:
     """Split the larger dimension into ~square blocks and solve each one."""
     if n_rows > n_cols:
-        est, diags = _partitioned_solve(
-            col_idx, row_idx, values, n_cols, n_rows, lam, rng, tol, max_iters
-        )
+        est, diags = _partitioned_solve(col_idx, row_idx, values, n_cols, n_rows, lam, rng)
         return est.T, diags
     k = math.ceil(n_cols / n_rows)
     assignment = rng.integers(0, k, size=n_cols)
@@ -387,9 +314,7 @@ def _partitioned_solve(
         b_rows = row_idx[sel]
         b_cols = np.array([local_of[int(c)] for c in col_idx[sel]], dtype=int)
         b_vals = values[sel]
-        block, info = solve_nuclear_norm(
-            b_vals, (b_rows, b_cols), (n_rows, len(g)), lam, tol=tol, max_iters=max_iters
-        )
+        block, info = solve_nuclear_norm(b_vals, (b_rows, b_cols), (n_rows, len(g)), lam)
         estimate[:, g] = block
         diags.append(
             {
@@ -409,21 +334,11 @@ class OracleInstance:
     data completes, and returns the entrywise median of the repetitions.
     """
 
-    def __init__(
-        self,
-        users,
-        arms,
-        params: OracleParams,
-        seed_seq: np.random.SeedSequence,
-        solver_tol: float = 1e-6,
-        solver_max_iters: int = 500,
-    ):
+    def __init__(self, users, arms, params: OracleParams, seed_seq: np.random.SeedSequence):
         self.users = np.asarray(users, dtype=int)
         self.arms = np.asarray(arms, dtype=int)
         self.params = params
         self._seed_seq = seed_seq
-        self.solver_tol = solver_tol
-        self.solver_max_iters = solver_max_iters
         self.rep_estimates: list[np.ndarray] = []
         self.spawn_keys: list[tuple] = []
         self.diagnostics: list[dict] = []
@@ -478,8 +393,6 @@ class OracleInstance:
             len(self.arms),
             self.params.lam,
             self._rep_rng,
-            self.solver_tol,
-            self.solver_max_iters,
         )
         rep_no = len(self.rep_estimates)
         for d in diags:
@@ -510,7 +423,6 @@ def low_rank_matrix_estimate(
     params: OracleParams,
     budget: int | None = None,
     seed: int = 0,
-    ground_truth: np.ndarray | None = None,
 ) -> SubmatrixEstimate:
     """Run the full estimator against a live environment.
 
@@ -542,51 +454,4 @@ def low_rank_matrix_estimate(
         raise InsufficientBudgetError(
             f"budget exhausted before any of the {params.f} repetitions finished"
         )
-    if ground_truth is not None:
-        err = float(np.max(np.abs(est.values - ground_truth)))
-        for d in est.info.diagnostics:
-            rep = est.info.rep_estimates[d["repetition"]]
-            d["entrywise_error"] = float(np.max(np.abs(rep - ground_truth)))
-        est.info.diagnostics.append(
-            {"repetition": "median", "block": "", "iterations": "", "final_objective": "", "entrywise_error": err}
-        )
     return est
-
-
-def write_oracle_diagnostics(estimate: SubmatrixEstimate, path) -> None:
-    """Dump per-repetition, per-block solver diagnostics as CSV."""
-    fields = ["repetition", "block", "iterations", "final_objective", "entrywise_error"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        if estimate.info is None:
-            return
-        for d in estimate.info.diagnostics:
-            writer.writerow({k: d.get(k, "") for k in fields})
-
-
-def mask_to_matrix(mask: Mask) -> np.ndarray:
-    """0/1 indicator matrix of the masked cells, for dumping alongside
-    estimates."""
-    out = np.zeros((len(mask.rows), len(mask.cols)))
-    out[mask.entry_row, mask.entry_col] = 1.0
-    return out
-
-
-def save_matrix(matrix: np.ndarray, path) -> None:
-    """Matrix dump in the same 17-significant-digit text format as instances."""
-    with open(path, "w") as fh:
-        fh.write(f"# matrix {matrix.shape[0]} {matrix.shape[1]}\n")
-        for row in np.atleast_2d(matrix):
-            fh.write(" ".join(format(float(v), ".17g") for v in row) + "\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.split()])
-    return np.array(rows)

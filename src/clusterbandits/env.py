@@ -132,9 +132,6 @@ class Instance:
     def max_gap(self) -> float:
         return float(self.gaps.max(initial=0.0))
 
-    def cluster_members(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.cluster_of == c)
-
 
 def _check_dimensions(num_users: int, num_arms: int, num_clusters: int) -> None:
     if num_users <= 0 or num_arms <= 0 or num_clusters <= 0:
@@ -331,27 +328,6 @@ class RunHistory:
         for name in ("users", "arms", "rewards", "inst_regret", "cumulative_regret"):
             setattr(self, name, getattr(self, name)[: self._n])
         return self
-
-
-def env_step(
-    instance: Instance,
-    noise: NoiseModel,
-    policy_choice,
-    state: RunHistory,
-    rng_user: np.random.Generator,
-    rng_noise: np.random.Generator,
-) -> RunHistory:
-    """Run one interaction round and append it to `state`."""
-    u = int(rng_user.integers(0, instance.num_users))
-    arm = int(policy_choice(u))
-    if not 0 <= arm < instance.num_arms:
-        raise ArmOutOfRangeError(f"policy returned arm {arm} for {instance.num_arms} arms")
-    mean = instance.P[u, arm]
-    draw = float(noise.draw_block(rng_noise, 1)[0])
-    reward = noise.reward(mean, draw)
-    inst_regret = float(instance.P[u, instance.best_arm[u]] - mean)
-    state.append(u, arm, reward, inst_regret)
-    return state
 
 
 class Environment:

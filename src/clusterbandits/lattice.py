@@ -62,18 +62,6 @@ class UcbArmState:
         self.sums[pos] += reward
 
 
-def ucb_index(state: UcbArmState, arm: int) -> float:
-    """Optimism index of an arm: empirical mean plus exploration bonus,
-    +inf while the arm is unplayed."""
-    return state.index_of(arm)
-
-
-@dataclass
-class GoodArmSet:
-    user: int
-    arms: set[int]
-
-
 def good_arm_set(estimate_row: np.ndarray, delta: float) -> np.ndarray:
     """Positions whose estimated reward is within 2*delta of the row maximum."""
     row = np.asarray(estimate_row, dtype=float)
@@ -84,38 +72,20 @@ def good_arm_set(estimate_row: np.ndarray, delta: float) -> np.ndarray:
     return np.flatnonzero(row.max() - row <= 2.0 * delta)
 
 
-@dataclass
-class UserGraph:
-    nodes: list[int]
-    edges: set[tuple[int, int]]
-
-    def neighbors(self, u: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return out
-
-
 def build_user_graph(
-    user_set,
-    active_arms,
     estimates: np.ndarray,
     good_sets: list[np.ndarray],
     delta: float,
     slack_multiplier: float = 2.0,
-) -> UserGraph:
-    """Connect two users when their estimated rows agree entrywise within
-    slack_multiplier*delta across all active arms and their near-best arm
-    sets share at least one arm."""
-    users = list(int(u) for u in user_set)
+) -> np.ndarray:
+    """Boolean adjacency over the rows of `estimates`: two users are linked
+    when their estimated rows agree entrywise within slack_multiplier*delta
+    and their near-best arm positions (`good_sets`) share at least one arm."""
     est = np.asarray(estimates, dtype=float)
-    n = len(users)
-    if est.shape[0] != n or est.shape[1] != len(active_arms):
-        raise ValueError("estimates must cover every user over all active arms")
-    good = np.zeros((n, len(active_arms)), dtype=bool)
+    n = est.shape[0]
+    if len(good_sets) != n:
+        raise ValueError("good_sets must hold one entry per estimated row")
+    good = np.zeros(est.shape, dtype=bool)
     for i, g in enumerate(good_sets):
         good[i, np.asarray(g, dtype=int)] = True
     overlap = good @ good.T
@@ -127,42 +97,33 @@ def build_user_graph(
         stop = min(n, start + chunk)
         diff = np.abs(est[start:stop, None, :] - est[None, :, :]).max(axis=2)
         close[start:stop] = diff <= thresh
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if close[i, j] and overlap[i, j]:
-                edges.add((users[i], users[j]))
-    return UserGraph(nodes=users, edges=edges)
+    adjacency = close & overlap
+    np.fill_diagonal(adjacency, False)
+    return adjacency
 
 
 def refine_partition(
-    graph: UserGraph, good_sets: dict[int, set[int]]
-) -> list[tuple[list[int], set[int]]]:
-    """Connected components paired with the union of member near-best arms."""
-    adjacency: dict[int, set[int]] = {u: set() for u in graph.nodes}
-    for a, b in graph.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen: set[int] = set()
-    components: list[tuple[list[int], set[int]]] = []
-    for start in sorted(graph.nodes):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = []
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comp.sort()
-        arm_union: set[int] = set()
-        for u in comp:
-            arm_union |= set(int(a) for a in good_sets[u])
-        components.append((comp, arm_union))
+    users, adjacency: np.ndarray, good_arms: list[np.ndarray]
+) -> list[tuple[list[int], np.ndarray]]:
+    """Connected components of the user graph, each paired with the sorted
+    union of its members' near-best arms (`good_arms`, aligned with `users`).
+
+    Components come in order of their smallest member id, members sorted.
+    """
+    users = np.asarray(users, dtype=int)
+    # every user takes the smallest id among itself and its neighbours until
+    # nothing changes; each component then carries its smallest member id
+    labels = users.copy()
+    while True:
+        reach = np.where(adjacency, labels[None, :], labels[:, None]).min(axis=1)
+        if np.array_equal(reach, labels):
+            break
+        labels = reach
+    components = []
+    for root in np.unique(labels):
+        members = np.flatnonzero(labels == root)
+        arms = np.unique(np.concatenate([good_arms[i] for i in members]))
+        components.append((sorted(users[members].tolist()), arms))
     return components
 
 
@@ -186,8 +147,6 @@ class LatticeConfig:
     c_b: float = 1.0
     c_lambda: float = 2.5
     f_cap: int = 15
-    solver_tol: float = 1e-6
-    solver_max_iters: int = 500
 
     def resolved_gamma(self, num_arms: int) -> float:
         if self.gamma is not None:
@@ -302,57 +261,34 @@ class _PhasedRun:
                     continue
                 instances[i] = self._make_instance(us, arms, delta_next)
             rounds_before = env.t
-            if not instances:
-                self._tail_loop(set_of, arm_sets)
-                self.trace.append(
-                    PhaseRecord(
-                        phase=ell,
-                        delta=delta_next,
-                        mode="ucb",
-                        user_sets=[list(s) for s in user_sets],
-                        arm_sets=[list(map(int, a)) for a in arm_sets],
-                        rounds_used=env.t - rounds_before,
-                        num_ucb_users=len(self.ucb),
-                    )
-                )
-                break
-            self._collection_loop(instances, set_of, arm_sets)
-            if self.c_prime is None:
-                self._estimate_scale(instances)
-                delta_next = self.c_prime * 2.0 ** (-ell)
+            if instances:
+                self._collection_loop(instances, set_of, arm_sets)
+                if self.c_prime is None:
+                    self._estimate_scale(instances)
+                    delta_next = self.c_prime * 2.0 ** (-ell)
             incomplete = any(i.collecting for i in instances.values())
-            if env.t == rounds_before and all(not i.rep_estimates for i in instances.values()):
-                # degenerate phase (e.g. an empty mask): fall back to playing
-                # out the horizon rather than spinning
-                self._tail_loop(set_of, arm_sets)
-                self.trace.append(
-                    PhaseRecord(
-                        phase=ell,
-                        delta=delta_next,
-                        mode="ucb",
-                        user_sets=[list(s) for s in user_sets],
-                        arm_sets=[list(map(int, a)) for a in arm_sets],
-                        rounds_used=env.t - rounds_before,
-                        num_ucb_users=len(self.ucb),
-                    )
-                )
-                break
-            oracle_err = None
+            # nothing left to estimate, or a degenerate phase (e.g. an empty
+            # mask) that used no rounds: play out the horizon rather than spin
+            stalled = env.t == rounds_before and all(
+                not i.rep_estimates for i in instances.values()
+            )
             mode = "joint"
-            if not incomplete:
-                joint = True
-                if self.rcs:
-                    if self.clusterwise or not (
-                        delta_next >= 2.0 * self.nu and len(user_sets) < cfg.num_clusters
-                    ):
-                        self.clusterwise = True
-                        joint = False
-                        mode = "clusterwise"
+            oracle_err = None
+            if stalled:
+                self._tail_loop(set_of, arm_sets)
+                mode = "ucb"
+            elif not incomplete:
+                if self.rcs and (
+                    self.clusterwise
+                    or not (delta_next >= 2.0 * self.nu and len(user_sets) < cfg.num_clusters)
+                ):
+                    self.clusterwise = True
+                    mode = "clusterwise"
                 user_sets, arm_sets, oracle_err = self._refine(
-                    user_sets, arm_sets, instances, delta_next, joint
+                    user_sets, arm_sets, instances, delta_next, joint=mode == "joint"
                 )
-                ordered = sorted(u for s in user_sets for u in s)
-                assert ordered == list(range(num_users)), "user sets must partition the users"
+                if sorted(u for s in user_sets for u in s) != list(range(num_users)):
+                    raise RuntimeError("user sets must partition the users")
             self.trace.append(
                 PhaseRecord(
                     phase=ell,
@@ -365,7 +301,7 @@ class _PhasedRun:
                     oracle_error=oracle_err,
                 )
             )
-            if incomplete:
+            if stalled or incomplete:
                 break
         return env.history.trimmed(), self.trace
 
@@ -397,8 +333,6 @@ class _PhasedRun:
             np.asarray(arms, dtype=int),
             params,
             self.algo_ss.spawn(1)[0],
-            solver_tol=cfg.solver_tol,
-            solver_max_iters=cfg.solver_max_iters,
         )
 
     def _estimate_scale(self, instances: dict[int, OracleInstance]) -> None:
@@ -472,15 +406,13 @@ class _PhasedRun:
             good_local = [good_arm_set(values[r], delta) for r in range(len(us))]
             arms_arr = np.asarray(arms, dtype=int)
             if joint:
-                graph = build_user_graph(
-                    us, arms_arr, values, good_local, delta, slack_multiplier=self.edge_slack
+                adjacency = build_user_graph(
+                    values, good_local, delta, slack_multiplier=self.edge_slack
                 )
-                good_global = {
-                    int(u): set(int(a) for a in arms_arr[g]) for u, g in zip(us, good_local)
-                }
-                for comp, union in refine_partition(graph, good_global):
+                good_arms = [arms_arr[g] for g in good_local]
+                for comp, union in refine_partition(us, adjacency, good_arms):
                     new_users.append(comp)
-                    new_arms.append(np.array(sorted(union), dtype=int))
+                    new_arms.append(union)
             else:
                 sets = [set(int(a) for a in arms_arr[g]) for g in good_local]
                 inter, fell_back = intersect_with_union_fallback(sets)

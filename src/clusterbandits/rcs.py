@@ -10,17 +10,10 @@ more aggressively than the union rule used while clustering.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .env import Instance, NoiseModel, RunHistory
-from .lattice import (
-    GoodArmSet,
-    LatticeConfig,
-    PhaseTrace,
-    _PhasedRun,
-    intersect_with_union_fallback,
-)
+from .lattice import LatticeConfig, PhaseTrace, _PhasedRun
 
 
 @dataclass
@@ -32,21 +25,6 @@ class RcsConfig:
     def __post_init__(self):
         if self.nu < 0:
             raise ValueError("nu must be nonnegative")
-
-
-def intersect_active_arms(good_sets) -> set[int]:
-    """Arms common to every user's near-best set.
-
-    An empty intersection falls back to the union and emits a warning; the
-    run trace counts how often this fires.
-    """
-    sets = []
-    for g in good_sets:
-        sets.append(set(g.arms) if isinstance(g, GoodArmSet) else set(g))
-    arms, fell_back = intersect_with_union_fallback(sets)
-    if fell_back:
-        warnings.warn("empty good-arm intersection; falling back to the union", stacklevel=2)
-    return arms
 
 
 def run_lattice_rcs(

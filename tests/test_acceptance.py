@@ -310,18 +310,23 @@ def test_criterion_7_invariant_suites(tmp_path, acceptance_log):
     checks["spectral_lemmas"] = bool(lemma_ok)
 
     # hand oracles for the elimination primitives
-    from clusterbandits.lattice import UcbArmState, build_user_graph, good_arm_set, ucb_index
-    from clusterbandits.rcs import intersect_active_arms
+    from clusterbandits.lattice import (
+        UcbArmState,
+        build_user_graph,
+        good_arm_set,
+        intersect_with_union_fallback,
+    )
 
     checks["good_arm_set"] = set(good_arm_set(np.array([1.0, 0.9, 0.5]), 0.1)) == {0, 1}
     est = np.array([[1.0, 0.0], [0.0, 1.0]])
     goods = [good_arm_set(est[i], 0.1) for i in range(2)]
-    checks["edge_rule"] = build_user_graph([0, 1], np.array([0, 1]), est, goods, 0.1).edges == set()
-    checks["intersection"] = intersect_active_arms([{0, 1}, {1, 2}, {1, 3}]) == {1}
+    checks["edge_rule"] = not build_user_graph(est, goods, 0.1).any()
+    intersection = intersect_with_union_fallback([{0, 1}, {1, 2}, {1, 3}])
+    checks["intersection"] = intersection == ({1}, False)
     state = UcbArmState([0], sigma=1.0, horizon=math.e)
     for _ in range(6):
         state.update(0, 0.5)
-    checks["ucb_index"] = abs(ucb_index(state, 0) - 1.5) < 1e-12
+    checks["ucb_index"] = abs(state.index_of(0) - 1.5) < 1e-12
 
     failed = [name for name, ok in checks.items() if not ok]
     _report(

@@ -136,7 +136,7 @@ def test_simplified_noiseless_single_cluster_collapses_arms():
     cfg = SimplifiedConfig(
         num_clusters=1,
         sigma=0.0,
-        phase_lengths=[4000],
+        phase_base=4000,
         lam_coeff=0.05,
         nu_scale=0.25,
         nu_base=2.0,

@@ -1,12 +1,13 @@
+import dataclasses
 import subprocess
 import sys
+import typing
 import xml.etree.ElementTree as ET
-
 
 import numpy as np
 import pytest
 
-from clusterbandits import bench, cli
+from clusterbandits import baselines, bench, cli, lattice, rcs
 
 SMALL_CONFIG = """\
 [instance]
@@ -56,6 +57,96 @@ def test_config_bad_instance_kind_rejected():
     bad = SMALL_CONFIG.replace("kind = cs", "kind = banana")
     with pytest.raises(bench.ConfigError, match="instance.kind"):
         bench.parse_config(bad)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("c_pp = 9", r"algorithm lattice\.c_pp: unknown key"),
+        ("f_cap = two", r"algorithm lattice\.f_cap: cannot parse 'two' as int"),
+        ("gamma = banana", r"algorithm lattice\.gamma: cannot parse 'banana' as float"),
+    ],
+)
+def test_config_bad_algorithm_key_or_value_rejected(line, message):
+    with pytest.raises(bench.ConfigError, match=message):
+        bench.parse_config(SMALL_CONFIG + f"[algorithm lattice]\n{line}\n")
+
+
+def test_config_out_of_range_value_fails_before_any_cell(monkeypatch):
+    ran = []
+    monkeypatch.setattr(baselines, "run_per_user_ucb", lambda *a: ran.append(a))
+    text = SMALL_CONFIG + "[algorithm simplified-lattice]\nrho = 2\n"
+    with pytest.raises(bench.ConfigError, match="algorithm simplified-lattice: rho"):
+        bench.run_experiment(bench.parse_config(text))
+    assert ran == []
+
+
+_CONFIG_CLASSES = {
+    "lattice": lattice.LatticeConfig,
+    "lattice-rcs": rcs.RcsConfig,
+    "etc": baselines.EtcConfig,
+    "simplified-lattice": baselines.SimplifiedConfig,
+}
+_EXTRAS = {"ucb": {"sigma"}, "etc": {"explore_fraction"}}
+
+
+def _settable_fields(cls, path=()):
+    """(attribute path, type) of every leaf field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if dataclasses.is_dataclass(kind):
+            yield from _settable_fields(kind, path + (f.name,))
+        else:
+            yield path + (f.name,), kind
+
+
+def _non_default(name, kind):
+    if name == "p_inf_mode":
+        return "observed", "observed"
+    if kind is int:
+        return "3", 3
+    return "0.375", 0.375
+
+
+@pytest.mark.parametrize("algo", ["ucb", *_CONFIG_CLASSES])
+def test_algorithm_sections_accept_exactly_their_fields(algo):
+    cls = _CONFIG_CLASSES.get(algo)
+    fields = {path[-1] for path, _ in _settable_fields(cls)} if cls else set()
+    assert set(bench.ALGORITHM_OPTIONS[algo]) == fields | _EXTRAS.get(algo, set())
+
+
+@pytest.mark.parametrize(
+    "algo, path, kind",
+    [
+        pytest.param(algo, path, kind, id=f"{algo}-{'.'.join(path)}")
+        for algo, cls in _CONFIG_CLASSES.items()
+        for path, kind in _settable_fields(cls)
+    ],
+)
+def test_every_config_field_settable_from_text(algo, path, kind):
+    raw, want = _non_default(path[-1], kind)
+    config = bench.parse_config(SMALL_CONFIG + f"[algorithm {algo}]\n{path[-1]} = {raw}\n")
+    instance = bench.build_instance(config.instance)
+    noise = bench.build_noise(config.instance, instance)
+    built, _ = bench.build_algorithm(algo, config.algorithms[-1][1], instance, noise)
+    default, _ = bench.build_algorithm(algo, {}, instance, noise)
+    for attr in path:
+        built, default = getattr(built, attr), getattr(default, attr)
+    assert built == want
+    assert default != want
+
+
+def test_extra_keys_reach_the_run():
+    text = SMALL_CONFIG + "[algorithm etc]\nexplore_fraction = 0.3\n"
+    config = bench.parse_config(text.replace("[algorithm ucb]", "[algorithm ucb]\nsigma = 0.7"))
+    instance = bench.build_instance(config.instance)
+    noise = bench.build_noise(config.instance, instance)
+    (ucb_name, ucb_params), (etc_name, etc_params) = config.algorithms
+    assert bench.build_algorithm(ucb_name, ucb_params, instance, noise) == (None, {"sigma": 0.7})
+    etc_config, extras = bench.build_algorithm(etc_name, etc_params, instance, noise)
+    assert extras == {"explore_fraction": 0.3}
+    assert (etc_config.num_clusters, etc_config.sigma) == (2, 0.2)
 
 
 def test_run_experiment_deterministic():
@@ -165,6 +256,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = _write_config(tmp_path, SMALL_CONFIG.replace("[algorithm ucb]", "[algorithm nope]"))
     code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
+
+
+def test_cli_unknown_algorithm_key_exit_code(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SMALL_CONFIG + "[algorithm lattice]\nc_pp = 9\n")
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "c_pp" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_file(tmp_path):

@@ -10,9 +10,7 @@ from clusterbandits.env import (
     InvalidEpsilonError,
     NoiseModel,
     RowDistribution,
-    RunHistory,
     SeparationUnsatisfiableError,
-    env_step,
     generate_cs_instance,
     generate_hard_instance,
     generate_rcs_instance,
@@ -103,30 +101,25 @@ def test_hard_instance_invalid_epsilon():
 
 def test_env_step_optimal_policy_zero_regret():
     inst = generate_cs_instance(4, 3, 2, RowDistribution.gaussian(0, 1), seed=1)
-    state = RunHistory()
-    rng_u = np.random.default_rng(0)
-    rng_n = np.random.default_rng(1)
-    for _ in range(20):
-        env_step(inst, NoiseModel("none"), lambda u: inst.best_arm[u], state, rng_u, rng_n)
-    assert state.final_regret == 0.0
-    assert np.all(state.inst_regret[:20] == 0.0)
+    env = Environment(inst, NoiseModel("none"), seed=0, horizon=20)
+    while not env.done:
+        env.play(int(inst.best_arm[env.peek_user()]))
+    assert env.history.final_regret == 0.0
+    assert np.all(env.history.inst_regret[:20] == 0.0)
 
 
 def test_env_step_worst_policy_matches_hand_sum():
     inst = generate_cs_instance(2, 2, 2, RowDistribution.gaussian(0, 1), seed=9)
     worst = np.argmin(inst.P, axis=1)
-    state = RunHistory()
-    rng_u = np.random.default_rng(123)
-    rng_n = np.random.default_rng(5)
-    for _ in range(10):
-        env_step(inst, NoiseModel("none"), lambda u: worst[u], state, rng_u, rng_n)
-    # oracle: replay the same seeded user stream and sum per-user max gaps
-    replay = np.random.default_rng(123)
-    expected = 0.0
-    for _ in range(10):
-        u = int(replay.integers(0, 2))
-        expected += inst.P[u].max() - inst.P[u].min()
-    assert state.final_regret == pytest.approx(expected, abs=1e-12)
+    env = Environment(inst, NoiseModel("none"), seed=123, horizon=10)
+    arrivals = []
+    while not env.done:
+        arrivals.append(env.peek_user())
+        env.play(int(worst[arrivals[-1]]))
+    # oracle: sum the per-user max gaps over the arrival sequence
+    assert arrivals == env.history.users.tolist()
+    expected = sum(inst.P[u].max() - inst.P[u].min() for u in arrivals)
+    assert env.history.final_regret == pytest.approx(expected, abs=1e-12)
 
 
 def test_env_reward_mean_concentrates():

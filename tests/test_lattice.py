@@ -7,12 +7,10 @@ from clusterbandits.env import NoiseModel, RowDistribution, generate_cs_instance
 from clusterbandits.lattice import (
     LatticeConfig,
     UcbArmState,
-    UserGraph,
     build_user_graph,
     good_arm_set,
     refine_partition,
     run_lattice,
-    ucb_index,
 )
 
 
@@ -42,15 +40,15 @@ def test_good_arm_set_always_contains_argmax():
 def test_graph_identical_rows_edge():
     est = np.array([[0.5, 0.1], [0.5, 0.1]])
     goods = [good_arm_set(est[i], 0.05) for i in range(2)]
-    g = build_user_graph([7, 9], np.array([0, 1]), est, goods, 0.05)
-    assert g.edges == {(7, 9)}
+    adjacency = build_user_graph(est, goods, 0.05)
+    assert adjacency.tolist() == [[False, True], [True, False]]
 
 
 def test_graph_far_rows_no_edge():
     est = np.array([[1.0, 0.0], [0.0, 1.0]])
     goods = [good_arm_set(est[i], 0.1) for i in range(2)]
-    g = build_user_graph([0, 1], np.array([0, 1]), est, goods, 0.1)
-    assert g.edges == set()
+    adjacency = build_user_graph(est, goods, 0.1)
+    assert not adjacency.any()
 
 
 def test_graph_chain_single_component():
@@ -59,35 +57,55 @@ def test_graph_chain_single_component():
     delta = 0.1
     est = np.array([[1.0, 0.9], [0.85, 0.95], [0.7, 1.0]])
     goods = [good_arm_set(est[i], delta) for i in range(3)]
-    g = build_user_graph([0, 1, 2], np.array([0, 1]), est, goods, delta)
-    assert g.edges == {(0, 1), (1, 2)}
-    comps = refine_partition(g, {i: set(np.array([0, 1])[goods[i]]) for i in range(3)})
+    adjacency = build_user_graph(est, goods, delta)
+    assert adjacency.tolist() == [[False, True, False], [True, False, True], [False, True, False]]
+    comps = refine_partition([0, 1, 2], adjacency, [np.array([0, 1])[g] for g in goods])
     assert len(comps) == 1
     assert comps[0][0] == [0, 1, 2]
 
 
+def _adjacency(n, edges):
+    out = np.zeros((n, n), dtype=bool)
+    for a, b in edges:
+        out[a, b] = out[b, a] = True
+    return out
+
+
+def _arms(*sets):
+    return [np.array(sorted(s)) for s in sets]
+
+
+def _plain(comps):
+    return [(c, a.tolist()) for c, a in comps]
+
+
 def test_refine_edgeless_graph():
-    g = UserGraph(nodes=[0, 1, 2], edges=set())
-    comps = refine_partition(g, {0: {0}, 1: {1}, 2: {2}})
-    assert [(c, sorted(a)) for c, a in comps] == [([0], [0]), ([1], [1]), ([2], [2])]
+    comps = refine_partition([0, 1, 2], _adjacency(3, []), _arms({0}, {1}, {2}))
+    assert _plain(comps) == [([0], [0]), ([1], [1]), ([2], [2])]
 
 
 def test_refine_complete_graph():
-    g = UserGraph(nodes=[0, 1, 2], edges={(0, 1), (1, 2), (0, 2)})
-    comps = refine_partition(g, {0: {0, 1}, 1: {1, 2}, 2: {4}})
-    assert len(comps) == 1
-    assert comps[0] == ([0, 1, 2], {0, 1, 2, 4})
+    adjacency = _adjacency(3, [(0, 1), (1, 2), (0, 2)])
+    comps = refine_partition([0, 1, 2], adjacency, _arms({0, 1}, {1, 2}, {4}))
+    assert _plain(comps) == [([0, 1, 2], [0, 1, 2, 4])]
 
 
 def test_refine_path_union():
-    g = UserGraph(nodes=[0, 1, 2], edges={(0, 1), (1, 2)})
-    comps = refine_partition(g, {0: {0, 1}, 1: {1, 2}, 2: {2, 3}})
-    assert comps == [([0, 1, 2], {0, 1, 2, 3})]
+    adjacency = _adjacency(3, [(0, 1), (1, 2)])
+    comps = refine_partition([0, 1, 2], adjacency, _arms({0, 1}, {1, 2}, {2, 3}))
+    assert _plain(comps) == [([0, 1, 2], [0, 1, 2, 3])]
+
+
+def test_refine_orders_components_by_smallest_member_id():
+    # users 8 and 3 are linked, 5 stands alone: components come as [3, 8], [5]
+    adjacency = _adjacency(3, [(0, 2)])
+    comps = refine_partition([8, 5, 3], adjacency, _arms({2}, {1}, {0}))
+    assert _plain(comps) == [([3, 8], [0, 2]), ([5], [1])]
 
 
 def test_ucb_index_unplayed_is_infinite():
     state = UcbArmState([0, 1], sigma=1.0, horizon=100)
-    assert ucb_index(state, 0) == math.inf
+    assert state.index_of(0) == math.inf
 
 
 def test_ucb_index_formula():
@@ -95,14 +113,14 @@ def test_ucb_index_formula():
     state = UcbArmState([0], sigma=1.0, horizon=math.e)
     for _ in range(6):
         state.update(0, 0.5)
-    assert ucb_index(state, 0) == pytest.approx(1.5, abs=1e-12)
+    assert state.index_of(0) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_ucb_zero_sigma_is_greedy():
     state = UcbArmState([0, 1], sigma=0.0, horizon=1000)
     state.update(0, 0.9)
     state.update(1, 0.2)
-    assert ucb_index(state, 0) == pytest.approx(0.9)
+    assert state.index_of(0) == pytest.approx(0.9)
     assert state.select() == 0
 
 

@@ -1,28 +1,20 @@
 import numpy as np
-import pytest
 
 from clusterbandits.env import NoiseModel, RowDistribution, generate_rcs_instance
-from clusterbandits.lattice import GoodArmSet, LatticeConfig
-from clusterbandits.rcs import RcsConfig, intersect_active_arms, run_lattice_rcs
+from clusterbandits.lattice import LatticeConfig, intersect_with_union_fallback
+from clusterbandits.rcs import RcsConfig, run_lattice_rcs
 
 
 def test_intersect_identical_sets():
-    assert intersect_active_arms([{1, 2, 3}, {1, 2, 3}]) == {1, 2, 3}
+    assert intersect_with_union_fallback([{1, 2, 3}, {1, 2, 3}]) == ({1, 2, 3}, False)
 
 
 def test_intersect_hand_case():
-    assert intersect_active_arms([{0, 1}, {1, 2}, {1, 3}]) == {1}
+    assert intersect_with_union_fallback([{0, 1}, {1, 2}, {1, 3}]) == ({1}, False)
 
 
-def test_intersect_empty_falls_back_to_union_with_warning():
-    with pytest.warns(UserWarning):
-        out = intersect_active_arms([{0}, {1}])
-    assert out == {0, 1}
-
-
-def test_intersect_accepts_good_arm_sets():
-    sets = [GoodArmSet(user=0, arms={2, 5}), GoodArmSet(user=1, arms={5, 7})]
-    assert intersect_active_arms(sets) == {5}
+def test_intersect_empty_falls_back_to_union():
+    assert intersect_with_union_fallback([{0}, {1}]) == ({0, 1}, True)
 
 
 def _rcs_instance():
