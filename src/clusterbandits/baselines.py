@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .completion import OracleParams, low_rank_matrix_estimate, solve_nuclear_norm
-from .env import Environment, Instance, NoiseModel, RunHistory
+from .env import Environment, Instance, NoiseModel, RunHistory, seed_sequence
 from .lattice import PhaseRecord, PhaseTrace, UcbArmState
 
 
@@ -25,17 +25,11 @@ def run_per_user_ucb(
     """Every user runs an independent UCB over the full arm set."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    env_ss, _ = root.spawn(2)
+    env_ss, _ = seed_sequence(seed).spawn(2)
     env = Environment(instance, noise, env_ss, horizon)
     arms = np.arange(instance.num_arms)
-    states = [UcbArmState(arms, sigma, max(2, horizon)) for _ in range(instance.num_users)]
-    while not env.done:
-        u = env.peek_user()
-        state = states[u]
-        arm = state.select()
-        _, _, reward = env.play(arm)
-        state.update(arm, reward)
+    states = {u: UcbArmState(arms, sigma, max(2, horizon)) for u in range(instance.num_users)}
+    env.run(horizon, [range(instance.num_users)], [arms], None, ucb=states)
     return env.history.trimmed()
 
 
@@ -64,8 +58,7 @@ def run_explore_then_commit(
     each user's estimated best arm forever."""
     if not 0 < explore_fraction < 1:
         raise ValueError("explore_fraction must lie in (0, 1)")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    env_ss, algo_ss = root.spawn(2)
+    env_ss, algo_ss = seed_sequence(seed).spawn(2)
     env = Environment(instance, noise, env_ss, horizon)
     explore_rounds = int(explore_fraction * horizon)
     d2 = min(instance.num_users, instance.num_arms)
@@ -93,11 +86,10 @@ def run_explore_then_commit(
     # leftover exploration budget (estimate finished early) stays exploration:
     # uniform arms, independent of the estimate
     filler_rng = np.random.default_rng(algo_ss.spawn(1)[0])
-    while env.t < explore_rounds and not env.done:
-        env.play(int(filler_rng.integers(instance.num_arms)))
-    commit_arm = np.argmax(est.values, axis=1)
-    while not env.done:
-        env.play(int(commit_arm[env.peek_user()]))
+    user_sets, arm_sets = [range(instance.num_users)], [np.arange(instance.num_arms)]
+    env.run(explore_rounds, user_sets, arm_sets, filler_rng)
+    commit_arm = dict(enumerate(np.argmax(est.values, axis=1).tolist()))
+    env.run(horizon, user_sets, arm_sets, filler_rng, fixed=commit_arm)
     return env.history.trimmed()
 
 
@@ -145,9 +137,7 @@ def kmeans_elbow(
     rows = np.asarray(rows, dtype=float)
     if len(rows) == 0 or max_k < 1:
         raise ValueError("rows must be nonempty and max_k >= 1")
-    rng = np.random.default_rng(
-        seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    )
+    rng = np.random.default_rng(seed_sequence(seed))
     max_k = min(max_k, len(rows))
 
     def best_of(k: int) -> tuple[np.ndarray, float]:
@@ -200,6 +190,8 @@ class SimplifiedConfig:
     def __post_init__(self):
         if not 0 <= self.rho <= 1:
             raise ValueError("rho must lie in [0, 1]")
+        if self.phase_base < 1 or self.phase_step < 0:
+            raise ValueError("phase_base must be >= 1 and phase_step >= 0")
         if self.p_inf_mode not in ("ground_truth", "observed"):
             raise ValueError("p_inf_mode must be 'ground_truth' or 'observed'")
 
@@ -231,8 +223,7 @@ def run_simplified_lattice(
     first L phases and fraction-approved arm shrinking afterwards."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    env_ss, algo_ss = root.spawn(2)
+    env_ss, algo_ss = seed_sequence(seed).spawn(2)
     env = Environment(instance, noise, env_ss, horizon)
     rng = np.random.default_rng(algo_ss.spawn(1)[0])
     kmeans_ss = algo_ss.spawn(1)[0]
@@ -248,18 +239,14 @@ def run_simplified_lattice(
     counts = np.zeros((num_users, num_arms), dtype=np.int64)
 
     for ell, length in enumerate(config.schedule(horizon), start=1):
-        set_of = np.zeros(num_users, dtype=int)
-        for i, us in enumerate(user_sets):
-            set_of[us] = i
-        for _ in range(length):
-            u = env.peek_user()
-            arms = arm_sets[set_of[u]]
-            arm = int(arms[rng.integers(len(arms))])
-            _, _, reward = env.play(arm)
-            sums[u, arm] += reward
-            counts[u, arm] += 1
-            if abs(reward) > observed_max:
-                observed_max = abs(reward)
+        start = env.t
+        env.run(start + length, user_sets, arm_sets, rng)
+        hist = env.history
+        cells = (hist.users[start:env.t], hist.arms[start:env.t])
+        # np.add.at accumulates in round order, as one += per round would
+        np.add.at(sums, cells, hist.rewards[start:env.t])
+        np.add.at(counts, cells, 1)
+        observed_max = max(observed_max, float(np.abs(hist.rewards[start:env.t]).max()))
 
         p_inf = (
             float(np.max(np.abs(instance.P)))
@@ -312,7 +299,7 @@ def run_simplified_lattice(
                 new_users.append(list(us))
                 new_arms.append(arms[keep])
         user_sets, arm_sets = new_users, new_arms
-        trace.append(
+        trace.records.append(
             PhaseRecord(
                 phase=ell,
                 delta=nu_ell,
@@ -320,16 +307,6 @@ def run_simplified_lattice(
                 user_sets=[list(s) for s in user_sets],
                 arm_sets=[list(map(int, a)) for a in arm_sets],
                 rounds_used=length,
-                num_ucb_users=0,
             )
         )
-
-    # any rounds past the configured schedule keep pulling in the final sets
-    set_of = np.zeros(num_users, dtype=int)
-    for i, us in enumerate(user_sets):
-        set_of[us] = i
-    while not env.done:
-        u = env.peek_user()
-        arms = arm_sets[set_of[u]]
-        env.play(int(arms[rng.integers(len(arms))]))
     return env.history.trimmed(), trace

@@ -87,6 +87,33 @@ ALGORITHM_OPTIONS = {
 }
 
 
+def int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
+def true_or_false(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+# accepted keys and their value types: what build_instance and build_noise
+# read from [instance], and what ExperimentConfig reads from [experiment]
+INSTANCE_OPTIONS = {
+    **dict.fromkeys(["kind", "path", "row_distribution", "noise"], str),
+    **dict.fromkeys(["seed", "num_users", "num_arms", "num_clusters"], int),
+    **dict.fromkeys(["nu", "epsilon", "sigma"], float),
+    "optimal_arms": int_list,
+}
+EXPERIMENT_OPTIONS = {
+    "horizon": int,
+    "horizons": int_list,
+    "seeds": int_list,
+    "check": true_or_false,
+    "full_history": true_or_false,
+}
+
+
 @dataclass
 class ExperimentConfig:
     instance: dict[str, str]
@@ -99,22 +126,19 @@ class ExperimentConfig:
 
     @property
     def horizons(self) -> list[int]:
-        raw = self.experiment.get("horizons", "")
-        if raw:
-            return [int(x) for x in raw.split(",") if x.strip()]
-        return [self.horizon]
+        return int_list(self.experiment.get("horizons", "")) or [self.horizon]
 
     @property
     def seeds(self) -> list[int]:
-        return [int(x) for x in self.experiment.get("seeds", "").split(",") if x.strip()]
+        return int_list(self.experiment.get("seeds", ""))
 
     @property
     def check(self) -> bool:
-        return self.experiment.get("check", "false").lower() == "true"
+        return true_or_false(self.experiment.get("check", "false"))
 
     @property
     def full_history(self) -> bool:
-        return self.experiment.get("full_history", "false").lower() == "true"
+        return true_or_false(self.experiment.get("full_history", "false"))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -155,6 +179,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
+    parse_section("instance", config.instance, INSTANCE_OPTIONS)
+    parse_section("experiment", config.experiment, EXPERIMENT_OPTIONS)
     if not config.algorithms:
         raise ConfigError("experiment: at least one [algorithm <name>] section is required")
     if not config.seeds:
@@ -167,28 +193,25 @@ def validate_config(config: ExperimentConfig) -> None:
     if kind == "file" and not config.instance.get("path"):
         raise ConfigError("instance.path: required when kind = file")
     for algo, params in config.algorithms:
-        parse_algorithm_options(algo, params)
+        parse_section(f"algorithm {algo}", params, ALGORITHM_OPTIONS[algo])
 
 
-def parse_algorithm_options(name: str, params: dict[str, str]) -> dict[str, object]:
-    """Typed values of one [algorithm <name>] section.
+def parse_section(section: str, params: dict[str, str], types: dict) -> dict[str, object]:
+    """Typed values of one section's keys, given each accepted key's type.
 
     Raises ConfigError naming the section and key of an unknown key or an
     unparsable value.
     """
-    types = ALGORITHM_OPTIONS[name]
     values: dict[str, object] = {}
     for key, raw in params.items():
         kind = types.get(key)
         if kind is None:
-            raise ConfigError(
-                f"algorithm {name}.{key}: unknown key; accepted keys: {', '.join(types)}"
-            )
+            raise ConfigError(f"{section}.{key}: unknown key; accepted keys: {', '.join(types)}")
         try:
             values[key] = kind(raw)
         except ValueError:
             raise ConfigError(
-                f"algorithm {name}.{key}: cannot parse {raw!r} as {kind.__name__}"
+                f"{section}.{key}: cannot parse {raw!r} as {kind.__name__}"
             ) from None
     return values
 
@@ -201,7 +224,7 @@ def build_algorithm(
     types = ALGORITHM_OPTIONS[name]
     inherited = {"num_clusters": instance.num_clusters, "sigma": noise.sigma, "nu": instance.nu}
     values = {k: v for k, v in inherited.items() if k in types}
-    values.update(parse_algorithm_options(name, params))
+    values.update(parse_section(f"algorithm {name}", params, types))
     cls, extra = _SECTIONS[name]
     extras = {k: values[k] for k in extra if k in values}
     if cls is None:
@@ -234,7 +257,7 @@ def build_instance(spec: dict[str, str]) -> env.Instance:
     num_arms = int(spec.get("num_arms", "0"))
     num_clusters = int(spec.get("num_clusters", "1"))
     if kind == "hard":
-        optimal = [int(x) for x in spec.get("optimal_arms", "").split(",") if x.strip()]
+        optimal = int_list(spec.get("optimal_arms", ""))
         return env.generate_hard_instance(
             num_users, num_arms, num_clusters, float(spec.get("epsilon", "0.5")), optimal, seed
         )
@@ -315,12 +338,6 @@ class Report:
                     }
                 )
         return rows
-
-    def final_regrets(self) -> dict[str, list[float]]:
-        out: dict[str, list[float]] = {}
-        for run in self.runs:
-            out.setdefault(run.algorithm, []).append(run.history.final_regret)
-        return out
 
 
 def summarize(regret_rows: list[dict]) -> list[dict]:

@@ -20,6 +20,10 @@ def _load_config(path: str, seed_list: str | None) -> bench.ExperimentConfig:
     return config
 
 
+def _print_progress(algo: str, horizon: int, seed: int, final_regret: float) -> None:
+    print(f"{algo} T={horizon} seed={seed}: final regret {final_regret:.1f}")
+
+
 def _cmd_generate(args) -> int:
     config = _load_config(args.config, None)
     instance = bench.build_instance(config.instance)
@@ -40,10 +44,7 @@ def _cmd_run(args) -> int:
         config.experiment["full_history"] = "true"
     if args.check:
         config.experiment["check"] = "true"
-    report = bench.run_experiment(
-        config,
-        progress=lambda a, T, s, r: print(f"{a} T={T} seed={s}: final regret {r:.1f}"),
-    )
+    report = bench.run_experiment(config, progress=_print_progress)
     paths = bench.emit_report(report, args.out)
     for name, p in sorted(paths.items()):
         print(f"wrote {p}")
@@ -54,10 +55,7 @@ def _cmd_bench(args) -> int:
     config = _load_config(args.config, args.seed_list)
     if len(config.horizons) < 2:
         raise bench.ConfigError("experiment.horizons: scaling studies need several horizons")
-    report = bench.run_experiment(
-        config,
-        progress=lambda a, T, s, r: print(f"{a} T={T} seed={s}: final regret {r:.1f}"),
-    )
+    report = bench.run_experiment(config, progress=_print_progress)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = bench.scaling_rows(report)

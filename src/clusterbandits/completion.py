@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .env import seed_sequence
+
 
 class InsufficientBudgetError(RuntimeError):
     """Not even one repetition of the estimator finished within the budget."""
@@ -98,30 +100,16 @@ def sample_mask(users, arms, p: float, rng: np.random.Generator) -> Mask:
     return Mask(users, arms, entry_row, entry_col)
 
 
-class ObservationBuffer:
-    """Running sums and counts for every masked cell, target count b."""
-
-    def __init__(self, mask: Mask, b: int):
-        self.mask = mask
-        self.b = b
-        self.sums = np.zeros(len(mask))
-        self.counts = np.zeros(len(mask), dtype=int)
-
-    def averaged_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(local rows, local cols, averaged values) for fully observed cells."""
-        done = self.counts >= self.b
-        m = self.mask
-        return m.entry_row[done], m.entry_col[done], self.sums[done] / self.counts[done]
-
-
 class MaskCollection:
-    """One mask observed over b sequential passes, one arriving user at a time."""
+    """One mask observed over b sequential passes, one arriving user at a time,
+    with running sums and counts for every masked cell."""
 
     def __init__(self, mask: Mask, b: int, rng: np.random.Generator):
         self.mask = mask
         self.b = b
         self.rng = rng
-        self.buffer = ObservationBuffer(mask, b)
+        self.sums = np.zeros(len(mask))
+        self.counts = np.zeros(len(mask), dtype=int)
         n_rows = len(mask.rows)
         self._entries_of_row: list[np.ndarray] = [
             np.flatnonzero(mask.entry_row == i) for i in range(n_rows)
@@ -166,13 +154,19 @@ class MaskCollection:
         """Credit the reward of the mask pull issued by the last `choose`."""
         i = self._row_of_user[user]
         entry = self._pending[i].pop()
-        self.buffer.sums[entry] += reward
-        self.buffer.counts[entry] += 1
+        self.sums[entry] += reward
+        self.counts[entry] += 1
         self._outstanding -= 1
         if self._outstanding == 0:
             self._pass_idx += 1
             if self._pass_idx < self.b:
                 self._start_pass()
+
+    def averaged_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(local rows, local cols, averaged values) for fully observed cells."""
+        done = self.counts >= self.b
+        m = self.mask
+        return m.entry_row[done], m.entry_col[done], self.sums[done] / self.counts[done]
 
 
 @dataclass
@@ -366,10 +360,6 @@ class OracleInstance:
     def collecting(self) -> bool:
         return self._collection is not None and not self._collection.done
 
-    @property
-    def finished(self) -> bool:
-        return self._collection is None
-
     def choose(self, user: int) -> tuple[int, bool]:
         self.rounds_used += 1
         return self._collection.choose(user)
@@ -384,7 +374,7 @@ class OracleInstance:
 
     def _finish_repetition(self) -> None:
         coll = self._collection
-        rows, cols, vals = coll.buffer.averaged_entries()
+        rows, cols, vals = coll.averaged_entries()
         est, diags = _partitioned_solve(
             rows,
             cols,
@@ -432,23 +422,12 @@ def low_rank_matrix_estimate(
     """
     users = np.asarray(users, dtype=int)
     arms = np.asarray(arms, dtype=int)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    ss = seed_sequence(seed)
     inst = OracleInstance(users, arms, params, ss)
-    member = np.zeros(env.instance.num_users, dtype=bool)
-    member[users] = True
+    outsiders = np.setdiff1d(np.arange(env.instance.num_users), users)
     outsider_rng = np.random.default_rng(ss.spawn(1)[0])
-    remaining = env.horizon - env.t if budget is None else min(budget, env.horizon - env.t)
-    while inst.collecting and remaining > 0:
-        u = env.peek_user()
-        if member[u]:
-            arm, masked = inst.choose(u)
-            env.step(lambda _u: arm)
-            if masked:
-                inst.record(u, arm, float(env.history.rewards[len(env.history) - 1]))
-        else:
-            arm = int(arms[outsider_rng.integers(len(arms))])
-            env.step(lambda _u: arm)
-        remaining -= 1
+    end = env.horizon if budget is None else env.t + budget
+    env.run(end, [users, outsiders], [arms, arms], outsider_rng, oracles=[inst, None])
     est = inst.estimate()
     if est is None:
         raise InsufficientBudgetError(

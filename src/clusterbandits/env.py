@@ -4,7 +4,9 @@ A problem instance is a ground-truth reward matrix over (user, arm) pairs in
 which users sharing a latent cluster have identical rows (cluster structure)
 or entrywise-close rows with a common best arm (relaxed cluster structure).
 Each simulation round samples a user uniformly at random, asks a policy for
-an arm, and returns the matrix entry plus additive noise.
+an arm, and returns the matrix entry plus additive noise.  `Environment.run`
+is the one place rounds are dispatched: every policy plays its rounds through
+it, serving each arriving user by the role that user holds.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ class InvalidEpsilonError(ValueError):
 
 class ArmOutOfRangeError(IndexError):
     """A policy returned an arm index outside the instance's arm set."""
+
+
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """`seed` itself if it is a SeedSequence, else a SeedSequence built from it."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 @dataclass(frozen=True)
@@ -127,10 +134,6 @@ class Instance:
         self.best_arm = np.argmax(self.P, axis=1)
         best_of_row = self.X.max(axis=1)
         self.gaps = best_of_row[:, None] - self.X
-
-    @property
-    def max_gap(self) -> float:
-        return float(self.gaps.max(initial=0.0))
 
 
 def _check_dimensions(num_users: int, num_arms: int, num_clusters: int) -> None:
@@ -279,10 +282,10 @@ class RunHistory:
     """Per-round ledger of (user, arm, reward, instantaneous regret).
 
     `cumulative_regret[t]` is the prefix sum of instantaneous regrets up to
-    and including round t.
+    and including round t.  Rounds beyond `capacity` do not fit.
     """
 
-    def __init__(self, capacity: int = 1024):
+    def __init__(self, capacity: int):
         self._n = 0
         self.users = np.empty(capacity, dtype=np.int32)
         self.arms = np.empty(capacity, dtype=np.int32)
@@ -294,17 +297,7 @@ class RunHistory:
     def __len__(self) -> int:
         return self._n
 
-    def _grow(self) -> None:
-        cap = max(2 * self.users.size, 1024)
-        for name in ("users", "arms", "rewards", "inst_regret", "cumulative_regret"):
-            arr = getattr(self, name)
-            new = np.empty(cap, dtype=arr.dtype)
-            new[: self._n] = arr[: self._n]
-            setattr(self, name, new)
-
     def append(self, user: int, arm: int, reward: float, inst_regret: float) -> None:
-        if self._n >= self.users.size:
-            self._grow()
         n = self._n
         self.users[n] = user
         self.arms[n] = arm
@@ -350,8 +343,7 @@ class Environment:
             if instance.P.min() < 0.0 or instance.P.max() > 1.0:
                 raise ValueError("bernoulli-reward noise requires entries in [0, 1]")
         self.horizon = int(horizon)
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        user_ss, noise_ss = ss.spawn(2)
+        user_ss, noise_ss = seed_sequence(seed).spawn(2)
         self._users = np.random.default_rng(user_ss).integers(
             0, instance.num_users, size=self.horizon
         )
@@ -382,6 +374,47 @@ class Environment:
         if t >= self.horizon:
             raise RuntimeError("environment horizon exhausted")
         return self._advance(t, int(self._users[t]), int(arm))
+
+    def run(self, end, user_sets, arm_sets, rng, oracles=None, ucb=None, fixed=None) -> None:
+        """Play rounds until round `end` (capped at the horizon); when
+        `oracles` is given, stop as well once none of them is collecting.
+
+        The arriving user u of `user_sets[i]` is served by `oracles[i]` while
+        that oracle collects, else by its UCB state `ucb[u]`, else by its
+        fixed arm `fixed[u]`, else by a uniform pull from `arm_sets[i]` drawn
+        with `rng`.
+        """
+        set_of = [0] * self.instance.num_users
+        for i, us in enumerate(user_sets):
+            for u in us:
+                set_of[u] = i
+        # None (no oracles) never reaches 0, so only `end` stops the run
+        waiting = None if oracles is None else sum(o is not None and o.collecting for o in oracles)
+        oracles = oracles or [None] * len(user_sets)
+        ucb = ucb or {}
+        fixed = fixed or {}
+        end = min(end, self.horizon)
+        while self.t < end and waiting != 0:
+            u = int(self._users[self.t])
+            i = set_of[u]
+            oracle = oracles[i]
+            if oracle is not None and oracle.collecting:
+                arm, masked = oracle.choose(u)
+                _, _, reward = self.play(arm)
+                if masked:
+                    oracle.record(u, arm, reward)
+                    if not oracle.collecting:
+                        waiting -= 1
+            elif u in ucb:
+                state = ucb[u]
+                arm = state.select()
+                _, _, reward = self.play(arm)
+                state.update(arm, reward)
+            elif u in fixed:
+                self.play(fixed[u])
+            else:
+                arms = arm_sets[i]
+                self.play(int(arms[rng.integers(len(arms))]))
 
     def _advance(self, t: int, u: int, arm: int) -> tuple[int, int, float]:
         if not 0 <= arm < self.instance.num_arms:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .completion import OracleInstance, derive_oracle_params
-from .env import Environment, Instance, NoiseModel, RunHistory
+from .env import Environment, Instance, NoiseModel, RunHistory, seed_sequence
 
 ENDGAME_FRACTION = 0.01  # do not start an oracle this close to the horizon
 
@@ -162,7 +162,6 @@ class PhaseRecord:
     user_sets: list[list[int]]
     arm_sets: list[list[int]]
     rounds_used: int
-    num_ucb_users: int
     oracle_error: float | None = None
 
 
@@ -171,9 +170,6 @@ class PhaseTrace:
     records: list[PhaseRecord] = field(default_factory=list)
     has_mode: bool = False
     intersection_fallbacks: int = 0
-
-    def append(self, record: PhaseRecord) -> None:
-        self.records.append(record)
 
     def csv_rows(self) -> list[dict]:
         rows = []
@@ -213,8 +209,7 @@ class _PhasedRun:
         self.rcs = rcs
         self.nu = nu
         self.edge_slack = edge_slack
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        env_ss, algo_ss = root.spawn(2)
+        env_ss, algo_ss = seed_sequence(seed).spawn(2)
         self.env = Environment(instance, noise, env_ss, self.horizon)
         self.algo_ss = algo_ss
         self.rng = np.random.default_rng(algo_ss.spawn(1)[0])
@@ -237,9 +232,8 @@ class _PhasedRun:
         while env.t < self.horizon:
             ell += 1
             delta_next = None if self.c_prime is None else self.c_prime * 2.0 ** (-ell)
-            set_of = np.zeros(num_users, dtype=int)
-            for i, us in enumerate(user_sets):
-                set_of[us] = i
+            endgame = (self.horizon - env.t) < ENDGAME_FRACTION * self.horizon
+            instances: dict[int, OracleInstance] = {}
             for i, (us, arms) in enumerate(zip(user_sets, arm_sets)):
                 # a set with fewer users than clusters has no low-rank
                 # structure to exploit; completion parameters degenerate there
@@ -247,10 +241,6 @@ class _PhasedRun:
                     for u in us:
                         if u not in self.ucb:
                             self.ucb[u] = UcbArmState(arms, cfg.sigma, max(2, self.horizon))
-            endgame = (self.horizon - env.t) < ENDGAME_FRACTION * self.horizon
-            instances: dict[int, OracleInstance] = {}
-            for i, (us, arms) in enumerate(zip(user_sets, arm_sets)):
-                if len(arms) < gamma_c or len(us) < cfg.num_clusters:
                     continue
                 if endgame and all(u in self.latest_row for u in us):
                     for u in us:
@@ -262,7 +252,8 @@ class _PhasedRun:
                 instances[i] = self._make_instance(us, arms, delta_next)
             rounds_before = env.t
             if instances:
-                self._collection_loop(instances, set_of, arm_sets)
+                oracles = [instances.get(i) for i in range(len(user_sets))]
+                env.run(self.horizon, user_sets, arm_sets, self.rng, oracles=oracles, ucb=self.ucb)
                 if self.c_prime is None:
                     self._estimate_scale(instances)
                     delta_next = self.c_prime * 2.0 ** (-ell)
@@ -275,7 +266,9 @@ class _PhasedRun:
             mode = "joint"
             oracle_err = None
             if stalled:
-                self._tail_loop(set_of, arm_sets)
+                env.run(
+                    self.horizon, user_sets, arm_sets, self.rng, ucb=self.ucb, fixed=self.greedy_arm
+                )
                 mode = "ucb"
             elif not incomplete:
                 if self.rcs and (
@@ -289,7 +282,7 @@ class _PhasedRun:
                 )
                 if sorted(u for s in user_sets for u in s) != list(range(num_users)):
                     raise RuntimeError("user sets must partition the users")
-            self.trace.append(
+            self.trace.records.append(
                 PhaseRecord(
                     phase=ell,
                     delta=delta_next,
@@ -297,7 +290,6 @@ class _PhasedRun:
                     user_sets=[list(s) for s in user_sets],
                     arm_sets=[list(map(int, a)) for a in arm_sets],
                     rounds_used=env.t - rounds_before,
-                    num_ucb_users=len(self.ucb),
                     oracle_error=oracle_err,
                 )
             )
@@ -347,44 +339,6 @@ class _PhasedRun:
             scale = p_inf
         self.c_prime = cfg.c_prime * scale / cfg.num_clusters
 
-    def _collection_loop(self, instances, set_of, arm_sets) -> None:
-        env = self.env
-        active = sum(1 for i in instances.values() if i.collecting)
-        while active > 0 and env.t < self.horizon:
-            u = env.peek_user()
-            i = int(set_of[u])
-            inst = instances.get(i)
-            if inst is not None and inst.collecting:
-                arm, masked = inst.choose(u)
-                _, _, reward = env.play(arm)
-                if masked:
-                    inst.record(u, arm, reward)
-                    if not inst.collecting:
-                        active -= 1
-            elif u in self.ucb:
-                self._ucb_round(u)
-            else:
-                arms = arm_sets[i]
-                env.play(int(arms[self.rng.integers(len(arms))]))
-
-    def _tail_loop(self, set_of, arm_sets) -> None:
-        env = self.env
-        while env.t < self.horizon:
-            u = env.peek_user()
-            if u in self.ucb:
-                self._ucb_round(u)
-            elif u in self.greedy_arm:
-                env.play(self.greedy_arm[u])
-            else:
-                arms = arm_sets[int(set_of[u])]
-                env.play(int(arms[self.rng.integers(len(arms))]))
-
-    def _ucb_round(self, u: int) -> None:
-        state = self.ucb[u]
-        arm = state.select()
-        _, _, reward = self.env.play(arm)
-        state.update(arm, reward)
-
     def _refine(self, user_sets, arm_sets, instances, delta, joint: bool):
         new_users: list[list[int]] = []
         new_arms: list[np.ndarray] = []
@@ -394,27 +348,24 @@ class _PhasedRun:
             est = inst.estimate() if inst is not None else None
             if est is None:
                 new_users.append(list(us))
-                new_arms.append(np.asarray(arms, dtype=int))
+                new_arms.append(arms)
                 continue
             values = est.values
-            err = float(
-                np.max(np.abs(values - self.instance.P[np.ix_(us, np.asarray(arms, dtype=int))]))
-            )
+            err = float(np.max(np.abs(values - self.instance.P[np.ix_(us, arms)])))
             worst_err = err if worst_err is None else max(worst_err, err)
             for r, u in enumerate(us):
-                self.latest_row[u] = (np.asarray(arms, dtype=int), values[r].copy())
+                self.latest_row[u] = (arms, values[r].copy())
             good_local = [good_arm_set(values[r], delta) for r in range(len(us))]
-            arms_arr = np.asarray(arms, dtype=int)
             if joint:
                 adjacency = build_user_graph(
                     values, good_local, delta, slack_multiplier=self.edge_slack
                 )
-                good_arms = [arms_arr[g] for g in good_local]
+                good_arms = [arms[g] for g in good_local]
                 for comp, union in refine_partition(us, adjacency, good_arms):
                     new_users.append(comp)
                     new_arms.append(union)
             else:
-                sets = [set(int(a) for a in arms_arr[g]) for g in good_local]
+                sets = [set(arms[g].tolist()) for g in good_local]
                 inter, fell_back = intersect_with_union_fallback(sets)
                 if fell_back:
                     self.trace.intersection_fallbacks += 1
@@ -427,15 +378,10 @@ def intersect_with_union_fallback(arm_sets: list[set[int]]) -> tuple[set[int], b
     """Common arms across all users; union if the intersection is empty."""
     if not arm_sets:
         raise ValueError("need at least one arm set")
-    inter = set(arm_sets[0])
-    for s in arm_sets[1:]:
-        inter &= s
+    inter = set.intersection(*map(set, arm_sets))
     if inter:
         return inter, False
-    union: set[int] = set()
-    for s in arm_sets:
-        union |= s
-    return union, True
+    return set.union(*map(set, arm_sets)), True
 
 
 def run_lattice(

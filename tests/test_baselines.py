@@ -195,3 +195,17 @@ def test_simplified_arm_sets_nonincreasing_on_fixed_branch():
         prev = {tuple(sorted(s)): set(a) for s, a in zip(earlier.user_sets, earlier.arm_sets)}
         for s, a in zip(later.user_sets, later.arm_sets):
             assert set(a) <= prev[tuple(sorted(s))]
+
+
+def test_phase_sums_from_history_match_a_per_round_loop():
+    # run_simplified_lattice accumulates a phase's rewards with np.add.at over
+    # the history; it must add in round order, exactly as one += per round
+    rng = np.random.default_rng(3)
+    users, arms = rng.integers(0, 3, 5000), rng.integers(0, 4, 5000)
+    rewards = rng.normal(0.0, 1e3, 5000)
+    loop = np.zeros((3, 4))
+    for u, a, r in zip(users, arms, rewards):
+        loop[u, a] += r
+    vectorised = np.zeros((3, 4))
+    np.add.at(vectorised, (users, arms), rewards)
+    assert np.array_equal(vectorised, loop)

@@ -72,6 +72,47 @@ def test_config_bad_algorithm_key_or_value_rejected(line, message):
         bench.parse_config(SMALL_CONFIG + f"[algorithm lattice]\n{line}\n")
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("sigma = 0.2", "sigam = 0.2", r"instance\.sigam: unknown key"),
+        ("seed = 3", "seed = x3", r"instance\.seed: cannot parse 'x3' as int"),
+        ("sigma = 0.2", "sigma = 0,2", r"instance\.sigma: cannot parse '0,2' as float"),
+        ("num_users = 4", "num_users = 4\noptimal_arms = 0,a", r"instance\.optimal_arms: cannot"),
+        ("seeds = 1", "seeds = 1\nfull_histroy = true", r"experiment\.full_histroy: unknown key"),
+        ("seeds = 1", "seeds = 1\ncheck = yes", r"experiment\.check: cannot parse 'yes'"),
+        ("seeds = 1", "seeds = 1\nfull_history = 1", r"experiment\.full_history: cannot"),
+        ("seeds = 1", "seeds = 1,x", r"experiment\.seeds: cannot parse '1,x'"),
+        ("horizon = 100", "horizon = 2k", r"experiment\.horizon: cannot parse '2k' as int"),
+        ("horizon = 100", "horizon = 100\nhorizons = 100,", None),
+    ],
+)
+def test_config_bad_instance_or_experiment_key_rejected(old, new, message):
+    text = SMALL_CONFIG.replace(old, new)
+    if message is None:  # an empty item of a list is skipped, not an error
+        assert bench.parse_config(text).horizons == [100]
+        return
+    with pytest.raises(bench.ConfigError, match=message):
+        bench.parse_config(text)
+
+
+def test_config_booleans_are_true_or_false():
+    config = bench.parse_config(SMALL_CONFIG.replace("seeds = 1", "seeds = 1\ncheck = true"))
+    assert config.check is True and config.full_history is False
+
+
+@pytest.mark.parametrize("field, value", [("phase_base", 0), ("phase_step", -60)])
+def test_simplified_schedule_that_never_ends_is_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        baselines.SimplifiedConfig(num_clusters=2, sigma=0.2, **{field: value})
+    text = SMALL_CONFIG + f"[algorithm simplified-lattice]\n{field} = {value}\n"
+    config = bench.parse_config(text)
+    instance = bench.build_instance(config.instance)
+    noise = bench.build_noise(config.instance, instance)
+    with pytest.raises(bench.ConfigError, match="simplified-lattice"):
+        bench.build_algorithm("simplified-lattice", config.algorithms[-1][1], instance, noise)
+
+
 def test_config_out_of_range_value_fails_before_any_cell(monkeypatch):
     ran = []
     monkeypatch.setattr(baselines, "run_per_user_ucb", lambda *a: ran.append(a))
@@ -320,3 +361,12 @@ def test_cli_entrypoint_subprocess(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("old, new", [("sigma", "sigam"), ("horizon = 100", "horizon = 2k")])
+def test_cli_instance_or_experiment_typo_exit_code(tmp_path, capsys, old, new):
+    cfg = _write_config(tmp_path, SMALL_CONFIG.replace(old, new))
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert new.split()[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

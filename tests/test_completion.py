@@ -105,8 +105,7 @@ def test_collect_noiseless_single_observation_exact():
     env = Environment(inst, NoiseModel("none"), seed=0, horizon=500)
     coll, _ = _collect(env, mask, b=1, budget=500, seed=9)
     assert coll.done
-    buffer = coll.buffer
-    rows, cols, vals = buffer.averaged_entries()
+    rows, cols, vals = coll.averaged_entries()
     for i, j, v in zip(rows, cols, vals):
         assert v == inst.P[int(mask.rows[i]), int(mask.cols[j])]
 
@@ -119,7 +118,7 @@ def test_collect_variance_reduction():
         env = Environment(inst, NoiseModel("gaussian", 1.0), seed=seed, horizon=4000)
         coll, _ = _collect(env, mask, b=4, budget=4000, seed=seed)
         assert coll.done
-        _, _, vals = coll.buffer.averaged_entries()
+        _, _, vals = coll.averaged_entries()
         cell_values.append(vals[0])
     var = np.var(cell_values)
     assert 0.25 / 1.5 <= var <= 0.25 * 1.5
@@ -132,7 +131,7 @@ def test_collect_budget_zero():
     coll, rounds = _collect(env, mask, b=1, budget=0, seed=0)
     assert not coll.done
     assert rounds == 0 and env.t == 0
-    assert np.all(coll.buffer.counts == 0)
+    assert np.all(coll.counts == 0)
 
 
 def test_solver_unregularized_full_observation_returns_input():

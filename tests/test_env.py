@@ -139,6 +139,84 @@ def test_policy_arm_out_of_range():
         env.step(lambda u: 2)
 
 
+class _StubOracle:
+    """Asks for `pulls` masked pulls of `arm`, then stops collecting."""
+
+    def __init__(self, arm, pulls):
+        self.arm = arm
+        self.left = pulls
+        self.recorded = 0
+
+    @property
+    def collecting(self):
+        return self.left > 0
+
+    def choose(self, user):
+        return self.arm, True
+
+    def record(self, user, arm, reward):
+        self.left -= 1
+        self.recorded += 1
+
+
+class _StubUcb:
+    def __init__(self, arm):
+        self.arm = arm
+        self.updates = 0
+
+    def select(self):
+        return self.arm
+
+    def update(self, arm, reward):
+        self.updates += 1
+
+
+def _run_env(horizon):
+    inst = generate_cs_instance(4, 6, 2, RowDistribution.gaussian(0, 1), seed=1)
+    return Environment(inst, NoiseModel("none"), seed=0, horizon=horizon)
+
+
+def test_env_run_stops_at_end_and_at_horizon():
+    env = _run_env(100)
+    rng = np.random.default_rng(0)
+    env.run(30, [range(4)], [np.arange(6)], rng)
+    assert env.t == 30
+    env.run(500, [range(4)], [np.arange(6)], rng)
+    assert env.t == 100 and len(env.history) == 100
+
+
+def test_env_run_stops_when_last_oracle_finishes():
+    env = _run_env(1000)
+    first, second = _StubOracle(1, 3), _StubOracle(2, 5)
+    user_sets, arm_sets = [[0, 1], [2, 3]], [np.array([0]), np.array([0])]
+    env.run(1000, user_sets, arm_sets, np.random.default_rng(0), oracles=[first, second])
+    arms = env.history.arms[: env.t]
+    assert first.recorded == 3 and second.recorded == 5
+    assert np.sum(arms == 1) == 3 and np.sum(arms == 2) == 5
+    assert arms[-1] in (1, 2)  # the run ends on the last mask pull
+    # no oracle collecting: nothing to wait for
+    env.run(1000, user_sets, arm_sets, None, oracles=[first, None])
+    assert len(env.history) == len(arms)
+
+
+def test_env_run_serves_oracle_then_ucb_then_fixed_then_uniform():
+    env = _run_env(400)
+    user_sets, arm_sets = [[0, 1, 2], [3]], [np.array([4]), np.array([5])]
+    ucb = {0: _StubUcb(2), 3: _StubUcb(2)}
+    fixed = {0: 3, 1: 3}
+    rng = np.random.default_rng(0)
+    oracles = [_StubOracle(1, 10**6), None]
+    env.run(200, user_sets, arm_sets, rng, oracles=oracles, ucb=ucb, fixed=fixed)
+    env.run(400, user_sets, arm_sets, rng, ucb=ucb, fixed=fixed)
+    users, arms = env.history.users, env.history.arms
+    expected_collecting = {0: 1, 1: 1, 2: 1, 3: 2}
+    expected_after = {0: 2, 1: 3, 2: 4, 3: 2}
+    assert [int(a) for a in arms[:200]] == [expected_collecting[u] for u in users[:200]]
+    assert [int(a) for a in arms[200:]] == [expected_after[u] for u in users[200:]]
+    assert ucb[0].updates == np.sum(users[200:] == 0)
+    assert ucb[3].updates == np.sum(users == 3)
+
+
 def test_run_determinism_bit_identical():
     inst = generate_cs_instance(5, 4, 2, RowDistribution.gaussian(0, 1), seed=3)
     outs = []

@@ -236,4 +236,4 @@ def test_lattice_tiny_horizon_graceful():
     cfg = LatticeConfig(num_clusters=2, sigma=0.1, c_prime_override=0.5, f_cap=1)
     hist, trace = run_lattice(inst, cfg, 25, seed=3, noise=NoiseModel("gaussian", 0.1))
     assert len(hist) == 25
-    assert hist.final_regret <= 25 * inst.max_gap + 1e-9
+    assert hist.final_regret <= 25 * inst.gaps.max() + 1e-9

@@ -1,0 +1,91 @@
+"""Exact final regret of every policy on small instances, pinned.
+
+The values were recorded with numpy 2.4.6 before the per-policy round loops
+were merged into `Environment.run`; a refactor of the round dispatch must
+reproduce them to the last bit.  A numpy release that changes a generator's
+stream or a LAPACK result may move them.
+"""
+
+import pytest
+
+from clusterbandits import bench
+
+CS_CONFIG = """\
+[instance]
+kind = cs
+num_users = 24
+num_arms = 20
+num_clusters = 2
+row_distribution = gaussian(0,1)
+seed = 3
+noise = gaussian
+sigma = 0.4
+
+[experiment]
+horizon = 20000
+seeds = {seed}
+
+[algorithm lattice]
+c_prime_override = 0.5
+c_p = 0.5
+c_b = 0.5
+f_cap = 2
+
+[algorithm etc]
+explore_fraction = 0.3
+
+[algorithm simplified-lattice]
+lam_coeff = 1.5
+phase_base = 600
+phase_step = 300
+
+[algorithm ucb]
+"""
+
+RCS_CONFIG = """\
+[instance]
+kind = rcs
+num_users = 24
+num_arms = 16
+num_clusters = 2
+nu = 0.02
+row_distribution = gaussian(0,1)
+seed = 17
+noise = gaussian
+sigma = 0.3
+
+[experiment]
+horizon = 20000
+seeds = {seed}
+
+[algorithm lattice-rcs]
+nu = 0.02
+gamma = 1
+c_prime_override = 0.7
+c_p = 2.0
+c_b = 0.5
+f_cap = 1
+"""
+
+EXPECTED = {
+    (5, "lattice"): 4203.649085291974,
+    (5, "etc"): 17246.41001256994,
+    (5, "simplified-lattice"): 1569.1676113111782,
+    (5, "ucb"): 2480.450382125869,
+    (5, "lattice-rcs"): 1657.2241387974468,
+    (6, "lattice"): 3742.404768670046,
+    (6, "etc"): 15998.215526971213,
+    (6, "simplified-lattice"): 1764.2764338697557,
+    (6, "ucb"): 2477.936439748953,
+    (6, "lattice-rcs"): 1645.5934017405334,
+}
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_final_regret_is_pinned(seed):
+    got = {}
+    for text in (CS_CONFIG, RCS_CONFIG):
+        report = bench.run_experiment(bench.parse_config(text.format(seed=seed)))
+        for run in report.runs:
+            got[(seed, run.algorithm)] = run.history.final_regret
+    assert got == {k: v for k, v in EXPECTED.items() if k[0] == seed}
