@@ -4,9 +4,13 @@ The estimator observes a Bernoulli-sampled subset of (user, arm) cells, each
 averaged over `b` repeated pulls to reduce variance, completes the matrix by
 nuclear-norm regularized least squares (soft-impute), and boosts the success
 probability by taking an entrywise median over `f` independent estimates.
-Because users arrive randomly one per round, collection is a stateful pass
-over the mask: whenever a masked user arrives we pull one of their pending
-masked arms, otherwise a throwaway arm outside the mask.
+Soft-impute needs only the singular values above its threshold, and on
+low-rank data few survive, so each iteration takes them from a subspace
+warm-started at the previous iterate's singular vectors and runs a dense SVD
+only when that subspace may miss one.  Because users arrive randomly one per
+round, collection is a stateful pass over the mask: whenever a masked user
+arrives we pull one of their pending masked arms, otherwise a throwaway arm
+outside the mask.
 """
 
 from __future__ import annotations
@@ -175,6 +179,38 @@ class SolveInfo:
     converged: bool
     no_convergence: bool
     objectives: list[float] = field(default_factory=list)
+    dense_svds: int = 0  # iterations that thresholded through a full dense SVD
+
+
+# basis columns kept beyond the previous iterate's surviving singular vectors
+OVERSAMPLE = 6
+
+
+def _thresholded_svd(
+    G: np.ndarray, lam_k: float, basis: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Singular triplets (U, s, Vt) of G that include every singular value
+    above `lam_k`, from exactly one `np.linalg.svd` call; the flag is True
+    when that call was a dense SVD of G.
+
+    With a basis (n x k, orthonormal columns) it runs one block power
+    iteration from G @ basis and takes the SVD of the small k x n projection
+    of G: the range finder of Halko, Martinsson & Tropp (2011), warm started
+    instead of random.  When all k Ritz values exceed `lam_k` the subspace
+    may miss a surviving value, and the dense SVD is used instead.
+    """
+    if basis is not None and basis.shape[1] + 1 <= min(G.shape) // 3:
+        Y = np.linalg.qr(G @ basis)[0]
+        Z = np.linalg.qr(G.T @ Y)[0]
+        Y = np.linalg.qr(G @ Z)[0]
+        B = Y.T @ G
+        # squared Ritz values from the k x k Gram matrix, so that the guard
+        # costs no second SVD
+        if np.linalg.eigvalsh(B @ B.T)[0] <= lam_k * lam_k:
+            Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
+            return Y @ Ub, s, Vt, False
+    U, s, Vt = np.linalg.svd(G, full_matrices=False)
+    return U, s, Vt, True
 
 
 def solve_nuclear_norm(
@@ -195,6 +231,17 @@ def solve_nuclear_norm(
     their objective 0.5 * sum_omega (Q - Z)^2 + lam * ||Q||_* is checked to
     be nonincreasing (RuntimeError otherwise).  `max_iters` caps the total
     across all stages.
+
+    Each iteration thresholds in a rank-k subspace spanned by the previous
+    iterate's r surviving right singular vectors plus OVERSAMPLE more
+    (k = r + OVERSAMPLE).  It uses a dense SVD of the m x n iterate instead
+    on the first iteration, after an iterate with no survivors, when
+    k + 1 > min(m, n) // 3, and when all k Ritz values exceed the threshold;
+    `SolveInfo.dense_svds` counts those iterations.  Either way an iteration
+    makes one `np.linalg.svd` call, so a solve makes `iterations + 2` with
+    the top singular value and the final stage's starting objective.
+    Results agree with an all-dense solve to about 10 * tol relative to
+    max |Q|, not bit for bit.
     """
     row_idx, col_idx = omega
     if len(row_idx) == 0:
@@ -216,6 +263,8 @@ def solve_nuclear_norm(
 
     objectives: list[float] = []
     total_iters = 0
+    dense_svds = 0
+    basis = None
     rel_change = np.inf
     for lam_k in lam_path:
         final_stage = lam_k == lam_path[-1]
@@ -227,9 +276,12 @@ def solve_nuclear_norm(
         while total_iters < max_iters:
             G = Q.copy()
             G[row_idx, col_idx] = values
-            U, s, Vt = np.linalg.svd(G, full_matrices=False)
-            s_thr = np.maximum(s - lam_k, 0.0)
-            Q_new = (U * s_thr) @ Vt
+            U, s, Vt, dense = _thresholded_svd(G, lam_k, basis)
+            dense_svds += dense
+            r = int(np.count_nonzero(s > lam_k))
+            s_thr = s[:r] - lam_k
+            Q_new = (U[:, :r] * s_thr) @ Vt[:r]
+            basis = Vt[: r + OVERSAMPLE].T if r else None
             total_iters += 1
             if final_stage:
                 # Q_new's singular values are exactly s_thr
@@ -250,6 +302,7 @@ def solve_nuclear_norm(
         converged=converged,
         no_convergence=(not converged) and rel_change > 100 * tol,
         objectives=objectives,
+        dense_svds=dense_svds,
     )
     return Q, info
 
@@ -302,11 +355,12 @@ def _partitioned_solve(
         keep[smallest] = np.concatenate([keep[smallest]] + orphans)
     estimate = np.zeros((n_rows, n_cols))
     diags = []
+    local = np.empty(n_cols, dtype=int)
     for block_no, g in enumerate(keep):
-        local_of = {int(c): j for j, c in enumerate(g)}
+        local[g] = np.arange(len(g))
         sel = np.isin(col_idx, g)
         b_rows = row_idx[sel]
-        b_cols = np.array([local_of[int(c)] for c in col_idx[sel]], dtype=int)
+        b_cols = local[col_idx[sel]]
         b_vals = values[sel]
         block, info = solve_nuclear_norm(b_vals, (b_rows, b_cols), (n_rows, len(g)), lam)
         estimate[:, g] = block
@@ -314,6 +368,9 @@ def _partitioned_solve(
             {
                 "block": block_no,
                 "iterations": info.iterations,
+                "converged": info.converged,
+                "no_convergence": info.no_convergence,
+                "dense_svds": info.dense_svds,
                 "final_objective": info.objectives[-1],
             }
         )

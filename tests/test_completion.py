@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbandits.completion import (
     InsufficientBudgetError,
@@ -202,6 +204,129 @@ def test_solver_error_nonincreasing_in_p():
     ]
     assert len(inversions) <= 1
     assert all(size <= 0.10 for size in inversions)
+
+
+def _dense_soft_impute(values, omega, shape, lam, tol=1e-6, max_iters=500, decay=0.25):
+    """Reference: the same annealed soft-impute with a full dense SVD every
+    iteration; returns (Q, iterations)."""
+    rows, cols = omega
+    Q = np.zeros(shape)
+    filled = Q.copy()
+    filled[rows, cols] = values
+    top = float(np.linalg.svd(filled, compute_uv=False)[0])
+    path, cur, floor = [], top * decay, max(lam, 1e-12 * max(top, 1.0))
+    while cur > floor / decay:
+        path.append(cur)
+        cur *= decay
+    path.append(lam)
+    iters = 0
+    for k, lam_k in enumerate(path):
+        stage_tol = tol if k == len(path) - 1 else max(tol, 1e-4)
+        while iters < max_iters:
+            G = Q.copy()
+            G[rows, cols] = values
+            U, s, Vt = np.linalg.svd(G, full_matrices=False)
+            Q_new = (U * np.maximum(s - lam_k, 0.0)) @ Vt
+            iters += 1
+            change = np.linalg.norm(Q_new - Q) / max(np.linalg.norm(Q), 1e-30)
+            Q = Q_new
+            if change < stage_tol:
+                break
+    return Q, iters
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=st.integers(8, 70),
+    n=st.integers(8, 70),
+    rank=st.integers(1, 4),
+    p=st.floats(0.3, 1.0),
+    sigma=st.floats(0.0, 0.5),
+    lam_scale=st.sampled_from([0.0, 1.0, 3.0]),
+    tol=st.sampled_from([1e-6, 1e-5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solver_matches_dense_reference(m, n, rank, p, sigma, lam_scale, tol, seed):
+    rng = np.random.default_rng(seed)
+    truth = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+    rows, cols = np.nonzero(rng.random((m, n)) < p)
+    if len(rows) == 0:
+        return
+    vals = truth[rows, cols] + sigma * rng.normal(size=len(rows))
+    lam = 1e-3 + lam_scale * sigma * math.sqrt(min(m, n) * p)
+    out, info = solve_nuclear_norm(vals, (rows, cols), (m, n), lam, tol=tol)
+    ref, ref_iters = _dense_soft_impute(vals, (rows, cols), (m, n), lam, tol=tol)
+    scale = max(float(np.abs(ref).max()), 1e-30)
+    assert np.abs(out - ref).max() <= 10 * tol * scale
+    assert abs(info.iterations - ref_iters) <= 1
+
+
+def _counted_solve(monkeypatch, values, omega, shape, lam):
+    """Solve while counting np.linalg.svd calls: one per iteration, plus the
+    top singular value and the final stage's starting objective."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    out, info = solve_nuclear_norm(values, omega, shape, lam)
+    monkeypatch.undo()
+    assert len(calls) == info.iterations + 2
+    ref, ref_iters = _dense_soft_impute(values, omega, shape, lam)
+    assert np.abs(out - ref).max() <= 1e-5 * max(float(np.abs(ref).max()), 1e-30)
+    assert info.iterations == ref_iters
+    return info
+
+
+def _full(Z):
+    rows, cols = np.nonzero(np.ones_like(Z, dtype=bool))
+    return Z[rows, cols], (rows, cols), Z.shape
+
+
+def test_solver_dense_only_on_first_iteration_for_low_rank(monkeypatch):
+    # rank 2: every iterate keeps at most 2 survivors, which the warm-started
+    # subspace of 2 + OVERSAMPLE columns always holds
+    rng = np.random.default_rng(0)
+    Z = rng.normal(size=(60, 2)) @ rng.normal(size=(2, 60))
+    info = _counted_solve(monkeypatch, *_full(Z), lam=1e-3)
+    assert info.iterations > 1
+    assert info.dense_svds == 1
+
+
+def test_solver_dense_when_many_values_survive(monkeypatch):
+    # a full-rank fill at a tiny lam: more survivors than min(m, n) // 3 allows
+    Z = np.random.default_rng(1).normal(size=(30, 30))
+    info = _counted_solve(monkeypatch, *_full(Z), lam=1e-3)
+    assert info.dense_svds == info.iterations
+
+
+def test_solver_dense_when_ritz_values_all_exceed_the_threshold(monkeypatch):
+    # singular values 100, nine near 10, the rest 0.1; lam path 25, 6.25, 1.
+    # At 25 one value survives, so the basis holds 1 + OVERSAMPLE = 7 columns;
+    # at 6.25 ten survive, all 7 Ritz values exceed the threshold, and that
+    # iteration must go dense.  Full observation converges in 2 iterations per
+    # stage: dense (first), rank-k, dense (guard), then rank-k with 16 columns.
+    rng = np.random.default_rng(2)
+    U = np.linalg.qr(rng.normal(size=(60, 60)))[0]
+    V = np.linalg.qr(rng.normal(size=(60, 60)))[0]
+    s = np.full(60, 0.1)
+    s[0] = 100.0
+    s[1:10] = np.linspace(11.0, 10.0, 9)
+    info = _counted_solve(monkeypatch, *_full((U * s) @ V.T), lam=1.0)
+    assert info.iterations == 6
+    assert info.dense_svds == 2
+
+
+def test_solver_svd_count_on_partial_observation(monkeypatch):
+    rng = np.random.default_rng(3)
+    truth = rng.normal(size=(50, 3)) @ rng.normal(size=(3, 40))
+    rows, cols = np.nonzero(rng.random(truth.shape) < 0.5)
+    vals = truth[rows, cols] + 0.1 * rng.normal(size=len(rows))
+    info = _counted_solve(monkeypatch, vals, (rows, cols), truth.shape, lam=0.5)
+    assert info.dense_svds < info.iterations
 
 
 def test_estimate_noiseless_rank2_recovery():
