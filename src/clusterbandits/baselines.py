@@ -266,7 +266,7 @@ def run_simplified_lattice(
                 new_arms.append(arms)
                 continue
             obs_vals = sums[np.ix_(us_arr, arms)][obs_rows, obs_cols] / sub_counts[obs_rows, obs_cols]
-            estimate, _ = solve_nuclear_norm(
+            estimate, info = solve_nuclear_norm(
                 obs_vals,
                 (obs_rows, obs_cols),
                 (len(us_arr), len(arms)),
@@ -274,6 +274,7 @@ def run_simplified_lattice(
                 tol=SIMPLIFIED_SOLVER_TOL,
                 max_iters=SIMPLIFIED_SOLVER_MAX_ITERS,
             )
+            trace.unconverged_solves += not info.converged
             if ell <= config.L:
                 labels = kmeans_elbow(
                     estimate,

@@ -17,6 +17,7 @@ import dataclasses
 import math
 import typing
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -321,49 +322,55 @@ class Report:
     runs: list[RunResult] = field(default_factory=list)
     assumption: checker.AssumptionReport | None = None
 
-    def regret_rows(self, full: bool = False) -> list[dict]:
-        rows = []
-        for run in self.runs:
-            hist = run.history
-            ts = range(1, len(hist) + 1) if full else checkpoint_grid(run.horizon)
-            for t in ts:
-                rows.append(
-                    {
-                        "run_id": run.run_id,
-                        "algorithm": run.algorithm,
-                        "seed": run.seed,
-                        "t": int(t),
-                        "instant_regret": format(float(hist.inst_regret[t - 1]), ".17g"),
-                        "cum_regret": format(hist.regret_at(int(t)), ".17g"),
-                    }
-                )
-        return rows
+
+@dataclass
+class RegretColumns:
+    """The regret.csv columns summary.csv is computed from: each row's
+    algorithm as an index into `names`, its round and its cumulative regret."""
+
+    names: list[str]
+    code: np.ndarray
+    t: np.ndarray
+    cum_regret: np.ndarray
 
 
-def summarize(regret_rows: list[dict]) -> list[dict]:
-    """Mean and standard error of cumulative regret per (algorithm, t)."""
-    groups: dict[tuple[str, int], list[float]] = {}
-    order: list[tuple[str, int]] = []
-    for row in regret_rows:
-        key = (row["algorithm"], int(row["t"]))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(float(row["cum_regret"]))
-    out = []
-    for algo, t in order:
-        vals = np.array(groups[(algo, t)])
-        mean = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        out.append(
-            {
-                "algorithm": algo,
-                "checkpoint_t": t,
-                "mean": format(mean, ".17g"),
-                "stderr": format(stderr, ".17g"),
-            }
-        )
-    return out
+@dataclass
+class Summary:
+    """summary.csv as columns: one row per (algorithm, t)."""
+
+    names: list[str]
+    code: np.ndarray
+    t: np.ndarray
+    mean: np.ndarray
+    stderr: np.ndarray
+
+
+def summarize(regret: RegretColumns) -> Summary:
+    """Mean and standard error of cumulative regret per (algorithm, t).
+
+    Groups keep the order in which they first appear, and each group's
+    values their row order.  Groups of equal size are reduced together as
+    the rows of one C-contiguous array, which sums each row exactly as
+    `np.array(values).mean()` sums the group alone.
+    """
+    key = regret.code * (int(regret.t.max(initial=0)) + 1) + regret.t
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    values = regret.cum_regret[np.argsort(first[inverse], kind="stable")]
+    sizes = counts[order]
+    starts = np.cumsum(sizes) - sizes
+    mean = np.empty(len(sizes))
+    stderr = np.zeros(len(sizes))
+    for size in np.unique(sizes).tolist():
+        groups = np.flatnonzero(sizes == size)
+        block = values[starts[groups, None] + np.arange(size)]
+        mean[groups] = block.mean(axis=1)
+        if size > 1:
+            stderr[groups] = block.std(axis=1, ddof=1) / math.sqrt(size)
+    rows = first[order]
+    return Summary(regret.names, regret.code[rows], regret.t[rows], mean, stderr)
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> Report:
@@ -406,9 +413,70 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
 
 
-def read_csv(path: Path) -> list[dict]:
+def _g17(values: np.ndarray):
+    """`format(v, ".17g")` of every value, which round-trips a float64."""
+    return map("%.17g".__mod__, values.tolist())
+
+
+def write_regret_csv(report: Report, path: Path) -> RegretColumns:
+    """Write regret.csv one run at a time, every round of each run's history
+    with full_history and its horizon's checkpoints otherwise; returns the
+    columns to summarise."""
+    full = report.config.full_history
+    names = list(dict.fromkeys(run.algorithm for run in report.runs))
+    codes, ts, cums = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(REGRET_FIELDS)
+        for run in report.runs:
+            hist, n = run.history, len(run.history)
+            t = np.arange(1, n + 1) if full else checkpoint_grid(run.horizon)
+            cum = hist.cumulative_regret[np.minimum(t, n) - 1]
+            writer.writerows(
+                zip(
+                    repeat(run.run_id),
+                    repeat(run.algorithm),
+                    repeat(run.seed),
+                    t.tolist(),
+                    _g17(hist.inst_regret[t - 1]),
+                    _g17(cum),
+                )
+            )
+            codes.append(np.full(len(t), names.index(run.algorithm)))
+            ts.append(t)
+            cums.append(cum)
+    return RegretColumns(names, np.concatenate(codes), np.concatenate(ts), np.concatenate(cums))
+
+
+def read_regret_csv(path: Path) -> RegretColumns:
+    """The summary columns of a regret.csv file."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, REGRET_FIELDS)
+        columns = list(zip(*reader)) or [()] * len(header)
+    algorithms = columns[header.index("algorithm")]
+    names = list(dict.fromkeys(algorithms))
+    code = dict(zip(names, range(len(names))))
+    return RegretColumns(
+        names,
+        np.array([code[a] for a in algorithms], dtype=int),
+        np.array(list(map(int, columns[header.index("t")])), dtype=int),
+        np.array(list(map(float, columns[header.index("cum_regret")])), dtype=float),
+    )
+
+
+def write_summary_csv(summary: Summary, path: Path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SUMMARY_FIELDS)
+        writer.writerows(
+            zip(
+                map(summary.names.__getitem__, summary.code.tolist()),
+                summary.t.tolist(),
+                _g17(summary.mean),
+                _g17(summary.stderr),
+            )
+        )
 
 
 REGRET_FIELDS = ["run_id", "algorithm", "seed", "t", "instant_regret", "cum_regret"]
@@ -429,16 +497,17 @@ TRACE_FIELDS = [
 
 
 def emit_report(report: Report, out_dir) -> dict[str, Path]:
-    """Write regret.csv, summary.csv, phase_trace.csv and regret.svg."""
+    """Write regret.csv, summary.csv, phase_trace.csv and regret.svg.
+
+    regret.csv is streamed one run at a time from the history arrays;
+    summary.csv and regret.svg are computed from the same numbers."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
-    regret_rows = report.regret_rows(full=report.config.full_history)
     paths["regret"] = out / "regret.csv"
-    write_csv(paths["regret"], REGRET_FIELDS, regret_rows)
-    summary_rows = summarize(regret_rows)
+    summary = summarize(write_regret_csv(report, paths["regret"]))
     paths["summary"] = out / "summary.csv"
-    write_csv(paths["summary"], SUMMARY_FIELDS, summary_rows)
+    write_summary_csv(summary, paths["summary"])
     trace_rows = []
     for run in report.runs:
         if run.trace is None:
@@ -452,7 +521,7 @@ def emit_report(report: Report, out_dir) -> dict[str, Path]:
     write_csv(paths["phase_trace"], TRACE_FIELDS, trace_rows)
     if report.runs:
         paths["svg"] = out / "regret.svg"
-        write_regret_svg(summary_rows, paths["svg"])
+        write_regret_svg(summary, paths["svg"])
     if report.assumption is not None:
         paths["assumptions"] = out / "assumptions.txt"
         paths["assumptions"].write_text(report.assumption.to_text())
@@ -462,23 +531,20 @@ def emit_report(report: Report, out_dir) -> dict[str, Path]:
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def write_regret_svg(summary_rows: list[dict], path) -> None:
+def _points(x: np.ndarray, y: np.ndarray) -> str:
+    return " ".join(map("%.2f,%.2f".__mod__, zip(x.tolist(), y.tolist())))
+
+
+def write_regret_svg(summary: Summary, path) -> None:
     """Cumulative-regret chart: one mean line per algorithm with a shaded
     standard-error band."""
-    series: dict[str, list[tuple[int, float, float]]] = {}
-    for row in summary_rows:
-        series.setdefault(row["algorithm"], []).append(
-            (int(row["checkpoint_t"]), float(row["mean"]), float(row["stderr"]))
-        )
     width, height, margin = 720, 480, 60
-    t_max = max((pt[0] for pts in series.values() for pt in pts), default=1)
-    y_max = max((pt[1] + pt[2] for pts in series.values() for pt in pts), default=1.0)
+    upper = summary.mean + summary.stderr
+    t_max = int(summary.t.max()) if len(summary.t) else 1
+    y_max = float(upper.max()) if len(upper) else 1.0
     y_max = y_max if y_max > 0 else 1.0
 
-    def sx(t: float) -> float:
-        return margin + (width - 2 * margin) * t / t_max
-
-    def sy(y: float) -> float:
+    def sy(y: np.ndarray) -> np.ndarray:
         return height - margin - (height - 2 * margin) * y / y_max
 
     parts = [
@@ -493,16 +559,18 @@ def write_regret_svg(summary_rows: list[dict], path) -> None:
         f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {height / 2:.1f})">cumulative regret</text>',
     ]
-    for i, (algo, pts) in enumerate(sorted(series.items())):
+    for i, algo in enumerate(sorted(summary.names)):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = sorted(pts)
-        upper = [(t, m + s) for t, m, s in pts]
-        lower = [(t, max(m - s, 0.0)) for t, m, s in reversed(pts)]
-        band = " ".join(f"{sx(t):.2f},{sy(y):.2f}" for t, y in upper + lower)
+        rows = np.flatnonzero(summary.code == summary.names.index(algo))
+        rows = rows[np.argsort(summary.t[rows], kind="stable")]
+        x = margin + (width - 2 * margin) * summary.t[rows] / t_max
+        mean, stderr = summary.mean[rows], summary.stderr[rows]
+        lower = np.maximum(mean - stderr, 0.0)
+        band = _points(np.concatenate([x, x[::-1]]), sy(np.concatenate([upper[rows], lower[::-1]])))
         parts.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15"/>')
-        line = " ".join(f"{sx(t):.2f},{sy(m):.2f}" for t, m, _ in pts)
         parts.append(
-            f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{_points(x, sy(mean))}" fill="none" stroke="{color}" '
+            'stroke-width="1.5"/>'
         )
         ly = margin + 18 * i
         parts.append(

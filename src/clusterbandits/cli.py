@@ -87,13 +87,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    rows = bench.read_csv(Path(args.out) / "regret.csv")
-    if not rows:
+    out = Path(args.out)
+    regret = bench.read_regret_csv(out / "regret.csv")
+    if not len(regret.t):
         raise bench.ConfigError("regret.csv: no rows to plot")
-    summary = bench.summarize(rows)
-    bench.write_csv(Path(args.out) / "summary.csv", bench.SUMMARY_FIELDS, summary)
-    bench.write_regret_svg(summary, Path(args.out) / "regret.svg")
-    print(f"wrote {Path(args.out) / 'regret.svg'}")
+    summary = bench.summarize(regret)
+    bench.write_summary_csv(summary, out / "summary.csv")
+    bench.write_regret_svg(summary, out / "regret.svg")
+    print(f"wrote {out / 'regret.svg'}")
     return 0
 
 
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("plot", help="re-render regret.svg from regret.csv")
+    p = sub.add_parser("plot", help="re-render summary.csv and regret.svg from regret.csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plot)
     return parser

@@ -170,6 +170,9 @@ class PhaseTrace:
     records: list[PhaseRecord] = field(default_factory=list)
     has_mode: bool = False
     intersection_fallbacks: int = 0
+    # simplified-lattice nuclear-norm solves that hit their iteration cap
+    # unconverged (the lattice variants' solves report through their oracles)
+    unconverged_solves: int = 0
 
     def csv_rows(self) -> list[dict]:
         rows = []

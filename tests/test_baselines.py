@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clusterbandits import baselines
 from clusterbandits.baselines import (
     EtcConfig,
     SimplifiedConfig,
@@ -195,6 +196,34 @@ def test_simplified_arm_sets_nonincreasing_on_fixed_branch():
         prev = {tuple(sorted(s)): set(a) for s, a in zip(earlier.user_sets, earlier.arm_sets)}
         for s, a in zip(later.user_sets, later.arm_sets):
             assert set(a) <= prev[tuple(sorted(s))]
+
+
+def test_simplified_trace_counts_unconverged_solves(monkeypatch):
+    inst = generate_cs_instance(20, 10, 2, RowDistribution.gaussian(0, 1), seed=2)
+    cfg = SimplifiedConfig(
+        num_clusters=2, sigma=0.2, L=2, phase_base=600, phase_step=200, lam_coeff=1.0
+    )
+    noise = NoiseModel("gaussian", 0.2)
+    infos = []
+    solve = baselines.solve_nuclear_norm
+
+    def recording_solve(*args, **kwargs):
+        estimate, info = solve(*args, **kwargs)
+        infos.append(info)
+        return estimate, info
+
+    monkeypatch.setattr(baselines, "solve_nuclear_norm", recording_solve)
+    _, trace = run_simplified_lattice(inst, cfg, 3000, seed=8, noise=noise)
+    assert infos and all(info.converged for info in infos)
+    assert trace.unconverged_solves == 0
+
+    # one iteration cannot converge from the zero start, so every solve stops
+    # at the cap
+    infos.clear()
+    monkeypatch.setattr(baselines, "SIMPLIFIED_SOLVER_MAX_ITERS", 1)
+    _, trace = run_simplified_lattice(inst, cfg, 3000, seed=8, noise=noise)
+    assert infos and all(info.iterations == 1 and not info.converged for info in infos)
+    assert trace.unconverged_solves == len(infos)
 
 
 def test_phase_sums_from_history_match_a_per_round_loop():

@@ -1,4 +1,8 @@
+import csv
 import dataclasses
+import io
+import math
+import shutil
 import subprocess
 import sys
 import typing
@@ -6,8 +10,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from clusterbandits import baselines, bench, cli, lattice, rcs
+from clusterbandits import baselines, bench, cli, env, lattice, rcs
 
 SMALL_CONFIG = """\
 [instance]
@@ -209,16 +215,18 @@ def test_checkpoint_grid_shape():
     assert len(grid) <= 101
 
 
+def _read_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_summary_matches_recomputation_from_csv(tmp_path):
     text = SMALL_CONFIG.replace("seeds = 1", "seeds = 1,2,3")
     report = bench.run_experiment(bench.parse_config(text))
-    paths = bench.emit_report(report, tmp_path)
-    regret_rows = bench.read_csv(paths["regret"])
-    recomputed = bench.summarize(regret_rows)
-    stored = bench.read_csv(paths["summary"])
-    assert [dict(r) for r in stored] == [
-        {k: str(v) for k, v in row.items()} for row in recomputed
-    ]
+    paths = bench.emit_report(report, tmp_path / "out")
+    recomputed = bench.summarize(bench.read_regret_csv(paths["regret"]))
+    bench.write_summary_csv(recomputed, tmp_path / "recomputed.csv")
+    assert (tmp_path / "recomputed.csv").read_bytes() == paths["summary"].read_bytes()
 
 
 def test_emit_empty_report_headers_only(tmp_path):
@@ -235,7 +243,7 @@ def test_summary_row_count(tmp_path):
     text = text.replace("seeds = 1", "seeds = 1,2,3,4,5")
     report = bench.run_experiment(bench.parse_config(text))
     paths = bench.emit_report(report, tmp_path)
-    summary = bench.read_csv(paths["summary"])
+    summary = _read_csv(paths["summary"])
     checkpoints = bench.checkpoint_grid(100)
     assert len(summary) == 2 * len(checkpoints)
 
@@ -250,8 +258,173 @@ def test_svg_is_well_formed_xml(tmp_path):
 def test_full_history_row_count(tmp_path):
     text = SMALL_CONFIG.replace("[experiment]", "[experiment]\nfull_history = true")
     report = bench.run_experiment(bench.parse_config(text))
-    rows = report.regret_rows(full=True)
-    assert len(rows) == 100
+    paths = bench.emit_report(report, tmp_path)
+    regret = bench.read_regret_csv(paths["regret"])
+    assert len(regret.t) == 100
+    assert regret.t.tolist() == list(range(1, 101))
+    assert regret.cum_regret.tolist() == report.runs[0].history.cumulative_regret.tolist()
+
+
+# The dict-based emission that the columnar code replaced, kept as the
+# byte-for-byte reference.
+def _reference_regret_rows(report, full):
+    rows = []
+    for run in report.runs:
+        hist = run.history
+        ts = range(1, len(hist) + 1) if full else bench.checkpoint_grid(run.horizon)
+        for t in ts:
+            rows.append(
+                {
+                    "run_id": run.run_id,
+                    "algorithm": run.algorithm,
+                    "seed": run.seed,
+                    "t": int(t),
+                    "instant_regret": format(float(hist.inst_regret[t - 1]), ".17g"),
+                    "cum_regret": format(hist.regret_at(int(t)), ".17g"),
+                }
+            )
+    return rows
+
+
+def _reference_summarize(regret_rows):
+    groups = {}
+    for row in regret_rows:
+        groups.setdefault((row["algorithm"], int(row["t"])), []).append(float(row["cum_regret"]))
+    out = []
+    for (algo, t), vals in groups.items():
+        vals = np.array(vals)
+        mean = float(vals.mean())
+        stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        out.append(
+            {
+                "algorithm": algo,
+                "checkpoint_t": t,
+                "mean": format(mean, ".17g"),
+                "stderr": format(stderr, ".17g"),
+            }
+        )
+    return out
+
+
+def _reference_svg(summary_rows):
+    series = {}
+    for row in summary_rows:
+        series.setdefault(row["algorithm"], []).append(
+            (int(row["checkpoint_t"]), float(row["mean"]), float(row["stderr"]))
+        )
+    width, height, margin = 720, 480, 60
+    t_max = max((pt[0] for pts in series.values() for pt in pts), default=1)
+    y_max = max((pt[1] + pt[2] for pts in series.values() for pt in pts), default=1.0)
+    y_max = y_max if y_max > 0 else 1.0
+
+    def sx(t):
+        return margin + (width - 2 * margin) * t / t_max
+
+    def sy(y):
+        return height - margin - (height - 2 * margin) * y / y_max
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="black"/>',
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
+        f'<text x="{width / 2:.1f}" y="{height - 16}" text-anchor="middle" '
+        f'font-size="14">round</text>',
+        f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="14" '
+        f'transform="rotate(-90 18 {height / 2:.1f})">cumulative regret</text>',
+    ]
+    for i, (algo, pts) in enumerate(sorted(series.items())):
+        color = bench._PALETTE[i % len(bench._PALETTE)]
+        pts = sorted(pts)
+        upper = [(t, m + s) for t, m, s in pts]
+        lower = [(t, max(m - s, 0.0)) for t, m, s in reversed(pts)]
+        band = " ".join(f"{sx(t):.2f},{sy(y):.2f}" for t, y in upper + lower)
+        parts.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15"/>')
+        line = " ".join(f"{sx(t):.2f},{sy(m):.2f}" for t, m, _ in pts)
+        parts.append(
+            f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+        ly = margin + 18 * i
+        parts.append(
+            f'<line x1="{width - margin - 150}" y1="{ly}" x2="{width - margin - 120}" '
+            f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(
+            f'<text x="{width - margin - 112}" y="{ly + 4}" font-size="13">{algo}</text>'
+        )
+    parts.append(f'<text x="{margin}" y="{height - margin + 18}" font-size="11">0</text>')
+    parts.append(
+        f'<text x="{width - margin}" y="{height - margin + 18}" text-anchor="end" '
+        f'font-size="11">{t_max}</text>'
+    )
+    parts.append(
+        f'<text x="{margin - 6}" y="{margin + 4}" text-anchor="end" '
+        f'font-size="11">{y_max:.0f}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _reference_csv(fieldnames, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([row[k] for k in fieldnames] for row in rows)
+    return buf.getvalue()
+
+
+def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
+    """A report of made-up histories: per-round regret spread over several
+    orders of magnitude, with exact zeros, repeated values and, in some runs,
+    negative values, so that a mean minus its standard error can drop below 0."""
+    rng = np.random.default_rng(values_seed)
+    experiment = {"full_history": "true" if full else "false"}
+    report = bench.Report(bench.ExperimentConfig({}, experiment, []), bench.checkpoint_grid(1))
+    for horizon in horizons:
+        for algo in algorithms:
+            for seed in seeds:
+                hist = env.RunHistory(capacity=horizon)
+                sign = -1.0 if rng.random() < 0.2 else 1.0
+                regrets = sign * rng.exponential(10.0 ** rng.integers(-3, 4), horizon)
+                regrets *= rng.random(horizon) < 0.7
+                regrets[rng.random(horizon) < 0.1] = 0.25
+                for r in regrets.tolist():
+                    hist.append(0, 0, 0.0, r)
+                run_id = len(report.runs)
+                report.runs.append(
+                    bench.RunResult(run_id, algo, seed, horizon, hist.trimmed(), None)
+                )
+    return report
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    algorithms=st.lists(
+        st.sampled_from(["ucb", "lattice", "etc", "simplified-lattice"]),
+        min_size=1, max_size=3, unique=True,
+    ),
+    num_seeds=st.integers(1, 10),
+    horizons=st.lists(st.integers(1, 400), min_size=1, max_size=3, unique=True),
+    full=st.booleans(),
+    values_seed=st.integers(0, 2**32 - 1),
+)
+# eight or more values per group: numpy sums them pairwise
+@example(["lattice", "ucb"], 10, [250, 100, 37], True, 5)
+@example(["ucb"], 8, [300], False, 6)
+def test_emit_matches_the_dict_based_reference(
+    tmp_path_factory, algorithms, num_seeds, horizons, full, values_seed
+):
+    seeds = [7 * k + 1 for k in range(num_seeds)]
+    report = _synthetic_report(algorithms, seeds, horizons, full, values_seed)
+    out = tmp_path_factory.mktemp("emit")
+    paths = bench.emit_report(report, out)
+    rows = _reference_regret_rows(report, full)
+    summary = _reference_summarize(rows)
+    assert paths["regret"].read_text() == _reference_csv(bench.REGRET_FIELDS, rows)
+    assert paths["summary"].read_text() == _reference_csv(bench.SUMMARY_FIELDS, summary)
+    assert paths["svg"].read_text() == _reference_svg(summary)
 
 
 def test_scaling_slope_fit():
@@ -327,7 +500,7 @@ def test_cli_seed_list_override(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "runs"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--seed-list", "4,5"]) == 0
-    rows = bench.read_csv(out / "regret.csv")
+    rows = _read_csv(out / "regret.csv")
     assert {row["seed"] for row in rows} == {"4", "5"}
 
 
@@ -342,12 +515,32 @@ def test_cli_plot_roundtrip(tmp_path):
     assert (out / "summary.csv").read_text() == before
 
 
+def test_cli_plot_reproduces_the_run_outputs(tmp_path):
+    text = SMALL_CONFIG.replace("seeds = 1", "seeds = 1,2,3,4,5,6,7,8,9")
+    text += "[algorithm etc]\nexplore_fraction = 0.5\n"
+    cfg = _write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--full-history"]) == 0
+    for name in ("summary.csv", "regret.svg"):
+        shutil.copy(out / name, tmp_path / name)
+    assert cli.main(["plot", "--out", str(out)]) == 0
+    for name in ("summary.csv", "regret.svg"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_cli_plot_without_rows_is_a_config_error(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "regret.csv").write_text(",".join(bench.REGRET_FIELDS) + "\n")
+    assert cli.main(["plot", "--out", str(out)]) == 2
+
+
 def test_cli_bench_runs_scaling_study(tmp_path, capsys):
     text = SMALL_CONFIG.replace("horizon = 100", "horizon = 100\nhorizons = 100,200")
     cfg = _write_config(tmp_path, text)
     out = tmp_path / "bench"
     assert cli.main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = bench.read_csv(out / "scaling.csv")
+    rows = _read_csv(out / "scaling.csv")
     assert {row["horizon"] for row in rows} == {"100", "200"}
     assert "slope" in capsys.readouterr().out
 
