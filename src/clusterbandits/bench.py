@@ -378,8 +378,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
 
     The instance is built once from its own seed; each cell's interaction
     randomness comes from the cell seed, so reruns are bit-identical.
+    `config` must come checked, from `parse_config` or `validate_config`.
     """
-    validate_config(config)
     instance = build_instance(config.instance)
     noise = build_noise(config.instance, instance)
     # every section's config is built before any cell runs, so a bad value

@@ -7,16 +7,22 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from . import bench, checker, env
 
 
-def _load_config(path: str, seed_list: str | None) -> bench.ExperimentConfig:
+def _load_config(path: str, overrides: dict | None = None) -> bench.ExperimentConfig:
+    """The checked config at `path`, with the [experiment] keys of
+    `overrides` that are not None replacing the file's values."""
     config = bench.parse_config(Path(path).read_text())
-    if seed_list:
-        config.experiment["seeds"] = seed_list
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    if not overrides:
+        return config
+    config = dataclasses.replace(config, experiment={**config.experiment, **overrides})
+    bench.validate_config(config)
     return config
 
 
@@ -25,7 +31,7 @@ def _print_progress(algo: str, horizon: int, seed: int, final_regret: float) -> 
 
 
 def _cmd_generate(args) -> int:
-    config = _load_config(args.config, None)
+    config = _load_config(args.config)
     instance = bench.build_instance(config.instance)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -39,11 +45,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config, args.seed_list)
-    if args.full_history:
-        config.experiment["full_history"] = "true"
-    if args.check:
-        config.experiment["check"] = "true"
+    config = _load_config(
+        args.config,
+        {
+            "seeds": args.seed_list,
+            "full_history": "true" if args.full_history else None,
+            "check": "true" if args.check else None,
+        },
+    )
     report = bench.run_experiment(config, progress=_print_progress)
     paths = bench.emit_report(report, args.out)
     for name, p in sorted(paths.items()):
@@ -52,7 +61,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _load_config(args.config, args.seed_list)
+    config = _load_config(args.config, {"seeds": args.seed_list})
     if len(config.horizons) < 2:
         raise bench.ConfigError("experiment.horizons: scaling studies need several horizons")
     report = bench.run_experiment(config, progress=_print_progress)
@@ -72,7 +81,7 @@ def _cmd_check(args) -> int:
     if args.instance:
         instance = env.load_instance(args.instance)
     else:
-        config = _load_config(args.config, None)
+        config = _load_config(args.config)
         instance = bench.build_instance(config.instance)
     report = checker.assumption_report(instance)
     text = report.to_text()

@@ -11,6 +11,7 @@ clustering and run an independent UCB per user until the horizon.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -23,43 +24,43 @@ ENDGAME_FRACTION = 0.01  # do not start an oracle this close to the horizon
 
 
 class UcbArmState:
-    """Upper-confidence-bound state for one user over a fixed arm subset."""
+    """Upper-confidence-bound state for one user over a fixed arm subset.
+
+    Each arm's index is cached and only the pulled arm's is recomputed, so a
+    round costs one `argmax` plus constant work.  Unplayed arms hold +inf and
+    `argmax` returns the first maximum, so they are tried in arm order.
+    """
 
     def __init__(self, arms, sigma: float, horizon: float):
         if horizon < 2:
             raise ValueError("horizon must be at least 2")
-        self.arms = np.sort(np.asarray(arms, dtype=int))
+        self.arms = np.sort(np.asarray(arms, dtype=int)).tolist()
         self.sigma = float(sigma)
         self.horizon = float(horizon)
-        self.counts = np.zeros(len(self.arms), dtype=np.int64)
-        self.sums = np.zeros(len(self.arms))
-        self._log_horizon = math.log(self.horizon)
+        self.counts = [0] * len(self.arms)
+        self.sums = [0.0] * len(self.arms)
+        self._index = np.full(len(self.arms), math.inf)
+        self._bonus_scale = 6.0 * math.log(self.horizon)
 
     def _position(self, arm: int) -> int:
-        pos = int(np.searchsorted(self.arms, arm))
+        pos = bisect.bisect_left(self.arms, arm)
         if pos >= len(self.arms) or self.arms[pos] != arm:
             raise KeyError(f"arm {arm} not tracked")
         return pos
 
     def index_of(self, arm: int) -> float:
-        pos = self._position(arm)
-        if self.counts[pos] == 0:
-            return math.inf
-        mean = self.sums[pos] / self.counts[pos]
-        return float(mean + self.sigma * math.sqrt(6.0 * self._log_horizon / self.counts[pos]))
+        return float(self._index[self._position(arm)])
 
     def select(self) -> int:
-        unplayed = np.flatnonzero(self.counts == 0)
-        if len(unplayed):
-            return int(self.arms[unplayed[0]])
-        means = self.sums / self.counts
-        bonus = self.sigma * np.sqrt(6.0 * self._log_horizon / self.counts)
-        return int(self.arms[np.argmax(means + bonus)])
+        return self.arms[int(self._index.argmax())]
 
     def update(self, arm: int, reward: float) -> None:
         pos = self._position(arm)
-        self.counts[pos] += 1
-        self.sums[pos] += reward
+        n = self.counts[pos] + 1
+        total = self.sums[pos] + float(reward)
+        self.counts[pos] = n
+        self.sums[pos] = total
+        self._index[pos] = total / n + self.sigma * math.sqrt(self._bonus_scale / n)
 
 
 def good_arm_set(estimate_row: np.ndarray, delta: float) -> np.ndarray:
@@ -85,10 +86,12 @@ def build_user_graph(
     n = est.shape[0]
     if len(good_sets) != n:
         raise ValueError("good_sets must hold one entry per estimated row")
-    good = np.zeros(est.shape, dtype=bool)
+    # near-best indicators as float64: a BLAS product counts shared arms
+    # exactly and is far cheaper than numpy's boolean matmul
+    good = np.zeros(est.shape)
     for i, g in enumerate(good_sets):
-        good[i, np.asarray(g, dtype=int)] = True
-    overlap = good @ good.T
+        good[i, np.asarray(g, dtype=int)] = 1.0
+    overlap = good @ good.T > 0
     # pairwise max abs difference; chunk the broadcast to bound memory
     close = np.zeros((n, n), dtype=bool)
     chunk = max(1, int(2**22 // max(1, n * est.shape[1])))

@@ -504,6 +504,50 @@ def test_cli_seed_list_override(tmp_path):
     assert {row["seed"] for row in rows} == {"4", "5"}
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("seeds", ["4,x", "", ","])
+def test_cli_bad_seed_list_exits_2_before_any_cell(tmp_path, monkeypatch, capsys, command, seeds):
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(bench, "_run_cell", no_cell)
+    text = SMALL_CONFIG.replace("horizon = 100", "horizon = 100\nhorizons = 100,200")
+    cfg = _write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), "--seed-list", seeds]) == 2
+    assert "experiment.seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _record_calls(monkeypatch, name):
+    """Configs passed to `bench.<name>`, which keeps working."""
+    calls = []
+    original = getattr(bench, name)
+
+    def record(config, **kwargs):
+        calls.append(config)
+        return original(config, **kwargs)
+
+    monkeypatch.setattr(bench, name, record)
+    return calls
+
+
+def test_cli_overrides_build_a_new_checked_config(tmp_path, monkeypatch):
+    ran = _record_calls(monkeypatch, "run_experiment")
+    validated = _record_calls(monkeypatch, "validate_config")
+    cfg = _write_config(tmp_path)
+    args = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(args + ["--seed-list", "4,5", "--check", "--full-history"]) == 0
+    (config,) = ran
+    assert (config.seeds, config.check, config.full_history) == ([4, 5], True, True)
+    # the file's config and the overridden one are each checked once
+    assert len(validated) == 2 and validated[-1] is config
+    ran.clear()
+    validated.clear()
+    assert cli.main(args) == 0
+    assert ran[0].seeds == [1] and len(validated) == 1
+
+
 def test_cli_plot_roundtrip(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "out"

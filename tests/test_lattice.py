@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbandits.env import NoiseModel, RowDistribution, generate_cs_instance
 from clusterbandits.lattice import (
@@ -139,6 +141,103 @@ def test_ucb_tie_breaks_to_lowest_index():
     state.update(2, 0.7)
     state.update(4, 0.7)
     assert state.select() == 2
+
+
+class _RecomputeUcb:
+    """Reference UCB that recomputes every arm's index on every select, as
+    `UcbArmState` did before it cached indices; the bit-identity oracle."""
+
+    def __init__(self, arms, sigma, horizon):
+        self.arms = np.sort(np.asarray(arms, dtype=int))
+        self.sigma = float(sigma)
+        self.counts = np.zeros(len(self.arms), dtype=np.int64)
+        self.sums = np.zeros(len(self.arms))
+        self._log_horizon = math.log(float(horizon))
+
+    def _position(self, arm):
+        pos = int(np.searchsorted(self.arms, arm))
+        if pos >= len(self.arms) or self.arms[pos] != arm:
+            raise KeyError(f"arm {arm} not tracked")
+        return pos
+
+    def index_of(self, arm):
+        pos = self._position(arm)
+        if self.counts[pos] == 0:
+            return math.inf
+        mean = self.sums[pos] / self.counts[pos]
+        return float(mean + self.sigma * math.sqrt(6.0 * self._log_horizon / self.counts[pos]))
+
+    def select(self):
+        unplayed = np.flatnonzero(self.counts == 0)
+        if len(unplayed):
+            return int(self.arms[unplayed[0]])
+        means = self.sums / self.counts
+        bonus = self.sigma * np.sqrt(6.0 * self._log_horizon / self.counts)
+        return int(self.arms[np.argmax(means + bonus)])
+
+    def update(self, arm, reward):
+        pos = self._position(arm)
+        self.counts[pos] += 1
+        self.sums[pos] += reward
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    # unsorted and non-contiguous, down to a single arm
+    arms=st.lists(st.integers(0, 40), min_size=1, max_size=10, unique=True),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    horizon=st.one_of(st.integers(2, 10**7), st.floats(2.0, 1e7)),
+    # a few repeated values force exact index ties; free floats do not
+    rewards=st.one_of(
+        st.lists(st.sampled_from([0.0, 0.5, -1.0]), min_size=1, max_size=60),
+        st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=60),
+    ),
+)
+def test_ucb_cached_index_matches_recompute_reference(arms, sigma, horizon, rewards):
+    state = UcbArmState(arms, sigma, horizon)
+    ref = _RecomputeUcb(arms, sigma, horizon)
+    for reward in rewards:
+        arm = state.select()
+        assert arm == ref.select()
+        state.update(arm, np.float64(reward))
+        ref.update(arm, np.float64(reward))
+        for a in arms:
+            assert state.index_of(a) == ref.index_of(a)
+    untracked = [a for a in range(-1, 42) if a not in arms]
+    for a in untracked[:: max(1, len(untracked) // 5)]:
+        with pytest.raises(KeyError):
+            state.update(a, 0.0)
+        with pytest.raises(KeyError):
+            state.index_of(a)
+
+
+def _boolean_overlap_graph(estimates, good_sets, delta, slack_multiplier=2.0):
+    """`build_user_graph` with the near-best overlap as a boolean matrix product."""
+    good = np.zeros(estimates.shape, dtype=bool)
+    for i, g in enumerate(good_sets):
+        good[i, g] = True
+    diff = np.abs(estimates[:, None, :] - estimates[None, :, :]).max(axis=2)
+    adjacency = (diff <= slack_multiplier * delta) & (good @ good.T)
+    np.fill_diagonal(adjacency, False)
+    return adjacency
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    num_users=st.integers(1, 40),
+    num_arms=st.integers(1, 30),
+    density=st.floats(0.0, 0.6),
+    delta=st.sampled_from([0.0, 0.05, 0.1, 0.25, 1.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_graph_matches_boolean_overlap_reference(num_users, num_arms, density, delta, seed):
+    rng = np.random.default_rng(seed)
+    # one decimal: many pairs sit exactly on the 2*delta threshold
+    est = rng.normal(size=(num_users, num_arms)).round(1)
+    goods = [np.flatnonzero(rng.random(num_arms) < density) for _ in range(num_users)]
+    adjacency = build_user_graph(est, goods, delta)
+    assert adjacency.dtype == bool
+    assert np.array_equal(adjacency, _boolean_overlap_graph(est, goods, delta))
 
 
 def _noiseless_run(seed=3):
