@@ -29,6 +29,15 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
 
+class CellError(RuntimeError):
+    """A cell of `run_experiment` raised; `report` holds the cells that
+    finished before it, and the message names the failed cell."""
+
+    def __init__(self, algorithm: str, horizon: int, seed: int, report: "Report", cause):
+        super().__init__(f"{algorithm} T={horizon} seed={seed}: {cause}")
+        self.report = report
+
+
 # algorithm section -> (config dataclass, keys read outside it).  num_clusters,
 # sigma and nu, where a section has them, default to the instance's and the
 # noise model's values.
@@ -379,6 +388,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
     The instance is built once from its own seed; each cell's interaction
     randomness comes from the cell seed, so reruns are bit-identical.
     `config` must come checked, from `parse_config` or `validate_config`.
+    A cell that raises stops the experiment with a `CellError` that carries
+    the report of the cells before it.
     """
     instance = build_instance(config.instance)
     noise = build_noise(config.instance, instance)
@@ -396,9 +407,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
     for horizon in horizons:
         for algo, algo_config, extras in algorithms:
             for seed in config.seeds:
-                history, trace = _run_cell(
-                    algo, algo_config, extras, instance, noise, horizon, seed
-                )
+                try:
+                    history, trace = _run_cell(
+                        algo, algo_config, extras, instance, noise, horizon, seed
+                    )
+                except Exception as exc:
+                    raise CellError(algo, horizon, seed, report, exc) from exc
                 report.runs.append(RunResult(run_id, algo, seed, horizon, history, trace))
                 run_id += 1
                 if progress is not None:

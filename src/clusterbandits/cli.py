@@ -30,6 +30,17 @@ def _print_progress(algo: str, horizon: int, seed: int, final_regret: float) -> 
     print(f"{algo} T={horizon} seed={seed}: final regret {final_regret:.1f}")
 
 
+def _run_and_write(config: bench.ExperimentConfig, write):
+    """Run the experiment and return `write(report)`.  When a cell fails, the
+    cells that finished before it are written before the error propagates."""
+    try:
+        report = bench.run_experiment(config, progress=_print_progress)
+    except bench.CellError as exc:
+        write(exc.report)
+        raise
+    return write(report)
+
+
 def _cmd_generate(args) -> int:
     config = _load_config(args.config)
     instance = bench.build_instance(config.instance)
@@ -53,10 +64,12 @@ def _cmd_run(args) -> int:
             "check": "true" if args.check else None,
         },
     )
-    report = bench.run_experiment(config, progress=_print_progress)
-    paths = bench.emit_report(report, args.out)
-    for name, p in sorted(paths.items()):
-        print(f"wrote {p}")
+
+    def write(report):
+        for name, p in sorted(bench.emit_report(report, args.out).items()):
+            print(f"wrote {p}")
+
+    _run_and_write(config, write)
     return 0
 
 
@@ -64,16 +77,20 @@ def _cmd_bench(args) -> int:
     config = _load_config(args.config, {"seeds": args.seed_list})
     if len(config.horizons) < 2:
         raise bench.ConfigError("experiment.horizons: scaling studies need several horizons")
-    report = bench.run_experiment(config, progress=_print_progress)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = bench.scaling_rows(report)
-    bench.write_csv(out / "scaling.csv", ["algorithm", "horizon", "seed", "final_regret"], rows)
-    print(f"wrote {out / 'scaling.csv'}")
+
+    def write(report):
+        out.mkdir(parents=True, exist_ok=True)
+        rows = bench.scaling_rows(report)
+        bench.write_csv(out / "scaling.csv", ["algorithm", "horizon", "seed", "final_regret"], rows)
+        print(f"wrote {out / 'scaling.csv'}")
+        bench.emit_report(report, out)
+        return rows
+
+    rows = _run_and_write(config, write)
     for algo in dict.fromkeys(name for name, _ in config.algorithms):
         slope = bench.scaling_slope(rows, algo)
         print(f"{algo}: final-regret log-log slope vs horizon = {slope:.3f}")
-    bench.emit_report(report, out)
     return 0
 
 

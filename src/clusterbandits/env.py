@@ -252,32 +252,6 @@ def generate_hard_instance(
     )
 
 
-def validate_instance(instance: Instance, atol: float = 1e-12) -> None:
-    """Check the structural invariants; raises AssertionError on violation."""
-    inst = instance
-    assert inst.P.shape == (inst.num_users, inst.num_arms)
-    assert inst.X.shape == (inst.num_clusters, inst.num_arms)
-    assert np.all((inst.cluster_of >= 0) & (inst.cluster_of < inst.num_clusters))
-    assert np.array_equal(inst.best_arm, np.argmax(inst.P, axis=1))
-    assert np.all(inst.gaps >= -atol)
-    if inst.nu == 0:
-        assert np.allclose(inst.P, inst.X[inst.cluster_of], atol=atol)
-        return
-    # relaxed structure: same best arm and entrywise closeness within clusters,
-    # best-arm separation across clusters
-    thresh = RCS_SEPARATION_FACTOR * inst.nu
-    for u in range(inst.num_users):
-        for v in range(u + 1, inst.num_users):
-            if inst.cluster_of[u] == inst.cluster_of[v]:
-                assert inst.best_arm[u] == inst.best_arm[v]
-                assert np.max(np.abs(inst.P[u] - inst.P[v])) <= inst.nu + atol
-            else:
-                bu, bv = inst.best_arm[u], inst.best_arm[v]
-                sep_u = abs(inst.P[u, bu] - inst.P[v, bu])
-                sep_v = abs(inst.P[u, bv] - inst.P[v, bv])
-                assert sep_u > thresh or sep_v > thresh
-
-
 class RunHistory:
     """Per-round ledger of (user, arm, reward, instantaneous regret).
 
@@ -352,13 +326,6 @@ class Environment:
         self.t = 0
         self._P = instance.P
         self._best_reward = instance.P[np.arange(instance.num_users), instance.best_arm]
-
-    @property
-    def done(self) -> bool:
-        return self.t >= self.horizon
-
-    def peek_user(self) -> int:
-        return int(self._users[self.t])
 
     def step(self, policy_choice) -> tuple[int, int, float]:
         """Advance one round; returns (user, arm, reward)."""

@@ -21,6 +21,11 @@ from .completion import OracleInstance, derive_oracle_params
 from .env import Environment, Instance, NoiseModel, RunHistory, seed_sequence
 
 ENDGAME_FRACTION = 0.01  # do not start an oracle this close to the horizon
+# the user graph checks entrywise closeness GRAPH_BLOCK columns at a time
+# on at most GRAPH_PAIR_CHUNK candidate pairs at once, so each temporary
+# holds 2^18 floats (2 MB)
+GRAPH_BLOCK = 16
+GRAPH_PAIR_CHUNK = 2**14
 
 
 class UcbArmState:
@@ -91,18 +96,24 @@ def build_user_graph(
     good = np.zeros(est.shape)
     for i, g in enumerate(good_sets):
         good[i, np.asarray(g, dtype=int)] = 1.0
-    overlap = good @ good.T > 0
-    # pairwise max abs difference; chunk the broadcast to bound memory
-    close = np.zeros((n, n), dtype=bool)
-    chunk = max(1, int(2**22 // max(1, n * est.shape[1])))
+    # only overlapping pairs can be linked; the entrywise test then runs one
+    # column block at a time on the pairs every earlier block kept.  A pair
+    # survives iff |a - b| <= thresh holds in every column, which is exactly
+    # max |a - b| <= thresh (a NaN fails both), so no rounding margin is needed.
+    first, second = np.nonzero(np.triu(good @ good.T > 0, k=1))
     thresh = slack_multiplier * delta
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        diff = np.abs(est[start:stop, None, :] - est[None, :, :]).max(axis=2)
-        close[start:stop] = diff <= thresh
-    adjacency = close & overlap
-    np.fill_diagonal(adjacency, False)
-    return adjacency
+    adjacency = np.zeros((n, n), dtype=bool)
+    for start in range(0, len(first), GRAPH_PAIR_CHUNK):
+        a = first[start : start + GRAPH_PAIR_CHUNK]
+        b = second[start : start + GRAPH_PAIR_CHUNK]
+        for lo in range(0, est.shape[1], GRAPH_BLOCK):
+            if not len(a):
+                break
+            block = est[:, lo : lo + GRAPH_BLOCK]
+            keep = (np.abs(block[a] - block[b]) <= thresh).all(axis=1)
+            a, b = a[keep], b[keep]
+        adjacency[a, b] = True
+    return adjacency | adjacency.T
 
 
 def refine_partition(

@@ -607,3 +607,46 @@ def test_cli_instance_or_experiment_typo_exit_code(tmp_path, capsys, old, new):
     assert code == 2
     assert new.split()[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# etc's 5% exploration budget (450 rounds) cannot finish one pass over the
+# 720-cell mask of this instance, so its cell raises after ucb's finished
+BUDGET_CONFIG = """\
+[instance]
+kind = cs
+num_users = 30
+num_arms = 24
+num_clusters = 2
+row_distribution = gaussian(0,1)
+seed = 3
+noise = gaussian
+sigma = 0.5
+[experiment]
+horizon = 9000
+seeds = 1
+[algorithm ucb]
+"""
+FAILING_ETC = "[algorithm etc]\nexplore_fraction = 0.05\n"
+
+
+def test_cli_run_emits_finished_cells_when_a_cell_fails(tmp_path, capsys):
+    alone = _write_config(tmp_path, BUDGET_CONFIG)
+    assert cli.main(["run", "--config", str(alone), "--out", str(tmp_path / "alone")]) == 0
+    failing = tmp_path / "failing.cfg"
+    failing.write_text(BUDGET_CONFIG + FAILING_ETC)
+    assert cli.main(["run", "--config", str(failing), "--out", str(tmp_path / "out")]) == 3
+    assert "etc T=9000 seed=1" in capsys.readouterr().err
+    regret = (tmp_path / "out" / "regret.csv").read_bytes()
+    assert regret == (tmp_path / "alone" / "regret.csv").read_bytes()
+
+
+def test_cli_bench_emits_finished_cells_when_a_cell_fails(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, BUDGET_CONFIG.replace("horizon = 9000", "horizons = 9000,18000") + FAILING_ETC
+    )
+    out = tmp_path / "bench"
+    assert cli.main(["bench", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "etc T=9000 seed=1" in capsys.readouterr().err
+    rows = _read_csv(out / "scaling.csv")
+    assert [(r["algorithm"], r["horizon"]) for r in rows] == [("ucb", "9000")]
+    assert (out / "regret.csv").exists()

@@ -80,25 +80,33 @@ def _one_entry_per_user_mask(num_users, num_arms, seed=0):
     return Mask(rows, cols, entry_row, entry_col)
 
 
+class _Collector:
+    """A MaskCollection in the oracle role of `Environment.run`."""
+
+    def __init__(self, coll):
+        self.coll = coll
+        self.choose = coll.choose
+        self.record = coll.record
+
+    @property
+    def collecting(self):
+        return not self.coll.done
+
+
 def _collect(env, mask, b, budget, seed):
-    """Drive a MaskCollection through Environment.play for at most `budget`
+    """Drive a MaskCollection through Environment.run for at most `budget`
     rounds; users outside the mask pull a random mask column.  Returns the
     collection and the rounds used."""
     rng = np.random.default_rng(seed)
     coll = MaskCollection(mask, b, rng)
     members = set(mask.rows.tolist())
-    rounds = 0
-    while not coll.done and rounds < budget:
-        u = env.peek_user()
-        if u in members:
-            arm, masked = coll.choose(u)
-            _, _, reward = env.play(arm)
-            if masked:
-                coll.record(u, arm, reward)
-        else:
-            env.play(int(mask.cols[rng.integers(len(mask.cols))]))
-        rounds += 1
-    return coll, rounds
+    others = [u for u in range(env.instance.num_users) if u not in members]
+    start = env.t
+    env.run(
+        start + budget, [mask.rows.tolist(), others], [mask.cols, mask.cols], rng,
+        oracles=[_Collector(coll), None],
+    )
+    return coll, env.t - start
 
 
 def test_collect_noiseless_single_observation_exact():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clusterbandits.env import (
+    RCS_SEPARATION_FACTOR,
     ArmOutOfRangeError,
     Environment,
     InvalidDimensionsError,
@@ -16,8 +17,33 @@ from clusterbandits.env import (
     generate_rcs_instance,
     load_instance,
     save_instance,
-    validate_instance,
 )
+
+
+def validate_instance(instance, atol=1e-12):
+    """Check the structural invariants; raises AssertionError on violation."""
+    inst = instance
+    assert inst.P.shape == (inst.num_users, inst.num_arms)
+    assert inst.X.shape == (inst.num_clusters, inst.num_arms)
+    assert np.all((inst.cluster_of >= 0) & (inst.cluster_of < inst.num_clusters))
+    assert np.array_equal(inst.best_arm, np.argmax(inst.P, axis=1))
+    assert np.all(inst.gaps >= -atol)
+    if inst.nu == 0:
+        assert np.allclose(inst.P, inst.X[inst.cluster_of], atol=atol)
+        return
+    # relaxed structure: same best arm and entrywise closeness within clusters,
+    # best-arm separation across clusters
+    thresh = RCS_SEPARATION_FACTOR * inst.nu
+    for u in range(inst.num_users):
+        for v in range(u + 1, inst.num_users):
+            if inst.cluster_of[u] == inst.cluster_of[v]:
+                assert inst.best_arm[u] == inst.best_arm[v]
+                assert np.max(np.abs(inst.P[u] - inst.P[v])) <= inst.nu + atol
+            else:
+                bu, bv = inst.best_arm[u], inst.best_arm[v]
+                sep_u = abs(inst.P[u, bu] - inst.P[v, bu])
+                sep_v = abs(inst.P[u, bv] - inst.P[v, bv])
+                assert sep_u > thresh or sep_v > thresh
 
 
 def test_cs_benchmark_scale_shape_and_clusters():
@@ -81,8 +107,8 @@ def test_hard_instance_single_arm_zero_regret():
     inst = generate_hard_instance(3, 1, 1, 0.5, [0], seed=0)
     assert np.allclose(inst.X, [[0.75]])
     env = Environment(inst, NoiseModel("none"), seed=0, horizon=50)
-    while not env.done:
-        env.step(lambda u: 0)
+    while env.t < env.horizon:
+        env.play(0)
     assert env.history.final_regret == 0.0
 
 
@@ -102,8 +128,8 @@ def test_hard_instance_invalid_epsilon():
 def test_env_step_optimal_policy_zero_regret():
     inst = generate_cs_instance(4, 3, 2, RowDistribution.gaussian(0, 1), seed=1)
     env = Environment(inst, NoiseModel("none"), seed=0, horizon=20)
-    while not env.done:
-        env.play(int(inst.best_arm[env.peek_user()]))
+    best = dict(enumerate(inst.best_arm.tolist()))
+    env.run(env.horizon, [list(range(4))], [np.arange(3)], None, fixed=best)
     assert env.history.final_regret == 0.0
     assert np.all(env.history.inst_regret[:20] == 0.0)
 
@@ -112,9 +138,12 @@ def test_env_step_worst_policy_matches_hand_sum():
     inst = generate_cs_instance(2, 2, 2, RowDistribution.gaussian(0, 1), seed=9)
     worst = np.argmin(inst.P, axis=1)
     env = Environment(inst, NoiseModel("none"), seed=123, horizon=10)
+    # arrivals do not depend on the arms played: a twin run on the same seed
+    # announces each round's user before `env` plays it
+    twin = Environment(inst, NoiseModel("none"), seed=123, horizon=10)
     arrivals = []
-    while not env.done:
-        arrivals.append(env.peek_user())
+    while env.t < env.horizon:
+        arrivals.append(twin.play(0)[0])
         env.play(int(worst[arrivals[-1]]))
     # oracle: sum the per-user max gaps over the arrival sequence
     assert arrivals == env.history.users.tolist()
@@ -126,8 +155,8 @@ def test_env_reward_mean_concentrates():
     inst = generate_cs_instance(2, 2, 1, RowDistribution.uniform(0.3, 0.3), seed=0)
     n = 10**5
     env = Environment(inst, NoiseModel("gaussian", 0.5), seed=77, horizon=n)
-    while not env.done:
-        env.step(lambda u: 1)
+    while env.t < env.horizon:
+        env.play(1)
     mean = env.history.rewards.mean()
     assert abs(mean - 0.3) <= 3 * 0.5 / math.sqrt(n)
 
@@ -223,8 +252,8 @@ def test_run_determinism_bit_identical():
     for _ in range(2):
         env = Environment(inst, NoiseModel("gaussian", 0.3), seed=42, horizon=500)
         rng = np.random.default_rng(7)
-        while not env.done:
-            env.step(lambda u: int(rng.integers(0, 4)))
+        while env.t < env.horizon:
+            env.play(int(rng.integers(0, 4)))
         outs.append(env.history)
     a, b = outs
     assert np.array_equal(a.users[:500], b.users[:500])
@@ -237,8 +266,8 @@ def test_user_frequency_binomial():
     inst = generate_cs_instance(10, 2, 1, RowDistribution.gaussian(0, 1), seed=0)
     n = 10**5
     env = Environment(inst, NoiseModel("none"), seed=11, horizon=n)
-    while not env.done:
-        env.step(lambda u: 0)
+    while env.t < env.horizon:
+        env.play(0)
     counts = np.bincount(env.history.users, minlength=10)
     p = 1 / 10
     std = math.sqrt(n * p * (1 - p))
@@ -249,8 +278,8 @@ def test_cumulative_regret_monotone_nonneg():
     inst = generate_cs_instance(6, 5, 3, RowDistribution.gaussian(0, 1), seed=2)
     env = Environment(inst, NoiseModel("gaussian", 1.0), seed=8, horizon=2000)
     rng = np.random.default_rng(1)
-    while not env.done:
-        env.step(lambda u: int(rng.integers(0, 5)))
+    while env.t < env.horizon:
+        env.play(int(rng.integers(0, 5)))
     h = env.history
     assert np.all(h.inst_regret[:2000] >= 0.0)
     assert np.all(np.diff(h.cumulative_regret[:2000]) >= 0.0)

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterbandits.env import NoiseModel, RowDistribution, generate_cs_instance
 from clusterbandits.lattice import (
+    GRAPH_BLOCK,
     LatticeConfig,
     UcbArmState,
     build_user_graph,
@@ -222,22 +224,71 @@ def _boolean_overlap_graph(estimates, good_sets, delta, slack_multiplier=2.0):
     return adjacency
 
 
+# widths around the graph's column block: one partial block, exact blocks,
+# and a partial block after several full ones
+_GRAPH_WIDTHS = [1, GRAPH_BLOCK - 1, GRAPH_BLOCK, GRAPH_BLOCK + 1, 3 * GRAPH_BLOCK + 5]
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     num_users=st.integers(1, 40),
-    num_arms=st.integers(1, 30),
+    num_arms=st.sampled_from(_GRAPH_WIDTHS),
     density=st.floats(0.0, 0.6),
     delta=st.sampled_from([0.0, 0.05, 0.1, 0.25, 1.0, 10.0]),
+    all_close=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_graph_matches_boolean_overlap_reference(num_users, num_arms, density, delta, seed):
+@example(num_users=1, num_arms=GRAPH_BLOCK + 1, density=0.5, delta=0.1, all_close=False, seed=0)
+@example(num_users=30, num_arms=3 * GRAPH_BLOCK + 5, density=0.6, delta=0.0, all_close=True, seed=1)
+def test_graph_matches_boolean_overlap_reference(
+    num_users, num_arms, density, delta, all_close, seed
+):
     rng = np.random.default_rng(seed)
     # one decimal: many pairs sit exactly on the 2*delta threshold
     est = rng.normal(size=(num_users, num_arms)).round(1)
+    if all_close:
+        # identical rows: every overlapping pair survives every column block
+        est[:] = est[0]
     goods = [np.flatnonzero(rng.random(num_arms) < density) for _ in range(num_users)]
     adjacency = build_user_graph(est, goods, delta)
     assert adjacency.dtype == bool
     assert np.array_equal(adjacency, _boolean_overlap_graph(est, goods, delta))
+
+
+@pytest.mark.parametrize("num_arms", _GRAPH_WIDTHS)
+def test_graph_checks_every_column(num_arms):
+    # two rows that differ in one column only, by 2*delta exactly (linked)
+    # or by more (not linked), for every column position
+    goods = [np.arange(num_arms)] * 2
+    for col in range(num_arms):
+        for gap, linked in ((0.2, True), (0.3, False)):
+            est = np.zeros((2, num_arms))
+            est[1, col] = gap
+            assert build_user_graph(est, goods, 0.1)[0, 1] == linked
+
+
+def test_graph_peak_memory_at_400_users():
+    rng = np.random.default_rng(7)
+    # one-decimal rows from 2 centres: about half of the pairs are linked,
+    # so many survive every column block, in every chunk of pairs
+    est = rng.normal(size=(2, 400)).round(1)[rng.integers(2, size=400)]
+    goods = [np.flatnonzero(rng.random(400) < 0.3) for _ in range(400)]
+    tracemalloc.start()
+    try:
+        adjacency = build_user_graph(est, goods, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a full n x n x m broadcast would take 65 MB here
+    assert peak <= 16 * 2**20
+    # row-at-a-time reference: the pair list spans several chunks
+    good = np.zeros(est.shape, dtype=bool)
+    for i, g in enumerate(goods):
+        good[i, g] = True
+    close = np.array([np.abs(est[i] - est).max(axis=1) <= 0.2 for i in range(400)])
+    expected = close & (good @ good.T)
+    np.fill_diagonal(expected, False)
+    assert np.array_equal(adjacency, expected)
 
 
 def _noiseless_run(seed=3):
