@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 import typing
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -427,9 +427,30 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
 
 
-def _g17(values: np.ndarray):
-    """`format(v, ".17g")` of every value, which round-trips a float64."""
-    return map("%.17g".__mod__, values.tolist())
+# rows per write of the row-template writers; bounds the text held at once
+WRITE_CHUNK = 2**14
+
+
+def _strings(fmt: str, values: np.ndarray) -> np.ndarray:
+    """`fmt % v` for every float64 in `values`, as an object array.  Each
+    distinct bit pattern is formatted once, so -0.0 and NaN keep their text."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    strings = list(map(fmt.__mod__, bits.view(np.float64).tolist()))
+    return np.array(strings, dtype=object)[inverse]
+
+
+def _csv_row(fields) -> str:
+    """One line as `csv.writer` writes it, quoting included."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def _write_rows(fh, template: str, *columns) -> None:
+    """Write `template % row` for each row of `columns`, WRITE_CHUNK rows at a time."""
+    for start in range(0, len(columns[0]), WRITE_CHUNK):
+        rows = zip(*(c[start : start + WRITE_CHUNK].tolist() for c in columns))
+        fh.write("".join(map(template.__mod__, rows)))
 
 
 def write_regret_csv(report: Report, path: Path) -> RegretColumns:
@@ -440,21 +461,18 @@ def write_regret_csv(report: Report, path: Path) -> RegretColumns:
     names = list(dict.fromkeys(run.algorithm for run in report.runs))
     codes, ts, cums = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REGRET_FIELDS)
+        fh.write(_csv_row(REGRET_FIELDS))
         for run in report.runs:
             hist, n = run.history, len(run.history)
             t = np.arange(1, n + 1) if full else checkpoint_grid(run.horizon)
             cum = hist.cumulative_regret[np.minimum(t, n) - 1]
-            writer.writerows(
-                zip(
-                    repeat(run.run_id),
-                    repeat(run.algorithm),
-                    repeat(run.seed),
-                    t.tolist(),
-                    _g17(hist.inst_regret[t - 1]),
-                    _g17(cum),
-                )
+            prefix = _csv_row([run.run_id, run.algorithm, run.seed, ""])[:-1]
+            _write_rows(
+                fh,
+                prefix.replace("%", "%%") + "%d,%s,%s\n",
+                t,
+                _strings("%.17g", hist.inst_regret[t - 1]),
+                _strings("%.17g", cum),
             )
             codes.append(np.full(len(t), names.index(run.algorithm)))
             ts.append(t)
@@ -480,16 +498,16 @@ def read_regret_csv(path: Path) -> RegretColumns:
 
 
 def write_summary_csv(summary: Summary, path: Path) -> None:
+    names = np.array([_csv_row([name, ""])[:-1] for name in summary.names], dtype=object)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_FIELDS)
-        writer.writerows(
-            zip(
-                map(summary.names.__getitem__, summary.code.tolist()),
-                summary.t.tolist(),
-                _g17(summary.mean),
-                _g17(summary.stderr),
-            )
+        fh.write(_csv_row(SUMMARY_FIELDS))
+        _write_rows(
+            fh,
+            "%s%d,%s,%s\n",
+            names[summary.code],
+            summary.t,
+            _strings("%.17g", summary.mean),
+            _strings("%.17g", summary.stderr),
         )
 
 
@@ -545,10 +563,6 @@ def emit_report(report: Report, out_dir) -> dict[str, Path]:
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _points(x: np.ndarray, y: np.ndarray) -> str:
-    return " ".join(map("%.2f,%.2f".__mod__, zip(x.tolist(), y.tolist())))
-
-
 def write_regret_svg(summary: Summary, path) -> None:
     """Cumulative-regret chart: one mean line per algorithm with a shaded
     standard-error band."""
@@ -580,11 +594,13 @@ def write_regret_svg(summary: Summary, path) -> None:
         x = margin + (width - 2 * margin) * summary.t[rows] / t_max
         mean, stderr = summary.mean[rows], summary.stderr[rows]
         lower = np.maximum(mean - stderr, 0.0)
-        band = _points(np.concatenate([x, x[::-1]]), sy(np.concatenate([upper[rows], lower[::-1]])))
+        xs = _strings("%.2f", x).tolist()
+        ys = _strings("%.2f", sy(np.concatenate([upper[rows], lower[::-1], mean]))).tolist()
+        band = " ".join(map("%s,%s".__mod__, zip(xs + xs[::-1], ys)))
+        line = " ".join(map("%s,%s".__mod__, zip(xs, ys[2 * len(xs) :])))
         parts.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15"/>')
         parts.append(
-            f'<polyline points="{_points(x, sy(mean))}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>'
+            f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         ly = margin + 18 * i
         parts.append(

@@ -378,8 +378,11 @@ def _reference_csv(fieldnames, rows):
 def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
     """A report of made-up histories: per-round regret spread over several
     orders of magnitude, with exact zeros, repeated values and, in some runs,
-    negative values, so that a mean minus its standard error can drop below 0."""
-    rng = np.random.default_rng(values_seed)
+    negative values, so that a mean minus its standard error can drop below 0.
+    A negative `values_seed` draws the same values as its absolute value, then
+    flips the sign of every other exact zero, so each run holds both 0.0 and
+    -0.0 in its instant_regret column."""
+    rng = np.random.default_rng(abs(values_seed))
     experiment = {"full_history": "true" if full else "false"}
     report = bench.Report(bench.ExperimentConfig({}, experiment, []), bench.checkpoint_grid(1))
     for horizon in horizons:
@@ -390,6 +393,9 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
                 regrets = sign * rng.exponential(10.0 ** rng.integers(-3, 4), horizon)
                 regrets *= rng.random(horizon) < 0.7
                 regrets[rng.random(horizon) < 0.1] = 0.25
+                if values_seed < 0:
+                    zeros = np.flatnonzero(regrets == 0.0)[::2]
+                    regrets[zeros] = -regrets[zeros]
                 for r in regrets.tolist():
                     hist.append(0, 0, 0.0, r)
                 run_id = len(report.runs)
@@ -413,6 +419,11 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
 # eight or more values per group: numpy sums them pairwise
 @example(["lattice", "ucb"], 10, [250, 100, 37], True, 5)
 @example(["ucb"], 8, [300], False, 6)
+# one write chunk plus a few rows, with one seed (every stderr is 0) and with several
+@example(["lattice"], 1, [bench.WRITE_CHUNK + 3], True, 11)
+@example(["ucb", "etc"], 3, [bench.WRITE_CHUNK + 5], True, 12)
+# -0.0 and 0.0 in the same column of one run
+@example(["lattice", "ucb"], 2, [300, 40], True, -13)
 def test_emit_matches_the_dict_based_reference(
     tmp_path_factory, algorithms, num_seeds, horizons, full, values_seed
 ):
@@ -425,6 +436,26 @@ def test_emit_matches_the_dict_based_reference(
     assert paths["regret"].read_text() == _reference_csv(bench.REGRET_FIELDS, rows)
     assert paths["summary"].read_text() == _reference_csv(bench.SUMMARY_FIELDS, summary)
     assert paths["svg"].read_text() == _reference_svg(summary)
+
+
+_ODD_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072e-308, 0.25
+]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.sampled_from(_ODD_FLOATS), st.floats()), max_size=40),
+    repeats=st.integers(1, 6),
+    fmt=st.sampled_from(["%.17g", "%.2f"]),
+)
+@example([], 1, "%.17g")
+@example([-0.0], 1, "%.2f")
+@example([0.0, -0.0, math.nan], 3, "%.17g")
+@example([0.0, -0.0, -math.inf, 1e-320], 4, "%.2f")
+def test_strings_formats_each_value_as_the_format_does(values, repeats, fmt):
+    array = np.array(values * repeats, dtype=float)
+    assert bench._strings(fmt, array).tolist() == [fmt % v for v in array.tolist()]
 
 
 def test_scaling_slope_fit():

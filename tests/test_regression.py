@@ -4,7 +4,14 @@ The values were recorded with numpy 2.4.6 before the per-policy round loops
 were merged into `Environment.run`; a refactor of the round dispatch must
 reproduce them to the last bit.  A numpy release that changes a generator's
 stream or a LAPACK result may move them.
+
+The sha256 of every file `emit_report` writes for the relaxed-structure run
+with full history is pinned the same way: recorded before the emitters
+formatted each distinct value once, it holds a rewrite of the writers to the
+same bytes.
 """
+
+import hashlib
 
 import pytest
 
@@ -89,3 +96,20 @@ def test_final_regret_is_pinned(seed):
         for run in report.runs:
             got[(seed, run.algorithm)] = run.history.final_regret
     assert got == {k: v for k, v in EXPECTED.items() if k[0] == seed}
+
+
+EMITTED = {
+    "regret.csv": "c1f1f13568c1e21b9d43b75d46f1c828ac6deef9402c6e52667e4293ae8d9364",
+    "summary.csv": "6202dd07b6e18c3893667cf97d3ead9526d06a224cc02526882ea9f808e01510",
+    "phase_trace.csv": "94bbc241060b77d4e368822acf6033f9185e91d562750dbf79662368be1bc224",
+    "regret.svg": "65cbb49b28fc7a0f79f0d0f49e28680b290db050f7647ce34c1a8b6b7ce9bf37",
+}
+
+
+def test_emitted_files_are_pinned(tmp_path):
+    text = RCS_CONFIG.format(seed="5,6").replace(
+        "[experiment]\n", "[experiment]\nfull_history = true\n"
+    )
+    paths = bench.emit_report(bench.run_experiment(bench.parse_config(text)), tmp_path)
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths.values()}
+    assert got == EMITTED
