@@ -114,17 +114,21 @@ class MaskCollection:
         self.rng = rng
         self.sums = np.zeros(len(mask))
         self.counts = np.zeros(len(mask), dtype=int)
+        self._sums_at = memoryview(self.sums)
+        self._counts_at = memoryview(self.counts)
         n_rows = len(mask.rows)
         self._entries_of_row: list[np.ndarray] = [
             np.flatnonzero(mask.entry_row == i) for i in range(n_rows)
         ]
         self._row_of_user = {int(u): i for i, u in enumerate(mask.rows)}
+        # the global arm of every masked cell, and each row's throwaway arms
+        self._arm_of_entry = memoryview(mask.cols[mask.entry_col])
         all_cols = np.arange(len(mask.cols))
-        self._filler_cols: list[np.ndarray] = []
+        self._filler_arms: list[memoryview] = []
         for i in range(n_rows):
             used = np.unique(mask.entry_col[self._entries_of_row[i]])
             free = np.setdiff1d(all_cols, used)
-            self._filler_cols.append(free if len(free) else all_cols)
+            self._filler_arms.append(memoryview(mask.cols[free if len(free) else all_cols]))
         self._pass_idx = 0
         self._pending: list[list[int]] = []
         self._outstanding = 0
@@ -138,7 +142,7 @@ class MaskCollection:
         for entries in self._entries_of_row:
             stack = entries.copy()
             self.rng.shuffle(stack)
-            self._pending.append(list(stack))
+            self._pending.append(stack.tolist())
         self._outstanding = len(self.mask)
 
     @property
@@ -149,17 +153,16 @@ class MaskCollection:
         """Arm (global id) for an arriving masked user; flag marks a mask pull."""
         i = self._row_of_user[user]
         if not self.done and self._pending[i]:
-            entry = self._pending[i][-1]
-            return int(self.mask.cols[self.mask.entry_col[entry]]), True
-        free = self._filler_cols[i]
-        return int(self.mask.cols[free[self.rng.integers(len(free))]]), False
+            return self._arm_of_entry[self._pending[i][-1]], True
+        free = self._filler_arms[i]
+        return free[self.rng.integers(len(free))], False
 
     def record(self, user: int, arm: int, reward: float) -> None:
         """Credit the reward of the mask pull issued by the last `choose`."""
         i = self._row_of_user[user]
         entry = self._pending[i].pop()
-        self.sums[entry] += reward
-        self.counts[entry] += 1
+        self._sums_at[entry] += reward
+        self._counts_at[entry] += 1
         self._outstanding -= 1
         if self._outstanding == 0:
             self._pass_idx += 1

@@ -256,7 +256,9 @@ class RunHistory:
     """Per-round ledger of (user, arm, reward, instantaneous regret).
 
     `cumulative_regret[t]` is the prefix sum of instantaneous regrets up to
-    and including round t.  Rounds beyond `capacity` do not fit.
+    and including round t.  Rounds beyond `capacity` do not fit.  The user,
+    arm and reward columns are written ahead; `close` completes the regret
+    columns of the next block of rounds.
     """
 
     def __init__(self, capacity: int):
@@ -271,15 +273,16 @@ class RunHistory:
     def __len__(self) -> int:
         return self._n
 
-    def append(self, user: int, arm: int, reward: float, inst_regret: float) -> None:
-        n = self._n
-        self.users[n] = user
-        self.arms[n] = arm
-        self.rewards[n] = reward
-        self.inst_regret[n] = inst_regret
-        self._total += inst_regret
-        self.cumulative_regret[n] = self._total
-        self._n = n + 1
+    def close(self, inst_regret: np.ndarray) -> None:
+        """Record the instantaneous regrets of the next `len(inst_regret)` rounds."""
+        n, k = self._n, len(inst_regret)
+        # the running total is the first addend, so every round adds its regret
+        # in round order, exactly as one `+=` per round would
+        running = np.cumsum(np.concatenate(([self._total], inst_regret)))
+        self.inst_regret[n : n + k] = inst_regret
+        self.cumulative_regret[n : n + k] = running[1:]
+        self._total = float(running[-1])
+        self._n = n + k
 
     @property
     def final_regret(self) -> float:
@@ -322,17 +325,34 @@ class Environment:
             0, instance.num_users, size=self.horizon
         )
         self._noise_draws = self.noise.draw_block(np.random.default_rng(noise_ss), self.horizon)
-        self.history = RunHistory(capacity=self.horizon)
+        self._history = RunHistory(capacity=self.horizon)
+        self._history.users[:] = self._users
         self.t = 0
         self._P = instance.P
         self._best_reward = instance.P[np.arange(instance.num_users), instance.best_arm]
+        # a round reads and writes Python scalars through views of the arrays
+        self._user_at = memoryview(self._users)
+        self._draw_at = memoryview(self._noise_draws)
+        self._mean_at = memoryview(instance.P)
+        self._arm_out = memoryview(self._history.arms)
+        self._reward_out = memoryview(self._history.rewards)
+
+    @property
+    def history(self) -> RunHistory:
+        """The ledger, its regret columns filled for every round played so far."""
+        hist, t = self._history, self.t
+        n = len(hist)
+        if n < t:
+            users, arms = hist.users[n:t], hist.arms[n:t]
+            hist.close(self._best_reward[users] - self._P[users, arms])
+        return hist
 
     def step(self, policy_choice) -> tuple[int, int, float]:
         """Advance one round; returns (user, arm, reward)."""
         t = self.t
         if t >= self.horizon:
             raise RuntimeError("environment horizon exhausted")
-        u = int(self._users[t])
+        u = self._user_at[t]
         return self._advance(t, u, int(policy_choice(u)))
 
     def play(self, arm: int) -> tuple[int, int, float]:
@@ -340,7 +360,7 @@ class Environment:
         t = self.t
         if t >= self.horizon:
             raise RuntimeError("environment horizon exhausted")
-        return self._advance(t, int(self._users[t]), int(arm))
+        return self._advance(t, self._user_at[t], int(arm))
 
     def run(self, end, user_sets, arm_sets, rng, oracles=None, ucb=None, fixed=None) -> None:
         """Play rounds until round `end` (capped at the horizon); when
@@ -361,8 +381,9 @@ class Environment:
         ucb = ucb or {}
         fixed = fixed or {}
         end = min(end, self.horizon)
+        user_at = self._user_at
         while self.t < end and waiting != 0:
-            u = int(self._users[self.t])
+            u = user_at[self.t]
             i = set_of[u]
             oracle = oracles[i]
             if oracle is not None and oracle.collecting:
@@ -386,9 +407,9 @@ class Environment:
     def _advance(self, t: int, u: int, arm: int) -> tuple[int, int, float]:
         if not 0 <= arm < self.instance.num_arms:
             raise ArmOutOfRangeError(f"policy returned arm {arm}")
-        mean = self._P[u, arm]
-        reward = self.noise.reward(mean, self._noise_draws[t])
-        self.history.append(u, arm, reward, float(self._best_reward[u] - mean))
+        reward = self.noise.reward(self._mean_at[u, arm], self._draw_at[t])
+        self._arm_out[t] = arm
+        self._reward_out[t] = reward
         self.t = t + 1
         return u, arm, reward
 

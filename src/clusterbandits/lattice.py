@@ -46,6 +46,7 @@ class UcbArmState:
         self.sums = [0.0] * len(self.arms)
         self._index = np.full(len(self.arms), math.inf)
         self._bonus_scale = 6.0 * math.log(self.horizon)
+        self._selected = None  # position `select` last chose
 
     def _position(self, arm: int) -> int:
         pos = bisect.bisect_left(self.arms, arm)
@@ -57,10 +58,13 @@ class UcbArmState:
         return float(self._index[self._position(arm)])
 
     def select(self) -> int:
-        return self.arms[int(self._index.argmax())]
+        pos = self._selected = int(self._index.argmax())
+        return self.arms[pos]
 
     def update(self, arm: int, reward: float) -> None:
-        pos = self._position(arm)
+        pos = self._selected
+        if pos is None or self.arms[pos] != arm:
+            pos = self._position(arm)
         n = self.counts[pos] + 1
         total = self.sums[pos] + float(reward)
         self.counts[pos] = n

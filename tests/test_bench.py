@@ -396,8 +396,8 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
                 if values_seed < 0:
                     zeros = np.flatnonzero(regrets == 0.0)[::2]
                     regrets[zeros] = -regrets[zeros]
-                for r in regrets.tolist():
-                    hist.append(0, 0, 0.0, r)
+                hist.users[:], hist.arms[:], hist.rewards[:] = 0, 0, 0.0
+                hist.close(regrets)
                 run_id = len(report.runs)
                 report.runs.append(
                     bench.RunResult(run_id, algo, seed, horizon, hist.trimmed(), None)

@@ -144,6 +144,88 @@ def test_collect_budget_zero():
     assert np.all(coll.counts == 0)
 
 
+class _IndexedMaskCollection:
+    """`MaskCollection` as it indexed numpy arrays on every call."""
+
+    def __init__(self, mask, b, rng):
+        self.mask, self.b, self.rng = mask, b, rng
+        self.sums = np.zeros(len(mask))
+        self.counts = np.zeros(len(mask), dtype=int)
+        self._entries_of_row = [np.flatnonzero(mask.entry_row == i) for i in range(len(mask.rows))]
+        self._row_of_user = {int(u): i for i, u in enumerate(mask.rows)}
+        all_cols = np.arange(len(mask.cols))
+        self._filler_cols = []
+        for entries in self._entries_of_row:
+            free = np.setdiff1d(all_cols, np.unique(mask.entry_col[entries]))
+            self._filler_cols.append(free if len(free) else all_cols)
+        self._pass_idx = 0 if len(mask) else b
+        if len(mask):
+            self._start_pass()
+
+    def _start_pass(self):
+        self._pending = []
+        for entries in self._entries_of_row:
+            stack = entries.copy()
+            self.rng.shuffle(stack)
+            self._pending.append(list(stack))
+        self._outstanding = len(self.mask)
+
+    def choose(self, user):
+        i = self._row_of_user[user]
+        if self._pass_idx < self.b and self._pending[i]:
+            entry = self._pending[i][-1]
+            return int(self.mask.cols[self.mask.entry_col[entry]]), True
+        free = self._filler_cols[i]
+        return int(self.mask.cols[free[self.rng.integers(len(free))]]), False
+
+    def record(self, user, arm, reward):
+        i = self._row_of_user[user]
+        entry = self._pending[i].pop()
+        self.sums[entry] += reward
+        self.counts[entry] += 1
+        self._outstanding -= 1
+        if self._outstanding == 0:
+            self._pass_idx += 1
+            if self._pass_idx < self.b:
+                self._start_pass()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    num_rows=st.integers(1, 4),
+    num_cols=st.integers(1, 4),
+    # 0 and 1 give the empty mask and full rows, which have no free column
+    p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    b=st.integers(1, 3),
+    arrivals=st.integers(0, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_collection_matches_numpy_indexed_reference(num_rows, num_cols, p, b, arrivals, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(50, size=num_rows, replace=False)
+    cols = rng.choice(50, size=num_cols, replace=False)
+    entry_row, entry_col = np.nonzero(rng.random((num_rows, num_cols)) < p)
+    mask = Mask(rows, cols, entry_row, entry_col)
+    coll = MaskCollection(mask, b, np.random.default_rng(seed + 1))
+    ref = _IndexedMaskCollection(mask, b, np.random.default_rng(seed + 1))
+    pulls = []
+    for _ in range(arrivals):
+        user = int(rows[rng.integers(num_rows)])
+        arm, masked = coll.choose(user)
+        assert (arm, masked) == ref.choose(user)
+        assert type(arm) is int
+        pulls.append(masked)
+        if masked:
+            reward = float(rng.normal())
+            coll.record(user, arm, reward)
+            ref.record(user, arm, reward)
+    assert sum(pulls) <= b * len(mask)
+    assert coll.done == (ref._pass_idx >= b)
+    assert coll.sums.tobytes() == ref.sums.tobytes()
+    assert np.array_equal(coll.counts, ref.counts) and coll.counts.dtype == ref.counts.dtype
+    assert coll.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
 def test_solver_unregularized_full_observation_returns_input():
     rng = np.random.default_rng(0)
     Z = rng.normal(size=(6, 5))

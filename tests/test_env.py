@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbandits.env import (
     RCS_SEPARATION_FACTOR,
     ArmOutOfRangeError,
     Environment,
+    Instance,
     InvalidDimensionsError,
     InvalidEpsilonError,
     NoiseModel,
@@ -17,6 +20,7 @@ from clusterbandits.env import (
     generate_rcs_instance,
     load_instance,
     save_instance,
+    seed_sequence,
 )
 
 
@@ -260,6 +264,66 @@ def test_run_determinism_bit_identical():
     assert np.array_equal(a.arms[:500], b.arms[:500])
     assert np.array_equal(a.rewards[:500], b.rewards[:500])
     assert np.array_equal(a.cumulative_regret[:500], b.cumulative_regret[:500])
+
+
+def _per_round_reference(P, noise, seed, horizon, arms):
+    """The ledger one `+=` per round builds over np.float64 entries:
+    (users, rewards, inst_regret, cumulative_regret), one list each."""
+    user_ss, noise_ss = seed_sequence(seed).spawn(2)
+    users = np.random.default_rng(user_ss).integers(0, P.shape[0], size=horizon)
+    draws = noise.draw_block(np.random.default_rng(noise_ss), horizon)
+    best = P[np.arange(P.shape[0]), np.argmax(P, axis=1)]
+    rewards, inst, cum, total = [], [], [], 0.0
+    for t, arm in enumerate(arms):
+        mean = P[users[t], arm]
+        rewards.append(float(noise.reward(mean, draws[t])))
+        regret = float(best[users[t]] - mean)
+        total += regret
+        inst.append(regret)
+        cum.append(total)
+    return users.tolist(), rewards, inst, cum
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    num_users=st.integers(1, 4),
+    num_arms=st.integers(1, 4),
+    kind=st.sampled_from(["gaussian", "uniform", "bernoulli-reward", "none"]),
+    sigma=st.floats(0.0, 2.0),
+    horizon=st.integers(1, 80),
+    cuts=st.lists(st.integers(0, 80), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_history_matches_per_round_ledger(num_users, num_arms, kind, sigma, horizon, cuts, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "bernoulli-reward":
+        P = rng.random((num_users, num_arms))
+    else:
+        # rounded entries repeat, so some rows tie for their best arm
+        P = rng.normal(size=(num_users, num_arms)) * 10.0 ** rng.integers(-3, 4)
+        P[:, ::2] = P[:, ::2].round(1)
+    inst = Instance(num_users, num_arms, 1, P, np.zeros(num_users, dtype=int), P[:1])
+    noise = NoiseModel(kind, sigma)
+    arms = rng.integers(0, num_arms, size=horizon).tolist()
+    users, rewards, inst_regret, cum = _per_round_reference(P, noise, seed, horizon, arms)
+    env = Environment(inst, noise, seed=seed, horizon=horizon)
+    # reading the history at a cut fills its regret columns up to there
+    for t, arm in enumerate(arms):
+        if t in cuts:
+            hist = env.history
+            assert len(hist) == t
+            assert hist.inst_regret[:t].tolist() == inst_regret[:t]
+            assert hist.cumulative_regret[:t].tolist() == cum[:t]
+            assert hist.final_regret == (cum[t - 1] if t else 0.0)
+        env.play(arm)
+    hist = env.history.trimmed()
+    assert len(hist) == horizon
+    assert hist.users.tolist() == users
+    assert hist.arms.tolist() == arms
+    assert hist.rewards.tolist() == rewards
+    assert hist.inst_regret.tolist() == inst_regret
+    assert hist.cumulative_regret.tolist() == cum
+    assert hist.final_regret == cum[-1]
 
 
 def test_user_frequency_binomial():

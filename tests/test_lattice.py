@@ -213,6 +213,46 @@ def test_ucb_cached_index_matches_recompute_reference(arms, sigma, horizon, rewa
             state.index_of(a)
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    arms=st.lists(st.integers(0, 40), min_size=1, max_size=10, unique=True),
+    sigma=st.floats(0.0, 3.0),
+    horizon=st.integers(2, 10**7),
+    # (select first?, position of the arm to update or None for the selected
+    # one, reward); an update without a select, or of another arm, must find
+    # its arm's position without the one `select` remembered
+    steps=st.lists(
+        st.tuples(st.booleans(), st.one_of(st.none(), st.integers(0, 9)), st.floats(-3.0, 3.0)),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@example(arms=[7], sigma=1.0, horizon=100, steps=[(False, 0, 1.0)])
+@example(arms=[3, 1, 8], sigma=0.5, horizon=100, steps=[(False, 2, 1.0), (True, 0, -1.0)])
+@example(arms=[3, 1, 8], sigma=0.5, horizon=100, steps=[(True, None, 0.5), (True, 1, 2.0)])
+def test_ucb_update_of_an_unselected_arm_matches_recompute_reference(arms, sigma, horizon, steps):
+    state = UcbArmState(arms, sigma, horizon)
+    ref = _RecomputeUcb(arms, sigma, horizon)
+    tracked = sorted(arms)
+    for do_select, pick, reward in steps:
+        selected = None
+        if do_select:
+            selected = state.select()
+            assert selected == ref.select()
+        arm = selected if pick is None and do_select else tracked[(pick or 0) % len(tracked)]
+        state.update(arm, reward)
+        ref.update(arm, reward)
+        for a in arms:
+            assert state.index_of(a) == ref.index_of(a)
+    untracked = [a for a in range(-1, 42) if a not in arms]
+    for a in untracked[:: max(1, len(untracked) // 5)]:
+        state.select()
+        with pytest.raises(KeyError):
+            state.update(a, 0.0)
+    for a in arms:
+        assert state.index_of(a) == ref.index_of(a)
+
+
 def _boolean_overlap_graph(estimates, good_sets, delta, slack_multiplier=2.0):
     """`build_user_graph` with the near-best overlap as a boolean matrix product."""
     good = np.zeros(estimates.shape, dtype=bool)
