@@ -26,6 +26,7 @@ from .rcs import RcsConfig, run_lattice_rcs
 from .baselines import (
     EtcConfig,
     SimplifiedConfig,
+    UcbConfig,
     kmeans_elbow,
     run_explore_then_commit,
     run_per_user_ucb,
@@ -46,6 +47,7 @@ __all__ = [
     "RowDistribution",
     "RunHistory",
     "SimplifiedConfig",
+    "UcbConfig",
     "assumption_report",
     "derive_oracle_params",
     "generate_cs_instance",

@@ -15,27 +15,37 @@ from .env import Environment, Instance, NoiseModel, RunHistory, seed_sequence
 from .lattice import PhaseRecord, PhaseTrace, UcbArmState
 
 
+@dataclass
+class UcbConfig:
+    """Confidence-width scale of independent per-user UCB."""
+
+    sigma: float
+
+
 def run_per_user_ucb(
     instance: Instance,
+    config: UcbConfig,
     horizon: int,
-    sigma: float,
     seed,
     noise: NoiseModel | None = None,
-) -> RunHistory:
+) -> tuple[RunHistory, None]:
     """Every user runs an independent UCB over the full arm set."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
     env_ss, _ = seed_sequence(seed).spawn(2)
     env = Environment(instance, noise, env_ss, horizon)
     arms = np.arange(instance.num_arms)
-    states = {u: UcbArmState(arms, sigma, max(2, horizon)) for u in range(instance.num_users)}
+    states = {
+        u: UcbArmState(arms, config.sigma, max(2, horizon)) for u in range(instance.num_users)
+    }
     env.run(horizon, [range(instance.num_users)], [arms], None, ucb=states)
-    return env.history.trimmed()
+    return env.history.trimmed(), None
 
 
 @dataclass
 class EtcConfig:
-    """Oracle knobs for the explore phase of explore-then-commit."""
+    """Oracle knobs for the explore phase of explore-then-commit, and the
+    share of the horizon that phase may use."""
 
     num_clusters: int
     sigma: float
@@ -44,23 +54,25 @@ class EtcConfig:
     c_lambda: float = 2.5
     b: int = 1
     f: int = 1
+    explore_fraction: float = 0.1
+
+    def __post_init__(self):
+        if not 0 < self.explore_fraction < 1:
+            raise ValueError("explore_fraction must lie in (0, 1)")
 
 
 def run_explore_then_commit(
     instance: Instance,
-    horizon: int,
-    explore_fraction: float,
     config: EtcConfig,
+    horizon: int,
     seed,
     noise: NoiseModel | None = None,
-) -> RunHistory:
+) -> tuple[RunHistory, None]:
     """Spend a fixed budget collecting one full-matrix estimate, then play
     each user's estimated best arm forever."""
-    if not 0 < explore_fraction < 1:
-        raise ValueError("explore_fraction must lie in (0, 1)")
     env_ss, algo_ss = seed_sequence(seed).spawn(2)
     env = Environment(instance, noise, env_ss, horizon)
-    explore_rounds = int(explore_fraction * horizon)
+    explore_rounds = int(config.explore_fraction * horizon)
     d2 = min(instance.num_users, instance.num_arms)
     logd = math.log(max(d2, 2))
     p = min(1.0, config.c_p * config.mu**2 * logd**3 / d2)
@@ -90,7 +102,7 @@ def run_explore_then_commit(
     env.run(explore_rounds, user_sets, arm_sets, filler_rng)
     commit_arm = dict(enumerate(np.argmax(est.values, axis=1).tolist()))
     env.run(horizon, user_sets, arm_sets, filler_rng, fixed=commit_arm)
-    return env.history.trimmed()
+    return env.history.trimmed(), None
 
 
 def _kmeans_once(rows: np.ndarray, k: int, rng: np.random.Generator, iters: int) -> tuple[np.ndarray, float]:

@@ -4,10 +4,12 @@ SVG emission, and regret-scaling studies.
 Config files are flat key = value text with [section] headers.  The
 [instance] section describes the problem (or points at a saved instance
 file), [experiment] holds horizon/seeds/output options, and each
-[algorithm <name>] section selects a policy with its parameters: the fields
-of that policy's config dataclass, plus `explore_fraction` for etc (ucb takes
-only `sigma`).  Every run of an experiment shares the instance; the interaction randomness
-varies with the per-run seed.
+[algorithm <name>] section selects a policy: its keys are the fields of that
+policy's config dataclass, and every policy runs through the same call,
+`run(instance, config, horizon, seed, noise)`.  A key may appear once per
+section, and [instance] and [experiment] once per file.  Every run of an
+experiment shares the instance; the interaction randomness varies with the
+per-run seed.
 """
 
 from __future__ import annotations
@@ -38,63 +40,35 @@ class CellError(RuntimeError):
         self.report = report
 
 
-# algorithm section -> (config dataclass, keys read outside it).  num_clusters,
-# sigma and nu, where a section has them, default to the instance's and the
-# noise model's values.
+# algorithm section -> (config dataclass, module and name of its run function).
+# num_clusters, sigma and nu, where a section has them, default to the
+# instance's and the noise model's values.  The run function is looked up on
+# its module at call time, so a wrapper installed there sees every cell.
 _SECTIONS = {
-    "lattice": (lattice.LatticeConfig, {}),
-    "lattice-rcs": (rcs.RcsConfig, {}),
-    "ucb": (None, {"sigma": float}),
-    "etc": (baselines.EtcConfig, {"explore_fraction": float}),
-    "simplified-lattice": (baselines.SimplifiedConfig, {}),
+    "lattice": (lattice.LatticeConfig, lattice, "run_lattice"),
+    "lattice-rcs": (rcs.RcsConfig, rcs, "run_lattice_rcs"),
+    "ucb": (baselines.UcbConfig, baselines, "run_per_user_ucb"),
+    "etc": (baselines.EtcConfig, baselines, "run_explore_then_commit"),
+    "simplified-lattice": (baselines.SimplifiedConfig, baselines, "run_simplified_lattice"),
 }
 ALGORITHM_NAMES = tuple(_SECTIONS)
 
 
-def _field_types(cls) -> dict[str, type]:
-    """Field name -> type of a config dataclass, reading `X | None` as X."""
+def _option_types(cls) -> dict[str, type]:
+    """Config key -> value type for every field of `cls`, reading `X | None` as X."""
     hints = typing.get_type_hints(cls)
     out = {}
     for f in dataclasses.fields(cls):
         args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
-        out[f.name] = args[0] if len(args) == 1 else hints[f.name]
+        kind = args[0] if len(args) == 1 else hints[f.name]
+        if kind not in (int, float, str):
+            raise TypeError(f"{cls.__name__}.{f.name}: no config parser for {kind}")
+        out[f.name] = kind
     return out
-
-
-# resolved once: get_type_hints is slow next to parsing a whole config
-_FIELD_TYPES = {cls: _field_types(cls) for cls, _ in _SECTIONS.values() if cls is not None}
-
-
-def _option_types(cls) -> dict[str, type]:
-    """Config key -> value type for every field of `cls`; a nested config
-    dataclass (`RcsConfig.base`) contributes its own fields."""
-    out: dict[str, type] = {}
-    for name, kind in _FIELD_TYPES[cls].items():
-        if kind in _FIELD_TYPES:
-            out.update(_option_types(kind))
-        elif kind in (int, float, str):
-            out[name] = kind
-        else:
-            raise TypeError(f"{cls.__name__}.{name}: no config parser for {kind}")
-    return out
-
-
-def _instantiate(cls, values: dict):
-    """`cls` built from the flat key values of its section."""
-    kwargs = {}
-    for name, kind in _FIELD_TYPES[cls].items():
-        if kind in _FIELD_TYPES:
-            kwargs[name] = _instantiate(kind, values)
-        elif name in values:
-            kwargs[name] = values[name]
-    return cls(**kwargs)
 
 
 # accepted keys and their value types, per algorithm section
-ALGORITHM_OPTIONS = {
-    name: {**(_option_types(cls) if cls else {}), **extra}
-    for name, (cls, extra) in _SECTIONS.items()
-}
+ALGORITHM_OPTIONS = {name: _option_types(cls) for name, (cls, _, _) in _SECTIONS.items()}
 
 
 def int_list(text: str) -> list[int]:
@@ -159,13 +133,18 @@ def parse_config(text: str) -> ExperimentConfig:
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = {}
-            sections.append((line[1:-1].strip(), current))
+            name, current = line[1:-1].strip(), {}
+            if name in ("instance", "experiment") and any(n == name for n, _ in sections):
+                raise ConfigError(f"line {lineno}: [{name}] may appear only once")
+            sections.append((name, current))
             continue
         if current is None or "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value' inside a section")
         key, _, value = line.partition("=")
-        current[key.strip()] = value.strip()
+        key = key.strip()
+        if key in current:
+            raise ConfigError(f"line {lineno}: {key} is set twice in [{name}]")
+        current[key] = value.strip()
     instance: dict[str, str] = {}
     experiment: dict[str, str] = {}
     algorithms: list[tuple[str, dict[str, str]]] = []
@@ -228,34 +207,16 @@ def parse_section(section: str, params: dict[str, str], types: dict) -> dict[str
 
 def build_algorithm(
     name: str, params: dict[str, str], instance: env.Instance, noise: env.NoiseModel
-) -> tuple[object | None, dict[str, object]]:
-    """The config dataclass of one algorithm section (None for ucb) and the
-    values of its keys read outside the dataclass."""
+):
+    """The config dataclass of one algorithm section."""
     types = ALGORITHM_OPTIONS[name]
     inherited = {"num_clusters": instance.num_clusters, "sigma": noise.sigma, "nu": instance.nu}
     values = {k: v for k, v in inherited.items() if k in types}
     values.update(parse_section(f"algorithm {name}", params, types))
-    cls, extra = _SECTIONS[name]
-    extras = {k: values[k] for k in extra if k in values}
-    if cls is None:
-        return None, extras
     try:
-        return _instantiate(cls, values), extras
+        return _SECTIONS[name][0](**values)
     except ValueError as exc:
         raise ConfigError(f"algorithm {name}: {exc}") from None
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    lines: list[str] = []
-    for name, body in (("instance", config.instance), ("experiment", config.experiment)):
-        lines.append(f"[{name}]")
-        for key, value in body.items():
-            lines.append(f"{key} = {value}")
-    for algo, body in config.algorithms:
-        lines.append(f"[algorithm {algo}]")
-        for key, value in body.items():
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def build_instance(spec: dict[str, str]) -> env.Instance:
@@ -286,22 +247,10 @@ def build_noise(spec: dict[str, str], instance: env.Instance) -> env.NoiseModel:
     return env.NoiseModel(kind, float(spec.get("sigma", "0")))
 
 
-def _run_cell(name, config, extras, instance, noise, horizon, seed):
+def _run_cell(name, config, instance, noise, horizon, seed):
     """One (algorithm, seed) cell; returns (history, trace or None)."""
-    if name == "ucb":
-        return baselines.run_per_user_ucb(instance, horizon, extras["sigma"], seed, noise), None
-    if name == "etc":
-        fraction = extras.get("explore_fraction", 0.1)
-        history = baselines.run_explore_then_commit(
-            instance, horizon, fraction, config, seed, noise
-        )
-        return history, None
-    run = {
-        "lattice": lattice.run_lattice,
-        "lattice-rcs": rcs.run_lattice_rcs,
-        "simplified-lattice": baselines.run_simplified_lattice,
-    }[name]
-    return run(instance, config, horizon, seed, noise)
+    _, module, run = _SECTIONS[name]
+    return getattr(module, run)(instance, config, horizon, seed, noise)
 
 
 def checkpoint_grid(horizon: int, count: int = 100) -> np.ndarray:
@@ -396,7 +345,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
     # every section's config is built before any cell runs, so a bad value
     # fails the experiment up front
     algorithms = [
-        (algo, *build_algorithm(algo, params, instance, noise))
+        (algo, build_algorithm(algo, params, instance, noise))
         for algo, params in config.algorithms
     ]
     horizons = config.horizons
@@ -405,12 +354,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
         report.assumption = checker.assumption_report(instance)
     run_id = 0
     for horizon in horizons:
-        for algo, algo_config, extras in algorithms:
+        for algo, algo_config in algorithms:
             for seed in config.seeds:
                 try:
-                    history, trace = _run_cell(
-                        algo, algo_config, extras, instance, noise, horizon, seed
-                    )
+                    history, trace = _run_cell(algo, algo_config, instance, noise, horizon, seed)
                 except Exception as exc:
                     raise CellError(algo, horizon, seed, report, exc) from exc
                 report.runs.append(RunResult(run_id, algo, seed, horizon, history, trace))

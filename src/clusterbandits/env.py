@@ -288,12 +288,6 @@ class RunHistory:
     def final_regret(self) -> float:
         return self._total
 
-    def regret_at(self, t: int) -> float:
-        """Cumulative regret after round t (1-based round count)."""
-        if t <= 0:
-            return 0.0
-        return float(self.cumulative_regret[min(t, self._n) - 1])
-
     def trimmed(self) -> "RunHistory":
         for name in ("users", "arms", "rewards", "inst_regret", "cumulative_regret"):
             setattr(self, name, getattr(self, name)[: self._n])

@@ -16,9 +16,11 @@ from .env import Instance, NoiseModel, RunHistory
 from .lattice import LatticeConfig, PhaseTrace, _PhasedRun
 
 
-@dataclass
-class RcsConfig:
-    base: LatticeConfig
+@dataclass(kw_only=True)
+class RcsConfig(LatticeConfig):
+    """The phased-elimination knobs plus the known within-cluster separation
+    `nu` and the looser edge rule's slack multiplier."""
+
     nu: float
     edge_slack_multiplier: float = 3.0
 
@@ -39,7 +41,7 @@ def run_lattice_rcs(
         raise ValueError("horizon must be positive")
     run = _PhasedRun(
         instance,
-        config.base,
+        config,
         horizon,
         seed,
         noise,

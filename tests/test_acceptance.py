@@ -15,6 +15,7 @@ from clusterbandits import bench
 from clusterbandits.baselines import (
     EtcConfig,
     SimplifiedConfig,
+    UcbConfig,
     run_explore_then_commit,
     run_per_user_ucb,
     run_simplified_lattice,
@@ -39,6 +40,7 @@ from clusterbandits.env import (
 )
 from clusterbandits.lattice import LatticeConfig, run_lattice
 from clusterbandits.rcs import RcsConfig, run_lattice_rcs
+from helpers import regret_at, serialize_config
 
 
 def _report(log, line):
@@ -68,12 +70,12 @@ def benchmark_runs():
     for seed in SEEDS_5:
         lat, _ = run_lattice(inst, BENCHMARK_LATTICE, T, seed=seed, noise=noise)
         simp, _ = run_simplified_lattice(inst, BENCHMARK_SIMPLIFIED, T, seed=seed, noise=noise)
-        ucb = run_per_user_ucb(inst, T, 0.5, seed=seed, noise=noise)
+        ucb, _ = run_per_user_ucb(inst, UcbConfig(0.5), T, seed=seed, noise=noise)
         out["lattice"].append(lat.final_regret)
         out["simplified"].append(simp.final_regret)
         out["ucb"].append(ucb.final_regret)
-        out["lattice_q1"].append(lat.regret_at(T // 4))
-        out["lattice_q4"].append(lat.final_regret - lat.regret_at(3 * T // 4))
+        out["lattice_q1"].append(regret_at(lat, T // 4))
+        out["lattice_q4"].append(lat.final_regret - regret_at(lat, 3 * T // 4))
     return out
 
 
@@ -205,11 +207,10 @@ def test_criterion_6_rcs_convergence(acceptance_log):
     truth = sorted(
         tuple(sorted(np.flatnonzero(inst.cluster_of == c).tolist())) for c in range(3)
     )
-    base = LatticeConfig(
+    cfg = RcsConfig(
         num_clusters=3, sigma=0.3, gamma=1.0, c_prime_override=0.7,
-        c_p=2.0, c_b=0.5, f_cap=1,
+        c_p=2.0, c_b=0.5, f_cap=1, nu=0.02,
     )
-    cfg = RcsConfig(base=base, nu=0.02)
     correct = tail_ok = 0
     ratios = []
     for seed in range(400, 410):
@@ -218,7 +219,7 @@ def test_criterion_6_rcs_convergence(acceptance_log):
         if clusterwise and sorted(tuple(sorted(s)) for s in clusterwise[0].user_sets) == truth:
             correct += 1
         tail_ok += float(np.mean(hist.inst_regret[-2000:])) <= 2 * 0.02 * 3
-        ratios.append(hist.final_regret / max(hist.regret_at(20000), 1.0))
+        ratios.append(hist.final_regret / max(regret_at(hist, 20000), 1.0))
     mean_ratio = float(np.mean(ratios))
     ok = correct >= 8 and mean_ratio < 1.9 and tail_ok >= 8
     _report(
@@ -283,8 +284,8 @@ def test_criterion_7_invariant_suites(tmp_path, acceptance_log):
     )
 
     # config round trip fixed point
-    text = bench.serialize_config(config)
-    checks["config_roundtrip"] = bench.serialize_config(bench.parse_config(text)) == text
+    text = serialize_config(config)
+    checks["config_roundtrip"] = serialize_config(bench.parse_config(text)) == text
 
     # spectral lemmas on nice submatrices
     inst2 = generate_cs_instance(30, 20, 3, RowDistribution.gaussian(0, 1), seed=1)
@@ -367,13 +368,13 @@ def test_etc_grid_head_to_head(benchmark_runs):
     runs = benchmark_runs
     inst = runs["instance"]
     noise = NoiseModel("gaussian", 0.5)
-    cfg = EtcConfig(num_clusters=4, sigma=0.5, c_p=0.12)
     worse = 0
     for i, seed in enumerate(SEEDS_5):
         best = None
         for frac in (0.05, 0.1, 0.2):
             try:
-                hist = run_explore_then_commit(inst, runs["T"], frac, cfg, seed=seed, noise=noise)
+                cfg = EtcConfig(num_clusters=4, sigma=0.5, c_p=0.12, explore_fraction=frac)
+                hist, _ = run_explore_then_commit(inst, cfg, runs["T"], seed=seed, noise=noise)
                 best = hist.final_regret if best is None else min(best, hist.final_regret)
             except InsufficientBudgetError:
                 continue

@@ -5,6 +5,7 @@ from clusterbandits import baselines
 from clusterbandits.baselines import (
     EtcConfig,
     SimplifiedConfig,
+    UcbConfig,
     kmeans_elbow,
     run_explore_then_commit,
     run_per_user_ucb,
@@ -17,11 +18,12 @@ from clusterbandits.env import (
     RowDistribution,
     generate_cs_instance,
 )
+from helpers import regret_at
 
 
 def test_ucb_single_arm_zero_regret():
     inst = generate_cs_instance(3, 1, 1, RowDistribution.gaussian(0, 1), seed=0)
-    hist = run_per_user_ucb(inst, 200, 0.5, seed=1, noise=NoiseModel("none"))
+    hist, _ = run_per_user_ucb(inst, UcbConfig(0.5), 200, seed=1, noise=NoiseModel("none"))
     assert hist.final_regret == 0.0
 
 
@@ -29,13 +31,13 @@ def test_ucb_noiseless_two_arms_exact_regret():
     # one forced pull of the bad arm, then greedy on exact means
     P = np.array([[1.0, 0.5]])
     inst = Instance(1, 2, 1, P, np.array([0]), P.copy())
-    hist = run_per_user_ucb(inst, 100, 0.0, seed=3, noise=NoiseModel("none"))
+    hist, _ = run_per_user_ucb(inst, UcbConfig(0.0), 100, seed=3, noise=NoiseModel("none"))
     assert hist.final_regret == pytest.approx(0.5)
 
 
 def test_ucb_forced_exploration_before_repeats():
     inst = generate_cs_instance(2, 6, 1, RowDistribution.gaussian(0, 1), seed=1)
-    hist = run_per_user_ucb(inst, 400, 0.5, seed=2, noise=NoiseModel("gaussian", 0.5))
+    hist, _ = run_per_user_ucb(inst, UcbConfig(0.5), 400, seed=2, noise=NoiseModel("gaussian", 0.5))
     for u in range(2):
         arms = hist.arms[hist.users == u]
         first_six = arms[:6]
@@ -52,9 +54,9 @@ def test_ucb_regret_slope_in_sqrt_band():
     T = 60000
     slopes = []
     for seed in (1, 2, 3, 4, 5):
-        hist = run_per_user_ucb(inst, T, 0.5, seed=seed, noise=NoiseModel("gaussian", 0.5))
+        hist, _ = run_per_user_ucb(inst, UcbConfig(0.5), T, seed=seed, noise=NoiseModel("gaussian", 0.5))
         ts = checkpoint_grid(T)
-        curve = np.array([hist.regret_at(int(t)) for t in ts])
+        curve = np.array([regret_at(hist, int(t)) for t in ts])
         keep = ts >= T // 2
         slopes.append(float(np.polyfit(np.log(ts[keep]), np.log(curve[keep]), 1)[0]))
     assert all(0.35 <= s <= 0.7 for s in slopes)
@@ -62,22 +64,22 @@ def test_ucb_regret_slope_in_sqrt_band():
 
 def test_etc_noiseless_zero_commit_regret():
     inst = generate_cs_instance(20, 20, 2, RowDistribution.gaussian(0, 1), seed=3)
-    cfg = EtcConfig(num_clusters=2, sigma=0.0, c_p=2.0)
+    cfg = EtcConfig(num_clusters=2, sigma=0.0, c_p=2.0, explore_fraction=0.5)
     horizon = 20000
-    hist = run_explore_then_commit(inst, horizon, 0.5, cfg, seed=1, noise=NoiseModel("none"))
+    hist, _ = run_explore_then_commit(inst, cfg, horizon, seed=1, noise=NoiseModel("none"))
     explore = int(0.5 * horizon)
-    assert hist.final_regret - hist.regret_at(explore) == pytest.approx(0.0, abs=1e-9)
+    assert hist.final_regret - regret_at(hist, explore) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_etc_large_explore_fraction_regret_accounting():
     inst = generate_cs_instance(20, 20, 2, RowDistribution.gaussian(0, 1), seed=3)
-    cfg = EtcConfig(num_clusters=2, sigma=0.0, c_p=2.0)
+    cfg = EtcConfig(num_clusters=2, sigma=0.0, c_p=2.0, explore_fraction=0.99)
     avg_gap = float(np.mean(inst.P.max(axis=1)[:, None] - inst.P))
     T = 10000
     expected = 0.99 * T * avg_gap
     regrets = []
     for seed in (2, 3, 4):
-        hist = run_explore_then_commit(inst, T, 0.99, cfg, seed=seed, noise=NoiseModel("none"))
+        hist, _ = run_explore_then_commit(inst, cfg, T, seed=seed, noise=NoiseModel("none"))
         regrets.append(hist.final_regret)
     assert np.mean(regrets) >= 0.9 * expected
 
@@ -88,10 +90,10 @@ def test_etc_no_estimate_dependence_before_commit():
     dist = RowDistribution.gaussian(0, 1)
     a = generate_cs_instance(10, 10, 2, dist, seed=1)
     b = generate_cs_instance(10, 10, 2, dist, seed=2)
-    cfg = EtcConfig(num_clusters=2, sigma=0.0, c_p=2.0)
+    cfg = EtcConfig(num_clusters=2, sigma=0.0, c_p=2.0, explore_fraction=0.5)
     T = 6000
-    ha = run_explore_then_commit(a, T, 0.5, cfg, seed=9, noise=NoiseModel("none"))
-    hb = run_explore_then_commit(b, T, 0.5, cfg, seed=9, noise=NoiseModel("none"))
+    ha, _ = run_explore_then_commit(a, cfg, T, seed=9, noise=NoiseModel("none"))
+    hb, _ = run_explore_then_commit(b, cfg, T, seed=9, noise=NoiseModel("none"))
     explore = int(0.5 * T)
     assert np.array_equal(ha.arms[:explore], hb.arms[:explore])
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterbandits import baselines, bench, cli, env, lattice, rcs
+from helpers import regret_at, serialize_config
 
 SMALL_CONFIG = """\
 [instance]
@@ -42,8 +43,8 @@ def test_config_parse_fields():
 
 def test_config_serialize_is_fixed_point():
     config = bench.parse_config(SMALL_CONFIG)
-    once = bench.serialize_config(config)
-    twice = bench.serialize_config(bench.parse_config(once))
+    once = serialize_config(config)
+    twice = serialize_config(bench.parse_config(once))
     assert once == twice
 
 
@@ -71,6 +72,7 @@ def test_config_bad_instance_kind_rejected():
         ("c_pp = 9", r"algorithm lattice\.c_pp: unknown key"),
         ("f_cap = two", r"algorithm lattice\.f_cap: cannot parse 'two' as int"),
         ("gamma = banana", r"algorithm lattice\.gamma: cannot parse 'banana' as float"),
+        ("c_p = 0.25\nc_p = 9", r"line 16: c_p is set twice in \[algorithm lattice\]"),
     ],
 )
 def test_config_bad_algorithm_key_or_value_rejected(line, message):
@@ -91,6 +93,9 @@ def test_config_bad_algorithm_key_or_value_rejected(line, message):
         ("seeds = 1", "seeds = 1,x", r"experiment\.seeds: cannot parse '1,x'"),
         ("horizon = 100", "horizon = 2k", r"experiment\.horizon: cannot parse '2k' as int"),
         ("horizon = 100", "horizon = 100\nhorizons = 100,", None),
+        ("seed = 3", "seed = 3\nseed = 4", r"line 8: seed is set twice in \[instance\]"),
+        ("[algorithm", "[experiment]\nseeds = 2\n[algorithm", r"line 13: \[experiment\] may appear"),
+        ("[algorithm", "[instance]\nkind = cs\n[algorithm", r"line 13: \[instance\] may appear"),
     ],
 )
 def test_config_bad_instance_or_experiment_key_rejected(old, new, message):
@@ -100,6 +105,11 @@ def test_config_bad_instance_or_experiment_key_rejected(old, new, message):
         return
     with pytest.raises(bench.ConfigError, match=message):
         bench.parse_config(text)
+
+
+def test_config_repeated_algorithm_section_allowed():
+    config = bench.parse_config(SMALL_CONFIG + "[algorithm ucb]\nsigma = 0.3\n")
+    assert config.algorithms == [("ucb", {}), ("ucb", {"sigma": "0.3"})]
 
 
 def test_config_booleans_are_true_or_false():
@@ -119,33 +129,48 @@ def test_simplified_schedule_that_never_ends_is_rejected(field, value):
         bench.build_algorithm("simplified-lattice", config.algorithms[-1][1], instance, noise)
 
 
-def test_config_out_of_range_value_fails_before_any_cell(monkeypatch):
+def test_config_out_of_range_value_fails_before_any_cell(monkeypatch, tmp_path):
     ran = []
     monkeypatch.setattr(baselines, "run_per_user_ucb", lambda *a: ran.append(a))
-    text = SMALL_CONFIG + "[algorithm simplified-lattice]\nrho = 2\n"
-    with pytest.raises(bench.ConfigError, match="algorithm simplified-lattice: rho"):
-        bench.run_experiment(bench.parse_config(text))
+    cases = [
+        ("[algorithm simplified-lattice]\nrho = 2\n", "algorithm simplified-lattice: rho"),
+        ("[algorithm etc]\nexplore_fraction = 1.5\n", "algorithm etc: explore_fraction"),
+    ]
+    for section, message in cases:
+        text = SMALL_CONFIG + section
+        with pytest.raises(bench.ConfigError, match=message):
+            bench.run_experiment(bench.parse_config(text))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(_write_config(tmp_path, text)), "--out", str(out)]) == 2
+        assert not out.exists()
     assert ran == []
 
 
 _CONFIG_CLASSES = {
     "lattice": lattice.LatticeConfig,
     "lattice-rcs": rcs.RcsConfig,
+    "ucb": baselines.UcbConfig,
     "etc": baselines.EtcConfig,
     "simplified-lattice": baselines.SimplifiedConfig,
 }
-_EXTRAS = {"ucb": {"sigma"}, "etc": {"explore_fraction"}}
+_RUN_FUNCTIONS = {
+    "lattice": (lattice, "run_lattice"),
+    "lattice-rcs": (rcs, "run_lattice_rcs"),
+    "ucb": (baselines, "run_per_user_ucb"),
+    "etc": (baselines, "run_explore_then_commit"),
+    "simplified-lattice": (baselines, "run_simplified_lattice"),
+}
 
 
-def _settable_fields(cls, path=()):
-    """(attribute path, type) of every leaf field of a config dataclass."""
+def _settable_fields(cls):
+    """(id, name, type) of every field of a config dataclass; the id of a
+    field inherited from a config base class (RcsConfig's LatticeConfig) is
+    `base.<name>`."""
     hints = typing.get_type_hints(cls)
+    base = cls.__mro__[1]
+    inherited = {f.name for f in dataclasses.fields(base)} if dataclasses.is_dataclass(base) else set()
     for f in dataclasses.fields(cls):
-        kind = hints[f.name]
-        if dataclasses.is_dataclass(kind):
-            yield from _settable_fields(kind, path + (f.name,))
-        else:
-            yield path + (f.name,), kind
+        yield ("base." if f.name in inherited else "") + f.name, f.name, hints[f.name]
 
 
 def _non_default(name, kind):
@@ -156,44 +181,71 @@ def _non_default(name, kind):
     return "0.375", 0.375
 
 
-@pytest.mark.parametrize("algo", ["ucb", *_CONFIG_CLASSES])
+@pytest.mark.parametrize("algo", _CONFIG_CLASSES)
 def test_algorithm_sections_accept_exactly_their_fields(algo):
-    cls = _CONFIG_CLASSES.get(algo)
-    fields = {path[-1] for path, _ in _settable_fields(cls)} if cls else set()
-    assert set(bench.ALGORITHM_OPTIONS[algo]) == fields | _EXTRAS.get(algo, set())
+    fields = [name for _, name, _ in _settable_fields(_CONFIG_CLASSES[algo])]
+    assert list(bench.ALGORITHM_OPTIONS[algo]) == fields
 
 
 @pytest.mark.parametrize(
-    "algo, path, kind",
+    "algo, name, kind",
     [
-        pytest.param(algo, path, kind, id=f"{algo}-{'.'.join(path)}")
+        pytest.param(algo, name, kind, id=f"{algo}-{field_id}")
         for algo, cls in _CONFIG_CLASSES.items()
-        for path, kind in _settable_fields(cls)
+        for field_id, name, kind in _settable_fields(cls)
     ],
 )
-def test_every_config_field_settable_from_text(algo, path, kind):
-    raw, want = _non_default(path[-1], kind)
-    config = bench.parse_config(SMALL_CONFIG + f"[algorithm {algo}]\n{path[-1]} = {raw}\n")
+def test_every_config_field_settable_from_text(algo, name, kind):
+    raw, want = _non_default(name, kind)
+    config = bench.parse_config(SMALL_CONFIG + f"[algorithm {algo}]\n{name} = {raw}\n")
     instance = bench.build_instance(config.instance)
     noise = bench.build_noise(config.instance, instance)
-    built, _ = bench.build_algorithm(algo, config.algorithms[-1][1], instance, noise)
-    default, _ = bench.build_algorithm(algo, {}, instance, noise)
-    for attr in path:
-        built, default = getattr(built, attr), getattr(default, attr)
-    assert built == want
-    assert default != want
+    built = bench.build_algorithm(algo, config.algorithms[-1][1], instance, noise)
+    default = bench.build_algorithm(algo, {}, instance, noise)
+    assert type(built) is _CONFIG_CLASSES[algo]
+    assert getattr(built, name) == want
+    assert getattr(default, name) != want
 
 
 def test_extra_keys_reach_the_run():
+    # ucb's sigma and etc's explore_fraction are fields of their sections' dataclasses
     text = SMALL_CONFIG + "[algorithm etc]\nexplore_fraction = 0.3\n"
     config = bench.parse_config(text.replace("[algorithm ucb]", "[algorithm ucb]\nsigma = 0.7"))
     instance = bench.build_instance(config.instance)
     noise = bench.build_noise(config.instance, instance)
     (ucb_name, ucb_params), (etc_name, etc_params) = config.algorithms
-    assert bench.build_algorithm(ucb_name, ucb_params, instance, noise) == (None, {"sigma": 0.7})
-    etc_config, extras = bench.build_algorithm(etc_name, etc_params, instance, noise)
-    assert extras == {"explore_fraction": 0.3}
-    assert (etc_config.num_clusters, etc_config.sigma) == (2, 0.2)
+    ucb_config = bench.build_algorithm(ucb_name, ucb_params, instance, noise)
+    assert ucb_config == baselines.UcbConfig(sigma=0.7)
+    etc_config = bench.build_algorithm(etc_name, etc_params, instance, noise)
+    assert etc_config == baselines.EtcConfig(num_clusters=2, sigma=0.2, explore_fraction=0.3)
+
+
+@pytest.mark.parametrize("algo", bench.ALGORITHM_NAMES)
+def test_each_cell_calls_the_run_function_module_attribute(monkeypatch, algo):
+    # perfbench's tracer wraps the run functions on their modules after
+    # import, so every cell must look its run function up there
+    module, attr = _RUN_FUNCTIONS[algo]
+    calls, histories = [], []
+
+    def run(*args):
+        calls.append(args)
+        histories.append(object())
+        return histories[-1], None
+
+    monkeypatch.setattr(module, attr, run)
+    text = SMALL_CONFIG.replace("[algorithm ucb]", f"[algorithm {algo}]")
+    text = text.replace("seeds = 1", "seeds = 1,2\nhorizons = 100,200")
+    config = bench.parse_config(text)
+    report = bench.run_experiment(config)
+    instance = bench.build_instance(config.instance)
+    noise = bench.build_noise(config.instance, instance)
+    want = bench.build_algorithm(algo, {}, instance, noise)
+    assert [args[2:4] for args in calls] == [(100, 1), (100, 2), (200, 1), (200, 2)]
+    for got_instance, got_config, _, _, got_noise in calls:
+        assert np.array_equal(got_instance.P, instance.P)
+        assert type(got_config) is _CONFIG_CLASSES[algo] and got_config == want
+        assert got_noise == noise
+    assert [run.history for run in report.runs] == histories
 
 
 def test_run_experiment_deterministic():
@@ -280,7 +332,7 @@ def _reference_regret_rows(report, full):
                     "seed": run.seed,
                     "t": int(t),
                     "instant_regret": format(float(hist.inst_regret[t - 1]), ".17g"),
-                    "cum_regret": format(hist.regret_at(int(t)), ".17g"),
+                    "cum_regret": format(regret_at(hist, int(t)), ".17g"),
                 }
             )
     return rows
@@ -631,7 +683,15 @@ def test_cli_entrypoint_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("old, new", [("sigma", "sigam"), ("horizon = 100", "horizon = 2k")])
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("sigma", "sigam"),
+        ("horizon = 100", "horizon = 2k"),
+        ("seed = 3", "seed = 3\nseed = 4"),
+        ("[algorithm", "[experiment]\nseeds = 2\n[algorithm"),
+    ],
+)
 def test_cli_instance_or_experiment_typo_exit_code(tmp_path, capsys, old, new):
     cfg = _write_config(tmp_path, SMALL_CONFIG.replace(old, new))
     code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])

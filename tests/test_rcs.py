@@ -1,7 +1,7 @@
 import numpy as np
 
 from clusterbandits.env import NoiseModel, RowDistribution, generate_rcs_instance
-from clusterbandits.lattice import LatticeConfig, intersect_with_union_fallback
+from clusterbandits.lattice import intersect_with_union_fallback
 from clusterbandits.rcs import RcsConfig, run_lattice_rcs
 
 
@@ -22,11 +22,10 @@ def _rcs_instance():
 
 
 def _config(**kw):
-    base = LatticeConfig(
+    return RcsConfig(
         num_clusters=3, sigma=0.3, gamma=1.0, c_prime_override=0.7,
-        c_p=0.5, c_b=0.5, f_cap=1, **kw
+        c_p=0.5, c_b=0.5, f_cap=1, nu=0.02, **kw
     )
-    return RcsConfig(base=base, nu=0.02)
 
 
 def test_rcs_mode_switch_and_monotone_partition():
@@ -56,8 +55,10 @@ def test_rcs_clusterwise_arms_shrink_by_inclusion():
 
 def test_rcs_nu_zero_joins_then_clusterwise():
     inst = generate_rcs_instance(12, 10, 2, 0.0, RowDistribution.gaussian(0, 1), seed=4)
-    base = LatticeConfig(num_clusters=2, sigma=0.0, gamma=1.0, c_prime_override=0.4, c_p=2.0, f_cap=1)
-    _, trace = run_lattice_rcs(inst, RcsConfig(base=base, nu=0.0), 8000, seed=1, noise=NoiseModel("none"))
+    cfg = RcsConfig(
+        num_clusters=2, sigma=0.0, gamma=1.0, c_prime_override=0.4, c_p=2.0, f_cap=1, nu=0.0
+    )
+    _, trace = run_lattice_rcs(inst, cfg, 8000, seed=1, noise=NoiseModel("none"))
     modes = [r.mode for r in trace.records]
     assert modes[0] == "joint"
     # with exact estimates the partition reaches the cluster count and the
@@ -73,10 +74,10 @@ def test_rcs_nu_zero_joins_then_clusterwise():
 
 def test_rcs_exact_partition_matches_clusters_noiseless():
     inst = generate_rcs_instance(18, 12, 3, 0.01, RowDistribution.gaussian(0, 1), seed=9)
-    base = LatticeConfig(num_clusters=3, sigma=0.0, gamma=1.0, c_prime_override=0.8, c_p=2.0, f_cap=1)
-    _, trace = run_lattice_rcs(
-        inst, RcsConfig(base=base, nu=0.01), 30000, seed=2, noise=NoiseModel("none")
+    cfg = RcsConfig(
+        num_clusters=3, sigma=0.0, gamma=1.0, c_prime_override=0.8, c_p=2.0, f_cap=1, nu=0.01
     )
+    _, trace = run_lattice_rcs(inst, cfg, 30000, seed=2, noise=NoiseModel("none"))
     cw = [r for r in trace.records if r.mode == "clusterwise"]
     assert cw, "expected the run to reach cluster-wise mode"
     truth = sorted(
