@@ -7,9 +7,10 @@ file), [experiment] holds horizon/seeds/output options, and each
 [algorithm <name>] section selects a policy: its keys are the fields of that
 policy's config dataclass, and every policy runs through the same call,
 `run(instance, config, horizon, seed, noise)`.  A key may appear once per
-section, and [instance] and [experiment] once per file.  Every run of an
-experiment shares the instance; the interaction randomness varies with the
-per-run seed.
+section, and [instance] and [experiment] once per file.  Each section is
+parsed into typed values once, and `ExperimentConfig` checks itself when it
+is built.  Every run of an experiment shares the instance; the interaction
+randomness varies with the per-run seed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import dataclasses
 import io
 import math
+import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,23 +56,6 @@ _SECTIONS = {
 ALGORITHM_NAMES = tuple(_SECTIONS)
 
 
-def _option_types(cls) -> dict[str, type]:
-    """Config key -> value type for every field of `cls`, reading `X | None` as X."""
-    hints = typing.get_type_hints(cls)
-    out = {}
-    for f in dataclasses.fields(cls):
-        args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
-        kind = args[0] if len(args) == 1 else hints[f.name]
-        if kind not in (int, float, str):
-            raise TypeError(f"{cls.__name__}.{f.name}: no config parser for {kind}")
-        out[f.name] = kind
-    return out
-
-
-# accepted keys and their value types, per algorithm section
-ALGORITHM_OPTIONS = {name: _option_types(cls) for name, (cls, _, _) in _SECTIONS.items()}
-
-
 def int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
@@ -81,51 +66,80 @@ def true_or_false(text: str) -> bool:
     return text == "true"
 
 
-# accepted keys and their value types: what build_instance and build_noise
-# read from [instance], and what ExperimentConfig reads from [experiment]
+# field type -> parser of its config text
+_PARSERS = {int: int, float: float, str: str, bool: true_or_false, list[int]: int_list}
+
+
+def _option_types(cls, skip=()) -> dict[str, object]:
+    """Config key -> parser for every field of `cls` not in `skip`, reading
+    `X | None` as X."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in dataclasses.fields(cls):
+        if f.name in skip:
+            continue
+        hint = hints[f.name]
+        if isinstance(hint, types.UnionType):
+            args = [a for a in typing.get_args(hint) if a is not type(None)]
+            hint = args[0] if len(args) == 1 else hint
+        if hint not in _PARSERS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no config parser for {hint}")
+        out[f.name] = _PARSERS[hint]
+    return out
+
+
+# accepted keys and their parsers, per algorithm section
+ALGORITHM_OPTIONS = {name: _option_types(cls) for name, (cls, _, _) in _SECTIONS.items()}
+
+# accepted [instance] keys and their parsers: what build_instance and
+# build_noise read
 INSTANCE_OPTIONS = {
-    **dict.fromkeys(["kind", "path", "row_distribution", "noise"], str),
+    **dict.fromkeys(["kind", "path"], str),
+    "row_distribution": env.RowDistribution.parse,
+    "noise": str,
     **dict.fromkeys(["seed", "num_users", "num_arms", "num_clusters"], int),
     **dict.fromkeys(["nu", "epsilon", "sigma"], float),
     "optimal_arms": int_list,
-}
-EXPERIMENT_OPTIONS = {
-    "horizon": int,
-    "horizons": int_list,
-    "seeds": int_list,
-    "check": true_or_false,
-    "full_history": true_or_false,
 }
 
 
 @dataclass
 class ExperimentConfig:
-    instance: dict[str, str]
-    experiment: dict[str, str]
-    algorithms: list[tuple[str, dict[str, str]]]
+    """A parsed config: the [instance] values by key, each [algorithm <name>]
+    section as (name, values by key), and the [experiment] keys as fields.
+    Building one checks it, and `dataclasses.replace` checks the copy."""
 
-    @property
-    def horizon(self) -> int:
-        return int(self.experiment.get("horizon", "0"))
+    instance: dict[str, object]
+    algorithms: list[tuple[str, dict[str, object]]]
+    horizon: int = 0
+    horizons: list[int] = field(default_factory=list)  # empty means [horizon]
+    seeds: list[int] = field(default_factory=list)
+    check: bool = False
+    full_history: bool = False
 
-    @property
-    def horizons(self) -> list[int]:
-        return int_list(self.experiment.get("horizons", "")) or [self.horizon]
+    def __post_init__(self):
+        if not self.algorithms:
+            raise ConfigError("experiment: at least one [algorithm <name>] section is required")
+        if not self.seeds:
+            raise ConfigError("experiment.seeds: at least one seed is required")
+        self.horizons = self.horizons or [self.horizon]
+        if min(self.horizons) < 1:
+            raise ConfigError("experiment.horizon: must be >= 1")
+        kind = self.instance.get("kind", "")
+        if kind not in ("cs", "rcs", "hard", "file"):
+            raise ConfigError("instance.kind: must be one of cs, rcs, hard, file")
+        if kind == "file" and not self.instance.get("path"):
+            raise ConfigError("instance.path: required when kind = file")
+        if self.instance.get("noise", "") not in ("", *env.NOISE_KINDS):
+            raise ConfigError(f"instance.noise: must be one of {', '.join(env.NOISE_KINDS)}")
 
-    @property
-    def seeds(self) -> list[int]:
-        return int_list(self.experiment.get("seeds", ""))
 
-    @property
-    def check(self) -> bool:
-        return true_or_false(self.experiment.get("check", "false"))
-
-    @property
-    def full_history(self) -> bool:
-        return true_or_false(self.experiment.get("full_history", "false"))
+# accepted [experiment] keys and their parsers
+EXPERIMENT_TYPES = _option_types(ExperimentConfig, skip=("instance", "algorithms"))
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """The checked config of a config file's text; each section is parsed once."""
     sections: list[tuple[str, dict[str, str]]] = []
     current: dict[str, str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -145,106 +159,85 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in current:
             raise ConfigError(f"line {lineno}: {key} is set twice in [{name}]")
         current[key] = value.strip()
-    instance: dict[str, str] = {}
-    experiment: dict[str, str] = {}
-    algorithms: list[tuple[str, dict[str, str]]] = []
+    instance: dict[str, object] = {}
+    experiment: dict[str, object] = {}
+    algorithms: list[tuple[str, dict[str, object]]] = []
     for name, body in sections:
         if name == "instance":
-            instance = body
+            instance = parse_section(name, body, INSTANCE_OPTIONS)
         elif name == "experiment":
-            experiment = body
+            experiment = parse_section(name, body, EXPERIMENT_TYPES)
         elif name.startswith("algorithm"):
             algo = name[len("algorithm"):].strip()
             if algo not in ALGORITHM_NAMES:
                 raise ConfigError(
                     f"unknown algorithm {algo!r}; expected one of {', '.join(ALGORITHM_NAMES)}"
                 )
-            algorithms.append((algo, body))
+            params = parse_section(f"algorithm {algo}", body, ALGORITHM_OPTIONS[algo])
+            algorithms.append((algo, params))
         else:
             raise ConfigError(f"unknown section [{name}]")
-    config = ExperimentConfig(instance, experiment, algorithms)
-    validate_config(config)
-    return config
+    return ExperimentConfig(instance, algorithms, **experiment)
 
 
-def validate_config(config: ExperimentConfig) -> None:
-    parse_section("instance", config.instance, INSTANCE_OPTIONS)
-    parse_section("experiment", config.experiment, EXPERIMENT_OPTIONS)
-    if not config.algorithms:
-        raise ConfigError("experiment: at least one [algorithm <name>] section is required")
-    if not config.seeds:
-        raise ConfigError("experiment.seeds: at least one seed is required")
-    if min(config.horizons) < 1:
-        raise ConfigError("experiment.horizon: must be >= 1")
-    kind = config.instance.get("kind", "")
-    if kind not in ("cs", "rcs", "hard", "file"):
-        raise ConfigError("instance.kind: must be one of cs, rcs, hard, file")
-    if kind == "file" and not config.instance.get("path"):
-        raise ConfigError("instance.path: required when kind = file")
-    for algo, params in config.algorithms:
-        parse_section(f"algorithm {algo}", params, ALGORITHM_OPTIONS[algo])
-
-
-def parse_section(section: str, params: dict[str, str], types: dict) -> dict[str, object]:
-    """Typed values of one section's keys, given each accepted key's type.
+def parse_section(section: str, params: dict[str, str], parsers: dict) -> dict[str, object]:
+    """Typed values of one section's keys, given each accepted key's parser.
 
     Raises ConfigError naming the section and key of an unknown key or an
     unparsable value.
     """
     values: dict[str, object] = {}
     for key, raw in params.items():
-        kind = types.get(key)
-        if kind is None:
-            raise ConfigError(f"{section}.{key}: unknown key; accepted keys: {', '.join(types)}")
+        parse = parsers.get(key)
+        if parse is None:
+            raise ConfigError(f"{section}.{key}: unknown key; accepted keys: {', '.join(parsers)}")
         try:
-            values[key] = kind(raw)
+            values[key] = parse(raw)
         except ValueError:
             raise ConfigError(
-                f"{section}.{key}: cannot parse {raw!r} as {kind.__name__}"
+                f"{section}.{key}: cannot parse {raw!r} as {parse.__qualname__}"
             ) from None
     return values
 
 
 def build_algorithm(
-    name: str, params: dict[str, str], instance: env.Instance, noise: env.NoiseModel
+    name: str, params: dict[str, object], instance: env.Instance, noise: env.NoiseModel
 ):
-    """The config dataclass of one algorithm section."""
-    types = ALGORITHM_OPTIONS[name]
+    """The config dataclass of one algorithm section's parsed values."""
     inherited = {"num_clusters": instance.num_clusters, "sigma": noise.sigma, "nu": instance.nu}
-    values = {k: v for k, v in inherited.items() if k in types}
-    values.update(parse_section(f"algorithm {name}", params, types))
+    values = {k: v for k, v in inherited.items() if k in ALGORITHM_OPTIONS[name]}
     try:
-        return _SECTIONS[name][0](**values)
+        return _SECTIONS[name][0](**{**values, **params})
     except ValueError as exc:
         raise ConfigError(f"algorithm {name}: {exc}") from None
 
 
-def build_instance(spec: dict[str, str]) -> env.Instance:
+def build_instance(spec: dict[str, object]) -> env.Instance:
     kind = spec.get("kind", "cs")
     if kind == "file":
         return env.load_instance(spec["path"])
-    seed = int(spec.get("seed", "0"))
-    num_users = int(spec.get("num_users", "0"))
-    num_arms = int(spec.get("num_arms", "0"))
-    num_clusters = int(spec.get("num_clusters", "1"))
+    seed = spec.get("seed", 0)
+    num_users = spec.get("num_users", 0)
+    num_arms = spec.get("num_arms", 0)
+    num_clusters = spec.get("num_clusters", 1)
     if kind == "hard":
-        optimal = int_list(spec.get("optimal_arms", ""))
+        optimal = spec.get("optimal_arms", [])
         return env.generate_hard_instance(
-            num_users, num_arms, num_clusters, float(spec.get("epsilon", "0.5")), optimal, seed
+            num_users, num_arms, num_clusters, spec.get("epsilon", 0.5), optimal, seed
         )
-    dist = env.RowDistribution.parse(spec.get("row_distribution", "gaussian(0,1)"))
+    dist = spec.get("row_distribution", env.RowDistribution.gaussian())
     if kind == "cs":
         return env.generate_cs_instance(num_users, num_arms, num_clusters, dist, seed)
     return env.generate_rcs_instance(
-        num_users, num_arms, num_clusters, float(spec.get("nu", "0")), dist, seed
+        num_users, num_arms, num_clusters, spec.get("nu", 0.0), dist, seed
     )
 
 
-def build_noise(spec: dict[str, str], instance: env.Instance) -> env.NoiseModel:
+def build_noise(spec: dict[str, object], instance: env.Instance) -> env.NoiseModel:
     kind = spec.get("noise", "")
     if not kind:
         return instance.default_noise or env.NoiseModel("none")
-    return env.NoiseModel(kind, float(spec.get("sigma", "0")))
+    return env.NoiseModel(kind, spec.get("sigma", 0.0))
 
 
 def _run_cell(name, config, instance, noise, horizon, seed):
@@ -336,7 +329,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
 
     The instance is built once from its own seed; each cell's interaction
     randomness comes from the cell seed, so reruns are bit-identical.
-    `config` must come checked, from `parse_config` or `validate_config`.
     A cell that raises stops the experiment with a `CellError` that carries
     the report of the cells before it.
     """

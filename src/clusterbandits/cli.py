@@ -21,9 +21,8 @@ def _load_config(path: str, overrides: dict | None = None) -> bench.ExperimentCo
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     if not overrides:
         return config
-    config = dataclasses.replace(config, experiment={**config.experiment, **overrides})
-    bench.validate_config(config)
-    return config
+    typed = bench.parse_section("experiment", overrides, bench.EXPERIMENT_TYPES)
+    return dataclasses.replace(config, **typed)
 
 
 def _print_progress(algo: str, horizon: int, seed: int, final_regret: float) -> None:
@@ -152,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("check", help="assumption report for an instance")
-    p.add_argument("--config", default=None)
-    p.add_argument("--instance", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config")
+    source.add_argument("--instance")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check)
 

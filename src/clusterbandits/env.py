@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RCS_SEPARATION_FACTOR = 20.0
+NOISE_KINDS = ("gaussian", "uniform", "bernoulli-reward", "none")
 
 
 class InvalidDimensionsError(ValueError):
@@ -89,7 +90,7 @@ class NoiseModel:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "uniform", "bernoulli-reward", "none"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")

@@ -172,6 +172,19 @@ class LatticeConfig:
         return max(1.0, math.ceil(math.log(max(num_arms, 2)) / self.num_clusters))
 
 
+@dataclass(kw_only=True)
+class RcsConfig(LatticeConfig):
+    """The phased-elimination knobs plus the known within-cluster separation
+    `nu` and the looser edge rule's slack multiplier."""
+
+    nu: float
+    edge_slack_multiplier: float = 3.0
+
+    def __post_init__(self):
+        if self.nu < 0:
+            raise ValueError("nu must be nonnegative")
+
+
 @dataclass
 class PhaseRecord:
     phase: int
@@ -211,7 +224,8 @@ class PhaseTrace:
 
 
 class _PhasedRun:
-    """Shared round-scheduling engine for the exact and relaxed variants."""
+    """Shared round-scheduling engine for the exact and relaxed variants; an
+    `RcsConfig` selects the relaxed one."""
 
     def __init__(
         self,
@@ -220,21 +234,17 @@ class _PhasedRun:
         horizon: int,
         seed,
         noise: NoiseModel | None,
-        rcs: bool = False,
-        nu: float = 0.0,
-        edge_slack: float = 2.0,
     ):
         self.instance = instance
         self.config = config
         self.horizon = int(horizon)
-        self.rcs = rcs
-        self.nu = nu
-        self.edge_slack = edge_slack
+        self.rcs = isinstance(config, RcsConfig)
+        self.edge_slack = config.edge_slack_multiplier if self.rcs else 2.0
         env_ss, algo_ss = seed_sequence(seed).spawn(2)
         self.env = Environment(instance, noise, env_ss, self.horizon)
         self.algo_ss = algo_ss
         self.rng = np.random.default_rng(algo_ss.spawn(1)[0])
-        self.trace = PhaseTrace(has_mode=rcs)
+        self.trace = PhaseTrace(has_mode=self.rcs)
         self.ucb: dict[int, UcbArmState] = {}
         self.greedy_arm: dict[int, int] = {}
         self.latest_row: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -294,15 +304,22 @@ class _PhasedRun:
             elif not incomplete:
                 if self.rcs and (
                     self.clusterwise
-                    or not (delta_next >= 2.0 * self.nu and len(user_sets) < cfg.num_clusters)
+                    or not (delta_next >= 2.0 * cfg.nu and len(user_sets) < cfg.num_clusters)
                 ):
                     self.clusterwise = True
                     mode = "clusterwise"
+                # arm sets only shrink: a new set keeps a subset of the arms
+                # of each set its users came from
+                old_arms = arm_sets
+                origin = {u: i for i, us in enumerate(user_sets) for u in us}
                 user_sets, arm_sets, oracle_err = self._refine(
                     user_sets, arm_sets, instances, delta_next, joint=mode == "joint"
                 )
                 if sorted(u for s in user_sets for u in s) != list(range(num_users)):
                     raise RuntimeError("user sets must partition the users")
+                for us, arms in zip(user_sets, arm_sets):
+                    if not all(np.isin(arms, old_arms[i]).all() for i in {origin[u] for u in us}):
+                        raise RuntimeError("arm sets must only shrink")
             self.trace.records.append(
                 PhaseRecord(
                     phase=ell,
@@ -415,5 +432,4 @@ def run_lattice(
     """Run the phased-elimination policy for exact cluster structure."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    run = _PhasedRun(instance, config, horizon, seed, noise)
-    return run.run()
+    return _PhasedRun(instance, config, horizon, seed, noise).run()

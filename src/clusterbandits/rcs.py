@@ -10,23 +10,8 @@ more aggressively than the union rule used while clustering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .env import Instance, NoiseModel, RunHistory
-from .lattice import LatticeConfig, PhaseTrace, _PhasedRun
-
-
-@dataclass(kw_only=True)
-class RcsConfig(LatticeConfig):
-    """The phased-elimination knobs plus the known within-cluster separation
-    `nu` and the looser edge rule's slack multiplier."""
-
-    nu: float
-    edge_slack_multiplier: float = 3.0
-
-    def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError("nu must be nonnegative")
+from .lattice import PhaseTrace, RcsConfig, _PhasedRun
 
 
 def run_lattice_rcs(
@@ -39,14 +24,4 @@ def run_lattice_rcs(
     """Run the relaxed-cluster phased-elimination policy."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    run = _PhasedRun(
-        instance,
-        config,
-        horizon,
-        seed,
-        noise,
-        rcs=True,
-        nu=config.nu,
-        edge_slack=config.edge_slack_multiplier,
-    )
-    return run.run()
+    return _PhasedRun(instance, config, horizon, seed, noise).run()

@@ -96,6 +96,12 @@ def test_config_bad_algorithm_key_or_value_rejected(line, message):
         ("seed = 3", "seed = 3\nseed = 4", r"line 8: seed is set twice in \[instance\]"),
         ("[algorithm", "[experiment]\nseeds = 2\n[algorithm", r"line 13: \[experiment\] may appear"),
         ("[algorithm", "[instance]\nkind = cs\n[algorithm", r"line 13: \[instance\] may appear"),
+        (
+            "row_distribution = gaussian(0,1)",
+            "row_distribution = gausian(0,1)",
+            r"instance\.row_distribution: cannot parse 'gausian\(0,1\)'",
+        ),
+        ("noise = gaussian", "noise = gausian", r"instance\.noise: must be one of gaussian, "),
     ],
 )
 def test_config_bad_instance_or_experiment_key_rejected(old, new, message):
@@ -109,7 +115,7 @@ def test_config_bad_instance_or_experiment_key_rejected(old, new, message):
 
 def test_config_repeated_algorithm_section_allowed():
     config = bench.parse_config(SMALL_CONFIG + "[algorithm ucb]\nsigma = 0.3\n")
-    assert config.algorithms == [("ucb", {}), ("ucb", {"sigma": "0.3"})]
+    assert config.algorithms == [("ucb", {}), ("ucb", {"sigma": 0.3})]
 
 
 def test_config_booleans_are_true_or_false():
@@ -435,8 +441,14 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
     flips the sign of every other exact zero, so each run holds both 0.0 and
     -0.0 in its instant_regret column."""
     rng = np.random.default_rng(abs(values_seed))
-    experiment = {"full_history": "true" if full else "false"}
-    report = bench.Report(bench.ExperimentConfig({}, experiment, []), bench.checkpoint_grid(1))
+    config = bench.ExperimentConfig(
+        {"kind": "cs"},
+        [(algo, {}) for algo in algorithms],
+        horizons=horizons,
+        seeds=seeds,
+        full_history=full,
+    )
+    report = bench.Report(config, bench.checkpoint_grid(1))
     for horizon in horizons:
         for algo in algorithms:
             for seed in seeds:
@@ -522,8 +534,8 @@ def test_scaling_slope_fit():
 
 def test_build_instance_kinds(tmp_path):
     inst = bench.build_instance(
-        {"kind": "hard", "num_users": "4", "num_arms": "3", "num_clusters": "2",
-         "epsilon": "0.2", "optimal_arms": "0,2", "seed": "0"}
+        {"kind": "hard", "num_users": 4, "num_arms": 3, "num_clusters": 2,
+         "epsilon": 0.2, "optimal_arms": [0, 2], "seed": 0}
     )
     assert inst.default_noise.kind == "bernoulli-reward"
     from clusterbandits.env import save_instance
@@ -617,18 +629,33 @@ def _record_calls(monkeypatch, name):
 
 def test_cli_overrides_build_a_new_checked_config(tmp_path, monkeypatch):
     ran = _record_calls(monkeypatch, "run_experiment")
-    validated = _record_calls(monkeypatch, "validate_config")
+    parsed, checked = [], []
+    parse, check = bench.parse_config, bench.ExperimentConfig.__post_init__
+
+    def record_parse(text):
+        parsed.append(parse(text))
+        return parsed[-1]
+
+    def record_check(config):
+        check(config)
+        checked.append(config)
+
+    monkeypatch.setattr(bench, "parse_config", record_parse)
+    monkeypatch.setattr(bench.ExperimentConfig, "__post_init__", record_check)
     cfg = _write_config(tmp_path)
     args = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
     assert cli.main(args + ["--seed-list", "4,5", "--check", "--full-history"]) == 0
     (config,) = ran
     assert (config.seeds, config.check, config.full_history) == ([4, 5], True, True)
-    # the file's config and the overridden one are each checked once
-    assert len(validated) == 2 and validated[-1] is config
+    # the file's config is unchanged; the overridden one is new, and each is
+    # checked once
+    (file_config,) = parsed
+    assert (file_config.seeds, file_config.check, file_config.full_history) == ([1], False, False)
+    assert len(checked) == 2 and checked[0] is file_config and checked[1] is config
     ran.clear()
-    validated.clear()
+    checked.clear()
     assert cli.main(args) == 0
-    assert ran[0].seeds == [1] and len(validated) == 1
+    assert ran[0].seeds == [1] and len(checked) == 1
 
 
 def test_cli_plot_roundtrip(tmp_path):
@@ -683,6 +710,13 @@ def test_cli_entrypoint_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# accepted keys whose values parse but name nothing the program knows
+_BAD_INSTANCE_VALUES = [
+    ("row_distribution = gaussian(0,1)", "row_distribution = gausian(0,1)"),
+    ("noise = gaussian", "noise = gausian"),
+]
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -690,6 +724,7 @@ def test_cli_entrypoint_subprocess(tmp_path):
         ("horizon = 100", "horizon = 2k"),
         ("seed = 3", "seed = 3\nseed = 4"),
         ("[algorithm", "[experiment]\nseeds = 2\n[algorithm"),
+        *_BAD_INSTANCE_VALUES,
     ],
 )
 def test_cli_instance_or_experiment_typo_exit_code(tmp_path, capsys, old, new):
@@ -698,6 +733,29 @@ def test_cli_instance_or_experiment_typo_exit_code(tmp_path, capsys, old, new):
     assert code == 2
     assert new.split()[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old, new", _BAD_INSTANCE_VALUES)
+def test_cli_generate_bad_instance_value_exit_code(tmp_path, capsys, old, new):
+    cfg = _write_config(tmp_path, SMALL_CONFIG.replace(old, new))
+    out = tmp_path / "out"
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"instance.{new.split()[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+def test_cli_check_takes_one_of_config_or_instance(tmp_path, capsys, both):
+    # with neither flag there is nothing to check; with both, one would be ignored
+    args = ["check"]
+    if both:
+        cfg = _write_config(tmp_path)
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        args += ["--config", str(cfg), "--instance", str(tmp_path / "instance.txt")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 # etc's 5% exploration budget (450 rounds) cannot finish one pass over the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clusterbandits import lattice
 from clusterbandits.env import NoiseModel, RowDistribution, generate_cs_instance
 from clusterbandits.lattice import (
     GRAPH_BLOCK,
@@ -388,6 +389,25 @@ def test_lattice_arm_sets_shrink_per_user():
                 assert worst <= worst_prev[u] + 1e-9
                 prev[u] = cur
                 worst_prev[u] = worst
+
+
+def test_lattice_refine_that_adds_an_arm_is_an_error(monkeypatch):
+    # phase 1 leaves the first set 15 of the 16 arms; phase 2 refines it
+    inst = generate_cs_instance(20, 16, 2, RowDistribution.gaussian(0, 1), seed=1)
+    cfg = LatticeConfig(num_clusters=2, sigma=0.2, c_prime_override=1.0, f_cap=1)
+    refine = lattice._PhasedRun._refine
+
+    def refine_adding_an_arm(self, user_sets, arm_sets, *args, **kwargs):
+        new_users, new_arms, err = refine(self, user_sets, arm_sets, *args, **kwargs)
+        # the first new set takes its users from the first set
+        missing = np.setdiff1d(np.arange(inst.num_arms), arm_sets[0])
+        if len(missing):
+            new_arms[0] = np.union1d(new_arms[0], missing[:1])
+        return new_users, new_arms, err
+
+    monkeypatch.setattr(lattice._PhasedRun, "_refine", refine_adding_an_arm)
+    with pytest.raises(RuntimeError, match="arm sets must only shrink"):
+        run_lattice(inst, cfg, 20000, seed=3, noise=NoiseModel("gaussian", 0.2))
 
 
 def test_lattice_exact_clusters_one_phase():
