@@ -62,7 +62,7 @@ def int_list(text: str) -> list[int]:
 
 def true_or_false(text: str) -> bool:
     if text not in ("true", "false"):
-        raise ValueError(text)
+        raise ValueError("expected true or false")
     return text == "true"
 
 
@@ -130,8 +130,19 @@ class ExperimentConfig:
             raise ConfigError("instance.kind: must be one of cs, rcs, hard, file")
         if kind == "file" and not self.instance.get("path"):
             raise ConfigError("instance.path: required when kind = file")
-        if self.instance.get("noise", "") not in ("", *env.NOISE_KINDS):
+        noise = self.instance.get("noise", "")
+        if noise not in ("", *env.NOISE_KINDS):
             raise ConfigError(f"instance.noise: must be one of {', '.join(env.NOISE_KINDS)}")
+        # the ranges env itself enforces, checked here so they are config errors
+        try:
+            if kind != "file":
+                env.check_dimensions(*_dimensions(self.instance))
+        except env.InvalidDimensionsError as exc:
+            raise ConfigError(f"instance.num_users, num_arms, num_clusters: {exc}") from None
+        try:
+            env.NoiseModel(noise or "none", self.instance.get("sigma", 0.0))
+        except ValueError as exc:
+            raise ConfigError(f"instance.sigma: {exc}") from None
 
 
 # accepted [experiment] keys and their parsers
@@ -193,9 +204,9 @@ def parse_section(section: str, params: dict[str, str], parsers: dict) -> dict[s
             raise ConfigError(f"{section}.{key}: unknown key; accepted keys: {', '.join(parsers)}")
         try:
             values[key] = parse(raw)
-        except ValueError:
+        except ValueError as exc:
             raise ConfigError(
-                f"{section}.{key}: cannot parse {raw!r} as {parse.__qualname__}"
+                f"{section}.{key}: cannot parse {raw!r} as {parse.__qualname__} ({exc})"
             ) from None
     return values
 
@@ -212,14 +223,17 @@ def build_algorithm(
         raise ConfigError(f"algorithm {name}: {exc}") from None
 
 
+def _dimensions(spec: dict[str, object]) -> tuple[int, int, int]:
+    """num_users, num_arms and num_clusters of a generated instance."""
+    return spec.get("num_users", 0), spec.get("num_arms", 0), spec.get("num_clusters", 1)
+
+
 def build_instance(spec: dict[str, object]) -> env.Instance:
     kind = spec.get("kind", "cs")
     if kind == "file":
         return env.load_instance(spec["path"])
     seed = spec.get("seed", 0)
-    num_users = spec.get("num_users", 0)
-    num_arms = spec.get("num_arms", 0)
-    num_clusters = spec.get("num_clusters", 1)
+    num_users, num_arms, num_clusters = _dimensions(spec)
     if kind == "hard":
         optimal = spec.get("optimal_arms", [])
         return env.generate_hard_instance(
@@ -366,7 +380,8 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
 
 
-# rows per write of the row-template writers; bounds the text held at once
+# rows per write of the row-template writers; bounds the text held at once,
+# since each chunk's floats are formatted only when it is written
 WRITE_CHUNK = 2**14
 
 
@@ -386,10 +401,12 @@ def _csv_row(fields) -> str:
 
 
 def _write_rows(fh, template: str, *columns) -> None:
-    """Write `template % row` for each row of `columns`, WRITE_CHUNK rows at a time."""
+    """Write `template % row` for each row of `columns`, WRITE_CHUNK rows at a
+    time.  A float64 column reaches the template as its `%.17g` text."""
     for start in range(0, len(columns[0]), WRITE_CHUNK):
-        rows = zip(*(c[start : start + WRITE_CHUNK].tolist() for c in columns))
-        fh.write("".join(map(template.__mod__, rows)))
+        chunk = [c[start : start + WRITE_CHUNK] for c in columns]
+        chunk = [_strings("%.17g", c) if c.dtype == np.float64 else c for c in chunk]
+        fh.write("".join(map(template.__mod__, zip(*(c.tolist() for c in chunk)))))
 
 
 def write_regret_csv(report: Report, path: Path) -> RegretColumns:
@@ -410,8 +427,8 @@ def write_regret_csv(report: Report, path: Path) -> RegretColumns:
                 fh,
                 prefix.replace("%", "%%") + "%d,%s,%s\n",
                 t,
-                _strings("%.17g", hist.inst_regret[t - 1]),
-                _strings("%.17g", cum),
+                hist.inst_regret[t - 1],
+                cum,
             )
             codes.append(np.full(len(t), names.index(run.algorithm)))
             ts.append(t)
@@ -445,8 +462,8 @@ def write_summary_csv(summary: Summary, path: Path) -> None:
             "%s%d,%s,%s\n",
             names[summary.code],
             summary.t,
-            _strings("%.17g", summary.mean),
-            _strings("%.17g", summary.stderr),
+            summary.mean,
+            summary.stderr,
         )
 
 
@@ -502,9 +519,38 @@ def emit_report(report: Report, out_dir) -> dict[str, Path]:
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
+def _m4(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the M4 points of a nonempty series (Jugel, Jerzak,
+    Hackenbroich & Markl, VLDB 2014): in each pixel column floor(x), the first
+    and last point and the first point of lowest and of highest y, in series
+    order without repeats.  x must be monotone, so that each column's points
+    are contiguous.  A column whose y holds a NaN keeps its first point in
+    place of its extremes."""
+    n = len(x)
+    col = np.floor(x)
+    starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    index = np.arange(n)
+    keep = [starts, starts + sizes - 1]
+    for extreme in (np.minimum, np.maximum):
+        hits = np.where(y == np.repeat(extreme.reduceat(y, starts), sizes), index, n)
+        first = np.minimum.reduceat(hits, starts)
+        keep.append(np.where(first < n, first, starts))
+    return np.unique(np.concatenate(keep))
+
+
+def _points(x: np.ndarray, y: np.ndarray) -> str:
+    """SVG `points` text of the (x, y) pairs, each coordinate `%.2f`."""
+    xs, ys = _strings("%.2f", x).tolist(), _strings("%.2f", y).tolist()
+    return " ".join(map("%s,%s".__mod__, zip(xs, ys)))
+
+
 def write_regret_svg(summary: Summary, path) -> None:
     """Cumulative-regret chart: one mean line per algorithm with a shaded
-    standard-error band."""
+    standard-error band.  One user unit is one pixel, and each series is
+    thinned to its M4 points per pixel column: the mean line, the band's
+    upper edge left to right and its lower edge right to left, each on its
+    own y."""
     width, height, margin = 720, 480, 60
     upper = summary.mean + summary.stderr
     t_max = int(summary.t.max()) if len(summary.t) else 1
@@ -532,11 +578,13 @@ def write_regret_svg(summary: Summary, path) -> None:
         rows = rows[np.argsort(summary.t[rows], kind="stable")]
         x = margin + (width - 2 * margin) * summary.t[rows] / t_max
         mean, stderr = summary.mean[rows], summary.stderr[rows]
-        lower = np.maximum(mean - stderr, 0.0)
-        xs = _strings("%.2f", x).tolist()
-        ys = _strings("%.2f", sy(np.concatenate([upper[rows], lower[::-1], mean]))).tolist()
-        band = " ".join(map("%s,%s".__mod__, zip(xs + xs[::-1], ys)))
-        line = " ".join(map("%s,%s".__mod__, zip(xs, ys[2 * len(xs) :])))
+        top = upper[rows]
+        back, bottom = x[::-1], np.maximum(mean - stderr, 0.0)[::-1]
+        up, down, on = _m4(x, top), _m4(back, bottom), _m4(x, mean)
+        band = _points(
+            np.concatenate([x[up], back[down]]), sy(np.concatenate([top[up], bottom[down]]))
+        )
+        line = _points(x[on], sy(mean[on]))
         parts.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15"/>')
         parts.append(
             f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'

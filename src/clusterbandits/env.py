@@ -50,6 +50,12 @@ class RowDistribution:
     a: float
     b: float
 
+    def __post_init__(self):
+        if self.kind == "gaussian" and self.b < 0:
+            raise ValueError(f"gaussian std must be nonnegative, got {self.b:g}")
+        if self.kind == "uniform" and self.a > self.b:
+            raise ValueError(f"uniform bounds must satisfy lo <= hi, got {self}")
+
     @staticmethod
     def gaussian(mean: float = 0.0, std: float = 1.0) -> "RowDistribution":
         return RowDistribution("gaussian", mean, std)
@@ -137,7 +143,7 @@ class Instance:
         self.gaps = best_of_row[:, None] - self.X
 
 
-def _check_dimensions(num_users: int, num_arms: int, num_clusters: int) -> None:
+def check_dimensions(num_users: int, num_arms: int, num_clusters: int) -> None:
     if num_users <= 0 or num_arms <= 0 or num_clusters <= 0:
         raise InvalidDimensionsError("all dimensions must be positive")
     if num_clusters > min(num_users, num_arms):
@@ -155,7 +161,7 @@ def generate_cs_instance(
     seed: int,
 ) -> Instance:
     """Exact cluster structure: user u inherits row (u mod C) of a random X."""
-    _check_dimensions(num_users, num_arms, num_clusters)
+    check_dimensions(num_users, num_arms, num_clusters)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     X = row_distribution.sample(rng, (num_clusters, num_arms))
     cluster_of = np.arange(num_users) % num_clusters
@@ -183,7 +189,7 @@ def generate_rcs_instance(
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    _check_dimensions(num_users, num_arms, num_clusters)
+    check_dimensions(num_users, num_arms, num_clusters)
     if nu == 0:
         return generate_cs_instance(num_users, num_arms, num_clusters, row_distribution, seed)
 
@@ -235,7 +241,7 @@ def generate_hard_instance(
 ) -> Instance:
     """Bernoulli hard instance: every arm pays (1-eps)/2 except each cluster's
     optimal arm, which pays (1+eps)/2."""
-    _check_dimensions(num_users, num_arms, num_clusters)
+    check_dimensions(num_users, num_arms, num_clusters)
     if not 0 < epsilon < 1:
         raise InvalidEpsilonError(f"epsilon must lie in (0, 1), got {epsilon}")
     optimal_arms = list(optimal_arms)

@@ -152,6 +152,32 @@ def test_config_out_of_range_value_fails_before_any_cell(monkeypatch, tmp_path):
     assert ran == []
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("sigma = 0.2", "sigma = -1", r"instance\.sigma: sigma must be nonnegative"),
+        ("num_users = 4", "num_users = 0", r"instance\.num_users, .*must be positive"),
+        ("num_clusters = 2", "num_clusters = 0", r"num_clusters: all dimensions must be positive"),
+        ("num_clusters = 2", "num_clusters = 5", r"num_clusters: num_clusters=5 exceeds"),
+        (
+            "gaussian(0,1)",
+            "gaussian(0,-1)",
+            r"instance\.row_distribution: cannot parse .*std must be nonnegative",
+        ),
+        ("gaussian(0,1)", "uniform(1,0)", r"instance\.row_distribution: .*lo <= hi"),
+    ],
+)
+def test_out_of_range_instance_value_is_a_config_error(tmp_path, old, new, message):
+    text = SMALL_CONFIG.replace(old, new)
+    assert text != SMALL_CONFIG
+    with pytest.raises(bench.ConfigError, match=message):
+        bench.parse_config(text)
+    cfg, out = _write_config(tmp_path, text), tmp_path / "out"
+    for command in ("run", "generate"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 _CONFIG_CLASSES = {
     "lattice": lattice.LatticeConfig,
     "lattice-rcs": rcs.RcsConfig,
@@ -364,6 +390,26 @@ def _reference_summarize(regret_rows):
     return out
 
 
+def _reference_m4_columns(x, y):
+    """Pixel column floor(x) -> the indices M4 keeps there: the first, the
+    last, and the first of lowest and of highest y."""
+    columns = {}
+    for i, xi in enumerate(x):
+        columns.setdefault(math.floor(xi), []).append(i)
+    kept = {}
+    for col, idx in columns.items():
+        ys = [y[i] for i in idx]
+        kept[col] = {idx[0], idx[-1], idx[ys.index(min(ys))], idx[ys.index(max(ys))]}
+    return kept
+
+
+def _reference_m4(points):
+    """The (x, y) points of a drawn series that M4 keeps, in drawing order."""
+    x, y = zip(*points)
+    keep = set().union(*_reference_m4_columns(x, y).values())
+    return [points[i] for i in sorted(keep)]
+
+
 def _reference_svg(summary_rows):
     series = {}
     for row in summary_rows:
@@ -396,11 +442,12 @@ def _reference_svg(summary_rows):
     for i, (algo, pts) in enumerate(sorted(series.items())):
         color = bench._PALETTE[i % len(bench._PALETTE)]
         pts = sorted(pts)
-        upper = [(t, m + s) for t, m, s in pts]
-        lower = [(t, max(m - s, 0.0)) for t, m, s in reversed(pts)]
-        band = " ".join(f"{sx(t):.2f},{sy(y):.2f}" for t, y in upper + lower)
+        upper = _reference_m4([(sx(t), m + s) for t, m, s in pts])
+        lower = _reference_m4([(sx(t), max(m - s, 0.0)) for t, m, s in reversed(pts)])
+        band = " ".join(f"{x:.2f},{sy(y):.2f}" for x, y in upper + lower)
         parts.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15"/>')
-        line = " ".join(f"{sx(t):.2f},{sy(m):.2f}" for t, m, _ in pts)
+        mean = _reference_m4([(sx(t), m) for t, m, _ in pts])
+        line = " ".join(f"{x:.2f},{sy(m):.2f}" for x, m in mean)
         parts.append(
             f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -442,7 +489,7 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
     -0.0 in its instant_regret column."""
     rng = np.random.default_rng(abs(values_seed))
     config = bench.ExperimentConfig(
-        {"kind": "cs"},
+        {"kind": "cs", "num_users": 1, "num_arms": 1},
         [(algo, {}) for algo in algorithms],
         horizons=horizons,
         seeds=seeds,
@@ -520,6 +567,52 @@ _ODD_FLOATS = [
 def test_strings_formats_each_value_as_the_format_does(values, repeats, fmt):
     array = np.array(values * repeats, dtype=float)
     assert bench._strings(fmt, array).tolist() == [fmt % v for v in array.tolist()]
+
+
+_PIXEL_POINT = st.tuples(
+    st.floats(0, 1, exclude_max=True),
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(-1e6, 1e6)),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    columns=st.lists(
+        st.tuples(st.integers(1, 40), st.lists(_PIXEL_POINT, min_size=1, max_size=7)),
+        min_size=1, max_size=25,
+    ),
+    backwards=st.booleans(),
+)
+# a single point
+@example([(1, [(0.5, 1.0)])], False)
+# every point in one column, with ties for both extremes
+@example([(1, [(0.1, 2.0), (0.2, 1.0), (0.3, 2.0), (0.4, 1.0), (0.5, 3.0), (0.6, 3.0)])], False)
+# columns of one to four points, drawn right to left
+@example(
+    [
+        (1, [(0.0, 1.0)]),
+        (1, [(0.0, 1.0), (0.5, 1.0)]),
+        (2, [(0.1, 3.0), (0.2, 1.0), (0.3, 2.0)]),
+        (1, [(0.1, 1.0), (0.2, 4.0), (0.3, 2.0), (0.4, 3.0)]),
+    ],
+    True,
+)
+def test_m4_keeps_each_columns_first_last_lowest_and_highest(columns, backwards):
+    x, y, col = [], [], 60
+    for gap, points in columns:
+        col += gap
+        for offset, value in sorted(points):
+            x.append(col + offset)
+            y.append(value)
+    if backwards:
+        x, y = x[::-1], y[::-1]
+    kept = bench._m4(np.array(x), np.array(y)).tolist()
+    assert kept == sorted(set(kept))
+    for col, expected in _reference_m4_columns(x, y).items():
+        got = {i for i in kept if math.floor(x[i]) == col}
+        assert got == expected
+        size = sum(math.floor(v) == col for v in x)
+        assert min(size, 2) <= len(got) <= 4
 
 
 def test_scaling_slope_fit():

@@ -8,7 +8,9 @@ stream or a LAPACK result may move them.
 The sha256 of every file `emit_report` writes for the relaxed-structure run
 with full history is pinned the same way: recorded before the emitters
 formatted each distinct value once, it holds a rewrite of the writers to the
-same bytes.
+same bytes.  The `regret.svg` digest was re-recorded when the chart began to
+draw only each series' M4 points per pixel column; the three CSV digests
+predate that change and did not move with it.
 """
 
 import hashlib
@@ -102,7 +104,7 @@ EMITTED = {
     "regret.csv": "c1f1f13568c1e21b9d43b75d46f1c828ac6deef9402c6e52667e4293ae8d9364",
     "summary.csv": "6202dd07b6e18c3893667cf97d3ead9526d06a224cc02526882ea9f808e01510",
     "phase_trace.csv": "94bbc241060b77d4e368822acf6033f9185e91d562750dbf79662368be1bc224",
-    "regret.svg": "65cbb49b28fc7a0f79f0d0f49e28680b290db050f7647ce34c1a8b6b7ce9bf37",
+    "regret.svg": "8701b44cb97e34baf04d2865d410116e7eb61fad2f4587ba83b5ace678e169a9",
 }
 
 
