@@ -15,10 +15,12 @@ randomness varies with the per-run seed.
 
 from __future__ import annotations
 
+import array
 import csv
 import dataclasses
 import io
 import math
+import operator
 import types
 import typing
 from dataclasses import dataclass, field
@@ -143,6 +145,16 @@ class ExperimentConfig:
             env.NoiseModel(noise or "none", self.instance.get("sigma", 0.0))
         except ValueError as exc:
             raise ConfigError(f"instance.sigma: {exc}") from None
+        if kind == "rcs":
+            try:
+                env.check_nu(self.instance.get("nu", 0.0))
+            except ValueError as exc:
+                raise ConfigError(f"instance.nu: {exc}") from None
+        if kind == "hard":
+            try:
+                env.check_epsilon(self.instance.get("epsilon", 0.5))
+            except ValueError as exc:
+                raise ConfigError(f"instance.epsilon: {exc}") from None
 
 
 # accepted [experiment] keys and their parsers
@@ -290,13 +302,13 @@ class Report:
 
 @dataclass
 class RegretColumns:
-    """The regret.csv columns summary.csv is computed from: each row's
-    algorithm as an index into `names`, its round and its cumulative regret."""
+    """The regret.csv columns summary.csv is computed from, one entry per run:
+    its algorithm, its rounds `t` (strictly increasing) and its cumulative
+    regret at those rounds.  Runs on one grid of rounds may share its array."""
 
-    names: list[str]
-    code: np.ndarray
-    t: np.ndarray
-    cum_regret: np.ndarray
+    algorithm: list[str]
+    t: list[np.ndarray]
+    cum_regret: list[np.ndarray]
 
 
 @dataclass
@@ -310,32 +322,109 @@ class Summary:
     stderr: np.ndarray
 
 
+def _isin(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Whether each of `values` is in the nonempty increasing array `grid`."""
+    return grid[np.minimum(np.searchsorted(grid, values), len(grid) - 1)] == values
+
+
+def _grids(regret: RegretColumns, algorithm: str) -> list[tuple[np.ndarray, list[int]]]:
+    """The distinct grids of rounds of one algorithm's nonempty runs, in order
+    of first appearance, each with the indices of its runs."""
+    grids: list[tuple[np.ndarray, list[int]]] = []
+    for i, (algo, t) in enumerate(zip(regret.algorithm, regret.t)):
+        if algo != algorithm or not len(t):
+            continue
+        for grid, runs in grids:
+            if grid is t or np.array_equal(grid, t):
+                runs.append(i)
+                break
+        else:
+            grids.append((t, [i]))
+    return grids
+
+
+def _parts(ts: np.ndarray, grids, j: int) -> list[tuple[np.ndarray, list[int]]]:
+    """`ts`, rounds of grid j, split by which later grids hold them too; each
+    part comes with the indices of the grids that hold it.  A part that is
+    all of `ts` is `ts` itself."""
+    parts = [(ts, [j])]
+    for k in range(j + 1, len(grids)):
+        split = []
+        for part, holders in parts:
+            hit = _isin(part, grids[k][0])
+            if hit.all():
+                split.append((part, holders + [k]))
+            elif hit.any():
+                split += [(part[hit], holders + [k]), (part[~hit], holders)]
+            else:
+                split.append((part, holders))
+        parts = split
+    return parts
+
+
+def _reduce(regret: RegretColumns, grids, part: np.ndarray, holders: list[int]):
+    """Mean and standard error at the rounds `part` over every run on the
+    grids `holders`, in row order."""
+    runs = sorted((i, k) for k in holders for i in grids[k][1])
+    columns = [
+        regret.cum_regret[i] if part is grids[k][0]
+        else regret.cum_regret[i][np.searchsorted(grids[k][0], part)]
+        for i, k in runs
+    ]
+    if len(columns) == 1:
+        return columns[0][:, None].mean(axis=1), np.zeros(len(part))
+    block = np.stack(columns, axis=1)
+    return block.mean(axis=1), block.std(axis=1, ddof=1) / math.sqrt(len(columns))
+
+
 def summarize(regret: RegretColumns) -> Summary:
     """Mean and standard error of cumulative regret per (algorithm, t).
 
     Groups keep the order in which they first appear, and each group's
-    values their row order.  Groups of equal size are reduced together as
-    the rows of one C-contiguous array, which sums each row exactly as
-    `np.array(values).mean()` sums the group alone.
+    values their row order.  No rows are sorted: a run's rounds are strictly
+    increasing, so the runs of one algorithm on one grid of rounds fill a
+    C-contiguous (rounds x runs) block, and a round that lies in several of
+    the algorithm's grids collects its values from the runs of each, in row
+    order, in a block of the rounds held by the same grids.  Each block is
+    reduced with `mean(axis=1)` and `std(axis=1, ddof=1)`, which sum each
+    row exactly as `np.array(values).mean()` sums the group alone.  Besides
+    the summary, this holds one block and a few grid-long arrays at a time.
     """
-    key = regret.code * (int(regret.t.max(initial=0)) + 1) + regret.t
-    _, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True
+    names = list(dict.fromkeys(regret.algorithm))
+    segments = []  # (first run, code, t, mean, stderr), one per grid of each algorithm
+    for code, name in enumerate(names):
+        grids = _grids(regret, name)
+        for j, (grid, runs) in enumerate(grids):
+            # the rounds this grid is the first of the algorithm's to hold
+            new = np.ones(len(grid), dtype=bool)
+            for earlier, _ in grids[:j]:
+                new &= ~_isin(grid, earlier)
+            ts = grid if new.all() else grid[new]
+            if not len(ts):
+                continue
+            parts = _parts(ts, grids, j)
+            if len(parts) == 1:
+                mean, stderr = _reduce(regret, grids, *parts[0])
+            else:
+                mean, stderr = np.empty(len(ts)), np.empty(len(ts))
+                for part, holders in parts:
+                    at = np.searchsorted(ts, part)
+                    mean[at], stderr[at] = _reduce(regret, grids, part, holders)
+            segments.append((runs[0], code, ts, mean, stderr))
+    segments.sort(key=lambda segment: segment[0])
+    _, codes, ts, means, stderrs = zip(*segments) if segments else ((),) * 5
+    return Summary(
+        names,
+        _joined([np.full(len(t), code) for code, t in zip(codes, ts)], int),
+        _joined(ts, int),
+        _joined(means, float),
+        _joined(stderrs, float),
     )
-    order = np.argsort(first)
-    values = regret.cum_regret[np.argsort(first[inverse], kind="stable")]
-    sizes = counts[order]
-    starts = np.cumsum(sizes) - sizes
-    mean = np.empty(len(sizes))
-    stderr = np.zeros(len(sizes))
-    for size in np.unique(sizes).tolist():
-        groups = np.flatnonzero(sizes == size)
-        block = values[starts[groups, None] + np.arange(size)]
-        mean[groups] = block.mean(axis=1)
-        if size > 1:
-            stderr[groups] = block.std(axis=1, ddof=1) / math.sqrt(size)
-    rows = first[order]
-    return Summary(regret.names, regret.code[rows], regret.t[rows], mean, stderr)
+
+
+def _joined(arrays, dtype) -> np.ndarray:
+    """The arrays end to end; one array is returned as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate([np.empty(0, dtype), *arrays])
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> Report:
@@ -382,7 +471,7 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 
 # rows per write of the row-template writers; bounds the text held at once,
 # since each chunk's floats are formatted only when it is written
-WRITE_CHUNK = 2**14
+WRITE_CHUNK = 2**12
 
 
 def _strings(fmt: str, values: np.ndarray) -> np.ndarray:
@@ -412,45 +501,55 @@ def _write_rows(fh, template: str, *columns) -> None:
 def write_regret_csv(report: Report, path: Path) -> RegretColumns:
     """Write regret.csv one run at a time, every round of each run's history
     with full_history and its horizon's checkpoints otherwise; returns the
-    columns to summarise."""
+    columns to summarise, as views of the histories where they can be."""
     full = report.config.full_history
-    names = list(dict.fromkeys(run.algorithm for run in report.runs))
-    codes, ts, cums = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
+    regret = RegretColumns([], [], [])
+    grids: dict[int, np.ndarray] = {}  # rounds of a full history, or a horizon -> its grid
     with open(path, "w", newline="") as fh:
         fh.write(_csv_row(REGRET_FIELDS))
         for run in report.runs:
             hist, n = run.history, len(run.history)
-            t = np.arange(1, n + 1) if full else checkpoint_grid(run.horizon)
-            cum = hist.cumulative_regret[np.minimum(t, n) - 1]
+            key = n if full else run.horizon
+            if key not in grids:
+                grids[key] = np.arange(1, n + 1) if full else checkpoint_grid(run.horizon)
+            t = grids[key]
+            if full:
+                inst, cum = hist.inst_regret[:n], hist.cumulative_regret[:n]
+            else:
+                inst, cum = hist.inst_regret[t - 1], hist.cumulative_regret[np.minimum(t, n) - 1]
             prefix = _csv_row([run.run_id, run.algorithm, run.seed, ""])[:-1]
-            _write_rows(
-                fh,
-                prefix.replace("%", "%%") + "%d,%s,%s\n",
-                t,
-                hist.inst_regret[t - 1],
-                cum,
-            )
-            codes.append(np.full(len(t), names.index(run.algorithm)))
-            ts.append(t)
-            cums.append(cum)
-    return RegretColumns(names, np.concatenate(codes), np.concatenate(ts), np.concatenate(cums))
+            _write_rows(fh, prefix.replace("%", "%%") + "%d,%s,%s\n", t, inst, cum)
+            regret.algorithm.append(run.algorithm)
+            regret.t.append(t)
+            regret.cum_regret.append(cum)
+    return regret
 
 
 def read_regret_csv(path: Path) -> RegretColumns:
-    """The summary columns of a regret.csv file."""
+    """The summary columns of a regret.csv file, read row by row.  A run ends
+    where run_id or algorithm changes or t stops increasing."""
+    regret = RegretColumns([], [], [])
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, REGRET_FIELDS)
-        columns = list(zip(*reader)) or [()] * len(header)
-    algorithms = columns[header.index("algorithm")]
-    names = list(dict.fromkeys(algorithms))
-    code = dict(zip(names, range(len(names))))
-    return RegretColumns(
-        names,
-        np.array([code[a] for a in algorithms], dtype=int),
-        np.array(list(map(int, columns[header.index("t")])), dtype=int),
-        np.array(list(map(float, columns[header.index("cum_regret")])), dtype=float),
-    )
+        fields = operator.itemgetter(
+            *(header.index(k) for k in ("run_id", "algorithm", "t", "cum_regret"))
+        )
+        run, last = None, 0
+        for run_id, algo, t, cum in map(fields, reader):
+            t = int(t)
+            if (run_id, algo) != run or t <= last:
+                run = run_id, algo
+                ts, cums = array.array("q"), array.array("d")
+                regret.algorithm.append(algo)
+                regret.t.append(ts)
+                regret.cum_regret.append(cums)
+            ts.append(t)
+            cums.append(float(cum))
+            last = t
+    regret.t = [np.frombuffer(ts, dtype=np.int64) for ts in regret.t]
+    regret.cum_regret = [np.frombuffer(cums, dtype=np.float64) for cums in regret.cum_regret]
+    return regret
 
 
 def write_summary_csv(summary: Summary, path: Path) -> None:
@@ -527,22 +626,40 @@ def _m4(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     are contiguous.  A column whose y holds a NaN keeps its first point in
     place of its extremes."""
     n = len(x)
-    col = np.floor(x)
-    starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
-    sizes = np.diff(np.r_[starts, n])
-    index = np.arange(n)
-    keep = [starts, starts + sizes - 1]
-    for extreme in (np.minimum, np.maximum):
-        hits = np.where(y == np.repeat(extreme.reduceat(y, starts), sizes), index, n)
-        first = np.minimum.reduceat(hits, starts)
-        keep.append(np.where(first < n, first, starts))
-    return np.unique(np.concatenate(keep))
+    rising = x[0] <= x[-1]
+    ascending = x if rising else x[::-1]
+    # for an integer c, floor(x) >= c exactly when x >= c
+    cuts = np.arange(math.floor(ascending[0]) + 1, math.floor(ascending[-1]) + 1)
+    bounds = np.unique(np.r_[0, np.searchsorted(ascending, cuts), n])
+    if not rising:
+        bounds = n - bounds[::-1]
+    keep = []
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        column = y[start:stop]
+        low, high = start + int(column.argmin()), start + int(column.argmax())
+        if math.isnan(y[low]):
+            low = high = start
+        keep += [start, low, high, stop - 1]
+    return np.unique(keep)
 
 
 def _points(x: np.ndarray, y: np.ndarray) -> str:
     """SVG `points` text of the (x, y) pairs, each coordinate `%.2f`."""
     xs, ys = _strings("%.2f", x).tolist(), _strings("%.2f", y).tolist()
     return " ".join(map("%s,%s".__mod__, zip(xs, ys)))
+
+
+def _rows_by_t(summary: Summary, code: int):
+    """The rows of one algorithm in order of t: a slice when they are
+    contiguous and already in that order."""
+    hit = summary.code == code
+    first, count = int(hit.argmax()), int(np.count_nonzero(hit))
+    rows = slice(first, first + count)
+    t = summary.t[rows]
+    if hit[rows].all() and np.all(t[1:] > t[:-1]):
+        return rows
+    rows = np.flatnonzero(hit)
+    return rows[np.argsort(summary.t[rows], kind="stable")]
 
 
 def write_regret_svg(summary: Summary, path) -> None:
@@ -552,9 +669,8 @@ def write_regret_svg(summary: Summary, path) -> None:
     upper edge left to right and its lower edge right to left, each on its
     own y."""
     width, height, margin = 720, 480, 60
-    upper = summary.mean + summary.stderr
     t_max = int(summary.t.max()) if len(summary.t) else 1
-    y_max = float(upper.max()) if len(upper) else 1.0
+    y_max = float((summary.mean + summary.stderr).max()) if len(summary.t) else 1.0
     y_max = y_max if y_max > 0 else 1.0
 
     def sy(y: np.ndarray) -> np.ndarray:
@@ -574,16 +690,18 @@ def write_regret_svg(summary: Summary, path) -> None:
     ]
     for i, algo in enumerate(sorted(summary.names)):
         color = _PALETTE[i % len(_PALETTE)]
-        rows = np.flatnonzero(summary.code == summary.names.index(algo))
-        rows = rows[np.argsort(summary.t[rows], kind="stable")]
+        rows = _rows_by_t(summary, summary.names.index(algo))
         x = margin + (width - 2 * margin) * summary.t[rows] / t_max
         mean, stderr = summary.mean[rows], summary.stderr[rows]
-        top = upper[rows]
-        back, bottom = x[::-1], np.maximum(mean - stderr, 0.0)[::-1]
-        up, down, on = _m4(x, top), _m4(back, bottom), _m4(x, mean)
-        band = _points(
-            np.concatenate([x[up], back[down]]), sy(np.concatenate([top[up], bottom[down]]))
-        )
+        # the band one edge at a time: upper left to right, lower right to left
+        edge = mean + stderr
+        up = _m4(x, edge)
+        band = _points(x[up], sy(edge[up]))
+        np.maximum(np.subtract(mean, stderr, out=edge), 0.0, out=edge)
+        back, edge = x[::-1], edge[::-1]
+        down = _m4(back, edge)
+        band += " " + _points(back[down], sy(edge[down]))
+        on = _m4(x, mean)
         line = _points(x[on], sy(mean[on]))
         parts.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15"/>')
         parts.append(

@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RCS_SEPARATION_FACTOR = 20.0
+# rounds whose regret columns `Environment.history` fills at once; bounds the
+# temporaries of the fill
+CLOSE_CHUNK = 2**12
 NOISE_KINDS = ("gaussian", "uniform", "bernoulli-reward", "none")
 
 
@@ -143,6 +146,16 @@ class Instance:
         self.gaps = best_of_row[:, None] - self.X
 
 
+def check_nu(nu: float) -> None:
+    if nu < 0:
+        raise ValueError("nu must be nonnegative")
+
+
+def check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < 1:
+        raise InvalidEpsilonError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
 def check_dimensions(num_users: int, num_arms: int, num_clusters: int) -> None:
     if num_users <= 0 or num_arms <= 0 or num_clusters <= 0:
         raise InvalidDimensionsError("all dimensions must be positive")
@@ -187,8 +200,7 @@ def generate_rcs_instance(
     argmax.  Users then get the cluster row plus i.i.d. uniform noise in
     [-nu/2, nu/2] on their non-best arms.
     """
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
+    check_nu(nu)
     check_dimensions(num_users, num_arms, num_clusters)
     if nu == 0:
         return generate_cs_instance(num_users, num_arms, num_clusters, row_distribution, seed)
@@ -242,8 +254,7 @@ def generate_hard_instance(
     """Bernoulli hard instance: every arm pays (1-eps)/2 except each cluster's
     optimal arm, which pays (1+eps)/2."""
     check_dimensions(num_users, num_arms, num_clusters)
-    if not 0 < epsilon < 1:
-        raise InvalidEpsilonError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     optimal_arms = list(optimal_arms)
     if len(optimal_arms) != num_clusters:
         raise InvalidDimensionsError("optimal_arms must have one entry per cluster")
@@ -283,12 +294,16 @@ class RunHistory:
     def close(self, inst_regret: np.ndarray) -> None:
         """Record the instantaneous regrets of the next `len(inst_regret)` rounds."""
         n, k = self._n, len(inst_regret)
+        if not k:
+            return
+        self.inst_regret[n : n + k] = inst_regret
+        cum = self.cumulative_regret[n : n + k]
+        cum[:] = inst_regret
         # the running total is the first addend, so every round adds its regret
         # in round order, exactly as one `+=` per round would
-        running = np.cumsum(np.concatenate(([self._total], inst_regret)))
-        self.inst_regret[n : n + k] = inst_regret
-        self.cumulative_regret[n : n + k] = running[1:]
-        self._total = float(running[-1])
+        cum[0] = self._total + cum[0]
+        np.cumsum(cum, out=cum)
+        self._total = float(cum[-1])
         self._n = n + k
 
     @property
@@ -340,11 +355,12 @@ class Environment:
 
     @property
     def history(self) -> RunHistory:
-        """The ledger, its regret columns filled for every round played so far."""
+        """The ledger, its regret columns filled for every round played so far,
+        CLOSE_CHUNK rounds at a time."""
         hist, t = self._history, self.t
-        n = len(hist)
-        if n < t:
-            users, arms = hist.users[n:t], hist.arms[n:t]
+        for n in range(len(hist), t, CLOSE_CHUNK):
+            rounds = slice(n, min(n + CLOSE_CHUNK, t))
+            users, arms = hist.users[rounds], hist.arms[rounds]
             hist.close(self._best_reward[users] - self._P[users, arms])
         return hist
 
@@ -376,9 +392,13 @@ class Environment:
         for i, us in enumerate(user_sets):
             for u in us:
                 set_of[u] = i
-        # None (no oracles) never reaches 0, so only `end` stops the run
-        waiting = None if oracles is None else sum(o is not None and o.collecting for o in oracles)
+        given = oracles is not None
         oracles = oracles or [None] * len(user_sets)
+        # an oracle stops collecting only in the `record` that completes it,
+        # so its flag is read here and after each of its records
+        collecting = [o is not None and o.collecting for o in oracles]
+        # None (no oracles) never reaches 0, so only `end` stops the run
+        waiting = sum(collecting) if given else None
         ucb = ucb or {}
         fixed = fixed or {}
         end = min(end, self.horizon)
@@ -386,13 +406,14 @@ class Environment:
         while self.t < end and waiting != 0:
             u = user_at[self.t]
             i = set_of[u]
-            oracle = oracles[i]
-            if oracle is not None and oracle.collecting:
+            if collecting[i]:
+                oracle = oracles[i]
                 arm, masked = oracle.choose(u)
                 _, _, reward = self.play(arm)
                 if masked:
                     oracle.record(u, arm, reward)
                     if not oracle.collecting:
+                        collecting[i] = False
                         waiting -= 1
             elif u in ucb:
                 state = ucb[u]

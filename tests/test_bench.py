@@ -5,6 +5,7 @@ import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import typing
 import xml.etree.ElementTree as ET
 
@@ -165,6 +166,12 @@ def test_config_out_of_range_value_fails_before_any_cell(monkeypatch, tmp_path):
             r"instance\.row_distribution: cannot parse .*std must be nonnegative",
         ),
         ("gaussian(0,1)", "uniform(1,0)", r"instance\.row_distribution: .*lo <= hi"),
+        ("kind = cs", "kind = rcs\nnu = -0.1", r"instance\.nu: nu must be nonnegative"),
+        (
+            "kind = cs",
+            "kind = hard\nepsilon = 1.5\noptimal_arms = 0,1",
+            r"instance\.epsilon: epsilon must lie in \(0, 1\), got 1\.5",
+        ),
     ],
 )
 def test_out_of_range_instance_value_is_a_config_error(tmp_path, old, new, message):
@@ -344,9 +351,10 @@ def test_full_history_row_count(tmp_path):
     report = bench.run_experiment(bench.parse_config(text))
     paths = bench.emit_report(report, tmp_path)
     regret = bench.read_regret_csv(paths["regret"])
-    assert len(regret.t) == 100
-    assert regret.t.tolist() == list(range(1, 101))
-    assert regret.cum_regret.tolist() == report.runs[0].history.cumulative_regret.tolist()
+    (t,), (cum,) = regret.t, regret.cum_regret
+    assert len(t) == 100
+    assert t.tolist() == list(range(1, 101))
+    assert cum.tolist() == report.runs[0].history.cumulative_regret.tolist()
 
 
 # The dict-based emission that the columnar code replaced, kept as the
@@ -530,6 +538,8 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
 # eight or more values per group: numpy sums them pairwise
 @example(["lattice", "ucb"], 10, [250, 100, 37], True, 5)
 @example(["ucb"], 8, [300], False, 6)
+# checkpoint grids of several horizons, which share some rounds and not others
+@example(["ucb", "etc"], 3, [400, 90, 37], False, 14)
 # one write chunk plus a few rows, with one seed (every stderr is 0) and with several
 @example(["lattice"], 1, [bench.WRITE_CHUNK + 3], True, 11)
 @example(["ucb", "etc"], 3, [bench.WRITE_CHUNK + 5], True, 12)
@@ -547,6 +557,70 @@ def test_emit_matches_the_dict_based_reference(
     assert paths["regret"].read_text() == _reference_csv(bench.REGRET_FIELDS, rows)
     assert paths["summary"].read_text() == _reference_csv(bench.SUMMARY_FIELDS, summary)
     assert paths["svg"].read_text() == _reference_svg(summary)
+
+
+_REGRETS = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.25, -1.5, 1e-300]), st.floats(-1e6, 1e6)),
+    max_size=60,
+)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(regrets=_REGRETS, cuts=st.lists(st.integers(0, 60), max_size=8))
+@example([-0.0, 0.0, -0.0], [1, 1, 2])
+@example([1.5, -1.5, -0.0, 1e-300], [])
+def test_history_closed_in_chunks_matches_one_close(regrets, cuts):
+    values = np.array(regrets, dtype=float)
+    whole = env.RunHistory(len(values))
+    whole.close(values)
+    chunked = env.RunHistory(len(values))
+    bounds = sorted({0, len(values), *(min(c, len(values)) for c in cuts)})
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        chunked.close(values[start:stop])
+    total, reference = 0.0, []
+    for r in regrets:
+        total += r
+        reference.append(total)
+    for hist in (whole, chunked):
+        assert len(hist) == len(values)
+        assert hist.inst_regret.view(np.int64).tolist() == values.view(np.int64).tolist()
+        bits = hist.cumulative_regret.view(np.int64).tolist()
+        assert bits == np.array(reference, dtype=float).view(np.int64).tolist()
+        assert np.float64(hist.final_regret).view(np.int64) == np.float64(total).view(np.int64)
+
+
+def _emit_peak(report, out) -> int:
+    tracemalloc.start()
+    try:
+        bench.emit_report(report, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_history_emission_peak_memory_one_run(tmp_path):
+    # 2^17 rounds: emission holds one write chunk, the run's grid of rounds
+    # and the summary, and reads the history through views (19 MB when the
+    # summariser sorted every row)
+    report = _synthetic_report(["lattice"], [1], [2**17], True, 11)
+    assert _emit_peak(report, tmp_path) <= 10 * 2**20
+    tracemalloc.start()
+    try:
+        regret = bench.read_regret_csv(tmp_path / "regret.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two typed columns per run, not six columns of strings
+    assert peak <= 8 * 2**20
+    assert regret.t[0].tolist() == list(range(1, 2**17 + 1))
+    assert regret.cum_regret[0].tolist() == report.runs[0].history.cumulative_regret.tolist()
+
+
+def test_full_history_emission_peak_memory_several_horizons(tmp_path):
+    # two algorithms on two nested grids, three seeds each: 589,824 rows whose
+    # rounds merge across horizons (45 MB when the summariser sorted every row)
+    report = _synthetic_report(["lattice", "ucb"], [1, 8, 15], [2**15, 2**16], True, 11)
+    assert _emit_peak(report, tmp_path) <= 24 * 2**20
 
 
 _ODD_FLOATS = [

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterbandits.env import (
+    CLOSE_CHUNK,
     RCS_SEPARATION_FACTOR,
     ArmOutOfRangeError,
     Environment,
@@ -232,6 +233,35 @@ def test_env_run_stops_when_last_oracle_finishes():
     assert len(env.history) == len(arms)
 
 
+class _CountingOracle(_StubOracle):
+    """A _StubOracle whose every other pull is unmasked, counting the reads
+    of `collecting`."""
+
+    def __init__(self, arm, pulls):
+        super().__init__(arm, pulls)
+        self.reads = self.chosen = 0
+
+    @property
+    def collecting(self):
+        self.reads += 1
+        return self.left > 0
+
+    def choose(self, user):
+        self.chosen += 1
+        return self.arm, self.chosen % 2 == 0
+
+
+def test_env_run_reads_collecting_once_per_record():
+    env = _run_env(1000)
+    first, second = _CountingOracle(1, 3), _CountingOracle(2, 5)
+    user_sets, arm_sets = [[0, 1], [2, 3]], [np.array([0]), np.array([0])]
+    env.run(1000, user_sets, arm_sets, np.random.default_rng(0), oracles=[first, second])
+    assert (first.recorded, second.recorded) == (3, 5)
+    assert first.chosen >= 6 and second.chosen >= 10
+    # once on entry, then once after each record
+    assert (first.reads, second.reads) == (4, 6)
+
+
 def test_env_run_serves_oracle_then_ucb_then_fixed_then_uniform():
     env = _run_env(400)
     user_sets, arm_sets = [[0, 1, 2], [3]], [np.array([4]), np.array([5])]
@@ -293,6 +323,11 @@ def _per_round_reference(P, noise, seed, horizon, arms):
     horizon=st.integers(1, 80),
     cuts=st.lists(st.integers(0, 80), max_size=6),
     seed=st.integers(0, 2**32 - 1),
+)
+# regret columns filled over several chunks, read back mid-chunk
+@example(
+    num_users=3, num_arms=4, kind="gaussian", sigma=0.5, horizon=2 * CLOSE_CHUNK + 3,
+    cuts=[5, CLOSE_CHUNK + 7], seed=3,
 )
 def test_history_matches_per_round_ledger(num_users, num_arms, kind, sigma, horizon, cuts, seed):
     rng = np.random.default_rng(seed)
