@@ -313,7 +313,10 @@ class RegretColumns:
 
 @dataclass
 class Summary:
-    """summary.csv as columns: one row per (algorithm, t)."""
+    """summary.csv as columns: one row per (algorithm, t).  `code` indexes
+    `names` in the smallest unsigned dtype that holds it.  Rows reduced over
+    one run share that run's cumulative column, and their standard errors may
+    be a read-only zero-stride array."""
 
     names: list[str]
     code: np.ndarray
@@ -372,9 +375,21 @@ def _reduce(regret: RegretColumns, grids, part: np.ndarray, holders: list[int]):
         for i, k in runs
     ]
     if len(columns) == 1:
-        return columns[0][:, None].mean(axis=1), np.zeros(len(part))
+        # the mean of one value is that value, except that -0.0 becomes 0.0
+        column = columns[0]
+        mean = column + 0.0 if _has_negative_zero(column) else column
+        return mean, np.broadcast_to(0.0, len(part))
     block = np.stack(columns, axis=1)
     return block.mean(axis=1), block.std(axis=1, ddof=1) / math.sqrt(len(columns))
+
+
+def _has_negative_zero(values: np.ndarray) -> bool:
+    """Whether `values` holds a -0.0, looked for WRITE_CHUNK values at a time."""
+    for start in range(0, len(values), WRITE_CHUNK):
+        chunk = values[start : start + WRITE_CHUNK]
+        if np.signbit(chunk[chunk == 0.0]).any():
+            return True
+    return False
 
 
 def summarize(regret: RegretColumns) -> Summary:
@@ -387,8 +402,9 @@ def summarize(regret: RegretColumns) -> Summary:
     the algorithm's grids collects its values from the runs of each, in row
     order, in a block of the rounds held by the same grids.  Each block is
     reduced with `mean(axis=1)` and `std(axis=1, ddof=1)`, which sum each
-    row exactly as `np.array(values).mean()` sums the group alone.  Besides
-    the summary, this holds one block and a few grid-long arrays at a time.
+    row exactly as `np.array(values).mean()` sums the group alone; a block
+    of one run is that run's column itself.  Besides the summary, this holds
+    one block and a few grid-long arrays at a time.
     """
     names = list(dict.fromkeys(regret.algorithm))
     segments = []  # (first run, code, t, mean, stderr), one per grid of each algorithm
@@ -413,9 +429,10 @@ def summarize(regret: RegretColumns) -> Summary:
             segments.append((runs[0], code, ts, mean, stderr))
     segments.sort(key=lambda segment: segment[0])
     _, codes, ts, means, stderrs = zip(*segments) if segments else ((),) * 5
+    code_type = np.min_scalar_type(len(names))
     return Summary(
         names,
-        _joined([np.full(len(t), code) for code, t in zip(codes, ts)], int),
+        _joined([np.full(len(t), code, code_type) for code, t in zip(codes, ts)], code_type),
         _joined(ts, int),
         _joined(means, float),
         _joined(stderrs, float),
@@ -471,7 +488,7 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 
 # rows per write of the row-template writers; bounds the text held at once,
 # since each chunk's floats are formatted only when it is written
-WRITE_CHUNK = 2**12
+WRITE_CHUNK = 2**10
 
 
 def _strings(fmt: str, values: np.ndarray) -> np.ndarray:
@@ -553,17 +570,23 @@ def read_regret_csv(path: Path) -> RegretColumns:
 
 
 def write_summary_csv(summary: Summary, path: Path) -> None:
-    names = np.array([_csv_row([name, ""])[:-1] for name in summary.names], dtype=object)
+    """Write summary.csv, one row template per stretch of rows of one algorithm."""
+    n = len(summary.code)
+    starts = np.flatnonzero(summary.code[1:] != summary.code[:-1]) + 1
+    bounds = [0, *starts.tolist(), n] if n else [0]
     with open(path, "w", newline="") as fh:
         fh.write(_csv_row(SUMMARY_FIELDS))
-        _write_rows(
-            fh,
-            "%s%d,%s,%s\n",
-            names[summary.code],
-            summary.t,
-            summary.mean,
-            summary.stderr,
-        )
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            name = summary.names[summary.code[start]]
+            prefix = _csv_row([name, ""])[:-1].replace("%", "%%")
+            rows = slice(start, stop)
+            _write_rows(
+                fh,
+                prefix + "%d,%s,%s\n",
+                summary.t[rows],
+                summary.mean[rows],
+                summary.stderr[rows],
+            )
 
 
 REGRET_FIELDS = ["run_id", "algorithm", "seed", "t", "instant_regret", "cum_regret"]
@@ -662,19 +685,52 @@ def _rows_by_t(summary: Summary, code: int):
     return rows[np.argsort(summary.t[rows], kind="stable")]
 
 
+def _pixel_blocks(x_of, n: int):
+    """Yield (start, x) for consecutive blocks of whole pixel columns that
+    cover `n` rows, x being the block's x; a block holds at most WRITE_CHUNK
+    rows unless one column alone holds more.  `x_of(start, stop)` is the
+    nondecreasing x of those rows."""
+    start = 0
+    while start < n:
+        size = WRITE_CHUNK
+        while True:
+            x = x_of(start, min(start + size + 1, n))
+            if start + size >= n:
+                break
+            # the column of the first row past the block starts the next block
+            cut = int(np.searchsorted(x, math.floor(x[-1])))
+            if cut:
+                x = x[:cut]
+                break
+            size *= 2
+        yield start, x
+        start += len(x)
+
+
 def write_regret_svg(summary: Summary, path) -> None:
     """Cumulative-regret chart: one mean line per algorithm with a shaded
     standard-error band.  One user unit is one pixel, and each series is
     thinned to its M4 points per pixel column: the mean line, the band's
     upper edge left to right and its lower edge right to left, each on its
-    own y."""
+    own y.  Each series is drawn in blocks of whole pixel columns, so
+    besides the summary this holds one block at a time."""
     width, height, margin = 720, 480, 60
-    t_max = int(summary.t.max()) if len(summary.t) else 1
-    y_max = float((summary.mean + summary.stderr).max()) if len(summary.t) else 1.0
+    n = len(summary.t)
+    t_max = int(summary.t.max()) if n else 1
+    # the maximum of the chunks' maxima, which is NaN if any of them is
+    tops = [
+        (summary.mean[k : k + WRITE_CHUNK] + summary.stderr[k : k + WRITE_CHUNK]).max()
+        for k in range(0, n, WRITE_CHUNK)
+    ]
+    y_max = float(np.max(tops)) if n else 1.0
     y_max = y_max if y_max > 0 else 1.0
 
     def sy(y: np.ndarray) -> np.ndarray:
         return height - margin - (height - 2 * margin) * y / y_max
+
+    def points(pieces) -> str:
+        x, y = (np.concatenate(column) for column in zip(*pieces))
+        return _points(x, sy(y))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -691,21 +747,29 @@ def write_regret_svg(summary: Summary, path) -> None:
     for i, algo in enumerate(sorted(summary.names)):
         color = _PALETTE[i % len(_PALETTE)]
         rows = _rows_by_t(summary, summary.names.index(algo))
-        x = margin + (width - 2 * margin) * summary.t[rows] / t_max
-        mean, stderr = summary.mean[rows], summary.stderr[rows]
-        # the band one edge at a time: upper left to right, lower right to left
-        edge = mean + stderr
-        up = _m4(x, edge)
-        band = _points(x[up], sy(edge[up]))
-        np.maximum(np.subtract(mean, stderr, out=edge), 0.0, out=edge)
-        back, edge = x[::-1], edge[::-1]
-        down = _m4(back, edge)
-        band += " " + _points(back[down], sy(edge[down]))
-        on = _m4(x, mean)
-        line = _points(x[on], sy(mean[on]))
+        t, mean, stderr = summary.t[rows], summary.mean[rows], summary.stderr[rows]
+
+        def x_of(start: int, stop: int) -> np.ndarray:
+            return margin + (width - 2 * margin) * t[start:stop] / t_max
+
+        upper, lower, line = [], [], []  # the kept (x, y) of each block
+        for start, x in _pixel_blocks(x_of, len(t)):
+            block = slice(start, start + len(x))
+            m, s = mean[block], stderr[block]
+            edge = m + s
+            up = _m4(x, edge)
+            upper.append((x[up], edge[up]))
+            on = _m4(x, m)
+            line.append((x[on], m[on]))
+            back, edge = x[::-1], np.maximum(m - s, 0.0)[::-1]
+            down = _m4(back, edge)
+            lower.append((back[down], edge[down]))
+        # the lower edge runs right to left, so its blocks are joined in reverse
+        band = points(upper) + " " + points(lower[::-1])
         parts.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15"/>')
         parts.append(
-            f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{points(line)}" fill="none" stroke="{color}" '
+            f'stroke-width="1.5"/>'
         )
         ly = margin + 18 * i
         parts.append(

@@ -86,7 +86,7 @@ class Mask:
 
     rows: np.ndarray  # global user ids
     cols: np.ndarray  # global arm ids
-    entry_row: np.ndarray  # local row index per masked cell
+    entry_row: np.ndarray  # local row index per masked cell, nondecreasing (row-major)
     entry_col: np.ndarray  # local col index per masked cell
 
     def __len__(self) -> int:
@@ -116,19 +116,21 @@ class MaskCollection:
         self.counts = np.zeros(len(mask), dtype=int)
         self._sums_at = memoryview(self.sums)
         self._counts_at = memoryview(self.counts)
-        n_rows = len(mask.rows)
+        n_rows, n_cols = len(mask.rows), len(mask.cols)
+        # the cells are in row-major order, so each row's are one range
+        bounds = np.searchsorted(mask.entry_row, np.arange(n_rows + 1)).tolist()
         self._entries_of_row: list[np.ndarray] = [
-            np.flatnonzero(mask.entry_row == i) for i in range(n_rows)
+            np.arange(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])
         ]
         self._row_of_user = {int(u): i for i, u in enumerate(mask.rows)}
-        # the global arm of every masked cell, and each row's throwaway arms
+        # the global arm of every masked cell, and each row's throwaway arms:
+        # its unmasked columns, or every column when it has none
         self._arm_of_entry = memoryview(mask.cols[mask.entry_col])
-        all_cols = np.arange(len(mask.cols))
-        self._filler_arms: list[memoryview] = []
-        for i in range(n_rows):
-            used = np.unique(mask.entry_col[self._entries_of_row[i]])
-            free = np.setdiff1d(all_cols, used)
-            self._filler_arms.append(memoryview(mask.cols[free if len(free) else all_cols]))
+        unmasked = np.ones((n_rows, n_cols), dtype=bool)
+        unmasked[mask.entry_row, mask.entry_col] = False
+        self._filler_arms: list[memoryview] = [
+            memoryview(mask.cols[row] if row.any() else mask.cols) for row in unmasked
+        ]
         self._pass_idx = 0
         self._pending: list[list[int]] = []
         self._outstanding = 0

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RCS_SEPARATION_FACTOR = 20.0
-# rounds whose regret columns `Environment.history` fills at once; bounds the
-# temporaries of the fill
+# rounds that `Environment` draws, and whose regret columns
+# `Environment.history` fills, at once; bounds the temporaries of both
 CLOSE_CHUNK = 2**12
 NOISE_KINDS = ("gaussian", "uniform", "bernoulli-reward", "none")
 
@@ -275,7 +275,8 @@ class RunHistory:
 
     `cumulative_regret[t]` is the prefix sum of instantaneous regrets up to
     and including round t.  Rounds beyond `capacity` do not fit.  The user,
-    arm and reward columns are written ahead; `close` completes the regret
+    arm and reward columns are written ahead (a reward slot holds the round's
+    noise draw until the round is played); `close` completes the regret
     columns of the next block of rounds.
     """
 
@@ -320,7 +321,8 @@ class Environment:
     """Round-driven simulator over one instance.
 
     The run seed splits into independent streams for user sampling and noise,
-    pre-drawn for the whole horizon so a run is bit-reproducible.
+    pre-drawn for the whole horizon into the ledger's user and reward columns,
+    so a run is bit-reproducible and holds nothing beside its ledger.
     """
 
     def __init__(
@@ -337,21 +339,23 @@ class Environment:
                 raise ValueError("bernoulli-reward noise requires entries in [0, 1]")
         self.horizon = int(horizon)
         user_ss, noise_ss = seed_sequence(seed).spawn(2)
-        self._users = np.random.default_rng(user_ss).integers(
-            0, instance.num_users, size=self.horizon
-        )
-        self._noise_draws = self.noise.draw_block(np.random.default_rng(noise_ss), self.horizon)
-        self._history = RunHistory(capacity=self.horizon)
-        self._history.users[:] = self._users
+        user_rng, noise_rng = np.random.default_rng(user_ss), np.random.default_rng(noise_ss)
+        hist = self._history = RunHistory(capacity=self.horizon)
+        # every round's arrival, and its noise draw in its reward slot until the
+        # round is played; draws continue their stream from chunk to chunk, so
+        # they equal one draw over the whole horizon
+        for n in range(0, self.horizon, CLOSE_CHUNK):
+            k = min(CLOSE_CHUNK, self.horizon - n)
+            hist.users[n : n + k] = user_rng.integers(0, instance.num_users, size=k)
+            hist.rewards[n : n + k] = self.noise.draw_block(noise_rng, k)
         self.t = 0
         self._P = instance.P
         self._best_reward = instance.P[np.arange(instance.num_users), instance.best_arm]
-        # a round reads and writes Python scalars through views of the arrays
-        self._user_at = memoryview(self._users)
-        self._draw_at = memoryview(self._noise_draws)
+        # a round reads and writes Python scalars through views of the ledger
+        self._user_at = memoryview(hist.users)
         self._mean_at = memoryview(instance.P)
-        self._arm_out = memoryview(self._history.arms)
-        self._reward_out = memoryview(self._history.rewards)
+        self._arm_out = memoryview(hist.arms)
+        self._reward_out = memoryview(hist.rewards)
 
     @property
     def history(self) -> RunHistory:
@@ -429,7 +433,8 @@ class Environment:
     def _advance(self, t: int, u: int, arm: int) -> tuple[int, int, float]:
         if not 0 <= arm < self.instance.num_arms:
             raise ArmOutOfRangeError(f"policy returned arm {arm}")
-        reward = self.noise.reward(self._mean_at[u, arm], self._draw_at[t])
+        # the round's noise draw waits in its reward slot
+        reward = self.noise.reward(self._mean_at[u, arm], self._reward_out[t])
         self._arm_out[t] = arm
         self._reward_out[t] = reward
         self.t = t + 1

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import typing
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -534,29 +535,53 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
     horizons=st.lists(st.integers(1, 400), min_size=1, max_size=3, unique=True),
     full=st.booleans(),
     values_seed=st.integers(0, 2**32 - 1),
+    write_chunk=st.sampled_from([bench.WRITE_CHUNK, 5]),
 )
 # eight or more values per group: numpy sums them pairwise
-@example(["lattice", "ucb"], 10, [250, 100, 37], True, 5)
-@example(["ucb"], 8, [300], False, 6)
+@example(["lattice", "ucb"], 10, [250, 100, 37], True, 5, bench.WRITE_CHUNK)
+@example(["ucb"], 8, [300], False, 6, bench.WRITE_CHUNK)
 # checkpoint grids of several horizons, which share some rounds and not others
-@example(["ucb", "etc"], 3, [400, 90, 37], False, 14)
+@example(["ucb", "etc"], 3, [400, 90, 37], False, 14, bench.WRITE_CHUNK)
 # one write chunk plus a few rows, with one seed (every stderr is 0) and with several
-@example(["lattice"], 1, [bench.WRITE_CHUNK + 3], True, 11)
-@example(["ucb", "etc"], 3, [bench.WRITE_CHUNK + 5], True, 12)
+@example(["lattice"], 1, [bench.WRITE_CHUNK + 3], True, 11, bench.WRITE_CHUNK)
+@example(["ucb", "etc"], 3, [bench.WRITE_CHUNK + 5], True, 12, bench.WRITE_CHUNK)
 # -0.0 and 0.0 in the same column of one run
-@example(["lattice", "ucb"], 2, [300, 40], True, -13)
+@example(["lattice", "ucb"], 2, [300, 40], True, -13, bench.WRITE_CHUNK)
+# chunks of 5 rows: 4000 rounds put 6 or 7 rows in each pixel column, so
+# write chunks end inside columns and a chart block is one whole column;
+# 700 rounds put 1 or 2 there, so a block holds several whole columns
+@example(["lattice", "ucb"], 2, [4000, 700], True, 21, 5)
+@example(["lattice"], 1, [4000], True, 22, 5)
+@example(["ucb", "etc"], 3, [400, 90, 37], False, 14, 5)
 def test_emit_matches_the_dict_based_reference(
-    tmp_path_factory, algorithms, num_seeds, horizons, full, values_seed
+    tmp_path_factory, algorithms, num_seeds, horizons, full, values_seed, write_chunk
 ):
     seeds = [7 * k + 1 for k in range(num_seeds)]
     report = _synthetic_report(algorithms, seeds, horizons, full, values_seed)
     out = tmp_path_factory.mktemp("emit")
-    paths = bench.emit_report(report, out)
+    with mock.patch.object(bench, "WRITE_CHUNK", write_chunk):
+        paths = bench.emit_report(report, out)
     rows = _reference_regret_rows(report, full)
     summary = _reference_summarize(rows)
     assert paths["regret"].read_text() == _reference_csv(bench.REGRET_FIELDS, rows)
     assert paths["summary"].read_text() == _reference_csv(bench.SUMMARY_FIELDS, summary)
     assert paths["svg"].read_text() == _reference_svg(summary)
+
+
+def test_one_run_summary_is_the_run_column():
+    t = np.arange(1, 6)
+    plain = np.array([0.0, 0.5, 0.5, 2.0, 3.0])
+    signed = np.array([-0.0, 0.5, -0.0, 2.0, np.nan])
+    summary = bench.summarize(bench.RegretColumns(["a", "b"], [t, t], [plain, signed]))
+    assert summary.names == ["a", "b"] and summary.code.dtype == np.uint8
+    assert summary.code.tolist() == [0] * 5 + [1] * 5
+    # the mean of one value is that value, but np.mean turns -0.0 into 0.0
+    expected = np.concatenate([plain, signed[:, None].mean(axis=1)])
+    assert summary.mean.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert summary.stderr.view(np.int64).tolist() == [0] * 10
+    one = bench.summarize(bench.RegretColumns(["a"], [t], [plain]))
+    assert one.mean is plain
+    assert one.stderr.strides == (0,)
 
 
 _REGRETS = st.lists(
@@ -599,11 +624,13 @@ def _emit_peak(report, out) -> int:
 
 
 def test_full_history_emission_peak_memory_one_run(tmp_path):
-    # 2^17 rounds: emission holds one write chunk, the run's grid of rounds
-    # and the summary, and reads the history through views (19 MB when the
-    # summariser sorted every row)
+    # 2^17 rounds: emission holds one write chunk or chart block, the run's
+    # grid of rounds (1 MB) and a one-byte code per summary row; the summary's
+    # mean is the run's own column and its stderr a zero-stride array (6.4 MB
+    # with a copied mean, a zero stderr column, an int64 code column and the
+    # chart's row-length temporaries; 19 MB when the summariser sorted every row)
     report = _synthetic_report(["lattice"], [1], [2**17], True, 11)
-    assert _emit_peak(report, tmp_path) <= 10 * 2**20
+    assert _emit_peak(report, tmp_path) <= 5 * 2**19
     tracemalloc.start()
     try:
         regret = bench.read_regret_csv(tmp_path / "regret.csv")
@@ -687,6 +714,39 @@ def test_m4_keeps_each_columns_first_last_lowest_and_highest(columns, backwards)
         assert got == expected
         size = sum(math.floor(v) == col for v in x)
         assert min(size, 2) <= len(got) <= 4
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3000), min_size=1, max_size=3),
+    nan_at=st.one_of(st.none(), st.integers(0, 2999)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a NaN in the third chunk of 5 rows: the chart's y range is NaN, so 1
+@example([40, 3000], 12, 3)
+def test_chart_does_not_depend_on_the_block_size(tmp_path_factory, sizes, nan_at, seed):
+    rng = np.random.default_rng(seed)
+    ts, means, stderrs = [], [], []
+    for size in sizes:
+        # about 4 rounds per row, so a pixel column holds several rows
+        t = np.unique(rng.integers(1, 4 * size + 1, size=size))
+        ts.append(t)
+        means.append(np.cumsum(rng.exponential(size=len(t))))
+        stderrs.append(rng.exponential(size=len(t)) * (rng.random(len(t)) < 0.5))
+    if nan_at is not None:
+        means[0][nan_at % len(means[0])] = np.nan
+    code = np.concatenate([np.full(len(t), k, np.uint8) for k, t in enumerate(ts)])
+    summary = bench.Summary(
+        [f"algo{k}" for k in range(len(sizes))][::-1], code,
+        np.concatenate(ts), np.concatenate(means), np.concatenate(stderrs),
+    )
+    out = tmp_path_factory.mktemp("chart")
+    charts = []
+    for write_chunk in (5, 2**30):
+        with mock.patch.object(bench, "WRITE_CHUNK", write_chunk):
+            bench.write_regret_svg(summary, out / "regret.svg")
+        charts.append((out / "regret.svg").read_text())
+    assert charts[0] == charts[1]
 
 
 def test_scaling_slope_fit():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbandits.checker import (
     ZeroMatrixError,
@@ -158,6 +160,47 @@ def test_lemma_incoherence_of_nice_submatrices(seed):
         v_norm = float(np.max(np.linalg.norm(Vt_sub[:r, :].T, axis=1)))
         assert u_norm <= math.sqrt(C * tau / len(rows)) + 1e-6
         assert v_norm <= math.sqrt(mu_col_x * C / (alpha_hat * M)) + 1e-6
+
+
+def _looped_subset_estimate(V, gamma, C, num_subsets, rng):
+    """`subset_smoothness_estimate` one subset at a time: a Gram and an
+    eigensolve per subset, and a running minimum."""
+    M = V.shape[0]
+    worst = math.inf
+    for _ in range(num_subsets):
+        S = rng.choice(M, size=math.ceil(gamma * C), replace=False)
+        gram = V[S].T @ V[S]
+        worst = min(worst, float(np.linalg.eigvalsh(gram)[0]) * M / (gamma * C))
+    return max(worst, 0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    num_arms=st.integers(2, 60),
+    rank=st.integers(1, 5),
+    gamma=st.sampled_from([0.5, 1.0, 2.5, 4.0]),
+    num_subsets=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_subset_estimate_equals_a_loop(num_arms, rank, gamma, num_subsets, seed):
+    C = rank
+    if math.ceil(gamma * C) > num_arms:
+        gamma = num_arms / C
+    X = np.random.default_rng(seed).normal(size=(C, num_arms))
+    V = np.linalg.svd(X, full_matrices=False)[2].T
+    batched = subset_smoothness_estimate(V, gamma, C, num_subsets, np.random.default_rng(seed))
+    looped = _looped_subset_estimate(V, gamma, C, num_subsets, np.random.default_rng(seed))
+    assert batched == looped
+
+
+def test_batched_subset_estimate_on_the_benchmark_instance():
+    inst = generate_cs_instance(200, 200, 4, RowDistribution.gaussian(0, 1), seed=7)
+    gamma = min(16.0 * math.log(200), 200.0) / 4
+    V = np.linalg.svd(inst.X, full_matrices=False)[2].T
+    batched = subset_smoothness_estimate(V, gamma, 4, 200, np.random.default_rng(0))
+    assert batched == _looped_subset_estimate(V, gamma, 4, 200, np.random.default_rng(0))
+    # the report draws its subsets from SeedSequence(0), the same stream
+    assert assumption_report(inst).alpha_hat == batched
 
 
 def test_assumption_report_roundtrip_fields():

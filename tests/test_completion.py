@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterbandits.completion import (
@@ -489,3 +489,34 @@ def test_partition_handles_tall_matrices():
         env, np.arange(37), np.arange(10), params, seed=6
     )
     assert np.max(np.abs(est.values - inst.P)) <= 2e-2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    num_rows=st.integers(1, 30),
+    num_cols=st.integers(1, 30),
+    # each row's share of masked cells: 0 leaves it empty, 1 fills it
+    shares=st.lists(st.sampled_from([0.0, 0.2, 0.6, 1.0]), min_size=1, max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(num_rows=5, num_cols=1, shares=[0.0, 1.0, 0.6], seed=3)
+@example(num_rows=4, num_cols=6, shares=[1.0], seed=5)
+@example(num_rows=3, num_cols=3, shares=[0.0], seed=6)
+def test_collection_setup_matches_per_row_scans(num_rows, num_cols, shares, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(100, size=num_rows, replace=False)
+    cols = rng.choice(100, size=num_cols, replace=False)
+    share = np.resize(shares, num_rows)[:, None]
+    entry_row, entry_col = np.nonzero(rng.random((num_rows, num_cols)) < share)
+    mask = Mask(rows, cols, entry_row, entry_col)
+    coll = MaskCollection(mask, 2, np.random.default_rng(seed + 1))
+    # the per-row scans of `_IndexedMaskCollection`, and its shuffles
+    ref = _IndexedMaskCollection(mask, 2, np.random.default_rng(seed + 1))
+    assert len(coll._entries_of_row) == len(ref._entries_of_row) == num_rows
+    for ours, theirs in zip(coll._entries_of_row, ref._entries_of_row):
+        assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
+    assert [f.tolist() for f in coll._filler_arms] == [
+        cols[free].tolist() for free in ref._filler_cols
+    ]
+    assert coll._pending == (ref._pending if len(mask) else [])
+    assert coll.rng.bit_generator.state == ref.rng.bit_generator.state

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from clusterbandits.env import (
     CLOSE_CHUNK,
+    NOISE_KINDS,
     RCS_SEPARATION_FACTOR,
     ArmOutOfRangeError,
     Environment,
@@ -359,6 +361,40 @@ def test_history_matches_per_round_ledger(num_users, num_arms, kind, sigma, hori
     assert hist.inst_regret.tolist() == inst_regret
     assert hist.cumulative_regret.tolist() == cum
     assert hist.final_regret == cum[-1]
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+@pytest.mark.parametrize(
+    "horizon", [1, CLOSE_CHUNK - 1, CLOSE_CHUNK, CLOSE_CHUNK + 1, 2 * CLOSE_CHUNK + 3]
+)
+def test_chunked_draws_equal_one_whole_horizon_draw(kind, horizon):
+    inst = generate_cs_instance(7, 3, 2, RowDistribution.uniform(0, 1), seed=4)
+    noise = NoiseModel(kind, 0.4)
+    env = Environment(inst, noise, seed=19, horizon=horizon)
+    user_ss, noise_ss = seed_sequence(19).spawn(2)
+    users = np.random.default_rng(user_ss).integers(0, 7, size=horizon)
+    draws = noise.draw_block(np.random.default_rng(noise_ss), horizon)
+    # before any play, every reward slot holds its round's noise draw
+    hist = env.history
+    assert hist.users.tolist() == users.tolist()
+    assert hist.rewards.view(np.int64).tolist() == draws.view(np.int64).tolist()
+
+
+def test_environment_holds_only_its_ledger():
+    inst = generate_cs_instance(64, 64, 2, RowDistribution.gaussian(0, 1), seed=5)
+    horizon = 2**17
+    tracemalloc.start()
+    try:
+        env = Environment(inst, NoiseModel("gaussian", 0.5), seed=3, horizon=horizon)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ledger = 32 * horizon
+    # the draws wait in the ledger's own columns and are drawn one chunk at a
+    # time (6 MB held, not 4, with whole-horizon draw arrays beside the ledger)
+    assert len(env.history) == 0
+    assert ledger <= held <= ledger + 2**16
+    assert peak <= ledger + 2**17
 
 
 def test_user_frequency_binomial():
