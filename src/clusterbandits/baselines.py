@@ -30,8 +30,6 @@ def run_per_user_ucb(
     noise: NoiseModel | None = None,
 ) -> tuple[RunHistory, None]:
     """Every user runs an independent UCB over the full arm set."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
     env_ss, _ = seed_sequence(seed).spawn(2)
     env = Environment(instance, noise, env_ss, horizon)
     arms = np.arange(instance.num_arms)
@@ -39,7 +37,7 @@ def run_per_user_ucb(
         u: UcbArmState(arms, config.sigma, max(2, horizon)) for u in range(instance.num_users)
     }
     env.run(horizon, [range(instance.num_users)], [arms], None, ucb=states)
-    return env.history.trimmed(), None
+    return env.history, None
 
 
 @dataclass
@@ -102,7 +100,7 @@ def run_explore_then_commit(
     env.run(explore_rounds, user_sets, arm_sets, filler_rng)
     commit_arm = dict(enumerate(np.argmax(est.values, axis=1).tolist()))
     env.run(horizon, user_sets, arm_sets, filler_rng, fixed=commit_arm)
-    return env.history.trimmed(), None
+    return env.history, None
 
 
 def _kmeans_once(rows: np.ndarray, k: int, rng: np.random.Generator, iters: int) -> tuple[np.ndarray, float]:
@@ -233,8 +231,6 @@ def run_simplified_lattice(
     """Fixed-schedule variant: uniform pulls inside active sets, one
     nuclear-norm solve per set at each phase end, k-means splits during the
     first L phases and fraction-approved arm shrinking afterwards."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
     env_ss, algo_ss = seed_sequence(seed).spawn(2)
     env = Environment(instance, noise, env_ss, horizon)
     rng = np.random.default_rng(algo_ss.spawn(1)[0])
@@ -322,4 +318,4 @@ def run_simplified_lattice(
                 rounds_used=length,
             )
         )
-    return env.history.trimmed(), trace
+    return env.history, trace

@@ -312,14 +312,14 @@ class RegretColumns:
 
 
 @dataclass
-class Summary:
-    """summary.csv as columns: one row per (algorithm, t).  `code` indexes
-    `names` in the smallest unsigned dtype that holds it.  Rows reduced over
-    one run share that run's cumulative column, and their standard errors may
-    be a read-only zero-stride array."""
+class Stretch:
+    """summary.csv rows of one algorithm: the mean and standard error of its
+    cumulative regret at the rounds `t`, which are nonempty and strictly
+    increasing.  A stretch reduced over one run has that run's cumulative
+    column as its mean, and its standard errors may be a read-only
+    zero-stride array."""
 
-    names: list[str]
-    code: np.ndarray
+    algorithm: str
     t: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
@@ -392,8 +392,9 @@ def _has_negative_zero(values: np.ndarray) -> bool:
     return False
 
 
-def summarize(regret: RegretColumns) -> Summary:
-    """Mean and standard error of cumulative regret per (algorithm, t).
+def summarize(regret: RegretColumns) -> list[Stretch]:
+    """Mean and standard error of cumulative regret per (algorithm, t), as
+    one stretch per grid of rounds of each algorithm, in row order.
 
     Groups keep the order in which they first appear, and each group's
     values their row order.  No rows are sorted: a run's rounds are strictly
@@ -406,9 +407,8 @@ def summarize(regret: RegretColumns) -> Summary:
     of one run is that run's column itself.  Besides the summary, this holds
     one block and a few grid-long arrays at a time.
     """
-    names = list(dict.fromkeys(regret.algorithm))
-    segments = []  # (first run, code, t, mean, stderr), one per grid of each algorithm
-    for code, name in enumerate(names):
+    stretches = []  # (first run, stretch)
+    for name in dict.fromkeys(regret.algorithm):
         grids = _grids(regret, name)
         for j, (grid, runs) in enumerate(grids):
             # the rounds this grid is the first of the algorithm's to hold
@@ -426,22 +426,9 @@ def summarize(regret: RegretColumns) -> Summary:
                 for part, holders in parts:
                     at = np.searchsorted(ts, part)
                     mean[at], stderr[at] = _reduce(regret, grids, part, holders)
-            segments.append((runs[0], code, ts, mean, stderr))
-    segments.sort(key=lambda segment: segment[0])
-    _, codes, ts, means, stderrs = zip(*segments) if segments else ((),) * 5
-    code_type = np.min_scalar_type(len(names))
-    return Summary(
-        names,
-        _joined([np.full(len(t), code, code_type) for code, t in zip(codes, ts)], code_type),
-        _joined(ts, int),
-        _joined(means, float),
-        _joined(stderrs, float),
-    )
-
-
-def _joined(arrays, dtype) -> np.ndarray:
-    """The arrays end to end; one array is returned as it is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate([np.empty(0, dtype), *arrays])
+            stretches.append((runs[0], Stretch(name, ts, mean, stderr)))
+    stretches.sort(key=operator.itemgetter(0))
+    return [stretch for _, stretch in stretches]
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> Report:
@@ -569,24 +556,13 @@ def read_regret_csv(path: Path) -> RegretColumns:
     return regret
 
 
-def write_summary_csv(summary: Summary, path: Path) -> None:
-    """Write summary.csv, one row template per stretch of rows of one algorithm."""
-    n = len(summary.code)
-    starts = np.flatnonzero(summary.code[1:] != summary.code[:-1]) + 1
-    bounds = [0, *starts.tolist(), n] if n else [0]
+def write_summary_csv(summary: list[Stretch], path: Path) -> None:
+    """Write summary.csv, one row template per stretch."""
     with open(path, "w", newline="") as fh:
         fh.write(_csv_row(SUMMARY_FIELDS))
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            name = summary.names[summary.code[start]]
-            prefix = _csv_row([name, ""])[:-1].replace("%", "%%")
-            rows = slice(start, stop)
-            _write_rows(
-                fh,
-                prefix + "%d,%s,%s\n",
-                summary.t[rows],
-                summary.mean[rows],
-                summary.stderr[rows],
-            )
+        for stretch in summary:
+            prefix = _csv_row([stretch.algorithm, ""])[:-1].replace("%", "%%")
+            _write_rows(fh, prefix + "%d,%s,%s\n", stretch.t, stretch.mean, stretch.stderr)
 
 
 REGRET_FIELDS = ["run_id", "algorithm", "seed", "t", "instant_regret", "cum_regret"]
@@ -672,19 +648,6 @@ def _points(x: np.ndarray, y: np.ndarray) -> str:
     return " ".join(map("%s,%s".__mod__, zip(xs, ys)))
 
 
-def _rows_by_t(summary: Summary, code: int):
-    """The rows of one algorithm in order of t: a slice when they are
-    contiguous and already in that order."""
-    hit = summary.code == code
-    first, count = int(hit.argmax()), int(np.count_nonzero(hit))
-    rows = slice(first, first + count)
-    t = summary.t[rows]
-    if hit[rows].all() and np.all(t[1:] > t[:-1]):
-        return rows
-    rows = np.flatnonzero(hit)
-    return rows[np.argsort(summary.t[rows], kind="stable")]
-
-
 def _pixel_blocks(x_of, n: int):
     """Yield (start, x) for consecutive blocks of whole pixel columns that
     cover `n` rows, x being the block's x; a block holds at most WRITE_CHUNK
@@ -707,7 +670,7 @@ def _pixel_blocks(x_of, n: int):
         start += len(x)
 
 
-def write_regret_svg(summary: Summary, path) -> None:
+def write_regret_svg(summary: list[Stretch], path) -> None:
     """Cumulative-regret chart: one mean line per algorithm with a shaded
     standard-error band.  One user unit is one pixel, and each series is
     thinned to its M4 points per pixel column: the mean line, the band's
@@ -715,14 +678,14 @@ def write_regret_svg(summary: Summary, path) -> None:
     own y.  Each series is drawn in blocks of whole pixel columns, so
     besides the summary this holds one block at a time."""
     width, height, margin = 720, 480, 60
-    n = len(summary.t)
-    t_max = int(summary.t.max()) if n else 1
+    t_max = max((int(stretch.t[-1]) for stretch in summary), default=1)
     # the maximum of the chunks' maxima, which is NaN if any of them is
     tops = [
-        (summary.mean[k : k + WRITE_CHUNK] + summary.stderr[k : k + WRITE_CHUNK]).max()
-        for k in range(0, n, WRITE_CHUNK)
+        (stretch.mean[k : k + WRITE_CHUNK] + stretch.stderr[k : k + WRITE_CHUNK]).max()
+        for stretch in summary
+        for k in range(0, len(stretch.t), WRITE_CHUNK)
     ]
-    y_max = float(np.max(tops)) if n else 1.0
+    y_max = float(np.max(tops)) if tops else 1.0
     y_max = y_max if y_max > 0 else 1.0
 
     def sy(y: np.ndarray) -> np.ndarray:
@@ -744,10 +707,15 @@ def write_regret_svg(summary: Summary, path) -> None:
         f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {height / 2:.1f})">cumulative regret</text>',
     ]
-    for i, algo in enumerate(sorted(summary.names)):
+    for i, algo in enumerate(sorted({stretch.algorithm for stretch in summary})):
         color = _PALETTE[i % len(_PALETTE)]
-        rows = _rows_by_t(summary, summary.names.index(algo))
-        t, mean, stderr = summary.t[rows], summary.mean[rows], summary.stderr[rows]
+        series = [(s.t, s.mean, s.stderr) for s in summary if s.algorithm == algo]
+        t, mean, stderr = series[0]
+        if len(series) > 1:
+            # the stretches of one algorithm hold disjoint rounds
+            t, mean, stderr = map(np.concatenate, zip(*series))
+            order = np.argsort(t, kind="stable")
+            t, mean, stderr = t[order], mean[order], stderr[order]
 
         def x_of(start: int, stop: int) -> np.ndarray:
             return margin + (width - 2 * margin) * t[start:stop] / t_max

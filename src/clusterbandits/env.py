@@ -311,11 +311,6 @@ class RunHistory:
     def final_regret(self) -> float:
         return self._total
 
-    def trimmed(self) -> "RunHistory":
-        for name in ("users", "arms", "rewards", "inst_regret", "cumulative_regret"):
-            setattr(self, name, getattr(self, name)[: self._n])
-        return self
-
 
 class Environment:
     """Round-driven simulator over one instance.
@@ -338,6 +333,8 @@ class Environment:
             if instance.P.min() < 0.0 or instance.P.max() > 1.0:
                 raise ValueError("bernoulli-reward noise requires entries in [0, 1]")
         self.horizon = int(horizon)
+        if self.horizon < 1:
+            raise ValueError("horizon must be positive")
         user_ss, noise_ss = seed_sequence(seed).spawn(2)
         user_rng, noise_rng = np.random.default_rng(user_ss), np.random.default_rng(noise_ss)
         hist = self._history = RunHistory(capacity=self.horizon)

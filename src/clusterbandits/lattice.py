@@ -333,7 +333,7 @@ class _PhasedRun:
             )
             if stalled or incomplete:
                 break
-        return env.history.trimmed(), self.trace
+        return env.history, self.trace
 
     def _make_instance(self, users, arms, delta_next) -> OracleInstance:
         cfg = self.config
@@ -429,7 +429,6 @@ def run_lattice(
     seed,
     noise: NoiseModel | None = None,
 ) -> tuple[RunHistory, PhaseTrace]:
-    """Run the phased-elimination policy for exact cluster structure."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    """Run the phased-elimination policy: for exact cluster structure, or
+    for the relaxed one when `config` is an `RcsConfig`."""
     return _PhasedRun(instance, config, horizon, seed, noise).run()

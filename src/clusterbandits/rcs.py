@@ -8,20 +8,7 @@ shrink to the intersection of its members' near-best arms, which eliminates
 more aggressively than the union rule used while clustering.
 """
 
-from __future__ import annotations
+# `_PhasedRun` runs the relaxed variant when its config is an `RcsConfig`
+from .lattice import RcsConfig, run_lattice as run_lattice_rcs
 
-from .env import Instance, NoiseModel, RunHistory
-from .lattice import PhaseTrace, RcsConfig, _PhasedRun
-
-
-def run_lattice_rcs(
-    instance: Instance,
-    config: RcsConfig,
-    horizon: int,
-    seed,
-    noise: NoiseModel | None = None,
-) -> tuple[RunHistory, PhaseTrace]:
-    """Run the relaxed-cluster phased-elimination policy."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    return _PhasedRun(instance, config, horizon, seed, noise).run()
+__all__ = ["RcsConfig", "run_lattice_rcs"]

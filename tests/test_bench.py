@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from clusterbandits import baselines, bench, cli, env, lattice, rcs
@@ -288,6 +289,45 @@ def test_each_cell_calls_the_run_function_module_attribute(monkeypatch, algo):
     assert [run.history for run in report.runs] == histories
 
 
+def _run_function_args(algo):
+    """(instance, config, noise) of SMALL_CONFIG for one algorithm section."""
+    config = bench.parse_config(SMALL_CONFIG)
+    instance = bench.build_instance(config.instance)
+    noise = bench.build_noise(config.instance, instance)
+    return instance, bench.build_algorithm(algo, {}, instance, noise), noise
+
+
+@pytest.mark.parametrize(
+    "algo, horizon",
+    [
+        (algo, horizon)
+        for algo in bench.ALGORITHM_NAMES
+        for horizon in (1, 37, 200, env.CLOSE_CHUNK + 5)
+        # explore-then-commit needs about 170 rounds here to finish its estimate
+        if algo != "etc" or horizon >= 200
+    ],
+)
+def test_each_run_function_plays_its_whole_horizon(algo, horizon):
+    module, attr = _RUN_FUNCTIONS[algo]
+    instance, config, noise = _run_function_args(algo)
+    history, _ = getattr(module, attr)(instance, config, horizon, 5, noise)
+    assert len(history) == horizon
+    for column in (
+        history.users, history.arms, history.rewards, history.inst_regret,
+        history.cumulative_regret,
+    ):
+        assert len(column) == horizon
+    assert history.final_regret == history.cumulative_regret[-1]
+
+
+@pytest.mark.parametrize("algo", bench.ALGORITHM_NAMES)
+def test_each_run_function_rejects_a_horizon_of_zero(algo):
+    module, attr = _RUN_FUNCTIONS[algo]
+    instance, config, noise = _run_function_args(algo)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        getattr(module, attr)(instance, config, 0, 5, noise)
+
+
 def test_run_experiment_deterministic():
     config = bench.parse_config(SMALL_CONFIG)
     a = bench.run_experiment(config)
@@ -489,6 +529,21 @@ def _reference_csv(fieldnames, rows):
     return buf.getvalue()
 
 
+# the emission property tests do not shrink: each shrink step emits a whole
+# report or chart, so a failing example took minutes to report
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """`got == want`.  A mismatch reports where the texts first differ, not
+    the line diff pytest would take minutes to compute for texts this long."""
+    if got != want:
+        k = len(os.path.commonprefix([got, want]))
+        near = slice(max(k - 40, 0), k + 40)
+        line = got.count("\n", 0, k) + 1
+        pytest.fail(f"texts differ at line {line}: {got[near]!r} != {want[near]!r}")
+
+
 def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
     """A report of made-up histories: per-round regret spread over several
     orders of magnitude, with exact zeros, repeated values and, in some runs,
@@ -520,12 +575,12 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
                 hist.close(regrets)
                 run_id = len(report.runs)
                 report.runs.append(
-                    bench.RunResult(run_id, algo, seed, horizon, hist.trimmed(), None)
+                    bench.RunResult(run_id, algo, seed, horizon, hist, None)
                 )
     return report
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None, phases=_NO_SHRINK)
 @given(
     algorithms=st.lists(
         st.sampled_from(["ucb", "lattice", "etc", "simplified-lattice"]),
@@ -559,13 +614,24 @@ def test_emit_matches_the_dict_based_reference(
     seeds = [7 * k + 1 for k in range(num_seeds)]
     report = _synthetic_report(algorithms, seeds, horizons, full, values_seed)
     out = tmp_path_factory.mktemp("emit")
-    with mock.patch.object(bench, "WRITE_CHUNK", write_chunk):
+    summaries, summarize = [], bench.summarize
+
+    def capture(regret):
+        summaries.append(summarize(regret))
+        return summaries[-1]
+
+    with mock.patch.object(bench, "WRITE_CHUNK", write_chunk), mock.patch.object(
+        bench, "summarize", capture
+    ):
         paths = bench.emit_report(report, out)
+    # the chart takes each stretch's last round as its greatest
+    for stretch in summaries[0]:
+        assert len(stretch.t) and np.all(stretch.t[1:] > stretch.t[:-1])
     rows = _reference_regret_rows(report, full)
     summary = _reference_summarize(rows)
-    assert paths["regret"].read_text() == _reference_csv(bench.REGRET_FIELDS, rows)
-    assert paths["summary"].read_text() == _reference_csv(bench.SUMMARY_FIELDS, summary)
-    assert paths["svg"].read_text() == _reference_svg(summary)
+    _assert_same_text(paths["regret"].read_text(), _reference_csv(bench.REGRET_FIELDS, rows))
+    _assert_same_text(paths["summary"].read_text(), _reference_csv(bench.SUMMARY_FIELDS, summary))
+    _assert_same_text(paths["svg"].read_text(), _reference_svg(summary))
 
 
 def test_one_run_summary_is_the_run_column():
@@ -573,13 +639,14 @@ def test_one_run_summary_is_the_run_column():
     plain = np.array([0.0, 0.5, 0.5, 2.0, 3.0])
     signed = np.array([-0.0, 0.5, -0.0, 2.0, np.nan])
     summary = bench.summarize(bench.RegretColumns(["a", "b"], [t, t], [plain, signed]))
-    assert summary.names == ["a", "b"] and summary.code.dtype == np.uint8
-    assert summary.code.tolist() == [0] * 5 + [1] * 5
+    assert [stretch.algorithm for stretch in summary] == ["a", "b"]
+    assert all(stretch.t is t for stretch in summary)
     # the mean of one value is that value, but np.mean turns -0.0 into 0.0
-    expected = np.concatenate([plain, signed[:, None].mean(axis=1)])
-    assert summary.mean.view(np.int64).tolist() == expected.view(np.int64).tolist()
-    assert summary.stderr.view(np.int64).tolist() == [0] * 10
-    one = bench.summarize(bench.RegretColumns(["a"], [t], [plain]))
+    expected = [plain, signed[:, None].mean(axis=1)]
+    for stretch, mean in zip(summary, expected):
+        assert stretch.mean.view(np.int64).tolist() == mean.view(np.int64).tolist()
+        assert stretch.stderr.view(np.int64).tolist() == [0] * 5
+    (one,) = bench.summarize(bench.RegretColumns(["a"], [t], [plain]))
     assert one.mean is plain
     assert one.stderr.strides == (0,)
 
@@ -624,10 +691,10 @@ def _emit_peak(report, out) -> int:
 
 
 def test_full_history_emission_peak_memory_one_run(tmp_path):
-    # 2^17 rounds: emission holds one write chunk or chart block, the run's
-    # grid of rounds (1 MB) and a one-byte code per summary row; the summary's
-    # mean is the run's own column and its stderr a zero-stride array (6.4 MB
-    # with a copied mean, a zero stderr column, an int64 code column and the
+    # 2^17 rounds: emission holds one write chunk or chart block and the run's
+    # grid of rounds (1 MB); the summary is one stretch whose mean is the run's
+    # own column and whose stderr is a zero-stride array (6.4 MB with a copied
+    # mean, a zero stderr column, an int64 algorithm code per row and the
     # chart's row-length temporaries; 19 MB when the summariser sorted every row)
     report = _synthetic_report(["lattice"], [1], [2**17], True, 11)
     assert _emit_peak(report, tmp_path) <= 5 * 2**19
@@ -716,7 +783,7 @@ def test_m4_keeps_each_columns_first_last_lowest_and_highest(columns, backwards)
         assert min(size, 2) <= len(got) <= 4
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40, derandomize=True, deadline=None, phases=_NO_SHRINK)
 @given(
     sizes=st.lists(st.integers(1, 3000), min_size=1, max_size=3),
     nan_at=st.one_of(st.none(), st.integers(0, 2999)),
@@ -735,18 +802,17 @@ def test_chart_does_not_depend_on_the_block_size(tmp_path_factory, sizes, nan_at
         stderrs.append(rng.exponential(size=len(t)) * (rng.random(len(t)) < 0.5))
     if nan_at is not None:
         means[0][nan_at % len(means[0])] = np.nan
-    code = np.concatenate([np.full(len(t), k, np.uint8) for k, t in enumerate(ts)])
-    summary = bench.Summary(
-        [f"algo{k}" for k in range(len(sizes))][::-1], code,
-        np.concatenate(ts), np.concatenate(means), np.concatenate(stderrs),
-    )
+    summary = [
+        bench.Stretch(f"algo{len(sizes) - 1 - k}", t, mean, stderr)
+        for k, (t, mean, stderr) in enumerate(zip(ts, means, stderrs))
+    ]
     out = tmp_path_factory.mktemp("chart")
     charts = []
     for write_chunk in (5, 2**30):
         with mock.patch.object(bench, "WRITE_CHUNK", write_chunk):
             bench.write_regret_svg(summary, out / "regret.svg")
         charts.append((out / "regret.svg").read_text())
-    assert charts[0] == charts[1]
+    _assert_same_text(charts[0], charts[1])
 
 
 def test_scaling_slope_fit():

@@ -353,7 +353,7 @@ def test_history_matches_per_round_ledger(num_users, num_arms, kind, sigma, hori
             assert hist.cumulative_regret[:t].tolist() == cum[:t]
             assert hist.final_regret == (cum[t - 1] if t else 0.0)
         env.play(arm)
-    hist = env.history.trimmed()
+    hist = env.history
     assert len(hist) == horizon
     assert hist.users.tolist() == users
     assert hist.arms.tolist() == arms
