@@ -295,7 +295,6 @@ class RunResult:
 @dataclass
 class Report:
     config: ExperimentConfig
-    checkpoints: np.ndarray
     runs: list[RunResult] = field(default_factory=list)
     assumption: checker.AssumptionReport | None = None
 
@@ -303,84 +302,29 @@ class Report:
 @dataclass
 class RegretColumns:
     """The regret.csv columns summary.csv is computed from, one entry per run:
-    its algorithm, its rounds `t` (strictly increasing) and its cumulative
-    regret at those rounds.  Runs on one grid of rounds may share its array."""
+    its algorithm, its horizon, its rounds `t` (strictly increasing) and its
+    cumulative regret at those rounds.  Runs on one grid of rounds may share
+    its array."""
 
     algorithm: list[str]
+    horizon: list[int]
     t: list[np.ndarray]
     cum_regret: list[np.ndarray]
 
 
 @dataclass
 class Stretch:
-    """summary.csv rows of one algorithm: the mean and standard error of its
-    cumulative regret at the rounds `t`, which are nonempty and strictly
-    increasing.  A stretch reduced over one run has that run's cumulative
-    column as its mean, and its standard errors may be a read-only
-    zero-stride array."""
+    """summary.csv rows of one (algorithm, horizon): the mean and standard
+    error of its runs' cumulative regret at the rounds `t`, which are
+    nonempty and strictly increasing.  A stretch reduced over one run has
+    that run's cumulative column as its mean, and its standard errors may be
+    a read-only zero-stride array."""
 
     algorithm: str
+    horizon: int
     t: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
-
-
-def _isin(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Whether each of `values` is in the nonempty increasing array `grid`."""
-    return grid[np.minimum(np.searchsorted(grid, values), len(grid) - 1)] == values
-
-
-def _grids(regret: RegretColumns, algorithm: str) -> list[tuple[np.ndarray, list[int]]]:
-    """The distinct grids of rounds of one algorithm's nonempty runs, in order
-    of first appearance, each with the indices of its runs."""
-    grids: list[tuple[np.ndarray, list[int]]] = []
-    for i, (algo, t) in enumerate(zip(regret.algorithm, regret.t)):
-        if algo != algorithm or not len(t):
-            continue
-        for grid, runs in grids:
-            if grid is t or np.array_equal(grid, t):
-                runs.append(i)
-                break
-        else:
-            grids.append((t, [i]))
-    return grids
-
-
-def _parts(ts: np.ndarray, grids, j: int) -> list[tuple[np.ndarray, list[int]]]:
-    """`ts`, rounds of grid j, split by which later grids hold them too; each
-    part comes with the indices of the grids that hold it.  A part that is
-    all of `ts` is `ts` itself."""
-    parts = [(ts, [j])]
-    for k in range(j + 1, len(grids)):
-        split = []
-        for part, holders in parts:
-            hit = _isin(part, grids[k][0])
-            if hit.all():
-                split.append((part, holders + [k]))
-            elif hit.any():
-                split += [(part[hit], holders + [k]), (part[~hit], holders)]
-            else:
-                split.append((part, holders))
-        parts = split
-    return parts
-
-
-def _reduce(regret: RegretColumns, grids, part: np.ndarray, holders: list[int]):
-    """Mean and standard error at the rounds `part` over every run on the
-    grids `holders`, in row order."""
-    runs = sorted((i, k) for k in holders for i in grids[k][1])
-    columns = [
-        regret.cum_regret[i] if part is grids[k][0]
-        else regret.cum_regret[i][np.searchsorted(grids[k][0], part)]
-        for i, k in runs
-    ]
-    if len(columns) == 1:
-        # the mean of one value is that value, except that -0.0 becomes 0.0
-        column = columns[0]
-        mean = column + 0.0 if _has_negative_zero(column) else column
-        return mean, np.broadcast_to(0.0, len(part))
-    block = np.stack(columns, axis=1)
-    return block.mean(axis=1), block.std(axis=1, ddof=1) / math.sqrt(len(columns))
 
 
 def _has_negative_zero(values: np.ndarray) -> bool:
@@ -393,42 +337,37 @@ def _has_negative_zero(values: np.ndarray) -> bool:
 
 
 def summarize(regret: RegretColumns) -> list[Stretch]:
-    """Mean and standard error of cumulative regret per (algorithm, t), as
-    one stretch per grid of rounds of each algorithm, in row order.
+    """Mean and standard error of cumulative regret per (algorithm, horizon,
+    t), as one stretch per (algorithm, horizon) in order of first appearance.
 
-    Groups keep the order in which they first appear, and each group's
-    values their row order.  No rows are sorted: a run's rounds are strictly
-    increasing, so the runs of one algorithm on one grid of rounds fill a
-    C-contiguous (rounds x runs) block, and a round that lies in several of
-    the algorithm's grids collects its values from the runs of each, in row
-    order, in a block of the rounds held by the same grids.  Each block is
-    reduced with `mean(axis=1)` and `std(axis=1, ddof=1)`, which sum each
-    row exactly as `np.array(values).mean()` sums the group alone; a block
-    of one run is that run's column itself.  Besides the summary, this holds
-    one block and a few grid-long arrays at a time.
+    The horizon enters the policies, so runs of different horizons are not
+    averaged together.  Every run plays to its horizon, so a group's runs
+    hold the same rounds (a group whose runs do not, as only a hand-edited
+    regret.csv can, is a ConfigError) and fill, in row order, a C-contiguous
+    (rounds x runs) block.  It is reduced with `mean(axis=1)` and
+    `std(axis=1, ddof=1)`, which sum each row exactly as
+    `np.array(values).mean()` sums the group alone; a group of one run keeps
+    that run's column.  Besides the summary, this holds one block at a time.
     """
-    stretches = []  # (first run, stretch)
-    for name in dict.fromkeys(regret.algorithm):
-        grids = _grids(regret, name)
-        for j, (grid, runs) in enumerate(grids):
-            # the rounds this grid is the first of the algorithm's to hold
-            new = np.ones(len(grid), dtype=bool)
-            for earlier, _ in grids[:j]:
-                new &= ~_isin(grid, earlier)
-            ts = grid if new.all() else grid[new]
-            if not len(ts):
-                continue
-            parts = _parts(ts, grids, j)
-            if len(parts) == 1:
-                mean, stderr = _reduce(regret, grids, *parts[0])
-            else:
-                mean, stderr = np.empty(len(ts)), np.empty(len(ts))
-                for part, holders in parts:
-                    at = np.searchsorted(ts, part)
-                    mean[at], stderr[at] = _reduce(regret, grids, part, holders)
-            stretches.append((runs[0], Stretch(name, ts, mean, stderr)))
-    stretches.sort(key=operator.itemgetter(0))
-    return [stretch for _, stretch in stretches]
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, key in enumerate(zip(regret.algorithm, regret.horizon)):
+        groups.setdefault(key, []).append(i)
+    summary = []
+    for (name, horizon), runs in groups.items():
+        t = regret.t[runs[0]]
+        if not all(regret.t[i] is t or np.array_equal(regret.t[i], t) for i in runs):
+            raise ConfigError(f"{name} at horizon {horizon}: its runs hold different rounds")
+        if len(runs) == 1:
+            # the mean of one value is that value, except that -0.0 becomes 0.0
+            column = regret.cum_regret[runs[0]]
+            mean = column + 0.0 if _has_negative_zero(column) else column
+            stderr = np.broadcast_to(0.0, len(t))
+        else:
+            block = np.stack([regret.cum_regret[i] for i in runs], axis=1)
+            mean = block.mean(axis=1)
+            stderr = block.std(axis=1, ddof=1) / math.sqrt(len(runs))
+        summary.append(Stretch(name, horizon, t, mean, stderr))
+    return summary
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> Report:
@@ -441,18 +380,21 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
     """
     instance = build_instance(config.instance)
     noise = build_noise(config.instance, instance)
+    try:
+        env.check_noise_range(noise, instance.P)
+    except ValueError as exc:
+        raise ConfigError(f"instance.noise: {exc}") from None
     # every section's config is built before any cell runs, so a bad value
     # fails the experiment up front
     algorithms = [
         (algo, build_algorithm(algo, params, instance, noise))
         for algo, params in config.algorithms
     ]
-    horizons = config.horizons
-    report = Report(config=config, checkpoints=checkpoint_grid(max(horizons)))
+    report = Report(config=config)
     if config.check:
         report.assumption = checker.assumption_report(instance)
     run_id = 0
-    for horizon in horizons:
+    for horizon in config.horizons:
         for algo, algo_config in algorithms:
             for seed in config.seeds:
                 try:
@@ -507,7 +449,7 @@ def write_regret_csv(report: Report, path: Path) -> RegretColumns:
     with full_history and its horizon's checkpoints otherwise; returns the
     columns to summarise, as views of the histories where they can be."""
     full = report.config.full_history
-    regret = RegretColumns([], [], [])
+    regret = RegretColumns([], [], [], [])
     grids: dict[int, np.ndarray] = {}  # rounds of a full history, or a horizon -> its grid
     with open(path, "w", newline="") as fh:
         fh.write(_csv_row(REGRET_FIELDS))
@@ -524,6 +466,7 @@ def write_regret_csv(report: Report, path: Path) -> RegretColumns:
             prefix = _csv_row([run.run_id, run.algorithm, run.seed, ""])[:-1]
             _write_rows(fh, prefix.replace("%", "%%") + "%d,%s,%s\n", t, inst, cum)
             regret.algorithm.append(run.algorithm)
+            regret.horizon.append(run.horizon)
             regret.t.append(t)
             regret.cum_regret.append(cum)
     return regret
@@ -531,8 +474,9 @@ def write_regret_csv(report: Report, path: Path) -> RegretColumns:
 
 def read_regret_csv(path: Path) -> RegretColumns:
     """The summary columns of a regret.csv file, read row by row.  A run ends
-    where run_id or algorithm changes or t stops increasing."""
-    regret = RegretColumns([], [], [])
+    where run_id or algorithm changes or t stops increasing, and its last t
+    is its horizon."""
+    regret = RegretColumns([], [], [], [])
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, REGRET_FIELDS)
@@ -552,6 +496,7 @@ def read_regret_csv(path: Path) -> RegretColumns:
             cums.append(float(cum))
             last = t
     regret.t = [np.frombuffer(ts, dtype=np.int64) for ts in regret.t]
+    regret.horizon = [int(ts[-1]) for ts in regret.t]
     regret.cum_regret = [np.frombuffer(cums, dtype=np.float64) for cums in regret.cum_regret]
     return regret
 
@@ -561,12 +506,12 @@ def write_summary_csv(summary: list[Stretch], path: Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(_csv_row(SUMMARY_FIELDS))
         for stretch in summary:
-            prefix = _csv_row([stretch.algorithm, ""])[:-1].replace("%", "%%")
+            prefix = _csv_row([stretch.algorithm, stretch.horizon, ""])[:-1].replace("%", "%%")
             _write_rows(fh, prefix + "%d,%s,%s\n", stretch.t, stretch.mean, stretch.stderr)
 
 
 REGRET_FIELDS = ["run_id", "algorithm", "seed", "t", "instant_regret", "cum_regret"]
-SUMMARY_FIELDS = ["algorithm", "checkpoint_t", "mean", "stderr"]
+SUMMARY_FIELDS = ["algorithm", "horizon", "checkpoint_t", "mean", "stderr"]
 TRACE_FIELDS = [
     "run_id",
     "algorithm",
@@ -671,12 +616,13 @@ def _pixel_blocks(x_of, n: int):
 
 
 def write_regret_svg(summary: list[Stretch], path) -> None:
-    """Cumulative-regret chart: one mean line per algorithm with a shaded
-    standard-error band.  One user unit is one pixel, and each series is
-    thinned to its M4 points per pixel column: the mean line, the band's
-    upper edge left to right and its lower edge right to left, each on its
-    own y.  Each series is drawn in blocks of whole pixel columns, so
-    besides the summary this holds one block at a time."""
+    """Cumulative-regret chart: one mean line per stretch, in order of
+    (algorithm, horizon), with a shaded standard-error band; the legend adds
+    each line's horizon when the summary has several.  One user unit is one
+    pixel, and each series is thinned to its M4 points per pixel column: the
+    mean line, the band's upper edge left to right and its lower edge right
+    to left, each on its own y.  Each series is drawn in blocks of whole
+    pixel columns, so besides the summary this holds one block at a time."""
     width, height, margin = 720, 480, 60
     t_max = max((int(stretch.t[-1]) for stretch in summary), default=1)
     # the maximum of the chunks' maxima, which is NaN if any of them is
@@ -707,23 +653,18 @@ def write_regret_svg(summary: list[Stretch], path) -> None:
         f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {height / 2:.1f})">cumulative regret</text>',
     ]
-    for i, algo in enumerate(sorted({stretch.algorithm for stretch in summary})):
+    several = len({stretch.horizon for stretch in summary}) > 1
+    for i, stretch in enumerate(sorted(summary, key=operator.attrgetter("algorithm", "horizon"))):
         color = _PALETTE[i % len(_PALETTE)]
-        series = [(s.t, s.mean, s.stderr) for s in summary if s.algorithm == algo]
-        t, mean, stderr = series[0]
-        if len(series) > 1:
-            # the stretches of one algorithm hold disjoint rounds
-            t, mean, stderr = map(np.concatenate, zip(*series))
-            order = np.argsort(t, kind="stable")
-            t, mean, stderr = t[order], mean[order], stderr[order]
+        label = f"{stretch.algorithm} T={stretch.horizon}" if several else stretch.algorithm
 
         def x_of(start: int, stop: int) -> np.ndarray:
-            return margin + (width - 2 * margin) * t[start:stop] / t_max
+            return margin + (width - 2 * margin) * stretch.t[start:stop] / t_max
 
         upper, lower, line = [], [], []  # the kept (x, y) of each block
-        for start, x in _pixel_blocks(x_of, len(t)):
+        for start, x in _pixel_blocks(x_of, len(stretch.t)):
             block = slice(start, start + len(x))
-            m, s = mean[block], stderr[block]
+            m, s = stretch.mean[block], stretch.stderr[block]
             edge = m + s
             up = _m4(x, edge)
             upper.append((x[up], edge[up]))
@@ -745,7 +686,7 @@ def write_regret_svg(summary: list[Stretch], path) -> None:
             f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{width - margin - 112}" y="{ly + 4}" font-size="13">{algo}</text>'
+            f'<text x="{width - margin - 112}" y="{ly + 4}" font-size="13">{label}</text>'
         )
     parts.append(f'<text x="{margin}" y="{height - margin + 18}" font-size="11">0</text>')
     parts.append(

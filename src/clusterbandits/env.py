@@ -156,6 +156,11 @@ def check_epsilon(epsilon: float) -> None:
         raise InvalidEpsilonError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
+def check_noise_range(noise: NoiseModel, P: np.ndarray) -> None:
+    if noise.kind == "bernoulli-reward" and (P.min() < 0.0 or P.max() > 1.0):
+        raise ValueError("bernoulli-reward noise requires entries in [0, 1]")
+
+
 def check_dimensions(num_users: int, num_arms: int, num_clusters: int) -> None:
     if num_users <= 0 or num_arms <= 0 or num_clusters <= 0:
         raise InvalidDimensionsError("all dimensions must be positive")
@@ -329,9 +334,7 @@ class Environment:
     ):
         self.instance = instance
         self.noise = noise if noise is not None else (instance.default_noise or NoiseModel("none"))
-        if self.noise.kind == "bernoulli-reward":
-            if instance.P.min() < 0.0 or instance.P.max() > 1.0:
-                raise ValueError("bernoulli-reward noise requires entries in [0, 1]")
+        check_noise_range(self.noise, instance.P)
         self.horizon = int(horizon)
         if self.horizon < 1:
             raise ValueError("horizon must be positive")

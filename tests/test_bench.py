@@ -187,6 +187,24 @@ def test_out_of_range_instance_value_is_a_config_error(tmp_path, old, new, messa
         assert not out.exists()
 
 
+def test_bernoulli_noise_outside_the_unit_interval_is_a_config_error(monkeypatch, tmp_path):
+    ran = []
+    monkeypatch.setattr(baselines, "run_per_user_ucb", lambda *a: ran.append(a))
+    text = SMALL_CONFIG.replace("noise = gaussian", "noise = bernoulli-reward")
+    text = text.replace("horizon = 100", "horizons = 100,200")
+    with pytest.raises(bench.ConfigError, match=r"instance\.noise: bernoulli-reward .*\[0, 1\]"):
+        bench.run_experiment(bench.parse_config(text))
+    cfg, out = _write_config(tmp_path, text), tmp_path / "out"
+    for command in ("run", "bench"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+    assert ran == []
+    # entries in [0, 1] run as before
+    monkeypatch.undo()
+    text = text.replace("gaussian(0,1)", "uniform(0,1)")
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, text)), "--out", str(out)]) == 0
+
+
 _CONFIG_CLASSES = {
     "lattice": lattice.LatticeConfig,
     "lattice-rcs": rcs.RcsConfig,
@@ -363,7 +381,7 @@ def test_summary_matches_recomputation_from_csv(tmp_path):
 
 def test_emit_empty_report_headers_only(tmp_path):
     config = bench.parse_config(SMALL_CONFIG)
-    report = bench.Report(config=config, checkpoints=bench.checkpoint_grid(100))
+    report = bench.Report(config=config)
     paths = bench.emit_report(report, tmp_path)
     assert (tmp_path / "regret.csv").read_text().strip() == ",".join(bench.REGRET_FIELDS)
     assert (tmp_path / "summary.csv").read_text().strip() == ",".join(bench.SUMMARY_FIELDS)
@@ -410,6 +428,7 @@ def _reference_regret_rows(report, full):
                 {
                     "run_id": run.run_id,
                     "algorithm": run.algorithm,
+                    "horizon": run.horizon,
                     "seed": run.seed,
                     "t": int(t),
                     "instant_regret": format(float(hist.inst_regret[t - 1]), ".17g"),
@@ -422,15 +441,17 @@ def _reference_regret_rows(report, full):
 def _reference_summarize(regret_rows):
     groups = {}
     for row in regret_rows:
-        groups.setdefault((row["algorithm"], int(row["t"])), []).append(float(row["cum_regret"]))
+        key = (row["algorithm"], row["horizon"], int(row["t"]))
+        groups.setdefault(key, []).append(float(row["cum_regret"]))
     out = []
-    for (algo, t), vals in groups.items():
+    for (algo, horizon, t), vals in groups.items():
         vals = np.array(vals)
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
         out.append(
             {
                 "algorithm": algo,
+                "horizon": horizon,
                 "checkpoint_t": t,
                 "mean": format(mean, ".17g"),
                 "stderr": format(stderr, ".17g"),
@@ -462,9 +483,10 @@ def _reference_m4(points):
 def _reference_svg(summary_rows):
     series = {}
     for row in summary_rows:
-        series.setdefault(row["algorithm"], []).append(
+        series.setdefault((row["algorithm"], int(row["horizon"])), []).append(
             (int(row["checkpoint_t"]), float(row["mean"]), float(row["stderr"]))
         )
+    several = len({horizon for _, horizon in series}) > 1
     width, height, margin = 720, 480, 60
     t_max = max((pt[0] for pts in series.values() for pt in pts), default=1)
     y_max = max((pt[1] + pt[2] for pts in series.values() for pt in pts), default=1.0)
@@ -488,7 +510,7 @@ def _reference_svg(summary_rows):
         f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {height / 2:.1f})">cumulative regret</text>',
     ]
-    for i, (algo, pts) in enumerate(sorted(series.items())):
+    for i, ((algo, horizon), pts) in enumerate(sorted(series.items())):
         color = bench._PALETTE[i % len(bench._PALETTE)]
         pts = sorted(pts)
         upper = _reference_m4([(sx(t), m + s) for t, m, s in pts])
@@ -506,7 +528,8 @@ def _reference_svg(summary_rows):
             f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{width - margin - 112}" y="{ly + 4}" font-size="13">{algo}</text>'
+            f'<text x="{width - margin - 112}" y="{ly + 4}" font-size="13">'
+            f'{algo}{f" T={horizon}" if several else ""}</text>'
         )
     parts.append(f'<text x="{margin}" y="{height - margin + 18}" font-size="11">0</text>')
     parts.append(
@@ -559,7 +582,7 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
         seeds=seeds,
         full_history=full,
     )
-    report = bench.Report(config, bench.checkpoint_grid(1))
+    report = bench.Report(config)
     for horizon in horizons:
         for algo in algorithms:
             for seed in seeds:
@@ -595,7 +618,8 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
 # eight or more values per group: numpy sums them pairwise
 @example(["lattice", "ucb"], 10, [250, 100, 37], True, 5, bench.WRITE_CHUNK)
 @example(["ucb"], 8, [300], False, 6, bench.WRITE_CHUNK)
-# checkpoint grids of several horizons, which share some rounds and not others
+# checkpoint grids of several horizons, which share some rounds: each horizon
+# is its own stretch and line
 @example(["ucb", "etc"], 3, [400, 90, 37], False, 14, bench.WRITE_CHUNK)
 # one write chunk plus a few rows, with one seed (every stderr is 0) and with several
 @example(["lattice"], 1, [bench.WRITE_CHUNK + 3], True, 11, bench.WRITE_CHUNK)
@@ -638,17 +662,31 @@ def test_one_run_summary_is_the_run_column():
     t = np.arange(1, 6)
     plain = np.array([0.0, 0.5, 0.5, 2.0, 3.0])
     signed = np.array([-0.0, 0.5, -0.0, 2.0, np.nan])
-    summary = bench.summarize(bench.RegretColumns(["a", "b"], [t, t], [plain, signed]))
+    summary = bench.summarize(bench.RegretColumns(["a", "b"], [5, 5], [t, t], [plain, signed]))
     assert [stretch.algorithm for stretch in summary] == ["a", "b"]
+    assert [stretch.horizon for stretch in summary] == [5, 5]
     assert all(stretch.t is t for stretch in summary)
     # the mean of one value is that value, but np.mean turns -0.0 into 0.0
     expected = [plain, signed[:, None].mean(axis=1)]
     for stretch, mean in zip(summary, expected):
         assert stretch.mean.view(np.int64).tolist() == mean.view(np.int64).tolist()
         assert stretch.stderr.view(np.int64).tolist() == [0] * 5
-    (one,) = bench.summarize(bench.RegretColumns(["a"], [t], [plain]))
+    (one,) = bench.summarize(bench.RegretColumns(["a"], [5], [t], [plain]))
     assert one.mean is plain
     assert one.stderr.strides == (0,)
+
+
+def test_each_horizon_is_its_own_stretch():
+    # two horizons whose rounds overlap: no round averages runs of both
+    short, long = np.array([1, 2, 4]), np.array([1, 2, 4, 8])
+    columns = [np.array(c, dtype=float) for c in ([1, 2, 3], [3, 4, 5, 6], [5, 6, 7], [7, 8, 9, 9])]
+    regret = bench.RegretColumns(["a"] * 4, [4, 8, 4, 8], [short, long, short, long], columns)
+    summary = bench.summarize(regret)
+    assert [(s.algorithm, s.horizon) for s in summary] == [("a", 4), ("a", 8)]
+    assert summary[0].t is short and summary[1].t is long
+    assert summary[0].mean.tolist() == [3.0, 4.0, 5.0]
+    assert summary[1].mean.tolist() == [5.0, 6.0, 7.0, 7.5]
+    assert summary[0].stderr.tolist() == [2.0, 2.0, 2.0]
 
 
 _REGRETS = st.lists(
@@ -711,8 +749,9 @@ def test_full_history_emission_peak_memory_one_run(tmp_path):
 
 
 def test_full_history_emission_peak_memory_several_horizons(tmp_path):
-    # two algorithms on two nested grids, three seeds each: 589,824 rows whose
-    # rounds merge across horizons (45 MB when the summariser sorted every row)
+    # two algorithms at two horizons, three seeds each: 589,824 rows, reduced
+    # one (algorithm, horizon) block at a time (45 MB when the summariser
+    # sorted every row)
     report = _synthetic_report(["lattice", "ucb"], [1, 8, 15], [2**15, 2**16], True, 11)
     assert _emit_peak(report, tmp_path) <= 24 * 2**20
 
@@ -803,7 +842,7 @@ def test_chart_does_not_depend_on_the_block_size(tmp_path_factory, sizes, nan_at
     if nan_at is not None:
         means[0][nan_at % len(means[0])] = np.nan
     summary = [
-        bench.Stretch(f"algo{len(sizes) - 1 - k}", t, mean, stderr)
+        bench.Stretch(f"algo{len(sizes) - 1 - k}", int(t[-1]), t, mean, stderr)
         for k, (t, mean, stderr) in enumerate(zip(ts, means, stderrs))
     ]
     out = tmp_path_factory.mktemp("chart")
@@ -980,6 +1019,18 @@ def test_cli_plot_without_rows_is_a_config_error(tmp_path):
     out.mkdir()
     (out / "regret.csv").write_text(",".join(bench.REGRET_FIELDS) + "\n")
     assert cli.main(["plot", "--out", str(out)]) == 2
+
+
+def test_cli_plot_of_one_group_on_different_rounds_is_a_config_error(tmp_path, capsys):
+    # two ucb runs of 3 rounds each, both ending at t = 5, so both of horizon 5
+    out = tmp_path / "out"
+    out.mkdir()
+    rows = ["0,ucb,1,1,1,1", "0,ucb,1,2,1,2", "0,ucb,1,5,1,5"]
+    rows += ["1,ucb,2,1,1,1", "1,ucb,2,3,1,3", "1,ucb,2,5,1,5"]
+    (out / "regret.csv").write_text("\n".join([",".join(bench.REGRET_FIELDS), *rows]) + "\n")
+    assert cli.main(["plot", "--out", str(out)]) == 2
+    assert "ucb at horizon 5: its runs hold different rounds" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
 
 
 def test_cli_bench_runs_scaling_study(tmp_path, capsys):

@@ -10,7 +10,10 @@ with full history is pinned the same way: recorded before the emitters
 formatted each distinct value once, it holds a rewrite of the writers to the
 same bytes.  The `regret.svg` digest was re-recorded when the chart began to
 draw only each series' M4 points per pixel column; the three CSV digests
-predate that change and did not move with it.
+predate that change and did not move with it.  The `summary.csv` digest was
+re-recorded when summary.csv gained its `horizon` column; its earlier digest
+is still asserted on the file with that column taken out of every line, so
+on this one-horizon config the column is all that moved.
 """
 
 import hashlib
@@ -102,10 +105,12 @@ def test_final_regret_is_pinned(seed):
 
 EMITTED = {
     "regret.csv": "c1f1f13568c1e21b9d43b75d46f1c828ac6deef9402c6e52667e4293ae8d9364",
-    "summary.csv": "6202dd07b6e18c3893667cf97d3ead9526d06a224cc02526882ea9f808e01510",
+    "summary.csv": "73daf0c9a882791559733ca446061a756e7caf4cd37a5df6ba5f703b9af2b46f",
     "phase_trace.csv": "94bbc241060b77d4e368822acf6033f9185e91d562750dbf79662368be1bc224",
     "regret.svg": "8701b44cb97e34baf04d2865d410116e7eb61fad2f4587ba83b5ace678e169a9",
 }
+# summary.csv before it had a horizon column
+SUMMARY_WITHOUT_HORIZON = "6202dd07b6e18c3893667cf97d3ead9526d06a224cc02526882ea9f808e01510"
 
 
 def test_emitted_files_are_pinned(tmp_path):
@@ -115,3 +120,9 @@ def test_emitted_files_are_pinned(tmp_path):
     paths = bench.emit_report(bench.run_experiment(bench.parse_config(text)), tmp_path)
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths.values()}
     assert got == EMITTED
+    # summary.csv before its horizon column, the second field of every line
+    lines = [line.split(",") for line in paths["summary"].read_text().splitlines(keepends=True)]
+    assert {fields[1] for fields in lines} == {"horizon", "20000"}
+    without = "".join(",".join(fields[:1] + fields[2:]) for fields in lines)
+    assert hashlib.sha256(without.encode()).hexdigest() == SUMMARY_WITHOUT_HORIZON
+
