@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import OracleParams, low_rank_matrix_estimate, solve_nuclear_norm
+from .completion import OracleParams, run_oracle, solve_nuclear_norm
 from .env import Environment, Instance, NoiseModel, RunHistory, seed_sequence
 from .lattice import PhaseRecord, PhaseTrace, UcbArmState
 
@@ -67,7 +67,9 @@ def run_explore_then_commit(
     noise: NoiseModel | None = None,
 ) -> tuple[RunHistory, None]:
     """Spend a fixed budget collecting one full-matrix estimate, then play
-    each user's estimated best arm forever."""
+    each user's estimated best arm forever.  A budget that finishes no
+    repetition commits on the cells averaged so far, or, with none, keeps
+    pulling uniformly to the horizon."""
     env_ss, algo_ss = seed_sequence(seed).spawn(2)
     env = Environment(instance, noise, env_ss, horizon)
     explore_rounds = int(config.explore_fraction * horizon)
@@ -85,7 +87,7 @@ def run_explore_then_commit(
         sigma=config.sigma,
         zeta=1.0,
     )
-    est = low_rank_matrix_estimate(
+    oracle = run_oracle(
         env,
         np.arange(instance.num_users),
         np.arange(instance.num_arms),
@@ -93,12 +95,13 @@ def run_explore_then_commit(
         budget=explore_rounds,
         seed=algo_ss.spawn(1)[0],
     )
+    est = oracle.partial_estimate()
     # leftover exploration budget (estimate finished early) stays exploration:
     # uniform arms, independent of the estimate
     filler_rng = np.random.default_rng(algo_ss.spawn(1)[0])
     user_sets, arm_sets = [range(instance.num_users)], [np.arange(instance.num_arms)]
     env.run(explore_rounds, user_sets, arm_sets, filler_rng)
-    commit_arm = dict(enumerate(np.argmax(est.values, axis=1).tolist()))
+    commit_arm = {} if est is None else dict(enumerate(np.argmax(est.values, axis=1).tolist()))
     env.run(horizon, user_sets, arm_sets, filler_rng, fixed=commit_arm)
     return env.history, None
 

@@ -617,12 +617,13 @@ def _pixel_blocks(x_of, n: int):
 
 def write_regret_svg(summary: list[Stretch], path) -> None:
     """Cumulative-regret chart: one mean line per stretch, in order of
-    (algorithm, horizon), with a shaded standard-error band; the legend adds
-    each line's horizon when the summary has several.  One user unit is one
-    pixel, and each series is thinned to its M4 points per pixel column: the
-    mean line, the band's upper edge left to right and its lower edge right
-    to left, each on its own y.  Each series is drawn in blocks of whole
-    pixel columns, so besides the summary this holds one block at a time."""
+    (algorithm, horizon), with a shaded standard-error band; lines past the
+    sixth repeat the palette dashed, and the legend adds each line's horizon
+    when the summary has several.  One user unit is one pixel, and each
+    series is thinned to its M4 points per pixel column: the mean line, the
+    band's upper edge left to right and its lower edge right to left, each on
+    its own y.  Each series is drawn in blocks of whole pixel columns, so
+    besides the summary this holds one block at a time."""
     width, height, margin = 720, 480, 60
     t_max = max((int(stretch.t[-1]) for stretch in summary), default=1)
     # the maximum of the chunks' maxima, which is NaN if any of them is
@@ -656,6 +657,8 @@ def write_regret_svg(summary: list[Stretch], path) -> None:
     several = len({stretch.horizon for stretch in summary}) > 1
     for i, stretch in enumerate(sorted(summary, key=operator.attrgetter("algorithm", "horizon"))):
         color = _PALETTE[i % len(_PALETTE)]
+        laps = i // len(_PALETTE)  # each later pass over the palette dashes longer
+        dash = f' stroke-dasharray="{4 * laps} 2"' if laps else ""
         label = f"{stretch.algorithm} T={stretch.horizon}" if several else stretch.algorithm
 
         def x_of(start: int, stop: int) -> np.ndarray:
@@ -678,12 +681,12 @@ def write_regret_svg(summary: list[Stretch], path) -> None:
         parts.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15"/>')
         parts.append(
             f'<polyline points="{points(line)}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
+            f'stroke-width="1.5"{dash}/>'
         )
         ly = margin + 18 * i
         parts.append(
             f'<line x1="{width - margin - 150}" y1="{ly}" x2="{width - margin - 120}" '
-            f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
+            f'y2="{ly}" stroke="{color}" stroke-width="2"{dash}/>'
         )
         parts.append(
             f'<text x="{width - margin - 112}" y="{ly + 4}" font-size="13">{label}</text>'

@@ -435,8 +435,11 @@ class OracleInstance:
             self._finish_repetition()
 
     def _finish_repetition(self) -> None:
-        coll = self._collection
-        rows, cols, vals = coll.averaged_entries()
+        self._solve_repetition()
+        self._start_repetition()
+
+    def _solve_repetition(self) -> None:
+        rows, cols, vals = self._collection.averaged_entries()
         est, diags = _partitioned_solve(
             rows,
             cols,
@@ -451,7 +454,6 @@ class OracleInstance:
             d["repetition"] = rep_no
         self.diagnostics.extend(diags)
         self.rep_estimates.append(est)
-        self._start_repetition()
 
     def estimate(self) -> SubmatrixEstimate | None:
         """Entrywise median of completed repetitions; None if none completed."""
@@ -467,20 +469,21 @@ class OracleInstance:
         )
         return SubmatrixEstimate(self.users, self.arms, values, self.params.zeta, info)
 
+    def partial_estimate(self) -> SubmatrixEstimate | None:
+        """`estimate`, or, when no repetition has completed, the current one
+        solved on its fully averaged cells; None if it has none either."""
+        # with no repetition completed, the first one is still collecting
+        if not self.rep_estimates and (self._collection.counts >= self.params.b).any():
+            self._solve_repetition()
+        return self.estimate()
 
-def low_rank_matrix_estimate(
-    env,
-    users,
-    arms,
-    params: OracleParams,
-    budget: int | None = None,
-    seed: int = 0,
-) -> SubmatrixEstimate:
-    """Run the full estimator against a live environment.
 
-    Consumes environment rounds until all f repetitions finish or the budget
-    runs out; at least one repetition must complete.  Users outside the target
-    set pull throwaway arms from the target arm set.
+def run_oracle(
+    env, users, arms, params: OracleParams, budget: int | None = None, seed: int = 0
+) -> OracleInstance:
+    """Collect for one `OracleInstance` over `users` x `arms` against a live
+    environment, until all f repetitions finish or the budget runs out.
+    Users outside the target set pull throwaway arms from the target arm set.
     """
     users = np.asarray(users, dtype=int)
     arms = np.asarray(arms, dtype=int)
@@ -490,7 +493,14 @@ def low_rank_matrix_estimate(
     outsider_rng = np.random.default_rng(ss.spawn(1)[0])
     end = env.horizon if budget is None else env.t + budget
     env.run(end, [users, outsiders], [arms, arms], outsider_rng, oracles=[inst, None])
-    est = inst.estimate()
+    return inst
+
+
+def low_rank_matrix_estimate(
+    env, users, arms, params: OracleParams, budget: int | None = None, seed: int = 0
+) -> SubmatrixEstimate:
+    """The estimate of `run_oracle`; at least one repetition must complete."""
+    est = run_oracle(env, users, arms, params, budget, seed).estimate()
     if est is None:
         raise InsufficientBudgetError(
             f"budget exhausted before any of the {params.f} repetitions finished"

@@ -22,6 +22,8 @@ RCS_SEPARATION_FACTOR = 20.0
 # `Environment.history` fills, at once; bounds the temporaries of both
 CLOSE_CHUNK = 2**12
 NOISE_KINDS = ("gaussian", "uniform", "bernoulli-reward", "none")
+# the roles a round's plan holds in place of an arm; a planned arm is >= 0
+_UCB, _ORACLE, _UNIFORM, _OUT_OF_RANGE = -1, -2, -3, -4
 
 
 class InvalidDimensionsError(ValueError):
@@ -38,6 +40,11 @@ class InvalidEpsilonError(ValueError):
 
 class ArmOutOfRangeError(IndexError):
     """A policy returned an arm index outside the instance's arm set."""
+
+
+def _checked(arms: np.ndarray, num_arms: int) -> np.ndarray:
+    """`arms` with every arm outside 0..num_arms-1 marked out of range."""
+    return np.where((arms >= 0) & (arms < num_arms), arms, _OUT_OF_RANGE)
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
@@ -391,44 +398,79 @@ class Environment:
         that oracle collects, else by its UCB state `ucb[u]`, else by its
         fixed arm `fixed[u]`, else by a uniform pull from `arm_sets[i]` drawn
         with `rng`.
+
+        Rounds are planned CLOSE_CHUNK at a time: a few array operations give
+        each round its role, and one `rng.integers(0, highs)` call draws the
+        block's uniform pulls, the same values one call per round would draw.
+        Every round is still one `play`.  The one role change inside a call is
+        an oracle that stops collecting, in the `record` that completes it;
+        then `rng` is rewound to the block's start, advanced over the uniform
+        pulls already played, and the rest of the block is planned again.
         """
-        set_of = [0] * self.instance.num_users
+        num_users, num_arms = self.instance.num_users, self.instance.num_arms
+        set_of = np.zeros(num_users, dtype=np.int64)
         for i, us in enumerate(user_sets):
-            for u in us:
-                set_of[u] = i
+            set_of[np.asarray(us, dtype=np.int64)] = i
+        # every set's arms, one after another; a uniform pull indexes its set's stretch
+        sizes = np.array([len(arms) for arms in arm_sets], dtype=np.int64)
+        offsets = np.cumsum(sizes) - sizes
+        pool = _checked(np.concatenate([np.asarray(a, dtype=np.int64) for a in arm_sets]), num_arms)
+        # each user's role while no oracle collects for its set: UCB, else
+        # its fixed arm, else a uniform pull
+        role = np.full(num_users, _UNIFORM, dtype=np.int64)
+        if fixed:
+            arms = np.fromiter(fixed.values(), np.int64, len(fixed))
+            role[np.fromiter(fixed, np.int64, len(fixed))] = _checked(arms, num_arms)
+        if ucb:
+            role[np.fromiter(ucb, np.int64, len(ucb))] = _UCB
         given = oracles is not None
-        oracles = oracles or [None] * len(user_sets)
         # an oracle stops collecting only in the `record` that completes it,
         # so its flag is read here and after each of its records
-        collecting = [o is not None and o.collecting for o in oracles]
-        # None (no oracles) never reaches 0, so only `end` stops the run
-        waiting = sum(collecting) if given else None
-        ucb = ucb or {}
-        fixed = fixed or {}
+        collecting = np.array([o is not None and o.collecting for o in oracles or []], dtype=bool)
+        waiting = int(collecting.sum())
         end = min(end, self.horizon)
-        user_at = self._user_at
-        while self.t < end and waiting != 0:
-            u = user_at[self.t]
-            i = set_of[u]
-            if collecting[i]:
-                oracle = oracles[i]
-                arm, masked = oracle.choose(u)
-                _, _, reward = self.play(arm)
-                if masked:
-                    oracle.record(u, arm, reward)
-                    if not oracle.collecting:
-                        collecting[i] = False
-                        waiting -= 1
-            elif u in ucb:
-                state = ucb[u]
-                arm = state.select()
-                _, _, reward = self.play(arm)
-                state.update(arm, reward)
-            elif u in fixed:
-                self.play(fixed[u])
-            else:
-                arms = arm_sets[i]
-                self.play(int(arms[rng.integers(len(arms))]))
+        user_at, set_at, play = self._user_at, memoryview(set_of), self.play
+        while self.t < end and (waiting or not given):
+            start = self.t
+            users = self._history.users[start : min(start + CLOSE_CHUNK, end)]
+            sets = set_of[users]
+            plan = role[users]
+            if waiting:
+                plan[collecting[sets]] = _ORACLE
+            uniform = np.flatnonzero(plan == _UNIFORM)
+            if len(uniform):
+                saved = rng.bit_generator.state
+                highs = sizes[sets[uniform]]
+                plan[uniform] = pool[offsets[sets[uniform]] + rng.integers(0, highs)]
+            if plan.min() == _OUT_OF_RANGE:
+                raise ArmOutOfRangeError("policy returned an arm outside the arm set")
+            for arm in memoryview(plan):
+                if arm >= 0:
+                    play(arm)
+                elif arm == _UCB:
+                    state = ucb[user_at[self.t]]
+                    arm = state.select()
+                    _, _, reward = play(arm)
+                    state.update(arm, reward)
+                else:
+                    u = user_at[self.t]
+                    i = set_at[u]
+                    oracle = oracles[i]
+                    arm, masked = oracle.choose(u)
+                    _, _, reward = play(arm)
+                    if masked:
+                        oracle.record(u, arm, reward)
+                        if not oracle.collecting:
+                            collecting[i] = False
+                            waiting -= 1
+                            break
+            # cut short by an oracle that stopped: take back the draws of the
+            # uniform pulls not played, which the next plan draws again
+            played = int(np.searchsorted(uniform, self.t - start))
+            if played < len(uniform):
+                rng.bit_generator.state = saved
+                if played:
+                    rng.integers(0, highs[:played])
 
     def _advance(self, t: int, u: int, arm: int) -> tuple[int, int, float]:
         if not 0 <= arm < self.instance.num_arms:

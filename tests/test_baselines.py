@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,34 @@ def test_etc_no_estimate_dependence_before_commit():
     hb, _ = run_explore_then_commit(b, cfg, T, seed=9, noise=NoiseModel("none"))
     explore = int(0.5 * T)
     assert np.array_equal(ha.arms[:explore], hb.arms[:explore])
+
+
+# sha256 of the final regrets (float.hex, one per line) of horizons 170-259
+# below, where one repetition finishes within the budget; recorded before ETC
+# committed on the cells averaged so far, and unchanged by it
+ETC_FULL_ESTIMATE_DIGEST = "4afbb238a7bfa2bf2075ae555e208ddecc26698af6483785792ef1e4487735a8"
+
+
+def test_etc_plays_every_horizon_on_what_it_has():
+    inst = generate_cs_instance(4, 4, 2, RowDistribution.gaussian(0, 1), seed=3)
+    cfg = EtcConfig(num_clusters=2, sigma=0.2)
+    finals = []
+    for horizon in range(1, 260):
+        hist, _ = run_explore_then_commit(inst, cfg, horizon, 5, NoiseModel("gaussian", 0.2))
+        assert len(hist) == horizon
+        finals.append(hist.final_regret.hex())
+        explore = int(cfg.explore_fraction * horizon)
+        users, arms = hist.users[explore:horizon], hist.arms[explore:horizon]
+        committed = all(len(set(arms[users == u].tolist())) <= 1 for u in range(4))
+        # below 170 rounds no repetition finishes: at 100 and 169 rounds some
+        # cells were observed, and each user commits to one arm; at 9 nothing
+        # is explored, and the pulls stay uniform
+        if horizon in (100, 169):
+            assert committed
+        if horizon == 9:
+            assert explore == 0 and not committed
+    digest = hashlib.sha256("\n".join(finals[169:]).encode()).hexdigest()
+    assert digest == ETC_FULL_ESTIMATE_DIGEST
 
 
 def test_kmeans_two_separated_clouds():

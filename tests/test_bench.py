@@ -321,8 +321,6 @@ def _run_function_args(algo):
         (algo, horizon)
         for algo in bench.ALGORITHM_NAMES
         for horizon in (1, 37, 200, env.CLOSE_CHUNK + 5)
-        # explore-then-commit needs about 170 rounds here to finish its estimate
-        if algo != "etc" or horizon >= 200
     ],
 )
 def test_each_run_function_plays_its_whole_horizon(algo, horizon):
@@ -403,6 +401,37 @@ def test_svg_is_well_formed_xml(tmp_path):
     paths = bench.emit_report(report, tmp_path)
     tree = ET.parse(paths["svg"])
     assert tree.getroot().tag.endswith("svg")
+
+
+def _coloured(path, tag):
+    """(stroke, stroke-dasharray) of every `tag` element of the chart at
+    `path` not drawn in black."""
+    root = ET.parse(path).getroot()
+    return [
+        (e.get("stroke"), e.get("stroke-dasharray"))
+        for e in root.iter(f"{{http://www.w3.org/2000/svg}}{tag}")
+        if e.get("stroke") != "black"
+    ]
+
+
+def test_chart_lines_past_the_palette_are_dashed(tmp_path):
+    t = np.arange(1, 51)
+    keys = [(a, h) for a in ("etc", "lattice", "ucb") for h in (100, 200, 300, 400)]
+    summary = [
+        bench.Stretch(algo, horizon, t, np.cumsum(np.full(50, 1.0 + k)), np.zeros(50))
+        for k, (algo, horizon) in enumerate(keys)
+    ]
+    styles = []
+    for count in (6, 12):
+        path = tmp_path / f"regret{count}.svg"
+        bench.write_regret_svg(summary[:count], path)
+        # each legend swatch is drawn like its line
+        assert _coloured(path, "line") == _coloured(path, "polyline")
+        styles.append(_coloured(path, "polyline"))
+    six, twelve = styles
+    assert all(dash is None for _, dash in six)
+    assert len(set(twelve)) == 12
+    assert twelve[:6] == six
 
 
 def test_full_history_row_count(tmp_path):
@@ -512,6 +541,8 @@ def _reference_svg(summary_rows):
     ]
     for i, ((algo, horizon), pts) in enumerate(sorted(series.items())):
         color = bench._PALETTE[i % len(bench._PALETTE)]
+        laps = i // len(bench._PALETTE)
+        dash = f' stroke-dasharray="{4 * laps} 2"' if laps else ""
         pts = sorted(pts)
         upper = _reference_m4([(sx(t), m + s) for t, m, s in pts])
         lower = _reference_m4([(sx(t), max(m - s, 0.0)) for t, m, s in reversed(pts)])
@@ -520,12 +551,12 @@ def _reference_svg(summary_rows):
         mean = _reference_m4([(sx(t), m) for t, m, _ in pts])
         line = " ".join(f"{x:.2f},{sy(m):.2f}" for x, m in mean)
         parts.append(
-            f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
         )
         ly = margin + 18 * i
         parts.append(
             f'<line x1="{width - margin - 150}" y1="{ly}" x2="{width - margin - 120}" '
-            f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
+            f'y2="{ly}" stroke="{color}" stroke-width="2"{dash}/>'
         )
         parts.append(
             f'<text x="{width - margin - 112}" y="{ly + 4}" font-size="13">'
@@ -1102,8 +1133,7 @@ def test_cli_check_takes_one_of_config_or_instance(tmp_path, capsys, both):
     assert "--config" in capsys.readouterr().err
 
 
-# etc's 5% exploration budget (450 rounds) cannot finish one pass over the
-# 720-cell mask of this instance, so its cell raises after ucb's finished
+# the etc cell runs after ucb's has finished, and is made to raise
 BUDGET_CONFIG = """\
 [instance]
 kind = cs
@@ -1122,7 +1152,13 @@ seeds = 1
 FAILING_ETC = "[algorithm etc]\nexplore_fraction = 0.05\n"
 
 
-def test_cli_run_emits_finished_cells_when_a_cell_fails(tmp_path, capsys):
+def _failing_etc(*args):
+    # etc commits on what it has when its budget runs short, so the failure is injected
+    raise RuntimeError("etc cell failed")
+
+
+def test_cli_run_emits_finished_cells_when_a_cell_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(baselines, "run_explore_then_commit", _failing_etc)
     alone = _write_config(tmp_path, BUDGET_CONFIG)
     assert cli.main(["run", "--config", str(alone), "--out", str(tmp_path / "alone")]) == 0
     failing = tmp_path / "failing.cfg"
@@ -1133,7 +1169,8 @@ def test_cli_run_emits_finished_cells_when_a_cell_fails(tmp_path, capsys):
     assert regret == (tmp_path / "alone" / "regret.csv").read_bytes()
 
 
-def test_cli_bench_emits_finished_cells_when_a_cell_fails(tmp_path, capsys):
+def test_cli_bench_emits_finished_cells_when_a_cell_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(baselines, "run_explore_then_commit", _failing_etc)
     cfg = _write_config(
         tmp_path, BUDGET_CONFIG.replace("horizon = 9000", "horizons = 9000,18000") + FAILING_ETC
     )

@@ -25,6 +25,7 @@ from clusterbandits.env import (
     save_instance,
     seed_sequence,
 )
+from clusterbandits.lattice import UcbArmState
 
 
 def validate_instance(instance, atol=1e-12):
@@ -296,6 +297,152 @@ def test_run_determinism_bit_identical():
     assert np.array_equal(a.arms[:500], b.arms[:500])
     assert np.array_equal(a.rewards[:500], b.rewards[:500])
     assert np.array_equal(a.cumulative_regret[:500], b.cumulative_regret[:500])
+
+
+def _per_round_run(env, end, user_sets, arm_sets, rng, oracles=None, ucb=None, fixed=None):
+    """The per-round driver `Environment.run` replaced, kept as its reference:
+    one role lookup and, for a uniform pull, one `rng.integers` call per round."""
+    set_of = [0] * env.instance.num_users
+    for i, us in enumerate(user_sets):
+        for u in us:
+            set_of[u] = i
+    given = oracles is not None
+    oracles = oracles or [None] * len(user_sets)
+    collecting = [o is not None and o.collecting for o in oracles]
+    # None (no oracles) never reaches 0, so only `end` stops the run
+    waiting = sum(collecting) if given else None
+    ucb = ucb or {}
+    fixed = fixed or {}
+    end = min(end, env.horizon)
+    arrivals = env.history.users
+    while env.t < end and waiting != 0:
+        u = int(arrivals[env.t])
+        i = set_of[u]
+        if collecting[i]:
+            oracle = oracles[i]
+            arm, masked = oracle.choose(u)
+            _, _, reward = env.play(arm)
+            if masked:
+                oracle.record(u, arm, reward)
+                if not oracle.collecting:
+                    collecting[i] = False
+                    waiting -= 1
+        elif u in ucb:
+            state = ucb[u]
+            arm = state.select()
+            _, _, reward = env.play(arm)
+            state.update(arm, reward)
+        elif u in fixed:
+            env.play(fixed[u])
+        else:
+            arms = arm_sets[i]
+            env.play(int(arms[rng.integers(len(arms))]))
+
+
+class _PeriodicOracle:
+    """Cycles through `arms`, masks every `period`-th pull, and stops
+    collecting after `pulls` records."""
+
+    def __init__(self, arms, pulls, period):
+        self.arms, self.left, self.period = arms, pulls, period
+        self.chosen = 0
+
+    @property
+    def collecting(self):
+        return self.left > 0
+
+    def choose(self, user):
+        self.chosen += 1
+        return int(self.arms[self.chosen % len(self.arms)]), self.chosen % self.period == 0
+
+    def record(self, user, arm, reward):
+        self.left -= 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    num_arms=st.integers(1, 6),
+    labels=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    arm_picks=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=6), min_size=4, max_size=4),
+    roles=st.lists(st.sampled_from("uf-"), min_size=8, max_size=8),
+    oracle_specs=st.one_of(
+        st.none(),
+        st.lists(
+            st.one_of(st.none(), st.tuples(st.integers(0, 60), st.integers(1, 3))),
+            min_size=4, max_size=4,
+        ),
+    ),
+    horizon=st.integers(1, 400),
+    end_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+# three blocks: one oracle stops in the first, one in the second, and
+# uniform users of both sets take over their rounds
+@example(
+    num_arms=3, labels=[0, 1, 1, 2, 0], arm_picks=[[0], [1, 2], [0, 1, 2], [2]],
+    roles=list("u-f--uf-"), oracle_specs=[None, (600, 2), (1000, 1), None],
+    horizon=2 * CLOSE_CHUNK + 3, end_share=1.0, seed=3,
+)
+def test_planned_run_matches_the_per_round_driver(
+    num_arms, labels, arm_picks, roles, oracle_specs, horizon, end_share, seed
+):
+    num_users = len(labels)
+    inst = generate_cs_instance(num_users, num_arms, 1, RowDistribution.gaussian(0, 1), seed=seed)
+    user_sets = [[u for u in range(num_users) if labels[u] == i] for i in range(4)]
+    arm_sets = [np.unique(np.array(picks) % num_arms) for picks in arm_picks]
+    end = int(end_share * horizon)
+    outcomes = []
+    for driver in (_per_round_run, Environment.run):
+        env = Environment(inst, NoiseModel("gaussian", 0.5), seed=seed, horizon=horizon)
+        rng = np.random.default_rng(seed + 1)
+        ucb = {
+            u: UcbArmState(arm_sets[labels[u]], 0.5, max(2, horizon))
+            for u in range(num_users) if roles[u] == "u"
+        }
+        fixed = {u: u % num_arms for u in range(num_users) if roles[u] == "f"}
+        oracles = None if oracle_specs is None else [
+            None if spec is None else _PeriodicOracle(arm_sets[i], *spec)
+            for i, spec in enumerate(oracle_specs)
+        ]
+        driver(env, end, user_sets, arm_sets, rng, oracles=oracles, ucb=ucb, fixed=fixed)
+        stopped = env.t
+        driver(env, horizon, user_sets, arm_sets, rng, ucb=ucb, fixed=fixed)
+        hist = env.history
+        outcomes.append(
+            (stopped, env.t, hist.arms[: env.t].tolist(), hist.rewards[: env.t].tobytes(),
+             rng.bit_generator.state)
+        )
+    assert outcomes[0] == outcomes[1]
+
+
+def _highs(kind, n, rng):
+    if kind == "constant":
+        return np.full(n, 7)
+    if kind == "ones":
+        return np.ones(n, dtype=np.int64)
+    return rng.integers(1, 300, size=n) * (rng.random(n) < 0.8) + 1
+
+
+@pytest.mark.parametrize("kind", ["constant", "ones", "mixed"])
+def test_one_integers_call_draws_what_per_round_calls_draw(kind):
+    # `Environment.run` draws a block's uniform pulls in one call, rewinds the
+    # generator and redraws a prefix when an oracle stops mid-block; both are
+    # exact only while numpy's bounded integers keep this behaviour
+    for seed in range(20):
+        highs = _highs(kind, 5000, np.random.default_rng(seed + 100))
+        block, per_round = np.random.default_rng(seed), np.random.default_rng(seed)
+        saved = block.bit_generator.state
+        drawn = block.integers(0, highs)
+        assert drawn.tolist() == [per_round.integers(h) for h in highs.tolist()]
+        assert block.bit_generator.state == per_round.bit_generator.state
+        # rewind and redraw a prefix: the state is the one after that prefix
+        prefix = 1 + seed * 211
+        block.bit_generator.state = saved
+        block.integers(0, highs[:prefix])
+        replay = np.random.default_rng(seed)
+        for h in highs[:prefix].tolist():
+            replay.integers(h)
+        assert block.bit_generator.state == replay.bit_generator.state
 
 
 def _per_round_reference(P, noise, seed, horizon, arms):
