@@ -155,6 +155,11 @@ class ExperimentConfig:
                 env.check_epsilon(self.instance.get("epsilon", 0.5))
             except ValueError as exc:
                 raise ConfigError(f"instance.epsilon: {exc}") from None
+            _, num_arms, num_clusters = _dimensions(self.instance)
+            optimal = self.instance.get("optimal_arms", [])
+            if len(optimal) != num_clusters or not all(0 <= a < num_arms for a in optimal):
+                raise ConfigError(f"instance.optimal_arms: need {num_clusters} arms in "
+                                  f"0..{num_arms - 1}, one per cluster; got {optimal}")
 
 
 # accepted [experiment] keys and their parsers

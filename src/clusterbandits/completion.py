@@ -105,8 +105,10 @@ def sample_mask(users, arms, p: float, rng: np.random.Generator) -> Mask:
 
 
 class MaskCollection:
-    """One mask observed over b sequential passes, one arriving user at a time,
-    with running sums and counts for every masked cell."""
+    """One mask observed over b sequential passes, with running sums and
+    counts for every masked cell.  In each pass an arriving user whose row
+    still owes pulls takes the top of the row's shuffled stack of cells; any
+    other arrival pulls a throwaway arm."""
 
     def __init__(self, mask: Mask, b: int, rng: np.random.Generator):
         self.mask = mask
@@ -114,62 +116,98 @@ class MaskCollection:
         self.rng = rng
         self.sums = np.zeros(len(mask))
         self.counts = np.zeros(len(mask), dtype=int)
-        self._sums_at = memoryview(self.sums)
-        self._counts_at = memoryview(self.counts)
-        n_rows, n_cols = len(mask.rows), len(mask.cols)
-        # the cells are in row-major order, so each row's are one range
-        bounds = np.searchsorted(mask.entry_row, np.arange(n_rows + 1)).tolist()
-        self._entries_of_row: list[np.ndarray] = [
-            np.arange(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])
-        ]
-        self._row_of_user = {int(u): i for i, u in enumerate(mask.rows)}
-        # the global arm of every masked cell, and each row's throwaway arms:
-        # its unmasked columns, or every column when it has none
-        self._arm_of_entry = memoryview(mask.cols[mask.entry_col])
-        unmasked = np.ones((n_rows, n_cols), dtype=bool)
-        unmasked[mask.entry_row, mask.entry_col] = False
-        self._filler_arms: list[memoryview] = [
-            memoryview(mask.cols[row] if row.any() else mask.cols) for row in unmasked
-        ]
-        self._pass_idx = 0
-        self._pending: list[list[int]] = []
-        self._outstanding = 0
-        if len(mask) == 0:
-            self._pass_idx = b  # nothing to collect
-        else:
-            self._start_pass()
+        n_rows = len(mask.rows)
+        # the cells are in row-major order, so each row's are one range of
+        # `_stack`, which holds the row's shuffled stack in the current pass;
+        # the row still owes the first `_owed` cells of its range
+        bounds = np.searchsorted(mask.entry_row, np.arange(n_rows + 1))
+        self._lo, self._hi = bounds[:-1], bounds[1:]
+        self._shuffled = [(lo, hi) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+                          if hi > lo + 1]
+        # each row's throwaway columns first: its unmasked ones, or every
+        # column when it has none
+        free = np.ones((n_rows, len(mask.cols)), dtype=bool)
+        free[mask.entry_row, mask.entry_col] = False
+        free[~free.any(axis=1)] = True
+        self._free_n = free.sum(axis=1)
+        self._free_cols = np.argsort(~free, axis=1, kind="stable").astype(np.int32)
+        self._planned = np.zeros(0, dtype=np.int64)  # cells the last plan pulls, -1 throwaway
+        self._start_pass()
+        self._pass_idx = 0 if len(mask) else b  # an empty mask has nothing to collect
 
     def _start_pass(self) -> None:
-        self._pending = []
-        for entries in self._entries_of_row:
-            stack = entries.copy()
-            self.rng.shuffle(stack)
-            self._pending.append(stack.tolist())
-        self._outstanding = len(self.mask)
+        self._stack = np.arange(len(self.mask))
+        self._owed = self._hi - self._lo
+        for lo, hi in self._shuffled:
+            self.rng.shuffle(self._stack[lo:hi])
 
     @property
     def done(self) -> bool:
         return self._pass_idx >= self.b
 
+    def plan(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(global arms, mask-pull flags) for the arrivals of local `rows`, in
+        order: all of them, or up to and including the one that completes the
+        last pass.
+
+        The arrivals are ranked by row once.  A pass ends at the latest last
+        owed arrival of the rows that still owe pulls, every row moves past it
+        in one `searchsorted`, one call draws the pass's throwaway pulls, and
+        then the next pass's stacks are shuffled.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        n = len(rows)
+        order = np.argsort(rows, kind="stable")
+        rank = np.argsort(order)
+        # each row's arrivals are one range of the ranking; `at` is the ranked
+        # place of each row's first arrival not yet served
+        first_past = np.cumsum(np.bincount(rows, minlength=len(self._lo)))
+        at = np.concatenate(([0], first_past[:-1]))
+        keys, row_keys = rows[order] * n + order, np.arange(len(self._lo)) * n
+        cols = np.full(n, -1, dtype=np.int64)
+        cells = np.full(n, -1, dtype=np.int64)
+        pos = 0
+        while pos < n and not self.done:
+            # a row owes pulls to its ranked arrivals before `need`
+            need = at + self._owed
+            ends_pass = not np.count_nonzero(need > first_past)
+            stop = max(order[need[self._owed > 0] - 1].tolist()) + 1 if ends_pass else n
+            past = keys.searchsorted(row_keys + stop)
+            seg, ranked = rows[pos:stop], rank[pos:stop]
+            hit = ranked < need[seg]
+            # the k-th owed arrival of a row since `at` pulls the cell k below its stack's top
+            cells[pos:stop][hit] = self._stack[(self._lo - 1 + need)[seg[hit]] - ranked[hit]]
+            miss = seg[~hit]
+            if len(miss):
+                draws = self.rng.integers(0, self._free_n[miss])
+                cols[pos:stop][~hit] = self._free_cols[miss, draws]
+            self._owed = np.maximum(need - past, 0)
+            at, pos = past, stop
+            if ends_pass:
+                self._pass_idx += 1
+                if not self.done:
+                    self._start_pass()
+        self._planned, masked = cells[:pos], cells[:pos] >= 0
+        cols[:pos][masked] = self.mask.entry_col[self._planned[masked]]
+        return self.mask.cols[cols[:pos]], masked
+
+    def credit(self, rewards: np.ndarray) -> np.ndarray:
+        """Add the rewards of the arrivals the last `plan` served to their
+        cells' sums, in round order, and counts; returns the mask pulls' rewards."""
+        hit = self._planned >= 0
+        rewards = np.asarray(rewards, dtype=float)[hit]
+        np.add.at(self.sums, self._planned[hit], rewards)
+        np.add.at(self.counts, self._planned[hit], 1)
+        return rewards
+
     def choose(self, user: int) -> tuple[int, bool]:
-        """Arm (global id) for an arriving masked user; flag marks a mask pull."""
-        i = self._row_of_user[user]
-        if not self.done and self._pending[i]:
-            return self._arm_of_entry[self._pending[i][-1]], True
-        free = self._filler_arms[i]
-        return free[self.rng.integers(len(free))], False
+        """`plan` for one arriving user: (global arm, whether it is a mask pull)."""
+        arms, masked = self.plan(np.flatnonzero(self.mask.rows == user))
+        return int(arms[0]), bool(masked[0])
 
     def record(self, user: int, arm: int, reward: float) -> None:
-        """Credit the reward of the mask pull issued by the last `choose`."""
-        i = self._row_of_user[user]
-        entry = self._pending[i].pop()
-        self._sums_at[entry] += reward
-        self._counts_at[entry] += 1
-        self._outstanding -= 1
-        if self._outstanding == 0:
-            self._pass_idx += 1
-            if self._pass_idx < self.b:
-                self._start_pass()
+        """`credit` for the one arrival of the last `choose`."""
+        self.credit(np.array([reward]))
 
     def averaged_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(local rows, local cols, averaged values) for fully observed cells."""
@@ -385,9 +423,10 @@ def _partitioned_solve(
 class OracleInstance:
     """Stateful estimator for one (users, arms) submatrix.
 
-    Collects f independent Bernoulli masks (each over b passes) one arriving
-    user at a time, solves the per-block convex programs as each repetition's
-    data completes, and returns the entrywise median of the repetitions.
+    Collects f independent Bernoulli masks (each over b passes) from the
+    arrivals of its users, serving a block of arrivals at a time, solves the
+    per-block convex programs of each repetition its data completes, and
+    returns the entrywise median of the repetitions.
     """
 
     def __init__(self, users, arms, params: OracleParams, seed_seq: np.random.SeedSequence):
@@ -400,46 +439,64 @@ class OracleInstance:
         self.diagnostics: list[dict] = []
         self.max_abs_observed = 0.0
         self.rounds_used = 0
+        self._row_of = np.zeros(self.users.max(initial=-1) + 1, dtype=np.int64)
+        self._row_of[self.users] = np.arange(len(self.users))
+        # the last `serve`'s (collection, first, stop) stretches of arrivals,
+        # and the repetitions it completed
+        self._served: list[tuple[MaskCollection, int, int]] = []
+        self._unsolved: list[MaskCollection] = []
         self._collection: MaskCollection | None = None
-        self._rep_rng: np.random.Generator | None = None
         self._start_repetition()
 
     def _start_repetition(self) -> None:
-        if len(self.rep_estimates) >= self.params.f:
+        if len(self.rep_estimates) + len(self._unsolved) >= self.params.f:
             self._collection = None
             return
         rep_ss = self._seed_seq.spawn(1)[0]
         self.spawn_keys.append(tuple(rep_ss.spawn_key))
-        self._rep_rng = np.random.default_rng(rep_ss)
-        mask = sample_mask(self.users, self.arms, self.params.p, self._rep_rng)
+        rng = np.random.default_rng(rep_ss)
+        mask = sample_mask(self.users, self.arms, self.params.p, rng)
         if len(mask) == 0:
             # resample once with a fresh stream; tiny masks happen only for
             # tiny p * |U| * |V|
-            mask = sample_mask(self.users, self.arms, self.params.p, self._rep_rng)
-        self._collection = MaskCollection(mask, self.params.b, self._rep_rng)
+            mask = sample_mask(self.users, self.arms, self.params.p, rng)
+        self._collection = MaskCollection(mask, self.params.b, rng)
 
     @property
     def collecting(self) -> bool:
         return self._collection is not None and not self._collection.done
 
-    def choose(self, user: int) -> tuple[int, bool]:
-        self.rounds_used += 1
-        return self._collection.choose(user)
+    def serve(self, users: np.ndarray) -> np.ndarray:
+        """Arms for the leading arrivals of `users` (global ids, in order)
+        that this oracle serves: all of them, or up to and including the one
+        that completes its last repetition."""
+        rows = self._row_of[users]
+        parts, self._served = [np.zeros(0, dtype=np.int64)], []
+        n = 0
+        while n < len(rows) and self.collecting:
+            coll = self._collection
+            parts.append(coll.plan(rows[n:])[0])
+            self._served.append((coll, n, n + len(parts[-1])))
+            n += len(parts[-1])
+            if coll.done:
+                self._unsolved.append(coll)
+                self._start_repetition()
+        self.rounds_used += n
+        return np.concatenate(parts)
 
-    def record(self, user: int, arm: int, reward: float) -> None:
-        coll = self._collection
-        coll.record(user, arm, reward)
-        if abs(reward) > self.max_abs_observed:
-            self.max_abs_observed = abs(reward)
-        if coll.done:
-            self._finish_repetition()
+    def credit(self, rewards: np.ndarray) -> None:
+        """Credit the rewards of the arrivals the last `serve` planned, then
+        solve the repetitions they completed, in completion order."""
+        for coll, first, stop in self._served:
+            observed = np.abs(coll.credit(rewards[first:stop]))
+            if len(observed):
+                self.max_abs_observed = max(self.max_abs_observed, float(observed.max()))
+        for coll in self._unsolved:
+            self._solve_repetition(coll)
+        self._served, self._unsolved = [], []
 
-    def _finish_repetition(self) -> None:
-        self._solve_repetition()
-        self._start_repetition()
-
-    def _solve_repetition(self) -> None:
-        rows, cols, vals = self._collection.averaged_entries()
+    def _solve_repetition(self, coll: MaskCollection) -> None:
+        rows, cols, vals = coll.averaged_entries()
         est, diags = _partitioned_solve(
             rows,
             cols,
@@ -447,7 +504,7 @@ class OracleInstance:
             len(self.users),
             len(self.arms),
             self.params.lam,
-            self._rep_rng,
+            coll.rng,
         )
         rep_no = len(self.rep_estimates)
         for d in diags:
@@ -474,7 +531,7 @@ class OracleInstance:
         solved on its fully averaged cells; None if it has none either."""
         # with no repetition completed, the first one is still collecting
         if not self.rep_estimates and (self._collection.counts >= self.params.b).any():
-            self._solve_repetition()
+            self._solve_repetition(self._collection)
         return self.estimate()
 
 

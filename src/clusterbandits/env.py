@@ -23,7 +23,7 @@ RCS_SEPARATION_FACTOR = 20.0
 CLOSE_CHUNK = 2**12
 NOISE_KINDS = ("gaussian", "uniform", "bernoulli-reward", "none")
 # the roles a round's plan holds in place of an arm; a planned arm is >= 0
-_UCB, _ORACLE, _UNIFORM, _OUT_OF_RANGE = -1, -2, -3, -4
+_UCB, _UNIFORM, _OUT_OF_RANGE = -1, -2, -3
 
 
 class InvalidDimensionsError(ValueError):
@@ -399,13 +399,11 @@ class Environment:
         fixed arm `fixed[u]`, else by a uniform pull from `arm_sets[i]` drawn
         with `rng`.
 
-        Rounds are planned CLOSE_CHUNK at a time: a few array operations give
-        each round its role, and one `rng.integers(0, highs)` call draws the
-        block's uniform pulls, the same values one call per round would draw.
-        Every round is still one `play`.  The one role change inside a call is
-        an oracle that stops collecting, in the `record` that completes it;
-        then `rng` is rewound to the block's start, advanced over the uniform
-        pulls already played, and the rest of the block is planned again.
+        Rounds are planned CLOSE_CHUNK at a time.  Each collecting oracle
+        `serve`s the block's arrivals of its set, up to the one that completes
+        it; one `rng.integers(0, highs)` call draws the uniform pulls, the same
+        values one call per round would draw.  Every round is then one `play`,
+        and each oracle is `credit`ed the rewards of the rounds it served.
         """
         num_users, num_arms = self.instance.num_users, self.instance.num_arms
         set_of = np.zeros(num_users, dtype=np.int64)
@@ -424,22 +422,29 @@ class Environment:
         if ucb:
             role[np.fromiter(ucb, np.int64, len(ucb))] = _UCB
         given = oracles is not None
-        # an oracle stops collecting only in the `record` that completes it,
-        # so its flag is read here and after each of its records
-        collecting = np.array([o is not None and o.collecting for o in oracles or []], dtype=bool)
-        waiting = int(collecting.sum())
+        collecting = [i for i, o in enumerate(oracles or []) if o is not None and o.collecting]
         end = min(end, self.horizon)
-        user_at, set_at, play = self._user_at, memoryview(set_of), self.play
-        while self.t < end and (waiting or not given):
+        user_at, play = self._user_at, self.play
+        while self.t < end and (collecting or not given):
             start = self.t
             users = self._history.users[start : min(start + CLOSE_CHUNK, end)]
             sets = set_of[users]
             plan = role[users]
-            if waiting:
-                plan[collecting[sets]] = _ORACLE
+            served = []
+            for i in collecting:
+                at = np.flatnonzero(sets == i)
+                oracle = oracles[i]
+                arms = oracle.serve(users[at])
+                at = at[: len(arms)]
+                plan[at] = _checked(arms, num_arms)
+                served.append((oracle, at))
+            if served:
+                collecting = [i for i in collecting if oracles[i].collecting]
+                if not collecting:
+                    # the block ends with the round that completed the last oracle
+                    plan = plan[: max(at[-1] for _, at in served if len(at)) + 1]
             uniform = np.flatnonzero(plan == _UNIFORM)
             if len(uniform):
-                saved = rng.bit_generator.state
                 highs = sizes[sets[uniform]]
                 plan[uniform] = pool[offsets[sets[uniform]] + rng.integers(0, highs)]
             if plan.min() == _OUT_OF_RANGE:
@@ -447,30 +452,14 @@ class Environment:
             for arm in memoryview(plan):
                 if arm >= 0:
                     play(arm)
-                elif arm == _UCB:
+                else:
                     state = ucb[user_at[self.t]]
                     arm = state.select()
                     _, _, reward = play(arm)
                     state.update(arm, reward)
-                else:
-                    u = user_at[self.t]
-                    i = set_at[u]
-                    oracle = oracles[i]
-                    arm, masked = oracle.choose(u)
-                    _, _, reward = play(arm)
-                    if masked:
-                        oracle.record(u, arm, reward)
-                        if not oracle.collecting:
-                            collecting[i] = False
-                            waiting -= 1
-                            break
-            # cut short by an oracle that stopped: take back the draws of the
-            # uniform pulls not played, which the next plan draws again
-            played = int(np.searchsorted(uniform, self.t - start))
-            if played < len(uniform):
-                rng.bit_generator.state = saved
-                if played:
-                    rng.integers(0, highs[:played])
+            rewards = self._history.rewards
+            for oracle, at in served:
+                oracle.credit(rewards[start + at])
 
     def _advance(self, t: int, u: int, arm: int) -> tuple[int, int, float]:
         if not 0 <= arm < self.instance.num_arms:

@@ -187,6 +187,85 @@ def test_out_of_range_instance_value_is_a_config_error(tmp_path, old, new, messa
         assert not out.exists()
 
 
+_HARD_CONFIG = """\
+[instance]
+kind = hard
+num_users = 6
+num_arms = 5
+num_clusters = 2
+epsilon = 0.3
+seed = 1
+{optimal}
+[experiment]
+horizon = 50
+seeds = 1
+
+[algorithm ucb]
+"""
+
+
+@pytest.mark.parametrize("optimal", ["", "optimal_arms = 0,7", "optimal_arms = 0,1,2"])
+def test_hard_instance_optimal_arms_typo_is_a_config_error(tmp_path, capsys, optimal):
+    # no key, an arm outside 0..4, and one arm too many for 2 clusters
+    text = _HARD_CONFIG.format(optimal=optimal)
+    with pytest.raises(bench.ConfigError, match=r"instance\.optimal_arms: need 2 arms in 0\.\.4"):
+        bench.parse_config(text)
+    cfg, out = _write_config(tmp_path, text), tmp_path / "out"
+    for command in ("run", "generate", "check"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: instance.optimal_arms" in capsys.readouterr().err
+        assert not out.exists()
+    # two arms in range run as before
+    text = _HARD_CONFIG.format(optimal="optimal_arms = 4,0")
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, text)), "--out", str(out)]) == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["cs", "rcs", "hard"]),
+    # num_clusters is capped at min(num_users, num_arms), so most configs run
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    rows=st.sampled_from(["gaussian(0,1)", "uniform(0,1)"]),
+    noise=st.sampled_from(env.NOISE_KINDS),
+    # optimal_arms drawn valid (one in-range arm per cluster) or as drawn
+    valid=st.booleans(),
+    picks=st.lists(st.integers(-1, 7), max_size=7),
+    horizon=st.integers(1, 400),
+    seed=st.integers(0, 2**16),
+)
+def test_small_configs_fail_at_parse_or_play_every_horizon(
+    kind, dims, rows, noise, valid, picks, horizon, seed
+):
+    num_users, num_arms, num_clusters = dims
+    num_clusters = min(num_clusters, num_users, num_arms)
+    if valid:
+        picks = [p % num_arms for p in (picks + [0] * 6)[:num_clusters]]
+    text = (
+        f"[instance]\nkind = {kind}\nnum_users = {num_users}\nnum_arms = {num_arms}\n"
+        f"num_clusters = {num_clusters}\nrow_distribution = {rows}\nseed = {seed}\n"
+        f"noise = {noise}\nsigma = 0.3\nnu = 0.01\nepsilon = 0.3\n"
+        f"optimal_arms = {','.join(map(str, picks))}\n"
+        f"[experiment]\nhorizon = {horizon}\nseeds = {seed}\n"
+    ) + "".join(f"[algorithm {name}]\n" for name in bench.ALGORITHM_NAMES)
+    try:
+        config = bench.parse_config(text)
+    except bench.ConfigError:
+        return
+    try:
+        report = bench.run_experiment(config)
+    except env.SeparationUnsatisfiableError:
+        # rejection sampling finds no rows 20 * nu apart
+        assert kind == "rcs"
+        return
+    except bench.ConfigError as exc:
+        # known only once the instance is built: its entries outside [0, 1]
+        assert noise == "bernoulli-reward" and "instance.noise" in str(exc)
+        return
+    assert [run.algorithm for run in report.runs] == list(bench.ALGORITHM_NAMES)
+    for run in report.runs:
+        assert len(run.history) == run.horizon == horizon
+
+
 def test_bernoulli_noise_outside_the_unit_interval_is_a_config_error(monkeypatch, tmp_path):
     ran = []
     monkeypatch.setattr(baselines, "run_per_user_ucb", lambda *a: ran.append(a))

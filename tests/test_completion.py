@@ -16,6 +16,7 @@ from clusterbandits.completion import (
     solve_nuclear_norm,
 )
 from clusterbandits.env import Environment, NoiseModel, RowDistribution, generate_cs_instance
+from helpers import IndexedMaskCollection
 
 
 def test_derive_params_zero_noise_single_pass():
@@ -85,26 +86,30 @@ class _Collector:
 
     def __init__(self, coll):
         self.coll = coll
-        self.choose = coll.choose
-        self.record = coll.record
+        self.row_of = {int(u): i for i, u in enumerate(coll.mask.rows)}
 
     @property
     def collecting(self):
         return not self.coll.done
 
+    def serve(self, users):
+        return self.coll.plan(np.array([self.row_of[u] for u in users.tolist()]))[0]
+
+    def credit(self, rewards):
+        self.coll.credit(rewards)
+
 
 def _collect(env, mask, b, budget, seed):
     """Drive a MaskCollection through Environment.run for at most `budget`
-    rounds; users outside the mask pull a random mask column.  Returns the
-    collection and the rounds used."""
-    rng = np.random.default_rng(seed)
-    coll = MaskCollection(mask, b, rng)
+    rounds; users outside the mask pull a random mask column, drawn from a
+    generator of their own.  Returns the collection and the rounds used."""
+    coll = MaskCollection(mask, b, np.random.default_rng(seed))
     members = set(mask.rows.tolist())
     others = [u for u in range(env.instance.num_users) if u not in members]
     start = env.t
     env.run(
-        start + budget, [mask.rows.tolist(), others], [mask.cols, mask.cols], rng,
-        oracles=[_Collector(coll), None],
+        start + budget, [mask.rows.tolist(), others], [mask.cols, mask.cols],
+        np.random.default_rng([seed, 1]), oracles=[_Collector(coll), None],
     )
     return coll, env.t - start
 
@@ -144,52 +149,6 @@ def test_collect_budget_zero():
     assert np.all(coll.counts == 0)
 
 
-class _IndexedMaskCollection:
-    """`MaskCollection` as it indexed numpy arrays on every call."""
-
-    def __init__(self, mask, b, rng):
-        self.mask, self.b, self.rng = mask, b, rng
-        self.sums = np.zeros(len(mask))
-        self.counts = np.zeros(len(mask), dtype=int)
-        self._entries_of_row = [np.flatnonzero(mask.entry_row == i) for i in range(len(mask.rows))]
-        self._row_of_user = {int(u): i for i, u in enumerate(mask.rows)}
-        all_cols = np.arange(len(mask.cols))
-        self._filler_cols = []
-        for entries in self._entries_of_row:
-            free = np.setdiff1d(all_cols, np.unique(mask.entry_col[entries]))
-            self._filler_cols.append(free if len(free) else all_cols)
-        self._pass_idx = 0 if len(mask) else b
-        if len(mask):
-            self._start_pass()
-
-    def _start_pass(self):
-        self._pending = []
-        for entries in self._entries_of_row:
-            stack = entries.copy()
-            self.rng.shuffle(stack)
-            self._pending.append(list(stack))
-        self._outstanding = len(self.mask)
-
-    def choose(self, user):
-        i = self._row_of_user[user]
-        if self._pass_idx < self.b and self._pending[i]:
-            entry = self._pending[i][-1]
-            return int(self.mask.cols[self.mask.entry_col[entry]]), True
-        free = self._filler_cols[i]
-        return int(self.mask.cols[free[self.rng.integers(len(free))]]), False
-
-    def record(self, user, arm, reward):
-        i = self._row_of_user[user]
-        entry = self._pending[i].pop()
-        self.sums[entry] += reward
-        self.counts[entry] += 1
-        self._outstanding -= 1
-        if self._outstanding == 0:
-            self._pass_idx += 1
-            if self._pass_idx < self.b:
-                self._start_pass()
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     num_rows=st.integers(1, 4),
@@ -207,9 +166,12 @@ def test_collection_matches_numpy_indexed_reference(num_rows, num_cols, p, b, ar
     entry_row, entry_col = np.nonzero(rng.random((num_rows, num_cols)) < p)
     mask = Mask(rows, cols, entry_row, entry_col)
     coll = MaskCollection(mask, b, np.random.default_rng(seed + 1))
-    ref = _IndexedMaskCollection(mask, b, np.random.default_rng(seed + 1))
+    ref = IndexedMaskCollection(mask, b, np.random.default_rng(seed + 1))
     pulls = []
     for _ in range(arrivals):
+        # `choose` serves one arrival while the collection collects
+        if ref.done:
+            break
         user = int(rows[rng.integers(num_rows)])
         arm, masked = coll.choose(user)
         assert (arm, masked) == ref.choose(user)
@@ -221,6 +183,93 @@ def test_collection_matches_numpy_indexed_reference(num_rows, num_cols, p, b, ar
             ref.record(user, arm, reward)
     assert sum(pulls) <= b * len(mask)
     assert coll.done == (ref._pass_idx >= b)
+    assert coll.sums.tobytes() == ref.sums.tobytes()
+    assert np.array_equal(coll.counts, ref.counts) and coll.counts.dtype == ref.counts.dtype
+    assert coll.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def _shaped_mask(num_cols, shapes, rng):
+    """A mask over len(shapes) rows: row i holds no cell ("empty"), one cell
+    ("single"), about half its columns ("half") or all of them ("full")."""
+    grid = np.zeros((len(shapes), num_cols), dtype=bool)
+    for i, shape in enumerate(shapes):
+        if shape == "single":
+            grid[i, rng.integers(num_cols)] = True
+        elif shape == "half":
+            grid[i] = rng.random(num_cols) < 0.5
+        elif shape == "full":
+            grid[i] = True
+    entry_row, entry_col = np.nonzero(grid)
+    rows = rng.choice(50, size=len(shapes), replace=False)
+    return Mask(rows, rng.choice(50, size=num_cols, replace=False), entry_row, entry_col)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    num_cols=st.integers(1, 5),
+    shapes=st.lists(st.sampled_from(["empty", "single", "half", "full"]), min_size=1, max_size=5),
+    b=st.integers(1, 4),
+    picks=st.lists(st.integers(0, 4), max_size=150),
+    cuts=st.lists(st.integers(0, 150), max_size=8),
+    pass_cuts=st.lists(st.integers(0, 20), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one arrival completes the only pass
+@example(num_cols=1, shapes=["single"], b=1, picks=[0], cuts=[], pass_cuts=[0], seed=0)
+# rows that owe every column, cut at every pass end
+@example(num_cols=3, shapes=["full", "empty", "full"], b=4, picks=[0, 1, 2] * 20, cuts=[],
+         pass_cuts=[0, 1, 2, 3], seed=1)
+def test_planned_collection_matches_per_arrival_reference(
+    num_cols, shapes, b, picks, cuts, pass_cuts, seed
+):
+    rng = np.random.default_rng(seed)
+    mask = _shaped_mask(num_cols, shapes, rng)
+    rows = np.array(picks, dtype=np.int64) % len(shapes)
+    rewards = rng.normal(size=len(rows))
+    # the reference serves one arrival at a time until it is done; it notes
+    # where each pass ends
+    ref = IndexedMaskCollection(mask, b, np.random.default_rng(seed + 1))
+    want_arms, want_masked, pass_ends = [], [], []
+    for a, row in enumerate(rows.tolist()):
+        if ref.done:
+            break
+        user = int(mask.rows[row])
+        arm, masked = ref.choose(user)
+        want_arms.append(arm)
+        want_masked.append(masked)
+        if masked:
+            before = ref._pass_idx
+            ref.record(user, arm, rewards[a])
+            if ref._pass_idx > before:
+                pass_ends.append(a + 1)
+    # blocks cut at arbitrary points and exactly at pass ends (the last of
+    # which is the end of the collection)
+    marks = {c % (len(rows) + 1) for c in cuts}
+    marks |= {pass_ends[k % len(pass_ends)] for k in pass_cuts} if pass_ends else set()
+    bounds = sorted(marks | {0, len(rows)})
+    coll = MaskCollection(mask, b, np.random.default_rng(seed + 1))
+    got_arms, got_masked = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo == 1 and not coll.done:
+            # the one-arrival case, through `choose` and `record`
+            user = int(mask.rows[rows[lo]])
+            arm, masked = coll.choose(user)
+            assert type(arm) is int
+            if masked:
+                coll.record(user, arm, rewards[lo])
+            got_arms.append(arm)
+            got_masked.append(masked)
+            continue
+        arms, masked = coll.plan(rows[lo:hi])
+        assert len(arms) == len(masked) <= hi - lo
+        # a block is served whole unless the collection finished in it
+        assert len(arms) == hi - lo or coll.done
+        coll.credit(rewards[lo : lo + len(arms)])
+        got_arms += arms.tolist()
+        got_masked += masked.tolist()
+    assert got_arms == want_arms
+    assert got_masked == want_masked
+    assert coll.done == ref.done
     assert coll.sums.tobytes() == ref.sums.tobytes()
     assert np.array_equal(coll.counts, ref.counts) and coll.counts.dtype == ref.counts.dtype
     assert coll.rng.bit_generator.state == ref.rng.bit_generator.state
@@ -510,13 +559,18 @@ def test_collection_setup_matches_per_row_scans(num_rows, num_cols, shares, seed
     entry_row, entry_col = np.nonzero(rng.random((num_rows, num_cols)) < share)
     mask = Mask(rows, cols, entry_row, entry_col)
     coll = MaskCollection(mask, 2, np.random.default_rng(seed + 1))
-    # the per-row scans of `_IndexedMaskCollection`, and its shuffles
-    ref = _IndexedMaskCollection(mask, 2, np.random.default_rng(seed + 1))
-    assert len(coll._entries_of_row) == len(ref._entries_of_row) == num_rows
-    for ours, theirs in zip(coll._entries_of_row, ref._entries_of_row):
-        assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
-    assert [f.tolist() for f in coll._filler_arms] == [
+    # the per-row scans of `IndexedMaskCollection`, and its shuffles
+    ref = IndexedMaskCollection(mask, 2, np.random.default_rng(seed + 1))
+    # each row's cells are one range of the collection's stack
+    assert len(coll._lo) == len(coll._hi) == len(ref._entries_of_row) == num_rows
+    for lo, hi, theirs in zip(coll._lo.tolist(), coll._hi.tolist(), ref._entries_of_row):
+        assert list(range(lo, hi)) == theirs.tolist()
+    free = zip(coll._free_cols, coll._free_n.tolist())
+    assert [cols[ours[:n]].tolist() for ours, n in free] == [
         cols[free].tolist() for free in ref._filler_cols
     ]
-    assert coll._pending == (ref._pending if len(mask) else [])
+    pending = [
+        coll._stack[lo : lo + owed].tolist() for lo, owed in zip(coll._lo, coll._owed)
+    ]
+    assert pending == (ref._pending if len(mask) else [[]] * num_rows)
     assert coll.rng.bit_generator.state == ref.rng.bit_generator.state

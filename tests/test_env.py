@@ -25,7 +25,9 @@ from clusterbandits.env import (
     save_instance,
     seed_sequence,
 )
+from clusterbandits.completion import OracleInstance, OracleParams
 from clusterbandits.lattice import UcbArmState
+from helpers import PerRoundOracle
 
 
 def validate_instance(instance, atol=1e-12):
@@ -177,12 +179,16 @@ def test_policy_arm_out_of_range():
 
 
 class _StubOracle:
-    """Asks for `pulls` masked pulls of `arm`, then stops collecting."""
+    """Asks for `pulls` masked pulls of `arm`, then stops collecting.  It
+    speaks both protocols: `choose`/`record` one round at a time, and
+    `serve`/`credit` a block at a time, built on them."""
 
     def __init__(self, arm, pulls):
         self.arm = arm
         self.left = pulls
         self.recorded = 0
+        self.serves = 0
+        self.credited = []
 
     @property
     def collecting(self):
@@ -194,6 +200,23 @@ class _StubOracle:
     def record(self, user, arm, reward):
         self.left -= 1
         self.recorded += 1
+
+    def serve(self, users):
+        self.serves += 1
+        arms = []
+        for u in users.tolist():
+            if self.left <= 0:
+                break
+            arm, masked = self.choose(u)
+            if masked:
+                self.record(u, arm, None)
+            arms.append(arm)
+        self.pending = len(arms)
+        return np.array(arms, dtype=np.int64)
+
+    def credit(self, rewards):
+        assert len(rewards) == self.pending
+        self.credited.append(rewards.copy())
 
 
 class _StubUcb:
@@ -255,14 +278,29 @@ class _CountingOracle(_StubOracle):
 
 
 def test_env_run_reads_collecting_once_per_record():
-    env = _run_env(1000)
-    first, second = _CountingOracle(1, 3), _CountingOracle(2, 5)
+    # about 6k and 10k rounds of collecting: the oracles span three blocks
+    env = _run_env(4 * CLOSE_CHUNK)
+    first, second = _CountingOracle(1, 1500), _CountingOracle(2, 2500)
     user_sets, arm_sets = [[0, 1], [2, 3]], [np.array([0]), np.array([0])]
-    env.run(1000, user_sets, arm_sets, np.random.default_rng(0), oracles=[first, second])
-    assert (first.recorded, second.recorded) == (3, 5)
-    assert first.chosen >= 6 and second.chosen >= 10
-    # once on entry, then once after each record
-    assert (first.reads, second.reads) == (4, 6)
+    env.run(env.horizon, user_sets, arm_sets, np.random.default_rng(0), oracles=[first, second])
+    assert (first.recorded, second.recorded) == (1500, 2500)
+    assert first.chosen == 3000 and second.chosen == 5000
+    hist = env.history
+    assert -(-env.t // CLOSE_CHUNK) == 3
+    stops = []
+    for oracle, users in zip((first, second), user_sets):
+        # every round of its set's users, up to the one that completed it
+        rounds = np.flatnonzero(np.isin(hist.users[: env.t], users))[: oracle.chosen]
+        stops.append(int(rounds[-1]) + 1)
+        # served once per block while collecting; `collecting` read on
+        # entry and after each serve
+        assert oracle.serves == -(-stops[-1] // CLOSE_CHUNK)
+        assert oracle.reads == oracle.serves + 1
+        # credited exactly the rewards of the rounds it served, in order
+        assert np.concatenate(oracle.credited).tobytes() == hist.rewards[rounds].tobytes()
+        assert (hist.arms[rounds] == oracle.arm).all()
+    # the run ends with the round that completed the last oracle
+    assert env.t == max(stops)
 
 
 def test_env_run_serves_oracle_then_ucb_then_fixed_then_uniform():
@@ -339,24 +377,18 @@ def _per_round_run(env, end, user_sets, arm_sets, rng, oracles=None, ucb=None, f
             env.play(int(arms[rng.integers(len(arms))]))
 
 
-class _PeriodicOracle:
+class _PeriodicOracle(_StubOracle):
     """Cycles through `arms`, masks every `period`-th pull, and stops
     collecting after `pulls` records."""
 
     def __init__(self, arms, pulls, period):
-        self.arms, self.left, self.period = arms, pulls, period
+        super().__init__(None, pulls)
+        self.arms, self.period = arms, period
         self.chosen = 0
-
-    @property
-    def collecting(self):
-        return self.left > 0
 
     def choose(self, user):
         self.chosen += 1
         return int(self.arms[self.chosen % len(self.arms)]), self.chosen % self.period == 0
-
-    def record(self, user, arm, reward):
-        self.left -= 1
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -411,6 +443,80 @@ def test_planned_run_matches_the_per_round_driver(
         outcomes.append(
             (stopped, env.t, hist.arms[: env.t].tolist(), hist.rewards[: env.t].tobytes(),
              rng.bit_generator.state)
+        )
+    assert outcomes[0] == outcomes[1]
+
+
+def _oracle_state(oracle):
+    """Everything an oracle has observed and estimated, as comparable values."""
+    coll = oracle._collection
+    current = None if coll is None else (
+        coll.sums.tobytes(), coll.counts.tolist(), coll.rng.bit_generator.state
+    )
+    return (
+        [est.tobytes() for est in oracle.rep_estimates], oracle.spawn_keys, oracle.diagnostics,
+        oracle.max_abs_observed, oracle.rounds_used, oracle.collecting, current,
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    num_arms=st.integers(1, 5),
+    # users 0, 1 and 2 are in sets 0, 1 and 2; the set of each other user is drawn
+    extra=st.lists(st.integers(0, 2), max_size=5),
+    roles=st.lists(st.sampled_from("uf-"), min_size=8, max_size=8),
+    # (p, b, f) of each set's oracle; p = 1 makes rows that owe every column
+    specs=st.lists(
+        st.one_of(st.none(), st.tuples(st.sampled_from([0.2, 0.5, 1.0]), st.integers(1, 4),
+                                       st.integers(1, 3))),
+        min_size=3, max_size=3,
+    ),
+    horizon=st.one_of(st.integers(1, 60), st.integers(200, 900)),
+    cuts=st.lists(st.integers(0, 900), max_size=4),
+    seed=st.integers(0, 2**16),
+)
+# one user of eight collects 3 repetitions of 4 passes: every block but the
+# last is cut by CLOSE_CHUNK, and most of each block's arrivals are not its
+@example(
+    num_arms=5, extra=[1, 1, 1, 1, 1], roles=list("u-f--u-f"),
+    specs=[(1.0, 4, 3), None, None], horizon=2 * CLOSE_CHUNK + 3, cuts=[], seed=5,
+)
+def test_planned_oracles_match_the_per_round_reference(
+    num_arms, extra, roles, specs, horizon, cuts, seed
+):
+    labels = [0, 1, 2] + extra
+    num_users = len(labels)
+    inst = generate_cs_instance(num_users, num_arms, 1, RowDistribution.gaussian(0, 1), seed=seed)
+    user_sets = [[u for u in range(num_users) if labels[u] == i] for i in range(3)]
+    arm_sets = [np.arange(num_arms)[i % num_arms :] for i in range(3)]
+    outcomes = []
+    for driver, make in ((_per_round_run, PerRoundOracle), (Environment.run, OracleInstance)):
+        env = Environment(inst, NoiseModel("gaussian", 0.5), seed=seed, horizon=horizon)
+        rng = np.random.default_rng(seed + 1)
+        ucb = {
+            u: UcbArmState(arm_sets[labels[u]], 0.5, max(2, horizon))
+            for u in range(num_users) if roles[u] == "u"
+        }
+        fixed = {u: u % num_arms for u in range(num_users) if roles[u] == "f"}
+        oracles = [
+            None if spec is None else make(
+                user_sets[i], arm_sets[i],
+                OracleParams(p=spec[0], b=spec[1], f=spec[2], lam=0.05, r=1, mu=1.0, sigma=0.5,
+                             zeta=0.1),
+                np.random.SeedSequence([seed, i]),
+            )
+            for i, spec in enumerate(specs)
+        ]
+        # runs end at the cuts, so later runs resume oracles mid-pass
+        stops = []
+        for end in sorted(cuts) + [horizon]:
+            driver(env, end, user_sets, arm_sets, rng, oracles=oracles, ucb=ucb, fixed=fixed)
+            stops.append(env.t)
+        driver(env, horizon, user_sets, arm_sets, rng, ucb=ucb, fixed=fixed)
+        hist = env.history
+        outcomes.append(
+            (stops, env.t, hist.arms[: env.t].tolist(), hist.rewards[: env.t].tobytes(),
+             rng.bit_generator.state, [o and _oracle_state(o) for o in oracles])
         )
     assert outcomes[0] == outcomes[1]
 
