@@ -7,7 +7,9 @@ probability by taking an entrywise median over `f` independent estimates.
 Soft-impute needs only the singular values above its threshold, and on
 low-rank data few survive, so each iteration takes them from a subspace
 warm-started at the previous iterate's singular vectors and runs a dense SVD
-only when that subspace may miss one.  Because users arrive randomly one per
+only when that subspace may miss one.  The iterate is kept as those
+thresholded factors and written densely once per iteration, into the buffer
+that the next iteration's SVD reads.  Because users arrive randomly one per
 round, collection is a stateful pass over the mask: whenever a masked user
 arrives we pull one of their pending masked arms, otherwise a throwaway arm
 outside the mask.
@@ -220,7 +222,6 @@ class MaskCollection:
 class SolveInfo:
     iterations: int
     converged: bool
-    no_convergence: bool
     objectives: list[float] = field(default_factory=list)
     dense_svds: int = 0  # iterations that thresholded through a full dense SVD
 
@@ -256,6 +257,27 @@ def _thresholded_svd(
     return U, s, Vt, True
 
 
+def _change_norm(
+    P0: np.ndarray, V0t: np.ndarray, U1: np.ndarray, s1: np.ndarray, V1t: np.ndarray
+) -> float:
+    """||Q1 - Q0||_F for Q0 = P0 @ V0t and Q1 = (U1 * s1) @ V1t, where the
+    columns of U1 and the rows of V0t are orthonormal, without forming either.
+
+    The difference splits into its part inside span(U1), with the norm of
+    U1^T (Q1 - Q0), and the rest, -(I - U1 U1^T) Q0, with the norm of
+    P0 - U1 U1^T P0.  The two are orthogonal, so their norms add in squares.
+    Each part is formed before its norm is taken: the expansion
+    ||Q1||^2 + ||Q0||^2 - 2 tr(Q1^T Q0) cancels catastrophically when Q1 is
+    close to Q0.
+    """
+    W = U1.T @ P0
+    inside = s1[:, None] * V1t
+    inside -= W @ V0t
+    rest = U1 @ W
+    rest -= P0
+    return math.sqrt(float(np.vdot(inside, inside) + np.vdot(rest, rest)))
+
+
 def solve_nuclear_norm(
     values: np.ndarray,
     omega: tuple[np.ndarray, np.ndarray],
@@ -285,6 +307,12 @@ def solve_nuclear_norm(
     the top singular value and the final stage's starting objective.
     Results agree with an all-dense solve to about 10 * tol relative to
     max |Q|, not bit for bit.
+
+    The iterate is kept as its thresholded SVD factors (Mazumder, Hastie &
+    Tibshirani, JMLR 2010).  One buffer holds it densely: each iteration
+    writes its observed cells with `values` in place, thresholds it, and
+    overwrites it with the next iterate in one matrix product.  The relative
+    change between iterates is taken from their factors (`_change_norm`).
     """
     row_idx, col_idx = omega
     if len(row_idx) == 0:
@@ -292,10 +320,13 @@ def solve_nuclear_norm(
     if lam < 0 or tol <= 0:
         raise ValueError("lam must be >= 0 and tol > 0")
     values = np.asarray(values, dtype=float)
-    Q = np.zeros(shape)
-    filled = Q.copy()
-    filled[row_idx, col_idx] = values
-    top = float(np.linalg.svd(filled, compute_uv=False)[0])
+    cells = np.ravel_multi_index((row_idx, col_idx), shape)
+    # G holds the current iterate Q between iterations; Q starts at 0
+    G = np.zeros(shape)
+    G_flat = G.reshape(-1)
+    G_flat[cells] = values
+    top = float(np.linalg.svd(G, compute_uv=False)[0])
+    G_flat[cells] = 0.0
     lam_path = []
     cur = top * continuation_decay
     floor = max(lam, 1e-12 * max(top, 1.0))
@@ -309,45 +340,48 @@ def solve_nuclear_norm(
     dense_svds = 0
     basis = None
     rel_change = np.inf
+    # Q = P @ Vq, with P = U[:, :r] * s_thr; ||Q||_F = ||s_thr||
+    P, Vq, s_q = np.zeros((shape[0], 0)), np.zeros((0, shape[1])), np.zeros(0)
     for lam_k in lam_path:
         final_stage = lam_k == lam_path[-1]
         stage_tol = tol if final_stage else max(tol, 1e-4)
         if final_stage:
-            fit0 = 0.5 * float(np.sum((Q[row_idx, col_idx] - values) ** 2))
-            prev_obj = fit0 + lam * float(np.linalg.svd(Q, compute_uv=False).sum())
+            fit0 = 0.5 * float(np.sum((G_flat[cells] - values) ** 2))
+            prev_obj = fit0 + lam * float(np.linalg.svd(G, compute_uv=False).sum())
             objectives.append(prev_obj)
         while total_iters < max_iters:
-            G = Q.copy()
-            G[row_idx, col_idx] = values
+            G_flat[cells] = values
             U, s, Vt, dense = _thresholded_svd(G, lam_k, basis)
             dense_svds += dense
             r = int(np.count_nonzero(s > lam_k))
             s_thr = s[:r] - lam_k
-            Q_new = (U[:, :r] * s_thr) @ Vt[:r]
-            basis = Vt[: r + OVERSAMPLE].T if r else None
+            denom = max(math.sqrt(float(s_q @ s_q)), 1e-30)
+            rel_change = _change_norm(P, Vq, U[:, :r], s_thr, Vt[:r]) / denom
+            # keep a copy of the rows that the next iteration reads, so that a
+            # dense SVD's square factors are freed before the next SVD runs
+            kept = Vt[: r + OVERSAMPLE].copy()
+            P, Vq, s_q = U[:, :r] * s_thr, kept[:r], s_thr
+            basis = kept.T if r else None
+            del U, Vt
+            np.matmul(P, Vq, out=G)
             total_iters += 1
             if final_stage:
-                # Q_new's singular values are exactly s_thr
-                fit = 0.5 * float(np.sum((Q_new[row_idx, col_idx] - values) ** 2))
+                # the new iterate's singular values are exactly s_thr
+                fit = 0.5 * float(np.sum((G_flat[cells] - values) ** 2))
                 obj = fit + lam * float(s_thr.sum())
                 if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj)):
                     raise RuntimeError(f"soft-impute objective increased: {prev_obj!r} -> {obj!r}")
                 objectives.append(obj)
                 prev_obj = obj
-            denom = max(float(np.linalg.norm(Q)), 1e-30)
-            rel_change = float(np.linalg.norm(Q_new - Q)) / denom
-            Q = Q_new
             if rel_change < stage_tol:
                 break
-    converged = rel_change < tol
     info = SolveInfo(
         iterations=total_iters,
-        converged=converged,
-        no_convergence=(not converged) and rel_change > 100 * tol,
+        converged=rel_change < tol,
         objectives=objectives,
         dense_svds=dense_svds,
     )
-    return Q, info
+    return G, info
 
 
 @dataclass
@@ -412,7 +446,6 @@ def _partitioned_solve(
                 "block": block_no,
                 "iterations": info.iterations,
                 "converged": info.converged,
-                "no_convergence": info.no_convergence,
                 "dense_svds": info.dense_svds,
                 "final_objective": info.objectives[-1],
             }

@@ -3,7 +3,13 @@
 import numpy as np
 
 from clusterbandits import bench
-from clusterbandits.completion import _partitioned_solve, sample_mask
+from clusterbandits.completion import (
+    OVERSAMPLE,
+    SolveInfo,
+    _partitioned_solve,
+    _thresholded_svd,
+    sample_mask,
+)
 
 
 def regret_at(history, t: int) -> float:
@@ -137,3 +143,64 @@ class PerRoundOracle:
             self.diagnostics.extend(diags)
             self.rep_estimates.append(est)
             self._start_repetition()
+
+
+def dense_iterate_solve(values, omega, shape, lam, tol=1e-6, max_iters=500, continuation_decay=0.25):
+    """`solve_nuclear_norm` as it held the iterate Q as a dense matrix,
+    building each iteration's fill from a copy of Q and taking the relative
+    change from dense norms of Q and Q_new - Q: the reference that the
+    factored iterate must match bit for bit."""
+    row_idx, col_idx = omega
+    values = np.asarray(values, dtype=float)
+    Q = np.zeros(shape)
+    filled = Q.copy()
+    filled[row_idx, col_idx] = values
+    top = float(np.linalg.svd(filled, compute_uv=False)[0])
+    lam_path = []
+    cur = top * continuation_decay
+    floor = max(lam, 1e-12 * max(top, 1.0))
+    while cur > floor / continuation_decay:
+        lam_path.append(cur)
+        cur *= continuation_decay
+    lam_path.append(lam)
+    objectives = []
+    total_iters = 0
+    dense_svds = 0
+    basis = None
+    rel_change = np.inf
+    for lam_k in lam_path:
+        final_stage = lam_k == lam_path[-1]
+        stage_tol = tol if final_stage else max(tol, 1e-4)
+        if final_stage:
+            fit0 = 0.5 * float(np.sum((Q[row_idx, col_idx] - values) ** 2))
+            prev_obj = fit0 + lam * float(np.linalg.svd(Q, compute_uv=False).sum())
+            objectives.append(prev_obj)
+        while total_iters < max_iters:
+            G = Q.copy()
+            G[row_idx, col_idx] = values
+            U, s, Vt, dense = _thresholded_svd(G, lam_k, basis)
+            dense_svds += dense
+            r = int(np.count_nonzero(s > lam_k))
+            s_thr = s[:r] - lam_k
+            Q_new = (U[:, :r] * s_thr) @ Vt[:r]
+            basis = Vt[: r + OVERSAMPLE].T if r else None
+            total_iters += 1
+            if final_stage:
+                fit = 0.5 * float(np.sum((Q_new[row_idx, col_idx] - values) ** 2))
+                obj = fit + lam * float(s_thr.sum())
+                if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj)):
+                    raise RuntimeError(f"soft-impute objective increased: {prev_obj!r} -> {obj!r}")
+                objectives.append(obj)
+                prev_obj = obj
+            denom = max(float(np.linalg.norm(Q)), 1e-30)
+            rel_change = float(np.linalg.norm(Q_new - Q)) / denom
+            Q = Q_new
+            if rel_change < stage_tol:
+                break
+    info = SolveInfo(
+        iterations=total_iters,
+        converged=rel_change < tol,
+        objectives=objectives,
+        dense_svds=dense_svds,
+    )
+    return Q, info

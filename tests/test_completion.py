@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from clusterbandits.completion import (
     Mask,
     MaskCollection,
     OracleParams,
+    _change_norm,
     derive_oracle_params,
     low_rank_matrix_estimate,
     sample_mask,
     solve_nuclear_norm,
 )
 from clusterbandits.env import Environment, NoiseModel, RowDistribution, generate_cs_instance
-from helpers import IndexedMaskCollection
+from helpers import IndexedMaskCollection, dense_iterate_solve
 
 
 def test_derive_params_zero_noise_single_pass():
@@ -466,6 +468,118 @@ def test_solver_svd_count_on_partial_observation(monkeypatch):
     vals = truth[rows, cols] + 0.1 * rng.normal(size=len(rows))
     info = _counted_solve(monkeypatch, vals, (rows, cols), truth.shape, lam=0.5)
     assert info.dense_svds < info.iterations
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 64),
+    n=st.integers(1, 64),
+    rank=st.integers(1, 4),
+    sigma=st.sampled_from([0.0, 0.1, 1.0]),
+    # cells observed out of m * n, from one to all of them
+    share=st.floats(0.0, 1.0),
+    # lam as a share of the fill's top singular value; above 1 every iterate is 0
+    lam_share=st.sampled_from([0.0, 1e-3, 0.01, 0.05, 0.3, 0.9, 1.5]),
+    tol=st.sampled_from([1e-6, 1e-4]),
+    max_iters=st.sampled_from([1, 2, 3, 8, 40, 500]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=1, n=40, rank=1, sigma=0.1, share=0.5, lam_share=0.01, tol=1e-6, max_iters=500, seed=0)
+@example(m=40, n=1, rank=1, sigma=0.1, share=1.0, lam_share=0.0, tol=1e-6, max_iters=500, seed=1)
+@example(m=1, n=1, rank=1, sigma=0.0, share=0.0, lam_share=0.2, tol=1e-6, max_iters=500, seed=2)
+# low rank at 60x60 and 64x60: most iterations threshold in the rank-k
+# subspace (164 of 179 and 87 of 94)
+@example(m=60, n=60, rank=2, sigma=0.0, share=0.5, lam_share=1e-3, tol=1e-6, max_iters=500, seed=3)
+@example(m=64, n=60, rank=3, sigma=0.1, share=0.5, lam_share=0.05, tol=1e-6, max_iters=500, seed=4)
+# capped among the rank-k iterations of an annealing stage
+@example(m=60, n=60, rank=2, sigma=0.0, share=0.5, lam_share=1e-3, tol=1e-6, max_iters=40, seed=3)
+# lam above the top singular value: the first iterate is 0
+@example(m=50, n=60, rank=2, sigma=0.0, share=0.6, lam_share=1.5, tol=1e-6, max_iters=500, seed=5)
+def test_factored_iterate_matches_dense_iterate_bit_for_bit(
+    m, n, rank, sigma, share, lam_share, tol, max_iters, seed
+):
+    rng = np.random.default_rng(seed)
+    truth = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+    count = 1 + round(share * (m * n - 1))
+    rows, cols = np.unravel_index(np.sort(rng.permutation(m * n)[:count]), (m, n))
+    vals = truth[rows, cols] + sigma * rng.normal(size=count)
+    filled = np.zeros((m, n))
+    filled[rows, cols] = vals
+    lam = lam_share * float(np.linalg.svd(filled, compute_uv=False)[0])
+    args = (vals, (rows, cols), (m, n), lam)
+    Q, info = solve_nuclear_norm(*args, tol=tol, max_iters=max_iters)
+    ref_Q, ref_info = dense_iterate_solve(*args, tol=tol, max_iters=max_iters)
+    assert np.array_equal(Q, ref_Q)
+    assert info.iterations == ref_info.iterations
+    assert info.converged == ref_info.converged
+    assert info.dense_svds == ref_info.dense_svds
+    assert info.objectives == ref_info.objectives
+
+
+def _factors(m, n, r, rng):
+    """(U, s, Vt) of a random rank-r m x n matrix, with orthonormal U and Vt rows."""
+    U = np.linalg.qr(rng.normal(size=(m, max(r, 1))))[0][:, :r]
+    Vt = np.linalg.qr(rng.normal(size=(n, max(r, 1))))[0][:, :r].T
+    return U, np.sort(rng.uniform(0.5, 10.0, size=r))[::-1], Vt
+
+
+def _nudged(U, s, Vt, size, rng):
+    """Factors of a matrix within about `size` relative of U diag(s) Vt, with
+    both singular subspaces rotated."""
+    U1 = np.linalg.qr(U + size * rng.normal(size=U.shape))[0]
+    Vt1 = np.linalg.qr((Vt + size * rng.normal(size=Vt.shape)).T)[0].T
+    return U1, s * (1 + size * rng.normal(size=len(s))), Vt1
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 40),
+    n=st.integers(1, 40),
+    case=st.sampled_from(["from zero", "to zero", "grows", "shrinks", "rotated", "near equal"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_change_norm_matches_the_dense_difference(m, n, case, seed):
+    rng = np.random.default_rng(seed)
+    d = min(m, n)
+    r0 = {"from zero": 0, "grows": d // 2}.get(case, int(rng.integers(1, d + 1)))
+    U0, s0, V0t = _factors(m, n, r0, rng)
+    if case == "to zero":
+        U1, s1, V1t = _factors(m, n, 0, rng)
+    elif case == "grows":
+        U1, s1, V1t = _factors(m, n, int(rng.integers(r0, d + 1)), rng)
+    elif case == "shrinks":
+        U1, s1, V1t = _factors(m, n, int(rng.integers(0, r0 + 1)), rng)
+    elif case == "rotated":
+        U1, s1, V1t = _nudged(U0, s0, V0t, 0.1, rng)
+    elif case == "near equal":
+        U1, s1, V1t = _nudged(U0, s0, V0t, 1e-9, rng)
+    else:  # from zero
+        U1, s1, V1t = _factors(m, n, int(rng.integers(0, d + 1)), rng)
+    Q0, Q1 = (U0 * s0) @ V0t, (U1 * s1) @ V1t
+    scale = max(float(np.linalg.norm(Q0)), float(np.linalg.norm(Q1)))
+    got = _change_norm(U0 * s0, V0t, U1, s1, V1t)
+    assert abs(got - float(np.linalg.norm(Q1 - Q0))) <= 1e-12 * scale
+
+
+def test_solve_peak_memory_is_bounded():
+    # a 400x400 rank-4 matrix of 4 cluster rows, about 13 % observed with
+    # noise 0.5, at the regularizer the oracle derives for it (lam = 2.5 *
+    # sigma * sqrt(d p)).  One m x n array is 1.28 MB: a single buffer holds
+    # the dense iterate, and a dense SVD's factors are freed before the next
+    # SVD runs, so the peak stays below six of them
+    rng = np.random.default_rng(0)
+    truth = rng.normal(size=(4, 400))[rng.integers(0, 4, size=400)]
+    rows, cols = np.nonzero(rng.random(truth.shape) < 0.13)
+    vals = truth[rows, cols] + 0.5 * rng.normal(size=len(rows))
+    lam = 2.5 * 0.5 * math.sqrt(400 * 0.13)
+    tracemalloc.start()
+    try:
+        _, info = solve_nuclear_norm(vals, (rows, cols), truth.shape, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.converged
+    assert peak <= 7.5e6
 
 
 def test_estimate_noiseless_rank2_recovery():

@@ -14,6 +14,12 @@ predate that change and did not move with it.  The `summary.csv` digest was
 re-recorded when summary.csv gained its `horizon` column; its earlier digest
 is still asserted on the file with that column taken out of every line, so
 on this one-horizon config the column is all that moved.
+
+Every iteration of the solves in those two configs thresholds through a
+dense SVD.  The 96x96 config pins the rank-k path as well: 276 of its 565
+solver iterations threshold in the warm-started subspace.  Its final regrets
+and emitted files were recorded before the solver kept its iterate as SVD
+factors.
 """
 
 import hashlib
@@ -126,3 +132,49 @@ def test_emitted_files_are_pinned(tmp_path):
     without = "".join(",".join(fields[:1] + fields[2:]) for fields in lines)
     assert hashlib.sha256(without.encode()).hexdigest() == SUMMARY_WITHOUT_HORIZON
 
+
+
+# the cs200 workload's generator and phased-elimination constants at 96x96
+RANK_K_CONFIG = """\
+[instance]
+kind = cs
+num_users = 96
+num_arms = 96
+num_clusters = 3
+row_distribution = gaussian(0,1)
+seed = 7
+noise = gaussian
+sigma = 0.5
+
+[experiment]
+horizon = 20000
+seeds = 5
+
+[algorithm lattice]
+c_prime_override = 0.5
+c_p = 0.25
+c_b = 0.4
+f_cap = 1
+
+[algorithm simplified-lattice]
+lam_coeff = 1.5
+"""
+
+RANK_K_REGRET = {
+    "lattice": 19151.334378047573,
+    "simplified-lattice": 9479.987035681328,
+}
+RANK_K_EMITTED = {
+    "regret.csv": "4b46bb53b7a5079aaad3d9a088af3a30286b475b10d1773d19f0fe5a8637a760",
+    "summary.csv": "52561fd0a38622780ea954372fadf871239f1f0955282c8af290fb6b09b66fb9",
+    "phase_trace.csv": "6bd993a9e4b2cca79dae1387c35917599173352774a640bb21b157853d5d6536",
+    "regret.svg": "b00b03128db20a984f2511f7ca3b076fa246ceb267b4fb89030730e2faba43e5",
+}
+
+
+def test_rank_k_solver_config_is_pinned(tmp_path):
+    report = bench.run_experiment(bench.parse_config(RANK_K_CONFIG))
+    assert {run.algorithm: run.history.final_regret for run in report.runs} == RANK_K_REGRET
+    paths = bench.emit_report(report, tmp_path)
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths.values()}
+    assert got == RANK_K_EMITTED
