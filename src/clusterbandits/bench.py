@@ -16,6 +16,7 @@ randomness varies with the per-run seed.
 from __future__ import annotations
 
 import array
+import contextlib
 import csv
 import dataclasses
 import io
@@ -440,36 +441,69 @@ def _csv_row(fields) -> str:
     return buf.getvalue()
 
 
+def _rows_text(template: str, *columns) -> str:
+    """`template % row` for each row of the equal-length `columns`, joined,
+    by one `%` over the template repeated once per row, fed the values row by
+    row.  A float64 column reaches the template as its `%.17g` text."""
+    rows, width = len(columns[0]), len(columns)
+    values = [None] * (rows * width)
+    for j, c in enumerate(columns):
+        values[j::width] = (_strings("%.17g", c) if c.dtype == np.float64 else c).tolist()
+    return (template * rows) % tuple(values)
+
+
 def _write_rows(fh, template: str, *columns) -> None:
     """Write `template % row` for each row of `columns`, WRITE_CHUNK rows at a
-    time.  A float64 column reaches the template as its `%.17g` text."""
+    time, each chunk rendered by `_rows_text`."""
     for start in range(0, len(columns[0]), WRITE_CHUNK):
-        chunk = [c[start : start + WRITE_CHUNK] for c in columns]
-        chunk = [_strings("%.17g", c) if c.dtype == np.float64 else c for c in chunk]
-        fh.write("".join(map(template.__mod__, zip(*(c.tolist() for c in chunk)))))
+        fh.write(_rows_text(template, *(c[start : start + WRITE_CHUNK] for c in columns)))
 
 
-def write_regret_csv(report: Report, path: Path) -> RegretColumns:
+def write_regret_csv(report: Report, path: Path, summary_path: Path | None = None) -> RegretColumns:
     """Write regret.csv one run at a time, every round of each run's history
-    with full_history and its horizon's checkpoints otherwise; returns the
-    columns to summarise, as views of the histories where they can be."""
+    with full_history and its horizon's checkpoints otherwise, WRITE_CHUNK
+    rows at a time; returns the columns to summarise, as views of the
+    histories where they can be.
+
+    With `summary_path`, where every (algorithm, horizon) holds one run,
+    summary.csv is written in the same pass: the mean of one value is that
+    value, so each chunk's cum_regret text is also its summary rows' mean
+    (save that a -0.0 mean is 0.0), and each stderr is 0."""
     full = report.config.full_history
     regret = RegretColumns([], [], [], [])
     grids: dict[int, np.ndarray] = {}  # rounds of a full history, or a horizon -> its grid
-    with open(path, "w", newline="") as fh:
+    with contextlib.ExitStack() as files:
+        fh = files.enter_context(open(path, "w", newline=""))
         fh.write(_csv_row(REGRET_FIELDS))
+        if summary_path is not None:
+            sfh = files.enter_context(open(summary_path, "w", newline=""))
+            sfh.write(_csv_row(SUMMARY_FIELDS))
         for run in report.runs:
             hist, n = run.history, len(run.history)
             key = n if full else run.horizon
             if key not in grids:
-                grids[key] = np.arange(1, n + 1) if full else checkpoint_grid(run.horizon)
+                # a history holds fewer than 2^31 rounds, so int32 holds its grid
+                grids[key] = (
+                    np.arange(1, n + 1, dtype=np.int32) if full else checkpoint_grid(run.horizon)
+                )
             t = grids[key]
             if full:
                 inst, cum = hist.inst_regret[:n], hist.cumulative_regret[:n]
             else:
                 inst, cum = hist.inst_regret[t - 1], hist.cumulative_regret[np.minimum(t, n) - 1]
             prefix = _csv_row([run.run_id, run.algorithm, run.seed, ""])[:-1]
-            _write_rows(fh, prefix.replace("%", "%%") + "%d,%s,%s\n", t, inst, cum)
+            template = prefix.replace("%", "%%") + "%d,%s,%s\n"
+            if summary_path is not None:
+                prefix = _csv_row([run.algorithm, run.horizon, ""])[:-1]
+                summary_template = prefix.replace("%", "%%") + "%d,%s,0\n"
+            for start in range(0, len(t), WRITE_CHUNK):
+                chunk = slice(start, start + WRITE_CHUNK)
+                text = _strings("%.17g", cum[chunk])
+                fh.write(_rows_text(template, t[chunk], inst[chunk], text))
+                if summary_path is not None:
+                    if _has_negative_zero(cum[chunk]):
+                        text = cum[chunk] + 0.0  # as `summarize` takes the mean of one value
+                    sfh.write(_rows_text(summary_template, t[chunk], text))
             regret.algorithm.append(run.algorithm)
             regret.horizon.append(run.horizon)
             regret.t.append(t)
@@ -536,14 +570,21 @@ def emit_report(report: Report, out_dir) -> dict[str, Path]:
     """Write regret.csv, summary.csv, phase_trace.csv and regret.svg.
 
     regret.csv is streamed one run at a time from the history arrays;
-    summary.csv and regret.svg are computed from the same numbers."""
+    summary.csv and regret.svg are computed from the same numbers.  When
+    every (algorithm, horizon) holds one run, as in every one-seed
+    experiment, summary.csv is written in regret.csv's pass from the same
+    text; otherwise it is written from `summarize`, which feeds the chart
+    either way."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
     paths["regret"] = out / "regret.csv"
-    summary = summarize(write_regret_csv(report, paths["regret"]))
     paths["summary"] = out / "summary.csv"
-    write_summary_csv(summary, paths["summary"])
+    one_each = len({(run.algorithm, run.horizon) for run in report.runs}) == len(report.runs)
+    regret = write_regret_csv(report, paths["regret"], paths["summary"] if one_each else None)
+    summary = summarize(regret)
+    if not one_each:
+        write_summary_csv(summary, paths["summary"])
     trace_rows = []
     for run in report.runs:
         if run.trace is None:
@@ -667,7 +708,9 @@ def write_regret_svg(summary: list[Stretch], path) -> None:
         label = f"{stretch.algorithm} T={stretch.horizon}" if several else stretch.algorithm
 
         def x_of(start: int, stop: int) -> np.ndarray:
-            return margin + (width - 2 * margin) * stretch.t[start:stop] / t_max
+            # float64 rounds, so an int32 grid cannot overflow; exact below 2^53 / 600
+            t = stretch.t[start:stop].astype(np.float64)
+            return margin + (width - 2 * margin) * t / t_max
 
         upper, lower, line = [], [], []  # the kept (x, y) of each block
         for start, x in _pixel_blocks(x_of, len(stretch.t)):
@@ -725,7 +768,9 @@ def scaling_rows(report: Report) -> list[dict]:
 
 
 def scaling_slope(rows: list[dict], algorithm: str) -> float:
-    """Log-log slope of mean final regret against the horizon."""
+    """Log-log slope of mean final regret against the horizon.  Raises
+    ValueError when there is none: with fewer than two horizons, or when a
+    mean final regret is not positive."""
     by_T: dict[int, list[float]] = {}
     for row in rows:
         if row["algorithm"] != algorithm:
@@ -735,4 +780,10 @@ def scaling_slope(rows: list[dict], algorithm: str) -> float:
         raise ValueError("need at least two horizons for a slope fit")
     Ts = sorted(by_T)
     means = [np.mean(by_T[t]) for t in Ts]
+    for horizon, mean in zip(Ts, means):
+        if not mean > 0:
+            raise ValueError(
+                f"{algorithm} at horizon {horizon}: mean final regret is {mean:.17g}, "
+                "and a log-log fit needs every mean positive"
+            )
     return float(np.polyfit(np.log(Ts), np.log(means), 1)[0])

@@ -88,7 +88,11 @@ def _cmd_bench(args) -> int:
 
     rows = _run_and_write(config, write)
     for algo in dict.fromkeys(name for name, _ in config.algorithms):
-        slope = bench.scaling_slope(rows, algo)
+        try:
+            slope = bench.scaling_slope(rows, algo)
+        except ValueError as exc:
+            print(f"{algo}: no final-regret log-log slope vs horizon ({exc})")
+            continue
         print(f"{algo}: final-regret log-log slope vs horizon = {slope:.3f}")
     return 0
 

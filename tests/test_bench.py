@@ -742,6 +742,10 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
 @example(["lattice", "ucb"], 2, [4000, 700], True, 21, 5)
 @example(["lattice"], 1, [4000], True, 22, 5)
 @example(["ucb", "etc"], 3, [400, 90, 37], False, 14, 5)
+# one seed at two horizons: every (algorithm, horizon) is one run, so
+# summary.csv is written in regret.csv's pass
+@example(["lattice", "ucb"], 1, [300, 40], True, -15, 5)
+@example(["lattice", "ucb"], 1, [300, 40], True, -15, bench.WRITE_CHUNK)
 def test_emit_matches_the_dict_based_reference(
     tmp_path_factory, algorithms, num_seeds, horizons, full, values_seed, write_chunk
 ):
@@ -756,8 +760,11 @@ def test_emit_matches_the_dict_based_reference(
 
     with mock.patch.object(bench, "WRITE_CHUNK", write_chunk), mock.patch.object(
         bench, "summarize", capture
-    ):
+    ), mock.patch.object(
+        bench, "write_summary_csv", wraps=bench.write_summary_csv
+    ) as two_pass:
         paths = bench.emit_report(report, out)
+    assert two_pass.called == (num_seeds > 1)
     # the chart takes each stretch's last round as its greatest
     for stretch in summaries[0]:
         assert len(stretch.t) and np.all(stretch.t[1:] > stretch.t[:-1])
@@ -784,6 +791,42 @@ def test_one_run_summary_is_the_run_column():
     (one,) = bench.summarize(bench.RegretColumns(["a"], [5], [t], [plain]))
     assert one.mean is plain
     assert one.stderr.strides == (0,)
+
+
+def test_partial_report_keeps_first_appearance_order(tmp_path):
+    # the report a CellError carries when the last cell fails: lattice has both
+    # seeds, ucb one, so summary.csv is reduced from the stretches
+    report = _synthetic_report(["lattice", "ucb"], [1, 2], [60], True, 3)
+    del report.runs[-1]
+    with mock.patch.object(bench, "write_summary_csv", wraps=bench.write_summary_csv) as two_pass:
+        paths = bench.emit_report(report, tmp_path)
+    assert two_pass.called
+    summary = _reference_summarize(_reference_regret_rows(report, True))
+    assert [row["algorithm"] for row in summary[:: len(summary) // 2]] == ["lattice", "ucb"]
+    _assert_same_text(paths["summary"].read_text(), _reference_csv(bench.SUMMARY_FIELDS, summary))
+
+
+@pytest.mark.parametrize("write_chunk", [3, bench.WRITE_CHUNK])
+def test_one_pass_summary_maps_negative_zero_as_summarize_does(tmp_path, write_chunk):
+    # `RunHistory.close` never sums to -0.0, so it is written into the column
+    report = _synthetic_report(["lattice"], [1], [10], True, 5)
+    cum = report.runs[0].history.cumulative_regret
+    cum[[1, 4, 7]] = -0.0
+    cum[[5, 8]] = np.nan
+    with mock.patch.object(bench, "WRITE_CHUNK", write_chunk), mock.patch.object(
+        bench, "write_summary_csv", wraps=bench.write_summary_csv
+    ) as two_pass:
+        paths = bench.emit_report(report, tmp_path)
+    assert not two_pass.called
+    regret = _read_csv(paths["regret"])
+    summary = _read_csv(paths["summary"])
+    assert [row["cum_regret"] for row in regret][1:9:3] == ["-0", "-0", "-0"]
+    assert [row["mean"] for row in summary][1:9:3] == ["0", "0", "0"]
+    assert [row["mean"] for row in summary][5:9:3] == ["nan", "nan"]
+    assert {row["stderr"] for row in summary} == {"0"}
+    # the two-pass path reads the same
+    bench.write_summary_csv(bench.summarize(bench.read_regret_csv(paths["regret"])), tmp_path / "s")
+    assert (tmp_path / "s").read_bytes() == paths["summary"].read_bytes()
 
 
 def test_each_horizon_is_its_own_stretch():
@@ -830,6 +873,10 @@ def test_history_closed_in_chunks_matches_one_close(regrets, cuts):
 
 
 def _emit_peak(report, out) -> int:
+    # np.unique imports numpy.ma (about 1 MB) on its first call in a process;
+    # import it first, so that a peak does not depend on which tests ran before
+    import numpy.ma  # noqa: F401
+
     tracemalloc.start()
     try:
         bench.emit_report(report, out)
@@ -839,13 +886,15 @@ def _emit_peak(report, out) -> int:
 
 
 def test_full_history_emission_peak_memory_one_run(tmp_path):
-    # 2^17 rounds: emission holds one write chunk or chart block and the run's
-    # grid of rounds (1 MB); the summary is one stretch whose mean is the run's
-    # own column and whose stderr is a zero-stride array (6.4 MB with a copied
-    # mean, a zero stderr column, an int64 algorithm code per row and the
-    # chart's row-length temporaries; 19 MB when the summariser sorted every row)
+    # 2^17 rounds: emission holds one write chunk's strings for regret.csv and
+    # summary.csv or one chart block, and the run's int32 grid of rounds
+    # (0.5 MiB); the summary is one stretch whose mean is the run's own column
+    # and whose stderr is a zero-stride array (1.8 MB with an int64 grid;
+    # 6.4 MB with a copied mean, a zero stderr column, an int64 algorithm code
+    # per row and the chart's row-length temporaries; 19 MB when the
+    # summariser sorted every row)
     report = _synthetic_report(["lattice"], [1], [2**17], True, 11)
-    assert _emit_peak(report, tmp_path) <= 5 * 2**19
+    assert _emit_peak(report, tmp_path) <= 2**21
     tracemalloc.start()
     try:
         regret = bench.read_regret_csv(tmp_path / "regret.csv")
@@ -964,6 +1013,19 @@ def test_chart_does_not_depend_on_the_block_size(tmp_path_factory, sizes, nan_at
     _assert_same_text(charts[0], charts[1])
 
 
+def test_chart_of_an_int32_grid_past_its_pixel_overflow(tmp_path):
+    # 600 * t overflows int32 past about 3.58M rounds; a full-history grid is int32
+    t = np.array([1, 2**21, 2**22, 2**31 - 1])
+    mean, stderr = np.array([0.0, 5.0, 7.0, 9.0]), np.zeros(4)
+    charts = []
+    for dtype in (np.int64, np.int32):
+        stretch = bench.Stretch("a", 2**31 - 1, t.astype(dtype), mean, stderr)
+        bench.write_regret_svg([stretch], tmp_path / "c.svg")
+        charts.append((tmp_path / "c.svg").read_text())
+    _assert_same_text(charts[1], charts[0])
+    assert "660.00," in charts[0]
+
+
 def test_scaling_slope_fit():
     rows = [
         {"algorithm": "lattice", "horizon": str(2**k), "seed": "1",
@@ -972,6 +1034,22 @@ def test_scaling_slope_fit():
     ]
     slope = bench.scaling_slope(rows, "lattice")
     assert slope == pytest.approx(0.5, abs=1e-9)
+
+
+def test_scaling_slope_of_a_zero_regret_says_there_is_none(tmp_path, capsys):
+    # one arm: no policy can regret anything, so log(mean final regret) has no value
+    text = SMALL_CONFIG.replace("num_users = 4\nnum_arms = 4", "num_users = 3\nnum_arms = 1")
+    text = text.replace("num_clusters = 2", "num_clusters = 1")
+    text = text.replace("horizon = 100", "horizons = 200,400")
+    cfg, out = _write_config(tmp_path, text), tmp_path / "out"
+    # a numpy RuntimeWarning fails the test (pyproject.toml's filterwarnings)
+    assert cli.main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "ucb: no final-regret log-log slope" in stdout
+    assert "ucb at horizon 200: mean final regret is 0," in stdout
+    assert "nan" not in stdout
+    with pytest.raises(ValueError, match="ucb at horizon 200"):
+        bench.scaling_slope(_read_csv(out / "scaling.csv"), "ucb")
 
 
 def test_build_instance_kinds(tmp_path):
