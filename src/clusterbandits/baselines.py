@@ -101,7 +101,7 @@ def run_explore_then_commit(
     filler_rng = np.random.default_rng(algo_ss.spawn(1)[0])
     user_sets, arm_sets = [range(instance.num_users)], [np.arange(instance.num_arms)]
     env.run(explore_rounds, user_sets, arm_sets, filler_rng)
-    commit_arm = {} if est is None else dict(enumerate(np.argmax(est.values, axis=1).tolist()))
+    commit_arm = {} if est is None else dict(enumerate(np.argmax(est, axis=1).tolist()))
     env.run(horizon, user_sets, arm_sets, filler_rng, fixed=commit_arm)
     return env.history, None
 

@@ -249,7 +249,10 @@ def _dimensions(spec: dict[str, object]) -> tuple[int, int, int]:
 def build_instance(spec: dict[str, object]) -> env.Instance:
     kind = spec.get("kind", "cs")
     if kind == "file":
-        return env.load_instance(spec["path"])
+        try:
+            return env.load_instance(spec["path"])
+        except ValueError as exc:
+            raise ConfigError(f"instance.path: {spec['path']}: {exc}") from None
     seed = spec.get("seed", 0)
     num_users, num_arms, num_clusters = _dimensions(spec)
     if kind == "hard":
@@ -414,13 +417,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
     return report
 
 
-def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows([row.get(k, "") for k in fieldnames] for row in rows)
-
-
 # rows per write of the row-template writers; bounds the text held at once,
 # since each chunk's floats are formatted only when it is written
 WRITE_CHUNK = 2**10
@@ -439,6 +435,11 @@ def _csv_row(fields) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(fields)
     return buf.getvalue()
+
+
+def _template(fields, rest: str) -> str:
+    """A row template: `fields` as `_csv_row` writes them, `%` escaped, then `rest`."""
+    return _csv_row([*fields, ""])[:-1].replace("%", "%%") + rest
 
 
 def _rows_text(template: str, *columns) -> str:
@@ -491,11 +492,8 @@ def write_regret_csv(report: Report, path: Path, summary_path: Path | None = Non
                 inst, cum = hist.inst_regret[:n], hist.cumulative_regret[:n]
             else:
                 inst, cum = hist.inst_regret[t - 1], hist.cumulative_regret[np.minimum(t, n) - 1]
-            prefix = _csv_row([run.run_id, run.algorithm, run.seed, ""])[:-1]
-            template = prefix.replace("%", "%%") + "%d,%s,%s\n"
-            if summary_path is not None:
-                prefix = _csv_row([run.algorithm, run.horizon, ""])[:-1]
-                summary_template = prefix.replace("%", "%%") + "%d,%s,0\n"
+            template = _template([run.run_id, run.algorithm, run.seed], "%d,%s,%s\n")
+            summary_template = _template([run.algorithm, run.horizon], "%d,%s,0\n")
             for start in range(0, len(t), WRITE_CHUNK):
                 chunk = slice(start, start + WRITE_CHUNK)
                 text = _strings("%.17g", cum[chunk])
@@ -545,8 +543,8 @@ def write_summary_csv(summary: list[Stretch], path: Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(_csv_row(SUMMARY_FIELDS))
         for stretch in summary:
-            prefix = _csv_row([stretch.algorithm, stretch.horizon, ""])[:-1].replace("%", "%%")
-            _write_rows(fh, prefix + "%d,%s,%s\n", stretch.t, stretch.mean, stretch.stderr)
+            template = _template([stretch.algorithm, stretch.horizon], "%d,%s,%s\n")
+            _write_rows(fh, template, stretch.t, stretch.mean, stretch.stderr)
 
 
 REGRET_FIELDS = ["run_id", "algorithm", "seed", "t", "instant_regret", "cum_regret"]
@@ -585,17 +583,18 @@ def emit_report(report: Report, out_dir) -> dict[str, Path]:
     summary = summarize(regret)
     if not one_each:
         write_summary_csv(summary, paths["summary"])
-    trace_rows = []
-    for run in report.runs:
-        if run.trace is None:
-            continue
-        for row in run.trace.csv_rows():
-            row = dict(row)
-            row.setdefault("mode", "")
-            row.update(run_id=run.run_id, algorithm=run.algorithm, seed=run.seed)
-            trace_rows.append(row)
     paths["phase_trace"] = out / "phase_trace.csv"
-    write_csv(paths["phase_trace"], TRACE_FIELDS, trace_rows)
+    with open(paths["phase_trace"], "w", newline="") as fh:
+        fh.write(_csv_row(TRACE_FIELDS))
+        for run in report.runs:
+            for r in run.trace.records if run.trace is not None else ():
+                delta, err = ("" if v is None else format(v, ".17g") for v in (r.delta, r.oracle_error))
+                fh.write(_csv_row([
+                    run.run_id, run.algorithm, run.seed, r.phase, delta,
+                    r.mode if run.trace.has_mode else "", len(r.user_sets),
+                    ";".join(str(len(s)) for s in r.user_sets),
+                    ";".join(str(len(a)) for a in r.arm_sets), r.rounds_used, err,
+                ]))
     if report.runs:
         paths["svg"] = out / "regret.svg"
         write_regret_svg(summary, paths["svg"])
@@ -752,30 +751,23 @@ def write_regret_svg(summary: list[Stretch], path) -> None:
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def scaling_rows(report: Report) -> list[dict]:
-    """Final regret per (algorithm, horizon, seed) for scaling studies."""
-    rows = []
-    for run in report.runs:
-        rows.append(
-            {
-                "algorithm": run.algorithm,
-                "horizon": run.horizon,
-                "seed": run.seed,
-                "final_regret": format(run.history.final_regret, ".17g"),
-            }
-        )
-    return rows
+def write_scaling_csv(report: Report, path: Path) -> None:
+    """Write scaling.csv: the final regret of each (algorithm, horizon, seed)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_row(["algorithm", "horizon", "seed", "final_regret"]))
+        for run in report.runs:
+            final = format(run.history.final_regret, ".17g")
+            fh.write(_csv_row([run.algorithm, run.horizon, run.seed, final]))
 
 
-def scaling_slope(rows: list[dict], algorithm: str) -> float:
-    """Log-log slope of mean final regret against the horizon.  Raises
-    ValueError when there is none: with fewer than two horizons, or when a
-    mean final regret is not positive."""
+def scaling_slope(finals, algorithm: str) -> float:
+    """Log-log slope of mean final regret against the horizon, from each run's
+    (algorithm, horizon, final regret).  Raises ValueError when there is none:
+    with fewer than two horizons, or when a mean final regret is not positive."""
     by_T: dict[int, list[float]] = {}
-    for row in rows:
-        if row["algorithm"] != algorithm:
-            continue
-        by_T.setdefault(int(row["horizon"]), []).append(float(row["final_regret"]))
+    for name, horizon, final_regret in finals:
+        if name == algorithm:
+            by_T.setdefault(horizon, []).append(final_regret)
     if len(by_T) < 2:
         raise ValueError("need at least two horizons for a slope fit")
     Ts = sorted(by_T)

@@ -57,6 +57,12 @@ def incoherence_and_condition(
     Incoherence is normalized so that mu >= 1, with mu = dim * max_row_norm^2
     of the corresponding singular factor divided by the truncated rank.
     """
+    return _spectrum(matrix, rank_tol)[:3]
+
+
+def _spectrum(matrix, rank_tol: float) -> tuple[float, float, float, int, np.ndarray]:
+    """`incoherence_and_condition`'s (kappa, mu_row, mu_col), then the
+    truncated rank r and the right singular factor, from one SVD."""
     A = np.asarray(matrix, dtype=float)
     if not np.any(A):
         raise ZeroMatrixError("matrix is identically zero")
@@ -67,7 +73,7 @@ def incoherence_and_condition(
     n, m = A.shape
     mu_row = float(n * np.max(np.sum(U[:, :r] ** 2, axis=1)) / r)
     mu_col = float(m * np.max(np.sum(Vt[:r, :] ** 2, axis=0)) / r)
-    return kappa, mu_row, mu_col
+    return kappa, mu_row, mu_col, r, Vt
 
 
 def subset_smoothness_estimate(
@@ -139,9 +145,7 @@ def assumption_report(
     C = instance.num_clusters
     if gamma is None:
         gamma = min(16.0 * math.log(max(M, 2)), float(M)) / C
-    kappa, mu_row, mu_col = incoherence_and_condition(X, rank_tol)
-    _, s, Vt = np.linalg.svd(X, full_matrices=False)
-    r = max(1, int(np.sum(s > rank_tol * s[0])))
+    kappa, mu_row, mu_col, r, Vt = _spectrum(X, rank_tol)
     V = Vt[:r, :].T
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     alpha_hat = subset_smoothness_estimate(V, gamma, C, num_subsets, rng)

@@ -80,16 +80,16 @@ def _cmd_bench(args) -> int:
 
     def write(report):
         out.mkdir(parents=True, exist_ok=True)
-        rows = bench.scaling_rows(report)
-        bench.write_csv(out / "scaling.csv", ["algorithm", "horizon", "seed", "final_regret"], rows)
+        bench.write_scaling_csv(report, out / "scaling.csv")
         print(f"wrote {out / 'scaling.csv'}")
         bench.emit_report(report, out)
-        return rows
+        return report
 
-    rows = _run_and_write(config, write)
+    report = _run_and_write(config, write)
+    finals = [(run.algorithm, run.horizon, run.history.final_regret) for run in report.runs]
     for algo in dict.fromkeys(name for name, _ in config.algorithms):
         try:
-            slope = bench.scaling_slope(rows, algo)
+            slope = bench.scaling_slope(finals, algo)
         except ValueError as exc:
             print(f"{algo}: no final-regret log-log slope vs horizon ({exc})")
             continue
@@ -99,11 +99,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.instance:
-        instance = env.load_instance(args.instance)
+        spec = {"kind": "file", "path": args.instance}
     else:
-        config = _load_config(args.config)
-        instance = bench.build_instance(config.instance)
-    report = checker.assumption_report(instance)
+        spec = _load_config(args.config).instance
+    report = checker.assumption_report(bench.build_instance(spec))
     text = report.to_text()
     if args.out:
         out = Path(args.out)

@@ -384,24 +384,6 @@ def solve_nuclear_norm(
     return G, info
 
 
-@dataclass
-class SubmatrixEstimate:
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    claimed_error: float
-    info: "EstimateInfo | None" = None
-
-
-@dataclass
-class EstimateInfo:
-    rounds_used: int
-    reps_completed: int
-    spawn_keys: list[tuple]
-    diagnostics: list[dict]
-    rep_estimates: list[np.ndarray]
-
-
 def _partitioned_solve(
     row_idx: np.ndarray,
     col_idx: np.ndarray,
@@ -468,10 +450,8 @@ class OracleInstance:
         self.params = params
         self._seed_seq = seed_seq
         self.rep_estimates: list[np.ndarray] = []
-        self.spawn_keys: list[tuple] = []
         self.diagnostics: list[dict] = []
         self.max_abs_observed = 0.0
-        self.rounds_used = 0
         self._row_of = np.zeros(self.users.max(initial=-1) + 1, dtype=np.int64)
         self._row_of[self.users] = np.arange(len(self.users))
         # the last `serve`'s (collection, first, stop) stretches of arrivals,
@@ -485,9 +465,7 @@ class OracleInstance:
         if len(self.rep_estimates) + len(self._unsolved) >= self.params.f:
             self._collection = None
             return
-        rep_ss = self._seed_seq.spawn(1)[0]
-        self.spawn_keys.append(tuple(rep_ss.spawn_key))
-        rng = np.random.default_rng(rep_ss)
+        rng = np.random.default_rng(self._seed_seq.spawn(1)[0])
         mask = sample_mask(self.users, self.arms, self.params.p, rng)
         if len(mask) == 0:
             # resample once with a fresh stream; tiny masks happen only for
@@ -514,7 +492,6 @@ class OracleInstance:
             if coll.done:
                 self._unsolved.append(coll)
                 self._start_repetition()
-        self.rounds_used += n
         return np.concatenate(parts)
 
     def credit(self, rewards: np.ndarray) -> None:
@@ -545,21 +522,14 @@ class OracleInstance:
         self.diagnostics.extend(diags)
         self.rep_estimates.append(est)
 
-    def estimate(self) -> SubmatrixEstimate | None:
-        """Entrywise median of completed repetitions; None if none completed."""
+    def estimate(self) -> np.ndarray | None:
+        """Entrywise median of the completed repetitions, users x arms; None
+        if none completed."""
         if not self.rep_estimates:
             return None
-        values = np.median(np.stack(self.rep_estimates), axis=0)
-        info = EstimateInfo(
-            rounds_used=self.rounds_used,
-            reps_completed=len(self.rep_estimates),
-            spawn_keys=list(self.spawn_keys),
-            diagnostics=list(self.diagnostics),
-            rep_estimates=list(self.rep_estimates),
-        )
-        return SubmatrixEstimate(self.users, self.arms, values, self.params.zeta, info)
+        return np.median(np.stack(self.rep_estimates), axis=0)
 
-    def partial_estimate(self) -> SubmatrixEstimate | None:
+    def partial_estimate(self) -> np.ndarray | None:
         """`estimate`, or, when no repetition has completed, the current one
         solved on its fully averaged cells; None if it has none either."""
         # with no repetition completed, the first one is still collecting
@@ -588,7 +558,7 @@ def run_oracle(
 
 def low_rank_matrix_estimate(
     env, users, arms, params: OracleParams, budget: int | None = None, seed: int = 0
-) -> SubmatrixEstimate:
+) -> np.ndarray:
     """The estimate of `run_oracle`; at least one repetition must complete."""
     est = run_oracle(env, users, arms, params, budget, seed).estimate()
     if est is None:

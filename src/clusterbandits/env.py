@@ -499,7 +499,16 @@ def save_instance(instance: Instance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _matrix(lines: list[str], name: str, num_rows: int, num_cols: int) -> np.ndarray:
+    """The rows of an instance file's [name] section, which must be num_rows x num_cols."""
+    rows = [[float(v) for v in line.split()] for line in lines]
+    if len(rows) != num_rows or any(len(row) != num_cols for row in rows):
+        raise ValueError(f"[{name}] must hold {num_rows} rows of {num_cols} values")
+    return np.array(rows)
+
+
 def load_instance(path) -> Instance:
+    """The instance of an instance file; ValueError names a section that does not fit [meta]."""
     meta: dict[str, str] = {}
     sections: dict[str, list[str]] = {"cluster_of": [], "X": [], "P": []}
     current = None
@@ -520,8 +529,10 @@ def load_instance(path) -> Instance:
     num_arms = int(meta["num_arms"])
     num_clusters = int(meta["num_clusters"])
     cluster_of = np.array(" ".join(sections["cluster_of"]).split(), dtype=int)
-    X = np.array([[float(v) for v in row.split()] for row in sections["X"]])
-    P = np.array([[float(v) for v in row.split()] for row in sections["P"]])
+    if len(cluster_of) != num_users or not np.all((0 <= cluster_of) & (cluster_of < num_clusters)):
+        raise ValueError(f"[cluster_of] must hold {num_users} clusters in 0..{num_clusters - 1}")
+    X = _matrix(sections["X"], "X", num_clusters, num_arms)
+    P = _matrix(sections["P"], "P", num_users, num_arms)
     noise_kind = meta.get("noise_kind", "none")
     noise = NoiseModel(noise_kind, float(meta.get("noise_sigma", "0"))) if noise_kind != "none" else None
     return Instance(

@@ -188,7 +188,7 @@ class RcsConfig(LatticeConfig):
 @dataclass
 class PhaseRecord:
     phase: int
-    delta: float
+    delta: float | None
     mode: str
     user_sets: list[list[int]]
     arm_sets: list[list[int]]
@@ -204,23 +204,6 @@ class PhaseTrace:
     # simplified-lattice nuclear-norm solves that hit their iteration cap
     # unconverged (the lattice variants' solves report through their oracles)
     unconverged_solves: int = 0
-
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        for r in self.records:
-            row = {
-                "phase": r.phase,
-                "delta": "" if r.delta is None else format(r.delta, ".17g"),
-                "num_sets": len(r.user_sets),
-                "set_sizes": ";".join(str(len(s)) for s in r.user_sets),
-                "arm_set_sizes": ";".join(str(len(a)) for a in r.arm_sets),
-                "rounds_used": r.rounds_used,
-                "oracle_error": "" if r.oracle_error is None else format(r.oracle_error, ".17g"),
-            }
-            if self.has_mode:
-                row["mode"] = r.mode
-            rows.append(row)
-        return rows
 
 
 class _PhasedRun:
@@ -358,12 +341,7 @@ class _PhasedRun:
             d2 = min(len(users), len(arms))
             lam = cfg.c_lambda * cfg.sigma * math.sqrt(d2 * params.p)
             params = replace(params, b=1, lam=max(lam, 1e-3))
-        return OracleInstance(
-            np.asarray(users, dtype=int),
-            np.asarray(arms, dtype=int),
-            params,
-            self.algo_ss.spawn(1)[0],
-        )
+        return OracleInstance(users, arms, params, self.algo_ss.spawn(1)[0])
 
     def _estimate_scale(self, instances: dict[int, OracleInstance]) -> None:
         cfg = self.config
@@ -383,12 +361,11 @@ class _PhasedRun:
         worst_err = None
         for i, (us, arms) in enumerate(zip(user_sets, arm_sets)):
             inst = instances.get(i)
-            est = inst.estimate() if inst is not None else None
-            if est is None:
+            values = inst.estimate() if inst is not None else None
+            if values is None:
                 new_users.append(list(us))
                 new_arms.append(arms)
                 continue
-            values = est.values
             err = float(np.max(np.abs(values - self.instance.P[np.ix_(us, arms)])))
             worst_err = err if worst_err is None else max(worst_err, err)
             for r, u in enumerate(us):

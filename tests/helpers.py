@@ -1,5 +1,8 @@
 """Helpers shared by the test modules."""
 
+import csv
+import io
+
 import numpy as np
 
 from clusterbandits import bench
@@ -37,6 +40,44 @@ def serialize_config(config) -> str:
         lines.append(f"[{name}]")
         lines.extend(f"{key} = {_text(value)}" for key, value in body.items())
     return "\n".join(lines) + "\n"
+
+
+def _trace_rows(trace) -> list[dict]:
+    """The phase_trace.csv fields of each record of `trace`, as dicts."""
+    rows = []
+    for r in trace.records:
+        row = {
+            "phase": r.phase,
+            "delta": "" if r.delta is None else format(r.delta, ".17g"),
+            "num_sets": len(r.user_sets),
+            "set_sizes": ";".join(str(len(s)) for s in r.user_sets),
+            "arm_set_sizes": ";".join(str(len(a)) for a in r.arm_sets),
+            "rounds_used": r.rounds_used,
+            "oracle_error": "" if r.oracle_error is None else format(r.oracle_error, ".17g"),
+        }
+        if trace.has_mode:
+            row["mode"] = r.mode
+        rows.append(row)
+    return rows
+
+
+def reference_trace_csv(report) -> str:
+    """phase_trace.csv of `report` as it was written from one dict per
+    record through `csv.writer`: the byte-for-byte reference of
+    `bench.emit_report`'s trace rows."""
+    rows = []
+    for run in report.runs:
+        if run.trace is None:
+            continue
+        for row in _trace_rows(run.trace):
+            row.setdefault("mode", "")
+            row.update(run_id=run.run_id, algorithm=run.algorithm, seed=run.seed)
+            rows.append(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(bench.TRACE_FIELDS)
+    writer.writerows([row.get(k, "") for k in bench.TRACE_FIELDS] for row in rows)
+    return buf.getvalue()
 
 
 class IndexedMaskCollection:
@@ -103,18 +144,15 @@ class PerRoundOracle:
     def __init__(self, users, arms, params, seed_seq):
         self.users, self.arms = np.asarray(users, dtype=int), np.asarray(arms, dtype=int)
         self.params, self._seed_seq = params, seed_seq
-        self.rep_estimates, self.spawn_keys, self.diagnostics = [], [], []
+        self.rep_estimates, self.diagnostics = [], []
         self.max_abs_observed = 0.0
-        self.rounds_used = 0
         self._start_repetition()
 
     def _start_repetition(self):
         if len(self.rep_estimates) >= self.params.f:
             self._collection = None
             return
-        rep_ss = self._seed_seq.spawn(1)[0]
-        self.spawn_keys.append(tuple(rep_ss.spawn_key))
-        self._rep_rng = np.random.default_rng(rep_ss)
+        self._rep_rng = np.random.default_rng(self._seed_seq.spawn(1)[0])
         mask = sample_mask(self.users, self.arms, self.params.p, self._rep_rng)
         if len(mask) == 0:
             mask = sample_mask(self.users, self.arms, self.params.p, self._rep_rng)
@@ -125,7 +163,6 @@ class PerRoundOracle:
         return self._collection is not None and not self._collection.done
 
     def choose(self, user):
-        self.rounds_used += 1
         return self._collection.choose(user)
 
     def record(self, user, arm, reward):

@@ -106,15 +106,12 @@ def test_criterion_2_sqrt_t_scaling(acceptance_log):
         num_clusters=2, sigma=0.5, gamma=1.0, c_prime_override=0.5,
         c_p=0.5, c_b=0.5, f_cap=1,
     )
-    rows = []
+    finals = []
     for T in (2**14, 2**15, 2**16, 2**17):
         for seed in (301, 302, 303, 304, 305):
             hist, _ = run_lattice(inst, cfg, T, seed=seed, noise=noise)
-            rows.append(
-                {"algorithm": "lattice", "horizon": str(T), "seed": str(seed),
-                 "final_regret": format(hist.final_regret, ".17g")}
-            )
-    slope = bench.scaling_slope(rows, "lattice")
+            finals.append(("lattice", T, hist.final_regret))
+    slope = bench.scaling_slope(finals, "lattice")
     ok = 0.35 <= slope <= 0.65
     _report(
         acceptance_log,
@@ -134,12 +131,12 @@ def test_criterion_3_oracle_error_scaling(acceptance_log):
             lam = 2.5 * (0.5 / math.sqrt(b)) * math.sqrt(100 * 0.5)
             params = OracleParams(p=0.5, b=b, f=1, lam=lam, r=2, mu=1.0, sigma=0.5, zeta=0.1)
             est = low_rank_matrix_estimate(env, np.arange(100), np.arange(100), params, seed=seed)
-            errs[b].append(float(np.max(np.abs(est.values - inst.P))))
+            errs[b].append(float(np.max(np.abs(est - inst.P))))
     ratio = float(np.median(errs[4]) / np.median(errs[16]))
     env = Environment(inst, NoiseModel("none"), seed=5, horizon=200_000)
     params = OracleParams(p=0.5, b=1, f=1, lam=1e-3, r=2, mu=1.0, sigma=0.0, zeta=0.01)
     est = low_rank_matrix_estimate(env, np.arange(100), np.arange(100), params, seed=3)
-    noiseless_err = float(np.max(np.abs(est.values - inst.P)))
+    noiseless_err = float(np.max(np.abs(est - inst.P)))
     ok = 2 / 1.6 <= ratio <= 2 * 1.6 and noiseless_err <= 1e-2
     _report(
         acceptance_log,

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from clusterbandits import baselines, bench, cli, env, lattice, rcs
-from helpers import regret_at, serialize_config
+from helpers import reference_trace_csv, regret_at, serialize_config
 
 SMALL_CONFIG = """\
 [instance]
@@ -775,6 +776,61 @@ def test_emit_matches_the_dict_based_reference(
     _assert_same_text(paths["svg"].read_text(), _reference_svg(summary))
 
 
+TRACE_CONFIG = """\
+[instance]
+kind = rcs
+num_users = 24
+num_arms = 16
+num_clusters = 2
+nu = 0.02
+row_distribution = gaussian(0,1)
+seed = 17
+noise = gaussian
+sigma = 0.3
+[experiment]
+horizon = 6000
+seeds = 1,2
+[algorithm lattice]
+gamma = 1
+c_prime_override = 0.7
+c_p = 2.0
+c_b = 0.5
+f_cap = 1
+[algorithm lattice-rcs]
+nu = 0.02
+gamma = 1
+c_prime_override = 0.7
+c_p = 2.0
+c_b = 0.5
+f_cap = 1
+[algorithm simplified-lattice]
+[algorithm ucb]
+[algorithm etc]
+"""
+
+
+def test_phase_trace_matches_the_dict_based_reference(tmp_path):
+    report = bench.run_experiment(bench.parse_config(TRACE_CONFIG))
+    modes = {run.algorithm: run.trace and run.trace.has_mode for run in report.runs}
+    assert modes == {"lattice": False, "lattice-rcs": True, "simplified-lattice": False,
+                     "ucb": None, "etc": None}
+    # a hand-built trace of each kind, with empty delta and oracle_error
+    # fields, and an oracle error of exactly 0
+    records = [
+        lattice.PhaseRecord(1, None, "joint", [[0, 1], [2]], [[0], [1, 2]], 10),
+        lattice.PhaseRecord(2, 0.1, "clusterwise", [[0], [1], [2]], [[0], [1], [2]], 7, 1 / 3),
+        lattice.PhaseRecord(3, 2.0**-40, "ucb", [[0, 1, 2]], [[2]], 0, 0.0),
+    ]
+    history = report.runs[0].history
+    for has_mode in (False, True):
+        trace = lattice.PhaseTrace(records, has_mode=has_mode)
+        report.runs.append(bench.RunResult(len(report.runs), "a,b", 9, 6000, history, trace))
+    got = bench.emit_report(report, tmp_path)["phase_trace"].read_text()
+    _assert_same_text(got, reference_trace_csv(report))
+    assert ',"a,b",9,1,,,2,2;1,1;2,10,\n' in got
+    assert ',"a,b",9,1,,joint,2,2;1,1;2,10,\n' in got
+
+
 def test_one_run_summary_is_the_run_column():
     t = np.arange(1, 6)
     plain = np.array([0.0, 0.5, 0.5, 2.0, 3.0])
@@ -1026,13 +1082,15 @@ def test_chart_of_an_int32_grid_past_its_pixel_overflow(tmp_path):
     assert "660.00," in charts[0]
 
 
+def _scaling_finals(path) -> list[tuple[str, int, float]]:
+    """The (algorithm, horizon, final regret) of each row of a scaling.csv."""
+    return [(r["algorithm"], int(r["horizon"]), float(r["final_regret"])) for r in _read_csv(path)]
+
+
 def test_scaling_slope_fit():
-    rows = [
-        {"algorithm": "lattice", "horizon": str(2**k), "seed": "1",
-         "final_regret": format(3.0 * (2**k) ** 0.5, ".17g")}
-        for k in range(10, 14)
-    ]
-    slope = bench.scaling_slope(rows, "lattice")
+    finals = [("lattice", 2**k, 3.0 * (2**k) ** 0.5) for k in range(10, 14)]
+    finals += [("ucb", 2**k, 1.0) for k in range(10, 14)]
+    slope = bench.scaling_slope(finals, "lattice")
     assert slope == pytest.approx(0.5, abs=1e-9)
 
 
@@ -1049,7 +1107,7 @@ def test_scaling_slope_of_a_zero_regret_says_there_is_none(tmp_path, capsys):
     assert "ucb at horizon 200: mean final regret is 0," in stdout
     assert "nan" not in stdout
     with pytest.raises(ValueError, match="ucb at horizon 200"):
-        bench.scaling_slope(_read_csv(out / "scaling.csv"), "ucb")
+        bench.scaling_slope(_scaling_finals(out / "scaling.csv"), "ucb")
 
 
 def test_build_instance_kinds(tmp_path):
@@ -1070,6 +1128,50 @@ def _write_config(tmp_path, text=SMALL_CONFIG):
     path = tmp_path / "exp.cfg"
     path.write_text(text)
     return path
+
+
+# edits of a saved 4-user, 3-arm, 2-cluster instance file
+@pytest.mark.parametrize(
+    "edit, section",
+    [
+        # the last line of the file is the last row of [P]
+        pytest.param(
+            lambda text: text[: text.rstrip("\n").rindex("\n") + 1], "[P]", id="P-row-dropped"
+        ),
+        pytest.param(lambda text: text.replace("num_arms = 3", "num_arms = 5"), "[X]", id="arms"),
+        pytest.param(
+            lambda text: text.replace("num_users = 4", "num_users = 5"), "[cluster_of]",
+            id="users",
+        ),
+        pytest.param(
+            lambda text: text.replace("0 1 0 1", "0 1 0 2"), "[cluster_of]", id="cluster-id"
+        ),
+        pytest.param(
+            lambda text: text.replace(" -0.2155971630897659\n[P]", "\n[P]"), "[X]",
+            id="X-row-short",
+        ),
+    ],
+)
+def test_malformed_instance_file_is_a_config_error(tmp_path, capsys, edit, section):
+    config = SMALL_CONFIG.replace("num_arms = 4", "num_arms = 3")
+    assert cli.main(["generate", "--config", str(_write_config(tmp_path, config)),
+                     "--out", str(tmp_path)]) == 0
+    path = tmp_path / "instance.txt"
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError, match=re.escape(section)):
+        env.load_instance(path)
+    experiment = config[config.index("[experiment]") :]
+    cfg = _write_config(tmp_path, f"[instance]\nkind = file\npath = {path}\n{experiment}")
+    capsys.readouterr()
+    for argv in (
+        ["run", "--config", str(cfg), "--out", str(tmp_path / "run")],
+        ["generate", "--config", str(cfg), "--out", str(tmp_path / "again")],
+        ["check", "--instance", str(path)],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: instance.path: ") and section in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "again").exists()
 
 
 def test_cli_run_success(tmp_path, capsys):

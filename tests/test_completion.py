@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clusterbandits import completion
 from clusterbandits.completion import (
     InsufficientBudgetError,
     Mask,
@@ -14,6 +16,7 @@ from clusterbandits.completion import (
     _change_norm,
     derive_oracle_params,
     low_rank_matrix_estimate,
+    run_oracle,
     sample_mask,
     solve_nuclear_norm,
 )
@@ -586,19 +589,18 @@ def test_estimate_noiseless_rank2_recovery():
     inst = generate_cs_instance(80, 80, 2, RowDistribution.gaussian(0, 1), seed=21)
     env = Environment(inst, NoiseModel("none"), seed=5, horizon=200_000)
     params = OracleParams(p=0.5, b=1, f=3, lam=1e-3, r=2, mu=1.0, sigma=0.0, zeta=0.01)
-    est = low_rank_matrix_estimate(
-        env, np.arange(80), np.arange(80), params, seed=3
-    )
-    assert np.max(np.abs(est.values - inst.P)) <= 1e-2
-    assert est.info.reps_completed == 3
+    oracle = run_oracle(env, np.arange(80), np.arange(80), params, seed=3)
+    assert np.max(np.abs(oracle.estimate() - inst.P)) <= 1e-2
+    assert len(oracle.rep_estimates) == 3
 
 
 def test_estimate_f_one_median_identity():
     inst = generate_cs_instance(12, 12, 2, RowDistribution.gaussian(0, 1), seed=2)
     env = Environment(inst, NoiseModel("none"), seed=1, horizon=20_000)
     params = OracleParams(p=0.8, b=1, f=1, lam=1e-3, r=2, mu=1.0, sigma=0.0, zeta=0.1)
-    est = low_rank_matrix_estimate(env, np.arange(12), np.arange(12), params, seed=8)
-    assert np.array_equal(est.values, est.info.rep_estimates[0])
+    oracle = run_oracle(env, np.arange(12), np.arange(12), params, seed=8)
+    assert len(oracle.rep_estimates) == 1
+    assert np.array_equal(oracle.estimate(), oracle.rep_estimates[0])
 
 
 def test_estimate_insufficient_budget():
@@ -613,10 +615,20 @@ def test_estimate_masks_use_fresh_substreams():
     inst = generate_cs_instance(10, 10, 2, RowDistribution.gaussian(0, 1), seed=4)
     env = Environment(inst, NoiseModel("none"), seed=2, horizon=50_000)
     params = OracleParams(p=0.6, b=1, f=4, lam=1e-3, r=2, mu=1.0, sigma=0.0, zeta=0.1)
-    est = low_rank_matrix_estimate(env, np.arange(10), np.arange(10), params, seed=0)
-    keys = est.info.spawn_keys
-    assert len(keys) == 4
-    assert len(set(keys)) == 4
+    masks = []
+
+    def sample(*args):
+        masks.append(sample_mask(*args))
+        return masks[-1]
+
+    with mock.patch.object(completion, "sample_mask", sample):
+        oracle = run_oracle(env, np.arange(10), np.arange(10), params, seed=0)
+    # one mask per repetition, each drawn from its own stream, so neither the
+    # masks nor the estimates of two repetitions are the same
+    assert len(masks) == len(oracle.rep_estimates) == 4
+    cells = {(m.entry_row.tobytes(), m.entry_col.tobytes()) for m in masks}
+    assert len(cells) == 4
+    assert len({est.tobytes() for est in oracle.rep_estimates}) == 4
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -640,7 +652,7 @@ def test_partition_handles_wide_matrices():
     est = low_rank_matrix_estimate(
         env, np.arange(10), np.arange(37), params, seed=6
     )
-    assert np.max(np.abs(est.values - inst.P)) <= 2e-2
+    assert np.max(np.abs(est - inst.P)) <= 2e-2
 
 
 def test_partition_handles_tall_matrices():
@@ -651,7 +663,7 @@ def test_partition_handles_tall_matrices():
     est = low_rank_matrix_estimate(
         env, np.arange(37), np.arange(10), params, seed=6
     )
-    assert np.max(np.abs(est.values - inst.P)) <= 2e-2
+    assert np.max(np.abs(est - inst.P)) <= 2e-2
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

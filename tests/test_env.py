@@ -454,8 +454,8 @@ def _oracle_state(oracle):
         coll.sums.tobytes(), coll.counts.tolist(), coll.rng.bit_generator.state
     )
     return (
-        [est.tobytes() for est in oracle.rep_estimates], oracle.spawn_keys, oracle.diagnostics,
-        oracle.max_abs_observed, oracle.rounds_used, oracle.collecting, current,
+        [est.tobytes() for est in oracle.rep_estimates], oracle.diagnostics,
+        oracle.max_abs_observed, oracle.collecting, current,
     )
 
 

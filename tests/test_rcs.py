@@ -1,5 +1,8 @@
+import csv
+
 import numpy as np
 
+from clusterbandits import bench
 from clusterbandits.env import NoiseModel, RowDistribution, generate_rcs_instance
 from clusterbandits.lattice import intersect_with_union_fallback
 from clusterbandits.rcs import RcsConfig, run_lattice_rcs
@@ -86,9 +89,15 @@ def test_rcs_exact_partition_matches_clusters_noiseless():
     assert sorted(tuple(sorted(s)) for s in cw[0].user_sets) == truth
 
 
-def test_rcs_trace_has_mode_column():
+def test_rcs_trace_has_mode_column(tmp_path):
     inst = _rcs_instance()
-    _, trace = run_lattice_rcs(inst, _config(), 5000, seed=3, noise=NoiseModel("gaussian", 0.3))
+    hist, trace = run_lattice_rcs(inst, _config(), 5000, seed=3, noise=NoiseModel("gaussian", 0.3))
     assert trace.has_mode
-    rows = trace.csv_rows()
-    assert all("mode" in row for row in rows)
+    config = bench.ExperimentConfig(
+        {"kind": "rcs", "num_users": 30, "num_arms": 20, "num_clusters": 3},
+        [("lattice-rcs", {})], horizons=[5000], seeds=[3],
+    )
+    report = bench.Report(config, [bench.RunResult(0, "lattice-rcs", 3, 5000, hist, trace)])
+    with open(bench.emit_report(report, tmp_path)["phase_trace"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and [row["mode"] for row in rows] == [r.mode for r in trace.records]
