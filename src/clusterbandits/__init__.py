@@ -17,7 +17,6 @@ from .env import (
 from .completion import (
     OracleParams,
     derive_oracle_params,
-    low_rank_matrix_estimate,
     sample_mask,
     solve_nuclear_norm,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "generate_rcs_instance",
     "kmeans_elbow",
     "load_instance",
-    "low_rank_matrix_estimate",
     "run_explore_then_commit",
     "run_lattice",
     "run_lattice_rcs",

@@ -77,16 +77,7 @@ def run_explore_then_commit(
     logd = math.log(max(d2, 2))
     p = min(1.0, config.c_p * config.mu**2 * logd**3 / d2)
     lam = config.c_lambda * (config.sigma / math.sqrt(config.b)) * math.sqrt(d2 * p)
-    params = OracleParams(
-        p=p,
-        b=config.b,
-        f=config.f,
-        lam=max(lam, 1e-3),
-        r=config.num_clusters,
-        mu=config.mu,
-        sigma=config.sigma,
-        zeta=1.0,
-    )
+    params = OracleParams(p=p, b=config.b, f=config.f, lam=max(lam, 1e-3), zeta=1.0)
     oracle = run_oracle(
         env,
         np.arange(instance.num_users),
@@ -106,7 +97,13 @@ def run_explore_then_commit(
     return env.history, None
 
 
-def _kmeans_once(rows: np.ndarray, k: int, rng: np.random.Generator, iters: int) -> tuple[np.ndarray, float]:
+# k-means++ seedings tried per k; the lowest objective is kept
+KMEANS_RESTARTS = 10
+# Lloyd iterations per seeding, unless the labels stop changing first
+KMEANS_ITERS = 100
+
+
+def _kmeans_once(rows: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     n = len(rows)
     # k-means++ seeding
     centers = np.empty((k, rows.shape[1]))
@@ -120,7 +117,7 @@ def _kmeans_once(rows: np.ndarray, k: int, rng: np.random.Generator, iters: int)
             centers[j] = rows[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((rows - centers[j]) ** 2, axis=1))
     labels = None
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         dists = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(dists, axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
@@ -136,13 +133,7 @@ def _kmeans_once(rows: np.ndarray, k: int, rng: np.random.Generator, iters: int)
 
 
 def kmeans_elbow(
-    rows: np.ndarray,
-    max_k: int,
-    elbow_ratio: float,
-    objective_floor: float,
-    seed,
-    restarts: int = 10,
-    iters: int = 100,
+    rows: np.ndarray, max_k: int, elbow_ratio: float, objective_floor: float, seed
 ) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding, choosing k by the elbow rule:
     grow k while the objective keeps dropping by at least `elbow_ratio` and
@@ -155,8 +146,8 @@ def kmeans_elbow(
 
     def best_of(k: int) -> tuple[np.ndarray, float]:
         best = None
-        for _ in range(restarts):
-            labels, obj = _kmeans_once(rows, k, rng, iters)
+        for _ in range(KMEANS_RESTARTS):
+            labels, obj = _kmeans_once(rows, k, rng)
             if best is None or obj < best[1]:
                 best = (labels, obj)
         return best

@@ -281,9 +281,13 @@ def _run_cell(name, config, instance, noise, horizon, seed):
     return getattr(module, run)(instance, config, horizon, seed, noise)
 
 
-def checkpoint_grid(horizon: int, count: int = 100) -> np.ndarray:
+# log-spaced checkpoint rounds per run, before rounding merges some
+CHECKPOINTS = 100
+
+
+def checkpoint_grid(horizon: int) -> np.ndarray:
     pts = np.unique(
-        np.round(np.logspace(0, math.log10(max(horizon, 1)), count)).astype(int)
+        np.round(np.logspace(0, math.log10(max(horizon, 1)), CHECKPOINTS)).astype(int)
     )
     pts = pts[(pts >= 1) & (pts <= horizon)]
     if len(pts) == 0 or pts[-1] != horizon:
@@ -469,7 +473,7 @@ def write_regret_csv(report: Report, path: Path, summary_path: Path | None = Non
     With `summary_path`, where every (algorithm, horizon) holds one run,
     summary.csv is written in the same pass: the mean of one value is that
     value, so each chunk's cum_regret text is also its summary rows' mean
-    (save that a -0.0 mean is 0.0), and each stderr is 0."""
+    (a cumulative regret starts from +0.0, so is never -0.0), and each stderr is 0."""
     full = report.config.full_history
     regret = RegretColumns([], [], [], [])
     grids: dict[int, np.ndarray] = {}  # rounds of a full history, or a horizon -> its grid
@@ -499,8 +503,6 @@ def write_regret_csv(report: Report, path: Path, summary_path: Path | None = Non
                 text = _strings("%.17g", cum[chunk])
                 fh.write(_rows_text(template, t[chunk], inst[chunk], text))
                 if summary_path is not None:
-                    if _has_negative_zero(cum[chunk]):
-                        text = cum[chunk] + 0.0  # as `summarize` takes the mean of one value
                     sfh.write(_rows_text(summary_template, t[chunk], text))
             regret.algorithm.append(run.algorithm)
             regret.horizon.append(run.horizon)

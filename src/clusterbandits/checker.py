@@ -13,6 +13,10 @@ import numpy as np
 from .env import Instance
 
 
+# singular values at or below this share of the largest count as zero
+RANK_TOL = 1e-9
+
+
 class ZeroMatrixError(ValueError):
     pass
 
@@ -49,25 +53,18 @@ class AssumptionReport:
         return "\n".join(lines) + "\n"
 
 
-def incoherence_and_condition(
-    matrix: np.ndarray, rank_tol: float = 1e-9
-) -> tuple[float, float, float]:
-    """Condition number and row/column incoherence of the rank-truncated SVD.
+def spectrum(matrix) -> tuple[float, float, float, int, np.ndarray]:
+    """Condition number kappa and row/column incoherence of the rank-truncated
+    SVD, then the truncated rank r and the right singular factor, from one SVD.
 
     Incoherence is normalized so that mu >= 1, with mu = dim * max_row_norm^2
     of the corresponding singular factor divided by the truncated rank.
     """
-    return _spectrum(matrix, rank_tol)[:3]
-
-
-def _spectrum(matrix, rank_tol: float) -> tuple[float, float, float, int, np.ndarray]:
-    """`incoherence_and_condition`'s (kappa, mu_row, mu_col), then the
-    truncated rank r and the right singular factor, from one SVD."""
     A = np.asarray(matrix, dtype=float)
     if not np.any(A):
         raise ZeroMatrixError("matrix is identically zero")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > rank_tol * s[0]))
+    r = int(np.sum(s > RANK_TOL * s[0]))
     r = max(r, 1)
     kappa = float(s[0] / s[r - 1])
     n, m = A.shape
@@ -137,7 +134,6 @@ def assumption_report(
     gamma: float | None = None,
     num_subsets: int = 200,
     seed: int = 0,
-    rank_tol: float = 1e-9,
 ) -> AssumptionReport:
     """Measure all assumption-related quantities on one instance."""
     X = instance.X
@@ -145,13 +141,13 @@ def assumption_report(
     C = instance.num_clusters
     if gamma is None:
         gamma = min(16.0 * math.log(max(M, 2)), float(M)) / C
-    kappa, mu_row, mu_col, r, Vt = _spectrum(X, rank_tol)
+    kappa, mu_row, mu_col, r, Vt = spectrum(X)
     V = Vt[:r, :].T
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     alpha_hat = subset_smoothness_estimate(V, gamma, C, num_subsets, rng)
     tau = cluster_size_ratio(instance.cluster_of)
     Up, sp, _ = np.linalg.svd(instance.P, full_matrices=False)
-    rp = max(1, int(np.sum(sp > rank_tol * sp[0])))
+    rp = max(1, int(np.sum(sp > RANK_TOL * sp[0])))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         beta_hat, deficient = cluster_factor_smoothness(

@@ -25,19 +25,12 @@ import numpy as np
 from .env import seed_sequence
 
 
-class InsufficientBudgetError(RuntimeError):
-    """Not even one repetition of the estimator finished within the budget."""
-
-
 @dataclass(frozen=True)
 class OracleParams:
     p: float
     b: int
     f: int
     lam: float
-    r: int
-    mu: float
-    sigma: float
     zeta: float
 
     def __post_init__(self):
@@ -51,17 +44,8 @@ NOISELESS_LAMBDA = 1e-3  # lam formula degenerates to 0 at sigma=0; keep solves 
 
 
 def derive_oracle_params(
-    U_size: int,
-    V_size: int,
-    C: int,
-    mu: float,
-    sigma: float,
-    zeta: float,
-    T: int,
-    c_p: float = 1.0,
-    c_b: float = 1.0,
-    c_lambda: float = 2.5,
-    f_cap: int = 15,
+    U_size: int, V_size: int, C: int, mu: float, sigma: float, zeta: float, T: int,
+    c_p: float, c_b: float, c_lambda: float, f_cap: int,
 ) -> OracleParams:
     """Sampling probability, repetition counts, and regularizer for a target
     entrywise error `zeta` on a |U| x |V| submatrix of rank <= C."""
@@ -79,7 +63,7 @@ def derive_oracle_params(
     lam = c_lambda * sigma_eff * math.sqrt(d2 * p)
     if lam == 0.0:
         lam = NOISELESS_LAMBDA
-    return OracleParams(p=p, b=b, f=f, lam=lam, r=C, mu=mu, sigma=sigma, zeta=zeta)
+    return OracleParams(p=p, b=b, f=f, lam=lam, zeta=zeta)
 
 
 @dataclass
@@ -228,6 +212,8 @@ class SolveInfo:
 
 # basis columns kept beyond the previous iterate's surviving singular vectors
 OVERSAMPLE = 6
+# ratio of consecutive thresholds on the continuation path down to `lam`
+CONTINUATION_DECAY = 0.25
 
 
 def _thresholded_svd(
@@ -285,7 +271,6 @@ def solve_nuclear_norm(
     lam: float,
     tol: float = 1e-6,
     max_iters: int = 500,
-    continuation_decay: float = 0.25,
 ) -> tuple[np.ndarray, SolveInfo]:
     """Soft-impute: alternate a unit gradient step on the observed-entry
     squared loss with singular-value soft-thresholding.
@@ -328,11 +313,11 @@ def solve_nuclear_norm(
     top = float(np.linalg.svd(G, compute_uv=False)[0])
     G_flat[cells] = 0.0
     lam_path = []
-    cur = top * continuation_decay
+    cur = top * CONTINUATION_DECAY
     floor = max(lam, 1e-12 * max(top, 1.0))
-    while cur > floor / continuation_decay:
+    while cur > floor / CONTINUATION_DECAY:
         lam_path.append(cur)
-        cur *= continuation_decay
+        cur *= CONTINUATION_DECAY
     lam_path.append(lam)
 
     objectives: list[float] = []
@@ -545,8 +530,6 @@ def run_oracle(
     environment, until all f repetitions finish or the budget runs out.
     Users outside the target set pull throwaway arms from the target arm set.
     """
-    users = np.asarray(users, dtype=int)
-    arms = np.asarray(arms, dtype=int)
     ss = seed_sequence(seed)
     inst = OracleInstance(users, arms, params, ss)
     outsiders = np.setdiff1d(np.arange(env.instance.num_users), users)
@@ -554,15 +537,3 @@ def run_oracle(
     end = env.horizon if budget is None else env.t + budget
     env.run(end, [users, outsiders], [arms, arms], outsider_rng, oracles=[inst, None])
     return inst
-
-
-def low_rank_matrix_estimate(
-    env, users, arms, params: OracleParams, budget: int | None = None, seed: int = 0
-) -> np.ndarray:
-    """The estimate of `run_oracle`; at least one repetition must complete."""
-    est = run_oracle(env, users, arms, params, budget, seed).estimate()
-    if est is None:
-        raise InsufficientBudgetError(
-            f"budget exhausted before any of the {params.f} repetitions finished"
-        )
-    return est

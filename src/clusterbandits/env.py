@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RCS_SEPARATION_FACTOR = 20.0
+# candidate cluster-row draws before a relaxed instance gives up on separation
+RCS_MAX_ATTEMPTS = 1000
 # rounds that `Environment` draws, and whose regret columns
 # `Environment.history` fills, at once; bounds the temporaries of both
 CLOSE_CHUNK = 2**12
@@ -141,7 +143,6 @@ class Instance:
     nu: float = 0.0
     default_noise: NoiseModel | None = None
     best_arm: np.ndarray = field(init=False)
-    gaps: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.P = np.asarray(self.P, dtype=float)
@@ -149,8 +150,6 @@ class Instance:
         self.cluster_of = np.asarray(self.cluster_of, dtype=int)
         # np.argmax breaks ties by lowest index, keeping best_arm deterministic.
         self.best_arm = np.argmax(self.P, axis=1)
-        best_of_row = self.X.max(axis=1)
-        self.gaps = best_of_row[:, None] - self.X
 
 
 def check_nu(nu: float) -> None:
@@ -201,7 +200,6 @@ def generate_rcs_instance(
     nu: float,
     row_distribution: RowDistribution,
     seed: int,
-    max_attempts: int = 1000,
 ) -> Instance:
     """Relaxed cluster structure via rejection sampling.
 
@@ -220,7 +218,7 @@ def generate_rcs_instance(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sep = RCS_SEPARATION_FACTOR * nu + nu / 2.0
     X = None
-    for _ in range(max_attempts):
+    for _ in range(RCS_MAX_ATTEMPTS):
         cand = row_distribution.sample(rng, (num_clusters, num_arms))
         best = np.argmax(cand, axis=1)
         top = cand[np.arange(num_clusters), best]
@@ -243,7 +241,8 @@ def generate_rcs_instance(
             break
     if X is None:
         raise SeparationUnsatisfiableError(
-            f"could not satisfy {RCS_SEPARATION_FACTOR:g}*nu separation in {max_attempts} attempts"
+            f"could not satisfy {RCS_SEPARATION_FACTOR:g}*nu separation "
+            f"in {RCS_MAX_ATTEMPTS} attempts"
         )
 
     cluster_of = np.arange(num_users) % num_clusters
@@ -499,16 +498,28 @@ def save_instance(instance: Instance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parsed(where: str, parse, texts: list) -> list:
+    """`parse` of each of `texts`, None marking a missing one; a ValueError
+    names `where`, the [meta] key or the section that they come from."""
+    if None in texts:
+        raise ValueError(f"{where}: missing")
+    try:
+        return [parse(text) for text in texts]
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _matrix(lines: list[str], name: str, num_rows: int, num_cols: int) -> np.ndarray:
     """The rows of an instance file's [name] section, which must be num_rows x num_cols."""
-    rows = [[float(v) for v in line.split()] for line in lines]
+    rows = [_parsed(f"[{name}]", float, line.split()) for line in lines]
     if len(rows) != num_rows or any(len(row) != num_cols for row in rows):
         raise ValueError(f"[{name}] must hold {num_rows} rows of {num_cols} values")
     return np.array(rows)
 
 
 def load_instance(path) -> Instance:
-    """The instance of an instance file; ValueError names a section that does not fit [meta]."""
+    """The instance of an instance file; a ValueError names the [meta] key,
+    or the section, that is missing, cannot be parsed or does not fit [meta]."""
     meta: dict[str, str] = {}
     sections: dict[str, list[str]] = {"cluster_of": [], "X": [], "P": []}
     current = None
@@ -525,17 +536,19 @@ def load_instance(path) -> Instance:
                 meta[key.strip()] = value.strip()
             elif current in sections:
                 sections[current].append(line)
-    num_users = int(meta["num_users"])
-    num_arms = int(meta["num_arms"])
-    num_clusters = int(meta["num_clusters"])
-    cluster_of = np.array(" ".join(sections["cluster_of"]).split(), dtype=int)
+    num_users, num_arms, num_clusters = (
+        _parsed(f"[meta] {key}", int, [meta.get(key)])[0]
+        for key in ("num_users", "num_arms", "num_clusters")
+    )
+    cells = " ".join(sections["cluster_of"]).split()
+    cluster_of = np.array(_parsed("[cluster_of]", int, cells), dtype=int)
     if len(cluster_of) != num_users or not np.all((0 <= cluster_of) & (cluster_of < num_clusters)):
         raise ValueError(f"[cluster_of] must hold {num_users} clusters in 0..{num_clusters - 1}")
     X = _matrix(sections["X"], "X", num_clusters, num_arms)
     P = _matrix(sections["P"], "P", num_users, num_arms)
-    noise_kind = meta.get("noise_kind", "none")
-    noise = NoiseModel(noise_kind, float(meta.get("noise_sigma", "0"))) if noise_kind != "none" else None
-    return Instance(
-        num_users, num_arms, num_clusters, P, cluster_of, X,
-        nu=float(meta.get("nu", "0")), default_noise=noise,
+    sigma, nu = (
+        _parsed(f"[meta] {key}", float, [meta.get(key, "0")])[0] for key in ("noise_sigma", "nu")
     )
+    noise_kind = meta.get("noise_kind", "none")
+    noise = NoiseModel(noise_kind, sigma) if noise_kind != "none" else None
+    return Instance(num_users, num_arms, num_clusters, P, cluster_of, X, nu=nu, default_noise=noise)

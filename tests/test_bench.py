@@ -863,21 +863,16 @@ def test_partial_report_keeps_first_appearance_order(tmp_path):
 
 
 @pytest.mark.parametrize("write_chunk", [3, bench.WRITE_CHUNK])
-def test_one_pass_summary_maps_negative_zero_as_summarize_does(tmp_path, write_chunk):
-    # `RunHistory.close` never sums to -0.0, so it is written into the column
+def test_one_pass_summary_reads_as_the_two_pass_path(tmp_path, write_chunk):
     report = _synthetic_report(["lattice"], [1], [10], True, 5)
     cum = report.runs[0].history.cumulative_regret
-    cum[[1, 4, 7]] = -0.0
     cum[[5, 8]] = np.nan
     with mock.patch.object(bench, "WRITE_CHUNK", write_chunk), mock.patch.object(
         bench, "write_summary_csv", wraps=bench.write_summary_csv
     ) as two_pass:
         paths = bench.emit_report(report, tmp_path)
     assert not two_pass.called
-    regret = _read_csv(paths["regret"])
     summary = _read_csv(paths["summary"])
-    assert [row["cum_regret"] for row in regret][1:9:3] == ["-0", "-0", "-0"]
-    assert [row["mean"] for row in summary][1:9:3] == ["0", "0", "0"]
     assert [row["mean"] for row in summary][5:9:3] == ["nan", "nan"]
     assert {row["stderr"] for row in summary} == {"0"}
     # the two-pass path reads the same
@@ -926,6 +921,30 @@ def test_history_closed_in_chunks_matches_one_close(regrets, cuts):
         bits = hist.cumulative_regret.view(np.int64).tolist()
         assert bits == np.array(reference, dtype=float).view(np.int64).tolist()
         assert np.float64(hist.final_regret).view(np.int64) == np.float64(total).view(np.int64)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    regrets=st.lists(
+        st.one_of(
+            st.sampled_from([-0.0, 0.0, math.nan]), st.floats(5e-324, 1e6, allow_subnormal=True)
+        ),
+        max_size=60,
+    ),
+    cuts=st.lists(st.integers(0, 60), max_size=8),
+)
+@example([-0.0, -0.0, -0.0], [1, 2])
+@example([-0.0, math.nan, -0.0], [])
+def test_history_never_sums_to_negative_zero(regrets, cuts):
+    # the one-pass summary writes the cumulative column's text as each mean,
+    # which `summarize` would write as 0 for a -0.0
+    hist = env.RunHistory(len(regrets))
+    bounds = sorted({0, len(regrets), *(min(c, len(regrets)) for c in cuts)})
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        hist.close(np.array(regrets[start:stop], dtype=float))
+    cum = hist.cumulative_regret[: len(hist)]
+    assert not np.signbit(cum[cum == 0.0]).any()
+    assert not np.signbit(hist.final_regret) or math.isnan(hist.final_regret)
 
 
 def _emit_peak(report, out) -> int:
@@ -1149,6 +1168,23 @@ def _write_config(tmp_path, text=SMALL_CONFIG):
         pytest.param(
             lambda text: text.replace(" -0.2155971630897659\n[P]", "\n[P]"), "[X]",
             id="X-row-short",
+        ),
+        # a key or an entry that cannot be read names its key or section
+        pytest.param(
+            lambda text: text.replace("num_users = 4\n", ""), "[meta] num_users: missing",
+            id="num-users-missing",
+        ),
+        pytest.param(
+            lambda text: text.replace("num_arms = 3", "num_arms = forty"),
+            "[meta] num_arms: invalid literal", id="num-arms-not-int",
+        ),
+        pytest.param(
+            lambda text: re.sub(r"(\[X\]\n)\S+", r"\1abc", text), "[X]: could not convert",
+            id="X-entry-not-float",
+        ),
+        pytest.param(
+            lambda text: text.replace("0 1 0 1", "0 1 x 1"), "[cluster_of]: invalid literal",
+            id="cluster-entry-not-int",
         ),
     ],
 )

@@ -10,7 +10,7 @@ from clusterbandits.checker import (
     assumption_report,
     cluster_factor_smoothness,
     cluster_size_ratio,
-    incoherence_and_condition,
+    spectrum,
     subset_smoothness_estimate,
 )
 from clusterbandits.env import RowDistribution, generate_cs_instance, generate_rcs_instance
@@ -19,7 +19,7 @@ from clusterbandits.env import RowDistribution, generate_cs_instance, generate_r
 def test_identity_block_matrix_is_maximally_coherent():
     C, M = 4, 20
     X = np.hstack([np.eye(C), np.zeros((C, M - C))])
-    kappa, mu_row, mu_col = incoherence_and_condition(X)
+    kappa, mu_row, mu_col = spectrum(X)[:3]
     assert kappa == pytest.approx(1.0)
     assert mu_col == pytest.approx(M / C)
 
@@ -28,13 +28,13 @@ def test_orthonormal_scaled_rows_condition_one():
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.normal(size=(10, 3)))
     X = 2.5 * Q.T  # 3 x 10 with equal singular values
-    kappa, _, _ = incoherence_and_condition(X)
+    kappa = spectrum(X)[0]
     assert kappa == pytest.approx(1.0, abs=1e-9)
 
 
 def test_zero_matrix_rejected():
     with pytest.raises(ZeroMatrixError):
-        incoherence_and_condition(np.zeros((3, 4)))
+        spectrum(np.zeros((3, 4)))
 
 
 def test_gaussian_x_spectral_thresholds():
@@ -42,7 +42,7 @@ def test_gaussian_x_spectral_thresholds():
     hits = 0
     for seed in range(5):
         inst = generate_cs_instance(8, 500, 4, RowDistribution.gaussian(0, 1), seed=seed)
-        kappa, _, mu_col = incoherence_and_condition(inst.X)
+        kappa, _, mu_col = spectrum(inst.X)[:3]
         if kappa <= 4.0 and mu_col <= 16.0 * math.log(500):
             hits += 1
     assert hits >= 4
@@ -130,12 +130,12 @@ def _nice_submatrix(inst, rng):
 @pytest.mark.parametrize("seed", range(5))
 def test_lemma_condition_number_of_nice_submatrices(seed):
     inst = generate_cs_instance(30, 20, 3, RowDistribution.gaussian(0, 1), seed=seed)
-    kappa_x, _, _ = incoherence_and_condition(inst.X)
+    kappa_x = spectrum(inst.X)[0]
     tau = cluster_size_ratio(inst.cluster_of)
     rng = np.random.default_rng(seed)
     for _ in range(10):
         sub, _ = _nice_submatrix(inst, rng)
-        kappa_sub, _, _ = incoherence_and_condition(sub)
+        kappa_sub = spectrum(sub)[0]
         assert kappa_sub <= kappa_x * math.sqrt(tau) + 1e-6
 
 
@@ -144,7 +144,7 @@ def test_lemma_incoherence_of_nice_submatrices(seed):
     inst = generate_cs_instance(30, 20, 3, RowDistribution.gaussian(0, 1), seed=seed)
     C = inst.num_clusters
     M = inst.num_arms
-    _, mu_row_x, mu_col_x = incoherence_and_condition(inst.X)
+    _, mu_row_x, mu_col_x = spectrum(inst.X)[:3]
     tau = cluster_size_ratio(inst.cluster_of)
     _, s, Vt = np.linalg.svd(inst.X, full_matrices=False)
     gamma = 2.0

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from clusterbandits import completion
 from clusterbandits.completion import (
-    InsufficientBudgetError,
     Mask,
     MaskCollection,
     OracleParams,
     _change_norm,
     derive_oracle_params,
-    low_rank_matrix_estimate,
     run_oracle,
     sample_mask,
     solve_nuclear_norm,
@@ -23,29 +21,32 @@ from clusterbandits.completion import (
 from clusterbandits.env import Environment, NoiseModel, RowDistribution, generate_cs_instance
 from helpers import IndexedMaskCollection, dense_iterate_solve
 
+# LatticeConfig's oracle constants, which `derive_oracle_params` requires
+CONSTANTS = dict(c_p=1.0, c_b=1.0, c_lambda=2.5, f_cap=15)
+
 
 def test_derive_params_zero_noise_single_pass():
-    params = derive_oracle_params(100, 100, 2, mu=1.0, sigma=0.0, zeta=0.1, T=1000)
+    params = derive_oracle_params(100, 100, 2, mu=1.0, sigma=0.0, zeta=0.1, T=1000, **CONSTANTS)
     assert params.b == 1
     assert params.lam > 0  # noiseless floor keeps unobserved entries coupled
 
 
 def test_derive_params_b_formula():
-    params = derive_oracle_params(50, 200, 4, mu=2.0, sigma=1.0, zeta=0.05, T=1000, c_b=1.0)
+    params = derive_oracle_params(50, 200, 4, mu=2.0, sigma=1.0, zeta=0.05, T=1000, **CONSTANTS)
     # scripted evaluation of the formula
     expected = math.ceil((1.0 * 1.0 * 4 * math.sqrt(2.0) / (0.05 * math.log(50))) ** 2)
     assert params.b == expected
 
 
 def test_derive_params_p_clamps_to_one():
-    params = derive_oracle_params(10, 10, 2, mu=5.0, sigma=1.0, zeta=0.5, T=100)
+    params = derive_oracle_params(10, 10, 2, mu=5.0, sigma=1.0, zeta=0.5, T=100, **CONSTANTS)
     assert params.p == 1.0
 
 
 def test_derive_params_f_formula_and_cap():
-    params = derive_oracle_params(200, 200, 4, mu=1.0, sigma=0.5, zeta=0.1, T=60000, f_cap=15)
+    params = derive_oracle_params(200, 200, 4, mu=1.0, sigma=0.5, zeta=0.1, T=60000, **CONSTANTS)
     assert params.f == 15
-    params2 = derive_oracle_params(4, 4, 2, mu=1.0, sigma=0.5, zeta=0.1, T=10, f_cap=15)
+    params2 = derive_oracle_params(4, 4, 2, mu=1.0, sigma=0.5, zeta=0.1, T=10, **CONSTANTS)
     assert params2.f == math.ceil(math.log(4 * 4 * 10))
 
 
@@ -588,7 +589,7 @@ def test_solve_peak_memory_is_bounded():
 def test_estimate_noiseless_rank2_recovery():
     inst = generate_cs_instance(80, 80, 2, RowDistribution.gaussian(0, 1), seed=21)
     env = Environment(inst, NoiseModel("none"), seed=5, horizon=200_000)
-    params = OracleParams(p=0.5, b=1, f=3, lam=1e-3, r=2, mu=1.0, sigma=0.0, zeta=0.01)
+    params = OracleParams(p=0.5, b=1, f=3, lam=1e-3, zeta=0.01)
     oracle = run_oracle(env, np.arange(80), np.arange(80), params, seed=3)
     assert np.max(np.abs(oracle.estimate() - inst.P)) <= 1e-2
     assert len(oracle.rep_estimates) == 3
@@ -597,7 +598,7 @@ def test_estimate_noiseless_rank2_recovery():
 def test_estimate_f_one_median_identity():
     inst = generate_cs_instance(12, 12, 2, RowDistribution.gaussian(0, 1), seed=2)
     env = Environment(inst, NoiseModel("none"), seed=1, horizon=20_000)
-    params = OracleParams(p=0.8, b=1, f=1, lam=1e-3, r=2, mu=1.0, sigma=0.0, zeta=0.1)
+    params = OracleParams(p=0.8, b=1, f=1, lam=1e-3, zeta=0.1)
     oracle = run_oracle(env, np.arange(12), np.arange(12), params, seed=8)
     assert len(oracle.rep_estimates) == 1
     assert np.array_equal(oracle.estimate(), oracle.rep_estimates[0])
@@ -606,15 +607,16 @@ def test_estimate_f_one_median_identity():
 def test_estimate_insufficient_budget():
     inst = generate_cs_instance(12, 12, 2, RowDistribution.gaussian(0, 1), seed=2)
     env = Environment(inst, NoiseModel("none"), seed=1, horizon=20_000)
-    params = OracleParams(p=0.8, b=1, f=2, lam=1e-3, r=2, mu=1.0, sigma=0.0, zeta=0.1)
-    with pytest.raises(InsufficientBudgetError):
-        low_rank_matrix_estimate(env, np.arange(12), np.arange(12), params, budget=5, seed=8)
+    params = OracleParams(p=0.8, b=1, f=2, lam=1e-3, zeta=0.1)
+    # no repetition finishes within the budget, so there is no estimate
+    oracle = run_oracle(env, np.arange(12), np.arange(12), params, budget=5, seed=8)
+    assert oracle.estimate() is None
 
 
 def test_estimate_masks_use_fresh_substreams():
     inst = generate_cs_instance(10, 10, 2, RowDistribution.gaussian(0, 1), seed=4)
     env = Environment(inst, NoiseModel("none"), seed=2, horizon=50_000)
-    params = OracleParams(p=0.6, b=1, f=4, lam=1e-3, r=2, mu=1.0, sigma=0.0, zeta=0.1)
+    params = OracleParams(p=0.6, b=1, f=4, lam=1e-3, zeta=0.1)
     masks = []
 
     def sample(*args):
@@ -648,10 +650,8 @@ def test_partition_handles_wide_matrices():
     # mask each block solve is near-exact, so assembly errors would show up
     inst = generate_cs_instance(10, 37, 2, RowDistribution.gaussian(0, 1), seed=9)
     env = Environment(inst, NoiseModel("none"), seed=3, horizon=100_000)
-    params = OracleParams(p=1.0, b=1, f=2, lam=1e-3, r=2, mu=1.0, sigma=0.0, zeta=0.1)
-    est = low_rank_matrix_estimate(
-        env, np.arange(10), np.arange(37), params, seed=6
-    )
+    params = OracleParams(p=1.0, b=1, f=2, lam=1e-3, zeta=0.1)
+    est = run_oracle(env, np.arange(10), np.arange(37), params, seed=6).estimate()
     assert np.max(np.abs(est - inst.P)) <= 2e-2
 
 
@@ -659,10 +659,8 @@ def test_partition_handles_tall_matrices():
     # more users than arms exercises the row/column swap
     inst = generate_cs_instance(37, 10, 2, RowDistribution.gaussian(0, 1), seed=9)
     env = Environment(inst, NoiseModel("none"), seed=3, horizon=100_000)
-    params = OracleParams(p=1.0, b=1, f=2, lam=1e-3, r=2, mu=1.0, sigma=0.0, zeta=0.1)
-    est = low_rank_matrix_estimate(
-        env, np.arange(37), np.arange(10), params, seed=6
-    )
+    params = OracleParams(p=1.0, b=1, f=2, lam=1e-3, zeta=0.1)
+    est = run_oracle(env, np.arange(37), np.arange(10), params, seed=6).estimate()
     assert np.max(np.abs(est - inst.P)) <= 2e-2
 
 

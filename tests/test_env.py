@@ -37,7 +37,7 @@ def validate_instance(instance, atol=1e-12):
     assert inst.X.shape == (inst.num_clusters, inst.num_arms)
     assert np.all((inst.cluster_of >= 0) & (inst.cluster_of < inst.num_clusters))
     assert np.array_equal(inst.best_arm, np.argmax(inst.P, axis=1))
-    assert np.all(inst.gaps >= -atol)
+    assert np.all(inst.X.max(axis=1)[:, None] - inst.X >= -atol)
     if inst.nu == 0:
         assert np.allclose(inst.P, inst.X[inst.cluster_of], atol=atol)
         return
@@ -124,9 +124,10 @@ def test_hard_instance_single_arm_zero_regret():
 
 def test_hard_instance_shared_best_arm_gaps():
     inst = generate_hard_instance(6, 5, 3, 0.1, [0, 0, 0], seed=0)
+    gaps = inst.X.max(axis=1)[:, None] - inst.X
     for c in range(3):
-        assert inst.gaps[c, 0] == 0.0
-        assert np.allclose(inst.gaps[c, 1:], 0.1)
+        assert gaps[c, 0] == 0.0
+        assert np.allclose(gaps[c, 1:], 0.1)
 
 
 def test_hard_instance_invalid_epsilon():
@@ -501,8 +502,7 @@ def test_planned_oracles_match_the_per_round_reference(
         oracles = [
             None if spec is None else make(
                 user_sets[i], arm_sets[i],
-                OracleParams(p=spec[0], b=spec[1], f=spec[2], lam=0.05, r=1, mu=1.0, sigma=0.5,
-                             zeta=0.1),
+                OracleParams(p=spec[0], b=spec[1], f=spec[2], lam=0.05, zeta=0.1),
                 np.random.SeedSequence([seed, i]),
             )
             for i, spec in enumerate(specs)

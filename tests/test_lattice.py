@@ -377,7 +377,8 @@ def test_lattice_arm_sets_shrink_per_user():
     cfg = LatticeConfig(num_clusters=3, sigma=0.0, c_prime_override=0.4, c_p=2.0, f_cap=1)
     hist, trace = run_lattice(inst, cfg, 6000, seed=2, noise=NoiseModel("none"))
     prev: dict[int, set[int]] = {u: set(range(10)) for u in range(12)}
-    worst_prev = {u: max(inst.gaps[inst.cluster_of[u]]) for u in range(12)}
+    gaps = inst.X.max(axis=1)[:, None] - inst.X
+    worst_prev = {u: max(gaps[inst.cluster_of[u]]) for u in range(12)}
     for r in trace.records:
         for s, arms in zip(r.user_sets, r.arm_sets):
             for u in s:
@@ -446,4 +447,4 @@ def test_lattice_tiny_horizon_graceful():
     cfg = LatticeConfig(num_clusters=2, sigma=0.1, c_prime_override=0.5, f_cap=1)
     hist, trace = run_lattice(inst, cfg, 25, seed=3, noise=NoiseModel("gaussian", 0.1))
     assert len(hist) == 25
-    assert hist.final_regret <= 25 * inst.gaps.max() + 1e-9
+    assert hist.final_regret <= 25 * (inst.X.max(axis=1)[:, None] - inst.X).max() + 1e-9
