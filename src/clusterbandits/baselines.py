@@ -45,7 +45,6 @@ class EtcConfig:
     """Oracle knobs for the explore phase of explore-then-commit, and the
     share of the horizon that phase may use."""
 
-    num_clusters: int
     sigma: float
     mu: float = 1.0
     c_p: float = 1.0

@@ -396,7 +396,8 @@ class Environment:
         The arriving user u of `user_sets[i]` is served by `oracles[i]` while
         that oracle collects, else by its UCB state `ucb[u]`, else by its
         fixed arm `fixed[u]`, else by a uniform pull from `arm_sets[i]` drawn
-        with `rng`.
+        with `rng`.  A UCB state over one arm is planned as that arm, like a
+        fixed one, and is not called.
 
         Rounds are planned CLOSE_CHUNK at a time.  Each collecting oracle
         `serve`s the block's arrivals of its set, up to the one that completes
@@ -413,13 +414,15 @@ class Environment:
         offsets = np.cumsum(sizes) - sizes
         pool = _checked(np.concatenate([np.asarray(a, dtype=np.int64) for a in arm_sets]), num_arms)
         # each user's role while no oracle collects for its set: UCB, else
-        # its fixed arm, else a uniform pull
+        # its fixed arm, else a uniform pull; only `select` reads what `update`
+        # writes, so a UCB state over one arm is planned as that arm instead
+        ucb = ucb or {}
+        planned = {**(fixed or {}), **{u: s.arms[0] for u, s in ucb.items() if len(s.arms) == 1}}
         role = np.full(num_users, _UNIFORM, dtype=np.int64)
-        if fixed:
-            arms = np.fromiter(fixed.values(), np.int64, len(fixed))
-            role[np.fromiter(fixed, np.int64, len(fixed))] = _checked(arms, num_arms)
-        if ucb:
-            role[np.fromiter(ucb, np.int64, len(ucb))] = _UCB
+        if planned:
+            arms = np.fromiter(planned.values(), np.int64, len(planned))
+            role[np.fromiter(planned, np.int64, len(planned))] = _checked(arms, num_arms)
+        role[[u for u, s in ucb.items() if len(s.arms) != 1]] = _UCB
         given = oracles is not None
         collecting = [i for i, o in enumerate(oracles or []) if o is not None and o.collecting]
         end = min(end, self.horizon)
@@ -471,6 +474,10 @@ class Environment:
         return u, arm, reward
 
 
+# the [meta] keys that `save_instance` writes, and the only ones `load_instance` reads
+META_KEYS = ("num_users", "num_arms", "num_clusters", "nu", "noise_kind", "noise_sigma")
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -519,7 +526,8 @@ def _matrix(lines: list[str], name: str, num_rows: int, num_cols: int) -> np.nda
 
 def load_instance(path) -> Instance:
     """The instance of an instance file; a ValueError names the [meta] key,
-    or the section, that is missing, cannot be parsed or does not fit [meta]."""
+    or the section, that is unknown, missing, cannot be parsed or does not
+    fit [meta], or a line outside any section."""
     meta: dict[str, str] = {}
     sections: dict[str, list[str]] = {"cluster_of": [], "X": [], "P": []}
     current = None
@@ -530,11 +538,18 @@ def load_instance(path) -> Instance:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1]
+                if current != "meta" and current not in sections:
+                    raise ValueError(f"[{current}]: unknown section")
                 continue
             if current == "meta":
                 key, _, value = line.partition("=")
-                meta[key.strip()] = value.strip()
-            elif current in sections:
+                key = key.strip()
+                if key not in META_KEYS:
+                    raise ValueError(f"[meta] {key}: unknown key")
+                meta[key] = value.strip()
+            elif current is None:
+                raise ValueError(f"{line!r}: outside any section")
+            else:
                 sections[current].append(line)
     num_users, num_arms, num_clusters = (
         _parsed(f"[meta] {key}", int, [meta.get(key)])[0]

@@ -364,7 +364,7 @@ def test_etc_grid_head_to_head(benchmark_runs):
     for i, seed in enumerate(SEEDS_5):
         finals = []
         for frac in (0.05, 0.1, 0.2):
-            cfg = EtcConfig(num_clusters=4, sigma=0.5, c_p=0.12, explore_fraction=frac)
+            cfg = EtcConfig(sigma=0.5, c_p=0.12, explore_fraction=frac)
             hist, _ = run_explore_then_commit(inst, cfg, runs["T"], seed=seed, noise=noise)
             finals.append(hist.final_regret)
         worse += min(finals) > runs["lattice"][i]

@@ -66,7 +66,7 @@ def test_ucb_regret_slope_in_sqrt_band():
 
 def test_etc_noiseless_zero_commit_regret():
     inst = generate_cs_instance(20, 20, 2, RowDistribution.gaussian(0, 1), seed=3)
-    cfg = EtcConfig(num_clusters=2, sigma=0.0, c_p=2.0, explore_fraction=0.5)
+    cfg = EtcConfig(sigma=0.0, c_p=2.0, explore_fraction=0.5)
     horizon = 20000
     hist, _ = run_explore_then_commit(inst, cfg, horizon, seed=1, noise=NoiseModel("none"))
     explore = int(0.5 * horizon)
@@ -75,7 +75,7 @@ def test_etc_noiseless_zero_commit_regret():
 
 def test_etc_large_explore_fraction_regret_accounting():
     inst = generate_cs_instance(20, 20, 2, RowDistribution.gaussian(0, 1), seed=3)
-    cfg = EtcConfig(num_clusters=2, sigma=0.0, c_p=2.0, explore_fraction=0.99)
+    cfg = EtcConfig(sigma=0.0, c_p=2.0, explore_fraction=0.99)
     avg_gap = float(np.mean(inst.P.max(axis=1)[:, None] - inst.P))
     T = 10000
     expected = 0.99 * T * avg_gap
@@ -92,7 +92,7 @@ def test_etc_no_estimate_dependence_before_commit():
     dist = RowDistribution.gaussian(0, 1)
     a = generate_cs_instance(10, 10, 2, dist, seed=1)
     b = generate_cs_instance(10, 10, 2, dist, seed=2)
-    cfg = EtcConfig(num_clusters=2, sigma=0.0, c_p=2.0, explore_fraction=0.5)
+    cfg = EtcConfig(sigma=0.0, c_p=2.0, explore_fraction=0.5)
     T = 6000
     ha, _ = run_explore_then_commit(a, cfg, T, seed=9, noise=NoiseModel("none"))
     hb, _ = run_explore_then_commit(b, cfg, T, seed=9, noise=NoiseModel("none"))
@@ -108,7 +108,7 @@ ETC_FULL_ESTIMATE_DIGEST = "4afbb238a7bfa2bf2075ae555e208ddecc26698af6483785792e
 
 def test_etc_plays_every_horizon_on_what_it_has():
     inst = generate_cs_instance(4, 4, 2, RowDistribution.gaussian(0, 1), seed=3)
-    cfg = EtcConfig(num_clusters=2, sigma=0.2)
+    cfg = EtcConfig(sigma=0.2)
     finals = []
     for horizon in range(1, 260):
         hist, _ = run_explore_then_commit(inst, cfg, horizon, 5, NoiseModel("gaussian", 0.2))

@@ -84,6 +84,12 @@ def test_config_bad_algorithm_key_or_value_rejected(line, message):
         bench.parse_config(SMALL_CONFIG + f"[algorithm lattice]\n{line}\n")
 
 
+def test_config_etc_has_no_num_clusters_key():
+    # the explore phase estimates the whole matrix; it never reads a cluster count
+    with pytest.raises(bench.ConfigError, match=r"algorithm etc\.num_clusters: unknown key"):
+        bench.parse_config(SMALL_CONFIG + "[algorithm etc]\nnum_clusters = 2\n")
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
@@ -356,7 +362,7 @@ def test_extra_keys_reach_the_run():
     ucb_config = bench.build_algorithm(ucb_name, ucb_params, instance, noise)
     assert ucb_config == baselines.UcbConfig(sigma=0.7)
     etc_config = bench.build_algorithm(etc_name, etc_params, instance, noise)
-    assert etc_config == baselines.EtcConfig(num_clusters=2, sigma=0.2, explore_fraction=0.3)
+    assert etc_config == baselines.EtcConfig(sigma=0.2, explore_fraction=0.3)
 
 
 @pytest.mark.parametrize("algo", bench.ALGORITHM_NAMES)
@@ -1185,6 +1191,18 @@ def _write_config(tmp_path, text=SMALL_CONFIG):
         pytest.param(
             lambda text: text.replace("0 1 0 1", "0 1 x 1"), "[cluster_of]: invalid literal",
             id="cluster-entry-not-int",
+        ),
+        # a key or a section that the file format does not have is named, not dropped
+        pytest.param(
+            lambda text: text.replace("noise_sigma", "noise_sigm"), "[meta] noise_sigm: unknown key",
+            id="meta-key-unknown",
+        ),
+        pytest.param(
+            lambda text: text + "[Q]\n0.5 0.5 0.5\n", "[Q]: unknown section", id="section-unknown"
+        ),
+        pytest.param(
+            lambda text: "num_users = 9\n" + text, "'num_users = 9': outside any section",
+            id="line-before-sections",
         ),
     ],
 )

@@ -221,8 +221,11 @@ class _StubOracle:
 
 
 class _StubUcb:
+    """Tracks two arms, so `Environment.run` calls it, and always selects `arm`."""
+
     def __init__(self, arm):
         self.arm = arm
+        self.arms = [arm, arm + 1]
         self.updates = 0
 
     def select(self):
@@ -320,6 +323,57 @@ def test_env_run_serves_oracle_then_ucb_then_fixed_then_uniform():
     assert [int(a) for a in arms[200:]] == [expected_after[u] for u in users[200:]]
     assert ucb[0].updates == np.sum(users[200:] == 0)
     assert ucb[3].updates == np.sum(users == 3)
+
+
+class _UncalledUcb(UcbArmState):
+    def select(self):
+        raise AssertionError("a UCB state over one arm is called")
+
+    def update(self, arm, reward):
+        raise AssertionError("a UCB state over one arm is called")
+
+
+@pytest.mark.parametrize("collect", [False, True], ids=["no-oracles", "oracles"])
+def test_env_run_plays_a_one_arm_ucb_state_without_calling_it(collect):
+    inst = generate_cs_instance(4, 6, 2, RowDistribution.gaussian(0, 1), seed=1)
+    horizon = 2 * CLOSE_CHUNK + 3
+    user_sets, arm_sets = [[0, 1], [2, 3]], [np.array([0, 5]), np.array([1, 2, 4])]
+    outcomes = []
+    for driver, one_arm in ((_per_round_run, UcbArmState), (Environment.run, _UncalledUcb)):
+        env = Environment(inst, NoiseModel("gaussian", 0.5), seed=0, horizon=horizon)
+        rng = np.random.default_rng(1)
+        # users 0 and 2 are down to one arm; user 3's state still chooses
+        ucb = {
+            0: one_arm([5], 0.5, horizon), 2: one_arm([4], 0.5, horizon),
+            3: UcbArmState(arm_sets[1], 0.5, horizon),
+        }
+        fixed = {0: 3, 1: 0}
+        if collect:
+            oracles = [_StubOracle(1, 50), _StubOracle(2, 3000)]
+            driver(env, horizon, user_sets, arm_sets, rng, oracles=oracles, ucb=ucb, fixed=fixed)
+        stopped = env.t
+        driver(env, horizon, user_sets, arm_sets, rng, ucb=ucb, fixed=fixed)
+        hist = env.history
+        outcomes.append(
+            (stopped, env.t, hist.arms.tolist(), hist.rewards.tobytes(), rng.bit_generator.state)
+        )
+    assert outcomes[0] == outcomes[1]
+    stopped, _, arms, _, _ = outcomes[1]
+    assert (0 < stopped < horizon) == collect
+    users = env.history.users[stopped:]
+    arms = np.array(arms[stopped:])
+    assert (arms[users == 0] == 5).all() and (arms[users == 2] == 4).all()
+    assert (users == 0).any() and (users == 2).any()
+
+
+@pytest.mark.parametrize("arm", [6, -1])
+def test_env_run_rejects_a_one_arm_ucb_state_over_an_out_of_range_arm(arm):
+    for ucb, fixed in (({0: UcbArmState([arm], 0.5, 100)}, None), (None, {0: arm})):
+        env = _run_env(100)
+        with pytest.raises(ArmOutOfRangeError):
+            env.run(100, [range(4)], [np.arange(6)], np.random.default_rng(0), ucb=ucb, fixed=fixed)
+        # the plan is checked before its block plays a round
+        assert env.t == 0
 
 
 def test_run_determinism_bit_identical():
