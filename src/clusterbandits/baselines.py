@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import OracleParams, run_oracle, solve_nuclear_norm
+from .completion import C_LAMBDA, MU, OracleParams, run_oracle, solve_nuclear_norm
 from .env import Environment, Instance, NoiseModel, RunHistory, seed_sequence
 from .lattice import PhaseRecord, PhaseTrace, UcbArmState
 
@@ -42,15 +42,11 @@ def run_per_user_ucb(
 
 @dataclass
 class EtcConfig:
-    """Oracle knobs for the explore phase of explore-then-commit, and the
-    share of the horizon that phase may use."""
+    """Oracle knobs for the explore phase of explore-then-commit (one pass,
+    one estimate), and the share of the horizon that phase may use."""
 
     sigma: float
-    mu: float = 1.0
     c_p: float = 1.0
-    c_lambda: float = 2.5
-    b: int = 1
-    f: int = 1
     explore_fraction: float = 0.1
 
     def __post_init__(self):
@@ -74,9 +70,9 @@ def run_explore_then_commit(
     explore_rounds = int(config.explore_fraction * horizon)
     d2 = min(instance.num_users, instance.num_arms)
     logd = math.log(max(d2, 2))
-    p = min(1.0, config.c_p * config.mu**2 * logd**3 / d2)
-    lam = config.c_lambda * (config.sigma / math.sqrt(config.b)) * math.sqrt(d2 * p)
-    params = OracleParams(p=p, b=config.b, f=config.f, lam=max(lam, 1e-3), zeta=1.0)
+    p = min(1.0, config.c_p * MU**2 * logd**3 / d2)
+    lam = C_LAMBDA * config.sigma * math.sqrt(d2 * p)
+    params = OracleParams(p=p, b=1, f=1, lam=max(lam, 1e-3), zeta=1.0)
     oracle = run_oracle(
         env,
         np.arange(instance.num_users),
@@ -165,6 +161,10 @@ def kmeans_elbow(
 # nuclear-norm solver settings of the per-phase solves
 SIMPLIFIED_SOLVER_TOL = 1e-5
 SIMPLIFIED_SOLVER_MAX_ITERS = 300
+# the per-phase regularizer's denominator, and the k-means elbow rule
+SIMPLIFIED_LAM_DENOM = 200.0
+SIMPLIFIED_ELBOW_RATIO = 0.6
+SIMPLIFIED_OBJECTIVE_FLOOR = 100.0
 
 
 @dataclass
@@ -173,7 +173,7 @@ class SimplifiedConfig:
 
     Phase lengths grow linearly; the per-phase reward-gap slack is
     p_inf * nu_scale / nu_base**phase, and the nuclear-norm regularizer is
-    lam_coeff * sqrt(phase_length / lam_denom).
+    lam_coeff * sqrt(phase_length / SIMPLIFIED_LAM_DENOM).
     """
 
     num_clusters: int
@@ -185,9 +185,6 @@ class SimplifiedConfig:
     nu_scale: float = 1.0 / 6.0
     nu_base: float = 8.0
     lam_coeff: float = 5.0
-    lam_denom: float = 200.0
-    elbow_ratio: float = 0.6
-    objective_floor: float = 100.0
     p_inf_mode: str = "ground_truth"  # or "observed"
 
     def __post_init__(self):
@@ -211,7 +208,7 @@ class SimplifiedConfig:
         return p_inf * self.nu_scale / self.nu_base**ell
 
     def lam(self, phase_length: int) -> float:
-        return self.lam_coeff * math.sqrt(phase_length / self.lam_denom)
+        return self.lam_coeff * math.sqrt(phase_length / SIMPLIFIED_LAM_DENOM)
 
 
 def run_simplified_lattice(
@@ -280,8 +277,8 @@ def run_simplified_lattice(
                 labels = kmeans_elbow(
                     estimate,
                     max_k=config.num_clusters,
-                    elbow_ratio=config.elbow_ratio,
-                    objective_floor=config.objective_floor,
+                    elbow_ratio=SIMPLIFIED_ELBOW_RATIO,
+                    objective_floor=SIMPLIFIED_OBJECTIVE_FLOOR,
                     seed=kmeans_ss.spawn(1)[0],
                 )
                 for lab in np.unique(labels):

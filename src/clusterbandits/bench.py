@@ -7,7 +7,8 @@ file), [experiment] holds horizon/seeds/output options, and each
 [algorithm <name>] section selects a policy: its keys are the fields of that
 policy's config dataclass, and every policy runs through the same call,
 `run(instance, config, horizon, seed, noise)`.  A key may appear once per
-section, and [instance] and [experiment] once per file.  Each section is
+section, [instance] and [experiment] once per file, and each algorithm,
+horizon and seed once per experiment.  Each section is
 parsed into typed values once, and `ExperimentConfig` checks itself when it
 is built.  Every run of an experiment shares the instance; the interaction
 randomness varies with the per-run seed.
@@ -128,6 +129,13 @@ class ExperimentConfig:
         self.horizons = self.horizons or [self.horizon]
         if min(self.horizons) < 1:
             raise ConfigError("experiment.horizon: must be >= 1")
+        # a repeat would merge two cells into one summary stretch
+        repeats = {"": [f"[algorithm {name}]" for name, _ in self.algorithms],
+                   "experiment.horizons: ": self.horizons, "experiment.seeds: ": self.seeds}
+        for where, values in repeats.items():
+            twice = [v for i, v in enumerate(values) if v in values[:i]]
+            if twice:
+                raise ConfigError(f"{where}{twice[0]} may appear only once")
         kind = self.instance.get("kind", "")
         if kind not in ("cs", "rcs", "hard", "file"):
             raise ConfigError("instance.kind: must be one of cs, rcs, hard, file")

@@ -15,6 +15,9 @@ from .env import Instance
 
 # singular values at or below this share of the largest count as zero
 RANK_TOL = 1e-9
+# row subsets `assumption_report` samples for alpha_hat, and their seed
+REPORT_SUBSETS = 200
+REPORT_SEED = 0
 
 
 class ZeroMatrixError(ValueError):
@@ -129,22 +132,16 @@ def cluster_size_ratio(cluster_of: np.ndarray) -> float:
     return float(sizes.max() / sizes.min())
 
 
-def assumption_report(
-    instance: Instance,
-    gamma: float | None = None,
-    num_subsets: int = 200,
-    seed: int = 0,
-) -> AssumptionReport:
+def assumption_report(instance: Instance) -> AssumptionReport:
     """Measure all assumption-related quantities on one instance."""
     X = instance.X
     M = instance.num_arms
     C = instance.num_clusters
-    if gamma is None:
-        gamma = min(16.0 * math.log(max(M, 2)), float(M)) / C
+    gamma = min(16.0 * math.log(max(M, 2)), float(M)) / C
     kappa, mu_row, mu_col, r, Vt = spectrum(X)
     V = Vt[:r, :].T
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    alpha_hat = subset_smoothness_estimate(V, gamma, C, num_subsets, rng)
+    rng = np.random.default_rng(np.random.SeedSequence(REPORT_SEED))
+    alpha_hat = subset_smoothness_estimate(V, gamma, C, REPORT_SUBSETS, rng)
     tau = cluster_size_ratio(instance.cluster_of)
     Up, sp, _ = np.linalg.svd(instance.P, full_matrices=False)
     rp = max(1, int(np.sum(sp > RANK_TOL * sp[0])))
@@ -161,7 +158,7 @@ def assumption_report(
         beta_hat=beta_hat,
         beta_warning=deficient,
         gamma_used=gamma,
-        subsets_sampled=num_subsets,
+        subsets_sampled=REPORT_SUBSETS,
         tau=tau,
         rank=r,
     )

@@ -41,26 +41,28 @@ class OracleParams:
 
 
 NOISELESS_LAMBDA = 1e-3  # lam formula degenerates to 0 at sigma=0; keep solves coupled
+MU = 1.0  # incoherence the sampling and repetition formulas assume
+C_LAMBDA = 2.5  # regularizer constant: lam = C_LAMBDA * sigma_eff * sqrt(d2 * p)
 
 
 def derive_oracle_params(
-    U_size: int, V_size: int, C: int, mu: float, sigma: float, zeta: float, T: int,
-    c_p: float, c_b: float, c_lambda: float, f_cap: int,
+    U_size: int, V_size: int, C: int, sigma: float, zeta: float, T: int,
+    c_p: float, c_b: float, f_cap: int,
 ) -> OracleParams:
     """Sampling probability, repetition counts, and regularizer for a target
     entrywise error `zeta` on a |U| x |V| submatrix of rank <= C."""
-    if min(U_size, V_size, C, T) <= 0 or mu <= 0 or sigma < 0 or zeta <= 0:
+    if min(U_size, V_size, C, T) <= 0 or sigma < 0 or zeta <= 0:
         raise ValueError("all size inputs must be positive, sigma nonnegative, zeta positive")
     d2 = min(U_size, V_size)
     logd = math.log(max(d2, 2))
-    p = min(1.0, c_p * mu**2 * logd**3 / d2)
+    p = min(1.0, c_p * MU**2 * logd**3 / d2)
     if sigma == 0:
         b = 1
     else:
-        b = max(1, math.ceil((c_b * sigma * C * math.sqrt(mu) / (zeta * logd)) ** 2))
+        b = max(1, math.ceil((c_b * sigma * C * math.sqrt(MU) / (zeta * logd)) ** 2))
     f = min(f_cap, max(1, math.ceil(math.log(U_size * V_size * T))))
     sigma_eff = sigma / math.sqrt(b)
-    lam = c_lambda * sigma_eff * math.sqrt(d2 * p)
+    lam = C_LAMBDA * sigma_eff * math.sqrt(d2 * p)
     if lam == 0.0:
         lam = NOISELESS_LAMBDA
     return OracleParams(p=p, b=b, f=f, lam=lam, zeta=zeta)

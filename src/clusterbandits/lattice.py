@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .completion import OracleInstance, derive_oracle_params
+from .completion import C_LAMBDA, MU, OracleInstance, derive_oracle_params
 from .env import Environment, Instance, NoiseModel, RunHistory, seed_sequence
 
 ENDGAME_FRACTION = 0.01  # do not start an oracle this close to the horizon
@@ -26,6 +26,7 @@ ENDGAME_FRACTION = 0.01  # do not start an oracle this close to the horizon
 # holds 2^18 floats (2 MB)
 GRAPH_BLOCK = 16
 GRAPH_PAIR_CHUNK = 2**14
+RCS_EDGE_SLACK = 3.0  # the relaxed variant links rows within 3*delta, not 2*delta
 
 
 class UcbArmState:
@@ -149,21 +150,18 @@ def refine_partition(
 class LatticeConfig:
     """Knobs for the phased-elimination run.
 
-    `c_prime` scales the estimated accuracy schedule; `c_prime_override`
-    fixes the schedule constant directly (the per-phase target is then
-    override * 2^-phase).  Oracle constants are passed through to the
+    The accuracy schedule is estimated from the first pass unless
+    `c_prime_override` fixes its constant directly (the per-phase target is
+    then override * 2^-phase).  Oracle constants are passed through to the
     completion parameter derivation.
     """
 
     num_clusters: int
     sigma: float
     gamma: float | None = None
-    c_prime: float = 1.0
     c_prime_override: float | None = None
-    mu: float = 1.0
     c_p: float = 1.0
     c_b: float = 1.0
-    c_lambda: float = 2.5
     f_cap: int = 15
 
     def resolved_gamma(self, num_arms: int) -> float:
@@ -175,10 +173,9 @@ class LatticeConfig:
 @dataclass(kw_only=True)
 class RcsConfig(LatticeConfig):
     """The phased-elimination knobs plus the known within-cluster separation
-    `nu` and the looser edge rule's slack multiplier."""
+    `nu`."""
 
     nu: float
-    edge_slack_multiplier: float = 3.0
 
     def __post_init__(self):
         if self.nu < 0:
@@ -222,7 +219,6 @@ class _PhasedRun:
         self.config = config
         self.horizon = int(horizon)
         self.rcs = isinstance(config, RcsConfig)
-        self.edge_slack = config.edge_slack_multiplier if self.rcs else 2.0
         env_ss, algo_ss = seed_sequence(seed).spawn(2)
         self.env = Environment(instance, noise, env_ss, self.horizon)
         self.algo_ss = algo_ss
@@ -326,20 +322,18 @@ class _PhasedRun:
             len(users),
             len(arms),
             cfg.num_clusters,
-            mu=cfg.mu,
             sigma=cfg.sigma,
             zeta=zeta,
             T=self.horizon,
             c_p=cfg.c_p,
             c_b=cfg.c_b,
-            c_lambda=cfg.c_lambda,
             f_cap=cfg.f_cap,
         )
         if bootstrap:
             # reward scale unknown before any data: collect a single pass and
             # fix the accuracy schedule from what it sees
             d2 = min(len(users), len(arms))
-            lam = cfg.c_lambda * cfg.sigma * math.sqrt(d2 * params.p)
+            lam = C_LAMBDA * cfg.sigma * math.sqrt(d2 * params.p)
             params = replace(params, b=1, lam=max(lam, 1e-3))
         return OracleInstance(users, arms, params, self.algo_ss.spawn(1)[0])
 
@@ -349,11 +343,11 @@ class _PhasedRun:
         p_inf = max(observed) if observed else 1.0
         num_arms = self.instance.num_arms
         if cfg.sigma > 0:
-            sigma_term = cfg.sigma * math.sqrt(cfg.mu) / math.log(max(num_arms, 3))
+            sigma_term = cfg.sigma * math.sqrt(MU) / math.log(max(num_arms, 3))
             scale = min(p_inf, sigma_term)
         else:
             scale = p_inf
-        self.c_prime = cfg.c_prime * scale / cfg.num_clusters
+        self.c_prime = scale / cfg.num_clusters
 
     def _refine(self, user_sets, arm_sets, instances, delta, joint: bool):
         new_users: list[list[int]] = []
@@ -372,9 +366,8 @@ class _PhasedRun:
                 self.latest_row[u] = (arms, values[r].copy())
             good_local = [good_arm_set(values[r], delta) for r in range(len(us))]
             if joint:
-                adjacency = build_user_graph(
-                    values, good_local, delta, slack_multiplier=self.edge_slack
-                )
+                slack = RCS_EDGE_SLACK if self.rcs else 2.0
+                adjacency = build_user_graph(values, good_local, delta, slack_multiplier=slack)
                 good_arms = [arms[g] for g in good_local]
                 for comp, union in refine_partition(us, adjacency, good_arms):
                     new_users.append(comp)

@@ -156,8 +156,8 @@ def test_kmeans_deterministic_given_seed():
 
 def test_simplified_config_defaults_match_experiment_settings():
     cfg = SimplifiedConfig(num_clusters=4, sigma=0.5)
-    assert cfg.elbow_ratio == 0.6
-    assert cfg.objective_floor == 100.0
+    assert baselines.SIMPLIFIED_ELBOW_RATIO == 0.6
+    assert baselines.SIMPLIFIED_OBJECTIVE_FLOOR == 100.0
     assert cfg.L == 5
     assert cfg.schedule(60000)[:3] == [1500, 2000, 2500]
     assert cfg.nu(1, 6.0) == pytest.approx(6.0 / 48.0)

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import typing
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -74,6 +75,8 @@ def test_config_bad_instance_kind_rejected():
     "line, message",
     [
         ("c_pp = 9", r"algorithm lattice\.c_pp: unknown key"),
+        # completion.C_LAMBDA is a module constant, not a key
+        ("c_lambda = 2.5", r"algorithm lattice\.c_lambda: unknown key"),
         ("f_cap = two", r"algorithm lattice\.f_cap: cannot parse 'two' as int"),
         ("gamma = banana", r"algorithm lattice\.gamma: cannot parse 'banana' as float"),
         ("c_p = 0.25\nc_p = 9", r"line 16: c_p is set twice in \[algorithm lattice\]"),
@@ -103,6 +106,9 @@ def test_config_etc_has_no_num_clusters_key():
         ("seeds = 1", "seeds = 1,x", r"experiment\.seeds: cannot parse '1,x'"),
         ("horizon = 100", "horizon = 2k", r"experiment\.horizon: cannot parse '2k' as int"),
         ("horizon = 100", "horizon = 100\nhorizons = 100,", None),
+        # a repeat would merge two cells into one summary stretch
+        ("horizon = 100", "horizons = 100,200,100", r"experiment\.horizons: 100 may appear only"),
+        ("seeds = 1", "seeds = 1,2,1", r"experiment\.seeds: 1 may appear only once"),
         ("seed = 3", "seed = 3\nseed = 4", r"line 8: seed is set twice in \[instance\]"),
         ("[algorithm", "[experiment]\nseeds = 2\n[algorithm", r"line 13: \[experiment\] may appear"),
         ("[algorithm", "[instance]\nkind = cs\n[algorithm", r"line 13: \[instance\] may appear"),
@@ -123,9 +129,15 @@ def test_config_bad_instance_or_experiment_key_rejected(old, new, message):
         bench.parse_config(text)
 
 
-def test_config_repeated_algorithm_section_allowed():
-    config = bench.parse_config(SMALL_CONFIG + "[algorithm ucb]\nsigma = 0.3\n")
-    assert config.algorithms == [("ucb", {}), ("ucb", {"sigma": 0.3})]
+def test_config_repeated_algorithm_section_rejected(tmp_path, capsys):
+    # two sections of one name would be merged into one summary stretch
+    text = SMALL_CONFIG + "[algorithm ucb]\nsigma = 0.3\n"
+    with pytest.raises(bench.ConfigError, match=r"\[algorithm ucb\] may appear only once"):
+        bench.parse_config(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, text)), "--out", str(out)]) == 2
+    assert "[algorithm ucb]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_booleans_are_true_or_false():
@@ -326,6 +338,47 @@ def _non_default(name, kind):
     return "0.375", 0.375
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+_README = (_ROOT / "README.md").read_text()
+
+
+def _readme_key_table() -> dict[str, list[str]]:
+    """README's section-key table: algorithm -> its keys, in table order; a
+    backticked algorithm name in a key cell stands for that row's keys."""
+    table: dict[str, list[str]] = {}
+    for line in _README.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].strip("`") in bench.ALGORITHM_NAMES:
+            keys = []
+            for words in re.findall(r"`([^`]*)`", cells[2]):
+                keys += table.get(words, words.split())
+            table[cells[0].strip("`")] = keys
+    return table
+
+
+def test_readme_key_table_is_the_accepted_keys():
+    want = {name: list(keys) for name, keys in bench.ALGORITHM_OPTIONS.items()}
+    assert _readme_key_table() == want
+
+
+@pytest.mark.parametrize("source", [*sorted(p.name for p in _ROOT.glob("configs/*.cfg")), "README.md"])
+def test_checked_in_configs_parse_and_build(source):
+    # each config file, and README's example verbatim, builds its instance and
+    # every algorithm section; no cell runs
+    if source == "README.md":
+        (text,) = re.findall(r"```ini\n(.*?)```", _README, flags=re.S)
+    else:
+        text = (_ROOT / "configs" / source).read_text()
+    config = bench.parse_config(text)
+    instance = bench.build_instance(config.instance)
+    noise = bench.build_noise(config.instance, instance)
+    assert config.algorithms
+    for name, params in config.algorithms:
+        built = bench.build_algorithm(name, params, instance, noise)
+        assert type(built) is _CONFIG_CLASSES[name]
+        assert {key: getattr(built, key) for key in params} == params
+
+
 @pytest.mark.parametrize("algo", _CONFIG_CLASSES)
 def test_algorithm_sections_accept_exactly_their_fields(algo):
     fields = [name for _, name, _ in _settable_fields(_CONFIG_CLASSES[algo])]
@@ -342,7 +395,9 @@ def test_algorithm_sections_accept_exactly_their_fields(algo):
 )
 def test_every_config_field_settable_from_text(algo, name, kind):
     raw, want = _non_default(name, kind)
-    config = bench.parse_config(SMALL_CONFIG + f"[algorithm {algo}]\n{name} = {raw}\n")
+    # the section replaces SMALL_CONFIG's own: each algorithm may appear once
+    text = SMALL_CONFIG.replace("[algorithm ucb]\n", f"[algorithm {algo}]\n{name} = {raw}\n")
+    config = bench.parse_config(text)
     instance = bench.build_instance(config.instance)
     noise = bench.build_noise(config.instance, instance)
     built = bench.build_algorithm(algo, config.algorithms[-1][1], instance, noise)
@@ -1276,7 +1331,7 @@ def test_cli_seed_list_override(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
-@pytest.mark.parametrize("seeds", ["4,x", "", ","])
+@pytest.mark.parametrize("seeds", ["4,x", "", ",", "4,5,4"])
 def test_cli_bad_seed_list_exits_2_before_any_cell(tmp_path, monkeypatch, capsys, command, seeds):
     def no_cell(*args):
         raise AssertionError("a cell ran")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterbandits import checker
 from clusterbandits.checker import (
     ZeroMatrixError,
     assumption_report,
@@ -205,7 +206,8 @@ def test_batched_subset_estimate_on_the_benchmark_instance():
 
 def test_assumption_report_roundtrip_fields():
     inst = generate_cs_instance(20, 30, 4, RowDistribution.gaussian(0, 1), seed=1)
-    report = assumption_report(inst, num_subsets=50, seed=0)
+    report = assumption_report(inst)
+    assert report.subsets_sampled == checker.REPORT_SUBSETS
     assert report.kappa >= 1.0
     assert report.mu_row >= 1.0 - 1e-12
     assert report.mu_col >= 1.0 - 1e-12

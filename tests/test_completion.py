@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from clusterbandits import completion
 from clusterbandits.completion import (
+    C_LAMBDA,
+    MU,
     Mask,
     MaskCollection,
     OracleParams,
@@ -22,31 +24,34 @@ from clusterbandits.env import Environment, NoiseModel, RowDistribution, generat
 from helpers import IndexedMaskCollection, dense_iterate_solve
 
 # LatticeConfig's oracle constants, which `derive_oracle_params` requires
-CONSTANTS = dict(c_p=1.0, c_b=1.0, c_lambda=2.5, f_cap=15)
+CONSTANTS = dict(c_p=1.0, c_b=1.0, f_cap=15)
 
 
 def test_derive_params_zero_noise_single_pass():
-    params = derive_oracle_params(100, 100, 2, mu=1.0, sigma=0.0, zeta=0.1, T=1000, **CONSTANTS)
+    params = derive_oracle_params(100, 100, 2, sigma=0.0, zeta=0.1, T=1000, **CONSTANTS)
     assert params.b == 1
     assert params.lam > 0  # noiseless floor keeps unobserved entries coupled
 
 
 def test_derive_params_b_formula():
-    params = derive_oracle_params(50, 200, 4, mu=2.0, sigma=1.0, zeta=0.05, T=1000, **CONSTANTS)
+    params = derive_oracle_params(50, 200, 4, sigma=1.0, zeta=0.05, T=1000, **CONSTANTS)
     # scripted evaluation of the formula
-    expected = math.ceil((1.0 * 1.0 * 4 * math.sqrt(2.0) / (0.05 * math.log(50))) ** 2)
+    expected = math.ceil((1.0 * 1.0 * 4 * math.sqrt(MU) / (0.05 * math.log(50))) ** 2)
     assert params.b == expected
+    lam = C_LAMBDA * (1.0 / math.sqrt(expected)) * math.sqrt(50 * params.p)
+    assert params.lam == pytest.approx(lam)
 
 
 def test_derive_params_p_clamps_to_one():
-    params = derive_oracle_params(10, 10, 2, mu=5.0, sigma=1.0, zeta=0.5, T=100, **CONSTANTS)
+    # c_p * MU**2 * log(10)**3 / 10 is about 1.22
+    params = derive_oracle_params(10, 10, 2, sigma=1.0, zeta=0.5, T=100, **CONSTANTS)
     assert params.p == 1.0
 
 
 def test_derive_params_f_formula_and_cap():
-    params = derive_oracle_params(200, 200, 4, mu=1.0, sigma=0.5, zeta=0.1, T=60000, **CONSTANTS)
+    params = derive_oracle_params(200, 200, 4, sigma=0.5, zeta=0.1, T=60000, **CONSTANTS)
     assert params.f == 15
-    params2 = derive_oracle_params(4, 4, 2, mu=1.0, sigma=0.5, zeta=0.1, T=10, **CONSTANTS)
+    params2 = derive_oracle_params(4, 4, 2, sigma=0.5, zeta=0.1, T=10, **CONSTANTS)
     assert params2.f == math.ceil(math.log(4 * 4 * 10))
 
 

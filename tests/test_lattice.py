@@ -448,3 +448,41 @@ def test_lattice_tiny_horizon_graceful():
     hist, trace = run_lattice(inst, cfg, 25, seed=3, noise=NoiseModel("gaussian", 0.1))
     assert len(hist) == 25
     assert hist.final_regret <= 25 * (inst.X.max(axis=1)[:, None] - inst.X).max() + 1e-9
+
+
+def test_endgame_commits_each_user_to_its_last_estimated_best_arm(monkeypatch):
+    # with the endgame at 90 % of the horizon, the phase after the first
+    # refine (at round 197 of 1,000) starts no oracle: every set still large
+    # enough for one commits its users greedily on their last estimated rows
+    monkeypatch.setattr(lattice, "ENDGAME_FRACTION", 0.9)
+    oracle_starts, rows = [], {}
+    make_instance, refine = lattice._PhasedRun._make_instance, lattice._PhasedRun._refine
+
+    def recording_make_instance(self, *args):
+        oracle_starts.append(self.env.t)
+        return make_instance(self, *args)
+
+    def recording_refine(self, *args, **kwargs):
+        out = refine(self, *args, **kwargs)
+        rows.update(self.latest_row)
+        return out
+
+    monkeypatch.setattr(lattice._PhasedRun, "_make_instance", recording_make_instance)
+    monkeypatch.setattr(lattice._PhasedRun, "_refine", recording_refine)
+    inst = generate_cs_instance(10, 12, 2, RowDistribution.gaussian(0, 1), seed=1)
+    cfg = LatticeConfig(num_clusters=2, sigma=0.0, gamma=1, c_prime_override=1.0, c_p=2.0, f_cap=1)
+    hist, trace = run_lattice(inst, cfg, 1000, seed=4, noise=NoiseModel("none"))
+    first, last = trace.records
+    assert oracle_starts == [0]  # the bootstrap oracle only
+    assert last.mode == "ucb" and first.rounds_used + last.rounds_used == 1000
+    assert first.rounds_used > 0.1 * 1000
+    # both sets kept at least gamma * C = 2 arms, and one lost some
+    assert sorted(map(len, first.arm_sets)) == [3, 10]
+    want = {}
+    for users, arms in zip(first.user_sets, first.arm_sets):
+        for u in users:
+            cur_arms, row = rows[u]
+            live = np.isin(cur_arms, arms)
+            want[u] = int(cur_arms[live][np.argmax(row[live])])
+    played = hist.arms[first.rounds_used :]
+    assert played.tolist() == [want[u] for u in hist.users[first.rounds_used :].tolist()]
