@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import C_LAMBDA, MU, OracleParams, run_oracle, solve_nuclear_norm
+from .completion import C_LAMBDA, MU, NOISELESS_LAMBDA, OracleParams, run_oracle, solve_nuclear_norm
 from .env import Environment, Instance, NoiseModel, RunHistory, seed_sequence
 from .lattice import PhaseRecord, PhaseTrace, UcbArmState
 
@@ -72,7 +72,7 @@ def run_explore_then_commit(
     logd = math.log(max(d2, 2))
     p = min(1.0, config.c_p * MU**2 * logd**3 / d2)
     lam = C_LAMBDA * config.sigma * math.sqrt(d2 * p)
-    params = OracleParams(p=p, b=1, f=1, lam=max(lam, 1e-3), zeta=1.0)
+    params = OracleParams(p=p, b=1, f=1, lam=max(lam, NOISELESS_LAMBDA), zeta=1.0)
     oracle = run_oracle(
         env,
         np.arange(instance.num_users),

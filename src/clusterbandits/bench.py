@@ -105,6 +105,15 @@ INSTANCE_OPTIONS = {
     **dict.fromkeys(["nu", "epsilon", "sigma"], float),
     "optimal_arms": int_list,
 }
+# the [instance] keys each kind reads (sigma only beside noise)
+_EVERY_KIND = ("kind", "noise", "sigma")
+_GENERATED = (*_EVERY_KIND, "num_users", "num_arms", "num_clusters", "seed")
+INSTANCE_KEYS = {
+    "cs": frozenset([*_GENERATED, "row_distribution"]),
+    "rcs": frozenset([*_GENERATED, "row_distribution", "nu"]),
+    "hard": frozenset([*_GENERATED, "epsilon", "optimal_arms"]),
+    "file": frozenset([*_EVERY_KIND, "path"]),
+}
 
 
 @dataclass
@@ -137,7 +146,7 @@ class ExperimentConfig:
             if twice:
                 raise ConfigError(f"{where}{twice[0]} may appear only once")
         kind = self.instance.get("kind", "")
-        if kind not in ("cs", "rcs", "hard", "file"):
+        if kind not in INSTANCE_KEYS:
             raise ConfigError("instance.kind: must be one of cs, rcs, hard, file")
         if kind == "file" and not self.instance.get("path"):
             raise ConfigError("instance.path: required when kind = file")
@@ -169,6 +178,13 @@ class ExperimentConfig:
             if len(optimal) != num_clusters or not all(0 <= a < num_arms for a in optimal):
                 raise ConfigError(f"instance.optimal_arms: need {num_clusters} arms in "
                                   f"0..{num_arms - 1}, one per cluster; got {optimal}")
+        read = INSTANCE_KEYS[kind]
+        if not self.instance.keys() <= read:
+            key = next(key for key in self.instance if key not in read)
+            raise ConfigError(f"instance.{key}: not read when kind = {kind}, which reads "
+                              f"{' '.join(sorted(read))}")
+        if "sigma" in self.instance and not noise:
+            raise ConfigError("instance.sigma: not read without instance.noise, which it scales")
 
 
 # accepted [experiment] keys and their parsers

@@ -357,6 +357,9 @@ class Environment:
         self.t = 0
         self._P = instance.P
         self._best_reward = instance.P[np.arange(instance.num_users), instance.best_arm]
+        self._num_arms = instance.num_arms
+        # `NoiseModel.reward`'s rule, resolved once for every round
+        self._bernoulli = self.noise.kind == "bernoulli-reward"
         # a round reads and writes Python scalars through views of the ledger
         self._user_at = memoryview(hist.users)
         self._mean_at = memoryview(instance.P)
@@ -379,15 +382,32 @@ class Environment:
         t = self.t
         if t >= self.horizon:
             raise RuntimeError("environment horizon exhausted")
-        u = self._user_at[t]
-        return self._advance(t, u, int(policy_choice(u)))
+        return self._play(int(policy_choice(self._user_at[t])))
 
     def play(self, arm: int) -> tuple[int, int, float]:
-        """Advance one round with the arm already chosen for the pending user."""
+        """Advance one round with the arm already chosen for the pending user;
+        returns (user, arm, reward).  `arm` is a Python or numpy integer: the
+        ledger's memoryview takes nothing else (TypeError)."""
         t = self.t
         if t >= self.horizon:
             raise RuntimeError("environment horizon exhausted")
-        return self._advance(t, self._user_at[t], int(arm))
+        if not 0 <= arm < self._num_arms:
+            raise ArmOutOfRangeError(f"policy returned arm {arm}")
+        u = self._user_at[t]
+        # the round's noise draw waits in its reward slot
+        mean, draw = self._mean_at[u, arm], self._reward_out[t]
+        if self._bernoulli:
+            reward = 1.0 if draw < mean else 0.0
+        else:
+            reward = mean + draw
+        self._arm_out[t] = arm
+        self._reward_out[t] = reward
+        self.t = t + 1
+        return u, arm, reward
+
+    # `step` plays through this name, so that each round is one call of
+    # `play` or `step`, whichever the caller made
+    _play = play
 
     def run(self, end, user_sets, arm_sets, rng, oracles=None, ucb=None, fixed=None) -> None:
         """Play rounds until round `end` (capped at the horizon); when
@@ -462,16 +482,6 @@ class Environment:
             rewards = self._history.rewards
             for oracle, at in served:
                 oracle.credit(rewards[start + at])
-
-    def _advance(self, t: int, u: int, arm: int) -> tuple[int, int, float]:
-        if not 0 <= arm < self.instance.num_arms:
-            raise ArmOutOfRangeError(f"policy returned arm {arm}")
-        # the round's noise draw waits in its reward slot
-        reward = self.noise.reward(self._mean_at[u, arm], self._reward_out[t])
-        self._arm_out[t] = arm
-        self._reward_out[t] = reward
-        self.t = t + 1
-        return u, arm, reward
 
 
 # the [meta] keys that `save_instance` writes, and the only ones `load_instance` reads

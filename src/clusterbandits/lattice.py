@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .completion import C_LAMBDA, MU, OracleInstance, derive_oracle_params
+from .completion import C_LAMBDA, MU, NOISELESS_LAMBDA, OracleInstance, derive_oracle_params
 from .env import Environment, Instance, NoiseModel, RunHistory, seed_sequence
 
 ENDGAME_FRACTION = 0.01  # do not start an oracle this close to the horizon
@@ -334,7 +334,7 @@ class _PhasedRun:
             # fix the accuracy schedule from what it sees
             d2 = min(len(users), len(arms))
             lam = C_LAMBDA * cfg.sigma * math.sqrt(d2 * params.p)
-            params = replace(params, b=1, lam=max(lam, 1e-3))
+            params = replace(params, b=1, lam=max(lam, NOISELESS_LAMBDA))
         return OracleInstance(users, arms, params, self.algo_ss.spawn(1)[0])
 
     def _estimate_scale(self, instances: dict[int, OracleInstance]) -> None:

@@ -186,7 +186,10 @@ def dense_iterate_solve(values, omega, shape, lam, tol=1e-6, max_iters=500, cont
     """`solve_nuclear_norm` as it held the iterate Q as a dense matrix,
     building each iteration's fill from a copy of Q and taking the relative
     change from dense norms of Q and Q_new - Q: the reference that the
-    factored iterate must match bit for bit."""
+    factored iterate must match bit for bit.  Like it, the final stage's
+    starting objective takes Q's nuclear norm from Q's left factor P (Q = P @
+    Vt with orthonormal rows), which must agree with Q's own singular values
+    to 1e-12 relative."""
     row_idx, col_idx = omega
     values = np.asarray(values, dtype=float)
     Q = np.zeros(shape)
@@ -205,12 +208,16 @@ def dense_iterate_solve(values, omega, shape, lam, tol=1e-6, max_iters=500, cont
     dense_svds = 0
     basis = None
     rel_change = np.inf
+    P = np.zeros((shape[0], 0))
     for lam_k in lam_path:
         final_stage = lam_k == lam_path[-1]
         stage_tol = tol if final_stage else max(tol, 1e-4)
         if final_stage:
             fit0 = 0.5 * float(np.sum((Q[row_idx, col_idx] - values) ** 2))
-            prev_obj = fit0 + lam * float(np.linalg.svd(Q, compute_uv=False).sum())
+            nuclear = float(np.linalg.svd(P, compute_uv=False).sum())
+            dense_norm = float(np.linalg.svd(Q, compute_uv=False).sum())
+            assert abs(nuclear - dense_norm) <= 1e-12 * max(dense_norm, 1.0)
+            prev_obj = fit0 + lam * nuclear
             objectives.append(prev_obj)
         while total_iters < max_iters:
             G = Q.copy()
@@ -219,7 +226,8 @@ def dense_iterate_solve(values, omega, shape, lam, tol=1e-6, max_iters=500, cont
             dense_svds += dense
             r = int(np.count_nonzero(s > lam_k))
             s_thr = s[:r] - lam_k
-            Q_new = (U[:, :r] * s_thr) @ Vt[:r]
+            P = U[:, :r] * s_thr
+            Q_new = P @ Vt[:r]
             basis = Vt[: r + OVERSAMPLE].T if r else None
             total_iters += 1
             if final_stage:

@@ -118,11 +118,26 @@ def test_config_etc_has_no_num_clusters_key():
             r"instance\.row_distribution: cannot parse 'gausian\(0,1\)'",
         ),
         ("noise = gaussian", "noise = gausian", r"instance\.noise: must be one of gaussian, "),
+        # a key the kind does not read is an error, not ignored
+        ("seed = 3", "seed = 3\nepsilon = 0.2", r"instance\.epsilon: not read when kind = cs"),
+        ("seed = 3", "seed = 3\nnu = 0.1", r"instance\.nu: not read when kind = cs"),
+        ("seed = 3", "seed = 3\noptimal_arms = 0,1", r"instance\.optimal_arms: not read when kind"),
+        ("seed = 3", "seed = 3\npath = x.txt", r"instance\.path: not read when kind = cs"),
+        ("kind = cs", "kind = rcs\nepsilon = 0.2", r"instance\.epsilon: not read when kind = rcs"),
+        (
+            "kind = cs",
+            "kind = hard\nepsilon = 0.2\noptimal_arms = 0,1",
+            r"instance\.row_distribution: not read when kind = hard",
+        ),
+        ("kind = cs", "kind = file\npath = x.txt", r"instance\.num_users: not read when kind"),
+        ("kind = cs", "kind = rcs\nnu = 0.1", None),
+        # sigma scales the named noise; with no noise key it would be ignored
+        ("noise = gaussian\n", "", r"instance\.sigma: not read without instance\.noise"),
     ],
 )
 def test_config_bad_instance_or_experiment_key_rejected(old, new, message):
     text = SMALL_CONFIG.replace(old, new)
-    if message is None:  # an empty item of a list is skipped, not an error
+    if message is None:  # an empty item of a list is skipped, not an error; rcs reads nu
         assert bench.parse_config(text).horizons == [100]
         return
     with pytest.raises(bench.ConfigError, match=message):
@@ -259,12 +274,17 @@ def test_small_configs_fail_at_parse_or_play_every_horizon(
     num_clusters = min(num_clusters, num_users, num_arms)
     if valid:
         picks = [p % num_arms for p in (picks + [0] * 6)[:num_clusters]]
+    values = {
+        "kind": kind, "num_users": num_users, "num_arms": num_arms,
+        "num_clusters": num_clusters, "row_distribution": rows, "seed": seed,
+        "noise": noise, "sigma": 0.3, "nu": 0.01, "epsilon": 0.3,
+        "optimal_arms": ",".join(map(str, picks)),
+    }
+    # only the keys this kind reads, so a config fails on its values, not its keys
+    read = bench.INSTANCE_KEYS[kind]
+    instance = "".join(f"{k} = {v}\n" for k, v in values.items() if k in read)
     text = (
-        f"[instance]\nkind = {kind}\nnum_users = {num_users}\nnum_arms = {num_arms}\n"
-        f"num_clusters = {num_clusters}\nrow_distribution = {rows}\nseed = {seed}\n"
-        f"noise = {noise}\nsigma = 0.3\nnu = 0.01\nepsilon = 0.3\n"
-        f"optimal_arms = {','.join(map(str, picks))}\n"
-        f"[experiment]\nhorizon = {horizon}\nseeds = {seed}\n"
+        f"[instance]\n{instance}[experiment]\nhorizon = {horizon}\nseeds = {seed}\n"
     ) + "".join(f"[algorithm {name}]\n" for name in bench.ALGORITHM_NAMES)
     try:
         config = bench.parse_config(text)

@@ -230,6 +230,12 @@ def _shaped_mask(num_cols, shapes, rng):
 # rows that owe every column, cut at every pass end
 @example(num_cols=3, shapes=["full", "empty", "full"], b=4, picks=[0, 1, 2] * 20, cuts=[],
          pass_cuts=[0, 1, 2, 3], seed=1)
+# one block of 40 passes over a mask with no multi-cell row: one draw call
+@example(num_cols=2, shapes=["single", "empty", "empty"], b=40, picks=[0, 1, 2] * 50, cuts=[],
+         pass_cuts=[], seed=2)
+# one block of 30 passes with a full row, shuffled at every pass end
+@example(num_cols=3, shapes=["full", "single"], b=30, picks=[0, 1, 0, 1, 0] * 40, cuts=[],
+         pass_cuts=[], seed=3)
 def test_planned_collection_matches_per_arrival_reference(
     num_cols, shapes, b, picks, cuts, pass_cuts, seed
 ):
