@@ -299,10 +299,14 @@ def build_noise(spec: dict[str, object], instance: env.Instance) -> env.NoiseMod
     return env.NoiseModel(kind, spec.get("sigma", 0.0))
 
 
-def _run_cell(name, config, instance, noise, horizon, seed):
-    """One (algorithm, seed) cell; returns (history, trace or None)."""
+def _run_cell(name, config, instance, noise, horizon, seed, full):
+    """One (algorithm, seed) cell; returns (its record, trace or None).  The
+    cell's ledger is dropped when this returns.  The checkpoint grid is built
+    after the cell: its first `np.unique` in a process imports numpy.ma
+    (over 1 MB), which would otherwise add to the cell's peak memory."""
     _, module, run = _SECTIONS[name]
-    return getattr(module, run)(instance, config, horizon, seed, noise)
+    history, trace = getattr(module, run)(instance, config, horizon, seed, noise)
+    return regret_record(history, None if full else checkpoint_grid(horizon)), trace
 
 
 # log-spaced checkpoint rounds per run, before rounding merges some
@@ -319,13 +323,47 @@ def checkpoint_grid(horizon: int) -> np.ndarray:
     return pts
 
 
+@dataclass(frozen=True)
+class RegretRecord:
+    """What a report keeps of a finished run: its instantaneous and
+    cumulative regret at the rounds `t` that regret.csv writes, its final
+    regret, and (as `len`) the rounds it played.  `t` is its horizon's
+    checkpoint grid, or every round played when `grid` is None."""
+
+    grid: np.ndarray | None
+    inst_regret: np.ndarray
+    cumulative_regret: np.ndarray
+    final_regret: float
+    rounds: int
+
+    def __len__(self) -> int:
+        return self.rounds
+
+    @property
+    def t(self) -> np.ndarray:
+        if self.grid is not None:
+            return self.grid
+        # a history holds fewer than 2^31 rounds, so int32 holds its rounds
+        return np.arange(1, self.rounds + 1, dtype=np.int32)
+
+
+def regret_record(history: env.RunHistory, grid: np.ndarray | None) -> RegretRecord:
+    """The record of a finished run's history: its regret at the rounds of
+    `grid`, or at every round played when `grid` is None.  A grid round past
+    the last round played reads that round, so the last row is the final one."""
+    n = len(history)
+    rounds = np.arange(1, n + 1) if grid is None else np.minimum(grid, n)
+    inst, cum = history.regret(rounds)
+    return RegretRecord(grid, inst, cum, float(cum[-1]), n)
+
+
 @dataclass
 class RunResult:
     run_id: int
     algorithm: str
     seed: int
     horizon: int
-    history: env.RunHistory
+    history: RegretRecord
     trace: lattice.PhaseTrace | None
 
 
@@ -435,13 +473,15 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
         for algo, algo_config in algorithms:
             for seed in config.seeds:
                 try:
-                    history, trace = _run_cell(algo, algo_config, instance, noise, horizon, seed)
+                    record, trace = _run_cell(
+                        algo, algo_config, instance, noise, horizon, seed, config.full_history
+                    )
                 except Exception as exc:
                     raise CellError(algo, horizon, seed, report, exc) from exc
-                report.runs.append(RunResult(run_id, algo, seed, horizon, history, trace))
+                report.runs.append(RunResult(run_id, algo, seed, horizon, record, trace))
                 run_id += 1
                 if progress is not None:
-                    progress(algo, horizon, seed, history.final_regret)
+                    progress(algo, horizon, seed, record.final_regret)
     return report
 
 
@@ -489,18 +529,14 @@ def _write_rows(fh, template: str, *columns) -> None:
 
 
 def write_regret_csv(report: Report, path: Path, summary_path: Path | None = None) -> RegretColumns:
-    """Write regret.csv one run at a time, every round of each run's history
-    with full_history and its horizon's checkpoints otherwise, WRITE_CHUNK
-    rows at a time; returns the columns to summarise, as views of the
-    histories where they can be.
+    """Write regret.csv one run at a time, each run's record WRITE_CHUNK rows
+    at a time; returns the columns to summarise, the records' own arrays.
 
     With `summary_path`, where every (algorithm, horizon) holds one run,
     summary.csv is written in the same pass: the mean of one value is that
     value, so each chunk's cum_regret text is also its summary rows' mean
     (a cumulative regret starts from +0.0, so is never -0.0), and each stderr is 0."""
-    full = report.config.full_history
     regret = RegretColumns([], [], [], [])
-    grids: dict[int, np.ndarray] = {}  # rounds of a full history, or a horizon -> its grid
     with contextlib.ExitStack() as files:
         fh = files.enter_context(open(path, "w", newline=""))
         fh.write(_csv_row(REGRET_FIELDS))
@@ -508,18 +544,8 @@ def write_regret_csv(report: Report, path: Path, summary_path: Path | None = Non
             sfh = files.enter_context(open(summary_path, "w", newline=""))
             sfh.write(_csv_row(SUMMARY_FIELDS))
         for run in report.runs:
-            hist, n = run.history, len(run.history)
-            key = n if full else run.horizon
-            if key not in grids:
-                # a history holds fewer than 2^31 rounds, so int32 holds its grid
-                grids[key] = (
-                    np.arange(1, n + 1, dtype=np.int32) if full else checkpoint_grid(run.horizon)
-                )
-            t = grids[key]
-            if full:
-                inst, cum = hist.inst_regret[:n], hist.cumulative_regret[:n]
-            else:
-                inst, cum = hist.inst_regret[t - 1], hist.cumulative_regret[np.minimum(t, n) - 1]
+            record = run.history
+            t, inst, cum = record.t, record.inst_regret, record.cumulative_regret
             template = _template([run.run_id, run.algorithm, run.seed], "%d,%s,%s\n")
             summary_template = _template([run.algorithm, run.horizon], "%d,%s,0\n")
             for start in range(0, len(t), WRITE_CHUNK):
@@ -593,7 +619,7 @@ TRACE_FIELDS = [
 def emit_report(report: Report, out_dir) -> dict[str, Path]:
     """Write regret.csv, summary.csv, phase_trace.csv and regret.svg.
 
-    regret.csv is streamed one run at a time from the history arrays;
+    regret.csv is streamed one run at a time from the runs' records;
     summary.csv and regret.svg are computed from the same numbers.  When
     every (algorithm, horizon) holds one run, as in every one-seed
     experiment, summary.csv is written in regret.csv's pass from the same

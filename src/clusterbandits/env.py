@@ -20,8 +20,8 @@ import numpy as np
 RCS_SEPARATION_FACTOR = 20.0
 # candidate cluster-row draws before a relaxed instance gives up on separation
 RCS_MAX_ATTEMPTS = 1000
-# rounds that `Environment` draws, and whose regret columns
-# `Environment.history` fills, at once; bounds the temporaries of both
+# rounds that `Environment` draws, and whose regret `RunHistory.regret`
+# derives, at once; bounds the temporaries of both
 CLOSE_CHUNK = 2**12
 NOISE_KINDS = ("gaussian", "uniform", "bernoulli-reward", "none")
 # the roles a round's plan holds in place of an arm; a planned arm is >= 0
@@ -282,45 +282,66 @@ def generate_hard_instance(
 
 
 class RunHistory:
-    """Per-round ledger of (user, arm, reward, instantaneous regret).
+    """Per-round ledger of (user, arm, reward), the columns policies read: 16
+    bytes a round.  Rounds beyond `capacity` do not fit.  The user and reward
+    columns are written ahead (a reward slot holds the round's noise draw
+    until the round is played); `played` counts the rounds played.
 
-    `cumulative_regret[t]` is the prefix sum of instantaneous regrets up to
-    and including round t.  Rounds beyond `capacity` do not fit.  The user,
-    arm and reward columns are written ahead (a reward slot holds the round's
-    noise draw until the round is played); `close` completes the regret
-    columns of the next block of rounds.
+    Regret is derived on read, from `instance`'s matrix: a round's
+    instantaneous regret is its user's best mean reward minus the played
+    arm's, and its cumulative regret the sum of those up to and including it.
     """
 
-    def __init__(self, capacity: int):
-        self._n = 0
+    def __init__(self, instance: Instance, capacity: int):
+        self.played = 0
         self.users = np.empty(capacity, dtype=np.int32)
         self.arms = np.empty(capacity, dtype=np.int32)
         self.rewards = np.empty(capacity, dtype=float)
-        self.inst_regret = np.empty(capacity, dtype=float)
-        self.cumulative_regret = np.empty(capacity, dtype=float)
-        self._total = 0.0
+        self._P = instance.P
+        self._best_reward = instance.P[np.arange(instance.num_users), instance.best_arm]
 
     def __len__(self) -> int:
-        return self._n
+        return self.played
 
-    def close(self, inst_regret: np.ndarray) -> None:
-        """Record the instantaneous regrets of the next `len(inst_regret)` rounds."""
-        n, k = self._n, len(inst_regret)
-        if not k:
-            return
-        self.inst_regret[n : n + k] = inst_regret
-        cum = self.cumulative_regret[n : n + k]
-        cum[:] = inst_regret
-        # the running total is the first addend, so every round adds its regret
-        # in round order, exactly as one `+=` per round would
-        cum[0] = self._total + cum[0]
-        np.cumsum(cum, out=cum)
-        self._total = float(cum[-1])
-        self._n = n + k
+    def regret(self, rounds) -> tuple[np.ndarray, np.ndarray]:
+        """The instantaneous and cumulative regret at each of `rounds`: round
+        counts from 1 to `len(self)`, in nondecreasing order.
+
+        One pass over CLOSE_CHUNK-round blocks, up to the last of `rounds`,
+        sums every round's regret in round order, each block's running total
+        its first addend, exactly as one `+=` per round would; so the values
+        do not depend on where the blocks end."""
+        rounds = np.asarray(rounds, dtype=np.int64)
+        inst_out, cum_out = np.empty(len(rounds)), np.empty(len(rounds))
+        end = int(rounds[-1]) if len(rounds) else 0
+        if end > self.played or (len(rounds) and rounds[0] < 1):
+            raise ValueError(f"rounds must lie in 1..{self.played}")
+        total, done = 0.0, 0
+        for n in range(0, end, CLOSE_CHUNK):
+            stop = min(n + CLOSE_CHUNK, end)
+            users, arms = self.users[n:stop], self.arms[n:stop]
+            inst = self._best_reward[users] - self._P[users, arms]
+            cum = inst.copy()
+            cum[0] = total + cum[0]
+            np.cumsum(cum, out=cum)
+            total = float(cum[-1])
+            upto = done + int(np.searchsorted(rounds[done:], stop, side="right"))
+            at = rounds[done:upto] - (n + 1)
+            inst_out[done:upto], cum_out[done:upto] = inst[at], cum[at]
+            done = upto
+        return inst_out, cum_out
+
+    @property
+    def inst_regret(self) -> np.ndarray:
+        return self.regret(np.arange(1, self.played + 1))[0]
+
+    @property
+    def cumulative_regret(self) -> np.ndarray:
+        return self.regret(np.arange(1, self.played + 1))[1]
 
     @property
     def final_regret(self) -> float:
-        return self._total
+        return float(self.regret([self.played])[1][0]) if self.played else 0.0
 
 
 class Environment:
@@ -346,7 +367,7 @@ class Environment:
             raise ValueError("horizon must be positive")
         user_ss, noise_ss = seed_sequence(seed).spawn(2)
         user_rng, noise_rng = np.random.default_rng(user_ss), np.random.default_rng(noise_ss)
-        hist = self._history = RunHistory(capacity=self.horizon)
+        hist = self._history = RunHistory(instance, capacity=self.horizon)
         # every round's arrival, and its noise draw in its reward slot until the
         # round is played; draws continue their stream from chunk to chunk, so
         # they equal one draw over the whole horizon
@@ -355,8 +376,6 @@ class Environment:
             hist.users[n : n + k] = user_rng.integers(0, instance.num_users, size=k)
             hist.rewards[n : n + k] = self.noise.draw_block(noise_rng, k)
         self.t = 0
-        self._P = instance.P
-        self._best_reward = instance.P[np.arange(instance.num_users), instance.best_arm]
         self._num_arms = instance.num_arms
         # `NoiseModel.reward`'s rule, resolved once for every round
         self._bernoulli = self.noise.kind == "bernoulli-reward"
@@ -368,14 +387,9 @@ class Environment:
 
     @property
     def history(self) -> RunHistory:
-        """The ledger, its regret columns filled for every round played so far,
-        CLOSE_CHUNK rounds at a time."""
-        hist, t = self._history, self.t
-        for n in range(len(hist), t, CLOSE_CHUNK):
-            rounds = slice(n, min(n + CLOSE_CHUNK, t))
-            users, arms = hist.users[rounds], hist.arms[rounds]
-            hist.close(self._best_reward[users] - self._P[users, arms])
-        return hist
+        """The ledger of every round played so far."""
+        self._history.played = self.t
+        return self._history
 
     def step(self, policy_choice) -> tuple[int, int, float]:
         """Advance one round; returns (user, arm, reward)."""

@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 
-from clusterbandits import bench
+from clusterbandits import bench, env
 from clusterbandits.completion import (
     OVERSAMPLE,
     SolveInfo,
@@ -19,7 +19,68 @@ def regret_at(history, t: int) -> float:
     """Cumulative regret of `history` after round t (1-based round count)."""
     if t <= 0:
         return 0.0
-    return float(history.cumulative_regret[min(t, len(history)) - 1])
+    return float(history.regret([min(t, len(history))])[1][0])
+
+
+class ClosedRegret:
+    """Regret columns filled block by block as rounds are played, each
+    block's running total its first addend: the reference that
+    `RunHistory.regret` must equal bit for bit, wherever the blocks end.
+    `instance`, if given, is the matrix whose ledgers `close_played` reads."""
+
+    def __init__(self, capacity: int, instance=None):
+        if instance is not None:
+            self._P = instance.P
+            self._best = instance.P[np.arange(instance.num_users), instance.best_arm]
+        self._n = 0
+        self.inst_regret = np.empty(capacity, dtype=float)
+        self.cumulative_regret = np.empty(capacity, dtype=float)
+        self._total = 0.0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def close(self, inst_regret: np.ndarray) -> None:
+        """Record the instantaneous regrets of the next `len(inst_regret)` rounds."""
+        n, k = self._n, len(inst_regret)
+        if not k:
+            return
+        self.inst_regret[n : n + k] = inst_regret
+        cum = self.cumulative_regret[n : n + k]
+        cum[:] = inst_regret
+        cum[0] = self._total + cum[0]
+        np.cumsum(cum, out=cum)
+        self._total = float(cum[-1])
+        self._n = n + k
+
+    def close_played(self, history) -> None:
+        """Close `history`'s rounds played since the last close, CLOSE_CHUNK
+        rounds at a time."""
+        for n in range(self._n, len(history), env.CLOSE_CHUNK):
+            rounds = slice(n, min(n + env.CLOSE_CHUNK, len(history)))
+            users, arms = history.users[rounds], history.arms[rounds]
+            self.close(self._best[users] - self._P[users, arms])
+
+    @property
+    def final_regret(self) -> float:
+        return self._total
+
+
+def ledger_with_regrets(regrets) -> env.RunHistory:
+    """A played one-user ledger whose instantaneous regrets are `regrets`,
+    bit for bit.  Arm 0 counts as the best arm and pays -0.0; round i plays
+    arm i, which pays p with -0.0 - p == regrets[i - 1]: -r for a nonzero r,
+    and 0.0 for -0.0 and -0.0 for 0.0.  A negative regret is allowed."""
+    values = np.asarray(regrets, dtype=float)
+    pays = np.where(values == 0.0, np.where(np.signbit(values), 0.0, -0.0), -values)
+    P = np.concatenate([[-0.0], pays])[None, :]
+    instance = env.Instance(1, P.shape[1], 1, P, [0], P)
+    instance.best_arm = np.zeros(1, dtype=int)
+    history = env.RunHistory(instance, len(values))
+    history.users[:], history.rewards[:] = 0, 0.0
+    history.arms[:] = np.arange(1, len(values) + 1)
+    history.played = len(values)
+    return history
 
 
 def _text(value) -> str:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import io
 import math
 import os
@@ -19,7 +20,12 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from clusterbandits import baselines, bench, cli, env, lattice, rcs
-from helpers import reference_trace_csv, regret_at, serialize_config
+from helpers import (
+    ClosedRegret,
+    ledger_with_regrets,
+    reference_trace_csv,
+    serialize_config,
+)
 
 SMALL_CONFIG = """\
 [instance]
@@ -445,12 +451,14 @@ def test_each_cell_calls_the_run_function_module_attribute(monkeypatch, algo):
     # perfbench's tracer wraps the run functions on their modules after
     # import, so every cell must look its run function up there
     module, attr = _RUN_FUNCTIONS[algo]
-    calls, histories = [], []
+    calls, ledgers = [], []
 
     def run(*args):
         calls.append(args)
-        histories.append(object())
-        return histories[-1], None
+        # a ledger of its own per cell, so that each record shows where it came from
+        horizon, seed = args[2:4]
+        ledgers.append(ledger_with_regrets(np.arange(horizon) * 0.25 + seed))
+        return ledgers[-1], None
 
     monkeypatch.setattr(module, attr, run)
     text = SMALL_CONFIG.replace("[algorithm ucb]", f"[algorithm {algo}]")
@@ -465,7 +473,14 @@ def test_each_cell_calls_the_run_function_module_attribute(monkeypatch, algo):
         assert np.array_equal(got_instance.P, instance.P)
         assert type(got_config) is _CONFIG_CLASSES[algo] and got_config == want
         assert got_noise == noise
-    assert [run.history for run in report.runs] == histories
+    assert len(report.runs) == len(ledgers)
+    for run, ledger in zip(report.runs, ledgers):
+        record, grid = run.history, bench.checkpoint_grid(run.horizon)
+        inst, cum = ledger.regret(grid)
+        assert record.t.tolist() == grid.tolist()
+        assert record.inst_regret.tolist() == inst.tolist()
+        assert record.cumulative_regret.tolist() == cum.tolist()
+        assert record.final_regret == ledger.final_regret and len(record) == len(ledger)
 
 
 def _run_function_args(algo):
@@ -510,10 +525,21 @@ def test_run_experiment_deterministic():
     a = bench.run_experiment(config)
     b = bench.run_experiment(config)
     assert len(a.runs) == 1
-    ha, hb = a.runs[0].history, b.runs[0].history
+    ra, rb = a.runs[0].history, b.runs[0].history
+    assert np.array_equal(ra.t, rb.t)
+    assert np.array_equal(ra.inst_regret, rb.inst_regret)
+    assert np.array_equal(ra.cumulative_regret, rb.cumulative_regret)
+    assert ra.final_regret == rb.final_regret
+    # a report keeps no ledger, so the cell's ledger comes from its run function
+    instance, ucb_config, noise = _run_function_args("ucb")
+    horizon, seed = config.horizons[0], config.seeds[0]
+    ha, _ = baselines.run_per_user_ucb(instance, ucb_config, horizon, seed, noise)
+    hb, _ = baselines.run_per_user_ucb(instance, ucb_config, horizon, seed, noise)
+    assert np.array_equal(ha.users, hb.users)
     assert np.array_equal(ha.arms, hb.arms)
     assert np.array_equal(ha.rewards, hb.rewards)
     assert np.array_equal(ha.cumulative_regret, hb.cumulative_regret)
+    assert ha.final_regret == ra.final_regret
 
 
 def test_checkpoint_grid_shape():
@@ -608,10 +634,11 @@ def test_full_history_row_count(tmp_path):
 
 # The dict-based emission that the columnar code replaced, kept as the
 # byte-for-byte reference.
-def _reference_regret_rows(report, full):
+def _reference_regret_rows(report, references, full):
+    """The regret.csv rows of `report`, each run's read from its closed
+    per-round regret columns in `references`."""
     rows = []
-    for run in report.runs:
-        hist = run.history
+    for run, hist in zip(report.runs, references):
         ts = range(1, len(hist) + 1) if full else bench.checkpoint_grid(run.horizon)
         for t in ts:
             rows.append(
@@ -622,7 +649,7 @@ def _reference_regret_rows(report, full):
                     "seed": run.seed,
                     "t": int(t),
                     "instant_regret": format(float(hist.inst_regret[t - 1]), ".17g"),
-                    "cum_regret": format(regret_at(hist, int(t)), ".17g"),
+                    "cum_regret": format(float(hist.cumulative_regret[t - 1]), ".17g"),
                 }
             )
     return rows
@@ -760,12 +787,13 @@ def _assert_same_text(got: str, want: str) -> None:
 
 
 def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
-    """A report of made-up histories: per-round regret spread over several
-    orders of magnitude, with exact zeros, repeated values and, in some runs,
-    negative values, so that a mean minus its standard error can drop below 0.
-    A negative `values_seed` draws the same values as its absolute value, then
-    flips the sign of every other exact zero, so each run holds both 0.0 and
-    -0.0 in its instant_regret column."""
+    """A report of the records of made-up ledgers, and each run's per-round
+    regret columns closed from the same values: per-round regret spread over
+    several orders of magnitude, with exact zeros, repeated values and, in
+    some runs, negative values, so that a mean minus its standard error can
+    drop below 0.  A negative `values_seed` draws the same values as its
+    absolute value, then flips the sign of every other exact zero, so each
+    run holds both 0.0 and -0.0 in its instant_regret column."""
     rng = np.random.default_rng(abs(values_seed))
     config = bench.ExperimentConfig(
         {"kind": "cs", "num_users": 1, "num_arms": 1},
@@ -774,11 +802,11 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
         seeds=seeds,
         full_history=full,
     )
-    report = bench.Report(config)
+    report, references = bench.Report(config), []
     for horizon in horizons:
+        grid = None if full else bench.checkpoint_grid(horizon)
         for algo in algorithms:
             for seed in seeds:
-                hist = env.RunHistory(capacity=horizon)
                 sign = -1.0 if rng.random() < 0.2 else 1.0
                 regrets = sign * rng.exponential(10.0 ** rng.integers(-3, 4), horizon)
                 regrets *= rng.random(horizon) < 0.7
@@ -786,13 +814,14 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
                 if values_seed < 0:
                     zeros = np.flatnonzero(regrets == 0.0)[::2]
                     regrets[zeros] = -regrets[zeros]
-                hist.users[:], hist.arms[:], hist.rewards[:] = 0, 0, 0.0
-                hist.close(regrets)
+                record = bench.regret_record(ledger_with_regrets(regrets), grid)
+                references.append(ClosedRegret(horizon))
+                references[-1].close(regrets)
                 run_id = len(report.runs)
                 report.runs.append(
-                    bench.RunResult(run_id, algo, seed, horizon, hist, None)
+                    bench.RunResult(run_id, algo, seed, horizon, record, None)
                 )
-    return report
+    return report, references
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, phases=_NO_SHRINK)
@@ -832,7 +861,7 @@ def test_emit_matches_the_dict_based_reference(
     tmp_path_factory, algorithms, num_seeds, horizons, full, values_seed, write_chunk
 ):
     seeds = [7 * k + 1 for k in range(num_seeds)]
-    report = _synthetic_report(algorithms, seeds, horizons, full, values_seed)
+    report, references = _synthetic_report(algorithms, seeds, horizons, full, values_seed)
     out = tmp_path_factory.mktemp("emit")
     summaries, summarize = [], bench.summarize
 
@@ -850,7 +879,7 @@ def test_emit_matches_the_dict_based_reference(
     # the chart takes each stretch's last round as its greatest
     for stretch in summaries[0]:
         assert len(stretch.t) and np.all(stretch.t[1:] > stretch.t[:-1])
-    rows = _reference_regret_rows(report, full)
+    rows = _reference_regret_rows(report, references, full)
     summary = _reference_summarize(rows)
     _assert_same_text(paths["regret"].read_text(), _reference_csv(bench.REGRET_FIELDS, rows))
     _assert_same_text(paths["summary"].read_text(), _reference_csv(bench.SUMMARY_FIELDS, summary))
@@ -933,19 +962,19 @@ def test_one_run_summary_is_the_run_column():
 def test_partial_report_keeps_first_appearance_order(tmp_path):
     # the report a CellError carries when the last cell fails: lattice has both
     # seeds, ucb one, so summary.csv is reduced from the stretches
-    report = _synthetic_report(["lattice", "ucb"], [1, 2], [60], True, 3)
+    report, references = _synthetic_report(["lattice", "ucb"], [1, 2], [60], True, 3)
     del report.runs[-1]
     with mock.patch.object(bench, "write_summary_csv", wraps=bench.write_summary_csv) as two_pass:
         paths = bench.emit_report(report, tmp_path)
     assert two_pass.called
-    summary = _reference_summarize(_reference_regret_rows(report, True))
+    summary = _reference_summarize(_reference_regret_rows(report, references, True))
     assert [row["algorithm"] for row in summary[:: len(summary) // 2]] == ["lattice", "ucb"]
     _assert_same_text(paths["summary"].read_text(), _reference_csv(bench.SUMMARY_FIELDS, summary))
 
 
 @pytest.mark.parametrize("write_chunk", [3, bench.WRITE_CHUNK])
 def test_one_pass_summary_reads_as_the_two_pass_path(tmp_path, write_chunk):
-    report = _synthetic_report(["lattice"], [1], [10], True, 5)
+    report, _ = _synthetic_report(["lattice"], [1], [10], True, 5)
     cum = report.runs[0].history.cumulative_regret
     cum[[5, 8]] = np.nan
     with mock.patch.object(bench, "WRITE_CHUNK", write_chunk), mock.patch.object(
@@ -980,28 +1009,40 @@ _REGRETS = st.lists(
 )
 
 
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _blocks_and_rounds(n: int, cuts: list[int]) -> tuple[list[int], np.ndarray]:
+    """Block sizes for `RunHistory.regret` (1, 3, CLOSE_CHUNK and each
+    positive cut) and the sorted rounds of 1..n that `cuts` name."""
+    blocks = sorted({1, 3, env.CLOSE_CHUNK, *(c for c in cuts if c > 0)})
+    rounds = sorted({min(max(c, 1), n) for c in cuts}) if n else []
+    return blocks, np.array(rounds, dtype=np.int64)
+
+
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(regrets=_REGRETS, cuts=st.lists(st.integers(0, 60), max_size=8))
 @example([-0.0, 0.0, -0.0], [1, 1, 2])
 @example([1.5, -1.5, -0.0, 1e-300], [])
-def test_history_closed_in_chunks_matches_one_close(regrets, cuts):
+def test_regret_derived_in_blocks_matches_one_sum_per_round(regrets, cuts):
     values = np.array(regrets, dtype=float)
-    whole = env.RunHistory(len(values))
-    whole.close(values)
-    chunked = env.RunHistory(len(values))
-    bounds = sorted({0, len(values), *(min(c, len(values)) for c in cuts)})
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        chunked.close(values[start:stop])
+    hist = ledger_with_regrets(values)
     total, reference = 0.0, []
     for r in regrets:
         total += r
         reference.append(total)
-    for hist in (whole, chunked):
-        assert len(hist) == len(values)
-        assert hist.inst_regret.view(np.int64).tolist() == values.view(np.int64).tolist()
-        bits = hist.cumulative_regret.view(np.int64).tolist()
-        assert bits == np.array(reference, dtype=float).view(np.int64).tolist()
-        assert np.float64(hist.final_regret).view(np.int64) == np.float64(total).view(np.int64)
+    reference = np.array(reference, dtype=float)
+    blocks, rounds = _blocks_and_rounds(len(values), cuts)
+    for block in blocks:
+        with mock.patch.object(env, "CLOSE_CHUNK", block):
+            assert len(hist) == len(values)
+            assert _bits(hist.inst_regret) == _bits(values)
+            assert _bits(hist.cumulative_regret) == _bits(reference)
+            inst, cum = hist.regret(rounds)
+            assert _bits(inst) == _bits(values[rounds - 1])
+            assert _bits(cum) == _bits(reference[rounds - 1])
+            assert _bits([hist.final_regret]) == _bits([total])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -1016,16 +1057,67 @@ def test_history_closed_in_chunks_matches_one_close(regrets, cuts):
 )
 @example([-0.0, -0.0, -0.0], [1, 2])
 @example([-0.0, math.nan, -0.0], [])
-def test_history_never_sums_to_negative_zero(regrets, cuts):
+def test_derived_regret_never_sums_to_negative_zero(regrets, cuts):
     # the one-pass summary writes the cumulative column's text as each mean,
     # which `summarize` would write as 0 for a -0.0
-    hist = env.RunHistory(len(regrets))
-    bounds = sorted({0, len(regrets), *(min(c, len(regrets)) for c in cuts)})
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        hist.close(np.array(regrets[start:stop], dtype=float))
-    cum = hist.cumulative_regret[: len(hist)]
-    assert not np.signbit(cum[cum == 0.0]).any()
-    assert not np.signbit(hist.final_regret) or math.isnan(hist.final_regret)
+    hist = ledger_with_regrets(regrets)
+    blocks, rounds = _blocks_and_rounds(len(regrets), cuts)
+    for block in blocks:
+        with mock.patch.object(env, "CLOSE_CHUNK", block):
+            for cum in (hist.cumulative_regret, hist.regret(rounds)[1]):
+                assert not np.signbit(cum[cum == 0.0]).any()
+            assert not np.signbit(hist.final_regret) or math.isnan(hist.final_regret)
+
+
+HELD_CONFIG = """\
+[instance]
+kind = cs
+num_users = 6
+num_arms = 5
+num_clusters = 2
+row_distribution = gaussian(0,1)
+seed = 3
+noise = gaussian
+sigma = 0.3
+[experiment]
+horizon = {horizon}
+seeds = 1,2
+full_history = {full}
+[algorithm ucb]
+[algorithm lattice]
+c_prime_override = 0.5
+f_cap = 1
+"""
+
+
+def _report_held(horizon: int, full: bool) -> tuple[int, int]:
+    """(bytes that the report of HELD_CONFIG at `horizon` holds, as
+    tracemalloc counts them, and the rounds its runs played)."""
+    config = bench.parse_config(HELD_CONFIG.format(horizon=horizon, full=str(full).lower()))
+    tracemalloc.start()
+    try:
+        report = bench.run_experiment(config)
+        with_report = tracemalloc.get_traced_memory()[0]
+        rounds = sum(len(run.history) for run in report.runs)
+        del report
+        gc.collect()
+        return with_report - tracemalloc.get_traced_memory()[0], rounds
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_a_report_holds_per_run_only_the_rows_it_writes(full):
+    # a run's record holds its regret at its checkpoints (at most 101 rows),
+    # or 16 bytes a round with full history, and no ledger (32 bytes a round
+    # when each run kept its history, in both modes)
+    _report_held(2000, full)  # first calls compile regexes and fill numpy's caches
+    short, short_rounds = _report_held(20000, full)
+    long, long_rounds = _report_held(80000, full)
+    if full:
+        assert long - short <= 16 * (long_rounds - short_rounds) + 2**13
+    else:
+        assert long - short <= 2**12
 
 
 def _emit_peak(report, out) -> int:
@@ -1049,7 +1141,7 @@ def test_full_history_emission_peak_memory_one_run(tmp_path):
     # 6.4 MB with a copied mean, a zero stderr column, an int64 algorithm code
     # per row and the chart's row-length temporaries; 19 MB when the
     # summariser sorted every row)
-    report = _synthetic_report(["lattice"], [1], [2**17], True, 11)
+    report, _ = _synthetic_report(["lattice"], [1], [2**17], True, 11)
     assert _emit_peak(report, tmp_path) <= 2**21
     tracemalloc.start()
     try:
@@ -1067,7 +1159,7 @@ def test_full_history_emission_peak_memory_several_horizons(tmp_path):
     # two algorithms at two horizons, three seeds each: 589,824 rows, reduced
     # one (algorithm, horizon) block at a time (45 MB when the summariser
     # sorted every row)
-    report = _synthetic_report(["lattice", "ucb"], [1, 8, 15], [2**15, 2**16], True, 11)
+    report, _ = _synthetic_report(["lattice", "ucb"], [1, 8, 15], [2**15, 2**16], True, 11)
     assert _emit_peak(report, tmp_path) <= 24 * 2**20
 
 

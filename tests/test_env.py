@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from clusterbandits.env import (
@@ -27,7 +27,7 @@ from clusterbandits.env import (
 )
 from clusterbandits.completion import OracleInstance, OracleParams
 from clusterbandits.lattice import UcbArmState
-from helpers import PerRoundOracle
+from helpers import ClosedRegret, PerRoundOracle
 
 
 def validate_instance(instance, atol=1e-12):
@@ -651,7 +651,7 @@ def test_history_matches_per_round_ledger(num_users, num_arms, kind, sigma, hori
     arms = rng.integers(0, num_arms, size=horizon).tolist()
     users, rewards, inst_regret, cum = _per_round_reference(P, noise, seed, horizon, arms)
     env = Environment(inst, noise, seed=seed, horizon=horizon)
-    # reading the history at a cut fills its regret columns up to there
+    # reading the history at a cut derives its regret up to there
     for t, arm in enumerate(arms):
         if t in cuts:
             hist = env.history
@@ -668,6 +668,52 @@ def test_history_matches_per_round_ledger(num_users, num_arms, kind, sigma, hori
     assert hist.inst_regret.tolist() == inst_regret
     assert hist.cumulative_regret.tolist() == cum
     assert hist.final_regret == cum[-1]
+
+
+# no shrinking: each example plays thousands of rounds
+@settings(max_examples=40, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    horizon=st.one_of(
+        st.sampled_from([1, CLOSE_CHUNK - 1, CLOSE_CHUNK, CLOSE_CHUNK + 1, 2 * CLOSE_CHUNK]),
+        st.integers(1, 3 * CLOSE_CHUNK),
+    ),
+    reads=st.lists(st.integers(0, 3 * CLOSE_CHUNK), max_size=6),
+    picks=st.lists(st.integers(1, 3 * CLOSE_CHUNK), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(horizon=CLOSE_CHUNK + 1, reads=[CLOSE_CHUNK - 3, CLOSE_CHUNK + 1], picks=[1], seed=7)
+def test_derived_regret_equals_the_closed_columns(horizon, reads, picks, seed):
+    # the regret columns as they were closed block by block whenever the
+    # history was read mid-run, as the simplified policy does each phase
+    rng = np.random.default_rng(seed)
+    P = rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-3, 4)
+    P[:, ::2] = P[:, ::2].round(1)
+    inst = Instance(5, 4, 1, P, np.zeros(5, dtype=int), P[:1])
+    env = Environment(inst, NoiseModel("gaussian", 0.5), seed=seed, horizon=horizon)
+    reference = ClosedRegret(horizon, inst)
+    arms = rng.integers(0, 4, size=horizon)
+    for t, arm in enumerate(arms.tolist()):
+        if t in reads:
+            reference.close_played(env.history)
+        env.play(arm)
+    hist = env.history
+    reference.close_played(hist)
+    rounds = np.array(sorted({min(p, horizon) for p in picks}), dtype=np.int64)
+    inst_regret, cum = hist.regret(rounds)
+    assert inst_regret.view(np.int64).tolist() == (
+        reference.inst_regret[rounds - 1].view(np.int64).tolist()
+    )
+    assert cum.view(np.int64).tolist() == (
+        reference.cumulative_regret[rounds - 1].view(np.int64).tolist()
+    )
+    assert hist.inst_regret.view(np.int64).tolist() == reference.inst_regret.view(np.int64).tolist()
+    assert hist.cumulative_regret.view(np.int64).tolist() == (
+        reference.cumulative_regret.view(np.int64).tolist()
+    )
+    assert np.float64(hist.final_regret).view(np.int64) == (
+        np.float64(reference.final_regret).view(np.int64)
+    )
 
 
 @pytest.mark.parametrize("kind", NOISE_KINDS)
@@ -696,9 +742,10 @@ def test_environment_holds_only_its_ledger():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    ledger = 32 * horizon
+    # user, arm and reward: 16 bytes a round, regret columns are derived on read
+    ledger = 16 * horizon
     # the draws wait in the ledger's own columns and are drawn one chunk at a
-    # time (6 MB held, not 4, with whole-horizon draw arrays beside the ledger)
+    # time (4 MB held, not 2, with whole-horizon draw arrays beside the ledger)
     assert len(env.history) == 0
     assert ledger <= held <= ledger + 2**16
     assert peak <= ledger + 2**17
