@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import C_LAMBDA, MU, NOISELESS_LAMBDA, OracleParams, run_oracle, solve_nuclear_norm
+from .completion import OracleParams, p_and_lam, run_oracle, solve_nuclear_norm
 from .env import Environment, Instance, NoiseModel, RunHistory, seed_sequence
 from .lattice import PhaseRecord, PhaseTrace, UcbArmState
 
@@ -68,11 +68,8 @@ def run_explore_then_commit(
     env_ss, algo_ss = seed_sequence(seed).spawn(2)
     env = Environment(instance, noise, env_ss, horizon)
     explore_rounds = int(config.explore_fraction * horizon)
-    d2 = min(instance.num_users, instance.num_arms)
-    logd = math.log(max(d2, 2))
-    p = min(1.0, config.c_p * MU**2 * logd**3 / d2)
-    lam = C_LAMBDA * config.sigma * math.sqrt(d2 * p)
-    params = OracleParams(p=p, b=1, f=1, lam=max(lam, NOISELESS_LAMBDA), zeta=1.0)
+    p, lam = p_and_lam(min(instance.num_users, instance.num_arms), config.c_p, config.sigma)
+    params = OracleParams(p=p, b=1, f=1, lam=lam, zeta=1.0)
     oracle = run_oracle(
         env,
         np.arange(instance.num_users),

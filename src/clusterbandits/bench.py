@@ -124,8 +124,7 @@ class ExperimentConfig:
 
     instance: dict[str, object]
     algorithms: list[tuple[str, dict[str, object]]]
-    horizon: int = 0
-    horizons: list[int] = field(default_factory=list)  # empty means [horizon]
+    horizon: list[int] = field(default_factory=list)
     seeds: list[int] = field(default_factory=list)
     check: bool = False
     full_history: bool = False
@@ -135,12 +134,11 @@ class ExperimentConfig:
             raise ConfigError("experiment: at least one [algorithm <name>] section is required")
         if not self.seeds:
             raise ConfigError("experiment.seeds: at least one seed is required")
-        self.horizons = self.horizons or [self.horizon]
-        if min(self.horizons) < 1:
-            raise ConfigError("experiment.horizon: must be >= 1")
+        if not self.horizon or min(self.horizon) < 1:
+            raise ConfigError("experiment.horizon: at least one horizon, each >= 1, is required")
         # a repeat would merge two cells into one summary stretch
         repeats = {"": [f"[algorithm {name}]" for name, _ in self.algorithms],
-                   "experiment.horizons: ": self.horizons, "experiment.seeds: ": self.seeds}
+                   "experiment.horizon: ": self.horizon, "experiment.seeds: ": self.seeds}
         for where, values in repeats.items():
             twice = [v for i, v in enumerate(values) if v in values[:i]]
             if twice:
@@ -327,8 +325,9 @@ def checkpoint_grid(horizon: int) -> np.ndarray:
 class RegretRecord:
     """What a report keeps of a finished run: its instantaneous and
     cumulative regret at the rounds `t` that regret.csv writes, its final
-    regret, and (as `len`) the rounds it played.  `t` is its horizon's
-    checkpoint grid, or every round played when `grid` is None."""
+    regret, and (as `len`) the rounds it played.  `t` is `grid` (its
+    horizon's checkpoint grid, or the rounds regret.csv lists), or every
+    round played when `grid` is None."""
 
     grid: np.ndarray | None
     inst_regret: np.ndarray
@@ -352,7 +351,8 @@ def regret_record(history: env.RunHistory, grid: np.ndarray | None) -> RegretRec
     `grid`, or at every round played when `grid` is None.  A grid round past
     the last round played reads that round, so the last row is the final one."""
     n = len(history)
-    rounds = np.arange(1, n + 1) if grid is None else np.minimum(grid, n)
+    # every round as `RegretRecord.t` lists them
+    rounds = np.arange(1, n + 1, dtype=np.int32) if grid is None else np.minimum(grid, n)
     inst, cum = history.regret(rounds)
     return RegretRecord(grid, inst, cum, float(cum[-1]), n)
 
@@ -372,19 +372,6 @@ class Report:
     config: ExperimentConfig
     runs: list[RunResult] = field(default_factory=list)
     assumption: checker.AssumptionReport | None = None
-
-
-@dataclass
-class RegretColumns:
-    """The regret.csv columns summary.csv is computed from, one entry per run:
-    its algorithm, its horizon, its rounds `t` (strictly increasing) and its
-    cumulative regret at those rounds.  Runs on one grid of rounds may share
-    its array."""
-
-    algorithm: list[str]
-    horizon: list[int]
-    t: list[np.ndarray]
-    cum_regret: list[np.ndarray]
 
 
 @dataclass
@@ -411,7 +398,7 @@ def _has_negative_zero(values: np.ndarray) -> bool:
     return False
 
 
-def summarize(regret: RegretColumns) -> list[Stretch]:
+def summarize(runs: list[RunResult]) -> list[Stretch]:
     """Mean and standard error of cumulative regret per (algorithm, horizon,
     t), as one stretch per (algorithm, horizon) in order of first appearance.
 
@@ -424,23 +411,23 @@ def summarize(regret: RegretColumns) -> list[Stretch]:
     `np.array(values).mean()` sums the group alone; a group of one run keeps
     that run's column.  Besides the summary, this holds one block at a time.
     """
-    groups: dict[tuple[str, int], list[int]] = {}
-    for i, key in enumerate(zip(regret.algorithm, regret.horizon)):
-        groups.setdefault(key, []).append(i)
+    groups: dict[tuple[str, int], list[RegretRecord]] = {}
+    for run in runs:
+        groups.setdefault((run.algorithm, run.horizon), []).append(run.history)
     summary = []
-    for (name, horizon), runs in groups.items():
-        t = regret.t[runs[0]]
-        if not all(regret.t[i] is t or np.array_equal(regret.t[i], t) for i in runs):
+    for (name, horizon), records in groups.items():
+        t = records[0].t
+        if not all(np.array_equal(record.t, t) for record in records[1:]):
             raise ConfigError(f"{name} at horizon {horizon}: its runs hold different rounds")
-        if len(runs) == 1:
+        if len(records) == 1:
             # the mean of one value is that value, except that -0.0 becomes 0.0
-            column = regret.cum_regret[runs[0]]
+            column = records[0].cumulative_regret
             mean = column + 0.0 if _has_negative_zero(column) else column
             stderr = np.broadcast_to(0.0, len(t))
         else:
-            block = np.stack([regret.cum_regret[i] for i in runs], axis=1)
+            block = np.stack([record.cumulative_regret for record in records], axis=1)
             mean = block.mean(axis=1)
-            stderr = block.std(axis=1, ddof=1) / math.sqrt(len(runs))
+            stderr = block.std(axis=1, ddof=1) / math.sqrt(len(records))
         summary.append(Stretch(name, horizon, t, mean, stderr))
     return summary
 
@@ -469,7 +456,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
     if config.check:
         report.assumption = checker.assumption_report(instance)
     run_id = 0
-    for horizon in config.horizons:
+    for horizon in config.horizon:
         for algo, algo_config in algorithms:
             for seed in config.seeds:
                 try:
@@ -528,15 +515,14 @@ def _write_rows(fh, template: str, *columns) -> None:
         fh.write(_rows_text(template, *(c[start : start + WRITE_CHUNK] for c in columns)))
 
 
-def write_regret_csv(report: Report, path: Path, summary_path: Path | None = None) -> RegretColumns:
+def write_regret_csv(report: Report, path: Path, summary_path: Path | None = None) -> None:
     """Write regret.csv one run at a time, each run's record WRITE_CHUNK rows
-    at a time; returns the columns to summarise, the records' own arrays.
+    at a time.
 
     With `summary_path`, where every (algorithm, horizon) holds one run,
     summary.csv is written in the same pass: the mean of one value is that
     value, so each chunk's cum_regret text is also its summary rows' mean
     (a cumulative regret starts from +0.0, so is never -0.0), and each stderr is 0."""
-    regret = RegretColumns([], [], [], [])
     with contextlib.ExitStack() as files:
         fh = files.enter_context(open(path, "w", newline=""))
         fh.write(_csv_row(REGRET_FIELDS))
@@ -554,40 +540,37 @@ def write_regret_csv(report: Report, path: Path, summary_path: Path | None = Non
                 fh.write(_rows_text(template, t[chunk], inst[chunk], text))
                 if summary_path is not None:
                     sfh.write(_rows_text(summary_template, t[chunk], text))
-            regret.algorithm.append(run.algorithm)
-            regret.horizon.append(run.horizon)
-            regret.t.append(t)
-            regret.cum_regret.append(cum)
-    return regret
 
 
-def read_regret_csv(path: Path) -> RegretColumns:
-    """The summary columns of a regret.csv file, read row by row.  A run ends
-    where run_id or algorithm changes or t stops increasing, and its last t
-    is its horizon."""
-    regret = RegretColumns([], [], [], [])
+def read_regret_csv(path: Path) -> list[RunResult]:
+    """The runs of a regret.csv file, read row by row, each with no trace and
+    the file's t, instant_regret and cum_regret columns as its record.  A run
+    ends where run_id or algorithm changes or t stops increasing, and its
+    last t is its horizon and the rounds it played."""
+    parsed = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, REGRET_FIELDS)
-        fields = operator.itemgetter(
-            *(header.index(k) for k in ("run_id", "algorithm", "t", "cum_regret"))
-        )
-        run, last = None, 0
-        for run_id, algo, t, cum in map(fields, reader):
+        if missing := [k for k in REGRET_FIELDS if k not in header]:
+            raise ConfigError(f"{path}: no {', '.join(missing)} column")
+        fields = operator.itemgetter(*map(header.index, REGRET_FIELDS))
+        key, last = None, 0
+        for run_id, algo, seed, t, inst, cum in map(fields, reader):
             t = int(t)
-            if (run_id, algo) != run or t <= last:
-                run = run_id, algo
-                ts, cums = array.array("q"), array.array("d")
-                regret.algorithm.append(algo)
-                regret.t.append(ts)
-                regret.cum_regret.append(cums)
+            if (run_id, algo) != key or t <= last:
+                key = run_id, algo
+                ts, insts, cums = array.array("q"), array.array("d"), array.array("d")
+                parsed.append((int(run_id), algo, int(seed), ts, insts, cums))
             ts.append(t)
+            insts.append(float(inst))
             cums.append(float(cum))
             last = t
-    regret.t = [np.frombuffer(ts, dtype=np.int64) for ts in regret.t]
-    regret.horizon = [int(ts[-1]) for ts in regret.t]
-    regret.cum_regret = [np.frombuffer(cums, dtype=np.float64) for cums in regret.cum_regret]
-    return regret
+    runs = []
+    for run_id, algo, seed, *columns in parsed:
+        t, inst, cum = (np.frombuffer(c, dtype=np.dtype(c.typecode)) for c in columns)
+        record = RegretRecord(t, inst, cum, float(cum[-1]), int(t[-1]))
+        runs.append(RunResult(run_id, algo, seed, int(t[-1]), record, None))
+    return runs
 
 
 def write_summary_csv(summary: list[Stretch], path: Path) -> None:
@@ -631,8 +614,8 @@ def emit_report(report: Report, out_dir) -> dict[str, Path]:
     paths["regret"] = out / "regret.csv"
     paths["summary"] = out / "summary.csv"
     one_each = len({(run.algorithm, run.horizon) for run in report.runs}) == len(report.runs)
-    regret = write_regret_csv(report, paths["regret"], paths["summary"] if one_each else None)
-    summary = summarize(regret)
+    write_regret_csv(report, paths["regret"], paths["summary"] if one_each else None)
+    summary = summarize(report.runs)
     if not one_each:
         write_summary_csv(summary, paths["summary"])
     paths["phase_trace"] = out / "phase_trace.csv"

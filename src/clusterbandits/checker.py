@@ -5,7 +5,6 @@ restricted eigenvalue lower bounds that the completion oracle leans on."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +120,6 @@ def cluster_factor_smoothness(
         if lam_max <= 0 or lam_min < 1e-12 * lam_max:
             deficient = True
         beta = min(beta, max(lam_min, 0.0) * C / tau)
-    if deficient:
-        warnings.warn("rank-deficient cluster block in the left factor", stacklevel=2)
     return beta, deficient
 
 
@@ -145,11 +142,7 @@ def assumption_report(instance: Instance) -> AssumptionReport:
     tau = cluster_size_ratio(instance.cluster_of)
     Up, sp, _ = np.linalg.svd(instance.P, full_matrices=False)
     rp = max(1, int(np.sum(sp > RANK_TOL * sp[0])))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        beta_hat, deficient = cluster_factor_smoothness(
-            Up[:, :rp], instance.cluster_of, tau
-        )
+    beta_hat, deficient = cluster_factor_smoothness(Up[:, :rp], instance.cluster_of, tau)
     return AssumptionReport(
         kappa=kappa,
         mu_row=mu_row,

@@ -74,8 +74,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = _load_config(args.config, {"seeds": args.seed_list})
-    if len(config.horizons) < 2:
-        raise bench.ConfigError("experiment.horizons: scaling studies need several horizons")
+    if len(config.horizon) < 2:
+        raise bench.ConfigError("experiment.horizon: scaling studies need several horizons")
     out = Path(args.out)
 
     def write(report):
@@ -116,10 +116,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_plot(args) -> int:
     out = Path(args.out)
-    regret = bench.read_regret_csv(out / "regret.csv")
-    if not len(regret.t):
+    runs = bench.read_regret_csv(out / "regret.csv")
+    if not runs:
         raise bench.ConfigError("regret.csv: no rows to plot")
-    summary = bench.summarize(regret)
+    summary = bench.summarize(runs)
     bench.write_summary_csv(summary, out / "summary.csv")
     bench.write_regret_svg(summary, out / "regret.svg")
     print(f"wrote {out / 'regret.svg'}")

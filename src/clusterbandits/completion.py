@@ -46,6 +46,14 @@ MU = 1.0  # incoherence the sampling and repetition formulas assume
 C_LAMBDA = 2.5  # regularizer constant: lam = C_LAMBDA * sigma_eff * sqrt(d2 * p)
 
 
+def p_and_lam(d2: int, c_p: float, sigma_eff: float) -> tuple[float, float]:
+    """Sampling probability and regularizer of a submatrix whose smaller side
+    is `d2`, for noise of scale `sigma_eff` in each averaged cell; the
+    regularizer is at least NOISELESS_LAMBDA."""
+    p = min(1.0, c_p * MU**2 * math.log(max(d2, 2)) ** 3 / d2)
+    return p, max(C_LAMBDA * sigma_eff * math.sqrt(d2 * p), NOISELESS_LAMBDA)
+
+
 def derive_oracle_params(
     U_size: int, V_size: int, C: int, sigma: float, zeta: float, T: int,
     c_p: float, c_b: float, f_cap: int,
@@ -56,16 +64,12 @@ def derive_oracle_params(
         raise ValueError("all size inputs must be positive, sigma nonnegative, zeta positive")
     d2 = min(U_size, V_size)
     logd = math.log(max(d2, 2))
-    p = min(1.0, c_p * MU**2 * logd**3 / d2)
     if sigma == 0:
         b = 1
     else:
         b = max(1, math.ceil((c_b * sigma * C * math.sqrt(MU) / (zeta * logd)) ** 2))
     f = min(f_cap, max(1, math.ceil(math.log(U_size * V_size * T))))
-    sigma_eff = sigma / math.sqrt(b)
-    lam = C_LAMBDA * sigma_eff * math.sqrt(d2 * p)
-    if lam == 0.0:
-        lam = NOISELESS_LAMBDA
+    p, lam = p_and_lam(d2, c_p, sigma / math.sqrt(b))
     return OracleParams(p=p, b=b, f=f, lam=lam, zeta=zeta)
 
 

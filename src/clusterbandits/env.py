@@ -305,13 +305,14 @@ class RunHistory:
 
     def regret(self, rounds) -> tuple[np.ndarray, np.ndarray]:
         """The instantaneous and cumulative regret at each of `rounds`: round
-        counts from 1 to `len(self)`, in nondecreasing order.
+        counts from 1 to `len(self)`, in nondecreasing order, read in their
+        own integer dtype (an int32 grid is not copied to int64).
 
         One pass over CLOSE_CHUNK-round blocks, up to the last of `rounds`,
         sums every round's regret in round order, each block's running total
         its first addend, exactly as one `+=` per round would; so the values
         do not depend on where the blocks end."""
-        rounds = np.asarray(rounds, dtype=np.int64)
+        rounds = np.asarray(rounds)
         inst_out, cum_out = np.empty(len(rounds)), np.empty(len(rounds))
         end = int(rounds[-1]) if len(rounds) else 0
         if end > self.played or (len(rounds) and rounds[0] < 1):
@@ -325,23 +326,12 @@ class RunHistory:
             cum[0] = total + cum[0]
             np.cumsum(cum, out=cum)
             total = float(cum[-1])
-            upto = done + int(np.searchsorted(rounds[done:], stop, side="right"))
+            # `stop` in the rounds' own dtype, or searchsorted copies them to int64
+            upto = done + int(np.searchsorted(rounds[done:], rounds.dtype.type(stop), side="right"))
             at = rounds[done:upto] - (n + 1)
             inst_out[done:upto], cum_out[done:upto] = inst[at], cum[at]
             done = upto
         return inst_out, cum_out
-
-    @property
-    def inst_regret(self) -> np.ndarray:
-        return self.regret(np.arange(1, self.played + 1))[0]
-
-    @property
-    def cumulative_regret(self) -> np.ndarray:
-        return self.regret(np.arange(1, self.played + 1))[1]
-
-    @property
-    def final_regret(self) -> float:
-        return float(self.regret([self.played])[1][0]) if self.played else 0.0
 
 
 class Environment:

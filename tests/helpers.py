@@ -2,6 +2,7 @@
 
 import csv
 import io
+import typing
 
 import numpy as np
 
@@ -20,6 +21,19 @@ def regret_at(history, t: int) -> float:
     if t <= 0:
         return 0.0
     return float(history.regret([min(t, len(history))])[1][0])
+
+
+class WholeRun(typing.NamedTuple):
+    inst_regret: np.ndarray
+    cumulative_regret: np.ndarray
+    final_regret: float
+
+
+def whole_run(history) -> WholeRun:
+    """The instantaneous and cumulative regret of every round `history`
+    played, and its final regret (0.0 before any round)."""
+    inst, cum = history.regret(np.arange(1, len(history) + 1))
+    return WholeRun(inst, cum, float(cum[-1]) if len(cum) else 0.0)
 
 
 class ClosedRegret:

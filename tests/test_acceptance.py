@@ -35,7 +35,7 @@ from clusterbandits.env import (
 )
 from clusterbandits.lattice import LatticeConfig, run_lattice
 from clusterbandits.rcs import RcsConfig, run_lattice_rcs
-from helpers import regret_at, serialize_config
+from helpers import regret_at, serialize_config, whole_run
 
 
 def _report(log, line):
@@ -66,11 +66,11 @@ def benchmark_runs():
         lat, _ = run_lattice(inst, BENCHMARK_LATTICE, T, seed=seed, noise=noise)
         simp, _ = run_simplified_lattice(inst, BENCHMARK_SIMPLIFIED, T, seed=seed, noise=noise)
         ucb, _ = run_per_user_ucb(inst, UcbConfig(0.5), T, seed=seed, noise=noise)
-        out["lattice"].append(lat.final_regret)
-        out["simplified"].append(simp.final_regret)
-        out["ucb"].append(ucb.final_regret)
+        out["lattice"].append(whole_run(lat).final_regret)
+        out["simplified"].append(whole_run(simp).final_regret)
+        out["ucb"].append(whole_run(ucb).final_regret)
         out["lattice_q1"].append(regret_at(lat, T // 4))
-        out["lattice_q4"].append(lat.final_regret - regret_at(lat, 3 * T // 4))
+        out["lattice_q4"].append(out["lattice"][-1] - regret_at(lat, 3 * T // 4))
     return out
 
 
@@ -105,7 +105,7 @@ def test_criterion_2_sqrt_t_scaling(acceptance_log):
     for T in (2**14, 2**15, 2**16, 2**17):
         for seed in (301, 302, 303, 304, 305):
             hist, _ = run_lattice(inst, cfg, T, seed=seed, noise=noise)
-            finals.append(("lattice", T, hist.final_regret))
+            finals.append(("lattice", T, whole_run(hist).final_regret))
     slope = bench.scaling_slope(finals, "lattice")
     ok = 0.35 <= slope <= 0.65
     _report(
@@ -210,8 +210,9 @@ def test_criterion_6_rcs_convergence(acceptance_log):
         clusterwise = [r for r in trace.records if r.mode == "clusterwise"]
         if clusterwise and sorted(tuple(sorted(s)) for s in clusterwise[0].user_sets) == truth:
             correct += 1
-        tail_ok += float(np.mean(hist.inst_regret[-2000:])) <= 2 * 0.02 * 3
-        ratios.append(hist.final_regret / max(regret_at(hist, 20000), 1.0))
+        whole = whole_run(hist)
+        tail_ok += float(np.mean(whole.inst_regret[-2000:])) <= 2 * 0.02 * 3
+        ratios.append(whole.final_regret / max(regret_at(hist, 20000), 1.0))
     mean_ratio = float(np.mean(ratios))
     ok = correct >= 8 and mean_ratio < 1.9 and tail_ok >= 8
     _report(
@@ -263,7 +264,7 @@ def test_criterion_7_invariant_suites(tmp_path, acceptance_log):
     instance = bench.build_instance(config.instance)
     noise = bench.build_noise(config.instance, instance)
     ucb = bench.build_algorithm("ucb", {}, instance, noise)
-    horizon, seed = config.horizons[0], config.seeds[0]
+    horizon, seed = config.horizon[0], config.seeds[0]
     a, _ = run_per_user_ucb(instance, ucb, horizon, seed, noise)
     b, _ = run_per_user_ucb(instance, ucb, horizon, seed, noise)
     checks["determinism"] = all(
@@ -371,7 +372,7 @@ def test_etc_grid_head_to_head(benchmark_runs):
         for frac in (0.05, 0.1, 0.2):
             cfg = EtcConfig(sigma=0.5, c_p=0.12, explore_fraction=frac)
             hist, _ = run_explore_then_commit(inst, cfg, runs["T"], seed=seed, noise=noise)
-            finals.append(hist.final_regret)
+            finals.append(whole_run(hist).final_regret)
         worse += min(finals) > runs["lattice"][i]
     print(f"ETC head-to-head: best ETC worse than lattice on {worse}/5 seeds")
     assert worse >= 4

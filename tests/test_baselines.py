@@ -20,13 +20,13 @@ from clusterbandits.env import (
     RowDistribution,
     generate_cs_instance,
 )
-from helpers import regret_at
+from helpers import regret_at, whole_run
 
 
 def test_ucb_single_arm_zero_regret():
     inst = generate_cs_instance(3, 1, 1, RowDistribution.gaussian(0, 1), seed=0)
     hist, _ = run_per_user_ucb(inst, UcbConfig(0.5), 200, seed=1, noise=NoiseModel("none"))
-    assert hist.final_regret == 0.0
+    assert whole_run(hist).final_regret == 0.0
 
 
 def test_ucb_noiseless_two_arms_exact_regret():
@@ -34,7 +34,7 @@ def test_ucb_noiseless_two_arms_exact_regret():
     P = np.array([[1.0, 0.5]])
     inst = Instance(1, 2, 1, P, np.array([0]), P.copy())
     hist, _ = run_per_user_ucb(inst, UcbConfig(0.0), 100, seed=3, noise=NoiseModel("none"))
-    assert hist.final_regret == pytest.approx(0.5)
+    assert whole_run(hist).final_regret == pytest.approx(0.5)
 
 
 def test_ucb_forced_exploration_before_repeats():
@@ -70,7 +70,7 @@ def test_etc_noiseless_zero_commit_regret():
     horizon = 20000
     hist, _ = run_explore_then_commit(inst, cfg, horizon, seed=1, noise=NoiseModel("none"))
     explore = int(0.5 * horizon)
-    assert hist.final_regret - regret_at(hist, explore) == pytest.approx(0.0, abs=1e-9)
+    assert whole_run(hist).final_regret - regret_at(hist, explore) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_etc_large_explore_fraction_regret_accounting():
@@ -82,7 +82,7 @@ def test_etc_large_explore_fraction_regret_accounting():
     regrets = []
     for seed in (2, 3, 4):
         hist, _ = run_explore_then_commit(inst, cfg, T, seed=seed, noise=NoiseModel("none"))
-        regrets.append(hist.final_regret)
+        regrets.append(whole_run(hist).final_regret)
     assert np.mean(regrets) >= 0.9 * expected
 
 
@@ -113,7 +113,7 @@ def test_etc_plays_every_horizon_on_what_it_has():
     for horizon in range(1, 260):
         hist, _ = run_explore_then_commit(inst, cfg, horizon, 5, NoiseModel("gaussian", 0.2))
         assert len(hist) == horizon
-        finals.append(hist.final_regret.hex())
+        finals.append(whole_run(hist).final_regret.hex())
         explore = int(cfg.explore_fraction * horizon)
         users, arms = hist.users[explore:horizon], hist.arms[explore:horizon]
         committed = all(len(set(arms[users == u].tolist())) <= 1 for u in range(4))

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import io
 import math
+import operator
 import os
 import re
 import shutil
@@ -25,6 +26,7 @@ from helpers import (
     ledger_with_regrets,
     reference_trace_csv,
     serialize_config,
+    whole_run,
 )
 
 SMALL_CONFIG = """\
@@ -46,7 +48,7 @@ seeds = 1
 
 def test_config_parse_fields():
     config = bench.parse_config(SMALL_CONFIG)
-    assert config.horizon == 100
+    assert config.horizon == [100]
     assert config.seeds == [1]
     assert config.algorithms == [("ucb", {})]
     assert config.instance["kind"] == "cs"
@@ -111,9 +113,12 @@ def test_config_etc_has_no_num_clusters_key():
         ("seeds = 1", "seeds = 1\nfull_history = 1", r"experiment\.full_history: cannot"),
         ("seeds = 1", "seeds = 1,x", r"experiment\.seeds: cannot parse '1,x'"),
         ("horizon = 100", "horizon = 2k", r"experiment\.horizon: cannot parse '2k' as int"),
-        ("horizon = 100", "horizon = 100\nhorizons = 100,", None),
+        ("horizon = 100", "horizon = 100,", None),
+        # one key lists the horizons: horizons is unknown, also beside horizon
+        ("horizon = 100", "horizon = 100\nhorizons = 100,200", r"experiment\.horizons: unknown key"),
+        ("horizon = 100", "horizons = 100,200", r"experiment\.horizons: unknown key"),
         # a repeat would merge two cells into one summary stretch
-        ("horizon = 100", "horizons = 100,200,100", r"experiment\.horizons: 100 may appear only"),
+        ("horizon = 100", "horizon = 100,200,100", r"experiment\.horizon: 100 may appear only"),
         ("seeds = 1", "seeds = 1,2,1", r"experiment\.seeds: 1 may appear only once"),
         ("seed = 3", "seed = 3\nseed = 4", r"line 8: seed is set twice in \[instance\]"),
         ("[algorithm", "[experiment]\nseeds = 2\n[algorithm", r"line 13: \[experiment\] may appear"),
@@ -144,7 +149,7 @@ def test_config_etc_has_no_num_clusters_key():
 def test_config_bad_instance_or_experiment_key_rejected(old, new, message):
     text = SMALL_CONFIG.replace(old, new)
     if message is None:  # an empty item of a list is skipped, not an error; rcs reads nu
-        assert bench.parse_config(text).horizons == [100]
+        assert bench.parse_config(text).horizon == [100]
         return
     with pytest.raises(bench.ConfigError, match=message):
         bench.parse_config(text)
@@ -315,7 +320,7 @@ def test_bernoulli_noise_outside_the_unit_interval_is_a_config_error(monkeypatch
     ran = []
     monkeypatch.setattr(baselines, "run_per_user_ucb", lambda *a: ran.append(a))
     text = SMALL_CONFIG.replace("noise = gaussian", "noise = bernoulli-reward")
-    text = text.replace("horizon = 100", "horizons = 100,200")
+    text = text.replace("horizon = 100", "horizon = 100,200")
     with pytest.raises(bench.ConfigError, match=r"instance\.noise: bernoulli-reward .*\[0, 1\]"):
         bench.run_experiment(bench.parse_config(text))
     cfg, out = _write_config(tmp_path, text), tmp_path / "out"
@@ -462,7 +467,7 @@ def test_each_cell_calls_the_run_function_module_attribute(monkeypatch, algo):
 
     monkeypatch.setattr(module, attr, run)
     text = SMALL_CONFIG.replace("[algorithm ucb]", f"[algorithm {algo}]")
-    text = text.replace("seeds = 1", "seeds = 1,2\nhorizons = 100,200")
+    text = text.replace("horizon = 100", "horizon = 100,200").replace("seeds = 1", "seeds = 1,2")
     config = bench.parse_config(text)
     report = bench.run_experiment(config)
     instance = bench.build_instance(config.instance)
@@ -480,7 +485,7 @@ def test_each_cell_calls_the_run_function_module_attribute(monkeypatch, algo):
         assert record.t.tolist() == grid.tolist()
         assert record.inst_regret.tolist() == inst.tolist()
         assert record.cumulative_regret.tolist() == cum.tolist()
-        assert record.final_regret == ledger.final_regret and len(record) == len(ledger)
+        assert record.final_regret == whole_run(ledger).final_regret and len(record) == len(ledger)
 
 
 def _run_function_args(algo):
@@ -504,12 +509,12 @@ def test_each_run_function_plays_its_whole_horizon(algo, horizon):
     instance, config, noise = _run_function_args(algo)
     history, _ = getattr(module, attr)(instance, config, horizon, 5, noise)
     assert len(history) == horizon
+    whole = whole_run(history)
     for column in (
-        history.users, history.arms, history.rewards, history.inst_regret,
-        history.cumulative_regret,
+        history.users, history.arms, history.rewards, whole.inst_regret, whole.cumulative_regret,
     ):
         assert len(column) == horizon
-    assert history.final_regret == history.cumulative_regret[-1]
+    assert whole.final_regret == whole.cumulative_regret[-1]
 
 
 @pytest.mark.parametrize("algo", bench.ALGORITHM_NAMES)
@@ -532,14 +537,14 @@ def test_run_experiment_deterministic():
     assert ra.final_regret == rb.final_regret
     # a report keeps no ledger, so the cell's ledger comes from its run function
     instance, ucb_config, noise = _run_function_args("ucb")
-    horizon, seed = config.horizons[0], config.seeds[0]
+    horizon, seed = config.horizon[0], config.seeds[0]
     ha, _ = baselines.run_per_user_ucb(instance, ucb_config, horizon, seed, noise)
     hb, _ = baselines.run_per_user_ucb(instance, ucb_config, horizon, seed, noise)
     assert np.array_equal(ha.users, hb.users)
     assert np.array_equal(ha.arms, hb.arms)
     assert np.array_equal(ha.rewards, hb.rewards)
-    assert np.array_equal(ha.cumulative_regret, hb.cumulative_regret)
-    assert ha.final_regret == ra.final_regret
+    assert np.array_equal(whole_run(ha).cumulative_regret, whole_run(hb).cumulative_regret)
+    assert whole_run(ha).final_regret == ra.final_regret
 
 
 def test_checkpoint_grid_shape():
@@ -625,8 +630,8 @@ def test_full_history_row_count(tmp_path):
     text = SMALL_CONFIG.replace("[experiment]", "[experiment]\nfull_history = true")
     report = bench.run_experiment(bench.parse_config(text))
     paths = bench.emit_report(report, tmp_path)
-    regret = bench.read_regret_csv(paths["regret"])
-    (t,), (cum,) = regret.t, regret.cum_regret
+    (run,) = bench.read_regret_csv(paths["regret"])
+    t, cum = run.history.t, run.history.cumulative_regret
     assert len(t) == 100
     assert t.tolist() == list(range(1, 101))
     assert cum.tolist() == report.runs[0].history.cumulative_regret.tolist()
@@ -798,7 +803,7 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
     config = bench.ExperimentConfig(
         {"kind": "cs", "num_users": 1, "num_arms": 1},
         [(algo, {}) for algo in algorithms],
-        horizons=horizons,
+        horizon=horizons,
         seeds=seeds,
         full_history=full,
     )
@@ -941,11 +946,20 @@ def test_phase_trace_matches_the_dict_based_reference(tmp_path):
     assert ',"a,b",9,1,,joint,2,2;1,1;2,10,\n' in got
 
 
+def _runs(algorithms, horizons, ts, columns) -> list[bench.RunResult]:
+    """One run per entry, recording its cumulative regret `columns` at
+    the rounds `ts`."""
+    return [
+        bench.RunResult(i, algo, 1, horizon, bench.RegretRecord(t, cum, cum, cum[-1], horizon), None)
+        for i, (algo, horizon, t, cum) in enumerate(zip(algorithms, horizons, ts, columns))
+    ]
+
+
 def test_one_run_summary_is_the_run_column():
     t = np.arange(1, 6)
     plain = np.array([0.0, 0.5, 0.5, 2.0, 3.0])
     signed = np.array([-0.0, 0.5, -0.0, 2.0, np.nan])
-    summary = bench.summarize(bench.RegretColumns(["a", "b"], [5, 5], [t, t], [plain, signed]))
+    summary = bench.summarize(_runs(["a", "b"], [5, 5], [t, t], [plain, signed]))
     assert [stretch.algorithm for stretch in summary] == ["a", "b"]
     assert [stretch.horizon for stretch in summary] == [5, 5]
     assert all(stretch.t is t for stretch in summary)
@@ -954,7 +968,7 @@ def test_one_run_summary_is_the_run_column():
     for stretch, mean in zip(summary, expected):
         assert stretch.mean.view(np.int64).tolist() == mean.view(np.int64).tolist()
         assert stretch.stderr.view(np.int64).tolist() == [0] * 5
-    (one,) = bench.summarize(bench.RegretColumns(["a"], [5], [t], [plain]))
+    (one,) = bench.summarize(_runs(["a"], [5], [t], [plain]))
     assert one.mean is plain
     assert one.stderr.strides == (0,)
 
@@ -994,13 +1008,47 @@ def test_each_horizon_is_its_own_stretch():
     # two horizons whose rounds overlap: no round averages runs of both
     short, long = np.array([1, 2, 4]), np.array([1, 2, 4, 8])
     columns = [np.array(c, dtype=float) for c in ([1, 2, 3], [3, 4, 5, 6], [5, 6, 7], [7, 8, 9, 9])]
-    regret = bench.RegretColumns(["a"] * 4, [4, 8, 4, 8], [short, long, short, long], columns)
-    summary = bench.summarize(regret)
+    summary = bench.summarize(_runs(["a"] * 4, [4, 8, 4, 8], [short, long, short, long], columns))
     assert [(s.algorithm, s.horizon) for s in summary] == [("a", 4), ("a", 8)]
     assert summary[0].t is short and summary[1].t is long
     assert summary[0].mean.tolist() == [3.0, 4.0, 5.0]
     assert summary[1].mean.tolist() == [5.0, 6.0, 7.0, 7.5]
     assert summary[0].stderr.tolist() == [2.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "algorithms, seeds, horizons, full, values_seed",
+    [
+        # one horizon, every round or its checkpoint grid
+        (["lattice", "ucb"], [1, 2], [60], True, -13),
+        (["ucb", "etc"], [3, 4], [300], False, -7),
+        # three horizons of one algorithm and seed
+        (["ucb"], [5], [400, 90, 37], False, 14),
+        (["lattice"], [5], [70, 30], True, -3),
+    ],
+)
+def test_read_regret_csv_gives_back_each_run(tmp_path, algorithms, seeds, horizons, full, values_seed):
+    report, _ = _synthetic_report(algorithms, seeds, horizons, full, values_seed)
+    # negative regrets in every case, beside 0.0 and -0.0
+    for run in report.runs:
+        run.history.inst_regret[::7] *= -1.0
+    if len(horizons) > 1:
+        # the second run keeps the first one's run_id and algorithm, so only
+        # t falling back to 1 ends the first run
+        report.runs[1].run_id = report.runs[0].run_id
+    regrets = np.concatenate([run.history.inst_regret for run in report.runs])
+    zeros = regrets[regrets == 0.0]
+    assert (regrets < 0).any() and np.signbit(zeros).any() and not np.signbit(zeros).all()
+    runs = bench.read_regret_csv(bench.emit_report(report, tmp_path)["regret"])
+    key = operator.attrgetter("run_id", "algorithm", "seed", "horizon")
+    assert list(map(key, runs)) == list(map(key, report.runs))
+    for got, want in zip(runs, report.runs):
+        assert got.trace is None
+        assert got.history.t.tolist() == want.history.t.tolist()
+        assert _bits(got.history.inst_regret) == _bits(want.history.inst_regret)
+        assert _bits(got.history.cumulative_regret) == _bits(want.history.cumulative_regret)
+        assert _bits([got.history.final_regret]) == _bits([want.history.final_regret])
+        assert len(got.history) == len(want.history)
 
 
 _REGRETS = st.lists(
@@ -1037,12 +1085,13 @@ def test_regret_derived_in_blocks_matches_one_sum_per_round(regrets, cuts):
     for block in blocks:
         with mock.patch.object(env, "CLOSE_CHUNK", block):
             assert len(hist) == len(values)
-            assert _bits(hist.inst_regret) == _bits(values)
-            assert _bits(hist.cumulative_regret) == _bits(reference)
+            whole = whole_run(hist)
+            assert _bits(whole.inst_regret) == _bits(values)
+            assert _bits(whole.cumulative_regret) == _bits(reference)
             inst, cum = hist.regret(rounds)
             assert _bits(inst) == _bits(values[rounds - 1])
             assert _bits(cum) == _bits(reference[rounds - 1])
-            assert _bits([hist.final_regret]) == _bits([total])
+            assert _bits([whole.final_regret]) == _bits([total])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -1064,9 +1113,10 @@ def test_derived_regret_never_sums_to_negative_zero(regrets, cuts):
     blocks, rounds = _blocks_and_rounds(len(regrets), cuts)
     for block in blocks:
         with mock.patch.object(env, "CLOSE_CHUNK", block):
-            for cum in (hist.cumulative_regret, hist.regret(rounds)[1]):
+            whole = whole_run(hist)
+            for cum in (whole.cumulative_regret, hist.regret(rounds)[1]):
                 assert not np.signbit(cum[cum == 0.0]).any()
-            assert not np.signbit(hist.final_regret) or math.isnan(hist.final_regret)
+            assert not np.signbit(whole.final_regret) or math.isnan(whole.final_regret)
 
 
 HELD_CONFIG = """\
@@ -1145,14 +1195,14 @@ def test_full_history_emission_peak_memory_one_run(tmp_path):
     assert _emit_peak(report, tmp_path) <= 2**21
     tracemalloc.start()
     try:
-        regret = bench.read_regret_csv(tmp_path / "regret.csv")
+        (run,) = bench.read_regret_csv(tmp_path / "regret.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # two typed columns per run, not six columns of strings
+    # three typed columns per run, not six columns of strings
     assert peak <= 8 * 2**20
-    assert regret.t[0].tolist() == list(range(1, 2**17 + 1))
-    assert regret.cum_regret[0].tolist() == report.runs[0].history.cumulative_regret.tolist()
+    assert run.history.t.tolist() == list(range(1, 2**17 + 1))
+    assert run.history.cumulative_regret.tolist() == report.runs[0].history.cumulative_regret.tolist()
 
 
 def test_full_history_emission_peak_memory_several_horizons(tmp_path):
@@ -1290,7 +1340,7 @@ def test_scaling_slope_of_a_zero_regret_says_there_is_none(tmp_path, capsys):
     # one arm: no policy can regret anything, so log(mean final regret) has no value
     text = SMALL_CONFIG.replace("num_users = 4\nnum_arms = 4", "num_users = 3\nnum_arms = 1")
     text = text.replace("num_clusters = 2", "num_clusters = 1")
-    text = text.replace("horizon = 100", "horizons = 200,400")
+    text = text.replace("horizon = 100", "horizon = 200,400")
     cfg, out = _write_config(tmp_path, text), tmp_path / "out"
     # a numpy RuntimeWarning fails the test (pyproject.toml's filterwarnings)
     assert cli.main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
@@ -1449,7 +1499,7 @@ def test_cli_bad_seed_list_exits_2_before_any_cell(tmp_path, monkeypatch, capsys
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(bench, "_run_cell", no_cell)
-    text = SMALL_CONFIG.replace("horizon = 100", "horizon = 100\nhorizons = 100,200")
+    text = SMALL_CONFIG.replace("horizon = 100", "horizon = 100,200")
     cfg = _write_config(tmp_path, text)
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--out", str(out), "--seed-list", seeds]) == 2
@@ -1532,6 +1582,16 @@ def test_cli_plot_without_rows_is_a_config_error(tmp_path):
     assert cli.main(["plot", "--out", str(out)]) == 2
 
 
+def test_cli_plot_names_a_missing_regret_column(tmp_path, capsys):
+    # plot reads every column back into run records, so none may be missing
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "regret.csv").write_text("run_id,algorithm,t,cum_regret\n0,ucb,1,0.5\n")
+    assert cli.main(["plot", "--out", str(out)]) == 2
+    assert "no seed, instant_regret column" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
 def test_cli_plot_of_one_group_on_different_rounds_is_a_config_error(tmp_path, capsys):
     # two ucb runs of 3 rounds each, both ending at t = 5, so both of horizon 5
     out = tmp_path / "out"
@@ -1545,7 +1605,7 @@ def test_cli_plot_of_one_group_on_different_rounds_is_a_config_error(tmp_path, c
 
 
 def test_cli_bench_runs_scaling_study(tmp_path, capsys):
-    text = SMALL_CONFIG.replace("horizon = 100", "horizon = 100\nhorizons = 100,200")
+    text = SMALL_CONFIG.replace("horizon = 100", "horizon = 100,200")
     cfg = _write_config(tmp_path, text)
     out = tmp_path / "bench"
     assert cli.main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
@@ -1652,7 +1712,7 @@ def test_cli_run_emits_finished_cells_when_a_cell_fails(tmp_path, capsys, monkey
 def test_cli_bench_emits_finished_cells_when_a_cell_fails(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(baselines, "run_explore_then_commit", _failing_etc)
     cfg = _write_config(
-        tmp_path, BUDGET_CONFIG.replace("horizon = 9000", "horizons = 9000,18000") + FAILING_ETC
+        tmp_path, BUDGET_CONFIG.replace("horizon = 9000", "horizon = 9000,18000") + FAILING_ETC
     )
     out = tmp_path / "bench"
     assert cli.main(["bench", "--config", str(cfg), "--out", str(out)]) == 3

@@ -27,7 +27,7 @@ from clusterbandits.env import (
 )
 from clusterbandits.completion import OracleInstance, OracleParams
 from clusterbandits.lattice import UcbArmState
-from helpers import ClosedRegret, PerRoundOracle
+from helpers import ClosedRegret, PerRoundOracle, whole_run
 
 
 def validate_instance(instance, atol=1e-12):
@@ -119,7 +119,7 @@ def test_hard_instance_single_arm_zero_regret():
     env = Environment(inst, NoiseModel("none"), seed=0, horizon=50)
     while env.t < env.horizon:
         env.play(0)
-    assert env.history.final_regret == 0.0
+    assert whole_run(env.history).final_regret == 0.0
 
 
 def test_hard_instance_shared_best_arm_gaps():
@@ -141,8 +141,9 @@ def test_env_step_optimal_policy_zero_regret():
     env = Environment(inst, NoiseModel("none"), seed=0, horizon=20)
     best = dict(enumerate(inst.best_arm.tolist()))
     env.run(env.horizon, [list(range(4))], [np.arange(3)], None, fixed=best)
-    assert env.history.final_regret == 0.0
-    assert np.all(env.history.inst_regret[:20] == 0.0)
+    whole = whole_run(env.history)
+    assert whole.final_regret == 0.0
+    assert np.all(whole.inst_regret[:20] == 0.0)
 
 
 def test_env_step_worst_policy_matches_hand_sum():
@@ -159,7 +160,7 @@ def test_env_step_worst_policy_matches_hand_sum():
     # oracle: sum the per-user max gaps over the arrival sequence
     assert arrivals == env.history.users.tolist()
     expected = sum(inst.P[u].max() - inst.P[u].min() for u in arrivals)
-    assert env.history.final_regret == pytest.approx(expected, abs=1e-12)
+    assert whole_run(env.history).final_regret == pytest.approx(expected, abs=1e-12)
 
 
 def test_env_reward_mean_concentrates():
@@ -389,7 +390,7 @@ def test_run_determinism_bit_identical():
     assert np.array_equal(a.users[:500], b.users[:500])
     assert np.array_equal(a.arms[:500], b.arms[:500])
     assert np.array_equal(a.rewards[:500], b.rewards[:500])
-    assert np.array_equal(a.cumulative_regret[:500], b.cumulative_regret[:500])
+    assert np.array_equal(whole_run(a).cumulative_regret[:500], whole_run(b).cumulative_regret[:500])
 
 
 def _per_round_run(env, end, user_sets, arm_sets, rng, oracles=None, ucb=None, fixed=None):
@@ -656,18 +657,20 @@ def test_history_matches_per_round_ledger(num_users, num_arms, kind, sigma, hori
         if t in cuts:
             hist = env.history
             assert len(hist) == t
-            assert hist.inst_regret[:t].tolist() == inst_regret[:t]
-            assert hist.cumulative_regret[:t].tolist() == cum[:t]
-            assert hist.final_regret == (cum[t - 1] if t else 0.0)
+            whole = whole_run(hist)
+            assert whole.inst_regret[:t].tolist() == inst_regret[:t]
+            assert whole.cumulative_regret[:t].tolist() == cum[:t]
+            assert whole.final_regret == (cum[t - 1] if t else 0.0)
         env.play(arm)
     hist = env.history
     assert len(hist) == horizon
     assert hist.users.tolist() == users
     assert hist.arms.tolist() == arms
     assert hist.rewards.tolist() == rewards
-    assert hist.inst_regret.tolist() == inst_regret
-    assert hist.cumulative_regret.tolist() == cum
-    assert hist.final_regret == cum[-1]
+    whole = whole_run(hist)
+    assert whole.inst_regret.tolist() == inst_regret
+    assert whole.cumulative_regret.tolist() == cum
+    assert whole.final_regret == cum[-1]
 
 
 # no shrinking: each example plays thousands of rounds
@@ -707,11 +710,12 @@ def test_derived_regret_equals_the_closed_columns(horizon, reads, picks, seed):
     assert cum.view(np.int64).tolist() == (
         reference.cumulative_regret[rounds - 1].view(np.int64).tolist()
     )
-    assert hist.inst_regret.view(np.int64).tolist() == reference.inst_regret.view(np.int64).tolist()
-    assert hist.cumulative_regret.view(np.int64).tolist() == (
+    whole = whole_run(hist)
+    assert whole.inst_regret.view(np.int64).tolist() == reference.inst_regret.view(np.int64).tolist()
+    assert whole.cumulative_regret.view(np.int64).tolist() == (
         reference.cumulative_regret.view(np.int64).tolist()
     )
-    assert np.float64(hist.final_regret).view(np.int64) == (
+    assert np.float64(whole.final_regret).view(np.int64) == (
         np.float64(reference.final_regret).view(np.int64)
     )
 
@@ -769,7 +773,7 @@ def test_cumulative_regret_monotone_nonneg():
     rng = np.random.default_rng(1)
     while env.t < env.horizon:
         env.play(int(rng.integers(0, 5)))
-    h = env.history
+    h = whole_run(env.history)
     assert np.all(h.inst_regret[:2000] >= 0.0)
     assert np.all(np.diff(h.cumulative_regret[:2000]) >= 0.0)
     assert h.cumulative_regret[1999] == pytest.approx(h.inst_regret[:2000].sum())
