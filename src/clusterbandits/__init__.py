@@ -32,6 +32,7 @@ from .baselines import (
     run_simplified_lattice,
 )
 from .checker import assumption_report
+from .bench import open_cell
 
 __version__ = "0.1.0"
 
@@ -54,6 +55,7 @@ __all__ = [
     "generate_rcs_instance",
     "kmeans_elbow",
     "load_instance",
+    "open_cell",
     "run_explore_then_commit",
     "run_lattice",
     "run_lattice_rcs",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .completion import OracleParams, p_and_lam, run_oracle, solve_nuclear_norm
-from .env import Environment, Instance, NoiseModel, RunHistory, seed_sequence
+from .env import Environment, seed_sequence
 from .lattice import PhaseRecord, PhaseTrace, UcbArmState
 
 
@@ -22,22 +22,13 @@ class UcbConfig:
     sigma: float
 
 
-def run_per_user_ucb(
-    instance: Instance,
-    config: UcbConfig,
-    horizon: int,
-    seed,
-    noise: NoiseModel | None = None,
-) -> tuple[RunHistory, None]:
-    """Every user runs an independent UCB over the full arm set."""
-    env_ss, _ = seed_sequence(seed).spawn(2)
-    env = Environment(instance, noise, env_ss, horizon)
-    arms = np.arange(instance.num_arms)
-    states = {
-        u: UcbArmState(arms, config.sigma, max(2, horizon)) for u in range(instance.num_users)
-    }
-    env.run(horizon, [range(instance.num_users)], [arms], None, ucb=states)
-    return env.history, None
+def run_per_user_ucb(env: Environment, config: UcbConfig, seed) -> None:
+    """Every user runs an independent UCB over the full arm set; it draws no
+    randomness of its own, so `seed` goes unused."""
+    horizon = env.horizon
+    arms = np.arange(env.num_arms)
+    states = {u: UcbArmState(arms, config.sigma, max(2, horizon)) for u in range(env.num_users)}
+    env.run(horizon, [range(env.num_users)], [arms], None, ucb=states)
 
 
 @dataclass
@@ -54,26 +45,20 @@ class EtcConfig:
             raise ValueError("explore_fraction must lie in (0, 1)")
 
 
-def run_explore_then_commit(
-    instance: Instance,
-    config: EtcConfig,
-    horizon: int,
-    seed,
-    noise: NoiseModel | None = None,
-) -> tuple[RunHistory, None]:
+def run_explore_then_commit(env: Environment, config: EtcConfig, seed) -> None:
     """Spend a fixed budget collecting one full-matrix estimate, then play
     each user's estimated best arm forever.  A budget that finishes no
     repetition commits on the cells averaged so far, or, with none, keeps
     pulling uniformly to the horizon."""
-    env_ss, algo_ss = seed_sequence(seed).spawn(2)
-    env = Environment(instance, noise, env_ss, horizon)
+    algo_ss = seed_sequence(seed)
+    horizon, num_users, num_arms = env.horizon, env.num_users, env.num_arms
     explore_rounds = int(config.explore_fraction * horizon)
-    p, lam = p_and_lam(min(instance.num_users, instance.num_arms), config.c_p, config.sigma)
+    p, lam = p_and_lam(min(num_users, num_arms), config.c_p, config.sigma)
     params = OracleParams(p=p, b=1, f=1, lam=lam, zeta=1.0)
     oracle = run_oracle(
         env,
-        np.arange(instance.num_users),
-        np.arange(instance.num_arms),
+        np.arange(num_users),
+        np.arange(num_arms),
         params,
         budget=explore_rounds,
         seed=algo_ss.spawn(1)[0],
@@ -82,11 +67,10 @@ def run_explore_then_commit(
     # leftover exploration budget (estimate finished early) stays exploration:
     # uniform arms, independent of the estimate
     filler_rng = np.random.default_rng(algo_ss.spawn(1)[0])
-    user_sets, arm_sets = [range(instance.num_users)], [np.arange(instance.num_arms)]
+    user_sets, arm_sets = [range(num_users)], [np.arange(num_arms)]
     env.run(explore_rounds, user_sets, arm_sets, filler_rng)
     commit_arm = {} if est is None else dict(enumerate(np.argmax(est, axis=1).tolist()))
     env.run(horizon, user_sets, arm_sets, filler_rng, fixed=commit_arm)
-    return env.history, None
 
 
 # k-means++ seedings tried per k; the lowest objective is kept
@@ -208,21 +192,14 @@ class SimplifiedConfig:
         return self.lam_coeff * math.sqrt(phase_length / SIMPLIFIED_LAM_DENOM)
 
 
-def run_simplified_lattice(
-    instance: Instance,
-    config: SimplifiedConfig,
-    horizon: int,
-    seed,
-    noise: NoiseModel | None = None,
-) -> tuple[RunHistory, PhaseTrace]:
+def run_simplified_lattice(env: Environment, config: SimplifiedConfig, seed) -> PhaseTrace:
     """Fixed-schedule variant: uniform pulls inside active sets, one
     nuclear-norm solve per set at each phase end, k-means splits during the
     first L phases and fraction-approved arm shrinking afterwards."""
-    env_ss, algo_ss = seed_sequence(seed).spawn(2)
-    env = Environment(instance, noise, env_ss, horizon)
+    algo_ss = seed_sequence(seed)
     rng = np.random.default_rng(algo_ss.spawn(1)[0])
     kmeans_ss = algo_ss.spawn(1)[0]
-    num_users, num_arms = instance.num_users, instance.num_arms
+    num_users, num_arms = env.num_users, env.num_arms
 
     user_sets: list[list[int]] = [list(range(num_users))]
     arm_sets: list[np.ndarray] = [np.arange(num_arms)]
@@ -233,7 +210,7 @@ def run_simplified_lattice(
     sums = np.zeros((num_users, num_arms))
     counts = np.zeros((num_users, num_arms), dtype=np.int64)
 
-    for ell, length in enumerate(config.schedule(horizon), start=1):
+    for ell, length in enumerate(config.schedule(env.horizon), start=1):
         start = env.t
         env.run(start + length, user_sets, arm_sets, rng)
         hist = env.history
@@ -243,8 +220,9 @@ def run_simplified_lattice(
         np.add.at(counts, cells, 1)
         observed_max = max(observed_max, float(np.abs(hist.rewards[start:env.t]).max()))
 
+        # the ground-truth mode is the one policy read of the instance
         p_inf = (
-            float(np.max(np.abs(instance.P)))
+            float(np.max(np.abs(env.instance.P)))
             if config.p_inf_mode == "ground_truth"
             else max(observed_max, 1e-12)
         )
@@ -305,4 +283,4 @@ def run_simplified_lattice(
                 rounds_used=length,
             )
         )
-    return env.history, trace
+    return trace

@@ -6,12 +6,12 @@ Config files are flat key = value text with [section] headers.  The
 file), [experiment] holds horizon/seeds/output options, and each
 [algorithm <name>] section selects a policy: its keys are the fields of that
 policy's config dataclass, and every policy runs through the same call,
-`run(instance, config, horizon, seed, noise)`.  A key may appear once per
-section, [instance] and [experiment] once per file, and each algorithm,
-horizon and seed once per experiment.  Each section is
-parsed into typed values once, and `ExperimentConfig` checks itself when it
-is built.  Every run of an experiment shares the instance; the interaction
-randomness varies with the per-run seed.
+`run(env, config, seed)`, on the environment and seed that `open_cell`
+makes.  A key may appear once per section, [instance] and [experiment] once
+per file, and each algorithm, horizon and seed once per experiment.  Each
+section is parsed into typed values once, and `ExperimentConfig` checks
+itself when it is built.  Every run of an experiment shares the instance;
+the interaction randomness varies with the per-run seed.
 """
 
 from __future__ import annotations
@@ -297,14 +297,41 @@ def build_noise(spec: dict[str, object], instance: env.Instance) -> env.NoiseMod
     return env.NoiseModel(kind, spec.get("sigma", 0.0))
 
 
+def open_cell(
+    instance: env.Instance, noise: env.NoiseModel | None, horizon: int, seed
+) -> tuple[env.Environment, np.random.SeedSequence]:
+    """The environment of one cell and its policy's seed: the cell seed
+    splits into the environment's streams and the policy's."""
+    env_ss, policy_ss = env.seed_sequence(seed).spawn(2)
+    return env.Environment(instance, noise, env_ss, horizon), policy_ss
+
+
+def measure_oracle(trace: lattice.PhaseTrace | None, P: np.ndarray) -> None:
+    """Set each phase's `oracle_error`, the largest entrywise error of its
+    estimates against the true matrix `P` (None with no estimate), and drop
+    the estimates."""
+    if trace is None:
+        return
+    for record in trace.records:
+        errors = [
+            float(np.max(np.abs(values - P[np.ix_(users, arms)])))
+            for users, arms, values in record.estimates
+        ]
+        record.oracle_error = max(errors) if errors else None
+        record.estimates = []
+
+
 def _run_cell(name, config, instance, noise, horizon, seed, full):
     """One (algorithm, seed) cell; returns (its record, trace or None).  The
-    cell's ledger is dropped when this returns.  The checkpoint grid is built
-    after the cell: its first `np.unique` in a process imports numpy.ma
-    (over 1 MB), which would otherwise add to the cell's peak memory."""
+    cell's ledger and its oracle estimates are dropped when this returns.
+    The checkpoint grid is built after the cell: its first `np.unique` in a
+    process imports numpy.ma (over 1 MB), which would otherwise add to the
+    cell's peak memory."""
     _, module, run = _SECTIONS[name]
-    history, trace = getattr(module, run)(instance, config, horizon, seed, noise)
-    return regret_record(history, None if full else checkpoint_grid(horizon)), trace
+    cell_env, policy_seed = open_cell(instance, noise, horizon, seed)
+    trace = getattr(module, run)(cell_env, config, policy_seed)
+    measure_oracle(trace, instance.P)
+    return regret_record(cell_env.history, None if full else checkpoint_grid(horizon)), trace
 
 
 # log-spaced checkpoint rounds per run, before rounding merges some

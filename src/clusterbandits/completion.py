@@ -583,7 +583,7 @@ def run_oracle(
     """
     ss = seed_sequence(seed)
     inst = OracleInstance(users, arms, params, ss)
-    outsiders = np.setdiff1d(np.arange(env.instance.num_users), users)
+    outsiders = np.setdiff1d(np.arange(env.num_users), users)
     outsider_rng = np.random.default_rng(ss.spawn(1)[0])
     end = env.horizon if budget is None else env.t + budget
     env.run(end, [users, outsiders], [arms, arms], outsider_rng, oracles=[inst, None])

@@ -114,7 +114,8 @@ class NoiseModel:
             raise ValueError("sigma must be nonnegative")
 
     def draw_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Pre-draw the per-round randomness consumed by `reward`."""
+        """Pre-draw the per-round randomness that `Environment.play` turns
+        into rewards."""
         if self.kind == "gaussian":
             return rng.normal(0.0, self.sigma, size=n)
         if self.kind == "uniform":
@@ -123,11 +124,6 @@ class NoiseModel:
         if self.kind == "bernoulli-reward":
             return rng.uniform(0.0, 1.0, size=n)
         return np.zeros(n)
-
-    def reward(self, mean: float, draw: float) -> float:
-        if self.kind == "bernoulli-reward":
-            return 1.0 if draw < mean else 0.0
-        return mean + draw
 
 
 @dataclass
@@ -339,7 +335,9 @@ class Environment:
 
     The run seed splits into independent streams for user sampling and noise,
     pre-drawn for the whole horizon into the ledger's user and reward columns,
-    so a run is bit-reproducible and holds nothing beside its ledger.
+    so a run is bit-reproducible and holds nothing beside its ledger.  A
+    policy reads only its shape (`num_users`, `num_arms`, `horizon`), the
+    round `t` and the ledger, and plays through `run`.
     """
 
     def __init__(
@@ -366,8 +364,8 @@ class Environment:
             hist.users[n : n + k] = user_rng.integers(0, instance.num_users, size=k)
             hist.rewards[n : n + k] = self.noise.draw_block(noise_rng, k)
         self.t = 0
-        self._num_arms = instance.num_arms
-        # `NoiseModel.reward`'s rule, resolved once for every round
+        self.num_users, self.num_arms = instance.num_users, instance.num_arms
+        # whether a round's reward is Bernoulli(mean) rather than mean plus its draw
         self._bernoulli = self.noise.kind == "bernoulli-reward"
         # a round reads and writes Python scalars through views of the ledger
         self._user_at = memoryview(hist.users)
@@ -395,7 +393,7 @@ class Environment:
         t = self.t
         if t >= self.horizon:
             raise RuntimeError("environment horizon exhausted")
-        if not 0 <= arm < self._num_arms:
+        if not 0 <= arm < self.num_arms:
             raise ArmOutOfRangeError(f"policy returned arm {arm}")
         u = self._user_at[t]
         # the round's noise draw waits in its reward slot
@@ -429,7 +427,7 @@ class Environment:
         values one call per round would draw.  Every round is then one `play`,
         and each oracle is `credit`ed the rewards of the rounds it served.
         """
-        num_users, num_arms = self.instance.num_users, self.instance.num_arms
+        num_users, num_arms = self.num_users, self.num_arms
         set_of = np.zeros(num_users, dtype=np.int64)
         for i, us in enumerate(user_sets):
             set_of[np.asarray(us, dtype=np.int64)] = i

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .completion import MU, OracleInstance, derive_oracle_params, p_and_lam
-from .env import Environment, Instance, NoiseModel, RunHistory, seed_sequence
+from .env import Environment, seed_sequence
 
 ENDGAME_FRACTION = 0.01  # do not start an oracle this close to the horizon
 # the user graph checks entrywise closeness GRAPH_BLOCK columns at a time
@@ -184,6 +184,10 @@ class RcsConfig(LatticeConfig):
 
 @dataclass
 class PhaseRecord:
+    """One phase of a run.  `estimates` holds each refined set's (users, arms,
+    estimated values), in set order, for the caller to measure against the
+    ground truth into `oracle_error`; a policy never reads the truth itself."""
+
     phase: int
     delta: float | None
     mode: str
@@ -191,6 +195,7 @@ class PhaseRecord:
     arm_sets: list[list[int]]
     rounds_used: int
     oracle_error: float | None = None
+    estimates: list[tuple[list[int], np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 @dataclass
@@ -207,22 +212,13 @@ class _PhasedRun:
     """Shared round-scheduling engine for the exact and relaxed variants; an
     `RcsConfig` selects the relaxed one."""
 
-    def __init__(
-        self,
-        instance: Instance,
-        config: LatticeConfig,
-        horizon: int,
-        seed,
-        noise: NoiseModel | None,
-    ):
-        self.instance = instance
+    def __init__(self, env: Environment, config: LatticeConfig, seed):
+        self.env = env
         self.config = config
-        self.horizon = int(horizon)
+        self.horizon = env.horizon
         self.rcs = isinstance(config, RcsConfig)
-        env_ss, algo_ss = seed_sequence(seed).spawn(2)
-        self.env = Environment(instance, noise, env_ss, self.horizon)
-        self.algo_ss = algo_ss
-        self.rng = np.random.default_rng(algo_ss.spawn(1)[0])
+        self.algo_ss = seed_sequence(seed)
+        self.rng = np.random.default_rng(self.algo_ss.spawn(1)[0])
         self.trace = PhaseTrace(has_mode=self.rcs)
         self.ucb: dict[int, UcbArmState] = {}
         self.greedy_arm: dict[int, int] = {}
@@ -230,11 +226,10 @@ class _PhasedRun:
         self.c_prime = config.c_prime_override
         self.clusterwise = False
 
-    def run(self) -> tuple[RunHistory, PhaseTrace]:
+    def run(self) -> PhaseTrace:
         cfg = self.config
-        inst = self.instance
         env = self.env
-        num_users, num_arms = inst.num_users, inst.num_arms
+        num_users, num_arms = env.num_users, env.num_arms
         gamma_c = cfg.resolved_gamma(num_arms) * cfg.num_clusters
         user_sets: list[list[int]] = [list(range(num_users))]
         arm_sets: list[np.ndarray] = [np.arange(num_arms)]
@@ -274,7 +269,7 @@ class _PhasedRun:
                 not i.rep_estimates for i in instances.values()
             )
             mode = "joint"
-            oracle_err = None
+            estimates = []
             if stalled:
                 env.run(
                     self.horizon, user_sets, arm_sets, self.rng, ucb=self.ucb, fixed=self.greedy_arm
@@ -291,7 +286,7 @@ class _PhasedRun:
                 # of each set its users came from
                 old_arms = arm_sets
                 origin = {u: i for i, us in enumerate(user_sets) for u in us}
-                user_sets, arm_sets, oracle_err = self._refine(
+                user_sets, arm_sets, estimates = self._refine(
                     user_sets, arm_sets, instances, delta_next, joint=mode == "joint"
                 )
                 if sorted(u for s in user_sets for u in s) != list(range(num_users)):
@@ -307,12 +302,12 @@ class _PhasedRun:
                     user_sets=[list(s) for s in user_sets],
                     arm_sets=[list(map(int, a)) for a in arm_sets],
                     rounds_used=env.t - rounds_before,
-                    oracle_error=oracle_err,
+                    estimates=estimates,
                 )
             )
             if stalled or incomplete:
                 break
-        return env.history, self.trace
+        return self.trace
 
     def _make_instance(self, users, arms, delta_next) -> OracleInstance:
         cfg = self.config
@@ -340,7 +335,7 @@ class _PhasedRun:
         cfg = self.config
         observed = [i.max_abs_observed for i in instances.values() if i.max_abs_observed > 0]
         p_inf = max(observed) if observed else 1.0
-        num_arms = self.instance.num_arms
+        num_arms = self.env.num_arms
         if cfg.sigma > 0:
             sigma_term = cfg.sigma * math.sqrt(MU) / math.log(max(num_arms, 3))
             scale = min(p_inf, sigma_term)
@@ -349,9 +344,11 @@ class _PhasedRun:
         self.c_prime = scale / cfg.num_clusters
 
     def _refine(self, user_sets, arm_sets, instances, delta, joint: bool):
+        """The refined user and arm sets, and each estimated set's (users,
+        arms, values)."""
         new_users: list[list[int]] = []
         new_arms: list[np.ndarray] = []
-        worst_err = None
+        estimates = []
         for i, (us, arms) in enumerate(zip(user_sets, arm_sets)):
             inst = instances.get(i)
             values = inst.estimate() if inst is not None else None
@@ -359,10 +356,10 @@ class _PhasedRun:
                 new_users.append(list(us))
                 new_arms.append(arms)
                 continue
-            err = float(np.max(np.abs(values - self.instance.P[np.ix_(us, arms)])))
-            worst_err = err if worst_err is None else max(worst_err, err)
+            estimates.append((us, arms, values))
+            # rows are views: the phase record holds `values` anyway
             for r, u in enumerate(us):
-                self.latest_row[u] = (arms, values[r].copy())
+                self.latest_row[u] = (arms, values[r])
             good_local = [good_arm_set(values[r], delta) for r in range(len(us))]
             if joint:
                 slack = RCS_EDGE_SLACK if self.rcs else 2.0
@@ -378,7 +375,7 @@ class _PhasedRun:
                     self.trace.intersection_fallbacks += 1
                 new_users.append(list(us))
                 new_arms.append(np.array(sorted(inter), dtype=int))
-        return new_users, new_arms, worst_err
+        return new_users, new_arms, estimates
 
 
 def intersect_with_union_fallback(arm_sets: list[set[int]]) -> tuple[set[int], bool]:
@@ -391,13 +388,7 @@ def intersect_with_union_fallback(arm_sets: list[set[int]]) -> tuple[set[int], b
     return set.union(*map(set, arm_sets)), True
 
 
-def run_lattice(
-    instance: Instance,
-    config: LatticeConfig,
-    horizon: int,
-    seed,
-    noise: NoiseModel | None = None,
-) -> tuple[RunHistory, PhaseTrace]:
-    """Run the phased-elimination policy: for exact cluster structure, or
-    for the relaxed one when `config` is an `RcsConfig`."""
-    return _PhasedRun(instance, config, horizon, seed, noise).run()
+def run_lattice(env: Environment, config: LatticeConfig, seed) -> PhaseTrace:
+    """Run the phased-elimination policy to `env`'s horizon: for exact
+    cluster structure, or for the relaxed one when `config` is an `RcsConfig`."""
+    return _PhasedRun(env, config, seed).run()

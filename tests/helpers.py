@@ -16,6 +16,24 @@ from clusterbandits.completion import (
 )
 
 
+def run_policy(run, instance, config, horizon: int, seed, noise=None):
+    """(history, trace) of one cell of the policy `run` on `instance`: the
+    environment and policy seed are `bench.open_cell`'s, and the trace's
+    oracle errors are measured as a report's are."""
+    cell, policy_seed = bench.open_cell(instance, noise, horizon, seed)
+    trace = run(cell, config, policy_seed)
+    bench.measure_oracle(trace, instance.P)
+    return cell.history, trace
+
+
+def noisy_reward(noise: env.NoiseModel, mean: float, draw: float) -> float:
+    """The reward a round of mean `mean` pays under `noise` with its noise
+    draw `draw`: the reference rule that `Environment.play` applies."""
+    if noise.kind == "bernoulli-reward":
+        return 1.0 if draw < mean else 0.0
+    return mean + draw
+
+
 def regret_at(history, t: int) -> float:
     """Cumulative regret of `history` after round t (1-based round count)."""
     if t <= 0:

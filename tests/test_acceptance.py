@@ -35,7 +35,7 @@ from clusterbandits.env import (
 )
 from clusterbandits.lattice import LatticeConfig, run_lattice
 from clusterbandits.rcs import RcsConfig, run_lattice_rcs
-from helpers import regret_at, serialize_config, whole_run
+from helpers import regret_at, run_policy, serialize_config, whole_run
 
 
 def _report(log, line):
@@ -63,9 +63,11 @@ def benchmark_runs():
     out = {"instance": inst, "T": T, "lattice": [], "simplified": [], "ucb": [],
            "lattice_q1": [], "lattice_q4": []}
     for seed in SEEDS_5:
-        lat, _ = run_lattice(inst, BENCHMARK_LATTICE, T, seed=seed, noise=noise)
-        simp, _ = run_simplified_lattice(inst, BENCHMARK_SIMPLIFIED, T, seed=seed, noise=noise)
-        ucb, _ = run_per_user_ucb(inst, UcbConfig(0.5), T, seed=seed, noise=noise)
+        lat, _ = run_policy(run_lattice, inst, BENCHMARK_LATTICE, T, seed=seed, noise=noise)
+        simp, _ = run_policy(
+            run_simplified_lattice, inst, BENCHMARK_SIMPLIFIED, T, seed=seed, noise=noise
+        )
+        ucb, _ = run_policy(run_per_user_ucb, inst, UcbConfig(0.5), T, seed=seed, noise=noise)
         out["lattice"].append(whole_run(lat).final_regret)
         out["simplified"].append(whole_run(simp).final_regret)
         out["ucb"].append(whole_run(ucb).final_regret)
@@ -104,7 +106,7 @@ def test_criterion_2_sqrt_t_scaling(acceptance_log):
     finals = []
     for T in (2**14, 2**15, 2**16, 2**17):
         for seed in (301, 302, 303, 304, 305):
-            hist, _ = run_lattice(inst, cfg, T, seed=seed, noise=noise)
+            hist, _ = run_policy(run_lattice, inst, cfg, T, seed=seed, noise=noise)
             finals.append(("lattice", T, whole_run(hist).final_regret))
     slope = bench.scaling_slope(finals, "lattice")
     ok = 0.35 <= slope <= 0.65
@@ -153,7 +155,7 @@ def test_criterion_4_exact_estimate_clustering(acceptance_log):
         cfg = LatticeConfig(
             num_clusters=4, sigma=0.0, c_prime_override=0.9 * min_cross, c_p=2.0, f_cap=1
         )
-        _, trace = run_lattice(inst, cfg, 30000, seed=seed, noise=NoiseModel("none"))
+        _, trace = run_policy(run_lattice, inst, cfg, 30000, seed=seed, noise=NoiseModel("none"))
         found = sorted(tuple(sorted(s)) for s in trace.records[0].user_sets)
         truth = sorted(
             tuple(sorted(np.flatnonzero(inst.cluster_of == c).tolist())) for c in range(4)
@@ -175,7 +177,7 @@ def test_criterion_5_best_arm_retention(acceptance_log):
     )
     events = retained = 0
     for seed in range(200, 220):
-        _, trace = run_lattice(inst, cfg, 30000, seed=seed, noise=noise)
+        _, trace = run_policy(run_lattice, inst, cfg, 30000, seed=seed, noise=noise)
         for rec in trace.records:
             events += 1
             ok = all(
@@ -206,7 +208,7 @@ def test_criterion_6_rcs_convergence(acceptance_log):
     correct = tail_ok = 0
     ratios = []
     for seed in range(400, 410):
-        hist, trace = run_lattice_rcs(inst, cfg, 40000, seed=seed, noise=noise)
+        hist, trace = run_policy(run_lattice_rcs, inst, cfg, 40000, seed=seed, noise=noise)
         clusterwise = [r for r in trace.records if r.mode == "clusterwise"]
         if clusterwise and sorted(tuple(sorted(s)) for s in clusterwise[0].user_sets) == truth:
             correct += 1
@@ -231,7 +233,7 @@ def test_criterion_7_invariant_suites(tmp_path, acceptance_log):
     # partition validity at every phase boundary
     inst = generate_cs_instance(12, 8, 2, RowDistribution.gaussian(0, 1), seed=5)
     cfg = LatticeConfig(num_clusters=2, sigma=0.2, c_prime_override=0.5, f_cap=1)
-    _, trace = run_lattice(inst, cfg, 3000, seed=9, noise=NoiseModel("gaussian", 0.2))
+    _, trace = run_policy(run_lattice, inst, cfg, 3000, seed=9, noise=NoiseModel("gaussian", 0.2))
     checks["partition"] = all(
         sorted(u for s in r.user_sets for u in s) == list(range(12)) for r in trace.records
     )
@@ -265,8 +267,8 @@ def test_criterion_7_invariant_suites(tmp_path, acceptance_log):
     noise = bench.build_noise(config.instance, instance)
     ucb = bench.build_algorithm("ucb", {}, instance, noise)
     horizon, seed = config.horizon[0], config.seeds[0]
-    a, _ = run_per_user_ucb(instance, ucb, horizon, seed, noise)
-    b, _ = run_per_user_ucb(instance, ucb, horizon, seed, noise)
+    a, _ = run_policy(run_per_user_ucb, instance, ucb, horizon, seed, noise)
+    b, _ = run_policy(run_per_user_ucb, instance, ucb, horizon, seed, noise)
     checks["determinism"] = all(
         np.array_equal(getattr(a, column), getattr(b, column))
         for column in ("users", "arms", "rewards")
@@ -371,7 +373,9 @@ def test_etc_grid_head_to_head(benchmark_runs):
         finals = []
         for frac in (0.05, 0.1, 0.2):
             cfg = EtcConfig(sigma=0.5, c_p=0.12, explore_fraction=frac)
-            hist, _ = run_explore_then_commit(inst, cfg, runs["T"], seed=seed, noise=noise)
+            hist, _ = run_policy(
+                run_explore_then_commit, inst, cfg, runs["T"], seed=seed, noise=noise
+            )
             finals.append(whole_run(hist).final_regret)
         worse += min(finals) > runs["lattice"][i]
     print(f"ETC head-to-head: best ETC worse than lattice on {worse}/5 seeds")

@@ -20,12 +20,14 @@ from clusterbandits.env import (
     RowDistribution,
     generate_cs_instance,
 )
-from helpers import regret_at, whole_run
+from helpers import regret_at, run_policy, whole_run
 
 
 def test_ucb_single_arm_zero_regret():
     inst = generate_cs_instance(3, 1, 1, RowDistribution.gaussian(0, 1), seed=0)
-    hist, _ = run_per_user_ucb(inst, UcbConfig(0.5), 200, seed=1, noise=NoiseModel("none"))
+    hist, _ = run_policy(
+        run_per_user_ucb, inst, UcbConfig(0.5), 200, seed=1, noise=NoiseModel("none")
+    )
     assert whole_run(hist).final_regret == 0.0
 
 
@@ -33,13 +35,17 @@ def test_ucb_noiseless_two_arms_exact_regret():
     # one forced pull of the bad arm, then greedy on exact means
     P = np.array([[1.0, 0.5]])
     inst = Instance(1, 2, 1, P, np.array([0]), P.copy())
-    hist, _ = run_per_user_ucb(inst, UcbConfig(0.0), 100, seed=3, noise=NoiseModel("none"))
+    hist, _ = run_policy(
+        run_per_user_ucb, inst, UcbConfig(0.0), 100, seed=3, noise=NoiseModel("none")
+    )
     assert whole_run(hist).final_regret == pytest.approx(0.5)
 
 
 def test_ucb_forced_exploration_before_repeats():
     inst = generate_cs_instance(2, 6, 1, RowDistribution.gaussian(0, 1), seed=1)
-    hist, _ = run_per_user_ucb(inst, UcbConfig(0.5), 400, seed=2, noise=NoiseModel("gaussian", 0.5))
+    hist, _ = run_policy(
+        run_per_user_ucb, inst, UcbConfig(0.5), 400, seed=2, noise=NoiseModel("gaussian", 0.5)
+    )
     for u in range(2):
         arms = hist.arms[hist.users == u]
         first_six = arms[:6]
@@ -56,7 +62,9 @@ def test_ucb_regret_slope_in_sqrt_band():
     T = 60000
     slopes = []
     for seed in (1, 2, 3, 4, 5):
-        hist, _ = run_per_user_ucb(inst, UcbConfig(0.5), T, seed=seed, noise=NoiseModel("gaussian", 0.5))
+        hist, _ = run_policy(
+            run_per_user_ucb, inst, UcbConfig(0.5), T, seed=seed, noise=NoiseModel("gaussian", 0.5)
+        )
         ts = checkpoint_grid(T)
         curve = np.array([regret_at(hist, int(t)) for t in ts])
         keep = ts >= T // 2
@@ -68,7 +76,9 @@ def test_etc_noiseless_zero_commit_regret():
     inst = generate_cs_instance(20, 20, 2, RowDistribution.gaussian(0, 1), seed=3)
     cfg = EtcConfig(sigma=0.0, c_p=2.0, explore_fraction=0.5)
     horizon = 20000
-    hist, _ = run_explore_then_commit(inst, cfg, horizon, seed=1, noise=NoiseModel("none"))
+    hist, _ = run_policy(
+        run_explore_then_commit, inst, cfg, horizon, seed=1, noise=NoiseModel("none")
+    )
     explore = int(0.5 * horizon)
     assert whole_run(hist).final_regret - regret_at(hist, explore) == pytest.approx(0.0, abs=1e-9)
 
@@ -81,7 +91,9 @@ def test_etc_large_explore_fraction_regret_accounting():
     expected = 0.99 * T * avg_gap
     regrets = []
     for seed in (2, 3, 4):
-        hist, _ = run_explore_then_commit(inst, cfg, T, seed=seed, noise=NoiseModel("none"))
+        hist, _ = run_policy(
+            run_explore_then_commit, inst, cfg, T, seed=seed, noise=NoiseModel("none")
+        )
         regrets.append(whole_run(hist).final_regret)
     assert np.mean(regrets) >= 0.9 * expected
 
@@ -94,8 +106,8 @@ def test_etc_no_estimate_dependence_before_commit():
     b = generate_cs_instance(10, 10, 2, dist, seed=2)
     cfg = EtcConfig(sigma=0.0, c_p=2.0, explore_fraction=0.5)
     T = 6000
-    ha, _ = run_explore_then_commit(a, cfg, T, seed=9, noise=NoiseModel("none"))
-    hb, _ = run_explore_then_commit(b, cfg, T, seed=9, noise=NoiseModel("none"))
+    ha, _ = run_policy(run_explore_then_commit, a, cfg, T, seed=9, noise=NoiseModel("none"))
+    hb, _ = run_policy(run_explore_then_commit, b, cfg, T, seed=9, noise=NoiseModel("none"))
     explore = int(0.5 * T)
     assert np.array_equal(ha.arms[:explore], hb.arms[:explore])
 
@@ -111,7 +123,9 @@ def test_etc_plays_every_horizon_on_what_it_has():
     cfg = EtcConfig(sigma=0.2)
     finals = []
     for horizon in range(1, 260):
-        hist, _ = run_explore_then_commit(inst, cfg, horizon, 5, NoiseModel("gaussian", 0.2))
+        hist, _ = run_policy(
+            run_explore_then_commit, inst, cfg, horizon, 5, NoiseModel("gaussian", 0.2)
+        )
         assert len(hist) == horizon
         finals.append(whole_run(hist).final_regret.hex())
         explore = int(cfg.explore_fraction * horizon)
@@ -174,7 +188,9 @@ def test_simplified_noiseless_single_cluster_collapses_arms():
         nu_scale=0.25,
         nu_base=2.0,
     )
-    hist, trace = run_simplified_lattice(inst, cfg, 4000, seed=2, noise=NoiseModel("none"))
+    hist, trace = run_policy(
+        run_simplified_lattice, inst, cfg, 4000, seed=2, noise=NoiseModel("none")
+    )
     rec = trace.records[0]
     nu1 = cfg.nu(1, float(np.abs(inst.P).max()))
     best = inst.P[0].max()
@@ -194,7 +210,7 @@ def test_simplified_rho_one_subset_of_rho_half():
             phase_base=800, phase_step=200, lam_coeff=1.0,
             nu_scale=0.5, nu_base=1.5,
         )
-        _, traces[rho] = run_simplified_lattice(inst, cfg, 8000, seed=4, noise=noise)
+        _, traces[rho] = run_policy(run_simplified_lattice, inst, cfg, 8000, seed=4, noise=noise)
     for r1, r5 in zip(traces[1.0].records, traces[0.5].records):
         if r1.mode != "shrink":
             continue
@@ -211,7 +227,9 @@ def test_simplified_partition_refines_only_during_clustering_phases():
     cfg = SimplifiedConfig(
         num_clusters=2, sigma=0.2, L=2, phase_base=600, phase_step=200, lam_coeff=1.0
     )
-    _, trace = run_simplified_lattice(inst, cfg, 9000, seed=8, noise=NoiseModel("gaussian", 0.2))
+    _, trace = run_policy(
+        run_simplified_lattice, inst, cfg, 9000, seed=8, noise=NoiseModel("gaussian", 0.2)
+    )
     after_L = [r for r in trace.records if r.phase > cfg.L]
     for earlier, later in zip(after_L, after_L[1:]):
         assert [sorted(s) for s in earlier.user_sets] == [sorted(s) for s in later.user_sets]
@@ -222,7 +240,9 @@ def test_simplified_arm_sets_nonincreasing_on_fixed_branch():
     cfg = SimplifiedConfig(
         num_clusters=2, sigma=0.2, L=2, phase_base=600, phase_step=200, lam_coeff=1.0
     )
-    _, trace = run_simplified_lattice(inst, cfg, 9000, seed=8, noise=NoiseModel("gaussian", 0.2))
+    _, trace = run_policy(
+        run_simplified_lattice, inst, cfg, 9000, seed=8, noise=NoiseModel("gaussian", 0.2)
+    )
     after_L = [r for r in trace.records if r.phase > cfg.L]
     for earlier, later in zip(after_L, after_L[1:]):
         prev = {tuple(sorted(s)): set(a) for s, a in zip(earlier.user_sets, earlier.arm_sets)}
@@ -245,7 +265,7 @@ def test_simplified_trace_counts_unconverged_solves(monkeypatch):
         return estimate, info
 
     monkeypatch.setattr(baselines, "solve_nuclear_norm", recording_solve)
-    _, trace = run_simplified_lattice(inst, cfg, 3000, seed=8, noise=noise)
+    _, trace = run_policy(run_simplified_lattice, inst, cfg, 3000, seed=8, noise=noise)
     assert infos and all(info.converged for info in infos)
     assert trace.unconverged_solves == 0
 
@@ -253,7 +273,7 @@ def test_simplified_trace_counts_unconverged_solves(monkeypatch):
     # at the cap
     infos.clear()
     monkeypatch.setattr(baselines, "SIMPLIFIED_SOLVER_MAX_ITERS", 1)
-    _, trace = run_simplified_lattice(inst, cfg, 3000, seed=8, noise=noise)
+    _, trace = run_policy(run_simplified_lattice, inst, cfg, 3000, seed=8, noise=noise)
     assert infos and all(info.iterations == 1 and not info.converged for info in infos)
     assert trace.unconverged_solves == len(infos)
 

@@ -25,6 +25,7 @@ from helpers import (
     ClosedRegret,
     ledger_with_regrets,
     reference_trace_csv,
+    run_policy,
     serialize_config,
     whole_run,
 )
@@ -410,6 +411,14 @@ def test_checked_in_configs_parse_and_build(source):
         assert {key: getattr(built, key) for key in params} == params
 
 
+def test_readme_library_quick_start_runs_as_written(capsys):
+    (code,) = re.findall(r"```python\n(.*?)```", _README, flags=re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    # the final cumulative regret of lattice, then of per-user UCB
+    lattice_regret, ucb_regret = map(float, capsys.readouterr().out.split())
+    assert 0 < lattice_regret < ucb_regret
+
+
 @pytest.mark.parametrize("algo", _CONFIG_CLASSES)
 def test_algorithm_sections_accept_exactly_their_fields(algo):
     fields = [name for _, name, _ in _settable_fields(_CONFIG_CLASSES[algo])]
@@ -458,12 +467,12 @@ def test_each_cell_calls_the_run_function_module_attribute(monkeypatch, algo):
     module, attr = _RUN_FUNCTIONS[algo]
     calls, ledgers = [], []
 
-    def run(*args):
-        calls.append(args)
-        # a ledger of its own per cell, so that each record shows where it came from
-        horizon, seed = args[2:4]
-        ledgers.append(ledger_with_regrets(np.arange(horizon) * 0.25 + seed))
-        return ledgers[-1], None
+    def run(cell, config, policy_seed):
+        calls.append((cell, config, policy_seed))
+        # arms of its own per cell, so that each record shows where it came from
+        for t in range(cell.horizon):
+            cell.play((t + len(calls)) % cell.num_arms)
+        ledgers.append(cell.history)
 
     monkeypatch.setattr(module, attr, run)
     text = SMALL_CONFIG.replace("[algorithm ucb]", f"[algorithm {algo}]")
@@ -473,11 +482,17 @@ def test_each_cell_calls_the_run_function_module_attribute(monkeypatch, algo):
     instance = bench.build_instance(config.instance)
     noise = bench.build_noise(config.instance, instance)
     want = bench.build_algorithm(algo, {}, instance, noise)
-    assert [args[2:4] for args in calls] == [(100, 1), (100, 2), (200, 1), (200, 2)]
-    for got_instance, got_config, _, _, got_noise in calls:
-        assert np.array_equal(got_instance.P, instance.P)
+    cells = [(100, 1), (100, 2), (200, 1), (200, 2)]
+    assert len(calls) == len(cells)
+    for (cell, got_config, policy_seed), (horizon, seed) in zip(calls, cells):
+        # the environment and policy seed that `open_cell` makes of the cell seed
+        twin, twin_seed = bench.open_cell(instance, noise, horizon, seed)
+        assert cell.horizon == horizon and cell.noise == noise
+        assert np.array_equal(cell.history.users, twin.history.users)
+        assert np.array_equal(cell.instance.P, instance.P)
+        want_seed = (twin_seed.entropy, twin_seed.spawn_key)
+        assert (policy_seed.entropy, policy_seed.spawn_key) == want_seed
         assert type(got_config) is _CONFIG_CLASSES[algo] and got_config == want
-        assert got_noise == noise
     assert len(report.runs) == len(ledgers)
     for run, ledger in zip(report.runs, ledgers):
         record, grid = run.history, bench.checkpoint_grid(run.horizon)
@@ -507,7 +522,7 @@ def _run_function_args(algo):
 def test_each_run_function_plays_its_whole_horizon(algo, horizon):
     module, attr = _RUN_FUNCTIONS[algo]
     instance, config, noise = _run_function_args(algo)
-    history, _ = getattr(module, attr)(instance, config, horizon, 5, noise)
+    history, _ = run_policy(getattr(module, attr), instance, config, horizon, 5, noise)
     assert len(history) == horizon
     whole = whole_run(history)
     for column in (
@@ -519,10 +534,115 @@ def test_each_run_function_plays_its_whole_horizon(algo, horizon):
 
 @pytest.mark.parametrize("algo", bench.ALGORITHM_NAMES)
 def test_each_run_function_rejects_a_horizon_of_zero(algo):
-    module, attr = _RUN_FUNCTIONS[algo]
+    # the cell's environment rejects it before the run function is called
     instance, config, noise = _run_function_args(algo)
     with pytest.raises(ValueError, match="horizon must be positive"):
-        getattr(module, attr)(instance, config, 0, 5, noise)
+        bench._run_cell(algo, config, instance, noise, 0, 5, False)
+
+
+# what a policy must never read: the answer key of the instance
+_GROUND_TRUTH = frozenset(["P", "X", "cluster_of", "best_arm"])
+
+
+class _SealedInstance(env.Instance):
+    """An instance whose ground truth raises once `sealed` is set."""
+
+    sealed = False
+
+    def __getattribute__(self, name):
+        if name in _GROUND_TRUTH and object.__getattribute__(self, "sealed"):
+            raise AssertionError(f"a policy read Instance.{name}")
+        return object.__getattribute__(self, name)
+
+
+FIREWALL_CONFIG = """\
+[instance]
+kind = rcs
+num_users = 20
+num_arms = 16
+num_clusters = 2
+nu = 0.01
+row_distribution = gaussian(0,1)
+seed = 5
+noise = gaussian
+sigma = 0.2
+[experiment]
+horizon = 20000
+seeds = 1
+[algorithm lattice]
+c_prime_override = 1.0
+f_cap = 1
+[algorithm lattice-rcs]
+c_prime_override = 1.0
+f_cap = 1
+[algorithm ucb]
+[algorithm etc]
+[algorithm simplified-lattice]
+p_inf_mode = observed
+"""
+
+
+def _sealed_cell(monkeypatch, algo, params):
+    """(record, trace) of FIREWALL_CONFIG's cell of `algo` on a sealed copy of
+    its instance: sealed once the cell's environment is built, unsealed when
+    the run function returns, so that the bench evaluator reads the truth."""
+    config = bench.parse_config(FIREWALL_CONFIG)
+    plain = bench.build_instance(config.instance)
+    sealed = _SealedInstance(
+        plain.num_users, plain.num_arms, plain.num_clusters, plain.P, plain.cluster_of, plain.X,
+        nu=plain.nu,
+    )
+    noise = bench.build_noise(config.instance, plain)
+    open_cell = bench.open_cell
+    module, attr = _RUN_FUNCTIONS[algo]
+    run = getattr(module, attr)
+
+    def sealing_open_cell(instance, *args):
+        opened = open_cell(instance, *args)
+        instance.sealed = True
+        with pytest.raises(AssertionError, match="Instance.P"):
+            instance.P
+        return opened
+
+    def unsealing_run(cell, *args):
+        assert cell.instance.sealed
+        try:
+            return run(cell, *args)
+        finally:
+            cell.instance.sealed = False
+
+    monkeypatch.setattr(bench, "open_cell", sealing_open_cell)
+    monkeypatch.setattr(module, attr, unsealing_run)
+    algo_config = bench.build_algorithm(algo, params, plain, noise)
+    return bench._run_cell(algo, algo_config, sealed, noise, 20000, 1, False)
+
+
+@pytest.mark.parametrize("algo", bench.ALGORITHM_NAMES)
+def test_no_policy_reads_the_ground_truth(monkeypatch, algo):
+    # simplified-lattice runs with p_inf_mode = observed: its default reads P
+    config = bench.parse_config(FIREWALL_CONFIG)
+    params = dict(config.algorithms)[algo]
+    record, trace = _sealed_cell(monkeypatch, algo, params)
+    monkeypatch.undo()
+    instance = bench.build_instance(config.instance)
+    noise = bench.build_noise(config.instance, instance)
+    algo_config = bench.build_algorithm(algo, params, instance, noise)
+    want_record, want_trace = bench._run_cell(algo, algo_config, instance, noise, 20000, 1, False)
+    assert len(record) == 20000 and record.final_regret == want_record.final_regret
+    if trace is None:
+        assert want_trace is None
+        return
+    # the bench evaluator measured every estimated phase, and dropped the estimates
+    errors = [rec.oracle_error for rec in trace.records]
+    assert errors == [rec.oracle_error for rec in want_trace.records]
+    assert all(rec.estimates == [] for rec in trace.records)
+    if algo in ("lattice", "lattice-rcs"):
+        assert sum(err is not None for err in errors) >= 3
+
+
+def test_simplified_lattice_ground_truth_mode_is_the_one_read_of_the_truth(monkeypatch):
+    with pytest.raises(AssertionError, match="Instance.P"):
+        _sealed_cell(monkeypatch, "simplified-lattice", {"p_inf_mode": "ground_truth"})
 
 
 def test_run_experiment_deterministic():
@@ -538,8 +658,8 @@ def test_run_experiment_deterministic():
     # a report keeps no ledger, so the cell's ledger comes from its run function
     instance, ucb_config, noise = _run_function_args("ucb")
     horizon, seed = config.horizon[0], config.seeds[0]
-    ha, _ = baselines.run_per_user_ucb(instance, ucb_config, horizon, seed, noise)
-    hb, _ = baselines.run_per_user_ucb(instance, ucb_config, horizon, seed, noise)
+    ha, _ = run_policy(baselines.run_per_user_ucb, instance, ucb_config, horizon, seed, noise)
+    hb, _ = run_policy(baselines.run_per_user_ucb, instance, ucb_config, horizon, seed, noise)
     assert np.array_equal(ha.users, hb.users)
     assert np.array_equal(ha.arms, hb.arms)
     assert np.array_equal(ha.rewards, hb.rewards)

@@ -27,7 +27,7 @@ from clusterbandits.env import (
 )
 from clusterbandits.completion import OracleInstance, OracleParams
 from clusterbandits.lattice import UcbArmState
-from helpers import ClosedRegret, PerRoundOracle, whole_run
+from helpers import ClosedRegret, PerRoundOracle, noisy_reward, whole_run
 
 
 def validate_instance(instance, atol=1e-12):
@@ -616,7 +616,7 @@ def _per_round_reference(P, noise, seed, horizon, arms):
     rewards, inst, cum, total = [], [], [], 0.0
     for t, arm in enumerate(arms):
         mean = P[users[t], arm]
-        rewards.append(float(noise.reward(mean, draws[t])))
+        rewards.append(float(noisy_reward(noise, mean, draws[t])))
         regret = float(best[users[t]] - mean)
         total += regret
         inst.append(regret)
@@ -798,7 +798,7 @@ def test_noise_zero_mean_and_variance(kind):
 def test_bernoulli_reward_draws():
     noise = NoiseModel("bernoulli-reward", sigma=0.5)
     draws = noise.draw_block(np.random.default_rng(0), 10**5)
-    rewards = np.array([noise.reward(0.3, d) for d in draws[:10000]])
+    rewards = np.array([noisy_reward(noise, 0.3, d) for d in draws[:10000]])
     assert set(np.unique(rewards)) <= {0.0, 1.0}
     assert abs(rewards.mean() - 0.3) < 0.02
 

@@ -17,7 +17,7 @@ from clusterbandits.lattice import (
     refine_partition,
     run_lattice,
 )
-from helpers import whole_run
+from helpers import run_policy, whole_run
 
 
 def test_good_arm_set_hand_case():
@@ -338,7 +338,7 @@ def _noiseless_run(seed=3):
     cfg = LatticeConfig(
         num_clusters=1, sigma=0.0, c_prime_override=0.2, c_p=2.0, f_cap=1
     )
-    hist, trace = run_lattice(inst, cfg, 4000, seed=11, noise=NoiseModel("none"))
+    hist, trace = run_policy(run_lattice, inst, cfg, 4000, seed=11, noise=NoiseModel("none"))
     return inst, hist, trace
 
 
@@ -359,7 +359,9 @@ def test_lattice_noiseless_single_cluster_regret_bound():
 def test_lattice_round_accounting_exact():
     inst = generate_cs_instance(12, 8, 2, RowDistribution.gaussian(0, 1), seed=5)
     cfg = LatticeConfig(num_clusters=2, sigma=0.2, c_prime_override=0.5, f_cap=1)
-    hist, trace = run_lattice(inst, cfg, 3000, seed=4, noise=NoiseModel("gaussian", 0.2))
+    hist, trace = run_policy(
+        run_lattice, inst, cfg, 3000, seed=4, noise=NoiseModel("gaussian", 0.2)
+    )
     assert len(hist) == 3000
     assert sum(r.rounds_used for r in trace.records) == 3000
 
@@ -367,7 +369,7 @@ def test_lattice_round_accounting_exact():
 def test_lattice_partition_valid_every_phase():
     inst = generate_cs_instance(12, 8, 2, RowDistribution.gaussian(0, 1), seed=5)
     cfg = LatticeConfig(num_clusters=2, sigma=0.2, c_prime_override=0.5, f_cap=1)
-    _, trace = run_lattice(inst, cfg, 5000, seed=9, noise=NoiseModel("gaussian", 0.2))
+    _, trace = run_policy(run_lattice, inst, cfg, 5000, seed=9, noise=NoiseModel("gaussian", 0.2))
     for r in trace.records:
         users = sorted(u for s in r.user_sets for u in s)
         assert users == list(range(12))
@@ -376,7 +378,7 @@ def test_lattice_partition_valid_every_phase():
 def test_lattice_arm_sets_shrink_per_user():
     inst = generate_cs_instance(12, 10, 3, RowDistribution.gaussian(0, 1), seed=8)
     cfg = LatticeConfig(num_clusters=3, sigma=0.0, c_prime_override=0.4, c_p=2.0, f_cap=1)
-    hist, trace = run_lattice(inst, cfg, 6000, seed=2, noise=NoiseModel("none"))
+    hist, trace = run_policy(run_lattice, inst, cfg, 6000, seed=2, noise=NoiseModel("none"))
     prev: dict[int, set[int]] = {u: set(range(10)) for u in range(12)}
     gaps = inst.X.max(axis=1)[:, None] - inst.X
     worst_prev = {u: max(gaps[inst.cluster_of[u]]) for u in range(12)}
@@ -409,7 +411,7 @@ def test_lattice_refine_that_adds_an_arm_is_an_error(monkeypatch):
 
     monkeypatch.setattr(lattice._PhasedRun, "_refine", refine_adding_an_arm)
     with pytest.raises(RuntimeError, match="arm sets must only shrink"):
-        run_lattice(inst, cfg, 20000, seed=3, noise=NoiseModel("gaussian", 0.2))
+        run_policy(run_lattice, inst, cfg, 20000, seed=3, noise=NoiseModel("gaussian", 0.2))
 
 
 def test_lattice_exact_clusters_one_phase():
@@ -426,7 +428,7 @@ def test_lattice_exact_clusters_one_phase():
         c_p=2.0,
         f_cap=1,
     )
-    _, trace = run_lattice(inst, cfg, 20000, seed=0, noise=NoiseModel("none"))
+    _, trace = run_policy(run_lattice, inst, cfg, 20000, seed=0, noise=NoiseModel("none"))
     found = sorted(tuple(sorted(s)) for s in trace.records[0].user_sets)
     truth = sorted(
         tuple(sorted(np.flatnonzero(inst.cluster_of == c).tolist())) for c in range(3)
@@ -437,8 +439,8 @@ def test_lattice_exact_clusters_one_phase():
 def test_lattice_determinism():
     inst = generate_cs_instance(10, 8, 2, RowDistribution.gaussian(0, 1), seed=1)
     cfg = LatticeConfig(num_clusters=2, sigma=0.3, c_prime_override=0.5, f_cap=1)
-    a, _ = run_lattice(inst, cfg, 2500, seed=77, noise=NoiseModel("gaussian", 0.3))
-    b, _ = run_lattice(inst, cfg, 2500, seed=77, noise=NoiseModel("gaussian", 0.3))
+    a, _ = run_policy(run_lattice, inst, cfg, 2500, seed=77, noise=NoiseModel("gaussian", 0.3))
+    b, _ = run_policy(run_lattice, inst, cfg, 2500, seed=77, noise=NoiseModel("gaussian", 0.3))
     assert np.array_equal(a.arms, b.arms)
     assert np.array_equal(a.rewards, b.rewards)
 
@@ -446,7 +448,7 @@ def test_lattice_determinism():
 def test_lattice_tiny_horizon_graceful():
     inst = generate_cs_instance(6, 6, 2, RowDistribution.gaussian(0, 1), seed=2)
     cfg = LatticeConfig(num_clusters=2, sigma=0.1, c_prime_override=0.5, f_cap=1)
-    hist, trace = run_lattice(inst, cfg, 25, seed=3, noise=NoiseModel("gaussian", 0.1))
+    hist, trace = run_policy(run_lattice, inst, cfg, 25, seed=3, noise=NoiseModel("gaussian", 0.1))
     assert len(hist) == 25
     assert whole_run(hist).final_regret <= 25 * (inst.X.max(axis=1)[:, None] - inst.X).max() + 1e-9
 
@@ -472,7 +474,7 @@ def test_endgame_commits_each_user_to_its_last_estimated_best_arm(monkeypatch):
     monkeypatch.setattr(lattice._PhasedRun, "_refine", recording_refine)
     inst = generate_cs_instance(10, 12, 2, RowDistribution.gaussian(0, 1), seed=1)
     cfg = LatticeConfig(num_clusters=2, sigma=0.0, gamma=1, c_prime_override=1.0, c_p=2.0, f_cap=1)
-    hist, trace = run_lattice(inst, cfg, 1000, seed=4, noise=NoiseModel("none"))
+    hist, trace = run_policy(run_lattice, inst, cfg, 1000, seed=4, noise=NoiseModel("none"))
     first, last = trace.records
     assert oracle_starts == [0]  # the bootstrap oracle only
     assert last.mode == "ucb" and first.rounds_used + last.rounds_used == 1000

@@ -6,6 +6,7 @@ from clusterbandits import bench
 from clusterbandits.env import NoiseModel, RowDistribution, generate_rcs_instance
 from clusterbandits.lattice import intersect_with_union_fallback
 from clusterbandits.rcs import RcsConfig, run_lattice_rcs
+from helpers import run_policy
 
 
 def test_intersect_identical_sets():
@@ -33,7 +34,9 @@ def _config(**kw):
 
 def test_rcs_mode_switch_and_monotone_partition():
     inst = _rcs_instance()
-    hist, trace = run_lattice_rcs(inst, _config(), 20000, seed=5, noise=NoiseModel("gaussian", 0.3))
+    hist, trace = run_policy(
+        run_lattice_rcs, inst, _config(), 20000, seed=5, noise=NoiseModel("gaussian", 0.3)
+    )
     assert len(hist) == 20000
     modes = [r.mode for r in trace.records]
     # once cluster-wise mode starts, it never reverts to joint
@@ -47,7 +50,9 @@ def test_rcs_mode_switch_and_monotone_partition():
 
 def test_rcs_clusterwise_arms_shrink_by_inclusion():
     inst = _rcs_instance()
-    _, trace = run_lattice_rcs(inst, _config(), 20000, seed=6, noise=NoiseModel("gaussian", 0.3))
+    _, trace = run_policy(
+        run_lattice_rcs, inst, _config(), 20000, seed=6, noise=NoiseModel("gaussian", 0.3)
+    )
     cw = [r for r in trace.records if r.mode == "clusterwise"]
     if len(cw) >= 2 and trace.intersection_fallbacks == 0:
         for earlier, later in zip(cw, cw[1:]):
@@ -61,7 +66,7 @@ def test_rcs_nu_zero_joins_then_clusterwise():
     cfg = RcsConfig(
         num_clusters=2, sigma=0.0, gamma=1.0, c_prime_override=0.4, c_p=2.0, f_cap=1, nu=0.0
     )
-    _, trace = run_lattice_rcs(inst, cfg, 8000, seed=1, noise=NoiseModel("none"))
+    _, trace = run_policy(run_lattice_rcs, inst, cfg, 8000, seed=1, noise=NoiseModel("none"))
     modes = [r.mode for r in trace.records]
     assert modes[0] == "joint"
     # with exact estimates the partition reaches the cluster count and the
@@ -80,7 +85,7 @@ def test_rcs_exact_partition_matches_clusters_noiseless():
     cfg = RcsConfig(
         num_clusters=3, sigma=0.0, gamma=1.0, c_prime_override=0.8, c_p=2.0, f_cap=1, nu=0.01
     )
-    _, trace = run_lattice_rcs(inst, cfg, 30000, seed=2, noise=NoiseModel("none"))
+    _, trace = run_policy(run_lattice_rcs, inst, cfg, 30000, seed=2, noise=NoiseModel("none"))
     cw = [r for r in trace.records if r.mode == "clusterwise"]
     assert cw, "expected the run to reach cluster-wise mode"
     truth = sorted(
@@ -91,7 +96,9 @@ def test_rcs_exact_partition_matches_clusters_noiseless():
 
 def test_rcs_trace_has_mode_column(tmp_path):
     inst = _rcs_instance()
-    hist, trace = run_lattice_rcs(inst, _config(), 5000, seed=3, noise=NoiseModel("gaussian", 0.3))
+    hist, trace = run_policy(
+        run_lattice_rcs, inst, _config(), 5000, seed=3, noise=NoiseModel("gaussian", 0.3)
+    )
     assert trace.has_mode
     config = bench.ExperimentConfig(
         {"kind": "rcs", "num_users": 30, "num_arms": 20, "num_clusters": 3},
