@@ -153,7 +153,8 @@ class SimplifiedConfig:
     """Schedule and elimination knobs for the simplified phased policy.
 
     Phase lengths grow linearly; the per-phase reward-gap slack is
-    p_inf * nu_scale / nu_base**phase, and the nuclear-norm regularizer is
+    p_inf * nu_scale / nu_base**phase, where p_inf is the largest |reward|
+    observed so far, and the nuclear-norm regularizer is
     lam_coeff * sqrt(phase_length / SIMPLIFIED_LAM_DENOM).
     """
 
@@ -166,15 +167,12 @@ class SimplifiedConfig:
     nu_scale: float = 1.0 / 6.0
     nu_base: float = 8.0
     lam_coeff: float = 5.0
-    p_inf_mode: str = "ground_truth"  # or "observed"
 
     def __post_init__(self):
         if not 0 <= self.rho <= 1:
             raise ValueError("rho must lie in [0, 1]")
         if self.phase_base < 1 or self.phase_step < 0:
             raise ValueError("phase_base must be >= 1 and phase_step >= 0")
-        if self.p_inf_mode not in ("ground_truth", "observed"):
-            raise ValueError("p_inf_mode must be 'ground_truth' or 'observed'")
 
     def schedule(self, horizon: int) -> list[int]:
         out, total, ell = [], 0, 0
@@ -219,14 +217,7 @@ def run_simplified_lattice(env: Environment, config: SimplifiedConfig, seed) -> 
         np.add.at(sums, cells, hist.rewards[start:env.t])
         np.add.at(counts, cells, 1)
         observed_max = max(observed_max, float(np.abs(hist.rewards[start:env.t]).max()))
-
-        # the ground-truth mode is the one policy read of the instance
-        p_inf = (
-            float(np.max(np.abs(env.instance.P)))
-            if config.p_inf_mode == "ground_truth"
-            else max(observed_max, 1e-12)
-        )
-        nu_ell = config.nu(ell, p_inf)
+        nu_ell = config.nu(ell, max(observed_max, 1e-12))
         lam_ell = config.lam(length)
         new_users: list[list[int]] = []
         new_arms: list[np.ndarray] = []

@@ -71,7 +71,7 @@ def true_or_false(text: str) -> bool:
 
 
 # field type -> parser of its config text
-_PARSERS = {int: int, float: float, str: str, bool: true_or_false, list[int]: int_list}
+_PARSERS = {int: int, float: float, bool: true_or_false, list[int]: int_list}
 
 
 def _option_types(cls, skip=()) -> dict[str, object]:
@@ -331,7 +331,8 @@ def _run_cell(name, config, instance, noise, horizon, seed, full):
     cell_env, policy_seed = open_cell(instance, noise, horizon, seed)
     trace = getattr(module, run)(cell_env, config, policy_seed)
     measure_oracle(trace, instance.P)
-    return regret_record(cell_env.history, None if full else checkpoint_grid(horizon)), trace
+    grid = None if full else checkpoint_grid(horizon)
+    return regret_record(cell_env.history, instance, grid), trace
 
 
 # log-spaced checkpoint rounds per run, before rounding merges some
@@ -373,14 +374,17 @@ class RegretRecord:
         return np.arange(1, self.rounds + 1, dtype=np.int32)
 
 
-def regret_record(history: env.RunHistory, grid: np.ndarray | None) -> RegretRecord:
-    """The record of a finished run's history: its regret at the rounds of
-    `grid`, or at every round played when `grid` is None.  A grid round past
-    the last round played reads that round, so the last row is the final one."""
+def regret_record(
+    history: env.RunHistory, instance: env.Instance, grid: np.ndarray | None
+) -> RegretRecord:
+    """The record of a finished run's history on `instance`: its regret at
+    the rounds of `grid`, or at every round played when `grid` is None.  A
+    grid round past the last round played reads that round, so the last row
+    is the final one."""
     n = len(history)
     # every round as `RegretRecord.t` lists them
     rounds = np.arange(1, n + 1, dtype=np.int32) if grid is None else np.minimum(grid, n)
-    inst, cum = history.regret(rounds)
+    inst, cum = history.regret(rounds, instance)
     return RegretRecord(grid, inst, cum, float(cum[-1]), n)
 
 

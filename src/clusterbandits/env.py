@@ -11,6 +11,7 @@ it, serving each arriving user by the role that user holds.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -213,7 +214,6 @@ def generate_rcs_instance(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sep = RCS_SEPARATION_FACTOR * nu + nu / 2.0
-    X = None
     for _ in range(RCS_MAX_ATTEMPTS):
         cand = row_distribution.sample(rng, (num_clusters, num_arms))
         best = np.argmax(cand, axis=1)
@@ -221,21 +221,15 @@ def generate_rcs_instance(
         runner_up = np.partition(cand, -2, axis=1)[:, -2] if num_arms > 1 else top - np.inf
         if num_arms > 1 and not np.all(top - runner_up > nu / 2.0):
             continue
-        ok = True
-        for c in range(num_clusters):
-            for d in range(c + 1, num_clusters):
-                at_c = abs(cand[c, best[c]] - cand[d, best[c]])
-                at_d = abs(cand[c, best[d]] - cand[d, best[d]])
-                margin_c = sep if best[c] != best[d] else RCS_SEPARATION_FACTOR * nu
-                if not (at_c > margin_c or at_d > sep):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(
+            abs(cand[c, best[c]] - cand[d, best[c]])
+            > (sep if best[c] != best[d] else RCS_SEPARATION_FACTOR * nu)
+            or abs(cand[c, best[d]] - cand[d, best[d]]) > sep
+            for c, d in itertools.combinations(range(num_clusters), 2)
+        ):
             X = cand
             break
-    if X is None:
+    else:
         raise SeparationUnsatisfiableError(
             f"could not satisfy {RCS_SEPARATION_FACTOR:g}*nu separation "
             f"in {RCS_MAX_ATTEMPTS} attempts"
@@ -283,26 +277,25 @@ class RunHistory:
     columns are written ahead (a reward slot holds the round's noise draw
     until the round is played); `played` counts the rounds played.
 
-    Regret is derived on read, from `instance`'s matrix: a round's
-    instantaneous regret is its user's best mean reward minus the played
-    arm's, and its cumulative regret the sum of those up to and including it.
+    The ledger holds nothing of the instance.  Its regret is derived on read,
+    from the instance that the caller passes: a round's instantaneous regret
+    is its user's best mean reward minus the played arm's, and its cumulative
+    regret the sum of those up to and including it.
     """
 
-    def __init__(self, instance: Instance, capacity: int):
+    def __init__(self, capacity: int):
         self.played = 0
         self.users = np.empty(capacity, dtype=np.int32)
         self.arms = np.empty(capacity, dtype=np.int32)
         self.rewards = np.empty(capacity, dtype=float)
-        self._P = instance.P
-        self._best_reward = instance.P[np.arange(instance.num_users), instance.best_arm]
 
     def __len__(self) -> int:
         return self.played
 
-    def regret(self, rounds) -> tuple[np.ndarray, np.ndarray]:
-        """The instantaneous and cumulative regret at each of `rounds`: round
-        counts from 1 to `len(self)`, in nondecreasing order, read in their
-        own integer dtype (an int32 grid is not copied to int64).
+    def regret(self, rounds, instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+        """The instantaneous and cumulative regret on `instance` at each of
+        `rounds`: round counts from 1 to `len(self)`, in nondecreasing order,
+        read in their own integer dtype (an int32 grid is not copied to int64).
 
         One pass over CLOSE_CHUNK-round blocks, up to the last of `rounds`,
         sums every round's regret in round order, each block's running total
@@ -313,11 +306,13 @@ class RunHistory:
         end = int(rounds[-1]) if len(rounds) else 0
         if end > self.played or (len(rounds) and rounds[0] < 1):
             raise ValueError(f"rounds must lie in 1..{self.played}")
+        P = instance.P
+        best_reward = P[np.arange(instance.num_users), instance.best_arm]
         total, done = 0.0, 0
         for n in range(0, end, CLOSE_CHUNK):
             stop = min(n + CLOSE_CHUNK, end)
             users, arms = self.users[n:stop], self.arms[n:stop]
-            inst = self._best_reward[users] - self._P[users, arms]
+            inst = best_reward[users] - P[users, arms]
             cum = inst.copy()
             cum[0] = total + cum[0]
             np.cumsum(cum, out=cum)
@@ -335,9 +330,10 @@ class Environment:
 
     The run seed splits into independent streams for user sampling and noise,
     pre-drawn for the whole horizon into the ledger's user and reward columns,
-    so a run is bit-reproducible and holds nothing beside its ledger.  A
-    policy reads only its shape (`num_users`, `num_arms`, `horizon`), the
-    round `t` and the ledger, and plays through `run`.
+    so a run is bit-reproducible and holds nothing beside its ledger and the
+    mean rewards that `play` reads.  A policy reads only its shape
+    (`num_users`, `num_arms`, `horizon`), the round `t` and the ledger, and
+    plays through `run`.
     """
 
     def __init__(
@@ -347,7 +343,6 @@ class Environment:
         seed,
         horizon: int,
     ):
-        self.instance = instance
         self.noise = noise if noise is not None else (instance.default_noise or NoiseModel("none"))
         check_noise_range(self.noise, instance.P)
         self.horizon = int(horizon)
@@ -355,7 +350,7 @@ class Environment:
             raise ValueError("horizon must be positive")
         user_ss, noise_ss = seed_sequence(seed).spawn(2)
         user_rng, noise_rng = np.random.default_rng(user_ss), np.random.default_rng(noise_ss)
-        hist = self._history = RunHistory(instance, capacity=self.horizon)
+        hist = self._history = RunHistory(capacity=self.horizon)
         # every round's arrival, and its noise draw in its reward slot until the
         # round is played; draws continue their stream from chunk to chunk, so
         # they equal one draw over the whole horizon
@@ -538,10 +533,11 @@ def _matrix(lines: list[str], name: str, num_rows: int, num_cols: int) -> np.nda
 
 def load_instance(path) -> Instance:
     """The instance of an instance file; a ValueError names the [meta] key,
-    or the section, that is unknown, missing, cannot be parsed or does not
-    fit [meta], or a line outside any section."""
+    or the section, that is unknown, repeated, missing, cannot be parsed or
+    does not fit [meta], or a line outside any section."""
     meta: dict[str, str] = {}
     sections: dict[str, list[str]] = {"cluster_of": [], "X": [], "P": []}
+    seen: set[str] = set()
     current = None
     with open(path) as fh:
         for raw in fh:
@@ -552,12 +548,17 @@ def load_instance(path) -> Instance:
                 current = line[1:-1]
                 if current != "meta" and current not in sections:
                     raise ValueError(f"[{current}]: unknown section")
+                if current in seen:
+                    raise ValueError(f"[{current}]: may appear only once")
+                seen.add(current)
                 continue
             if current == "meta":
                 key, _, value = line.partition("=")
                 key = key.strip()
                 if key not in META_KEYS:
                     raise ValueError(f"[meta] {key}: unknown key")
+                if key in meta:
+                    raise ValueError(f"[meta] {key}: set twice")
                 meta[key] = value.strip()
             elif current is None:
                 raise ValueError(f"{line!r}: outside any section")

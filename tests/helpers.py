@@ -34,11 +34,12 @@ def noisy_reward(noise: env.NoiseModel, mean: float, draw: float) -> float:
     return mean + draw
 
 
-def regret_at(history, t: int) -> float:
-    """Cumulative regret of `history` after round t (1-based round count)."""
+def regret_at(history, instance, t: int) -> float:
+    """Cumulative regret of `history` on `instance` after round t (1-based
+    round count)."""
     if t <= 0:
         return 0.0
-    return float(history.regret([min(t, len(history))])[1][0])
+    return float(history.regret([min(t, len(history))], instance)[1][0])
 
 
 class WholeRun(typing.NamedTuple):
@@ -47,10 +48,10 @@ class WholeRun(typing.NamedTuple):
     final_regret: float
 
 
-def whole_run(history) -> WholeRun:
-    """The instantaneous and cumulative regret of every round `history`
-    played, and its final regret (0.0 before any round)."""
-    inst, cum = history.regret(np.arange(1, len(history) + 1))
+def whole_run(history, instance) -> WholeRun:
+    """The instantaneous and cumulative regret on `instance` of every round
+    `history` played, and its final regret (0.0 before any round)."""
+    inst, cum = history.regret(np.arange(1, len(history) + 1), instance)
     return WholeRun(inst, cum, float(cum[-1]) if len(cum) else 0.0)
 
 
@@ -98,21 +99,22 @@ class ClosedRegret:
         return self._total
 
 
-def ledger_with_regrets(regrets) -> env.RunHistory:
-    """A played one-user ledger whose instantaneous regrets are `regrets`,
-    bit for bit.  Arm 0 counts as the best arm and pays -0.0; round i plays
-    arm i, which pays p with -0.0 - p == regrets[i - 1]: -r for a nonzero r,
-    and 0.0 for -0.0 and -0.0 for 0.0.  A negative regret is allowed."""
+def ledger_with_regrets(regrets) -> tuple[env.RunHistory, env.Instance]:
+    """A played one-user ledger and the instance on which its instantaneous
+    regrets are `regrets`, bit for bit.  Arm 0 counts as the best arm and
+    pays -0.0; round i plays arm i, which pays p with -0.0 - p ==
+    regrets[i - 1]: -r for a nonzero r, and 0.0 for -0.0 and -0.0 for 0.0.
+    A negative regret is allowed."""
     values = np.asarray(regrets, dtype=float)
     pays = np.where(values == 0.0, np.where(np.signbit(values), 0.0, -0.0), -values)
     P = np.concatenate([[-0.0], pays])[None, :]
     instance = env.Instance(1, P.shape[1], 1, P, [0], P)
     instance.best_arm = np.zeros(1, dtype=int)
-    history = env.RunHistory(instance, len(values))
+    history = env.RunHistory(len(values))
     history.users[:], history.rewards[:] = 0, 0.0
     history.arms[:] = np.arange(1, len(values) + 1)
     history.played = len(values)
-    return history
+    return history, instance
 
 
 def _text(value) -> str:

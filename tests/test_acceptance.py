@@ -68,11 +68,11 @@ def benchmark_runs():
             run_simplified_lattice, inst, BENCHMARK_SIMPLIFIED, T, seed=seed, noise=noise
         )
         ucb, _ = run_policy(run_per_user_ucb, inst, UcbConfig(0.5), T, seed=seed, noise=noise)
-        out["lattice"].append(whole_run(lat).final_regret)
-        out["simplified"].append(whole_run(simp).final_regret)
-        out["ucb"].append(whole_run(ucb).final_regret)
-        out["lattice_q1"].append(regret_at(lat, T // 4))
-        out["lattice_q4"].append(out["lattice"][-1] - regret_at(lat, 3 * T // 4))
+        out["lattice"].append(whole_run(lat, inst).final_regret)
+        out["simplified"].append(whole_run(simp, inst).final_regret)
+        out["ucb"].append(whole_run(ucb, inst).final_regret)
+        out["lattice_q1"].append(regret_at(lat, inst, T // 4))
+        out["lattice_q4"].append(out["lattice"][-1] - regret_at(lat, inst, 3 * T // 4))
     return out
 
 
@@ -107,7 +107,7 @@ def test_criterion_2_sqrt_t_scaling(acceptance_log):
     for T in (2**14, 2**15, 2**16, 2**17):
         for seed in (301, 302, 303, 304, 305):
             hist, _ = run_policy(run_lattice, inst, cfg, T, seed=seed, noise=noise)
-            finals.append(("lattice", T, whole_run(hist).final_regret))
+            finals.append(("lattice", T, whole_run(hist, inst).final_regret))
     slope = bench.scaling_slope(finals, "lattice")
     ok = 0.35 <= slope <= 0.65
     _report(
@@ -212,9 +212,9 @@ def test_criterion_6_rcs_convergence(acceptance_log):
         clusterwise = [r for r in trace.records if r.mode == "clusterwise"]
         if clusterwise and sorted(tuple(sorted(s)) for s in clusterwise[0].user_sets) == truth:
             correct += 1
-        whole = whole_run(hist)
+        whole = whole_run(hist, inst)
         tail_ok += float(np.mean(whole.inst_regret[-2000:])) <= 2 * 0.02 * 3
-        ratios.append(whole.final_regret / max(regret_at(hist, 20000), 1.0))
+        ratios.append(whole.final_regret / max(regret_at(hist, inst, 20000), 1.0))
     mean_ratio = float(np.mean(ratios))
     ok = correct >= 8 and mean_ratio < 1.9 and tail_ok >= 8
     _report(
@@ -376,7 +376,7 @@ def test_etc_grid_head_to_head(benchmark_runs):
             hist, _ = run_policy(
                 run_explore_then_commit, inst, cfg, runs["T"], seed=seed, noise=noise
             )
-            finals.append(whole_run(hist).final_regret)
+            finals.append(whole_run(hist, inst).final_regret)
         worse += min(finals) > runs["lattice"][i]
     print(f"ETC head-to-head: best ETC worse than lattice on {worse}/5 seeds")
     assert worse >= 4

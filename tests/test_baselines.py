@@ -28,7 +28,7 @@ def test_ucb_single_arm_zero_regret():
     hist, _ = run_policy(
         run_per_user_ucb, inst, UcbConfig(0.5), 200, seed=1, noise=NoiseModel("none")
     )
-    assert whole_run(hist).final_regret == 0.0
+    assert whole_run(hist, inst).final_regret == 0.0
 
 
 def test_ucb_noiseless_two_arms_exact_regret():
@@ -38,7 +38,7 @@ def test_ucb_noiseless_two_arms_exact_regret():
     hist, _ = run_policy(
         run_per_user_ucb, inst, UcbConfig(0.0), 100, seed=3, noise=NoiseModel("none")
     )
-    assert whole_run(hist).final_regret == pytest.approx(0.5)
+    assert whole_run(hist, inst).final_regret == pytest.approx(0.5)
 
 
 def test_ucb_forced_exploration_before_repeats():
@@ -66,7 +66,7 @@ def test_ucb_regret_slope_in_sqrt_band():
             run_per_user_ucb, inst, UcbConfig(0.5), T, seed=seed, noise=NoiseModel("gaussian", 0.5)
         )
         ts = checkpoint_grid(T)
-        curve = np.array([regret_at(hist, int(t)) for t in ts])
+        curve = np.array([regret_at(hist, inst, int(t)) for t in ts])
         keep = ts >= T // 2
         slopes.append(float(np.polyfit(np.log(ts[keep]), np.log(curve[keep]), 1)[0]))
     assert all(0.35 <= s <= 0.7 for s in slopes)
@@ -80,7 +80,8 @@ def test_etc_noiseless_zero_commit_regret():
         run_explore_then_commit, inst, cfg, horizon, seed=1, noise=NoiseModel("none")
     )
     explore = int(0.5 * horizon)
-    assert whole_run(hist).final_regret - regret_at(hist, explore) == pytest.approx(0.0, abs=1e-9)
+    commit_regret = whole_run(hist, inst).final_regret - regret_at(hist, inst, explore)
+    assert commit_regret == pytest.approx(0.0, abs=1e-9)
 
 
 def test_etc_large_explore_fraction_regret_accounting():
@@ -94,7 +95,7 @@ def test_etc_large_explore_fraction_regret_accounting():
         hist, _ = run_policy(
             run_explore_then_commit, inst, cfg, T, seed=seed, noise=NoiseModel("none")
         )
-        regrets.append(whole_run(hist).final_regret)
+        regrets.append(whole_run(hist, inst).final_regret)
     assert np.mean(regrets) >= 0.9 * expected
 
 
@@ -127,7 +128,7 @@ def test_etc_plays_every_horizon_on_what_it_has():
             run_explore_then_commit, inst, cfg, horizon, 5, NoiseModel("gaussian", 0.2)
         )
         assert len(hist) == horizon
-        finals.append(whole_run(hist).final_regret.hex())
+        finals.append(whole_run(hist, inst).final_regret.hex())
         explore = int(cfg.explore_fraction * horizon)
         users, arms = hist.users[explore:horizon], hist.arms[explore:horizon]
         committed = all(len(set(arms[users == u].tolist())) <= 1 for u in range(4))

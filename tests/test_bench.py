@@ -89,6 +89,11 @@ def test_config_bad_instance_kind_rejected():
         ("f_cap = two", r"algorithm lattice\.f_cap: cannot parse 'two' as int"),
         ("gamma = banana", r"algorithm lattice\.gamma: cannot parse 'banana' as float"),
         ("c_p = 0.25\nc_p = 9", r"line 16: c_p is set twice in \[algorithm lattice\]"),
+        # p_inf is always the largest |reward| observed, so no key chooses it
+        (
+            "[algorithm simplified-lattice]\np_inf_mode = observed",
+            r"algorithm simplified-lattice\.p_inf_mode: unknown key",
+        ),
     ],
 )
 def test_config_bad_algorithm_key_or_value_rejected(line, message):
@@ -363,8 +368,6 @@ def _settable_fields(cls):
 
 
 def _non_default(name, kind):
-    if name == "p_inf_mode":
-        return "observed", "observed"
     if kind is int:
         return "3", 3
     return "0.375", 0.375
@@ -489,18 +492,22 @@ def test_each_cell_calls_the_run_function_module_attribute(monkeypatch, algo):
         twin, twin_seed = bench.open_cell(instance, noise, horizon, seed)
         assert cell.horizon == horizon and cell.noise == noise
         assert np.array_equal(cell.history.users, twin.history.users)
-        assert np.array_equal(cell.instance.P, instance.P)
+        # the twin pays the cell's arms the same rewards: both play `instance`
+        for arm in cell.history.arms.tolist():
+            twin.play(arm)
+        assert np.array_equal(cell.history.rewards, twin.history.rewards)
         want_seed = (twin_seed.entropy, twin_seed.spawn_key)
         assert (policy_seed.entropy, policy_seed.spawn_key) == want_seed
         assert type(got_config) is _CONFIG_CLASSES[algo] and got_config == want
     assert len(report.runs) == len(ledgers)
     for run, ledger in zip(report.runs, ledgers):
         record, grid = run.history, bench.checkpoint_grid(run.horizon)
-        inst, cum = ledger.regret(grid)
+        inst, cum = ledger.regret(grid, instance)
         assert record.t.tolist() == grid.tolist()
         assert record.inst_regret.tolist() == inst.tolist()
         assert record.cumulative_regret.tolist() == cum.tolist()
-        assert record.final_regret == whole_run(ledger).final_regret and len(record) == len(ledger)
+        assert record.final_regret == whole_run(ledger, instance).final_regret
+        assert len(record) == len(ledger)
 
 
 def _run_function_args(algo):
@@ -524,7 +531,7 @@ def test_each_run_function_plays_its_whole_horizon(algo, horizon):
     instance, config, noise = _run_function_args(algo)
     history, _ = run_policy(getattr(module, attr), instance, config, horizon, 5, noise)
     assert len(history) == horizon
-    whole = whole_run(history)
+    whole = whole_run(history, instance)
     for column in (
         history.users, history.arms, history.rewards, whole.inst_regret, whole.cumulative_regret,
     ):
@@ -578,14 +585,14 @@ f_cap = 1
 [algorithm ucb]
 [algorithm etc]
 [algorithm simplified-lattice]
-p_inf_mode = observed
 """
 
 
 def _sealed_cell(monkeypatch, algo, params):
-    """(record, trace) of FIREWALL_CONFIG's cell of `algo` on a sealed copy of
-    its instance: sealed once the cell's environment is built, unsealed when
-    the run function returns, so that the bench evaluator reads the truth."""
+    """(record, trace, environment, instance) of FIREWALL_CONFIG's cell of
+    `algo` on a sealed copy of its instance: sealed once the cell's
+    environment is built, unsealed when the run function returns, so that
+    the bench evaluator reads the truth."""
     config = bench.parse_config(FIREWALL_CONFIG)
     plain = bench.build_instance(config.instance)
     sealed = _SealedInstance(
@@ -596,6 +603,7 @@ def _sealed_cell(monkeypatch, algo, params):
     open_cell = bench.open_cell
     module, attr = _RUN_FUNCTIONS[algo]
     run = getattr(module, attr)
+    cells = []
 
     def sealing_open_cell(instance, *args):
         opened = open_cell(instance, *args)
@@ -605,25 +613,33 @@ def _sealed_cell(monkeypatch, algo, params):
         return opened
 
     def unsealing_run(cell, *args):
-        assert cell.instance.sealed
+        assert sealed.sealed
+        cells.append(cell)
         try:
             return run(cell, *args)
         finally:
-            cell.instance.sealed = False
+            sealed.sealed = False
 
     monkeypatch.setattr(bench, "open_cell", sealing_open_cell)
     monkeypatch.setattr(module, attr, unsealing_run)
     algo_config = bench.build_algorithm(algo, params, plain, noise)
-    return bench._run_cell(algo, algo_config, sealed, noise, 20000, 1, False)
+    record, trace = bench._run_cell(algo, algo_config, sealed, noise, 20000, 1, False)
+    return record, trace, cells[0], sealed
 
 
 @pytest.mark.parametrize("algo", bench.ALGORITHM_NAMES)
 def test_no_policy_reads_the_ground_truth(monkeypatch, algo):
-    # simplified-lattice runs with p_inf_mode = observed: its default reads P
     config = bench.parse_config(FIREWALL_CONFIG)
     params = dict(config.algorithms)[algo]
-    record, trace = _sealed_cell(monkeypatch, algo, params)
+    record, trace, cell, sealed = _sealed_cell(monkeypatch, algo, params)
     monkeypatch.undo()
+    # nothing the policy held reaches the truth: the environment keeps no
+    # instance, and its ledger holds no array of one
+    assert not hasattr(cell, "instance")
+    assert not any(value is sealed for value in vars(cell).values())
+    truth = [sealed.P, sealed.X, sealed.cluster_of, sealed.best_arm]
+    ledger = [value for value in vars(cell.history).values() if isinstance(value, np.ndarray)]
+    assert not any(np.shares_memory(column, a) for column in ledger for a in truth)
     instance = bench.build_instance(config.instance)
     noise = bench.build_noise(config.instance, instance)
     algo_config = bench.build_algorithm(algo, params, instance, noise)
@@ -638,11 +654,6 @@ def test_no_policy_reads_the_ground_truth(monkeypatch, algo):
     assert all(rec.estimates == [] for rec in trace.records)
     if algo in ("lattice", "lattice-rcs"):
         assert sum(err is not None for err in errors) >= 3
-
-
-def test_simplified_lattice_ground_truth_mode_is_the_one_read_of_the_truth(monkeypatch):
-    with pytest.raises(AssertionError, match="Instance.P"):
-        _sealed_cell(monkeypatch, "simplified-lattice", {"p_inf_mode": "ground_truth"})
 
 
 def test_run_experiment_deterministic():
@@ -663,8 +674,10 @@ def test_run_experiment_deterministic():
     assert np.array_equal(ha.users, hb.users)
     assert np.array_equal(ha.arms, hb.arms)
     assert np.array_equal(ha.rewards, hb.rewards)
-    assert np.array_equal(whole_run(ha).cumulative_regret, whole_run(hb).cumulative_regret)
-    assert whole_run(ha).final_regret == ra.final_regret
+    assert np.array_equal(
+        whole_run(ha, instance).cumulative_regret, whole_run(hb, instance).cumulative_regret
+    )
+    assert whole_run(ha, instance).final_regret == ra.final_regret
 
 
 def test_checkpoint_grid_shape():
@@ -939,7 +952,7 @@ def _synthetic_report(algorithms, seeds, horizons, full, values_seed):
                 if values_seed < 0:
                     zeros = np.flatnonzero(regrets == 0.0)[::2]
                     regrets[zeros] = -regrets[zeros]
-                record = bench.regret_record(ledger_with_regrets(regrets), grid)
+                record = bench.regret_record(*ledger_with_regrets(regrets), grid)
                 references.append(ClosedRegret(horizon))
                 references[-1].close(regrets)
                 run_id = len(report.runs)
@@ -1195,7 +1208,7 @@ def _blocks_and_rounds(n: int, cuts: list[int]) -> tuple[list[int], np.ndarray]:
 @example([1.5, -1.5, -0.0, 1e-300], [])
 def test_regret_derived_in_blocks_matches_one_sum_per_round(regrets, cuts):
     values = np.array(regrets, dtype=float)
-    hist = ledger_with_regrets(values)
+    hist, truth = ledger_with_regrets(values)
     total, reference = 0.0, []
     for r in regrets:
         total += r
@@ -1205,10 +1218,10 @@ def test_regret_derived_in_blocks_matches_one_sum_per_round(regrets, cuts):
     for block in blocks:
         with mock.patch.object(env, "CLOSE_CHUNK", block):
             assert len(hist) == len(values)
-            whole = whole_run(hist)
+            whole = whole_run(hist, truth)
             assert _bits(whole.inst_regret) == _bits(values)
             assert _bits(whole.cumulative_regret) == _bits(reference)
-            inst, cum = hist.regret(rounds)
+            inst, cum = hist.regret(rounds, truth)
             assert _bits(inst) == _bits(values[rounds - 1])
             assert _bits(cum) == _bits(reference[rounds - 1])
             assert _bits([whole.final_regret]) == _bits([total])
@@ -1229,12 +1242,12 @@ def test_regret_derived_in_blocks_matches_one_sum_per_round(regrets, cuts):
 def test_derived_regret_never_sums_to_negative_zero(regrets, cuts):
     # the one-pass summary writes the cumulative column's text as each mean,
     # which `summarize` would write as 0 for a -0.0
-    hist = ledger_with_regrets(regrets)
+    hist, truth = ledger_with_regrets(regrets)
     blocks, rounds = _blocks_and_rounds(len(regrets), cuts)
     for block in blocks:
         with mock.patch.object(env, "CLOSE_CHUNK", block):
-            whole = whole_run(hist)
-            for cum in (whole.cumulative_regret, hist.regret(rounds)[1]):
+            whole = whole_run(hist, truth)
+            for cum in (whole.cumulative_regret, hist.regret(rounds, truth)[1]):
                 assert not np.signbit(cum[cum == 0.0]).any()
             assert not np.signbit(whole.final_regret) or math.isnan(whole.final_regret)
 
@@ -1540,6 +1553,15 @@ def _write_config(tmp_path, text=SMALL_CONFIG):
         pytest.param(
             lambda text: "num_users = 9\n" + text, "'num_users = 9': outside any section",
             id="line-before-sections",
+        ),
+        # a key or a section given twice is named, not read as its last value
+        pytest.param(
+            lambda text: text.replace("nu = 0\n", "nu = 0\nnu = 0.5\n"), "[meta] nu: set twice",
+            id="meta-key-twice",
+        ),
+        pytest.param(
+            lambda text: text.replace("num_clusters = 2\n", "") + "[meta]\nnum_clusters = 2\n",
+            "[meta]: may appear only once", id="section-twice",
         ),
     ],
 )

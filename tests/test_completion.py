@@ -116,7 +116,7 @@ def _collect(env, mask, b, budget, seed):
     generator of their own.  Returns the collection and the rounds used."""
     coll = MaskCollection(mask, b, np.random.default_rng(seed))
     members = set(mask.rows.tolist())
-    others = [u for u in range(env.instance.num_users) if u not in members]
+    others = [u for u in range(env.num_users) if u not in members]
     start = env.t
     env.run(
         start + budget, [mask.rows.tolist(), others], [mask.cols, mask.cols],

@@ -353,7 +353,7 @@ def test_lattice_noiseless_single_cluster_regret_bound():
         for a in arms:
             assert best - inst.P[0, a] <= 2 * delta2 + 1e-6
     after = first.rounds_used
-    assert np.all(whole_run(hist).inst_regret[after:] <= 2 * delta2 + 1e-6)
+    assert np.all(whole_run(hist, inst).inst_regret[after:] <= 2 * delta2 + 1e-6)
 
 
 def test_lattice_round_accounting_exact():
@@ -450,7 +450,8 @@ def test_lattice_tiny_horizon_graceful():
     cfg = LatticeConfig(num_clusters=2, sigma=0.1, c_prime_override=0.5, f_cap=1)
     hist, trace = run_policy(run_lattice, inst, cfg, 25, seed=3, noise=NoiseModel("gaussian", 0.1))
     assert len(hist) == 25
-    assert whole_run(hist).final_regret <= 25 * (inst.X.max(axis=1)[:, None] - inst.X).max() + 1e-9
+    worst_gap = (inst.X.max(axis=1)[:, None] - inst.X).max()
+    assert whole_run(hist, inst).final_regret <= 25 * worst_gap + 1e-9
 
 
 def test_endgame_commits_each_user_to_its_last_estimated_best_arm(monkeypatch):

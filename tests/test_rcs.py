@@ -104,7 +104,7 @@ def test_rcs_trace_has_mode_column(tmp_path):
         {"kind": "rcs", "num_users": 30, "num_arms": 20, "num_clusters": 3},
         [("lattice-rcs", {})], horizon=[5000], seeds=[3],
     )
-    record = bench.regret_record(hist, bench.checkpoint_grid(5000))
+    record = bench.regret_record(hist, inst, bench.checkpoint_grid(5000))
     report = bench.Report(config, [bench.RunResult(0, "lattice-rcs", 3, 5000, record, trace)])
     with open(bench.emit_report(report, tmp_path)["phase_trace"], newline="") as fh:
         rows = list(csv.DictReader(fh))
