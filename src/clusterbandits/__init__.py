@@ -7,7 +7,6 @@ from .env import (
     Instance,
     NoiseModel,
     RowDistribution,
-    RunHistory,
     generate_cs_instance,
     generate_hard_instance,
     generate_rcs_instance,
@@ -32,7 +31,7 @@ from .baselines import (
     run_simplified_lattice,
 )
 from .checker import assumption_report
-from .bench import open_cell
+from .bench import open_cell, played_regret
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,6 @@ __all__ = [
     "OracleParams",
     "RcsConfig",
     "RowDistribution",
-    "RunHistory",
     "SimplifiedConfig",
     "UcbConfig",
     "assumption_report",
@@ -56,6 +54,7 @@ __all__ = [
     "kmeans_elbow",
     "load_instance",
     "open_cell",
+    "played_regret",
     "run_explore_then_commit",
     "run_lattice",
     "run_lattice_rcs",

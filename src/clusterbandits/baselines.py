@@ -211,12 +211,12 @@ def run_simplified_lattice(env: Environment, config: SimplifiedConfig, seed) -> 
     for ell, length in enumerate(config.schedule(env.horizon), start=1):
         start = env.t
         env.run(start + length, user_sets, arm_sets, rng)
-        hist = env.history
-        cells = (hist.users[start:env.t], hist.arms[start:env.t])
+        played = slice(start, env.t)
+        cells, rewards = (env.users[played], env.arms[played]), env.rewards[played]
         # np.add.at accumulates in round order, as one += per round would
-        np.add.at(sums, cells, hist.rewards[start:env.t])
+        np.add.at(sums, cells, rewards)
         np.add.at(counts, cells, 1)
-        observed_max = max(observed_max, float(np.abs(hist.rewards[start:env.t]).max()))
+        observed_max = max(observed_max, float(np.abs(rewards).max()))
         nu_ell = config.nu(ell, max(observed_max, 1e-12))
         lam_ell = config.lam(length)
         new_users: list[list[int]] = []

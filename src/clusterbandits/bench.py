@@ -70,8 +70,16 @@ def true_or_false(text: str) -> bool:
     return text == "true"
 
 
+def float_finite(text: str) -> float:
+    """`float(text)`, which must be finite: NaN and the infinities fail."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 # field type -> parser of its config text
-_PARSERS = {int: int, float: float, bool: true_or_false, list[int]: int_list}
+_PARSERS = {int: int, float: float_finite, bool: true_or_false, list[int]: int_list}
 
 
 def _option_types(cls, skip=()) -> dict[str, object]:
@@ -102,7 +110,7 @@ INSTANCE_OPTIONS = {
     "row_distribution": env.RowDistribution.parse,
     "noise": str,
     **dict.fromkeys(["seed", "num_users", "num_arms", "num_clusters"], int),
-    **dict.fromkeys(["nu", "epsilon", "sigma"], float),
+    **dict.fromkeys(["nu", "epsilon", "sigma"], float_finite),
     "optimal_arms": int_list,
 }
 # the [instance] keys each kind reads (sigma only beside noise)
@@ -321,6 +329,40 @@ def measure_oracle(trace: lattice.PhaseTrace | None, P: np.ndarray) -> None:
         record.estimates = []
 
 
+def played_regret(
+    ledger: env.Environment, rounds, instance: env.Instance
+) -> tuple[np.ndarray, np.ndarray]:
+    """The instantaneous regret on `instance` (a user's best mean reward
+    minus the played arm's) and the cumulative regret of the environment
+    `ledger` at each of `rounds`: round counts from 1 to `ledger.t`, in
+    nondecreasing order, read in their own integer dtype (an int32 grid is
+    not copied to int64).  One pass over CLOSE_CHUNK-round blocks sums every
+    round's regret in round order, each block's running total its first
+    addend, exactly as one `+=` per round would, wherever the blocks end."""
+    rounds = np.asarray(rounds)
+    inst_out, cum_out = np.empty(len(rounds)), np.empty(len(rounds))
+    end = int(rounds[-1]) if len(rounds) else 0
+    if end > ledger.t or (len(rounds) and rounds[0] < 1):
+        raise ValueError(f"rounds must lie in 1..{ledger.t}")
+    P = instance.P
+    best_reward = P[np.arange(instance.num_users), instance.best_arm]
+    total, done = 0.0, 0
+    for n in range(0, end, env.CLOSE_CHUNK):
+        stop = min(n + env.CLOSE_CHUNK, end)
+        users, arms = ledger.users[n:stop], ledger.arms[n:stop]
+        inst = best_reward[users] - P[users, arms]
+        cum = inst.copy()
+        cum[0] = total + cum[0]
+        np.cumsum(cum, out=cum)
+        total = float(cum[-1])
+        # `stop` in the rounds' own dtype, or searchsorted copies them to int64
+        upto = done + int(np.searchsorted(rounds[done:], rounds.dtype.type(stop), side="right"))
+        at = rounds[done:upto] - (n + 1)
+        inst_out[done:upto], cum_out[done:upto] = inst[at], cum[at]
+        done = upto
+    return inst_out, cum_out
+
+
 def _run_cell(name, config, instance, noise, horizon, seed, full):
     """One (algorithm, seed) cell; returns (its record, trace or None).  The
     cell's ledger and its oracle estimates are dropped when this returns.
@@ -332,7 +374,7 @@ def _run_cell(name, config, instance, noise, horizon, seed, full):
     trace = getattr(module, run)(cell_env, config, policy_seed)
     measure_oracle(trace, instance.P)
     grid = None if full else checkpoint_grid(horizon)
-    return regret_record(cell_env.history, instance, grid), trace
+    return regret_record(cell_env, instance, grid), trace
 
 
 # log-spaced checkpoint rounds per run, before rounding merges some
@@ -352,40 +394,43 @@ def checkpoint_grid(horizon: int) -> np.ndarray:
 @dataclass(frozen=True)
 class RegretRecord:
     """What a report keeps of a finished run: its instantaneous and
-    cumulative regret at the rounds `t` that regret.csv writes, its final
-    regret, and (as `len`) the rounds it played.  `t` is `grid` (its
-    horizon's checkpoint grid, or the rounds regret.csv lists), or every
-    round played when `grid` is None."""
+    cumulative regret at the rounds `t` that regret.csv writes, whose last
+    row is its final regret, and (as `len`) the rounds it played.  `t` is
+    `grid` (its horizon's checkpoint grid, or the rounds regret.csv lists),
+    or every round played when `grid` is None."""
 
     grid: np.ndarray | None
     inst_regret: np.ndarray
     cumulative_regret: np.ndarray
-    final_regret: float
     rounds: int
 
     def __len__(self) -> int:
         return self.rounds
 
     @property
+    def final_regret(self) -> float:
+        return float(self.cumulative_regret[-1])
+
+    @property
     def t(self) -> np.ndarray:
         if self.grid is not None:
             return self.grid
-        # a history holds fewer than 2^31 rounds, so int32 holds its rounds
+        # a run plays fewer than 2^31 rounds, so int32 holds its rounds
         return np.arange(1, self.rounds + 1, dtype=np.int32)
 
 
 def regret_record(
-    history: env.RunHistory, instance: env.Instance, grid: np.ndarray | None
+    ledger: env.Environment, instance: env.Instance, grid: np.ndarray | None
 ) -> RegretRecord:
-    """The record of a finished run's history on `instance`: its regret at
+    """The record of a finished run's ledger on `instance`: its regret at
     the rounds of `grid`, or at every round played when `grid` is None.  A
     grid round past the last round played reads that round, so the last row
     is the final one."""
-    n = len(history)
+    n = ledger.t
     # every round as `RegretRecord.t` lists them
     rounds = np.arange(1, n + 1, dtype=np.int32) if grid is None else np.minimum(grid, n)
-    inst, cum = history.regret(rounds, instance)
-    return RegretRecord(grid, inst, cum, float(cum[-1]), n)
+    inst, cum = played_regret(ledger, rounds, instance)
+    return RegretRecord(grid, inst, cum, n)
 
 
 @dataclass
@@ -577,7 +622,9 @@ def read_regret_csv(path: Path) -> list[RunResult]:
     """The runs of a regret.csv file, read row by row, each with no trace and
     the file's t, instant_regret and cum_regret columns as its record.  A run
     ends where run_id or algorithm changes or t stops increasing, and its
-    last t is its horizon and the rounds it played."""
+    last t is its horizon and the rounds it played.  A row that does not
+    hold one field per header column, or whose number does not parse, is a
+    ConfigError naming its line."""
     parsed = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -586,20 +633,26 @@ def read_regret_csv(path: Path) -> list[RunResult]:
             raise ConfigError(f"{path}: no {', '.join(missing)} column")
         fields = operator.itemgetter(*map(header.index, REGRET_FIELDS))
         key, last = None, 0
-        for run_id, algo, seed, t, inst, cum in map(fields, reader):
-            t = int(t)
-            if (run_id, algo) != key or t <= last:
-                key = run_id, algo
-                ts, insts, cums = array.array("q"), array.array("d"), array.array("d")
-                parsed.append((int(run_id), algo, int(seed), ts, insts, cums))
-            ts.append(t)
-            insts.append(float(inst))
-            cums.append(float(cum))
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, against {len(header)} columns")
+                run_id, algo, seed, t, inst, cum = fields(row)
+                t = int(t)
+                if (run_id, algo) != key or t <= last:
+                    key = run_id, algo
+                    ts, insts, cums = array.array("q"), array.array("d"), array.array("d")
+                    parsed.append((int(run_id), algo, int(seed), ts, insts, cums))
+                ts.append(t)
+                insts.append(float(inst))
+                cums.append(float(cum))
+            except ValueError as exc:
+                raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
             last = t
     runs = []
     for run_id, algo, seed, *columns in parsed:
         t, inst, cum = (np.frombuffer(c, dtype=np.dtype(c.typecode)) for c in columns)
-        record = RegretRecord(t, inst, cum, float(cum[-1]), int(t[-1]))
+        record = RegretRecord(t, inst, cum, int(t[-1]))
         runs.append(RunResult(run_id, algo, seed, int(t[-1]), record, None))
     return runs
 

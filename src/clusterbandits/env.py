@@ -21,7 +21,7 @@ import numpy as np
 RCS_SEPARATION_FACTOR = 20.0
 # candidate cluster-row draws before a relaxed instance gives up on separation
 RCS_MAX_ATTEMPTS = 1000
-# rounds that `Environment` draws, and whose regret `RunHistory.regret`
+# rounds that `Environment` draws, and whose regret `bench.played_regret`
 # derives, at once; bounds the temporaries of both
 CLOSE_CHUNK = 2**12
 NOISE_KINDS = ("gaussian", "uniform", "bernoulli-reward", "none")
@@ -64,6 +64,8 @@ class RowDistribution:
     b: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"row distribution bounds must be finite, got {self}")
         if self.kind == "gaussian" and self.b < 0:
             raise ValueError(f"gaussian std must be nonnegative, got {self.b:g}")
         if self.kind == "uniform" and self.a > self.b:
@@ -271,69 +273,19 @@ def generate_hard_instance(
     )
 
 
-class RunHistory:
-    """Per-round ledger of (user, arm, reward), the columns policies read: 16
-    bytes a round.  Rounds beyond `capacity` do not fit.  The user and reward
-    columns are written ahead (a reward slot holds the round's noise draw
-    until the round is played); `played` counts the rounds played.
-
-    The ledger holds nothing of the instance.  Its regret is derived on read,
-    from the instance that the caller passes: a round's instantaneous regret
-    is its user's best mean reward minus the played arm's, and its cumulative
-    regret the sum of those up to and including it.
-    """
-
-    def __init__(self, capacity: int):
-        self.played = 0
-        self.users = np.empty(capacity, dtype=np.int32)
-        self.arms = np.empty(capacity, dtype=np.int32)
-        self.rewards = np.empty(capacity, dtype=float)
-
-    def __len__(self) -> int:
-        return self.played
-
-    def regret(self, rounds, instance: Instance) -> tuple[np.ndarray, np.ndarray]:
-        """The instantaneous and cumulative regret on `instance` at each of
-        `rounds`: round counts from 1 to `len(self)`, in nondecreasing order,
-        read in their own integer dtype (an int32 grid is not copied to int64).
-
-        One pass over CLOSE_CHUNK-round blocks, up to the last of `rounds`,
-        sums every round's regret in round order, each block's running total
-        its first addend, exactly as one `+=` per round would; so the values
-        do not depend on where the blocks end."""
-        rounds = np.asarray(rounds)
-        inst_out, cum_out = np.empty(len(rounds)), np.empty(len(rounds))
-        end = int(rounds[-1]) if len(rounds) else 0
-        if end > self.played or (len(rounds) and rounds[0] < 1):
-            raise ValueError(f"rounds must lie in 1..{self.played}")
-        P = instance.P
-        best_reward = P[np.arange(instance.num_users), instance.best_arm]
-        total, done = 0.0, 0
-        for n in range(0, end, CLOSE_CHUNK):
-            stop = min(n + CLOSE_CHUNK, end)
-            users, arms = self.users[n:stop], self.arms[n:stop]
-            inst = best_reward[users] - P[users, arms]
-            cum = inst.copy()
-            cum[0] = total + cum[0]
-            np.cumsum(cum, out=cum)
-            total = float(cum[-1])
-            # `stop` in the rounds' own dtype, or searchsorted copies them to int64
-            upto = done + int(np.searchsorted(rounds[done:], rounds.dtype.type(stop), side="right"))
-            at = rounds[done:upto] - (n + 1)
-            inst_out[done:upto], cum_out[done:upto] = inst[at], cum[at]
-            done = upto
-        return inst_out, cum_out
-
-
 class Environment:
-    """Round-driven simulator over one instance.
+    """Round-driven simulator over one instance, and its run's ledger: the
+    `users`, `arms` (int32) and `rewards` (float64) of the horizon's rounds,
+    16 bytes a round, of which the first `t` are played.
 
     The run seed splits into independent streams for user sampling and noise,
-    pre-drawn for the whole horizon into the ledger's user and reward columns,
-    so a run is bit-reproducible and holds nothing beside its ledger and the
-    mean rewards that `play` reads.  A policy reads only its shape
-    (`num_users`, `num_arms`, `horizon`), the round `t` and the ledger, and
-    plays through `run`.
+    pre-drawn for the whole horizon into the user and reward columns (a
+    reward slot holds its round's noise draw until the round is played), so
+    a run is bit-reproducible and holds nothing beside its ledger and the
+    mean rewards that `play` reads; `bench.played_regret` derives its regret
+    from the instance.  A policy reads only its shape (`num_users`,
+    `num_arms`, `horizon`), the round `t` and the ledger, and plays through
+    `run`.
     """
 
     def __init__(
@@ -350,29 +302,25 @@ class Environment:
             raise ValueError("horizon must be positive")
         user_ss, noise_ss = seed_sequence(seed).spawn(2)
         user_rng, noise_rng = np.random.default_rng(user_ss), np.random.default_rng(noise_ss)
-        hist = self._history = RunHistory(capacity=self.horizon)
+        self.users = np.empty(self.horizon, dtype=np.int32)
+        self.arms = np.empty(self.horizon, dtype=np.int32)
+        self.rewards = np.empty(self.horizon, dtype=float)
         # every round's arrival, and its noise draw in its reward slot until the
         # round is played; draws continue their stream from chunk to chunk, so
         # they equal one draw over the whole horizon
         for n in range(0, self.horizon, CLOSE_CHUNK):
             k = min(CLOSE_CHUNK, self.horizon - n)
-            hist.users[n : n + k] = user_rng.integers(0, instance.num_users, size=k)
-            hist.rewards[n : n + k] = self.noise.draw_block(noise_rng, k)
+            self.users[n : n + k] = user_rng.integers(0, instance.num_users, size=k)
+            self.rewards[n : n + k] = self.noise.draw_block(noise_rng, k)
         self.t = 0
         self.num_users, self.num_arms = instance.num_users, instance.num_arms
         # whether a round's reward is Bernoulli(mean) rather than mean plus its draw
         self._bernoulli = self.noise.kind == "bernoulli-reward"
         # a round reads and writes Python scalars through views of the ledger
-        self._user_at = memoryview(hist.users)
+        self._user_at = memoryview(self.users)
         self._mean_at = memoryview(instance.P)
-        self._arm_out = memoryview(hist.arms)
-        self._reward_out = memoryview(hist.rewards)
-
-    @property
-    def history(self) -> RunHistory:
-        """The ledger of every round played so far."""
-        self._history.played = self.t
-        return self._history
+        self._arm_out = memoryview(self.arms)
+        self._reward_out = memoryview(self.rewards)
 
     def step(self, policy_choice) -> tuple[int, int, float]:
         """Advance one round; returns (user, arm, reward)."""
@@ -446,7 +394,7 @@ class Environment:
         user_at, play = self._user_at, self.play
         while self.t < end and (collecting or not given):
             start = self.t
-            users = self._history.users[start : min(start + CLOSE_CHUNK, end)]
+            users = self.users[start : min(start + CLOSE_CHUNK, end)]
             sets = set_of[users]
             plan = role[users]
             served = []
@@ -476,9 +424,8 @@ class Environment:
                     arm = state.select()
                     _, _, reward = play(arm)
                     state.update(arm, reward)
-            rewards = self._history.rewards
             for oracle, at in served:
-                oracle.credit(rewards[start + at])
+                oracle.credit(self.rewards[start + at])
 
 
 # the [meta] keys that `save_instance` writes, and the only ones `load_instance` reads

@@ -17,13 +17,14 @@ from clusterbandits.completion import (
 
 
 def run_policy(run, instance, config, horizon: int, seed, noise=None):
-    """(history, trace) of one cell of the policy `run` on `instance`: the
-    environment and policy seed are `bench.open_cell`'s, and the trace's
-    oracle errors are measured as a report's are."""
+    """(environment, trace) of one cell of the policy `run` on `instance`:
+    the environment, which is the run's ledger, and the policy seed are
+    `bench.open_cell`'s, and the trace's oracle errors are measured as a
+    report's are."""
     cell, policy_seed = bench.open_cell(instance, noise, horizon, seed)
     trace = run(cell, config, policy_seed)
     bench.measure_oracle(trace, instance.P)
-    return cell.history, trace
+    return cell, trace
 
 
 def noisy_reward(noise: env.NoiseModel, mean: float, draw: float) -> float:
@@ -34,12 +35,12 @@ def noisy_reward(noise: env.NoiseModel, mean: float, draw: float) -> float:
     return mean + draw
 
 
-def regret_at(history, instance, t: int) -> float:
-    """Cumulative regret of `history` on `instance` after round t (1-based
-    round count)."""
+def regret_at(ledger, instance, t: int) -> float:
+    """Cumulative regret of the environment `ledger` on `instance` after
+    round t (1-based round count)."""
     if t <= 0:
         return 0.0
-    return float(history.regret([min(t, len(history))], instance)[1][0])
+    return float(bench.played_regret(ledger, [min(t, ledger.t)], instance)[1][0])
 
 
 class WholeRun(typing.NamedTuple):
@@ -48,17 +49,18 @@ class WholeRun(typing.NamedTuple):
     final_regret: float
 
 
-def whole_run(history, instance) -> WholeRun:
+def whole_run(ledger, instance) -> WholeRun:
     """The instantaneous and cumulative regret on `instance` of every round
-    `history` played, and its final regret (0.0 before any round)."""
-    inst, cum = history.regret(np.arange(1, len(history) + 1), instance)
+    the environment `ledger` played, and its final regret (0.0 before any
+    round)."""
+    inst, cum = bench.played_regret(ledger, np.arange(1, ledger.t + 1), instance)
     return WholeRun(inst, cum, float(cum[-1]) if len(cum) else 0.0)
 
 
 class ClosedRegret:
     """Regret columns filled block by block as rounds are played, each
     block's running total its first addend: the reference that
-    `RunHistory.regret` must equal bit for bit, wherever the blocks end.
+    `bench.played_regret` must equal bit for bit, wherever the blocks end.
     `instance`, if given, is the matrix whose ledgers `close_played` reads."""
 
     def __init__(self, capacity: int, instance=None):
@@ -86,12 +88,12 @@ class ClosedRegret:
         self._total = float(cum[-1])
         self._n = n + k
 
-    def close_played(self, history) -> None:
-        """Close `history`'s rounds played since the last close, CLOSE_CHUNK
-        rounds at a time."""
-        for n in range(self._n, len(history), env.CLOSE_CHUNK):
-            rounds = slice(n, min(n + env.CLOSE_CHUNK, len(history)))
-            users, arms = history.users[rounds], history.arms[rounds]
+    def close_played(self, ledger) -> None:
+        """Close the rounds that the environment `ledger` played since the
+        last close, CLOSE_CHUNK rounds at a time."""
+        for n in range(self._n, ledger.t, env.CLOSE_CHUNK):
+            rounds = slice(n, min(n + env.CLOSE_CHUNK, ledger.t))
+            users, arms = ledger.users[rounds], ledger.arms[rounds]
             self.close(self._best[users] - self._P[users, arms])
 
     @property
@@ -99,22 +101,23 @@ class ClosedRegret:
         return self._total
 
 
-def ledger_with_regrets(regrets) -> tuple[env.RunHistory, env.Instance]:
-    """A played one-user ledger and the instance on which its instantaneous
-    regrets are `regrets`, bit for bit.  Arm 0 counts as the best arm and
-    pays -0.0; round i plays arm i, which pays p with -0.0 - p ==
-    regrets[i - 1]: -r for a nonzero r, and 0.0 for -0.0 and -0.0 for 0.0.
-    A negative regret is allowed."""
+def ledger_with_regrets(regrets) -> tuple[env.Environment, env.Instance]:
+    """A played one-user environment and the instance on which its
+    instantaneous regrets are `regrets`, bit for bit.  Arm 0 counts as the
+    best arm and pays -0.0; round i plays arm i, which pays p with -0.0 - p
+    == regrets[i - 1]: -r for a nonzero r, and 0.0 for -0.0 and -0.0 for
+    0.0.  A negative regret is allowed."""
     values = np.asarray(regrets, dtype=float)
     pays = np.where(values == 0.0, np.where(np.signbit(values), 0.0, -0.0), -values)
     P = np.concatenate([[-0.0], pays])[None, :]
     instance = env.Instance(1, P.shape[1], 1, P, [0], P)
     instance.best_arm = np.zeros(1, dtype=int)
-    history = env.RunHistory(len(values))
-    history.users[:], history.rewards[:] = 0, 0.0
-    history.arms[:] = np.arange(1, len(values) + 1)
-    history.played = len(values)
-    return history, instance
+    # a horizon is at least one round, played or not
+    ledger = env.Environment(instance, None, 0, max(len(values), 1))
+    # the one user arrives every round; round i plays arm i
+    ledger.arms[: len(values)] = np.arange(1, len(values) + 1)
+    ledger.t = len(values)
+    return ledger, instance
 
 
 def _text(value) -> str:

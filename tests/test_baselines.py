@@ -127,7 +127,7 @@ def test_etc_plays_every_horizon_on_what_it_has():
         hist, _ = run_policy(
             run_explore_then_commit, inst, cfg, horizon, 5, NoiseModel("gaussian", 0.2)
         )
-        assert len(hist) == horizon
+        assert hist.t == horizon
         finals.append(whole_run(hist, inst).final_regret.hex())
         explore = int(cfg.explore_fraction * horizon)
         users, arms = hist.users[explore:horizon], hist.arms[explore:horizon]
@@ -281,7 +281,7 @@ def test_simplified_trace_counts_unconverged_solves(monkeypatch):
 
 def test_phase_sums_from_history_match_a_per_round_loop():
     # run_simplified_lattice accumulates a phase's rewards with np.add.at over
-    # the history; it must add in round order, exactly as one += per round
+    # the ledger; it must add in round order, exactly as one += per round
     rng = np.random.default_rng(3)
     users, arms = rng.integers(0, 3, 5000), rng.integers(0, 4, 5000)
     rewards = rng.normal(0.0, 1e3, 5000)

@@ -89,6 +89,9 @@ def test_config_bad_instance_kind_rejected():
         ("f_cap = two", r"algorithm lattice\.f_cap: cannot parse 'two' as int"),
         ("gamma = banana", r"algorithm lattice\.gamma: cannot parse 'banana' as float"),
         ("c_p = 0.25\nc_p = 9", r"line 16: c_p is set twice in \[algorithm lattice\]"),
+        # every float key takes finite values only
+        ("c_p = nan", r"algorithm lattice\.c_p: cannot parse 'nan' as float_finite"),
+        ("gamma = -inf", r"algorithm lattice\.gamma: cannot parse '-inf' as float_finite"),
         # p_inf is always the largest |reward| observed, so no key chooses it
         (
             "[algorithm simplified-lattice]\np_inf_mode = observed",
@@ -219,6 +222,12 @@ def test_config_out_of_range_value_fails_before_any_cell(monkeypatch, tmp_path):
             r"instance\.row_distribution: cannot parse .*std must be nonnegative",
         ),
         ("gaussian(0,1)", "uniform(1,0)", r"instance\.row_distribution: .*lo <= hi"),
+        # a NaN or infinite value would make every reward NaN or infinite
+        ("sigma = 0.2", "sigma = nan", r"instance\.sigma: cannot parse 'nan'.*not a finite"),
+        ("sigma = 0.2", "sigma = inf", r"instance\.sigma: cannot parse 'inf'.*not a finite"),
+        ("gaussian(0,1)", "gaussian(0,nan)", r"instance\.row_distribution: .*must be finite"),
+        ("gaussian(0,1)", "uniform(0,inf)", r"instance\.row_distribution: .*must be finite"),
+        ("kind = cs", "kind = rcs\nnu = nan", r"instance\.nu: cannot parse 'nan'.*not a finite"),
         ("kind = cs", "kind = rcs\nnu = -0.1", r"instance\.nu: nu must be nonnegative"),
         (
             "kind = cs",
@@ -475,7 +484,7 @@ def test_each_cell_calls_the_run_function_module_attribute(monkeypatch, algo):
         # arms of its own per cell, so that each record shows where it came from
         for t in range(cell.horizon):
             cell.play((t + len(calls)) % cell.num_arms)
-        ledgers.append(cell.history)
+        ledgers.append(cell)
 
     monkeypatch.setattr(module, attr, run)
     text = SMALL_CONFIG.replace("[algorithm ucb]", f"[algorithm {algo}]")
@@ -491,23 +500,23 @@ def test_each_cell_calls_the_run_function_module_attribute(monkeypatch, algo):
         # the environment and policy seed that `open_cell` makes of the cell seed
         twin, twin_seed = bench.open_cell(instance, noise, horizon, seed)
         assert cell.horizon == horizon and cell.noise == noise
-        assert np.array_equal(cell.history.users, twin.history.users)
+        assert np.array_equal(cell.users, twin.users)
         # the twin pays the cell's arms the same rewards: both play `instance`
-        for arm in cell.history.arms.tolist():
+        for arm in cell.arms.tolist():
             twin.play(arm)
-        assert np.array_equal(cell.history.rewards, twin.history.rewards)
+        assert np.array_equal(cell.rewards, twin.rewards)
         want_seed = (twin_seed.entropy, twin_seed.spawn_key)
         assert (policy_seed.entropy, policy_seed.spawn_key) == want_seed
         assert type(got_config) is _CONFIG_CLASSES[algo] and got_config == want
     assert len(report.runs) == len(ledgers)
     for run, ledger in zip(report.runs, ledgers):
         record, grid = run.history, bench.checkpoint_grid(run.horizon)
-        inst, cum = ledger.regret(grid, instance)
+        inst, cum = bench.played_regret(ledger, grid, instance)
         assert record.t.tolist() == grid.tolist()
         assert record.inst_regret.tolist() == inst.tolist()
         assert record.cumulative_regret.tolist() == cum.tolist()
         assert record.final_regret == whole_run(ledger, instance).final_regret
-        assert len(record) == len(ledger)
+        assert len(record) == ledger.t
 
 
 def _run_function_args(algo):
@@ -529,11 +538,11 @@ def _run_function_args(algo):
 def test_each_run_function_plays_its_whole_horizon(algo, horizon):
     module, attr = _RUN_FUNCTIONS[algo]
     instance, config, noise = _run_function_args(algo)
-    history, _ = run_policy(getattr(module, attr), instance, config, horizon, 5, noise)
-    assert len(history) == horizon
-    whole = whole_run(history, instance)
+    ledger, _ = run_policy(getattr(module, attr), instance, config, horizon, 5, noise)
+    assert ledger.t == horizon
+    whole = whole_run(ledger, instance)
     for column in (
-        history.users, history.arms, history.rewards, whole.inst_regret, whole.cumulative_regret,
+        ledger.users, ledger.arms, ledger.rewards, whole.inst_regret, whole.cumulative_regret,
     ):
         assert len(column) == horizon
     assert whole.final_regret == whole.cumulative_regret[-1]
@@ -634,11 +643,13 @@ def test_no_policy_reads_the_ground_truth(monkeypatch, algo):
     record, trace, cell, sealed = _sealed_cell(monkeypatch, algo, params)
     monkeypatch.undo()
     # nothing the policy held reaches the truth: the environment keeps no
-    # instance, and its ledger holds no array of one
+    # instance, its only arrays are its ledger's columns, and they hold no
+    # array of the instance
     assert not hasattr(cell, "instance")
     assert not any(value is sealed for value in vars(cell).values())
     truth = [sealed.P, sealed.X, sealed.cluster_of, sealed.best_arm]
-    ledger = [value for value in vars(cell.history).values() if isinstance(value, np.ndarray)]
+    ledger = [value for value in vars(cell).values() if isinstance(value, np.ndarray)]
+    assert sorted(map(id, ledger)) == sorted(map(id, (cell.users, cell.arms, cell.rewards)))
     assert not any(np.shares_memory(column, a) for column in ledger for a in truth)
     instance = bench.build_instance(config.instance)
     noise = bench.build_noise(config.instance, instance)
@@ -654,6 +665,21 @@ def test_no_policy_reads_the_ground_truth(monkeypatch, algo):
     assert all(rec.estimates == [] for rec in trace.records)
     if algo in ("lattice", "lattice-rcs"):
         assert sum(err is not None for err in errors) >= 3
+
+
+# what no policy module may name: an attribute of the instance, or a private
+# attribute of the environment (its `_mean_at` views the true means)
+GROUND_TRUTH_NAMES = r"\.instance\b|\.P\b|\.X\b|\.cluster_of\b|\.best_arm\b|_mean_at|env\._"
+
+
+@pytest.mark.parametrize("module", ["lattice.py", "rcs.py", "baselines.py", "completion.py"])
+def test_no_policy_module_names_the_ground_truth(module):
+    # the sealed instance catches a read of the instance at run time; this
+    # scan of the source, which CI's grep repeats, catches a read of the
+    # environment's view of the means too
+    source = (_ROOT / "src" / "clusterbandits" / module).read_text()
+    assert [line for line in source.splitlines() if re.search(GROUND_TRUTH_NAMES, line)] == []
+    assert GROUND_TRUTH_NAMES in (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
 
 
 def test_run_experiment_deterministic():
@@ -1083,7 +1109,7 @@ def _runs(algorithms, horizons, ts, columns) -> list[bench.RunResult]:
     """One run per entry, recording its cumulative regret `columns` at
     the rounds `ts`."""
     return [
-        bench.RunResult(i, algo, 1, horizon, bench.RegretRecord(t, cum, cum, cum[-1], horizon), None)
+        bench.RunResult(i, algo, 1, horizon, bench.RegretRecord(t, cum, cum, horizon), None)
         for i, (algo, horizon, t, cum) in enumerate(zip(algorithms, horizons, ts, columns))
     ]
 
@@ -1195,7 +1221,7 @@ def _bits(values) -> list[int]:
 
 
 def _blocks_and_rounds(n: int, cuts: list[int]) -> tuple[list[int], np.ndarray]:
-    """Block sizes for `RunHistory.regret` (1, 3, CLOSE_CHUNK and each
+    """Block sizes for `bench.played_regret` (1, 3, CLOSE_CHUNK and each
     positive cut) and the sorted rounds of 1..n that `cuts` name."""
     blocks = sorted({1, 3, env.CLOSE_CHUNK, *(c for c in cuts if c > 0)})
     rounds = sorted({min(max(c, 1), n) for c in cuts}) if n else []
@@ -1217,11 +1243,11 @@ def test_regret_derived_in_blocks_matches_one_sum_per_round(regrets, cuts):
     blocks, rounds = _blocks_and_rounds(len(values), cuts)
     for block in blocks:
         with mock.patch.object(env, "CLOSE_CHUNK", block):
-            assert len(hist) == len(values)
+            assert hist.t == len(values)
             whole = whole_run(hist, truth)
             assert _bits(whole.inst_regret) == _bits(values)
             assert _bits(whole.cumulative_regret) == _bits(reference)
-            inst, cum = hist.regret(rounds, truth)
+            inst, cum = bench.played_regret(hist, rounds, truth)
             assert _bits(inst) == _bits(values[rounds - 1])
             assert _bits(cum) == _bits(reference[rounds - 1])
             assert _bits([whole.final_regret]) == _bits([total])
@@ -1247,7 +1273,7 @@ def test_derived_regret_never_sums_to_negative_zero(regrets, cuts):
     for block in blocks:
         with mock.patch.object(env, "CLOSE_CHUNK", block):
             whole = whole_run(hist, truth)
-            for cum in (whole.cumulative_regret, hist.regret(rounds, truth)[1]):
+            for cum in (whole.cumulative_regret, bench.played_regret(hist, rounds, truth)[1]):
                 assert not np.signbit(cum[cum == 0.0]).any()
             assert not np.signbit(whole.final_regret) or math.isnan(whole.final_regret)
 
@@ -1731,6 +1757,27 @@ def test_cli_plot_names_a_missing_regret_column(tmp_path, capsys):
     (out / "regret.csv").write_text("run_id,algorithm,t,cum_regret\n0,ucb,1,0.5\n")
     assert cli.main(["plot", "--out", str(out)]) == 2
     assert "no seed, instant_regret column" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("", r"line 3: 0 fields, against 6 columns"),
+        ("0,ucb,1", r"line 3: 3 fields, against 6 columns"),
+        ("0,ucb,1,x,0.5,1", r"line 3: invalid literal for int\(\) with base 10: 'x'"),
+        ("0,ucb,1,2,0.5,", r"line 3: could not convert string to float: ''"),
+    ],
+)
+def test_cli_plot_names_the_line_of_a_malformed_regret_row(tmp_path, capsys, row, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    rows = [",".join(bench.REGRET_FIELDS), "0,ucb,1,1,0.5,0.5", row, "0,ucb,1,3,0.5,1.5"]
+    (out / "regret.csv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(bench.ConfigError, match=re.escape(str(out / "regret.csv")) + ", " + message):
+        bench.read_regret_csv(out / "regret.csv")
+    assert cli.main(["plot", "--out", str(out)]) == 2
+    assert re.search(message, capsys.readouterr().err)
     assert not (out / "summary.csv").exists()
 
 

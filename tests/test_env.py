@@ -6,6 +6,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from clusterbandits import bench
 from clusterbandits.env import (
     CLOSE_CHUNK,
     NOISE_KINDS,
@@ -119,7 +120,7 @@ def test_hard_instance_single_arm_zero_regret():
     env = Environment(inst, NoiseModel("none"), seed=0, horizon=50)
     while env.t < env.horizon:
         env.play(0)
-    assert whole_run(env.history, inst).final_regret == 0.0
+    assert whole_run(env, inst).final_regret == 0.0
 
 
 def test_hard_instance_shared_best_arm_gaps():
@@ -141,7 +142,7 @@ def test_env_step_optimal_policy_zero_regret():
     env = Environment(inst, NoiseModel("none"), seed=0, horizon=20)
     best = dict(enumerate(inst.best_arm.tolist()))
     env.run(env.horizon, [list(range(4))], [np.arange(3)], None, fixed=best)
-    whole = whole_run(env.history, inst)
+    whole = whole_run(env, inst)
     assert whole.final_regret == 0.0
     assert np.all(whole.inst_regret[:20] == 0.0)
 
@@ -158,9 +159,9 @@ def test_env_step_worst_policy_matches_hand_sum():
         arrivals.append(twin.play(0)[0])
         env.play(int(worst[arrivals[-1]]))
     # oracle: sum the per-user max gaps over the arrival sequence
-    assert arrivals == env.history.users.tolist()
+    assert arrivals == env.users.tolist()
     expected = sum(inst.P[u].max() - inst.P[u].min() for u in arrivals)
-    assert whole_run(env.history, inst).final_regret == pytest.approx(expected, abs=1e-12)
+    assert whole_run(env, inst).final_regret == pytest.approx(expected, abs=1e-12)
 
 
 def test_env_reward_mean_concentrates():
@@ -169,7 +170,7 @@ def test_env_reward_mean_concentrates():
     env = Environment(inst, NoiseModel("gaussian", 0.5), seed=77, horizon=n)
     while env.t < env.horizon:
         env.play(1)
-    mean = env.history.rewards.mean()
+    mean = env.rewards.mean()
     assert abs(mean - 0.3) <= 3 * 0.5 / math.sqrt(n)
 
 
@@ -247,7 +248,7 @@ def test_env_run_stops_at_end_and_at_horizon():
     env.run(30, [range(4)], [np.arange(6)], rng)
     assert env.t == 30
     env.run(500, [range(4)], [np.arange(6)], rng)
-    assert env.t == 100 and len(env.history) == 100
+    assert env.t == 100
 
 
 def test_env_run_stops_when_last_oracle_finishes():
@@ -255,13 +256,13 @@ def test_env_run_stops_when_last_oracle_finishes():
     first, second = _StubOracle(1, 3), _StubOracle(2, 5)
     user_sets, arm_sets = [[0, 1], [2, 3]], [np.array([0]), np.array([0])]
     env.run(1000, user_sets, arm_sets, np.random.default_rng(0), oracles=[first, second])
-    arms = env.history.arms[: env.t]
+    arms = env.arms[: env.t]
     assert first.recorded == 3 and second.recorded == 5
     assert np.sum(arms == 1) == 3 and np.sum(arms == 2) == 5
     assert arms[-1] in (1, 2)  # the run ends on the last mask pull
     # no oracle collecting: nothing to wait for
     env.run(1000, user_sets, arm_sets, None, oracles=[first, None])
-    assert len(env.history) == len(arms)
+    assert env.t == len(arms)
 
 
 class _CountingOracle(_StubOracle):
@@ -290,20 +291,19 @@ def test_env_run_reads_collecting_once_per_record():
     env.run(env.horizon, user_sets, arm_sets, np.random.default_rng(0), oracles=[first, second])
     assert (first.recorded, second.recorded) == (1500, 2500)
     assert first.chosen == 3000 and second.chosen == 5000
-    hist = env.history
     assert -(-env.t // CLOSE_CHUNK) == 3
     stops = []
     for oracle, users in zip((first, second), user_sets):
         # every round of its set's users, up to the one that completed it
-        rounds = np.flatnonzero(np.isin(hist.users[: env.t], users))[: oracle.chosen]
+        rounds = np.flatnonzero(np.isin(env.users[: env.t], users))[: oracle.chosen]
         stops.append(int(rounds[-1]) + 1)
         # served once per block while collecting; `collecting` read on
         # entry and after each serve
         assert oracle.serves == -(-stops[-1] // CLOSE_CHUNK)
         assert oracle.reads == oracle.serves + 1
         # credited exactly the rewards of the rounds it served, in order
-        assert np.concatenate(oracle.credited).tobytes() == hist.rewards[rounds].tobytes()
-        assert (hist.arms[rounds] == oracle.arm).all()
+        assert np.concatenate(oracle.credited).tobytes() == env.rewards[rounds].tobytes()
+        assert (env.arms[rounds] == oracle.arm).all()
     # the run ends with the round that completed the last oracle
     assert env.t == max(stops)
 
@@ -317,7 +317,7 @@ def test_env_run_serves_oracle_then_ucb_then_fixed_then_uniform():
     oracles = [_StubOracle(1, 10**6), None]
     env.run(200, user_sets, arm_sets, rng, oracles=oracles, ucb=ucb, fixed=fixed)
     env.run(400, user_sets, arm_sets, rng, ucb=ucb, fixed=fixed)
-    users, arms = env.history.users, env.history.arms
+    users, arms = env.users, env.arms
     expected_collecting = {0: 1, 1: 1, 2: 1, 3: 2}
     expected_after = {0: 2, 1: 3, 2: 4, 3: 2}
     assert [int(a) for a in arms[:200]] == [expected_collecting[u] for u in users[:200]]
@@ -354,14 +354,13 @@ def test_env_run_plays_a_one_arm_ucb_state_without_calling_it(collect):
             driver(env, horizon, user_sets, arm_sets, rng, oracles=oracles, ucb=ucb, fixed=fixed)
         stopped = env.t
         driver(env, horizon, user_sets, arm_sets, rng, ucb=ucb, fixed=fixed)
-        hist = env.history
         outcomes.append(
-            (stopped, env.t, hist.arms.tolist(), hist.rewards.tobytes(), rng.bit_generator.state)
+            (stopped, env.t, env.arms.tolist(), env.rewards.tobytes(), rng.bit_generator.state)
         )
     assert outcomes[0] == outcomes[1]
     stopped, _, arms, _, _ = outcomes[1]
     assert (0 < stopped < horizon) == collect
-    users = env.history.users[stopped:]
+    users = env.users[stopped:]
     arms = np.array(arms[stopped:])
     assert (arms[users == 0] == 5).all() and (arms[users == 2] == 4).all()
     assert (users == 0).any() and (users == 2).any()
@@ -385,7 +384,7 @@ def test_run_determinism_bit_identical():
         rng = np.random.default_rng(7)
         while env.t < env.horizon:
             env.play(int(rng.integers(0, 4)))
-        outs.append(env.history)
+        outs.append(env)
     a, b = outs
     assert np.array_equal(a.users[:500], b.users[:500])
     assert np.array_equal(a.arms[:500], b.arms[:500])
@@ -410,7 +409,7 @@ def _per_round_run(env, end, user_sets, arm_sets, rng, oracles=None, ucb=None, f
     ucb = ucb or {}
     fixed = fixed or {}
     end = min(end, env.horizon)
-    arrivals = env.history.users
+    arrivals = env.users
     while env.t < end and waiting != 0:
         u = int(arrivals[env.t])
         i = set_of[u]
@@ -497,9 +496,8 @@ def test_planned_run_matches_the_per_round_driver(
         driver(env, end, user_sets, arm_sets, rng, oracles=oracles, ucb=ucb, fixed=fixed)
         stopped = env.t
         driver(env, horizon, user_sets, arm_sets, rng, ucb=ucb, fixed=fixed)
-        hist = env.history
         outcomes.append(
-            (stopped, env.t, hist.arms[: env.t].tolist(), hist.rewards[: env.t].tobytes(),
+            (stopped, env.t, env.arms[: env.t].tolist(), env.rewards[: env.t].tobytes(),
              rng.bit_generator.state)
         )
     assert outcomes[0] == outcomes[1]
@@ -570,9 +568,8 @@ def test_planned_oracles_match_the_per_round_reference(
             driver(env, end, user_sets, arm_sets, rng, oracles=oracles, ucb=ucb, fixed=fixed)
             stops.append(env.t)
         driver(env, horizon, user_sets, arm_sets, rng, ucb=ucb, fixed=fixed)
-        hist = env.history
         outcomes.append(
-            (stops, env.t, hist.arms[: env.t].tolist(), hist.rewards[: env.t].tobytes(),
+            (stops, env.t, env.arms[: env.t].tolist(), env.rewards[: env.t].tobytes(),
              rng.bit_generator.state, [o and _oracle_state(o) for o in oracles])
         )
     assert outcomes[0] == outcomes[1]
@@ -654,22 +651,20 @@ def test_history_matches_per_round_ledger(num_users, num_arms, kind, sigma, hori
     arms = rng.integers(0, num_arms, size=horizon).tolist()
     users, rewards, inst_regret, cum = _per_round_reference(P, noise, seed, horizon, arms)
     env = Environment(inst, noise, seed=seed, horizon=horizon)
-    # reading the history at a cut derives its regret up to there
+    # reading the ledger at a cut derives its regret up to there
     for t, arm in enumerate(arms):
         if t in cuts:
-            hist = env.history
-            assert len(hist) == t
-            whole = whole_run(hist, inst)
+            assert env.t == t
+            whole = whole_run(env, inst)
             assert whole.inst_regret[:t].tolist() == inst_regret[:t]
             assert whole.cumulative_regret[:t].tolist() == cum[:t]
             assert whole.final_regret == (cum[t - 1] if t else 0.0)
         env.play(arm)
-    hist = env.history
-    assert len(hist) == horizon
-    assert hist.users.tolist() == users
-    assert hist.arms.tolist() == arms
-    assert hist.rewards.tolist() == rewards
-    whole = whole_run(hist, inst)
+    assert env.t == horizon
+    assert env.users.tolist() == users
+    assert env.arms.tolist() == arms
+    assert env.rewards.tolist() == rewards
+    whole = whole_run(env, inst)
     assert whole.inst_regret.tolist() == inst_regret
     assert whole.cumulative_regret.tolist() == cum
     assert whole.final_regret == cum[-1]
@@ -690,7 +685,7 @@ def test_history_matches_per_round_ledger(num_users, num_arms, kind, sigma, hori
 @example(horizon=CLOSE_CHUNK + 1, reads=[CLOSE_CHUNK - 3, CLOSE_CHUNK + 1], picks=[1], seed=7)
 def test_derived_regret_equals_the_closed_columns(horizon, reads, picks, seed):
     # the regret columns as they were closed block by block whenever the
-    # history was read mid-run, as the simplified policy does each phase
+    # ledger was read mid-run, as the simplified policy does each phase
     rng = np.random.default_rng(seed)
     P = rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-3, 4)
     P[:, ::2] = P[:, ::2].round(1)
@@ -700,19 +695,18 @@ def test_derived_regret_equals_the_closed_columns(horizon, reads, picks, seed):
     arms = rng.integers(0, 4, size=horizon)
     for t, arm in enumerate(arms.tolist()):
         if t in reads:
-            reference.close_played(env.history)
+            reference.close_played(env)
         env.play(arm)
-    hist = env.history
-    reference.close_played(hist)
+    reference.close_played(env)
     rounds = np.array(sorted({min(p, horizon) for p in picks}), dtype=np.int64)
-    inst_regret, cum = hist.regret(rounds, inst)
+    inst_regret, cum = bench.played_regret(env, rounds, inst)
     assert inst_regret.view(np.int64).tolist() == (
         reference.inst_regret[rounds - 1].view(np.int64).tolist()
     )
     assert cum.view(np.int64).tolist() == (
         reference.cumulative_regret[rounds - 1].view(np.int64).tolist()
     )
-    whole = whole_run(hist, inst)
+    whole = whole_run(env, inst)
     assert whole.inst_regret.view(np.int64).tolist() == reference.inst_regret.view(np.int64).tolist()
     assert whole.cumulative_regret.view(np.int64).tolist() == (
         reference.cumulative_regret.view(np.int64).tolist()
@@ -734,9 +728,8 @@ def test_chunked_draws_equal_one_whole_horizon_draw(kind, horizon):
     users = np.random.default_rng(user_ss).integers(0, 7, size=horizon)
     draws = noise.draw_block(np.random.default_rng(noise_ss), horizon)
     # before any play, every reward slot holds its round's noise draw
-    hist = env.history
-    assert hist.users.tolist() == users.tolist()
-    assert hist.rewards.view(np.int64).tolist() == draws.view(np.int64).tolist()
+    assert env.users.tolist() == users.tolist()
+    assert env.rewards.view(np.int64).tolist() == draws.view(np.int64).tolist()
 
 
 def test_environment_holds_only_its_ledger():
@@ -752,7 +745,10 @@ def test_environment_holds_only_its_ledger():
     ledger = 16 * horizon
     # the draws wait in the ledger's own columns and are drawn one chunk at a
     # time (4 MB held, not 2, with whole-horizon draw arrays beside the ledger)
-    assert len(env.history) == 0
+    assert env.t == 0
+    assert [column.dtype for column in (env.users, env.arms, env.rewards)] == [
+        np.int32, np.int32, np.float64,
+    ]
     assert ledger <= held <= ledger + 2**16
     assert peak <= ledger + 2**17
 
@@ -763,7 +759,7 @@ def test_user_frequency_binomial():
     env = Environment(inst, NoiseModel("none"), seed=11, horizon=n)
     while env.t < env.horizon:
         env.play(0)
-    counts = np.bincount(env.history.users, minlength=10)
+    counts = np.bincount(env.users, minlength=10)
     p = 1 / 10
     std = math.sqrt(n * p * (1 - p))
     assert np.all(np.abs(counts - n * p) <= 5 * std)
@@ -775,7 +771,7 @@ def test_cumulative_regret_monotone_nonneg():
     rng = np.random.default_rng(1)
     while env.t < env.horizon:
         env.play(int(rng.integers(0, 5)))
-    h = whole_run(env.history, inst)
+    h = whole_run(env, inst)
     assert np.all(h.inst_regret[:2000] >= 0.0)
     assert np.all(np.diff(h.cumulative_regret[:2000]) >= 0.0)
     assert h.cumulative_regret[1999] == pytest.approx(h.inst_regret[:2000].sum())

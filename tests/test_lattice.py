@@ -362,7 +362,7 @@ def test_lattice_round_accounting_exact():
     hist, trace = run_policy(
         run_lattice, inst, cfg, 3000, seed=4, noise=NoiseModel("gaussian", 0.2)
     )
-    assert len(hist) == 3000
+    assert hist.t == 3000
     assert sum(r.rounds_used for r in trace.records) == 3000
 
 
@@ -449,7 +449,7 @@ def test_lattice_tiny_horizon_graceful():
     inst = generate_cs_instance(6, 6, 2, RowDistribution.gaussian(0, 1), seed=2)
     cfg = LatticeConfig(num_clusters=2, sigma=0.1, c_prime_override=0.5, f_cap=1)
     hist, trace = run_policy(run_lattice, inst, cfg, 25, seed=3, noise=NoiseModel("gaussian", 0.1))
-    assert len(hist) == 25
+    assert hist.t == 25
     worst_gap = (inst.X.max(axis=1)[:, None] - inst.X).max()
     assert whole_run(hist, inst).final_regret <= 25 * worst_gap + 1e-9
 

@@ -37,7 +37,7 @@ def test_rcs_mode_switch_and_monotone_partition():
     hist, trace = run_policy(
         run_lattice_rcs, inst, _config(), 20000, seed=5, noise=NoiseModel("gaussian", 0.3)
     )
-    assert len(hist) == 20000
+    assert hist.t == 20000
     modes = [r.mode for r in trace.records]
     # once cluster-wise mode starts, it never reverts to joint
     if "clusterwise" in modes:
