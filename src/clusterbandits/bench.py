@@ -1,17 +1,16 @@
 """Experiment harness: config parsing, seeded multi-run execution, CSV and
 SVG emission, and regret-scaling studies.
 
-Config files are flat key = value text with [section] headers.  The
-[instance] section describes the problem (or points at a saved instance
-file), [experiment] holds horizon/seeds/output options, and each
-[algorithm <name>] section selects a policy: its keys are the fields of that
-policy's config dataclass, and every policy runs through the same call,
-`run(env, config, seed)`, on the environment and seed that `open_cell`
-makes.  A key may appear once per section, [instance] and [experiment] once
-per file, and each algorithm, horizon and seed once per experiment.  Each
-section is parsed into typed values once, and `ExperimentConfig` checks
-itself when it is built.  Every run of an experiment shares the instance;
-the interaction randomness varies with the per-run seed.
+Config files are flat key = value text with [section] headers, read as
+instance files are (`env.read_sections`).  Each section's keys are the
+fields of a dataclass, parsed by their types: [instance]'s are its kind's
+spec (`CsSpec`, `RcsSpec`, `HardSpec`, or `FileSpec` for a saved instance),
+[experiment]'s are `ExperimentConfig`'s, and [algorithm <name>]'s are that
+policy's config, whose run function is `run(env, config, seed)` on the
+environment and seed that `open_cell` makes.  A key or section may appear
+once, and each horizon and seed once per experiment.  Every run of an
+experiment shares the instance; its interaction randomness varies with the
+per-run seed.
 """
 
 from __future__ import annotations
@@ -19,22 +18,16 @@ from __future__ import annotations
 import array
 import contextlib
 import csv
-import dataclasses
 import io
 import math
 import operator
-import types
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, checker, env, lattice, rcs
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; message names the offending field."""
+from .env import ConfigError
 
 
 class CellError(RuntimeError):
@@ -59,76 +52,135 @@ _SECTIONS = {
 }
 ALGORITHM_NAMES = tuple(_SECTIONS)
 
-
-def int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def true_or_false(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError("expected true or false")
-    return text == "true"
-
-
-def float_finite(text: str) -> float:
-    """`float(text)`, which must be finite: NaN and the infinities fail."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
-
-
-# field type -> parser of its config text
-_PARSERS = {int: int, float: float_finite, bool: true_or_false, list[int]: int_list}
-
-
-def _option_types(cls, skip=()) -> dict[str, object]:
-    """Config key -> parser for every field of `cls` not in `skip`, reading
-    `X | None` as X."""
-    hints = typing.get_type_hints(cls)
-    out = {}
-    for f in dataclasses.fields(cls):
-        if f.name in skip:
-            continue
-        hint = hints[f.name]
-        if isinstance(hint, types.UnionType):
-            args = [a for a in typing.get_args(hint) if a is not type(None)]
-            hint = args[0] if len(args) == 1 else hint
-        if hint not in _PARSERS:
-            raise TypeError(f"{cls.__name__}.{f.name}: no config parser for {hint}")
-        out[f.name] = _PARSERS[hint]
-    return out
-
-
 # accepted keys and their parsers, per algorithm section
-ALGORITHM_OPTIONS = {name: _option_types(cls) for name, (cls, _, _) in _SECTIONS.items()}
+ALGORITHM_OPTIONS = {name: env.option_types(cls) for name, (cls, _, _) in _SECTIONS.items()}
 
-# accepted [instance] keys and their parsers: what build_instance and
-# build_noise read
-INSTANCE_OPTIONS = {
-    **dict.fromkeys(["kind", "path"], str),
-    "row_distribution": env.RowDistribution.parse,
-    "noise": str,
-    **dict.fromkeys(["seed", "num_users", "num_arms", "num_clusters"], int),
-    **dict.fromkeys(["nu", "epsilon", "sigma"], float_finite),
-    "optimal_arms": int_list,
-}
-# the [instance] keys each kind reads (sigma only beside noise)
-_EVERY_KIND = ("kind", "noise", "sigma")
-_GENERATED = (*_EVERY_KIND, "num_users", "num_arms", "num_clusters", "seed")
-INSTANCE_KEYS = {
-    "cs": frozenset([*_GENERATED, "row_distribution"]),
-    "rcs": frozenset([*_GENERATED, "row_distribution", "nu"]),
-    "hard": frozenset([*_GENERATED, "epsilon", "optimal_arms"]),
-    "file": frozenset([*_EVERY_KIND, "path"]),
-}
+
+def _check(key: str, check, *args) -> None:
+    """`check(*args)`, whose ValueError becomes a ConfigError naming instance.<key>."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"instance.{key}: {exc}") from None
+
+
+@dataclass(kw_only=True)
+class InstanceSpec:
+    """The [instance] keys every kind reads: `kind`, and the `noise` (scaled by
+    `sigma`) that replaces the instance's default noise.  A generated kind's
+    other keys are its `make`'s arguments.  Range errors are ConfigErrors."""
+
+    kind: str
+    noise: str = ""
+    sigma: float = 0.0
+
+    def __post_init__(self):
+        if self.noise not in ("", *env.NOISE_KINDS):
+            raise ConfigError(f"instance.noise: must be one of {', '.join(env.NOISE_KINDS)}")
+        _check("sigma", env.NoiseModel, self.noise or "none", self.sigma)
+
+    def build(self) -> env.Instance:
+        skip = ("kind", "noise", "sigma")
+        return self.make(**{key: v for key, v in vars(self).items() if key not in skip})
+
+
+@dataclass(kw_only=True)
+class _GeneratedSpec(InstanceSpec):
+    """The keys of every generated kind: its dimensions and generator seed."""
+
+    num_users: int = 0
+    num_arms: int = 0
+    num_clusters: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        dimensions = self.num_users, self.num_arms, self.num_clusters
+        _check("num_users, num_arms, num_clusters", env.check_dimensions, *dimensions)
+
+
+@dataclass(kw_only=True)
+class CsSpec(_GeneratedSpec):
+    """kind = cs: exact clusters, whose rows are drawn from `row_distribution`."""
+
+    row_distribution: env.RowDistribution = env.RowDistribution.gaussian()
+    make = staticmethod(env.generate_cs_instance)
+
+
+@dataclass(kw_only=True)
+class RcsSpec(CsSpec):
+    """kind = rcs: relaxed clusters, whose users' rows differ by up to `nu`."""
+
+    nu: float = 0.0
+    make = staticmethod(env.generate_rcs_instance)
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check("nu", env.check_nu, self.nu)
+
+
+@dataclass(kw_only=True)
+class HardSpec(_GeneratedSpec):
+    """kind = hard: the Bernoulli lower-bound instance, each cluster's best
+    arm (`optimal_arms`) `epsilon` above the rest."""
+
+    epsilon: float = 0.5
+    optimal_arms: list[int] = field(default_factory=list)
+    make = staticmethod(env.generate_hard_instance)
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check("epsilon", env.check_epsilon, self.epsilon)
+        arms = self.optimal_arms, self.num_arms, self.num_clusters
+        _check("optimal_arms", env.check_optimal_arms, *arms)
+
+
+@dataclass(kw_only=True)
+class FileSpec(InstanceSpec):
+    """kind = file: the instance saved at `path`."""
+
+    path: str = ""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.path:
+            raise ConfigError("instance.path: required when kind = file")
+
+    def build(self) -> env.Instance:
+        try:
+            return env.load_instance(self.path)
+        except ValueError as exc:
+            raise ConfigError(f"instance.path: {self.path}: {exc}") from None
+
+
+# [instance] kind -> its spec, and the keys that kind reads with their parsers
+INSTANCE_KINDS = {"cs": CsSpec, "rcs": RcsSpec, "hard": HardSpec, "file": FileSpec}
+INSTANCE_TYPES = {kind: env.option_types(cls) for kind, cls in INSTANCE_KINDS.items()}
+# every key some kind reads: a section's values parse before its kind is checked
+_INSTANCE_PARSERS = {key: p for types in INSTANCE_TYPES.values() for key, p in types.items()}
+
+
+def instance_spec(values: dict[str, object]) -> InstanceSpec:
+    """The checked spec of an [instance] section's parsed values, whose kind
+    must read every key given; ranges are checked before unread keys."""
+    kind = values.get("kind", "")
+    if kind not in INSTANCE_KINDS:
+        raise ConfigError(f"instance.kind: must be one of {', '.join(INSTANCE_KINDS)}")
+    read = INSTANCE_TYPES[kind]
+    spec = INSTANCE_KINDS[kind](**{key: v for key, v in values.items() if key in read})
+    if unread := [key for key in values if key not in read]:
+        raise ConfigError(f"instance.{unread[0]}: not read when kind = {kind}, which reads "
+                          f"{' '.join(sorted(read))}")
+    if "sigma" in values and not values.get("noise"):
+        raise ConfigError("instance.sigma: not read without instance.noise, which it scales")
+    return spec
 
 
 @dataclass
 class ExperimentConfig:
     """A parsed config: the [instance] values by key, each [algorithm <name>]
     section as (name, values by key), and the [experiment] keys as fields.
-    Building one checks it, and `dataclasses.replace` checks the copy."""
+    Building one checks it and its instance spec; `replace` checks the copy."""
 
     instance: dict[str, object]
     algorithms: list[tuple[str, dict[str, object]]]
@@ -144,119 +196,36 @@ class ExperimentConfig:
             raise ConfigError("experiment.seeds: at least one seed is required")
         if not self.horizon or min(self.horizon) < 1:
             raise ConfigError("experiment.horizon: at least one horizon, each >= 1, is required")
-        # a repeat would merge two cells into one summary stretch
-        repeats = {"": [f"[algorithm {name}]" for name, _ in self.algorithms],
-                   "experiment.horizon: ": self.horizon, "experiment.seeds: ": self.seeds}
-        for where, values in repeats.items():
+        # a repeat would merge two cells into one summary stretch (the reader
+        # rejects a repeated [algorithm <name>] section)
+        for key, values in {"horizon": self.horizon, "seeds": self.seeds}.items():
             twice = [v for i, v in enumerate(values) if v in values[:i]]
             if twice:
-                raise ConfigError(f"{where}{twice[0]} may appear only once")
-        kind = self.instance.get("kind", "")
-        if kind not in INSTANCE_KEYS:
-            raise ConfigError("instance.kind: must be one of cs, rcs, hard, file")
-        if kind == "file" and not self.instance.get("path"):
-            raise ConfigError("instance.path: required when kind = file")
-        noise = self.instance.get("noise", "")
-        if noise not in ("", *env.NOISE_KINDS):
-            raise ConfigError(f"instance.noise: must be one of {', '.join(env.NOISE_KINDS)}")
-        # the ranges env itself enforces, checked here so they are config errors
-        try:
-            if kind != "file":
-                env.check_dimensions(*_dimensions(self.instance))
-        except env.InvalidDimensionsError as exc:
-            raise ConfigError(f"instance.num_users, num_arms, num_clusters: {exc}") from None
-        try:
-            env.NoiseModel(noise or "none", self.instance.get("sigma", 0.0))
-        except ValueError as exc:
-            raise ConfigError(f"instance.sigma: {exc}") from None
-        if kind == "rcs":
-            try:
-                env.check_nu(self.instance.get("nu", 0.0))
-            except ValueError as exc:
-                raise ConfigError(f"instance.nu: {exc}") from None
-        if kind == "hard":
-            try:
-                env.check_epsilon(self.instance.get("epsilon", 0.5))
-            except ValueError as exc:
-                raise ConfigError(f"instance.epsilon: {exc}") from None
-            _, num_arms, num_clusters = _dimensions(self.instance)
-            optimal = self.instance.get("optimal_arms", [])
-            if len(optimal) != num_clusters or not all(0 <= a < num_arms for a in optimal):
-                raise ConfigError(f"instance.optimal_arms: need {num_clusters} arms in "
-                                  f"0..{num_arms - 1}, one per cluster; got {optimal}")
-        read = INSTANCE_KEYS[kind]
-        if not self.instance.keys() <= read:
-            key = next(key for key in self.instance if key not in read)
-            raise ConfigError(f"instance.{key}: not read when kind = {kind}, which reads "
-                              f"{' '.join(sorted(read))}")
-        if "sigma" in self.instance and not noise:
-            raise ConfigError("instance.sigma: not read without instance.noise, which it scales")
+                raise ConfigError(f"experiment.{key}: {twice[0]} may appear only once")
+        instance_spec(self.instance)
 
 
 # accepted [experiment] keys and their parsers
-EXPERIMENT_TYPES = _option_types(ExperimentConfig, skip=("instance", "algorithms"))
+EXPERIMENT_TYPES = env.option_types(ExperimentConfig, skip=("instance", "algorithms"))
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """The checked config of a config file's text; each section is parsed once."""
-    sections: list[tuple[str, dict[str, str]]] = []
-    current: dict[str, str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name, current = line[1:-1].strip(), {}
-            if name in ("instance", "experiment") and any(n == name for n, _ in sections):
-                raise ConfigError(f"line {lineno}: [{name}] may appear only once")
-            sections.append((name, current))
-            continue
-        if current is None or "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value' inside a section")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in current:
-            raise ConfigError(f"line {lineno}: {key} is set twice in [{name}]")
-        current[key] = value.strip()
-    instance: dict[str, object] = {}
-    experiment: dict[str, object] = {}
+    sections = env.read_sections(text)
+    instance = env.parse_section("instance", sections.pop("instance", {}), _INSTANCE_PARSERS)
+    experiment = env.parse_section("experiment", sections.pop("experiment", {}), EXPERIMENT_TYPES)
     algorithms: list[tuple[str, dict[str, object]]] = []
-    for name, body in sections:
-        if name == "instance":
-            instance = parse_section(name, body, INSTANCE_OPTIONS)
-        elif name == "experiment":
-            experiment = parse_section(name, body, EXPERIMENT_TYPES)
-        elif name.startswith("algorithm"):
-            algo = name[len("algorithm"):].strip()
-            if algo not in ALGORITHM_NAMES:
-                raise ConfigError(
-                    f"unknown algorithm {algo!r}; expected one of {', '.join(ALGORITHM_NAMES)}"
-                )
-            params = parse_section(f"algorithm {algo}", body, ALGORITHM_OPTIONS[algo])
-            algorithms.append((algo, params))
-        else:
+    for name, body in sections.items():
+        if not name.startswith("algorithm"):
             raise ConfigError(f"unknown section [{name}]")
-    return ExperimentConfig(instance, algorithms, **experiment)
-
-
-def parse_section(section: str, params: dict[str, str], parsers: dict) -> dict[str, object]:
-    """Typed values of one section's keys, given each accepted key's parser.
-
-    Raises ConfigError naming the section and key of an unknown key or an
-    unparsable value.
-    """
-    values: dict[str, object] = {}
-    for key, raw in params.items():
-        parse = parsers.get(key)
-        if parse is None:
-            raise ConfigError(f"{section}.{key}: unknown key; accepted keys: {', '.join(parsers)}")
-        try:
-            values[key] = parse(raw)
-        except ValueError as exc:
+        algo = name[len("algorithm"):].strip()
+        if algo not in ALGORITHM_NAMES:
             raise ConfigError(
-                f"{section}.{key}: cannot parse {raw!r} as {parse.__qualname__} ({exc})"
-            ) from None
-    return values
+                f"unknown algorithm {algo!r}; expected one of {', '.join(ALGORITHM_NAMES)}"
+            )
+        params = env.parse_section(f"algorithm {algo}", body, ALGORITHM_OPTIONS[algo])
+        algorithms.append((algo, params))
+    return ExperimentConfig(instance, algorithms, **experiment)
 
 
 def build_algorithm(
@@ -271,38 +240,15 @@ def build_algorithm(
         raise ConfigError(f"algorithm {name}: {exc}") from None
 
 
-def _dimensions(spec: dict[str, object]) -> tuple[int, int, int]:
-    """num_users, num_arms and num_clusters of a generated instance."""
-    return spec.get("num_users", 0), spec.get("num_arms", 0), spec.get("num_clusters", 1)
-
-
 def build_instance(spec: dict[str, object]) -> env.Instance:
-    kind = spec.get("kind", "cs")
-    if kind == "file":
-        try:
-            return env.load_instance(spec["path"])
-        except ValueError as exc:
-            raise ConfigError(f"instance.path: {spec['path']}: {exc}") from None
-    seed = spec.get("seed", 0)
-    num_users, num_arms, num_clusters = _dimensions(spec)
-    if kind == "hard":
-        optimal = spec.get("optimal_arms", [])
-        return env.generate_hard_instance(
-            num_users, num_arms, num_clusters, spec.get("epsilon", 0.5), optimal, seed
-        )
-    dist = spec.get("row_distribution", env.RowDistribution.gaussian())
-    if kind == "cs":
-        return env.generate_cs_instance(num_users, num_arms, num_clusters, dist, seed)
-    return env.generate_rcs_instance(
-        num_users, num_arms, num_clusters, spec.get("nu", 0.0), dist, seed
-    )
+    """The instance of an [instance] section's parsed values."""
+    return instance_spec(spec).build()
 
 
 def build_noise(spec: dict[str, object], instance: env.Instance) -> env.NoiseModel:
-    kind = spec.get("noise", "")
-    if not kind:
-        return instance.default_noise or env.NoiseModel("none")
-    return env.NoiseModel(kind, spec.get("sigma", 0.0))
+    if kind := spec.get("noise", ""):
+        return env.NoiseModel(kind, spec.get("sigma", 0.0))
+    return instance.default_noise or env.NoiseModel("none")
 
 
 def open_cell(
@@ -518,10 +464,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
     """
     instance = build_instance(config.instance)
     noise = build_noise(config.instance, instance)
-    try:
-        env.check_noise_range(noise, instance.P)
-    except ValueError as exc:
-        raise ConfigError(f"instance.noise: {exc}") from None
+    _check("noise", env.check_noise_range, noise, instance.P)
     # every section's config is built before any cell runs, so a bad value
     # fails the experiment up front
     algorithms = [

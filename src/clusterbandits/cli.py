@@ -21,23 +21,12 @@ def _load_config(path: str, overrides: dict | None = None) -> bench.ExperimentCo
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     if not overrides:
         return config
-    typed = bench.parse_section("experiment", overrides, bench.EXPERIMENT_TYPES)
+    typed = env.parse_section("experiment", overrides, bench.EXPERIMENT_TYPES)
     return dataclasses.replace(config, **typed)
 
 
 def _print_progress(algo: str, horizon: int, seed: int, final_regret: float) -> None:
     print(f"{algo} T={horizon} seed={seed}: final regret {final_regret:.1f}")
-
-
-def _run_and_write(config: bench.ExperimentConfig, write):
-    """Run the experiment and return `write(report)`.  When a cell fails, the
-    cells that finished before it are written before the error propagates."""
-    try:
-        report = bench.run_experiment(config, progress=_print_progress)
-    except bench.CellError as exc:
-        write(exc.report)
-        raise
-    return write(report)
 
 
 def _cmd_generate(args) -> int:
@@ -63,37 +52,34 @@ def _cmd_run(args) -> int:
             "check": "true" if args.check else None,
         },
     )
+    # two or more horizons make a scaling study
+    scaling = len(config.horizon) > 1
 
     def write(report):
-        for name, p in sorted(bench.emit_report(report, args.out).items()):
+        paths = bench.emit_report(report, args.out)
+        if scaling:
+            paths["scaling"] = Path(args.out) / "scaling.csv"
+            bench.write_scaling_csv(report, paths["scaling"])
+        for name, p in sorted(paths.items()):
             print(f"wrote {p}")
 
-    _run_and_write(config, write)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    config = _load_config(args.config, {"seeds": args.seed_list})
-    if len(config.horizon) < 2:
-        raise bench.ConfigError("experiment.horizon: scaling studies need several horizons")
-    out = Path(args.out)
-
-    def write(report):
-        out.mkdir(parents=True, exist_ok=True)
-        bench.write_scaling_csv(report, out / "scaling.csv")
-        print(f"wrote {out / 'scaling.csv'}")
-        bench.emit_report(report, out)
-        return report
-
-    report = _run_and_write(config, write)
+    # when a cell fails, the cells that finished before it are written first
+    try:
+        report = bench.run_experiment(config, progress=_print_progress)
+    except bench.CellError as exc:
+        write(exc.report)
+        raise
+    write(report)
+    if not scaling:
+        return 0
     finals = [(run.algorithm, run.horizon, run.history.final_regret) for run in report.runs]
     for algo in dict.fromkeys(name for name, _ in config.algorithms):
         try:
             slope = bench.scaling_slope(finals, algo)
         except ValueError as exc:
             print(f"{algo}: no final-regret log-log slope vs horizon ({exc})")
-            continue
-        print(f"{algo}: final-regret log-log slope vs horizon = {slope:.3f}")
+        else:
+            print(f"{algo}: final-regret log-log slope vs horizon = {slope:.3f}")
     return 0
 
 
@@ -139,19 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("run", help="run one experiment")
+    p = sub.add_parser("run", help="run one experiment; of several horizons, a scaling study")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed-list", default=None)
     p.add_argument("--check", action="store_true")
     p.add_argument("--full-history", action="store_true")
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("bench", help="regret-scaling study over several horizons")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed-list", default=None)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("check", help="assumption report for an instance")
     source = p.add_mutually_exclusive_group(required=True)
@@ -171,10 +151,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except bench.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (bench.ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -6,7 +6,8 @@ or entrywise-close rows with a common best arm (relaxed cluster structure).
 Each simulation round samples a user uniformly at random, asks a policy for
 an arm, and returns the matrix entry plus additive noise.  `Environment.run`
 is the one place rounds are dispatched: every policy plays its rounds through
-it, serving each arriving user by the role that user holds.
+it, serving each arriving user by the role that user holds.  Instance files
+and config files share one reader of typed `[section]` text (`read_sections`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +30,10 @@ CLOSE_CHUNK = 2**12
 NOISE_KINDS = ("gaussian", "uniform", "bernoulli-reward", "none")
 # the roles a round's plan holds in place of an arm; a planned arm is >= 0
 _UCB, _UNIFORM, _OUT_OF_RANGE = -1, -2, -3
+
+
+class ConfigError(ValueError):
+    """An invalid config or instance file; the message names its section, key or line."""
 
 
 class InvalidDimensionsError(ValueError):
@@ -113,6 +120,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 
@@ -152,8 +161,8 @@ class Instance:
 
 
 def check_nu(nu: float) -> None:
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
+    if not 0 <= nu < math.inf:
+        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -174,6 +183,12 @@ def check_dimensions(num_users: int, num_arms: int, num_clusters: int) -> None:
             f"num_clusters={num_clusters} exceeds min(num_users, num_arms)="
             f"{min(num_users, num_arms)}"
         )
+
+
+def check_optimal_arms(optimal_arms: list[int], num_arms: int, num_clusters: int) -> None:
+    if len(optimal_arms) != num_clusters or not all(0 <= a < num_arms for a in optimal_arms):
+        raise InvalidDimensionsError(f"need {num_clusters} arms in 0..{num_arms - 1}, "
+                                     f"one per cluster; got {optimal_arms}")
 
 
 def generate_cs_instance(
@@ -259,10 +274,7 @@ def generate_hard_instance(
     check_dimensions(num_users, num_arms, num_clusters)
     check_epsilon(epsilon)
     optimal_arms = list(optimal_arms)
-    if len(optimal_arms) != num_clusters:
-        raise InvalidDimensionsError("optimal_arms must have one entry per cluster")
-    if any(a < 0 or a >= num_arms for a in optimal_arms):
-        raise ArmOutOfRangeError("optimal arm index outside the arm set")
+    check_optimal_arms(optimal_arms, num_arms, num_clusters)
     X = np.full((num_clusters, num_arms), (1.0 - epsilon) / 2.0)
     X[np.arange(num_clusters), optimal_arms] = (1.0 + epsilon) / 2.0
     cluster_of = np.arange(num_users) % num_clusters
@@ -428,8 +440,110 @@ class Environment:
                 oracle.credit(self.rewards[start + at])
 
 
-# the [meta] keys that `save_instance` writes, and the only ones `load_instance` reads
-META_KEYS = ("num_users", "num_arms", "num_clusters", "nu", "noise_kind", "noise_sigma")
+def int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
+def true_or_false(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text == "true"
+
+
+def float_finite(text: str) -> float:
+    """`float(text)`, which must be finite: NaN and the infinities fail."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+# field type -> parser of its text in a config or instance file
+_PARSERS = {
+    int: int, float: float_finite, bool: true_or_false, list[int]: int_list, str: str,
+    RowDistribution: RowDistribution.parse,
+}
+
+
+def option_types(cls, skip=()) -> dict[str, object]:
+    """Key -> parser for every field of the dataclass `cls` not in `skip`,
+    reading `X | None` as X."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        hint = hints[f.name]
+        if isinstance(hint, types.UnionType):
+            args = [a for a in typing.get_args(hint) if a is not type(None)]
+            hint = args[0] if len(args) == 1 else hint
+        if hint not in _PARSERS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no parser for {hint}")
+        out[f.name] = _PARSERS[hint]
+    return out
+
+
+def read_sections(text: str, keyed=None) -> dict[str, dict[str, str] | list[str]]:
+    """The sections of a config or instance file's text by name: the `key =
+    value` lines of a section in `keyed` (every section when None) as a dict,
+    any other's stripped lines as rows, skipping blank and `#` lines.  A line
+    outside any section, a second [name], a key without `=` or a key set
+    twice is a ConfigError naming its line."""
+    sections: dict[str, dict[str, str] | list[str]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if name in sections:
+                raise ConfigError(f"line {lineno}: [{name}] may appear only once")
+            sections[name] = {} if keyed is None or name in keyed else []
+        elif not sections:
+            raise ConfigError(f"line {lineno}: {line!r}: outside any section")
+        elif isinstance(body := sections[name], list):
+            body.append(line)
+        else:
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not eq:
+                raise ConfigError(f"line {lineno}: expected 'key = value' in [{name}]")
+            if key in body:
+                raise ConfigError(f"line {lineno}: {key} is set twice in [{name}]")
+            body[key] = value.strip()
+    return sections
+
+
+def parse_section(section: str, params: dict[str, str], parsers: dict) -> dict[str, object]:
+    """Typed values of one section's keys, given each accepted key's parser;
+    an unknown key or an unparsable value is a ConfigError naming both."""
+    values: dict[str, object] = {}
+    for key, raw in params.items():
+        parse = parsers.get(key)
+        if parse is None:
+            raise ConfigError(f"{section}.{key}: unknown key; accepted keys: {', '.join(parsers)}")
+        try:
+            values[key] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{section}.{key}: cannot parse {raw!r} as {parse.__qualname__} ({exc})"
+            ) from None
+    return values
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Meta:
+    """The [meta] keys of an instance file: what `save_instance` writes."""
+
+    num_users: int
+    num_arms: int
+    num_clusters: int
+    nu: float = 0.0
+    noise_kind: str = "none"
+    noise_sigma: float = 0.0
+
+
+_META_TYPES = option_types(_Meta)
 
 
 def _fmt(x: float) -> str:
@@ -438,92 +552,54 @@ def _fmt(x: float) -> str:
 
 def save_instance(instance: Instance, path) -> None:
     """Write the instance as structured text with 17-significant-digit floats."""
-    inst = instance
-    noise = inst.default_noise
+    inst, noise = instance, instance.default_noise or NoiseModel("none")
+    meta = _Meta(num_users=inst.num_users, num_arms=inst.num_arms,
+                 num_clusters=inst.num_clusters, nu=inst.nu, noise_kind=noise.kind,
+                 noise_sigma=noise.sigma)
     lines = ["# clusterbandits instance v1", "[meta]"]
-    lines.append(f"num_users = {inst.num_users}")
-    lines.append(f"num_arms = {inst.num_arms}")
-    lines.append(f"num_clusters = {inst.num_clusters}")
-    lines.append(f"nu = {_fmt(inst.nu)}")
-    lines.append(f"noise_kind = {noise.kind if noise else 'none'}")
-    lines.append(f"noise_sigma = {_fmt(noise.sigma if noise else 0.0)}")
-    lines.append("[cluster_of]")
-    lines.append(" ".join(str(int(c)) for c in inst.cluster_of))
-    lines.append("[X]")
-    for row in inst.X:
-        lines.append(" ".join(_fmt(v) for v in row))
-    lines.append("[P]")
-    for row in inst.P:
-        lines.append(" ".join(_fmt(v) for v in row))
+    for f in fields(meta):
+        value = getattr(meta, f.name)
+        lines.append(f"{f.name} = {_fmt(value) if isinstance(value, float) else value}")
+    lines += ["[cluster_of]", " ".join(str(int(c)) for c in inst.cluster_of)]
+    for name, matrix in (("X", inst.X), ("P", inst.P)):
+        lines.append(f"[{name}]")
+        lines.extend(" ".join(_fmt(v) for v in row) for row in matrix)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parsed(where: str, parse, texts: list) -> list:
-    """`parse` of each of `texts`, None marking a missing one; a ValueError
-    names `where`, the [meta] key or the section that they come from."""
-    if None in texts:
-        raise ValueError(f"{where}: missing")
-    try:
-        return [parse(text) for text in texts]
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
-def _matrix(lines: list[str], name: str, num_rows: int, num_cols: int) -> np.ndarray:
-    """The rows of an instance file's [name] section, which must be num_rows x num_cols."""
-    rows = [_parsed(f"[{name}]", float, line.split()) for line in lines]
-    if len(rows) != num_rows or any(len(row) != num_cols for row in rows):
-        raise ValueError(f"[{name}] must hold {num_rows} rows of {num_cols} values")
-    return np.array(rows)
-
-
 def load_instance(path) -> Instance:
-    """The instance of an instance file; a ValueError names the [meta] key,
-    or the section, that is unknown, repeated, missing, cannot be parsed or
-    does not fit [meta], or a line outside any section."""
-    meta: dict[str, str] = {}
-    sections: dict[str, list[str]] = {"cluster_of": [], "X": [], "P": []}
-    seen: set[str] = set()
-    current = None
+    """The instance of an instance file.  A ConfigError names the line, [meta]
+    key or section that is unknown, repeated, missing, not finite, cannot be
+    parsed or does not fit [meta]."""
     with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                if current != "meta" and current not in sections:
-                    raise ValueError(f"[{current}]: unknown section")
-                if current in seen:
-                    raise ValueError(f"[{current}]: may appear only once")
-                seen.add(current)
-                continue
-            if current == "meta":
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in META_KEYS:
-                    raise ValueError(f"[meta] {key}: unknown key")
-                if key in meta:
-                    raise ValueError(f"[meta] {key}: set twice")
-                meta[key] = value.strip()
-            elif current is None:
-                raise ValueError(f"{line!r}: outside any section")
-            else:
-                sections[current].append(line)
-    num_users, num_arms, num_clusters = (
-        _parsed(f"[meta] {key}", int, [meta.get(key)])[0]
-        for key in ("num_users", "num_arms", "num_clusters")
-    )
-    cells = " ".join(sections["cluster_of"]).split()
-    cluster_of = np.array(_parsed("[cluster_of]", int, cells), dtype=int)
+        sections = read_sections(fh.read(), keyed=("meta",))
+    if unknown := [name for name in sections if name not in ("meta", "cluster_of", "X", "P")]:
+        raise ConfigError(f"[{unknown[0]}]: unknown section")
+    values = parse_section("meta", sections.get("meta", {}), _META_TYPES)
+    for f in fields(_Meta):
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"meta.{f.name}: missing")
+    meta = _Meta(**values)
+    num_users, num_arms, num_clusters = meta.num_users, meta.num_arms, meta.num_clusters
+
+    def entries(name: str, parse) -> list[list]:
+        try:
+            return [[parse(x) for x in line.split()] for line in sections.get(name, [])]
+        except ValueError as exc:
+            raise ConfigError(f"[{name}]: {exc}") from None
+
+    cluster_of = np.fromiter(itertools.chain.from_iterable(entries("cluster_of", int)), int)
     if len(cluster_of) != num_users or not np.all((0 <= cluster_of) & (cluster_of < num_clusters)):
-        raise ValueError(f"[cluster_of] must hold {num_users} clusters in 0..{num_clusters - 1}")
-    X = _matrix(sections["X"], "X", num_clusters, num_arms)
-    P = _matrix(sections["P"], "P", num_users, num_arms)
-    sigma, nu = (
-        _parsed(f"[meta] {key}", float, [meta.get(key, "0")])[0] for key in ("noise_sigma", "nu")
+        raise ConfigError(f"[cluster_of] must hold {num_users} clusters in 0..{num_clusters - 1}")
+    matrices = []
+    for name, num_rows in (("X", num_clusters), ("P", num_users)):
+        rows = entries(name, float_finite)
+        if len(rows) != num_rows or any(len(row) != num_arms for row in rows):
+            raise ConfigError(f"[{name}] must hold {num_rows} rows of {num_arms} values")
+        matrices.append(np.array(rows))
+    X, P = matrices
+    noise = NoiseModel(meta.noise_kind, meta.noise_sigma) if meta.noise_kind != "none" else None
+    return Instance(
+        num_users, num_arms, num_clusters, P, cluster_of, X, nu=meta.nu, default_noise=noise
     )
-    noise_kind = meta.get("noise_kind", "none")
-    noise = NoiseModel(noise_kind, sigma) if noise_kind != "none" else None
-    return Instance(num_users, num_arms, num_clusters, P, cluster_of, X, nu=nu, default_noise=noise)

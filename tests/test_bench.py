@@ -307,7 +307,7 @@ def test_small_configs_fail_at_parse_or_play_every_horizon(
         "optimal_arms": ",".join(map(str, picks)),
     }
     # only the keys this kind reads, so a config fails on its values, not its keys
-    read = bench.INSTANCE_KEYS[kind]
+    read = bench.INSTANCE_TYPES[kind]
     instance = "".join(f"{k} = {v}\n" for k, v in values.items() if k in read)
     text = (
         f"[instance]\n{instance}[experiment]\nhorizon = {horizon}\nseeds = {seed}\n"
@@ -339,9 +339,8 @@ def test_bernoulli_noise_outside_the_unit_interval_is_a_config_error(monkeypatch
     with pytest.raises(bench.ConfigError, match=r"instance\.noise: bernoulli-reward .*\[0, 1\]"):
         bench.run_experiment(bench.parse_config(text))
     cfg, out = _write_config(tmp_path, text), tmp_path / "out"
-    for command in ("run", "bench"):
-        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert not out.exists()
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
     assert ran == []
     # entries in [0, 1] run as before
     monkeypatch.undo()
@@ -670,16 +669,25 @@ def test_no_policy_reads_the_ground_truth(monkeypatch, algo):
 # what no policy module may name: an attribute of the instance, or a private
 # attribute of the environment (its `_mean_at` views the true means)
 GROUND_TRUTH_NAMES = r"\.instance\b|\.P\b|\.X\b|\.cluster_of\b|\.best_arm\b|_mean_at|env\._"
+# the only modules that may name it: the generators and the environment, the
+# evaluators and the config's instance section, the assumption checker, and
+# the CLI, which hands `config.instance` to them
+TRUTH_READERS = ("bench.py", "checker.py", "cli.py", "env.py")
+_PACKAGE = _ROOT / "src" / "clusterbandits"
 
 
-@pytest.mark.parametrize("module", ["lattice.py", "rcs.py", "baselines.py", "completion.py"])
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in _PACKAGE.glob("*.py") if p.name not in TRUTH_READERS)
+)
 def test_no_policy_module_names_the_ground_truth(module):
     # the sealed instance catches a read of the instance at run time; this
-    # scan of the source, which CI's grep repeats, catches a read of the
-    # environment's view of the means too
-    source = (_ROOT / "src" / "clusterbandits" / module).read_text()
+    # scan of the source, which CI's grep repeats over every module but the
+    # same readers, catches a read of the environment's view of the means too
+    source = (_PACKAGE / module).read_text()
     assert [line for line in source.splitlines() if re.search(GROUND_TRUTH_NAMES, line)] == []
-    assert GROUND_TRUTH_NAMES in (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    workflow = (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert GROUND_TRUTH_NAMES in workflow
+    assert "|".join(re.escape(name) for name in TRUTH_READERS) in workflow
 
 
 def test_run_experiment_deterministic():
@@ -1502,7 +1510,7 @@ def test_scaling_slope_of_a_zero_regret_says_there_is_none(tmp_path, capsys):
     text = text.replace("horizon = 100", "horizon = 200,400")
     cfg, out = _write_config(tmp_path, text), tmp_path / "out"
     # a numpy RuntimeWarning fails the test (pyproject.toml's filterwarnings)
-    assert cli.main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "ucb: no final-regret log-log slope" in stdout
     assert "ucb at horizon 200: mean final regret is 0," in stdout
@@ -1553,12 +1561,12 @@ def _write_config(tmp_path, text=SMALL_CONFIG):
         ),
         # a key or an entry that cannot be read names its key or section
         pytest.param(
-            lambda text: text.replace("num_users = 4\n", ""), "[meta] num_users: missing",
+            lambda text: text.replace("num_users = 4\n", ""), "meta.num_users: missing",
             id="num-users-missing",
         ),
         pytest.param(
             lambda text: text.replace("num_arms = 3", "num_arms = forty"),
-            "[meta] num_arms: invalid literal", id="num-arms-not-int",
+            "meta.num_arms: cannot parse 'forty' as int (invalid literal", id="num-arms-not-int",
         ),
         pytest.param(
             lambda text: re.sub(r"(\[X\]\n)\S+", r"\1abc", text), "[X]: could not convert",
@@ -1570,24 +1578,45 @@ def _write_config(tmp_path, text=SMALL_CONFIG):
         ),
         # a key or a section that the file format does not have is named, not dropped
         pytest.param(
-            lambda text: text.replace("noise_sigma", "noise_sigm"), "[meta] noise_sigm: unknown key",
+            lambda text: text.replace("noise_sigma", "noise_sigm"), "meta.noise_sigm: unknown key",
             id="meta-key-unknown",
         ),
         pytest.param(
             lambda text: text + "[Q]\n0.5 0.5 0.5\n", "[Q]: unknown section", id="section-unknown"
         ),
         pytest.param(
-            lambda text: "num_users = 9\n" + text, "'num_users = 9': outside any section",
+            lambda text: "num_users = 9\n" + text, "line 1: 'num_users = 9': outside any section",
             id="line-before-sections",
         ),
         # a key or a section given twice is named, not read as its last value
         pytest.param(
-            lambda text: text.replace("nu = 0\n", "nu = 0\nnu = 0.5\n"), "[meta] nu: set twice",
+            lambda text: text.replace("nu = 0\n", "nu = 0\nnu = 0.5\n"),
+            "line 7: nu is set twice in [meta]",
             id="meta-key-twice",
         ),
         pytest.param(
             lambda text: text.replace("num_clusters = 2\n", "") + "[meta]\nnum_clusters = 2\n",
-            "[meta]: may appear only once", id="section-twice",
+            "line 18: [meta] may appear only once", id="section-twice",
+        ),
+        # every number of the file is finite, as every float config key is
+        pytest.param(
+            lambda text: re.sub(r"(\[P\]\n)\S+", r"\1nan", text), "[P]: not a finite number",
+            id="P-entry-nan",
+        ),
+        pytest.param(
+            lambda text: re.sub(r"(\[X\]\n\S+) \S+", r"\1 -inf", text), "[X]: not a finite number",
+            id="X-entry-inf",
+        ),
+        pytest.param(
+            lambda text: text.replace(
+                "noise_kind = none\nnoise_sigma = 0", "noise_kind = gaussian\nnoise_sigma = nan"
+            ),
+            "meta.noise_sigma: cannot parse 'nan' as float_finite (not a finite number)",
+            id="noise-sigma-nan",
+        ),
+        pytest.param(
+            lambda text: text.replace("nu = 0\n", "nu = inf\n"),
+            "meta.nu: cannot parse 'inf' as float_finite (not a finite number)", id="nu-inf",
         ),
     ],
 )
@@ -1660,7 +1689,7 @@ def test_cli_seed_list_override(tmp_path):
     assert {row["seed"] for row in rows} == {"4", "5"}
 
 
-@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("command", ["run"])
 @pytest.mark.parametrize("seeds", ["4,x", "", ",", "4,5,4"])
 def test_cli_bad_seed_list_exits_2_before_any_cell(tmp_path, monkeypatch, capsys, command, seeds):
     def no_cell(*args):
@@ -1794,13 +1823,18 @@ def test_cli_plot_of_one_group_on_different_rounds_is_a_config_error(tmp_path, c
 
 
 def test_cli_bench_runs_scaling_study(tmp_path, capsys):
+    # bench's scaling study: `run` over two or more horizons writes
+    # scaling.csv and prints the slopes; over one it does neither
     text = SMALL_CONFIG.replace("horizon = 100", "horizon = 100,200")
-    cfg = _write_config(tmp_path, text)
     out = tmp_path / "bench"
-    assert cli.main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, text)), "--out", str(out)]) == 0
     rows = _read_csv(out / "scaling.csv")
     assert {row["horizon"] for row in rows} == {"100", "200"}
-    assert "slope" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert f"wrote {out / 'scaling.csv'}" in stdout and "slope" in stdout
+    one = tmp_path / "one"
+    assert cli.main(["run", "--config", str(_write_config(tmp_path)), "--out", str(one)]) == 0
+    assert not (one / "scaling.csv").exists() and "slope" not in capsys.readouterr().out
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
@@ -1904,7 +1938,7 @@ def test_cli_bench_emits_finished_cells_when_a_cell_fails(tmp_path, capsys, monk
         tmp_path, BUDGET_CONFIG.replace("horizon = 9000", "horizon = 9000,18000") + FAILING_ETC
     )
     out = tmp_path / "bench"
-    assert cli.main(["bench", "--config", str(cfg), "--out", str(out)]) == 3
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 3
     assert "etc T=9000 seed=1" in capsys.readouterr().err
     rows = _read_csv(out / "scaling.csv")
     assert [(r["algorithm"], r["horizon"]) for r in rows] == [("ucb", "9000")]

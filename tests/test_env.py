@@ -19,6 +19,7 @@ from clusterbandits.env import (
     NoiseModel,
     RowDistribution,
     SeparationUnsatisfiableError,
+    check_nu,
     generate_cs_instance,
     generate_hard_instance,
     generate_rcs_instance,
@@ -799,6 +800,16 @@ def test_bernoulli_reward_draws():
     rewards = np.array([noisy_reward(noise, 0.3, d) for d in draws[:10000]])
     assert set(np.unique(rewards)) <= {0.0, 1.0}
     assert abs(rewards.mean() - 0.3) < 0.02
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_noise_sigma_and_nu_must_be_finite(value):
+    # a NaN or infinite sigma makes every reward NaN or infinite, and NaN
+    # passes a plain `< 0` check
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        NoiseModel("gaussian", value)
+    with pytest.raises(ValueError, match="nu must be nonnegative and finite"):
+        check_nu(value)
 
 
 def test_bernoulli_requires_unit_interval():

@@ -3,7 +3,8 @@
 The values were recorded with numpy 2.4.6 before the per-policy round loops
 were merged into `Environment.run`; a refactor of the round dispatch must
 reproduce them to the last bit.  A numpy release that changes a generator's
-stream or a LAPACK result may move them.
+stream or a LAPACK result may move them, so each test first checks that
+numpy is the recorded release.
 
 The sha256 of every file `emit_report` writes for the relaxed-structure run
 with full history is pinned the same way: recorded before the emitters
@@ -27,9 +28,22 @@ did not move.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from clusterbandits import bench
+
+# the numpy release every pin below was recorded with; CI installs it
+# (.github/constraints.txt)
+RECORDED_NUMPY = "2.4.6"
+
+
+def check_recorded_numpy():
+    """Fail, naming both versions, unless numpy is the release the pins were
+    recorded with: under another, a moved pin says nothing about the code."""
+    assert np.__version__ == RECORDED_NUMPY, (
+        f"the pins were recorded with numpy {RECORDED_NUMPY}, and this is numpy {np.__version__}"
+    )
 
 CS_CONFIG = """\
 [instance]
@@ -104,6 +118,7 @@ EXPECTED = {
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_final_regret_is_pinned(seed):
+    check_recorded_numpy()
     got = {}
     for text in (CS_CONFIG, RCS_CONFIG):
         report = bench.run_experiment(bench.parse_config(text.format(seed=seed)))
@@ -123,6 +138,7 @@ SUMMARY_WITHOUT_HORIZON = "6202dd07b6e18c3893667cf97d3ead9526d06a224cc02526882ea
 
 
 def test_emitted_files_are_pinned(tmp_path):
+    check_recorded_numpy()
     text = RCS_CONFIG.format(seed="5,6").replace(
         "[experiment]\n", "[experiment]\nfull_history = true\n"
     )
@@ -176,6 +192,7 @@ RANK_K_EMITTED = {
 
 
 def test_rank_k_solver_config_is_pinned(tmp_path):
+    check_recorded_numpy()
     report = bench.run_experiment(bench.parse_config(RANK_K_CONFIG))
     assert {run.algorithm: run.history.final_regret for run in report.runs} == RANK_K_REGRET
     paths = bench.emit_report(report, tmp_path)
