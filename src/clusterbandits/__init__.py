@@ -31,7 +31,7 @@ from .baselines import (
     run_simplified_lattice,
 )
 from .checker import assumption_report
-from .bench import open_cell, played_regret
+from .bench import check_run, open_cell, played_regret
 
 __version__ = "0.1.0"
 
@@ -47,6 +47,7 @@ __all__ = [
     "SimplifiedConfig",
     "UcbConfig",
     "assumption_report",
+    "check_run",
     "derive_oracle_params",
     "generate_cs_instance",
     "generate_hard_instance",

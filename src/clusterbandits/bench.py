@@ -56,14 +56,6 @@ ALGORITHM_NAMES = tuple(_SECTIONS)
 ALGORITHM_OPTIONS = {name: env.option_types(cls) for name, (cls, _, _) in _SECTIONS.items()}
 
 
-def _check(key: str, check, *args) -> None:
-    """`check(*args)`, whose ValueError becomes a ConfigError naming instance.<key>."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise ConfigError(f"instance.{key}: {exc}") from None
-
-
 @dataclass(kw_only=True)
 class InstanceSpec:
     """The [instance] keys every kind reads: `kind`, and the `noise` (scaled by
@@ -77,7 +69,7 @@ class InstanceSpec:
     def __post_init__(self):
         if self.noise not in ("", *env.NOISE_KINDS):
             raise ConfigError(f"instance.noise: must be one of {', '.join(env.NOISE_KINDS)}")
-        _check("sigma", env.NoiseModel, self.noise or "none", self.sigma)
+        env.check_key("instance.sigma", env.NoiseModel, self.noise or "none", self.sigma)
 
     def build(self) -> env.Instance:
         skip = ("kind", "noise", "sigma")
@@ -96,7 +88,8 @@ class _GeneratedSpec(InstanceSpec):
     def __post_init__(self):
         super().__post_init__()
         dimensions = self.num_users, self.num_arms, self.num_clusters
-        _check("num_users, num_arms, num_clusters", env.check_dimensions, *dimensions)
+        key = "instance.num_users, num_arms, num_clusters"
+        env.check_key(key, env.check_dimensions, *dimensions)
 
 
 @dataclass(kw_only=True)
@@ -116,7 +109,7 @@ class RcsSpec(CsSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        _check("nu", env.check_nu, self.nu)
+        env.check_key("instance.nu", env.check_nu, self.nu)
 
 
 @dataclass(kw_only=True)
@@ -130,9 +123,9 @@ class HardSpec(_GeneratedSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        _check("epsilon", env.check_epsilon, self.epsilon)
+        env.check_key("instance.epsilon", env.check_epsilon, self.epsilon)
         arms = self.optimal_arms, self.num_arms, self.num_clusters
-        _check("optimal_arms", env.check_optimal_arms, *arms)
+        env.check_key("instance.optimal_arms", env.check_optimal_arms, *arms)
 
 
 @dataclass(kw_only=True)
@@ -260,6 +253,24 @@ def open_cell(
     return env.Environment(instance, noise, env_ss, horizon), policy_ss
 
 
+def check_run(ledger: env.Environment, trace: lattice.PhaseTrace | None) -> None:
+    """Raise RuntimeError unless the run played its horizon and, with a trace, its
+    phases charge every round, partition the users and only shrink arm sets."""
+    if ledger.t != ledger.horizon:
+        raise RuntimeError(f"played {ledger.t} of {ledger.horizon} rounds")
+    records = [] if trace is None else trace.records
+    if trace is not None and (used := sum(r.rounds_used for r in records)) != ledger.t:
+        raise RuntimeError(f"phases 1-{len(records)} charge {used} of {ledger.t} rounds")
+    origin, before = [0] * ledger.num_users, [range(ledger.num_arms)]
+    for r in records:
+        if sorted(u for us in r.user_sets for u in us) != list(range(ledger.num_users)):
+            raise RuntimeError(f"phase {r.phase}: user sets must partition the users")
+        for us, arms in zip(r.user_sets, r.arm_sets):
+            if not all(set(arms) <= set(before[i]) for i in {origin[u] for u in us}):
+                raise RuntimeError(f"phase {r.phase}: arm sets must only shrink")
+        origin, before = {u: i for i, us in enumerate(r.user_sets) for u in us}, r.arm_sets
+
+
 def measure_oracle(trace: lattice.PhaseTrace | None, P: np.ndarray) -> None:
     """Set each phase's `oracle_error`, the largest entrywise error of its
     estimates against the true matrix `P` (None with no estimate), and drop
@@ -318,6 +329,7 @@ def _run_cell(name, config, instance, noise, horizon, seed, full):
     _, module, run = _SECTIONS[name]
     cell_env, policy_seed = open_cell(instance, noise, horizon, seed)
     trace = getattr(module, run)(cell_env, config, policy_seed)
+    check_run(cell_env, trace)
     measure_oracle(trace, instance.P)
     grid = None if full else checkpoint_grid(horizon)
     return regret_record(cell_env, instance, grid), trace
@@ -464,7 +476,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
     """
     instance = build_instance(config.instance)
     noise = build_noise(config.instance, instance)
-    _check("noise", env.check_noise_range, noise, instance.P)
+    env.check_key("instance.noise", env.check_noise_range, noise, instance.P)
     # every section's config is built before any cell runs, so a bad value
     # fails the experiment up front
     algorithms = [

@@ -428,11 +428,11 @@ def _partitioned_solve(
     n_cols: int,
     lam: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, list[dict]]:
-    """Split the larger dimension into ~square blocks and solve each one."""
+) -> tuple[np.ndarray, int]:
+    """Solve ~square blocks of the larger dimension: (estimate, unconverged block solves)."""
     if n_rows > n_cols:
-        est, diags = _partitioned_solve(col_idx, row_idx, values, n_cols, n_rows, lam, rng)
-        return est.T, diags
+        est, unconverged = _partitioned_solve(col_idx, row_idx, values, n_cols, n_rows, lam, rng)
+        return est.T, unconverged
     k = math.ceil(n_cols / n_rows)
     assignment = rng.integers(0, k, size=n_cols)
     groups = [np.flatnonzero(assignment == q) for q in range(k)]
@@ -449,9 +449,9 @@ def _partitioned_solve(
         smallest = min(range(len(keep)), key=lambda i: len(keep[i]))
         keep[smallest] = np.concatenate([keep[smallest]] + orphans)
     estimate = np.zeros((n_rows, n_cols))
-    diags = []
+    unconverged = 0
     local = np.empty(n_cols, dtype=int)
-    for block_no, g in enumerate(keep):
+    for g in keep:
         local[g] = np.arange(len(g))
         sel = np.isin(col_idx, g)
         b_rows = row_idx[sel]
@@ -459,16 +459,8 @@ def _partitioned_solve(
         b_vals = values[sel]
         block, info = solve_nuclear_norm(b_vals, (b_rows, b_cols), (n_rows, len(g)), lam)
         estimate[:, g] = block
-        diags.append(
-            {
-                "block": block_no,
-                "iterations": info.iterations,
-                "converged": info.converged,
-                "dense_svds": info.dense_svds,
-                "final_objective": info.objectives[-1],
-            }
-        )
-    return estimate, diags
+        unconverged += not info.converged
+    return estimate, unconverged
 
 
 class OracleInstance:
@@ -486,7 +478,7 @@ class OracleInstance:
         self.params = params
         self._seed_seq = seed_seq
         self.rep_estimates: list[np.ndarray] = []
-        self.diagnostics: list[dict] = []
+        self.unconverged_solves = 0  # block solves that hit their iteration cap
         self.max_abs_observed = 0.0
         self._row_of = np.zeros(self.users.max(initial=-1) + 1, dtype=np.int64)
         self._row_of[self.users] = np.arange(len(self.users))
@@ -543,7 +535,7 @@ class OracleInstance:
 
     def _solve_repetition(self, coll: MaskCollection) -> None:
         rows, cols, vals = coll.averaged_entries()
-        est, diags = _partitioned_solve(
+        est, unconverged = _partitioned_solve(
             rows,
             cols,
             vals,
@@ -552,10 +544,7 @@ class OracleInstance:
             self.params.lam,
             coll.rng,
         )
-        rep_no = len(self.rep_estimates)
-        for d in diags:
-            d["repetition"] = rep_no
-        self.diagnostics.extend(diags)
+        self.unconverged_solves += unconverged
         self.rep_estimates.append(est)
 
     def estimate(self) -> np.ndarray | None:

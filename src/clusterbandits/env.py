@@ -160,6 +160,14 @@ class Instance:
         self.best_arm = np.argmax(self.P, axis=1)
 
 
+def check_key(key: str, check, *args) -> None:
+    """`check(*args)`, whose ValueError becomes a ConfigError naming `key`."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def check_nu(nu: float) -> None:
     if not 0 <= nu < math.inf:
         raise ValueError(f"nu must be nonnegative and finite, got {nu}")
@@ -541,6 +549,12 @@ class _Meta:
     nu: float = 0.0
     noise_kind: str = "none"
     noise_sigma: float = 0.0
+
+    def __post_init__(self):
+        dimensions = self.num_users, self.num_arms, self.num_clusters
+        check_key("meta.num_users, num_arms, num_clusters", check_dimensions, *dimensions)
+        check_key("meta.nu", check_nu, self.nu)
+        check_key("meta.noise_kind, noise_sigma", NoiseModel, self.noise_kind, self.noise_sigma)
 
 
 _META_TYPES = option_types(_Meta)

@@ -55,9 +55,6 @@ class UcbArmState:
             raise KeyError(f"arm {arm} not tracked")
         return pos
 
-    def index_of(self, arm: int) -> float:
-        return float(self._index[self._position(arm)])
-
     def select(self) -> int:
         pos = self._selected = int(self._index.argmax())
         return self.arms[pos]
@@ -203,8 +200,8 @@ class PhaseTrace:
     records: list[PhaseRecord] = field(default_factory=list)
     has_mode: bool = False
     intersection_fallbacks: int = 0
-    # simplified-lattice nuclear-norm solves that hit their iteration cap
-    # unconverged (the lattice variants' solves report through their oracles)
+    # nuclear-norm solves that hit their iteration cap unconverged: one per
+    # phase set for simplified-lattice, one per oracle block for the others
     unconverged_solves: int = 0
 
 
@@ -263,6 +260,7 @@ class _PhasedRun:
                     self._estimate_scale(instances)
                     delta_next = self.c_prime * 2.0 ** (-ell)
             incomplete = any(i.collecting for i in instances.values())
+            self.trace.unconverged_solves += sum(i.unconverged_solves for i in instances.values())
             # nothing left to estimate, or a degenerate phase (e.g. an empty
             # mask) that used no rounds: play out the horizon rather than spin
             stalled = env.t == rounds_before and all(
@@ -282,18 +280,9 @@ class _PhasedRun:
                 ):
                     self.clusterwise = True
                     mode = "clusterwise"
-                # arm sets only shrink: a new set keeps a subset of the arms
-                # of each set its users came from
-                old_arms = arm_sets
-                origin = {u: i for i, us in enumerate(user_sets) for u in us}
                 user_sets, arm_sets, estimates = self._refine(
                     user_sets, arm_sets, instances, delta_next, joint=mode == "joint"
                 )
-                if sorted(u for s in user_sets for u in s) != list(range(num_users)):
-                    raise RuntimeError("user sets must partition the users")
-                for us, arms in zip(user_sets, arm_sets):
-                    if not all(np.isin(arms, old_arms[i]).all() for i in {origin[u] for u in us}):
-                        raise RuntimeError("arm sets must only shrink")
             self.trace.records.append(
                 PhaseRecord(
                     phase=ell,

@@ -19,12 +19,19 @@ from clusterbandits.completion import (
 def run_policy(run, instance, config, horizon: int, seed, noise=None):
     """(environment, trace) of one cell of the policy `run` on `instance`:
     the environment, which is the run's ledger, and the policy seed are
-    `bench.open_cell`'s, and the trace's oracle errors are measured as a
-    report's are."""
+    `bench.open_cell`'s, and the finished run is checked and its trace's
+    oracle errors measured as a report's are."""
     cell, policy_seed = bench.open_cell(instance, noise, horizon, seed)
     trace = run(cell, config, policy_seed)
+    bench.check_run(cell, trace)
     bench.measure_oracle(trace, instance.P)
     return cell, trace
+
+
+def ucb_index(state, arm: int) -> float:
+    """The cached UCB index of `arm` in the `lattice.UcbArmState` `state`;
+    KeyError for an arm it does not track."""
+    return float(state._index[state._position(arm)])
 
 
 def noisy_reward(noise: env.NoiseModel, mean: float, draw: float) -> float:
@@ -242,7 +249,7 @@ class PerRoundOracle:
     def __init__(self, users, arms, params, seed_seq):
         self.users, self.arms = np.asarray(users, dtype=int), np.asarray(arms, dtype=int)
         self.params, self._seed_seq = params, seed_seq
-        self.rep_estimates, self.diagnostics = [], []
+        self.rep_estimates, self.unconverged_solves = [], 0
         self.max_abs_observed = 0.0
         self._start_repetition()
 
@@ -270,12 +277,10 @@ class PerRoundOracle:
             self.max_abs_observed = abs(reward)
         if coll.done:
             rows, cols, vals = coll.averaged_entries()
-            est, diags = _partitioned_solve(
+            est, unconverged = _partitioned_solve(
                 rows, cols, vals, len(self.users), len(self.arms), self.params.lam, self._rep_rng
             )
-            for d in diags:
-                d["repetition"] = len(self.rep_estimates)
-            self.diagnostics.extend(diags)
+            self.unconverged_solves += unconverged
             self.rep_estimates.append(est)
             self._start_repetition()
 

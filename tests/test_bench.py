@@ -1618,6 +1618,24 @@ def _write_config(tmp_path, text=SMALL_CONFIG):
             lambda text: text.replace("nu = 0\n", "nu = inf\n"),
             "meta.nu: cannot parse 'inf' as float_finite (not a finite number)", id="nu-inf",
         ),
+        # [meta] values take the range checks of the [instance] keys they mirror
+        pytest.param(
+            lambda text: text.replace("nu = 0\n", "nu = -0.5\n"),
+            "meta.nu: nu must be nonnegative and finite, got -0.5", id="nu-negative",
+        ),
+        pytest.param(
+            lambda text: text.replace("noise_sigma = 0\n", "noise_sigma = -1\n"),
+            "meta.noise_kind, noise_sigma: sigma must be nonnegative", id="noise-sigma-negative",
+        ),
+        pytest.param(
+            lambda text: text.replace("num_clusters = 2", "num_clusters = 0"),
+            "meta.num_users, num_arms, num_clusters: all dimensions must be positive",
+            id="num-clusters-zero",
+        ),
+        pytest.param(
+            lambda text: text.replace("noise_kind = none", "noise_kind = gausian"),
+            "meta.noise_kind, noise_sigma: unknown noise kind 'gausian'", id="noise-kind-unknown",
+        ),
     ],
 )
 def test_malformed_instance_file_is_a_config_error(tmp_path, capsys, edit, section):
@@ -1943,3 +1961,98 @@ def test_cli_bench_emits_finished_cells_when_a_cell_fails(tmp_path, capsys, monk
     rows = _read_csv(out / "scaling.csv")
     assert [(r["algorithm"], r["horizon"]) for r in rows] == [("ucb", "9000")]
     assert (out / "regret.csv").exists()
+
+
+# simplified-lattice's first phase splits 20 users and shrinks their arm
+# sets, so its second phase can add back an arm that a set lost
+INVARIANT_CONFIG = """\
+[instance]
+kind = cs
+num_users = 20
+num_arms = 10
+num_clusters = 2
+row_distribution = gaussian(0,1)
+seed = 2
+noise = gaussian
+sigma = 0.2
+[experiment]
+horizon = 3000
+seeds = 8
+[algorithm ucb]
+[algorithm simplified-lattice]
+L = 2
+phase_base = 600
+phase_step = 200
+lam_coeff = 1.0
+"""
+
+
+def _drop_a_user(cell, trace):
+    trace.records[0].user_sets[0].pop()
+
+
+def _add_a_lost_arm(cell, trace):
+    # phase 2's first set takes an arm that its first user's phase-1 set lost
+    first, second = trace.records[:2]
+    user = second.user_sets[0][0]
+    (kept,) = [arms for us, arms in zip(first.user_sets, first.arm_sets) if user in us]
+    lost = sorted(set(range(cell.num_arms)) - set(kept))
+    assert lost
+    second.arm_sets[0] = sorted(second.arm_sets[0] + lost[:1])
+
+
+def _charge_an_extra_round(cell, trace):
+    trace.records[-1].rounds_used += 1
+
+
+def _mutant_simplified(monkeypatch, mutate):
+    """Make every simplified-lattice cell's trace go through `mutate`."""
+    run = baselines.run_simplified_lattice
+
+    def mutant(cell, config, seed):
+        trace = run(cell, config, seed)
+        mutate(cell, trace)
+        return trace
+
+    monkeypatch.setattr(baselines, "run_simplified_lattice", mutant)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_drop_a_user, "phase 1: user sets must partition the users"),
+        (_add_a_lost_arm, "phase 2: arm sets must only shrink"),
+        (_charge_an_extra_round, r"phases 1-\d+ charge 3001 of 3000 rounds"),
+    ],
+    ids=["user-dropped", "arm-added", "round-added"],
+)
+def test_a_trace_that_breaks_an_invariant_fails_its_cell(monkeypatch, mutate, message):
+    _mutant_simplified(monkeypatch, mutate)
+    with pytest.raises(bench.CellError, match=f"^simplified-lattice T=3000 seed=8: {message}$"):
+        bench.run_experiment(bench.parse_config(INVARIANT_CONFIG))
+
+
+def test_a_run_short_of_its_horizon_fails_its_cell(monkeypatch):
+    run = baselines.run_per_user_ucb
+
+    def one_round_short(cell, config, seed):
+        play = cell.run
+        cell.run = lambda end, *args, **kwargs: play(end - 1, *args, **kwargs)
+        return run(cell, config, seed)
+
+    monkeypatch.setattr(baselines, "run_per_user_ucb", one_round_short)
+    with pytest.raises(bench.CellError, match="^ucb T=3000 seed=8: played 2999 of 3000 rounds$"):
+        bench.run_experiment(bench.parse_config(INVARIANT_CONFIG))
+
+
+def test_cli_run_exits_3_on_a_broken_invariant(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path, INVARIANT_CONFIG)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "whole")]) == 0
+    _mutant_simplified(monkeypatch, _drop_a_user)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "simplified-lattice T=3000 seed=8: phase 1: user sets must partition the users" in err
+    # the ucb cell before it is written as it was
+    regret = (tmp_path / "out" / "regret.csv").read_text().splitlines()
+    whole = (tmp_path / "whole" / "regret.csv").read_text().splitlines()
+    assert regret == [row for row in whole if ",simplified-lattice," not in row]

@@ -511,7 +511,7 @@ def _oracle_state(oracle):
         coll.sums.tobytes(), coll.counts.tolist(), coll.rng.bit_generator.state
     )
     return (
-        [est.tobytes() for est in oracle.rep_estimates], oracle.diagnostics,
+        [est.tobytes() for est in oracle.rep_estimates], oracle.unconverged_solves,
         oracle.max_abs_observed, oracle.collecting, current,
     )
 

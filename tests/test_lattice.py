@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clusterbandits import lattice
+from clusterbandits import completion, lattice
 from clusterbandits.env import NoiseModel, RowDistribution, generate_cs_instance
 from clusterbandits.lattice import (
     GRAPH_BLOCK,
@@ -17,7 +18,7 @@ from clusterbandits.lattice import (
     refine_partition,
     run_lattice,
 )
-from helpers import run_policy, whole_run
+from helpers import run_policy, ucb_index, whole_run
 
 
 def test_good_arm_set_hand_case():
@@ -111,7 +112,7 @@ def test_refine_orders_components_by_smallest_member_id():
 
 def test_ucb_index_unplayed_is_infinite():
     state = UcbArmState([0, 1], sigma=1.0, horizon=100)
-    assert state.index_of(0) == math.inf
+    assert ucb_index(state, 0) == math.inf
 
 
 def test_ucb_index_formula():
@@ -119,14 +120,14 @@ def test_ucb_index_formula():
     state = UcbArmState([0], sigma=1.0, horizon=math.e)
     for _ in range(6):
         state.update(0, 0.5)
-    assert state.index_of(0) == pytest.approx(1.5, abs=1e-12)
+    assert ucb_index(state, 0) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_ucb_zero_sigma_is_greedy():
     state = UcbArmState([0, 1], sigma=0.0, horizon=1000)
     state.update(0, 0.9)
     state.update(1, 0.2)
-    assert state.index_of(0) == pytest.approx(0.9)
+    assert ucb_index(state, 0) == pytest.approx(0.9)
     assert state.select() == 0
 
 
@@ -206,13 +207,13 @@ def test_ucb_cached_index_matches_recompute_reference(arms, sigma, horizon, rewa
         state.update(arm, np.float64(reward))
         ref.update(arm, np.float64(reward))
         for a in arms:
-            assert state.index_of(a) == ref.index_of(a)
+            assert ucb_index(state, a) == ref.index_of(a)
     untracked = [a for a in range(-1, 42) if a not in arms]
     for a in untracked[:: max(1, len(untracked) // 5)]:
         with pytest.raises(KeyError):
             state.update(a, 0.0)
         with pytest.raises(KeyError):
-            state.index_of(a)
+            ucb_index(state, a)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -245,14 +246,14 @@ def test_ucb_update_of_an_unselected_arm_matches_recompute_reference(arms, sigma
         state.update(arm, reward)
         ref.update(arm, reward)
         for a in arms:
-            assert state.index_of(a) == ref.index_of(a)
+            assert ucb_index(state, a) == ref.index_of(a)
     untracked = [a for a in range(-1, 42) if a not in arms]
     for a in untracked[:: max(1, len(untracked) // 5)]:
         state.select()
         with pytest.raises(KeyError):
             state.update(a, 0.0)
     for a in arms:
-        assert state.index_of(a) == ref.index_of(a)
+        assert ucb_index(state, a) == ref.index_of(a)
 
 
 def _boolean_overlap_graph(estimates, good_sets, delta, slack_multiplier=2.0):
@@ -412,6 +413,27 @@ def test_lattice_refine_that_adds_an_arm_is_an_error(monkeypatch):
     monkeypatch.setattr(lattice._PhasedRun, "_refine", refine_adding_an_arm)
     with pytest.raises(RuntimeError, match="arm sets must only shrink"):
         run_policy(run_lattice, inst, cfg, 20000, seed=3, noise=NoiseModel("gaussian", 0.2))
+
+
+def test_lattice_trace_counts_unconverged_block_solves(monkeypatch):
+    inst = generate_cs_instance(15, 10, 3, RowDistribution.gaussian(0, 1), seed=21)
+    cfg = LatticeConfig(num_clusters=3, sigma=0.2, c_prime_override=1.0, f_cap=1)
+    noise = NoiseModel("gaussian", 0.2)
+    infos = []
+    solve = completion.solve_nuclear_norm
+
+    def recording_solve(*args, **kwargs):
+        estimate, info = solve(*args, **kwargs)
+        # the first block solve reports that it hit its cap, whatever it reached
+        if not infos:
+            info = dataclasses.replace(info, converged=False)
+        infos.append(info)
+        return estimate, info
+
+    monkeypatch.setattr(completion, "solve_nuclear_norm", recording_solve)
+    _, trace = run_policy(run_lattice, inst, cfg, 20000, seed=3, noise=noise)
+    assert len(infos) > 1 and all(info.converged for info in infos[1:])
+    assert trace.unconverged_solves == 1
 
 
 def test_lattice_exact_clusters_one_phase():
