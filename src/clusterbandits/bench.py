@@ -173,7 +173,7 @@ def instance_spec(values: dict[str, object]) -> InstanceSpec:
 class ExperimentConfig:
     """A parsed config: the [instance] values by key, each [algorithm <name>]
     section as (name, values by key), and the [experiment] keys as fields.
-    Building one checks it and its instance spec; `replace` checks the copy."""
+    Building one checks it and keeps its instance's `spec`; `replace` checks the copy."""
 
     instance: dict[str, object]
     algorithms: list[tuple[str, dict[str, object]]]
@@ -181,6 +181,7 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=list)
     check: bool = False
     full_history: bool = False
+    spec: InstanceSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.algorithms:
@@ -195,11 +196,11 @@ class ExperimentConfig:
             twice = [v for i, v in enumerate(values) if v in values[:i]]
             if twice:
                 raise ConfigError(f"experiment.{key}: {twice[0]} may appear only once")
-        instance_spec(self.instance)
+        self.spec = instance_spec(self.instance)
 
 
 # accepted [experiment] keys and their parsers
-EXPERIMENT_TYPES = env.option_types(ExperimentConfig, skip=("instance", "algorithms"))
+EXPERIMENT_TYPES = env.option_types(ExperimentConfig, skip=("instance", "algorithms", "spec"))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -474,7 +475,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> Report:
     A cell that raises stops the experiment with a `CellError` that carries
     the report of the cells before it.
     """
-    instance = build_instance(config.instance)
+    instance = config.spec.build()
     noise = build_noise(config.instance, instance)
     env.check_key("instance.noise", env.check_noise_range, noise, instance.P)
     # every section's config is built before any cell runs, so a bad value

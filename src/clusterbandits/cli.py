@@ -31,7 +31,7 @@ def _print_progress(algo: str, horizon: int, seed: int, final_regret: float) -> 
 
 def _cmd_generate(args) -> int:
     config = _load_config(args.config)
-    instance = bench.build_instance(config.instance)
+    instance = config.spec.build()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     env.save_instance(instance, out / "instance.txt")
@@ -85,10 +85,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.instance:
-        spec = {"kind": "file", "path": args.instance}
+        instance = bench.build_instance({"kind": "file", "path": args.instance})
     else:
-        spec = _load_config(args.config).instance
-    report = checker.assumption_report(bench.build_instance(spec))
+        instance = _load_config(args.config).spec.build()
+    report = checker.assumption_report(instance)
     text = report.to_text()
     if args.out:
         out = Path(args.out)

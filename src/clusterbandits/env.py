@@ -443,7 +443,7 @@ class Environment:
                     state = ucb[user_at[self.t]]
                     arm = state.select()
                     _, _, reward = play(arm)
-                    state.update(arm, reward)
+                    state.update(reward)
             for oracle, at in served:
                 oracle.credit(self.rewards[start + at])
 

@@ -11,7 +11,6 @@ clustering and run an independent UCB per user until the horizon.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -35,6 +34,7 @@ class UcbArmState:
     Each arm's index is cached and only the pulled arm's is recomputed, so a
     round costs one `argmax` plus constant work.  Unplayed arms hold +inf and
     `argmax` returns the first maximum, so they are tried in arm order.
+    `update(reward)` credits the arm that `select` last returned.
     """
 
     def __init__(self, arms, sigma: float, horizon: float):
@@ -49,20 +49,12 @@ class UcbArmState:
         self._bonus_scale = 6.0 * math.log(self.horizon)
         self._selected = None  # position `select` last chose
 
-    def _position(self, arm: int) -> int:
-        pos = bisect.bisect_left(self.arms, arm)
-        if pos >= len(self.arms) or self.arms[pos] != arm:
-            raise KeyError(f"arm {arm} not tracked")
-        return pos
-
     def select(self) -> int:
         pos = self._selected = int(self._index.argmax())
         return self.arms[pos]
 
-    def update(self, arm: int, reward: float) -> None:
+    def update(self, reward: float) -> None:
         pos = self._selected
-        if pos is None or self.arms[pos] != arm:
-            pos = self._position(arm)
         n = self.counts[pos] + 1
         total = self.sums[pos] + float(reward)
         self.counts[pos] = n

@@ -1,10 +1,12 @@
 """Helpers shared by the test modules."""
 
+import contextlib
 import csv
 import io
 import typing
 
 import numpy as np
+import pytest
 
 from clusterbandits import bench, env
 from clusterbandits.completion import (
@@ -31,7 +33,27 @@ def run_policy(run, instance, config, horizon: int, seed, noise=None):
 def ucb_index(state, arm: int) -> float:
     """The cached UCB index of `arm` in the `lattice.UcbArmState` `state`;
     KeyError for an arm it does not track."""
-    return float(state._index[state._position(arm)])
+    if arm not in state.arms:
+        raise KeyError(f"arm {arm} not tracked")
+    return float(state._index[state.arms.index(arm)])
+
+
+@contextlib.contextmanager
+def svd_calls():
+    """Records every `np.linalg.svd` call, in call order, as (input shape,
+    whether it computes singular vectors) into the list it yields.  Of a
+    solve's calls, the (m x n, True) ones are its dense SVDs of the iterate:
+    the top singular value and the nuclear norms take no vectors."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", recording_svd)
+        yield calls
 
 
 def noisy_reward(noise: env.NoiseModel, mean: float, draw: float) -> float:
@@ -292,7 +314,8 @@ def dense_iterate_solve(values, omega, shape, lam, tol=1e-6, max_iters=500, cont
     factored iterate must match bit for bit.  Like it, the final stage's
     starting objective takes Q's nuclear norm from Q's left factor P (Q = P @
     Vt with orthonormal rows), which must agree with Q's own singular values
-    to 1e-12 relative."""
+    to 1e-12 relative.  Returns (Q, SolveInfo, the final stage's objectives:
+    its starting one, then one per iteration)."""
     row_idx, col_idx = omega
     values = np.asarray(values, dtype=float)
     Q = np.zeros(shape)
@@ -308,7 +331,6 @@ def dense_iterate_solve(values, omega, shape, lam, tol=1e-6, max_iters=500, cont
     lam_path.append(lam)
     objectives = []
     total_iters = 0
-    dense_svds = 0
     basis = None
     rel_change = np.inf
     P = np.zeros((shape[0], 0))
@@ -325,8 +347,7 @@ def dense_iterate_solve(values, omega, shape, lam, tol=1e-6, max_iters=500, cont
         while total_iters < max_iters:
             G = Q.copy()
             G[row_idx, col_idx] = values
-            U, s, Vt, dense = _thresholded_svd(G, lam_k, basis)
-            dense_svds += dense
+            U, s, Vt = _thresholded_svd(G, lam_k, basis)
             r = int(np.count_nonzero(s > lam_k))
             s_thr = s[:r] - lam_k
             P = U[:, :r] * s_thr
@@ -345,10 +366,4 @@ def dense_iterate_solve(values, omega, shape, lam, tol=1e-6, max_iters=500, cont
             Q = Q_new
             if rel_change < stage_tol:
                 break
-    info = SolveInfo(
-        iterations=total_iters,
-        converged=rel_change < tol,
-        objectives=objectives,
-        dense_svds=dense_svds,
-    )
-    return Q, info
+    return Q, SolveInfo(iterations=total_iters, converged=rel_change < tol), objectives

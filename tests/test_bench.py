@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import inspect
 import io
 import math
 import operator
@@ -688,6 +689,32 @@ def test_no_policy_module_names_the_ground_truth(module):
     workflow = (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
     assert GROUND_TRUTH_NAMES in workflow
     assert "|".join(re.escape(name) for name in TRUTH_READERS) in workflow
+
+
+def test_no_policy_runs_in_a_module_that_reads_the_ground_truth():
+    # the source scan above skips the truth's readers, so no policy's run
+    # function may live in one of them (CI's grep step checks this too), and
+    # the round loop that the policies drive must not name the truth either
+    for _, module, name in bench._SECTIONS.values():
+        for owner in (module.__name__, getattr(module, name).__module__):
+            assert owner.rpartition(".")[2] + ".py" not in TRUTH_READERS, (name, owner)
+    source = inspect.getsource(env.Environment.run)
+    assert [line for line in source.splitlines() if re.search(GROUND_TRUTH_NAMES, line)] == []
+    workflow = (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert "bench._SECTIONS" in workflow
+
+
+def test_parse_and_run_check_the_instance_spec_once(monkeypatch):
+    calls = []
+    spec = bench.instance_spec
+
+    def counted(values):
+        calls.append(values)
+        return spec(values)
+
+    monkeypatch.setattr(bench, "instance_spec", counted)
+    bench.run_experiment(bench.parse_config(SMALL_CONFIG))
+    assert len(calls) == 1
 
 
 def test_run_experiment_deterministic():

@@ -21,7 +21,7 @@ from clusterbandits.completion import (
     solve_nuclear_norm,
 )
 from clusterbandits.env import Environment, NoiseModel, RowDistribution, generate_cs_instance
-from helpers import IndexedMaskCollection, dense_iterate_solve
+from helpers import IndexedMaskCollection, dense_iterate_solve, svd_calls
 
 # LatticeConfig's oracle constants, which `derive_oracle_params` requires
 CONSTANTS = dict(c_p=1.0, c_b=1.0, f_cap=15)
@@ -334,9 +334,40 @@ def test_solver_objective_monotone():
     mask = rng.random(truth.shape) < 0.5
     rows, cols = np.nonzero(mask)
     noisy = truth[rows, cols] + rng.normal(0, 0.2, size=len(rows))
-    _, info = solve_nuclear_norm(noisy, (rows, cols), truth.shape, lam=0.5)
-    objs = np.array(info.objectives)
+    # the solver keeps only the last objective; the dense reference, whose
+    # iterates it matches bit for bit, lists them all
+    Q, _ = solve_nuclear_norm(noisy, (rows, cols), truth.shape, lam=0.5)
+    ref_Q, _, objectives = dense_iterate_solve(noisy, (rows, cols), truth.shape, lam=0.5)
+    assert np.array_equal(Q, ref_Q)
+    objs = np.array(objectives)
+    assert len(objs) > 2
     assert np.all(np.diff(objs) <= 1e-9 * (1 + np.abs(objs[:-1])))
+
+
+def test_solver_raises_when_a_final_stage_objective_increases(monkeypatch):
+    # inflate the singular values of the second final-stage iteration: its
+    # iterate then overshoots the data, and the objective guard must fire
+    rng = np.random.default_rng(5)
+    truth = np.outer(rng.normal(size=15), rng.normal(size=12))
+    rows, cols = np.nonzero(rng.random(truth.shape) < 0.5)
+    noisy = truth[rows, cols] + rng.normal(0, 0.2, size=len(rows))
+    thresholded = completion._thresholded_svd
+    final_calls = []
+
+    def inflating(G, lam_k, basis):
+        U, s, Vt = thresholded(G, lam_k, basis)
+        if lam_k == 0.5:
+            final_calls.append(lam_k)
+            if len(final_calls) == 2:
+                s = 10.0 * s + 1.0
+        return U, s, Vt
+
+    monkeypatch.setattr(completion, "_thresholded_svd", inflating)
+    with pytest.raises(RuntimeError, match="objective increased") as raised:
+        solve_nuclear_norm(noisy, (rows, cols), truth.shape, lam=0.5)
+    before, after = map(float, str(raised.value).split(": ")[1].split(" -> "))
+    assert after > before > 0
+    assert len(final_calls) == 2
 
 
 def test_solver_error_nonincreasing_in_p():
@@ -417,24 +448,17 @@ def test_solver_matches_dense_reference(m, n, rank, p, sigma, lam_scale, tol, se
     assert abs(info.iterations - ref_iters) <= 1
 
 
-def _counted_solve(monkeypatch, values, omega, shape, lam):
-    """Solve while counting np.linalg.svd calls: one per iteration, plus the
-    top singular value and the final stage's starting objective."""
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    out, info = solve_nuclear_norm(values, omega, shape, lam)
-    monkeypatch.undo()
+def _counted_solve(values, omega, shape, lam):
+    """(SolveInfo, dense SVDs of the m x n iterate) of a solve, whose
+    np.linalg.svd calls are one per iteration, plus the top singular value
+    and the final stage's starting objective."""
+    with svd_calls() as calls:
+        out, info = solve_nuclear_norm(values, omega, shape, lam)
     assert len(calls) == info.iterations + 2
     ref, ref_iters = _dense_soft_impute(values, omega, shape, lam)
     assert np.abs(out - ref).max() <= 1e-5 * max(float(np.abs(ref).max()), 1e-30)
     assert info.iterations == ref_iters
-    return info
+    return info, calls.count((tuple(shape), True))
 
 
 def _full(Z):
@@ -442,24 +466,24 @@ def _full(Z):
     return Z[rows, cols], (rows, cols), Z.shape
 
 
-def test_solver_dense_only_on_first_iteration_for_low_rank(monkeypatch):
+def test_solver_dense_only_on_first_iteration_for_low_rank():
     # rank 2: every iterate keeps at most 2 survivors, which the warm-started
     # subspace of 2 + OVERSAMPLE columns always holds
     rng = np.random.default_rng(0)
     Z = rng.normal(size=(60, 2)) @ rng.normal(size=(2, 60))
-    info = _counted_solve(monkeypatch, *_full(Z), lam=1e-3)
+    info, dense = _counted_solve(*_full(Z), lam=1e-3)
     assert info.iterations > 1
-    assert info.dense_svds == 1
+    assert dense == 1
 
 
-def test_solver_dense_when_many_values_survive(monkeypatch):
+def test_solver_dense_when_many_values_survive():
     # a full-rank fill at a tiny lam: more survivors than min(m, n) // 3 allows
     Z = np.random.default_rng(1).normal(size=(30, 30))
-    info = _counted_solve(monkeypatch, *_full(Z), lam=1e-3)
-    assert info.dense_svds == info.iterations
+    info, dense = _counted_solve(*_full(Z), lam=1e-3)
+    assert dense == info.iterations
 
 
-def test_solver_dense_when_ritz_values_all_exceed_the_threshold(monkeypatch):
+def test_solver_dense_when_ritz_values_all_exceed_the_threshold():
     # singular values 100, nine near 10, the rest 0.1; lam path 25, 6.25, 1.
     # At 25 one value survives, so the basis holds 1 + OVERSAMPLE = 7 columns;
     # at 6.25 ten survive, all 7 Ritz values exceed the threshold, and that
@@ -471,18 +495,18 @@ def test_solver_dense_when_ritz_values_all_exceed_the_threshold(monkeypatch):
     s = np.full(60, 0.1)
     s[0] = 100.0
     s[1:10] = np.linspace(11.0, 10.0, 9)
-    info = _counted_solve(monkeypatch, *_full((U * s) @ V.T), lam=1.0)
+    info, dense = _counted_solve(*_full((U * s) @ V.T), lam=1.0)
     assert info.iterations == 6
-    assert info.dense_svds == 2
+    assert dense == 2
 
 
-def test_solver_svd_count_on_partial_observation(monkeypatch):
+def test_solver_svd_count_on_partial_observation():
     rng = np.random.default_rng(3)
     truth = rng.normal(size=(50, 3)) @ rng.normal(size=(3, 40))
     rows, cols = np.nonzero(rng.random(truth.shape) < 0.5)
     vals = truth[rows, cols] + 0.1 * rng.normal(size=len(rows))
-    info = _counted_solve(monkeypatch, vals, (rows, cols), truth.shape, lam=0.5)
-    assert info.dense_svds < info.iterations
+    info, dense = _counted_solve(vals, (rows, cols), truth.shape, lam=0.5)
+    assert dense < info.iterations
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -522,13 +546,14 @@ def test_factored_iterate_matches_dense_iterate_bit_for_bit(
     filled[rows, cols] = vals
     lam = lam_share * float(np.linalg.svd(filled, compute_uv=False)[0])
     args = (vals, (rows, cols), (m, n), lam)
-    Q, info = solve_nuclear_norm(*args, tol=tol, max_iters=max_iters)
-    ref_Q, ref_info = dense_iterate_solve(*args, tol=tol, max_iters=max_iters)
+    with svd_calls() as calls:
+        Q, info = solve_nuclear_norm(*args, tol=tol, max_iters=max_iters)
+    with svd_calls() as ref_calls:
+        ref_Q, ref_info, _ = dense_iterate_solve(*args, tol=tol, max_iters=max_iters)
     assert np.array_equal(Q, ref_Q)
-    assert info.iterations == ref_info.iterations
-    assert info.converged == ref_info.converged
-    assert info.dense_svds == ref_info.dense_svds
-    assert info.objectives == ref_info.objectives
+    assert info == ref_info
+    # the same iterations went through a dense SVD of the m x n iterate
+    assert calls.count(((m, n), True)) == ref_calls.count(((m, n), True))
 
 
 def _factors(m, n, r, rng):

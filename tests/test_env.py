@@ -234,7 +234,7 @@ class _StubUcb:
     def select(self):
         return self.arm
 
-    def update(self, arm, reward):
+    def update(self, reward):
         self.updates += 1
 
 
@@ -331,7 +331,7 @@ class _UncalledUcb(UcbArmState):
     def select(self):
         raise AssertionError("a UCB state over one arm is called")
 
-    def update(self, arm, reward):
+    def update(self, reward):
         raise AssertionError("a UCB state over one arm is called")
 
 
@@ -425,9 +425,8 @@ def _per_round_run(env, end, user_sets, arm_sets, rng, oracles=None, ucb=None, f
                     waiting -= 1
         elif u in ucb:
             state = ucb[u]
-            arm = state.select()
-            _, _, reward = env.play(arm)
-            state.update(arm, reward)
+            _, _, reward = env.play(state.select())
+            state.update(reward)
         elif u in fixed:
             env.play(fixed[u])
         else:

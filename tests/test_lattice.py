@@ -119,14 +119,16 @@ def test_ucb_index_formula():
     # horizon e makes log T = 1: index = 0.5 + sqrt(6/6) = 1.5
     state = UcbArmState([0], sigma=1.0, horizon=math.e)
     for _ in range(6):
-        state.update(0, 0.5)
+        assert state.select() == 0
+        state.update(0.5)
     assert ucb_index(state, 0) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_ucb_zero_sigma_is_greedy():
     state = UcbArmState([0, 1], sigma=0.0, horizon=1000)
-    state.update(0, 0.9)
-    state.update(1, 0.2)
+    for arm, reward in [(0, 0.9), (1, 0.2)]:
+        assert state.select() == arm
+        state.update(reward)
     assert ucb_index(state, 0) == pytest.approx(0.9)
     assert state.select() == 0
 
@@ -137,14 +139,15 @@ def test_ucb_each_arm_once_before_any_twice():
     for _ in range(3):
         arm = state.select()
         picks.append(arm)
-        state.update(arm, 0.0)
+        state.update(0.0)
     assert sorted(picks) == [1, 3, 5]
 
 
 def test_ucb_tie_breaks_to_lowest_index():
     state = UcbArmState([2, 4], sigma=0.0, horizon=50)
-    state.update(2, 0.7)
-    state.update(4, 0.7)
+    for arm in (2, 4):
+        assert state.select() == arm
+        state.update(0.7)
     assert state.select() == 2
 
 
@@ -204,56 +207,14 @@ def test_ucb_cached_index_matches_recompute_reference(arms, sigma, horizon, rewa
     for reward in rewards:
         arm = state.select()
         assert arm == ref.select()
-        state.update(arm, np.float64(reward))
+        state.update(np.float64(reward))
         ref.update(arm, np.float64(reward))
         for a in arms:
             assert ucb_index(state, a) == ref.index_of(a)
     untracked = [a for a in range(-1, 42) if a not in arms]
     for a in untracked[:: max(1, len(untracked) // 5)]:
         with pytest.raises(KeyError):
-            state.update(a, 0.0)
-        with pytest.raises(KeyError):
             ucb_index(state, a)
-
-
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(
-    arms=st.lists(st.integers(0, 40), min_size=1, max_size=10, unique=True),
-    sigma=st.floats(0.0, 3.0),
-    horizon=st.integers(2, 10**7),
-    # (select first?, position of the arm to update or None for the selected
-    # one, reward); an update without a select, or of another arm, must find
-    # its arm's position without the one `select` remembered
-    steps=st.lists(
-        st.tuples(st.booleans(), st.one_of(st.none(), st.integers(0, 9)), st.floats(-3.0, 3.0)),
-        min_size=1,
-        max_size=40,
-    ),
-)
-@example(arms=[7], sigma=1.0, horizon=100, steps=[(False, 0, 1.0)])
-@example(arms=[3, 1, 8], sigma=0.5, horizon=100, steps=[(False, 2, 1.0), (True, 0, -1.0)])
-@example(arms=[3, 1, 8], sigma=0.5, horizon=100, steps=[(True, None, 0.5), (True, 1, 2.0)])
-def test_ucb_update_of_an_unselected_arm_matches_recompute_reference(arms, sigma, horizon, steps):
-    state = UcbArmState(arms, sigma, horizon)
-    ref = _RecomputeUcb(arms, sigma, horizon)
-    tracked = sorted(arms)
-    for do_select, pick, reward in steps:
-        selected = None
-        if do_select:
-            selected = state.select()
-            assert selected == ref.select()
-        arm = selected if pick is None and do_select else tracked[(pick or 0) % len(tracked)]
-        state.update(arm, reward)
-        ref.update(arm, reward)
-        for a in arms:
-            assert ucb_index(state, a) == ref.index_of(a)
-    untracked = [a for a in range(-1, 42) if a not in arms]
-    for a in untracked[:: max(1, len(untracked) // 5)]:
-        state.select()
-        with pytest.raises(KeyError):
-            state.update(a, 0.0)
-    for a in arms:
-        assert ucb_index(state, a) == ref.index_of(a)
 
 
 def _boolean_overlap_graph(estimates, good_sets, delta, slack_multiplier=2.0):
