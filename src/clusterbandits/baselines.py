@@ -12,7 +12,7 @@ import numpy as np
 
 from .completion import OracleParams, p_and_lam, run_oracle, solve_nuclear_norm
 from .env import Environment, seed_sequence
-from .lattice import PhaseRecord, PhaseTrace, UcbArmState
+from .lattice import PhaseRecord, PhaseTrace, UcbTable
 
 
 @dataclass
@@ -27,7 +27,9 @@ def run_per_user_ucb(env: Environment, config: UcbConfig, seed) -> None:
     randomness of its own, so `seed` goes unused."""
     horizon = env.horizon
     arms = np.arange(env.num_arms)
-    states = {u: UcbArmState(arms, config.sigma, max(2, horizon)) for u in range(env.num_users)}
+    states = UcbTable(env.num_users, config.sigma, max(2, horizon))
+    for u in range(env.num_users):
+        states.add(u, arms)
     env.run(horizon, [range(env.num_users)], [arms], None, ucb=states)
 
 
@@ -121,6 +123,13 @@ def kmeans_elbow(
     max_k = min(max_k, len(rows))
 
     def best_of(k: int) -> tuple[np.ndarray, float]:
+        if k == 1:
+            # every seeding ends with all labels 0 and the centre at the mean,
+            # so one is run; the others only make their one seeding draw
+            best = _kmeans_once(rows, 1, rng)
+            for _ in range(KMEANS_RESTARTS - 1):
+                rng.integers(len(rows))
+            return best
         best = None
         for _ in range(KMEANS_RESTARTS):
             labels, obj = _kmeans_once(rows, k, rng)

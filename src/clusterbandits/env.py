@@ -374,6 +374,18 @@ class Environment:
     # `play` or `step`, whichever the caller made
     _play = play
 
+    def rewards_for(self, rounds: np.ndarray, arms: np.ndarray) -> np.ndarray:
+        """The rewards that `play` would write at the unplayed `rounds` for
+        `arms`, the same doubles, computed without writing them: a policy
+        plans rounds with them before it plays the rounds."""
+        if len(arms) and not (0 <= arms.min() and arms.max() < self.num_arms):
+            raise ArmOutOfRangeError("policy returned an arm outside the arm set")
+        mean = np.asarray(self._mean_at).take(self.users[rounds] * self.num_arms + arms)
+        draw = self.rewards[rounds]
+        if self._bernoulli:
+            return np.where(draw < mean, 1.0, 0.0)
+        return mean + draw
+
     def run(self, end, user_sets, arm_sets, rng, oracles=None, ucb=None, fixed=None) -> None:
         """Play rounds until round `end` (capped at the horizon); when
         `oracles` is given, stop as well once none of them is collecting.
@@ -387,8 +399,14 @@ class Environment:
         Rounds are planned CLOSE_CHUNK at a time.  Each collecting oracle
         `serve`s the block's arrivals of its set, up to the one that completes
         it; one `rng.integers(0, highs)` call draws the uniform pulls, the same
-        values one call per round would draw.  Every round is then one `play`,
-        and each oracle is `credit`ed the rewards of the rounds it served.
+        values one call per round would draw.  When `ucb` is a
+        `lattice.UcbTable`, its `plan` then chooses the block's UCB rounds
+        from the rewards `rewards_for` gives, untried arms in bulk and the
+        rest in waves over users where the block's arrivals fill them, and
+        writes the states as per-round updates would; a round it leaves, and
+        every UCB round of any other mapping, is played through its state's
+        `select` and `update`.  Every round is then one `play`, and each
+        oracle is `credit`ed the rewards of the rounds it served.
         """
         num_users, num_arms = self.num_users, self.num_arms
         set_of = np.zeros(num_users, dtype=np.int64)
@@ -408,6 +426,8 @@ class Environment:
             arms = np.fromiter(planned.values(), np.int64, len(planned))
             role[np.fromiter(planned, np.int64, len(planned))] = _checked(arms, num_arms)
         role[[u for u, s in ucb.items() if len(s.arms) != 1]] = _UCB
+        # a UcbTable plans its states' rounds before they are played
+        plan_ucb = getattr(ucb, "plan", None)
         given = oracles is not None
         collecting = [i for i, o in enumerate(oracles or []) if o is not None and o.collecting]
         end = min(end, self.horizon)
@@ -434,8 +454,12 @@ class Environment:
             if len(uniform):
                 highs = sizes[sets[uniform]]
                 plan[uniform] = pool[offsets[sets[uniform]] + rng.integers(0, highs)]
-            if plan.min() == _OUT_OF_RANGE:
+            lowest = plan.min()
+            if lowest == _OUT_OF_RANGE:
                 raise ArmOutOfRangeError("policy returned an arm outside the arm set")
+            if lowest == _UCB and plan_ucb is not None:
+                at = np.flatnonzero(plan == _UCB)
+                plan[at] = plan_ucb(users[at], start + at, self.rewards_for)
             for arm in memoryview(plan):
                 if arm >= 0:
                     play(arm)

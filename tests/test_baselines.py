@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbandits import baselines
 from clusterbandits.baselines import (
@@ -167,6 +169,60 @@ def test_kmeans_deterministic_given_seed():
     a = kmeans_elbow(rows, 3, 0.6, 1.0, seed=11)
     b = kmeans_elbow(rows, 3, 0.6, 1.0, seed=11)
     assert np.array_equal(a, b)
+
+
+def _kmeans_elbow_every_restart(rows, max_k, elbow_ratio, objective_floor, seed):
+    """`kmeans_elbow` as it ran every k = 1 restart, kept as its reference."""
+    rows = np.asarray(rows, dtype=float)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    max_k = min(max_k, len(rows))
+
+    def best_of(k):
+        best = None
+        for _ in range(baselines.KMEANS_RESTARTS):
+            labels, obj = baselines._kmeans_once(rows, k, rng)
+            if best is None or obj < best[1]:
+                best = (labels, obj)
+        return best
+
+    labels, obj = best_of(1)
+    k = 1
+    while k < max_k and obj > objective_floor:
+        nxt_labels, nxt_obj = best_of(k + 1)
+        if nxt_obj >= elbow_ratio * obj:
+            break
+        k += 1
+        labels, obj = nxt_labels, nxt_obj
+    return labels
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    num_rows=st.integers(1, 40),
+    width=st.integers(1, 6),
+    centres=st.integers(1, 5),
+    spread=st.sampled_from([0.0, 0.05, 1.0]),
+    max_k=st.integers(1, 4),
+    elbow_ratio=st.sampled_from([0.3, 0.6, 0.95]),
+    objective_floor=st.sampled_from([0.0, 1.0, 100.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_kmeans_runs_one_k1_restart_and_draws_what_every_restart_drew(
+    num_rows, width, centres, spread, max_k, elbow_ratio, objective_floor, seed
+):
+    rng = np.random.default_rng(seed)
+    rows = (rng.normal(0, 5, size=(centres, width))[rng.integers(centres, size=num_rows)]
+            + rng.normal(0, spread, size=(num_rows, width)))
+    want = _kmeans_elbow_every_restart(rows, max_k, elbow_ratio, objective_floor, seed)
+    ks = []
+    once = baselines._kmeans_once
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baselines, "_kmeans_once", lambda r, k, g: ks.append(k) or once(r, k, g))
+        got = kmeans_elbow(rows, max_k, elbow_ratio, objective_floor, seed)
+    assert got.tolist() == want.tolist()
+    # one k = 1 seeding, and every restart of each larger k tried
+    assert ks.count(1) == 1
+    assert all(ks.count(k) == baselines.KMEANS_RESTARTS for k in set(ks) - {1})
 
 
 def test_simplified_config_defaults_match_experiment_settings():

@@ -28,8 +28,8 @@ from clusterbandits.env import (
     seed_sequence,
 )
 from clusterbandits.completion import OracleInstance, OracleParams
-from clusterbandits.lattice import UcbArmState
-from helpers import ClosedRegret, PerRoundOracle, noisy_reward, whole_run
+from clusterbandits.lattice import UcbArmState, UcbTable
+from helpers import ClosedRegret, PerRoundOracle, noisy_reward, ucb_index, whole_run
 
 
 def validate_instance(instance, atol=1e-12):
@@ -501,6 +501,101 @@ def test_planned_run_matches_the_per_round_driver(
              rng.bit_generator.state)
         )
     assert outcomes[0] == outcomes[1]
+
+
+def _table_state(table):
+    """Every multi-arm state's counts, sums (as bytes) and cached indices, by
+    user; `Environment.run` plays a one-arm state's arm without calling it."""
+    return {
+        u: (list(s.counts), bytes(s.sums), [ucb_index(s, a) for a in s.arms])
+        for u, s in sorted(table.items()) if len(s.arms) > 1
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    num_users=st.integers(24, 64),
+    num_arms=st.integers(2, 6),
+    # each user's set of three, and whether it has a UCB state ("u"), a
+    # fixed arm ("f") or uniform pulls ("-"); most users have a UCB state
+    labels=st.lists(st.integers(0, 2), min_size=64, max_size=64),
+    roles=st.lists(st.sampled_from("uuuuuuf-"), min_size=64, max_size=64),
+    noise=st.sampled_from(["gaussian", "bernoulli-reward"]),
+    # (pulls, period) of each set's oracle
+    oracle_specs=st.lists(
+        st.one_of(st.none(), st.tuples(st.integers(0, 3000), st.integers(1, 3))),
+        min_size=3, max_size=3,
+    ),
+    # short runs, and runs of one to two full blocks, whose rounds fill waves
+    horizon=st.one_of(st.integers(1, 400), st.integers(CLOSE_CHUNK, 2 * CLOSE_CHUNK + 300)),
+    cuts=st.lists(st.integers(0, 2 * CLOSE_CHUNK + 300), max_size=3),
+    seed=st.integers(0, 2**16),
+    expect=st.none(),
+)
+# 64 UCB users over 3 arms fill the full blocks' waves with about 50 rows;
+# the runs cut at 1000 and 5000 resume states with arms tried, and the last
+# block's 3 rounds go through select and update
+@example(
+    num_users=64, num_arms=3, labels=[0] * 64, roles=["u"] * 64, noise="gaussian",
+    oracle_specs=[None] * 3, horizon=2 * CLOSE_CHUNK + 3, cuts=[1000, 5000], seed=7,
+    expect="both",
+)
+# 24 UCB users fill a block's waves with about 21 rows, under WAVE_MIN_ROWS:
+# past the untried arms every round goes through select and update
+@example(
+    num_users=24, num_arms=4, labels=[0, 1] * 32, roles=["u"] * 64, noise="bernoulli-reward",
+    oracle_specs=[(200, 2), None, None], horizon=CLOSE_CHUNK, cuts=[], seed=11,
+    expect="per-round",
+)
+def test_planned_ucb_rounds_match_the_per_round_driver(
+    num_users, num_arms, labels, roles, noise, oracle_specs, horizon, cuts, seed, expect
+):
+    rows = RowDistribution.uniform(0, 1) if noise == "bernoulli-reward" else RowDistribution.gaussian(0, 1)
+    inst = generate_cs_instance(num_users, num_arms, 1, rows, seed=seed)
+    user_sets = [[u for u in range(num_users) if labels[u] == i] for i in range(3)]
+    arm_sets = [np.arange(num_arms)[i % num_arms :] for i in range(3)]
+    outcomes, paths = [], []
+    for driver in (_per_round_run, Environment.run):
+        env = Environment(inst, NoiseModel(noise, 0.5), seed=seed, horizon=horizon)
+        rng = np.random.default_rng(seed + 1)
+        ucb = UcbTable(num_users, 0.5, max(2, horizon))
+        for u in range(num_users):
+            if roles[u] == "u":
+                ucb.add(u, arm_sets[labels[u]])
+        fixed = {u: u % num_arms for u in range(num_users) if roles[u] == "f"}
+        oracles = [
+            None if spec is None else _PeriodicOracle(arm_sets[i], *spec)
+            for i, spec in enumerate(oracle_specs)
+        ]
+        # count the wave path's calls and the per-round path's selects
+        calls = {"waves": 0, "select": 0}
+
+        def spy(name, method):
+            def counted(*args):
+                calls[name] += 1
+                return method(*args)
+            return counted
+
+        with pytest.MonkeyPatch.context() as patch:
+            if driver is Environment.run:
+                patch.setattr(UcbTable, "_waves", spy("waves", UcbTable._waves))
+                patch.setattr(UcbArmState, "select", spy("select", UcbArmState.select))
+            stops = []
+            for end in sorted(cuts) + [horizon]:
+                driver(env, end, user_sets, arm_sets, rng, oracles=oracles, ucb=ucb, fixed=fixed)
+                stops.append(env.t)
+            driver(env, horizon, user_sets, arm_sets, rng, ucb=ucb, fixed=fixed)
+        paths.append(calls)
+        outcomes.append(
+            (stops, env.t, env.arms[: env.t].tolist(), env.rewards[: env.t].tobytes(),
+             rng.bit_generator.state, _table_state(ucb))
+        )
+    assert outcomes[0] == outcomes[1]
+    planned = paths[1]
+    if expect == "both":
+        assert planned["waves"] > 0 and planned["select"] > 0
+    elif expect == "per-round":
+        assert planned["waves"] == 0 and planned["select"] > 0
 
 
 def _oracle_state(oracle):
