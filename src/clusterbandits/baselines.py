@@ -94,10 +94,10 @@ def _kmeans_once(rows: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np
         else:
             centers[j] = rows[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((rows - centers[j]) ** 2, axis=1))
+    row_norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     labels = None
     for _ in range(KMEANS_ITERS):
-        dists = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(dists, axis=1)
+        new_labels = _nearest_centers(rows, row_norms, centers)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -105,9 +105,39 @@ def _kmeans_once(rows: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np
             members = rows[labels == j]
             if len(members):
                 centers[j] = members.mean(axis=0)
-    dists = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    objective = float(dists[np.arange(n), labels].sum())
+    objective = float(((rows - centers[labels]) ** 2).sum(axis=1).sum())
     return labels, objective
+
+
+def _nearest_centers(rows: np.ndarray, row_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each row's nearest centre by squared distance, the first on ties: the
+    argmin of the broadcast distances ((rows[:, None] - centers) ** 2).sum(2),
+    from one matrix product for all but the near ties.
+
+    A row's distances are its ||r||^2 plus the scores ||c||^2 - 2 r.c.  The
+    scores and the broadcast distances each round to within (d + 2) u M of
+    their exact values, for rows of width d, unit roundoff u and M = (||r||
+    + max ||c||)^2, which bounds every distance and score.  So where a row's
+    two smallest scores differ by more than four times that, both pick the
+    same centre; the rows within twice that margin take the broadcast
+    distances.
+    """
+    if len(centers) == 1:
+        return np.zeros(len(rows), dtype=np.intp)
+    center_sq = np.einsum("ij,ij->i", centers, centers)
+    scores = center_sq - 2.0 * (rows @ centers.T)
+    labels = scores.argmin(axis=1)
+    at = np.arange(len(rows))
+    best = scores[at, labels]
+    scores[at, labels] = np.inf
+    reach = row_norms + math.sqrt(float(center_sq.max()))
+    # 8 (d + 2) u M, with u = eps / 2
+    bound = 4 * (rows.shape[1] + 2) * np.finfo(float).eps * reach**2
+    close = np.flatnonzero(scores.min(axis=1) - best <= bound)
+    if len(close):
+        dists = ((rows[close, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels[close] = dists.argmin(axis=1)
+    return labels
 
 
 def kmeans_elbow(

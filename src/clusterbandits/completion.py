@@ -264,25 +264,33 @@ def _thresholded_svd(
     G: np.ndarray, lam_k: float, basis: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular triplets (U, s, Vt) of G that include every singular value
-    above `lam_k`, from exactly one `np.linalg.svd` call: of a k x n
-    projection of G, which gives k triplets, or of G itself.
+    above `lam_k`, from exactly one `np.linalg.svd` call: of an n x k
+    projection of G, which gives k triplets, or of G itself.  Vt is
+    C-contiguous either way.
 
     With a basis (n x k, orthonormal columns) it runs one block power
-    iteration from G @ basis and takes the SVD of the small k x n projection
-    of G: the range finder of Halko, Martinsson & Tropp (2011), warm started
-    instead of random.  When all k Ritz values exceed `lam_k` the subspace
-    may miss a surviving value, and the dense SVD is used instead.
+    iteration from G @ basis and takes the SVD of the tall n x k projection
+    G^T Y: the range finder of Halko, Martinsson & Tropp (2011), warm started
+    instead of random.  The power iteration orthonormalizes twice, Y0 =
+    qr(G @ basis) and Y = qr(G @ (G^T @ Y0)): in exact arithmetic the QR of
+    G^T Y0 between them changes G^T Y0 only by an invertible k x k factor on
+    the right, which leaves the span of G G^T Y0, and so Y, as they are.
+    The first QR stays: without it the second would orthonormalize G G^T G
+    @ basis, whose condition number can reach that of G cubed.  The SVD
+    takes the tall projection, not its k x n transpose Y^T G, because
+    LAPACK decomposes the tall shape faster.  When all k Ritz values exceed
+    `lam_k` the subspace may miss a surviving value, and the dense SVD is
+    used instead.
     """
     if basis is not None and basis.shape[1] + 1 <= min(G.shape) // 3:
         Y = np.linalg.qr(G @ basis)[0]
-        Z = np.linalg.qr(G.T @ Y)[0]
-        Y = np.linalg.qr(G @ Z)[0]
-        B = Y.T @ G
+        Y = np.linalg.qr(G @ (G.T @ Y))[0]
+        Bt = G.T @ Y
         # squared Ritz values from the k x k Gram matrix, so that the guard
         # costs no second SVD
-        if np.linalg.eigvalsh(B @ B.T)[0] <= lam_k * lam_k:
-            Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
-            return Y @ Ub, s, Vt
+        if np.linalg.eigvalsh(Bt.T @ Bt)[0] <= lam_k * lam_k:
+            V, s, Ubt = np.linalg.svd(Bt, full_matrices=False)
+            return Y @ Ubt.T, s, np.ascontiguousarray(V.T)
     return np.linalg.svd(G, full_matrices=False)
 
 
@@ -331,7 +339,11 @@ def solve_nuclear_norm(
     (k = r + OVERSAMPLE).  It uses a dense SVD of the m x n iterate instead
     on the first iteration, after an iterate with no survivors, when
     k + 1 > min(m, n) // 3, and when all k Ritz values exceed the threshold.
-    Either way an iteration makes one `np.linalg.svd` call, so a solve makes
+    Its rank-k step costs four m x n x k products, QRs of two m x k
+    matrices and the SVD of one n x k projection (`_thresholded_svd`); the
+    three QRs of the textbook power iteration would give the same subspace
+    in exact arithmetic, so the middle one is left out.  Either way an
+    iteration makes one `np.linalg.svd` call, so a solve makes
     `iterations + 2` with the top singular value and the final stage's
     starting objective, which takes the iterate's nuclear norm from its
     m x r left factor (m x 0, so 0, when the final stage is the only one).

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from clusterbandits import bench, env
+from clusterbandits.baselines import KMEANS_ITERS
 from clusterbandits.completion import (
     OVERSAMPLE,
     SolveInfo,
@@ -367,3 +368,50 @@ def dense_iterate_solve(values, omega, shape, lam, tol=1e-6, max_iters=500, cont
             if rel_change < stage_tol:
                 break
     return Q, SolveInfo(iterations=total_iters, converged=rel_change < tol), objectives
+
+
+def reference_thresholded_svd(G, lam_k, basis):
+    """`completion._thresholded_svd` as it orthonormalized three times per
+    power iteration and took the SVD of the wide k x n projection Y^T G: the
+    reference that the two-QR step with its tall SVD must agree with."""
+    if basis is not None and basis.shape[1] + 1 <= min(G.shape) // 3:
+        Y = np.linalg.qr(G @ basis)[0]
+        Z = np.linalg.qr(G.T @ Y)[0]
+        Y = np.linalg.qr(G @ Z)[0]
+        B = Y.T @ G
+        if np.linalg.eigvalsh(B @ B.T)[0] <= lam_k * lam_k:
+            Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
+            return Y @ Ub, s, Vt
+    return np.linalg.svd(G, full_matrices=False)
+
+
+def reference_kmeans_once(rows, k, rng):
+    """`baselines._kmeans_once` as it assigned every Lloyd step and took the
+    objective from the broadcast distances of every row to every centre: the
+    reference whose labels and objective the one-product assignment must
+    reproduce bit for bit."""
+    n = len(rows)
+    centers = np.empty((k, rows.shape[1]))
+    centers[0] = rows[rng.integers(n)]
+    d2 = np.sum((rows - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j] = rows[rng.integers(n)]
+        else:
+            centers[j] = rows[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((rows - centers[j]) ** 2, axis=1))
+    labels = None
+    for _ in range(KMEANS_ITERS):
+        dists = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(dists, axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            members = rows[labels == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    dists = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    objective = float(dists[np.arange(n), labels].sum())
+    return labels, objective

@@ -358,8 +358,9 @@ def test_criterion_8_assumption_feasibility(acceptance_log):
 
 
 @pytest.mark.xfail(
-    reason="measured: tuned explore-then-commit beats the phased policy on 3/5 "
-    "seeds at this horizon; its short-horizon constants are strong and the "
+    reason="measured: tuned explore-then-commit beats the phased policy on 4/5 "
+    "seeds at this horizon (lattice wins only seed 103, so the test prints 1/5); "
+    "its short-horizon constants are strong and the "
     "asymptotic ordering has not kicked in by T=60000",
     strict=False,
 )

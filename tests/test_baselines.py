@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterbandits import baselines
@@ -22,7 +22,7 @@ from clusterbandits.env import (
     RowDistribution,
     generate_cs_instance,
 )
-from helpers import regret_at, run_policy, whole_run
+from helpers import reference_kmeans_once, regret_at, run_policy, whole_run
 
 
 def test_ucb_single_arm_zero_regret():
@@ -223,6 +223,48 @@ def test_kmeans_runs_one_k1_restart_and_draws_what_every_restart_drew(
     # one k = 1 seeding, and every restart of each larger k tried
     assert ks.count(1) == 1
     assert all(ks.count(k) == baselines.KMEANS_RESTARTS for k in set(ks) - {1})
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    # gaussian clouds; rows repeated from a few centres; every row equal; or
+    # integer rows and their negatives, whose distances tie exactly
+    kind=st.sampled_from(["gaussian", "duplicates", "equal", "integers"]),
+    num_rows=st.integers(1, 40),
+    width=st.integers(1, 8),
+    k=st.integers(1, 5),
+    # a scale that no float holds exactly turns exact ties into near ties
+    # that only rounding decides; at an offset of 1e8 the scores round by
+    # about as much as the distances differ
+    scale=st.sampled_from([1.0, 0.1, 1 / 3]),
+    offset=st.sampled_from([0.0, 1e3, 1e6, 1e8]),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="duplicates", num_rows=30, width=3, k=4, scale=1.0, offset=0.0, seed=0)
+@example(kind="equal", num_rows=12, width=4, k=3, scale=1.0, offset=0.0, seed=1)
+@example(kind="integers", num_rows=20, width=2, k=2, scale=1.0, offset=0.0, seed=2)
+@example(kind="integers", num_rows=24, width=3, k=3, scale=0.1, offset=1e6, seed=3)
+def test_kmeans_once_matches_the_broadcast_reference_bit_for_bit(
+    kind, num_rows, width, k, scale, offset, seed
+):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        rows = rng.normal(0, 5, size=(k, width))[rng.integers(k, size=num_rows)]
+        rows += rng.normal(size=(num_rows, width))
+    elif kind == "duplicates":
+        rows = rng.normal(0, 5, size=(3, width))[rng.integers(3, size=num_rows)]
+    elif kind == "equal":
+        rows = np.full((num_rows, width), rng.normal())
+    else:
+        half = rng.integers(-3, 4, size=((num_rows + 1) // 2, width)).astype(float)
+        rows = np.vstack([half, -half])[:num_rows]
+    rows = rows * scale + offset
+    k = min(k, num_rows)
+    labels, objective = baselines._kmeans_once(rows, k, np.random.default_rng(seed))
+    want_labels, want_objective = reference_kmeans_once(rows, k, np.random.default_rng(seed))
+    assert labels.tolist() == want_labels.tolist()
+    assert labels.dtype == want_labels.dtype
+    assert objective == want_objective
 
 
 def test_simplified_config_defaults_match_experiment_settings():

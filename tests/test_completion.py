@@ -21,7 +21,12 @@ from clusterbandits.completion import (
     solve_nuclear_norm,
 )
 from clusterbandits.env import Environment, NoiseModel, RowDistribution, generate_cs_instance
-from helpers import IndexedMaskCollection, dense_iterate_solve, svd_calls
+from helpers import (
+    IndexedMaskCollection,
+    dense_iterate_solve,
+    reference_thresholded_svd,
+    svd_calls,
+)
 
 # LatticeConfig's oracle constants, which `derive_oracle_params` requires
 CONSTANTS = dict(c_p=1.0, c_b=1.0, f_cap=15)
@@ -507,6 +512,60 @@ def test_solver_svd_count_on_partial_observation():
     vals = truth[rows, cols] + 0.1 * rng.normal(size=len(rows))
     info, dense = _counted_solve(vals, (rows, cols), truth.shape, lam=0.5)
     assert dense < info.iterations
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    m=st.integers(20, 80),
+    n=st.integers(20, 80),
+    rank=st.integers(1, 5),
+    noise=st.sampled_from([0.0, 1e-3, 0.1]),
+    # basis columns: above min(m, n) // 3 - 1 the step goes dense
+    k=st.integers(1, 12),
+    # a basis from the right singular vectors of a perturbed G, as a warm
+    # start gives, or a random one
+    warm=st.booleans(),
+    # lam_k as a share of G's top singular value
+    lam_share=st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.6, 0.95, 1.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=60, n=60, rank=2, noise=1e-3, k=8, warm=True, lam_share=0.1, seed=0)
+@example(m=80, n=30, rank=3, noise=0.1, k=9, warm=True, lam_share=0.3, seed=1)
+@example(m=30, n=80, rank=3, noise=0.0, k=9, warm=False, lam_share=0.6, seed=2)
+def test_rank_k_step_matches_the_three_qr_reference(m, n, rank, noise, k, warm, lam_share, seed):
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n)) + noise * rng.normal(size=(m, n))
+    k = min(k, n)
+    if warm:
+        basis = np.linalg.svd(G + 0.01 * rng.normal(size=(m, n)))[2][:k].T
+    else:
+        basis = np.linalg.qr(rng.normal(size=(n, k)))[0]
+    lam = lam_share * float(np.linalg.svd(G, compute_uv=False)[0])
+    qrs = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        qrs.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    with svd_calls() as svds, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "qr", recording_qr)
+        U, s, Vt = completion._thresholded_svd(G, lam, basis)
+    ref_U, ref_s, ref_Vt = reference_thresholded_svd(G, lam, basis)
+    assert len(s) == len(ref_s)
+    r = int(np.count_nonzero(s > lam))
+    assert r == int(np.count_nonzero(ref_s > lam))
+    assert np.abs(s - ref_s).max() <= 1e-12 * ref_s[0]
+    # the solver's next basis is Vt[:k].T, which must not be F-ordered
+    assert Vt.flags.c_contiguous
+    thresholded = (U[:, :r] * (s[:r] - lam)) @ Vt[:r]
+    ref_thresholded = (ref_U[:, :r] * (ref_s[:r] - lam)) @ ref_Vt[:r]
+    assert np.abs(thresholded - ref_thresholded).max() <= 1e-10 * ref_s[0]
+    subspace = k + 1 <= min(m, n) // 3
+    # two QRs whenever the basis is small enough, then one SVD: of the tall
+    # n x k projection, or of G where the guard sends the step dense
+    assert qrs == ([(m, k), (m, k)] if subspace else [])
+    assert svds == [((n, k) if subspace and len(ref_s) == k else (m, n), True)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

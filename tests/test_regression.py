@@ -23,7 +23,11 @@ and emitted files were recorded before the solver kept its iterate as SVD
 factors.  Its `simplified-lattice` regret and the four digests were
 re-recorded when that policy's slack began to scale by the largest observed
 |reward| instead of the true matrix's largest |entry|; the `lattice` regret
-did not move.
+did not move.  Its `phase_trace.csv` digest was re-recorded when the rank-k
+step dropped its middle QR and took the SVD of the tall projection: two
+`oracle_error` values moved in the 16th digit (2.7508003277657278 to
+2.7508003277657305, 2.3887419721589982 to 2.3887419721589995), and no final
+regret, iteration count or other digest moved.
 """
 
 import hashlib
@@ -186,7 +190,7 @@ RANK_K_REGRET = {
 RANK_K_EMITTED = {
     "regret.csv": "630bb221e3d5827853b901be7ceee245b47e0a5022d1ef3f804f312b5879bdb4",
     "summary.csv": "61f1fa524c5fdb5977fe88f63c5e7a4e6687686dcbd93f3b3adf9b14e3e441cf",
-    "phase_trace.csv": "8d172581465cd4d485ac773971931f82ce44ed6a48fc1764f62b947d9b1e9dfd",
+    "phase_trace.csv": "e5e04d9226d1198b12beed6860ebcc89ede524a2dffe7da8dfc7447f37e4f1bd",
     "regret.svg": "d859e4f32306c6b89fb328faccc9a293fba929406e54d8b63d00afc9bc9d92f6",
 }
 
