@@ -20,11 +20,13 @@ from .completion import MU, OracleInstance, derive_oracle_params, p_and_lam
 from .env import Environment, seed_sequence
 
 ENDGAME_FRACTION = 0.01  # do not start an oracle this close to the horizon
-# the user graph checks entrywise closeness GRAPH_BLOCK columns at a time
-# on at most GRAPH_PAIR_CHUNK candidate pairs at once, so each temporary
-# holds 2^18 floats (2 MB)
+# the user graph checks entrywise closeness GRAPH_BLOCK columns at a time on
+# batches of GRAPH_PAIR_CHUNK candidate pairs (temporaries of 2^15 floats,
+# 256 kB), and drops before each batch the pairs already joined; smaller
+# batches drop more but make more numpy calls, and 2^11 timed best on
+# cs400's 400-user graphs, while cs200's 34-50-user sets fit one batch
 GRAPH_BLOCK = 16
-GRAPH_PAIR_CHUNK = 2**14
+GRAPH_PAIR_CHUNK = 2**11
 RCS_EDGE_SLACK = 3.0  # the relaxed variant links rows within 3*delta, not 2*delta
 
 
@@ -219,15 +221,47 @@ def good_arm_set(estimate_row: np.ndarray, delta: float) -> np.ndarray:
     return np.flatnonzero(row.max() - row <= 2.0 * delta)
 
 
+def _merge_components(labels: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Merge the components that the edges (first[i], second[i]) join.
+
+    `labels` gives each row the smallest row of its component so far (at
+    the start, each row itself); returns the same for the components with
+    the edges added.  Each round hooks every label an edge still spans
+    onto the smallest label across its edges, then jumps pointers until
+    every row holds its root, the smallest row of its tree.
+    """
+    while True:
+        la, lb = labels[first], labels[second]
+        spans = la != lb
+        if not spans.any():
+            return labels
+        la, lb = la[spans], lb[spans]
+        labels = labels.copy()
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
 def build_user_graph(
     estimates: np.ndarray,
     good_sets: list[np.ndarray],
     delta: float,
     slack_multiplier: float = 2.0,
 ) -> np.ndarray:
-    """Boolean adjacency over the rows of `estimates`: two users are linked
+    """Boolean symmetric adjacency over the rows of `estimates` whose
+    connected components are those of the user graph: two users are linked
     when their estimated rows agree entrywise within slack_multiplier*delta
-    and their near-best arm positions (`good_sets`) share at least one arm."""
+    and their near-best arm positions (`good_sets`) share at least one arm.
+
+    Every returned edge is such a link, but a link between users that the
+    edges of earlier batches of pairs already connect is not checked and
+    not returned: only the components are the graph's.  A graph with at
+    most GRAPH_PAIR_CHUNK overlapping pairs is one batch and is returned
+    in full.
+    """
     est = np.asarray(estimates, dtype=float)
     n = est.shape[0]
     if len(good_sets) != n:
@@ -237,16 +271,21 @@ def build_user_graph(
     good = np.zeros(est.shape)
     for i, g in enumerate(good_sets):
         good[i, np.asarray(g, dtype=int)] = 1.0
-    # only overlapping pairs can be linked; the entrywise test then runs one
-    # column block at a time on the pairs every earlier block kept.  A pair
-    # survives iff |a - b| <= thresh holds in every column, which is exactly
-    # max |a - b| <= thresh (a NaN fails both), so no rounding margin is needed.
+    # only overlapping pairs can be linked, taken in row order in batches;
+    # the entrywise test then runs one column block at a time on the pairs
+    # every earlier block kept.  A pair survives iff |a - b| <= thresh holds
+    # in every column, which is exactly max |a - b| <= thresh (a NaN fails
+    # both), so no rounding margin is needed.
     first, second = np.nonzero(np.triu(good @ good.T > 0, k=1))
     thresh = slack_multiplier * delta
     adjacency = np.zeros((n, n), dtype=bool)
+    labels = np.arange(n)
     for start in range(0, len(first), GRAPH_PAIR_CHUNK):
         a = first[start : start + GRAPH_PAIR_CHUNK]
         b = second[start : start + GRAPH_PAIR_CHUNK]
+        if start:
+            joined = labels[a] == labels[b]
+            a, b = a[~joined], b[~joined]
         for lo in range(0, est.shape[1], GRAPH_BLOCK):
             if not len(a):
                 break
@@ -254,31 +293,29 @@ def build_user_graph(
             keep = (np.abs(block[a] - block[b]) <= thresh).all(axis=1)
             a, b = a[keep], b[keep]
         adjacency[a, b] = True
+        if start + GRAPH_PAIR_CHUNK < len(first):
+            labels = _merge_components(labels, a, b)
     return adjacency | adjacency.T
 
 
 def refine_partition(
     users, adjacency: np.ndarray, good_arms: list[np.ndarray]
 ) -> list[tuple[list[int], np.ndarray]]:
-    """Connected components of the user graph, each paired with the sorted
-    union of its members' near-best arms (`good_arms`, aligned with `users`).
+    """Connected components of the user graph `adjacency` (any adjacency
+    with the graph's components, as `build_user_graph` returns), each
+    paired with the sorted union of its members' near-best arms
+    (`good_arms`, aligned with `users`).
 
     Components come in order of their smallest member id, members sorted.
     """
     users = np.asarray(users, dtype=int)
-    # every user takes the smallest id among itself and its neighbours until
-    # nothing changes; each component then carries its smallest member id
-    labels = users.copy()
-    while True:
-        reach = np.where(adjacency, labels[None, :], labels[:, None]).min(axis=1)
-        if np.array_equal(reach, labels):
-            break
-        labels = reach
+    labels = _merge_components(np.arange(len(users)), *np.nonzero(adjacency))
     components = []
     for root in np.unique(labels):
         members = np.flatnonzero(labels == root)
         arms = np.unique(np.concatenate([good_arms[i] for i in members]))
         components.append((sorted(users[members].tolist()), arms))
+    components.sort(key=lambda component: component[0][0])
     return components
 
 

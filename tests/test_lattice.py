@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,6 +234,34 @@ def _boolean_overlap_graph(estimates, good_sets, delta, slack_multiplier=2.0):
 _GRAPH_WIDTHS = [1, GRAPH_BLOCK - 1, GRAPH_BLOCK, GRAPH_BLOCK + 1, 3 * GRAPH_BLOCK + 5]
 
 
+def _reference_members(users, adjacency):
+    """Components by the dense loop `refine_partition` once ran: every user
+    takes the smallest id among itself and its neighbours until nothing
+    changes, and components come in order of that id."""
+    users = np.asarray(users, dtype=int)
+    labels = users.copy()
+    while True:
+        reach = np.where(adjacency, labels[None, :], labels[:, None]).min(axis=1)
+        if np.array_equal(reach, labels):
+            break
+        labels = reach
+    return [sorted(users[labels == root].tolist()) for root in np.unique(labels)]
+
+
+def _assert_same_components(adjacency, reference, goods, users=None):
+    """`adjacency` is a symmetric subgraph of `reference`, with an empty
+    diagonal, that `refine_partition` splits into the components of
+    `reference`, in the reference loop's order."""
+    assert adjacency.dtype == bool
+    assert np.array_equal(adjacency, adjacency.T)
+    assert not adjacency.diagonal().any()
+    assert not (adjacency & ~reference).any()
+    users = list(range(len(goods))) if users is None else users
+    comps = _plain(refine_partition(users, adjacency, goods))
+    assert comps == _plain(refine_partition(users, reference, goods))
+    assert [members for members, _ in comps] == _reference_members(users, reference)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     num_users=st.integers(1, 40),
@@ -241,11 +270,16 @@ _GRAPH_WIDTHS = [1, GRAPH_BLOCK - 1, GRAPH_BLOCK, GRAPH_BLOCK + 1, 3 * GRAPH_BLO
     delta=st.sampled_from([0.0, 0.05, 0.1, 0.25, 1.0, 10.0]),
     all_close=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    # a few pairs per batch, so that these small graphs span many batches,
+    # or the default, under which they are one batch
+    chunk=st.sampled_from([1, 2, 5, lattice.GRAPH_PAIR_CHUNK]),
 )
-@example(num_users=1, num_arms=GRAPH_BLOCK + 1, density=0.5, delta=0.1, all_close=False, seed=0)
-@example(num_users=30, num_arms=3 * GRAPH_BLOCK + 5, density=0.6, delta=0.0, all_close=True, seed=1)
+@example(num_users=1, num_arms=GRAPH_BLOCK + 1, density=0.5, delta=0.1, all_close=False, seed=0,
+         chunk=1)
+@example(num_users=30, num_arms=3 * GRAPH_BLOCK + 5, density=0.6, delta=0.0, all_close=True, seed=1,
+         chunk=2)
 def test_graph_matches_boolean_overlap_reference(
-    num_users, num_arms, density, delta, all_close, seed
+    num_users, num_arms, density, delta, all_close, seed, chunk
 ):
     rng = np.random.default_rng(seed)
     # one decimal: many pairs sit exactly on the 2*delta threshold
@@ -254,9 +288,15 @@ def test_graph_matches_boolean_overlap_reference(
         # identical rows: every overlapping pair survives every column block
         est[:] = est[0]
     goods = [np.flatnonzero(rng.random(num_arms) < density) for _ in range(num_users)]
-    adjacency = build_user_graph(est, goods, delta)
-    assert adjacency.dtype == bool
-    assert np.array_equal(adjacency, _boolean_overlap_graph(est, goods, delta))
+    with mock.patch.object(lattice, "GRAPH_PAIR_CHUNK", chunk):
+        adjacency = build_user_graph(est, goods, delta)
+    reference = _boolean_overlap_graph(est, goods, delta)
+    # user ids in no particular order, as a refined set's may come
+    users = (rng.permutation(num_users) * 3 + 1).tolist()
+    _assert_same_components(adjacency, reference, goods, users)
+    if num_users * (num_users - 1) // 2 <= chunk:
+        # every pair fits one batch, which is checked in full
+        assert np.array_equal(adjacency, reference)
 
 
 @pytest.mark.parametrize("num_arms", _GRAPH_WIDTHS)
@@ -271,12 +311,29 @@ def test_graph_checks_every_column(num_arms):
             assert build_user_graph(est, goods, 0.1)[0, 1] == linked
 
 
-def test_graph_peak_memory_at_400_users():
-    rng = np.random.default_rng(7)
-    # one-decimal rows from 2 centres: about half of the pairs are linked,
-    # so many survive every column block, in every chunk of pairs
+def _two_centre_graph_input(seed=7):
+    """400 one-decimal rows from 2 centres, about half of the pairs linked,
+    and near-best sets of density 0.3, so that nearly every pair overlaps."""
+    rng = np.random.default_rng(seed)
     est = rng.normal(size=(2, 400)).round(1)[rng.integers(2, size=400)]
     goods = [np.flatnonzero(rng.random(400) < 0.3) for _ in range(400)]
+    return est, goods
+
+
+def _row_at_a_time_graph(est, goods, delta):
+    """The full user graph, one row's closeness at a time."""
+    good = np.zeros(est.shape, dtype=bool)
+    for i, g in enumerate(goods):
+        good[i, g] = True
+    close = np.array([np.abs(est[i] - est).max(axis=1) <= 2 * delta for i in range(len(est))])
+    expected = close & (good @ good.T)
+    np.fill_diagonal(expected, False)
+    return expected
+
+
+def test_graph_peak_memory_at_400_users():
+    # many pairs are linked and the pair list spans several batches
+    est, goods = _two_centre_graph_input()
     tracemalloc.start()
     try:
         adjacency = build_user_graph(est, goods, 0.1)
@@ -285,14 +342,18 @@ def test_graph_peak_memory_at_400_users():
         tracemalloc.stop()
     # a full n x n x m broadcast would take 65 MB here
     assert peak <= 16 * 2**20
-    # row-at-a-time reference: the pair list spans several chunks
-    good = np.zeros(est.shape, dtype=bool)
-    for i, g in enumerate(goods):
-        good[i, g] = True
-    close = np.array([np.abs(est[i] - est).max(axis=1) <= 0.2 for i in range(400)])
-    expected = close & (good @ good.T)
-    np.fill_diagonal(expected, False)
-    assert np.array_equal(adjacency, expected)
+    _assert_same_components(adjacency, _row_at_a_time_graph(est, goods, 0.1), goods)
+
+
+def test_graph_skips_pairs_already_joined():
+    # the first batch of pairs joins each centre's rows into one component,
+    # so later batches check few pairs and the graph keeps few of its edges
+    est, goods = _two_centre_graph_input()
+    adjacency = build_user_graph(est, goods, 0.1)
+    reference = _row_at_a_time_graph(est, goods, 0.1)
+    _assert_same_components(adjacency, reference, goods)
+    assert len(refine_partition(range(400), adjacency, goods)) == 2
+    assert adjacency.sum() * 20 < reference.sum()
 
 
 def _noiseless_run(seed=3):
