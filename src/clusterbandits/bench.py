@@ -90,6 +90,8 @@ class _GeneratedSpec(InstanceSpec):
         dimensions = self.num_users, self.num_arms, self.num_clusters
         key = "instance.num_users, num_arms, num_clusters"
         env.check_key(key, env.check_dimensions, *dimensions)
+        if self.seed < 0:
+            raise ConfigError(f"instance.seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(kw_only=True)
@@ -186,8 +188,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.algorithms:
             raise ConfigError("experiment: at least one [algorithm <name>] section is required")
-        if not self.seeds:
-            raise ConfigError("experiment.seeds: at least one seed is required")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("experiment.seeds: at least one seed, each >= 0, is required")
         if not self.horizon or min(self.horizon) < 1:
             raise ConfigError("experiment.horizon: at least one horizon, each >= 1, is required")
         # a repeat would merge two cells into one summary stretch (the reader

@@ -391,20 +391,20 @@ class Environment:
         `oracles` is given, stop as well once none of them is collecting.
 
         The arriving user u of `user_sets[i]` is served by `oracles[i]` while
-        that oracle collects, else by its UCB state `ucb[u]`, else by its
-        fixed arm `fixed[u]`, else by a uniform pull from `arm_sets[i]` drawn
-        with `rng`.  A UCB state over one arm is planned as that arm, like a
-        fixed one, and is not called.
+        that oracle collects, else by its UCB state `ucb[u]` (`ucb` is a
+        `lattice.UcbTable` or None), else by its fixed arm `fixed[u]`, else
+        by a uniform pull from `arm_sets[i]` drawn with `rng`.  A UCB state
+        over one arm is planned as that arm, like a fixed one, and is not
+        called.
 
         Rounds are planned CLOSE_CHUNK at a time.  Each collecting oracle
         `serve`s the block's arrivals of its set, up to the one that completes
         it; one `rng.integers(0, highs)` call draws the uniform pulls, the same
-        values one call per round would draw.  When `ucb` is a
-        `lattice.UcbTable`, its `plan` then chooses the block's UCB rounds
-        from the rewards `rewards_for` gives, untried arms in bulk and the
-        rest in waves over users where the block's arrivals fill them, and
-        writes the states as per-round updates would; a round it leaves, and
-        every UCB round of any other mapping, is played through its state's
+        values one call per round would draw.  The table's `plan` then
+        chooses the block's UCB rounds from the rewards `rewards_for` gives,
+        untried arms in bulk and the rest in waves over users where the
+        block's arrivals fill them, and writes the states as per-round
+        updates would; a round it leaves is played through its state's
         `select` and `update`.  Every round is then one `play`, and each
         oracle is `credit`ed the rewards of the rounds it served.
         """
@@ -426,8 +426,6 @@ class Environment:
             arms = np.fromiter(planned.values(), np.int64, len(planned))
             role[np.fromiter(planned, np.int64, len(planned))] = _checked(arms, num_arms)
         role[[u for u, s in ucb.items() if len(s.arms) != 1]] = _UCB
-        # a UcbTable plans its states' rounds before they are played
-        plan_ucb = getattr(ucb, "plan", None)
         given = oracles is not None
         collecting = [i for i, o in enumerate(oracles or []) if o is not None and o.collecting]
         end = min(end, self.horizon)
@@ -457,9 +455,9 @@ class Environment:
             lowest = plan.min()
             if lowest == _OUT_OF_RANGE:
                 raise ArmOutOfRangeError("policy returned an arm outside the arm set")
-            if lowest == _UCB and plan_ucb is not None:
+            if lowest == _UCB:
                 at = np.flatnonzero(plan == _UCB)
-                plan[at] = plan_ucb(users[at], start + at, self.rewards_for)
+                plan[at] = ucb.plan(users[at], start + at, self.rewards_for)
             for arm in memoryview(plan):
                 if arm >= 0:
                     play(arm)

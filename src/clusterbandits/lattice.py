@@ -51,26 +51,20 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
 
 
 class UcbArmState:
-    """Upper-confidence-bound state for one user over a fixed arm subset.
+    """Upper-confidence-bound state for one user over a fixed arm subset:
+    row `row` of a `UcbTable`, built by the table's `add`.
 
     Each arm's index is cached and only the pulled arm's is recomputed, so a
     round costs one `argmax` plus constant work.  Unplayed arms hold +inf and
     `argmax` returns the first maximum, so they are tried in arm order: the
     tried arms are always a prefix of `arms`.  `update(reward)` credits the
-    arm that `select` last returned.
-
-    The counts, sums and cached indices are views of row `row` of a
-    `UcbTable`, whose sigma and horizon the state then takes, or of a
-    one-row table of the state's own when `table` is None.
+    arm that `select` last returned.  The counts, sums and cached indices
+    are views of the table's row.
     """
 
-    def __init__(self, arms, sigma: float, horizon: float, table: UcbTable | None = None,
-                 row: int = 0):
-        self.arms = np.sort(np.asarray(arms, dtype=int)).tolist()
-        if table is None:
-            table = UcbTable(1, sigma, horizon)
-        table._open_row(row, self.arms)
-        self.sigma, self.horizon = table.sigma, table.horizon
+    def __init__(self, table: UcbTable, row: int, arms: list[int]):
+        self.arms = arms
+        self.sigma = table.sigma
         self._bonus_scale = table.bonus_scale
         self._table, self._row = table, row
         self._view()
@@ -123,7 +117,9 @@ class UcbTable(dict):
 
     def add(self, user: int, arms) -> None:
         """Give `user` a fresh state over `arms`."""
-        self[user] = UcbArmState(arms, self.sigma, self.horizon, table=self, row=user)
+        arms = np.sort(np.asarray(arms, dtype=int)).tolist()
+        self._open_row(user, arms)
+        self[user] = UcbArmState(self, user, arms)
 
     def _open_row(self, row: int, arms: list[int]) -> None:
         """Set `row` to a fresh state over the sorted `arms`, first widening
@@ -211,14 +207,15 @@ class UcbTable(dict):
         return arms
 
 
-def good_arm_set(estimate_row: np.ndarray, delta: float) -> np.ndarray:
-    """Positions whose estimated reward is within 2*delta of the row maximum."""
-    row = np.asarray(estimate_row, dtype=float)
-    if row.size == 0:
-        raise ValueError("estimate row must be nonempty")
+def good_arm_set(estimates: np.ndarray, delta: float) -> np.ndarray:
+    """Boolean users x arms matrix of the near-best arms: the positions of
+    each row of `estimates` within 2*delta of the row's maximum."""
+    values = np.asarray(estimates, dtype=float)
+    if values.ndim != 2 or values.shape[1] == 0:
+        raise ValueError("estimate rows must be nonempty")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    return np.flatnonzero(row.max() - row <= 2.0 * delta)
+    return values.max(axis=1, keepdims=True) - values <= 2.0 * delta
 
 
 def _merge_components(labels: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -247,14 +244,14 @@ def _merge_components(labels: np.ndarray, first: np.ndarray, second: np.ndarray)
 
 def build_user_graph(
     estimates: np.ndarray,
-    good_sets: list[np.ndarray],
+    good: np.ndarray,
     delta: float,
     slack_multiplier: float = 2.0,
 ) -> np.ndarray:
     """Boolean symmetric adjacency over the rows of `estimates` whose
     connected components are those of the user graph: two users are linked
     when their estimated rows agree entrywise within slack_multiplier*delta
-    and their near-best arm positions (`good_sets`) share at least one arm.
+    and their near-best arms (`good`, from `good_arm_set`) overlap.
 
     Every returned edge is such a link, but a link between users that the
     edges of earlier batches of pairs already connect is not checked and
@@ -264,19 +261,17 @@ def build_user_graph(
     """
     est = np.asarray(estimates, dtype=float)
     n = est.shape[0]
-    if len(good_sets) != n:
-        raise ValueError("good_sets must hold one entry per estimated row")
+    if np.shape(good) != est.shape:
+        raise ValueError("good must hold one near-best row per estimated row")
     # near-best indicators as float64: a BLAS product counts shared arms
     # exactly and is far cheaper than numpy's boolean matmul
-    good = np.zeros(est.shape)
-    for i, g in enumerate(good_sets):
-        good[i, np.asarray(g, dtype=int)] = 1.0
+    indicators = np.asarray(good, dtype=float)
     # only overlapping pairs can be linked, taken in row order in batches;
     # the entrywise test then runs one column block at a time on the pairs
     # every earlier block kept.  A pair survives iff |a - b| <= thresh holds
     # in every column, which is exactly max |a - b| <= thresh (a NaN fails
     # both), so no rounding margin is needed.
-    first, second = np.nonzero(np.triu(good @ good.T > 0, k=1))
+    first, second = np.nonzero(np.triu(indicators @ indicators.T > 0, k=1))
     thresh = slack_multiplier * delta
     adjacency = np.zeros((n, n), dtype=bool)
     labels = np.arange(n)
@@ -299,12 +294,12 @@ def build_user_graph(
 
 
 def refine_partition(
-    users, adjacency: np.ndarray, good_arms: list[np.ndarray]
+    users, adjacency: np.ndarray, good: np.ndarray, arms: np.ndarray
 ) -> list[tuple[list[int], np.ndarray]]:
     """Connected components of the user graph `adjacency` (any adjacency
     with the graph's components, as `build_user_graph` returns), each
-    paired with the sorted union of its members' near-best arms
-    (`good_arms`, aligned with `users`).
+    paired with the union of its members' near-best arms: the sorted
+    `arms` whose column of `good` (rows aligned with `users`) holds a True.
 
     Components come in order of their smallest member id, members sorted.
     """
@@ -313,8 +308,8 @@ def refine_partition(
     components = []
     for root in np.unique(labels):
         members = np.flatnonzero(labels == root)
-        arms = np.unique(np.concatenate([good_arms[i] for i in members]))
-        components.append((sorted(users[members].tolist()), arms))
+        union = arms[good[members].any(axis=0)]
+        components.append((sorted(users[members].tolist()), union))
     components.sort(key=lambda component: component[0][0])
     return components
 
@@ -525,32 +520,31 @@ class _PhasedRun:
             # rows are views: the phase record holds `values` anyway
             for r, u in enumerate(us):
                 self.latest_row[u] = (arms, values[r])
-            good_local = [good_arm_set(values[r], delta) for r in range(len(us))]
+            good = good_arm_set(values, delta)
             if joint:
                 slack = RCS_EDGE_SLACK if self.rcs else 2.0
-                adjacency = build_user_graph(values, good_local, delta, slack_multiplier=slack)
-                good_arms = [arms[g] for g in good_local]
-                for comp, union in refine_partition(us, adjacency, good_arms):
+                adjacency = build_user_graph(values, good, delta, slack_multiplier=slack)
+                for comp, union in refine_partition(us, adjacency, good, arms):
                     new_users.append(comp)
                     new_arms.append(union)
             else:
-                sets = [set(arms[g].tolist()) for g in good_local]
-                inter, fell_back = intersect_with_union_fallback(sets)
+                inter, fell_back = intersect_with_union_fallback(good, arms)
                 if fell_back:
                     self.trace.intersection_fallbacks += 1
                 new_users.append(list(us))
-                new_arms.append(np.array(sorted(inter), dtype=int))
+                new_arms.append(inter)
         return new_users, new_arms, estimates
 
 
-def intersect_with_union_fallback(arm_sets: list[set[int]]) -> tuple[set[int], bool]:
-    """Common arms across all users; union if the intersection is empty."""
-    if not arm_sets:
-        raise ValueError("need at least one arm set")
-    inter = set.intersection(*map(set, arm_sets))
-    if inter:
-        return inter, False
-    return set.union(*map(set, arm_sets)), True
+def intersect_with_union_fallback(good: np.ndarray, arms: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The sorted `arms` near-best (`good`) for every row or, when none is,
+    for some row; and whether it fell back to that union."""
+    if not len(good):
+        raise ValueError("need at least one near-best row")
+    common = good.all(axis=0)
+    if common.any():
+        return arms[common], False
+    return arms[good.any(axis=0)], True
 
 
 def run_lattice(env: Environment, config: LatticeConfig, seed) -> PhaseTrace:

@@ -8,7 +8,7 @@ import typing
 import numpy as np
 import pytest
 
-from clusterbandits import bench, env
+from clusterbandits import bench, env, lattice
 from clusterbandits.baselines import KMEANS_ITERS
 from clusterbandits.completion import (
     OVERSAMPLE,
@@ -29,6 +29,22 @@ def run_policy(run, instance, config, horizon: int, seed, noise=None):
     bench.check_run(cell, trace)
     bench.measure_oracle(trace, instance.P)
     return cell, trace
+
+
+def ucb_table(arms_of: dict, sigma: float, horizon: float, num_users: int | None = None):
+    """A `lattice.UcbTable` of `num_users` rows (by default, one past the
+    largest user) holding a fresh state over `arms_of[u]` for each user u."""
+    if num_users is None:
+        num_users = max(arms_of, default=-1) + 1
+    table = lattice.UcbTable(num_users, sigma, horizon)
+    for user, arms in arms_of.items():
+        table.add(user, arms)
+    return table
+
+
+def ucb_state(arms, sigma: float, horizon: float):
+    """A fresh `lattice.UcbArmState` over `arms`, the one row of its table."""
+    return ucb_table({0: arms}, sigma, horizon)[0]
 
 
 def ucb_index(state, arm: int) -> float:
@@ -415,3 +431,79 @@ def reference_kmeans_once(rows, k, rng):
     dists = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     objective = float(dists[np.arange(n), labels].sum())
     return labels, objective
+
+
+def per_row_good_arm_set(estimate_row, delta):
+    """`lattice.good_arm_set` as it took one row: the positions whose
+    estimated reward is within 2*delta of the row maximum.  The per-row
+    reference of the near-best matrix."""
+    row = np.asarray(estimate_row, dtype=float)
+    if row.size == 0:
+        raise ValueError("estimate row must be nonempty")
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    return np.flatnonzero(row.max() - row <= 2.0 * delta)
+
+
+def list_build_user_graph(estimates, good_sets, delta, slack_multiplier=2.0):
+    """`lattice.build_user_graph` as it took each row's near-best positions
+    (`per_row_good_arm_set`) as a list and filled its indicator matrix row
+    by row: the reference whose adjacency the near-best matrix must give
+    bit for bit."""
+    est = np.asarray(estimates, dtype=float)
+    n = est.shape[0]
+    if len(good_sets) != n:
+        raise ValueError("good_sets must hold one entry per estimated row")
+    good = np.zeros(est.shape)
+    for i, g in enumerate(good_sets):
+        good[i, np.asarray(g, dtype=int)] = 1.0
+    first, second = np.nonzero(np.triu(good @ good.T > 0, k=1))
+    thresh = slack_multiplier * delta
+    adjacency = np.zeros((n, n), dtype=bool)
+    labels = np.arange(n)
+    chunk = lattice.GRAPH_PAIR_CHUNK
+    for start in range(0, len(first), chunk):
+        a = first[start : start + chunk]
+        b = second[start : start + chunk]
+        if start:
+            joined = labels[a] == labels[b]
+            a, b = a[~joined], b[~joined]
+        for lo in range(0, est.shape[1], lattice.GRAPH_BLOCK):
+            if not len(a):
+                break
+            block = est[:, lo : lo + lattice.GRAPH_BLOCK]
+            keep = (np.abs(block[a] - block[b]) <= thresh).all(axis=1)
+            a, b = a[keep], b[keep]
+        adjacency[a, b] = True
+        if start + chunk < len(first):
+            labels = lattice._merge_components(labels, a, b)
+    return adjacency | adjacency.T
+
+
+def list_refine_partition(users, adjacency, good_arms):
+    """`lattice.refine_partition` as it took each user's near-best arms as
+    an array (`good_arms`, aligned with `users`) and concatenated a
+    component's arrays into their sorted union: the reference of the
+    near-best matrix's `any(axis=0)`."""
+    users = np.asarray(users, dtype=int)
+    labels = lattice._merge_components(np.arange(len(users)), *np.nonzero(adjacency))
+    components = []
+    for root in np.unique(labels):
+        members = np.flatnonzero(labels == root)
+        arms = np.unique(np.concatenate([good_arms[i] for i in members]))
+        components.append((sorted(users[members].tolist()), arms))
+    components.sort(key=lambda component: component[0][0])
+    return components
+
+
+def set_intersect_with_union_fallback(arm_sets):
+    """`lattice.intersect_with_union_fallback` as it took each user's
+    near-best arms as a Python set: the common arms, or their union if none
+    is common, and whether it fell back.  The relaxed refine turned the
+    result into `np.array(sorted(arms), dtype=int)`."""
+    if not arm_sets:
+        raise ValueError("need at least one arm set")
+    inter = set.intersection(*map(set, arm_sets))
+    if inter:
+        return inter, False
+    return set.union(*map(set, arm_sets)), True

@@ -36,6 +36,7 @@ from helpers import (
     run_policy,
     serialize_config,
     ucb_index,
+    ucb_state,
     whole_run,
 )
 
@@ -311,19 +312,21 @@ def test_criterion_7_invariant_suites(tmp_path, acceptance_log):
 
     # hand oracles for the elimination primitives
     from clusterbandits.lattice import (
-        UcbArmState,
         build_user_graph,
         good_arm_set,
         intersect_with_union_fallback,
     )
 
-    checks["good_arm_set"] = set(good_arm_set(np.array([1.0, 0.9, 0.5]), 0.1)) == {0, 1}
+    checks["good_arm_set"] = good_arm_set(np.array([[1.0, 0.9, 0.5]]), 0.1).tolist() == [
+        [True, True, False]
+    ]
     est = np.array([[1.0, 0.0], [0.0, 1.0]])
-    goods = [good_arm_set(est[i], 0.1) for i in range(2)]
-    checks["edge_rule"] = not build_user_graph(est, goods, 0.1).any()
-    intersection = intersect_with_union_fallback([{0, 1}, {1, 2}, {1, 3}])
-    checks["intersection"] = intersection == ({1}, False)
-    state = UcbArmState([0], sigma=1.0, horizon=math.e)
+    checks["edge_rule"] = not build_user_graph(est, good_arm_set(est, 0.1), 0.1).any()
+    # near-best arms {0, 1}, {1, 2} and {1, 3} over the arms 0..3
+    near_best = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1]], dtype=bool)
+    inter, fell_back = intersect_with_union_fallback(near_best, np.arange(4))
+    checks["intersection"] = (inter.tolist(), fell_back) == ([1], False)
+    state = ucb_state([0], 1.0, math.e)
     for _ in range(6):
         state.select()
         state.update(0.5)

@@ -130,6 +130,9 @@ def test_config_etc_has_no_num_clusters_key():
         # a repeat would merge two cells into one summary stretch
         ("horizon = 100", "horizon = 100,200,100", r"experiment\.horizon: 100 may appear only"),
         ("seeds = 1", "seeds = 1,2,1", r"experiment\.seeds: 1 may appear only once"),
+        # a seed sequence takes no negative entropy: a config error, not a failed cell
+        ("seeds = 1", "seeds = 1,-2", r"experiment\.seeds: at least one seed, each >= 0"),
+        ("seed = 3", "seed = -3", r"instance\.seed: must be >= 0, got -3"),
         ("seed = 3", "seed = 3\nseed = 4", r"line 8: seed is set twice in \[instance\]"),
         ("[algorithm", "[experiment]\nseeds = 2\n[algorithm", r"line 13: \[experiment\] may appear"),
         ("[algorithm", "[instance]\nkind = cs\n[algorithm", r"line 13: \[instance\] may appear"),
@@ -230,6 +233,7 @@ def test_config_out_of_range_value_fails_before_any_cell(monkeypatch, tmp_path):
         ("gaussian(0,1)", "uniform(0,inf)", r"instance\.row_distribution: .*must be finite"),
         ("kind = cs", "kind = rcs\nnu = nan", r"instance\.nu: cannot parse 'nan'.*not a finite"),
         ("kind = cs", "kind = rcs\nnu = -0.1", r"instance\.nu: nu must be nonnegative"),
+        ("seed = 3", "seed = -3", r"instance\.seed: must be >= 0, got -3"),
         (
             "kind = cs",
             "kind = hard\nepsilon = 1.5\noptimal_arms = 0,1",
@@ -691,17 +695,32 @@ def test_no_policy_module_names_the_ground_truth(module):
     assert "|".join(re.escape(name) for name in TRUTH_READERS) in workflow
 
 
+# the only `Environment` methods that may name the truth: building the
+# environment, and playing or pricing a round from the true means
+ENV_TRUTH_READERS = ("__init__", "play", "rewards_for")
+
+
 def test_no_policy_runs_in_a_module_that_reads_the_ground_truth():
     # the source scan above skips the truth's readers, so no policy's run
     # function may live in one of them (CI's grep step checks this too), and
-    # the round loop that the policies drive must not name the truth either
+    # no `Environment` method but its truth readers may name the truth: the
+    # round loop that the policies drive, and any helper it calls.  Methods
+    # are compared as functions, since `_play` is `play` under another name.
     for _, module, name in bench._SECTIONS.values():
         for owner in (module.__name__, getattr(module, name).__module__):
             assert owner.rpartition(".")[2] + ".py" not in TRUTH_READERS, (name, owner)
-    source = inspect.getsource(env.Environment.run)
-    assert [line for line in source.splitlines() if re.search(GROUND_TRUTH_NAMES, line)] == []
+    readers = [getattr(env.Environment, name) for name in ENV_TRUTH_READERS]
+    scanned = []
+    for name, method in vars(env.Environment).items():
+        if not inspect.isfunction(method) or method in readers:
+            continue
+        scanned.append(name)
+        source = inspect.getsource(method)
+        assert [line for line in source.splitlines() if re.search(GROUND_TRUTH_NAMES, line)] == []
+    assert {"run", "step"} <= set(scanned) and "_play" not in scanned
     workflow = (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
     assert "bench._SECTIONS" in workflow
+    assert f"readers = ({', '.join(f'E.{name}' for name in ENV_TRUTH_READERS)})" in workflow
 
 
 def test_parse_and_run_check_the_instance_spec_once(monkeypatch):
@@ -1735,7 +1754,7 @@ def test_cli_seed_list_override(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run"])
-@pytest.mark.parametrize("seeds", ["4,x", "", ",", "4,5,4"])
+@pytest.mark.parametrize("seeds", ["4,x", "", ",", "4,5,4", "101,-2"])
 def test_cli_bad_seed_list_exits_2_before_any_cell(tmp_path, monkeypatch, capsys, command, seeds):
     def no_cell(*args):
         raise AssertionError("a cell ran")
@@ -1746,6 +1765,18 @@ def test_cli_bad_seed_list_exits_2_before_any_cell(tmp_path, monkeypatch, capsys
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--out", str(out), "--seed-list", seeds]) == 2
     assert "experiment.seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_negative_config_seed_exits_2_before_any_cell(tmp_path, monkeypatch, capsys):
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(bench, "_run_cell", no_cell)
+    cfg = _write_config(tmp_path, SMALL_CONFIG.replace("seeds = 1", "seeds = 1,-2"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: experiment.seeds: at least one seed, each >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -29,7 +29,7 @@ from clusterbandits.env import (
 )
 from clusterbandits.completion import OracleInstance, OracleParams
 from clusterbandits.lattice import UcbArmState, UcbTable
-from helpers import ClosedRegret, PerRoundOracle, noisy_reward, ucb_index, whole_run
+from helpers import ClosedRegret, PerRoundOracle, noisy_reward, ucb_index, ucb_table, whole_run
 
 
 def validate_instance(instance, atol=1e-12):
@@ -223,21 +223,6 @@ class _StubOracle:
         self.credited.append(rewards.copy())
 
 
-class _StubUcb:
-    """Tracks two arms, so `Environment.run` calls it, and always selects `arm`."""
-
-    def __init__(self, arm):
-        self.arm = arm
-        self.arms = [arm, arm + 1]
-        self.updates = 0
-
-    def select(self):
-        return self.arm
-
-    def update(self, reward):
-        self.updates += 1
-
-
 def _run_env(horizon):
     inst = generate_cs_instance(4, 6, 2, RowDistribution.gaussian(0, 1), seed=1)
     return Environment(inst, NoiseModel("none"), seed=0, horizon=horizon)
@@ -311,28 +296,37 @@ def test_env_run_reads_collecting_once_per_record():
 
 def test_env_run_serves_oracle_then_ucb_then_fixed_then_uniform():
     env = _run_env(400)
+    P = generate_cs_instance(4, 6, 2, RowDistribution.gaussian(0, 1), seed=1).P
     user_sets, arm_sets = [[0, 1, 2], [3]], [np.array([4]), np.array([5])]
-    ucb = {0: _StubUcb(2), 3: _StubUcb(2)}
+    # greedy UCB states over arms 0 and 2: each tries 0, then 2, then keeps
+    # the better of the two (noiseless rewards)
+    ucb = ucb_table({0: [0, 2], 3: [0, 2]}, 0.0, 400, num_users=4)
     fixed = {0: 3, 1: 3}
     rng = np.random.default_rng(0)
     oracles = [_StubOracle(1, 10**6), None]
     env.run(200, user_sets, arm_sets, rng, oracles=oracles, ucb=ucb, fixed=fixed)
     env.run(400, user_sets, arm_sets, rng, ucb=ucb, fixed=fixed)
     users, arms = env.users, env.arms
-    expected_collecting = {0: 1, 1: 1, 2: 1, 3: 2}
-    expected_after = {0: 2, 1: 3, 2: 4, 3: 2}
-    assert [int(a) for a in arms[:200]] == [expected_collecting[u] for u in users[:200]]
-    assert [int(a) for a in arms[200:]] == [expected_after[u] for u in users[200:]]
-    assert ucb[0].updates == np.sum(users[200:] == 0)
-    assert ucb[3].updates == np.sum(users == 3)
+    # the oracle serves set 0 for the first 200 rounds; user 3's state, set 1
+    expected_collecting = {0: 1, 1: 1, 2: 1, 3: None}
+    expected_after = {0: None, 1: 3, 2: 4, 3: None}
+    for expected, rounds in ((expected_collecting, range(200)), (expected_after, range(200, 400))):
+        fixed_or_uniform = [t for t in rounds if expected[users[t]] is not None]
+        assert arms[fixed_or_uniform].tolist() == [expected[users[t]] for t in fixed_or_uniform]
+    for u, start in ((0, 200), (3, 0)):
+        ucb_rounds = start + np.flatnonzero(users[start:] == u)
+        best = 0 if P[u, 0] >= P[u, 2] else 2
+        assert arms[ucb_rounds].tolist() == ([0, 2] + [best] * len(ucb_rounds))[: len(ucb_rounds)]
+        assert list(ucb[u].counts) == [np.sum(arms[ucb_rounds] == a) for a in (0, 2)]
 
 
-class _UncalledUcb(UcbArmState):
-    def select(self):
-        raise AssertionError("a UCB state over one arm is called")
-
-    def update(self, reward):
-        raise AssertionError("a UCB state over one arm is called")
+def _uncalled_with_one_arm(method):
+    """`method` of `UcbArmState`, failing when the state has one arm."""
+    def guarded(state, *args):
+        if len(state.arms) == 1:
+            raise AssertionError("a UCB state over one arm is called")
+        return method(state, *args)
+    return guarded
 
 
 @pytest.mark.parametrize("collect", [False, True], ids=["no-oracles", "oracles"])
@@ -341,20 +335,22 @@ def test_env_run_plays_a_one_arm_ucb_state_without_calling_it(collect):
     horizon = 2 * CLOSE_CHUNK + 3
     user_sets, arm_sets = [[0, 1], [2, 3]], [np.array([0, 5]), np.array([1, 2, 4])]
     outcomes = []
-    for driver, one_arm in ((_per_round_run, UcbArmState), (Environment.run, _UncalledUcb)):
+    for driver in (_per_round_run, Environment.run):
         env = Environment(inst, NoiseModel("gaussian", 0.5), seed=0, horizon=horizon)
         rng = np.random.default_rng(1)
         # users 0 and 2 are down to one arm; user 3's state still chooses
-        ucb = {
-            0: one_arm([5], 0.5, horizon), 2: one_arm([4], 0.5, horizon),
-            3: UcbArmState(arm_sets[1], 0.5, horizon),
-        }
+        ucb = ucb_table({0: [5], 2: [4], 3: arm_sets[1]}, 0.5, horizon, num_users=4)
         fixed = {0: 3, 1: 0}
-        if collect:
-            oracles = [_StubOracle(1, 50), _StubOracle(2, 3000)]
-            driver(env, horizon, user_sets, arm_sets, rng, oracles=oracles, ucb=ucb, fixed=fixed)
-        stopped = env.t
-        driver(env, horizon, user_sets, arm_sets, rng, ucb=ucb, fixed=fixed)
+        with pytest.MonkeyPatch.context() as patch:
+            if driver is Environment.run:
+                patch.setattr(UcbArmState, "select", _uncalled_with_one_arm(UcbArmState.select))
+                patch.setattr(UcbArmState, "update", _uncalled_with_one_arm(UcbArmState.update))
+            if collect:
+                oracles = [_StubOracle(1, 50), _StubOracle(2, 3000)]
+                driver(env, horizon, user_sets, arm_sets, rng, oracles=oracles, ucb=ucb,
+                       fixed=fixed)
+            stopped = env.t
+            driver(env, horizon, user_sets, arm_sets, rng, ucb=ucb, fixed=fixed)
         outcomes.append(
             (stopped, env.t, env.arms.tolist(), env.rewards.tobytes(), rng.bit_generator.state)
         )
@@ -369,7 +365,7 @@ def test_env_run_plays_a_one_arm_ucb_state_without_calling_it(collect):
 
 @pytest.mark.parametrize("arm", [6, -1])
 def test_env_run_rejects_a_one_arm_ucb_state_over_an_out_of_range_arm(arm):
-    for ucb, fixed in (({0: UcbArmState([arm], 0.5, 100)}, None), (None, {0: arm})):
+    for ucb, fixed in ((ucb_table({0: [arm]}, 0.5, 100, num_users=4), None), (None, {0: arm})):
         env = _run_env(100)
         with pytest.raises(ArmOutOfRangeError):
             env.run(100, [range(4)], [np.arange(6)], np.random.default_rng(0), ucb=ucb, fixed=fixed)
@@ -484,10 +480,10 @@ def test_planned_run_matches_the_per_round_driver(
     for driver in (_per_round_run, Environment.run):
         env = Environment(inst, NoiseModel("gaussian", 0.5), seed=seed, horizon=horizon)
         rng = np.random.default_rng(seed + 1)
-        ucb = {
-            u: UcbArmState(arm_sets[labels[u]], 0.5, max(2, horizon))
-            for u in range(num_users) if roles[u] == "u"
-        }
+        ucb = ucb_table(
+            {u: arm_sets[labels[u]] for u in range(num_users) if roles[u] == "u"},
+            0.5, max(2, horizon), num_users,
+        )
         fixed = {u: u % num_arms for u in range(num_users) if roles[u] == "f"}
         oracles = None if oracle_specs is None else [
             None if spec is None else _PeriodicOracle(arm_sets[i], *spec)
@@ -558,10 +554,10 @@ def test_planned_ucb_rounds_match_the_per_round_driver(
     for driver in (_per_round_run, Environment.run):
         env = Environment(inst, NoiseModel(noise, 0.5), seed=seed, horizon=horizon)
         rng = np.random.default_rng(seed + 1)
-        ucb = UcbTable(num_users, 0.5, max(2, horizon))
-        for u in range(num_users):
-            if roles[u] == "u":
-                ucb.add(u, arm_sets[labels[u]])
+        ucb = ucb_table(
+            {u: arm_sets[labels[u]] for u in range(num_users) if roles[u] == "u"},
+            0.5, max(2, horizon), num_users,
+        )
         fixed = {u: u % num_arms for u in range(num_users) if roles[u] == "f"}
         oracles = [
             None if spec is None else _PeriodicOracle(arm_sets[i], *spec)
@@ -644,10 +640,10 @@ def test_planned_oracles_match_the_per_round_reference(
     for driver, make in ((_per_round_run, PerRoundOracle), (Environment.run, OracleInstance)):
         env = Environment(inst, NoiseModel("gaussian", 0.5), seed=seed, horizon=horizon)
         rng = np.random.default_rng(seed + 1)
-        ucb = {
-            u: UcbArmState(arm_sets[labels[u]], 0.5, max(2, horizon))
-            for u in range(num_users) if roles[u] == "u"
-        }
+        ucb = ucb_table(
+            {u: arm_sets[labels[u]] for u in range(num_users) if roles[u] == "u"},
+            0.5, max(2, horizon), num_users,
+        )
         fixed = {u: u % num_arms for u in range(num_users) if roles[u] == "f"}
         oracles = [
             None if spec is None else make(

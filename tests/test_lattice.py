@@ -13,50 +13,74 @@ from clusterbandits.env import NoiseModel, RowDistribution, generate_cs_instance
 from clusterbandits.lattice import (
     GRAPH_BLOCK,
     LatticeConfig,
-    UcbArmState,
     build_user_graph,
     good_arm_set,
+    intersect_with_union_fallback,
     refine_partition,
     run_lattice,
 )
-from helpers import run_policy, ucb_index, whole_run
+from helpers import (
+    list_build_user_graph,
+    list_refine_partition,
+    per_row_good_arm_set,
+    run_policy,
+    set_intersect_with_union_fallback,
+    ucb_index,
+    ucb_state,
+    whole_run,
+)
+
+
+def _near_best(row, delta):
+    """The near-best positions of one estimated row."""
+    return set(np.flatnonzero(good_arm_set(np.asarray(row)[None, :], delta)[0]).tolist())
 
 
 def test_good_arm_set_hand_case():
-    out = good_arm_set(np.array([1.0, 0.9, 0.5]), 0.1)
-    assert set(out) == {0, 1}
+    assert _near_best([1.0, 0.9, 0.5], 0.1) == {0, 1}
 
 
 def test_good_arm_set_zero_slack_singleton():
-    out = good_arm_set(np.array([0.3, 0.9, 0.1]), 0.0)
-    assert set(out) == {1}
+    assert _near_best([0.3, 0.9, 0.1], 0.0) == {1}
 
 
 def test_good_arm_set_constant_row_keeps_all():
-    out = good_arm_set(np.full(5, 0.42), 0.7)
-    assert set(out) == set(range(5))
+    assert _near_best(np.full(5, 0.42), 0.7) == set(range(5))
 
 
 def test_good_arm_set_always_contains_argmax():
     rng = np.random.default_rng(0)
     for _ in range(50):
         row = rng.normal(size=8)
-        out = good_arm_set(row, rng.uniform(0, 1))
-        assert int(np.argmax(row)) in out
+        assert int(np.argmax(row)) in _near_best(row, rng.uniform(0, 1))
+
+
+@pytest.mark.parametrize(
+    "estimates, delta",
+    [(np.zeros((3, 0)), 0.1), (np.zeros(4), 0.1), (np.zeros((2, 3)), -0.01)],
+    ids=["empty-rows", "one-dimensional", "negative-delta"],
+)
+def test_good_arm_set_rejects_empty_rows_and_negative_delta(estimates, delta):
+    with pytest.raises(ValueError):
+        good_arm_set(estimates, delta)
 
 
 def test_graph_identical_rows_edge():
     est = np.array([[0.5, 0.1], [0.5, 0.1]])
-    goods = [good_arm_set(est[i], 0.05) for i in range(2)]
-    adjacency = build_user_graph(est, goods, 0.05)
+    adjacency = build_user_graph(est, good_arm_set(est, 0.05), 0.05)
     assert adjacency.tolist() == [[False, True], [True, False]]
 
 
 def test_graph_far_rows_no_edge():
     est = np.array([[1.0, 0.0], [0.0, 1.0]])
-    goods = [good_arm_set(est[i], 0.1) for i in range(2)]
-    adjacency = build_user_graph(est, goods, 0.1)
+    adjacency = build_user_graph(est, good_arm_set(est, 0.1), 0.1)
     assert not adjacency.any()
+
+
+def test_graph_rejects_a_near_best_matrix_of_another_shape():
+    est = np.zeros((3, 4))
+    with pytest.raises(ValueError, match="one near-best row per estimated row"):
+        build_user_graph(est, good_arm_set(est[:2], 0.1), 0.1)
 
 
 def test_graph_chain_single_component():
@@ -64,10 +88,10 @@ def test_graph_chain_single_component():
     # while A and C differ by 3*delta at arm 0
     delta = 0.1
     est = np.array([[1.0, 0.9], [0.85, 0.95], [0.7, 1.0]])
-    goods = [good_arm_set(est[i], delta) for i in range(3)]
-    adjacency = build_user_graph(est, goods, delta)
+    good = good_arm_set(est, delta)
+    adjacency = build_user_graph(est, good, delta)
     assert adjacency.tolist() == [[False, True, False], [True, False, True], [False, True, False]]
-    comps = refine_partition([0, 1, 2], adjacency, [np.array([0, 1])[g] for g in goods])
+    comps = refine_partition([0, 1, 2], adjacency, good, np.array([0, 1]))
     assert len(comps) == 1
     assert comps[0][0] == [0, 1, 2]
 
@@ -80,7 +104,10 @@ def _adjacency(n, edges):
 
 
 def _arms(*sets):
-    return [np.array(sorted(s)) for s in sets]
+    """(the near-best matrix, the sorted arms) of users whose near-best arms
+    are `sets`, over the arms some set holds."""
+    arms = np.array(sorted(set().union(*sets)))
+    return np.array([np.isin(arms, sorted(s)) for s in sets]), arms
 
 
 def _plain(comps):
@@ -88,37 +115,37 @@ def _plain(comps):
 
 
 def test_refine_edgeless_graph():
-    comps = refine_partition([0, 1, 2], _adjacency(3, []), _arms({0}, {1}, {2}))
+    comps = refine_partition([0, 1, 2], _adjacency(3, []), *_arms({0}, {1}, {2}))
     assert _plain(comps) == [([0], [0]), ([1], [1]), ([2], [2])]
 
 
 def test_refine_complete_graph():
     adjacency = _adjacency(3, [(0, 1), (1, 2), (0, 2)])
-    comps = refine_partition([0, 1, 2], adjacency, _arms({0, 1}, {1, 2}, {4}))
+    comps = refine_partition([0, 1, 2], adjacency, *_arms({0, 1}, {1, 2}, {4}))
     assert _plain(comps) == [([0, 1, 2], [0, 1, 2, 4])]
 
 
 def test_refine_path_union():
     adjacency = _adjacency(3, [(0, 1), (1, 2)])
-    comps = refine_partition([0, 1, 2], adjacency, _arms({0, 1}, {1, 2}, {2, 3}))
+    comps = refine_partition([0, 1, 2], adjacency, *_arms({0, 1}, {1, 2}, {2, 3}))
     assert _plain(comps) == [([0, 1, 2], [0, 1, 2, 3])]
 
 
 def test_refine_orders_components_by_smallest_member_id():
     # users 8 and 3 are linked, 5 stands alone: components come as [3, 8], [5]
     adjacency = _adjacency(3, [(0, 2)])
-    comps = refine_partition([8, 5, 3], adjacency, _arms({2}, {1}, {0}))
+    comps = refine_partition([8, 5, 3], adjacency, *_arms({2}, {1}, {0}))
     assert _plain(comps) == [([3, 8], [0, 2]), ([5], [1])]
 
 
 def test_ucb_index_unplayed_is_infinite():
-    state = UcbArmState([0, 1], sigma=1.0, horizon=100)
+    state = ucb_state([0, 1], 1.0, 100)
     assert ucb_index(state, 0) == math.inf
 
 
 def test_ucb_index_formula():
     # horizon e makes log T = 1: index = 0.5 + sqrt(6/6) = 1.5
-    state = UcbArmState([0], sigma=1.0, horizon=math.e)
+    state = ucb_state([0], 1.0, math.e)
     for _ in range(6):
         assert state.select() == 0
         state.update(0.5)
@@ -126,7 +153,7 @@ def test_ucb_index_formula():
 
 
 def test_ucb_zero_sigma_is_greedy():
-    state = UcbArmState([0, 1], sigma=0.0, horizon=1000)
+    state = ucb_state([0, 1], 0.0, 1000)
     for arm, reward in [(0, 0.9), (1, 0.2)]:
         assert state.select() == arm
         state.update(reward)
@@ -135,7 +162,7 @@ def test_ucb_zero_sigma_is_greedy():
 
 
 def test_ucb_each_arm_once_before_any_twice():
-    state = UcbArmState([3, 1, 5], sigma=0.5, horizon=100)
+    state = ucb_state([3, 1, 5], 0.5, 100)
     picks = []
     for _ in range(3):
         arm = state.select()
@@ -145,7 +172,7 @@ def test_ucb_each_arm_once_before_any_twice():
 
 
 def test_ucb_tie_breaks_to_lowest_index():
-    state = UcbArmState([2, 4], sigma=0.0, horizon=50)
+    state = ucb_state([2, 4], 0.0, 50)
     for arm in (2, 4):
         assert state.select() == arm
         state.update(0.7)
@@ -203,7 +230,7 @@ class _RecomputeUcb:
     ),
 )
 def test_ucb_cached_index_matches_recompute_reference(arms, sigma, horizon, rewards):
-    state = UcbArmState(arms, sigma, horizon)
+    state = ucb_state(arms, sigma, horizon)
     ref = _RecomputeUcb(arms, sigma, horizon)
     for reward in rewards:
         arm = state.select()
@@ -218,11 +245,8 @@ def test_ucb_cached_index_matches_recompute_reference(arms, sigma, horizon, rewa
             ucb_index(state, a)
 
 
-def _boolean_overlap_graph(estimates, good_sets, delta, slack_multiplier=2.0):
+def _boolean_overlap_graph(estimates, good, delta, slack_multiplier=2.0):
     """`build_user_graph` with the near-best overlap as a boolean matrix product."""
-    good = np.zeros(estimates.shape, dtype=bool)
-    for i, g in enumerate(good_sets):
-        good[i, g] = True
     diff = np.abs(estimates[:, None, :] - estimates[None, :, :]).max(axis=2)
     adjacency = (diff <= slack_multiplier * delta) & (good @ good.T)
     np.fill_diagonal(adjacency, False)
@@ -248,7 +272,7 @@ def _reference_members(users, adjacency):
     return [sorted(users[labels == root].tolist()) for root in np.unique(labels)]
 
 
-def _assert_same_components(adjacency, reference, goods, users=None):
+def _assert_same_components(adjacency, reference, good, users=None):
     """`adjacency` is a symmetric subgraph of `reference`, with an empty
     diagonal, that `refine_partition` splits into the components of
     `reference`, in the reference loop's order."""
@@ -256,9 +280,10 @@ def _assert_same_components(adjacency, reference, goods, users=None):
     assert np.array_equal(adjacency, adjacency.T)
     assert not adjacency.diagonal().any()
     assert not (adjacency & ~reference).any()
-    users = list(range(len(goods))) if users is None else users
-    comps = _plain(refine_partition(users, adjacency, goods))
-    assert comps == _plain(refine_partition(users, reference, goods))
+    users = list(range(len(good))) if users is None else users
+    arms = np.arange(good.shape[1])
+    comps = _plain(refine_partition(users, adjacency, good, arms))
+    assert comps == _plain(refine_partition(users, reference, good, arms))
     assert [members for members, _ in comps] == _reference_members(users, reference)
 
 
@@ -287,13 +312,14 @@ def test_graph_matches_boolean_overlap_reference(
     if all_close:
         # identical rows: every overlapping pair survives every column block
         est[:] = est[0]
-    goods = [np.flatnonzero(rng.random(num_arms) < density) for _ in range(num_users)]
+    # the same draws, row by row, as one near-best set per user would take
+    good = rng.random((num_users, num_arms)) < density
     with mock.patch.object(lattice, "GRAPH_PAIR_CHUNK", chunk):
-        adjacency = build_user_graph(est, goods, delta)
-    reference = _boolean_overlap_graph(est, goods, delta)
+        adjacency = build_user_graph(est, good, delta)
+    reference = _boolean_overlap_graph(est, good, delta)
     # user ids in no particular order, as a refined set's may come
     users = (rng.permutation(num_users) * 3 + 1).tolist()
-    _assert_same_components(adjacency, reference, goods, users)
+    _assert_same_components(adjacency, reference, good, users)
     if num_users * (num_users - 1) // 2 <= chunk:
         # every pair fits one batch, which is checked in full
         assert np.array_equal(adjacency, reference)
@@ -303,12 +329,12 @@ def test_graph_matches_boolean_overlap_reference(
 def test_graph_checks_every_column(num_arms):
     # two rows that differ in one column only, by 2*delta exactly (linked)
     # or by more (not linked), for every column position
-    goods = [np.arange(num_arms)] * 2
+    good = np.ones((2, num_arms), dtype=bool)
     for col in range(num_arms):
         for gap, linked in ((0.2, True), (0.3, False)):
             est = np.zeros((2, num_arms))
             est[1, col] = gap
-            assert build_user_graph(est, goods, 0.1)[0, 1] == linked
+            assert build_user_graph(est, good, 0.1)[0, 1] == linked
 
 
 def _two_centre_graph_input(seed=7):
@@ -316,15 +342,12 @@ def _two_centre_graph_input(seed=7):
     and near-best sets of density 0.3, so that nearly every pair overlaps."""
     rng = np.random.default_rng(seed)
     est = rng.normal(size=(2, 400)).round(1)[rng.integers(2, size=400)]
-    goods = [np.flatnonzero(rng.random(400) < 0.3) for _ in range(400)]
-    return est, goods
+    good = rng.random((400, 400)) < 0.3
+    return est, good
 
 
-def _row_at_a_time_graph(est, goods, delta):
+def _row_at_a_time_graph(est, good, delta):
     """The full user graph, one row's closeness at a time."""
-    good = np.zeros(est.shape, dtype=bool)
-    for i, g in enumerate(goods):
-        good[i, g] = True
     close = np.array([np.abs(est[i] - est).max(axis=1) <= 2 * delta for i in range(len(est))])
     expected = close & (good @ good.T)
     np.fill_diagonal(expected, False)
@@ -333,27 +356,81 @@ def _row_at_a_time_graph(est, goods, delta):
 
 def test_graph_peak_memory_at_400_users():
     # many pairs are linked and the pair list spans several batches
-    est, goods = _two_centre_graph_input()
+    est, good = _two_centre_graph_input()
     tracemalloc.start()
     try:
-        adjacency = build_user_graph(est, goods, 0.1)
+        adjacency = build_user_graph(est, good, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # a full n x n x m broadcast would take 65 MB here
     assert peak <= 16 * 2**20
-    _assert_same_components(adjacency, _row_at_a_time_graph(est, goods, 0.1), goods)
+    _assert_same_components(adjacency, _row_at_a_time_graph(est, good, 0.1), good)
 
 
 def test_graph_skips_pairs_already_joined():
     # the first batch of pairs joins each centre's rows into one component,
     # so later batches check few pairs and the graph keeps few of its edges
-    est, goods = _two_centre_graph_input()
-    adjacency = build_user_graph(est, goods, 0.1)
-    reference = _row_at_a_time_graph(est, goods, 0.1)
-    _assert_same_components(adjacency, reference, goods)
-    assert len(refine_partition(range(400), adjacency, goods)) == 2
+    est, good = _two_centre_graph_input()
+    adjacency = build_user_graph(est, good, 0.1)
+    reference = _row_at_a_time_graph(est, good, 0.1)
+    _assert_same_components(adjacency, reference, good)
+    assert len(refine_partition(range(400), adjacency, good, np.arange(400))) == 2
     assert adjacency.sum() * 20 < reference.sum()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    num_users=st.integers(1, 40),
+    num_arms=st.sampled_from(_GRAPH_WIDTHS + [2, 7]),
+    # free values; a few levels, so that rows tie at their maximum and pairs
+    # sit on the edge threshold; or one value per row (constant rows)
+    values=st.sampled_from(["free", "levels", "constant"]),
+    constant_share=st.floats(0.0, 1.0),
+    delta=st.one_of(st.sampled_from([0.0, 0.05, 0.25, 1.0]), st.floats(0.0, 2.0)),
+    slack=st.sampled_from([2.0, lattice.RCS_EDGE_SLACK]),
+    chunk=st.sampled_from([1, 3, lattice.GRAPH_PAIR_CHUNK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(num_users=1, num_arms=1, values="free", constant_share=0.0, delta=0.0, slack=2.0,
+         chunk=1, seed=0)
+@example(num_users=40, num_arms=GRAPH_BLOCK + 1, values="levels", constant_share=0.5, delta=0.0,
+         slack=2.0, chunk=3, seed=2)
+def test_near_best_matrix_matches_the_per_row_path(
+    num_users, num_arms, values, constant_share, delta, slack, chunk, seed
+):
+    rng = np.random.default_rng(seed)
+    if values == "free":
+        est = rng.normal(size=(num_users, num_arms))
+    elif values == "levels":
+        est = rng.integers(0, 4, size=(num_users, num_arms)) * 0.25
+    else:
+        est = np.repeat(rng.normal(size=(num_users, 1)).round(1), num_arms, axis=1)
+    # some rows constant in any case, at a value other rows may share
+    constant = rng.random(num_users) < constant_share
+    est[constant] = rng.integers(0, 3, size=(int(constant.sum()), 1)) * 0.5
+    # a set's arms: sorted, with gaps; its users: ids in no particular order
+    arms = np.sort(rng.choice(4 * num_arms, size=num_arms, replace=False))
+    users = (rng.permutation(num_users) * 3 + 1).tolist()
+
+    good = good_arm_set(est, delta)
+    rows = [per_row_good_arm_set(est[r], delta) for r in range(num_users)]
+    assert good.dtype == bool and good.shape == est.shape
+    assert [np.flatnonzero(g).tolist() for g in good] == [r.tolist() for r in rows]
+    with mock.patch.object(lattice, "GRAPH_PAIR_CHUNK", chunk):
+        adjacency = build_user_graph(est, good, delta, slack_multiplier=slack)
+        reference = list_build_user_graph(est, rows, delta, slack_multiplier=slack)
+    assert np.array_equal(adjacency, reference)
+
+    def typed(components):
+        return [(members, a.tolist(), a.dtype) for members, a in components]
+
+    comps = refine_partition(users, adjacency, good, arms)
+    assert typed(comps) == typed(list_refine_partition(users, reference, [arms[r] for r in rows]))
+    inter, fell_back = intersect_with_union_fallback(good, arms)
+    want, want_fell_back = set_intersect_with_union_fallback([set(arms[r].tolist()) for r in rows])
+    want = np.array(sorted(want), dtype=int)
+    assert (inter.tolist(), inter.dtype, fell_back) == (want.tolist(), want.dtype, want_fell_back)
 
 
 def _noiseless_run(seed=3):

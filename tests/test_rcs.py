@@ -1,6 +1,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 from clusterbandits import bench
 from clusterbandits.env import NoiseModel, RowDistribution, generate_rcs_instance
@@ -9,16 +10,30 @@ from clusterbandits.rcs import RcsConfig, run_lattice_rcs
 from helpers import run_policy
 
 
+def _intersect(*sets):
+    """The intersection, as a list, and fallback flag of users whose
+    near-best arms are `sets`, over the arms some set holds."""
+    arms = np.array(sorted(set().union(*sets)))
+    good = np.array([np.isin(arms, sorted(s)) for s in sets])
+    inter, fell_back = intersect_with_union_fallback(good, arms)
+    return inter.tolist(), fell_back
+
+
 def test_intersect_identical_sets():
-    assert intersect_with_union_fallback([{1, 2, 3}, {1, 2, 3}]) == ({1, 2, 3}, False)
+    assert _intersect({1, 2, 3}, {1, 2, 3}) == ([1, 2, 3], False)
 
 
 def test_intersect_hand_case():
-    assert intersect_with_union_fallback([{0, 1}, {1, 2}, {1, 3}]) == ({1}, False)
+    assert _intersect({0, 1}, {1, 2}, {1, 3}) == ([1], False)
 
 
 def test_intersect_empty_falls_back_to_union():
-    assert intersect_with_union_fallback([{0}, {1}]) == ({0, 1}, True)
+    assert _intersect({0}, {1}) == ([0, 1], True)
+
+
+def test_intersect_needs_a_near_best_row():
+    with pytest.raises(ValueError, match="at least one near-best row"):
+        intersect_with_union_fallback(np.zeros((0, 3), dtype=bool), np.arange(3))
 
 
 def _rcs_instance():
