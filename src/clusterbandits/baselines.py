@@ -185,31 +185,28 @@ SIMPLIFIED_SOLVER_MAX_ITERS = 300
 SIMPLIFIED_LAM_DENOM = 200.0
 SIMPLIFIED_ELBOW_RATIO = 0.6
 SIMPLIFIED_OBJECTIVE_FLOOR = 100.0
+# the phases that split sets by k-means; after them, the share of a set's
+# users that must find an arm near-best to keep it
+SIMPLIFIED_L = 5
+SIMPLIFIED_RHO = 0.5
+# phase ell's reward-gap slack is p_inf * SIMPLIFIED_NU_SCALE /
+# SIMPLIFIED_NU_BASE**ell, where p_inf is the largest |reward| observed so far
+SIMPLIFIED_NU_SCALE = 1.0 / 6.0
+SIMPLIFIED_NU_BASE = 8.0
 
 
 @dataclass
 class SimplifiedConfig:
-    """Schedule and elimination knobs for the simplified phased policy.
-
-    Phase lengths grow linearly; the per-phase reward-gap slack is
-    p_inf * nu_scale / nu_base**phase, where p_inf is the largest |reward|
-    observed so far, and the nuclear-norm regularizer is
-    lam_coeff * sqrt(phase_length / SIMPLIFIED_LAM_DENOM).
-    """
+    """Schedule and regularizer knobs for the simplified phased policy: phase
+    lengths grow linearly, and the nuclear-norm regularizer is
+    lam_coeff * sqrt(phase_length / SIMPLIFIED_LAM_DENOM)."""
 
     num_clusters: int
-    sigma: float
-    L: int = 5
-    rho: float = 0.5
     phase_base: int = 1500
     phase_step: int = 500
-    nu_scale: float = 1.0 / 6.0
-    nu_base: float = 8.0
     lam_coeff: float = 5.0
 
     def __post_init__(self):
-        if not 0 <= self.rho <= 1:
-            raise ValueError("rho must lie in [0, 1]")
         if self.phase_base < 1 or self.phase_step < 0:
             raise ValueError("phase_base must be >= 1 and phase_step >= 0")
 
@@ -222,9 +219,6 @@ class SimplifiedConfig:
             ell += 1
         return out
 
-    def nu(self, ell: int, p_inf: float) -> float:
-        return p_inf * self.nu_scale / self.nu_base**ell
-
     def lam(self, phase_length: int) -> float:
         return self.lam_coeff * math.sqrt(phase_length / SIMPLIFIED_LAM_DENOM)
 
@@ -232,7 +226,7 @@ class SimplifiedConfig:
 def run_simplified_lattice(env: Environment, config: SimplifiedConfig, seed) -> PhaseTrace:
     """Fixed-schedule variant: uniform pulls inside active sets, one
     nuclear-norm solve per set at each phase end, k-means splits during the
-    first L phases and fraction-approved arm shrinking afterwards."""
+    first SIMPLIFIED_L phases and fraction-approved arm shrinking afterwards."""
     algo_ss = seed_sequence(seed)
     rng = np.random.default_rng(algo_ss.spawn(1)[0])
     kmeans_ss = algo_ss.spawn(1)[0]
@@ -256,7 +250,7 @@ def run_simplified_lattice(env: Environment, config: SimplifiedConfig, seed) -> 
         np.add.at(sums, cells, rewards)
         np.add.at(counts, cells, 1)
         observed_max = max(observed_max, float(np.abs(rewards).max()))
-        nu_ell = config.nu(ell, max(observed_max, 1e-12))
+        nu_ell = max(observed_max, 1e-12) * SIMPLIFIED_NU_SCALE / SIMPLIFIED_NU_BASE**ell
         lam_ell = config.lam(length)
         new_users: list[list[int]] = []
         new_arms: list[np.ndarray] = []
@@ -278,7 +272,7 @@ def run_simplified_lattice(env: Environment, config: SimplifiedConfig, seed) -> 
                 max_iters=SIMPLIFIED_SOLVER_MAX_ITERS,
             )
             trace.unconverged_solves += not info.converged
-            if ell <= config.L:
+            if ell <= SIMPLIFIED_L:
                 labels = kmeans_elbow(
                     estimate,
                     max_k=config.num_clusters,
@@ -297,7 +291,7 @@ def run_simplified_lattice(env: Environment, config: SimplifiedConfig, seed) -> 
                 row_max = estimate.max(axis=1)
                 near = np.abs(estimate - row_max[:, None]) <= nu_ell
                 approvals = near.sum(axis=0)
-                keep = np.flatnonzero(approvals >= config.rho * len(us_arr))
+                keep = np.flatnonzero(approvals >= SIMPLIFIED_RHO * len(us_arr))
                 if len(keep) == 0:
                     keep = np.flatnonzero(approvals == approvals.max())
                 new_users.append(list(us))
@@ -307,7 +301,7 @@ def run_simplified_lattice(env: Environment, config: SimplifiedConfig, seed) -> 
             PhaseRecord(
                 phase=ell,
                 delta=nu_ell,
-                mode="kmeans" if ell <= config.L else "shrink",
+                mode="kmeans" if ell <= SIMPLIFIED_L else "shrink",
                 user_sets=[list(s) for s in user_sets],
                 arm_sets=[list(map(int, a)) for a in arm_sets],
                 rounds_used=length,

@@ -78,28 +78,32 @@ class InstanceSpec:
 
 @dataclass(kw_only=True)
 class _GeneratedSpec(InstanceSpec):
-    """The keys of every generated kind: its dimensions and generator seed."""
+    """The keys of every generated kind: its dimensions."""
 
     num_users: int = 0
     num_arms: int = 0
     num_clusters: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         super().__post_init__()
         dimensions = self.num_users, self.num_arms, self.num_clusters
         key = "instance.num_users, num_arms, num_clusters"
         env.check_key(key, env.check_dimensions, *dimensions)
-        if self.seed < 0:
-            raise ConfigError(f"instance.seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(kw_only=True)
 class CsSpec(_GeneratedSpec):
-    """kind = cs: exact clusters, whose rows are drawn from `row_distribution`."""
+    """kind = cs: exact clusters, whose rows are drawn from `row_distribution`
+    by the generator seeded with `seed`."""
 
     row_distribution: env.RowDistribution = env.RowDistribution.gaussian()
+    seed: int = 0
     make = staticmethod(env.generate_cs_instance)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.seed < 0:
+            raise ConfigError(f"instance.seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(kw_only=True)

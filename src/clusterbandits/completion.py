@@ -41,6 +41,12 @@ class OracleParams:
             raise ValueError("b, f must be >= 1 and lam >= 0")
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """`np.argsort(keys, kind="stable")` of nonnegative integer keys, as one
+    sort of distinct int64 keys, which is several times faster on 4096 int32s."""
+    return np.argsort(keys.astype(np.int64) * len(keys) + np.arange(len(keys)))
+
+
 NOISELESS_LAMBDA = 1e-3  # lam formula degenerates to 0 at sigma=0; keep solves coupled
 MU = 1.0  # incoherence the sampling and repetition formulas assume
 C_LAMBDA = 2.5  # regularizer constant: lam = C_LAMBDA * sigma_eff * sqrt(d2 * p)
@@ -163,7 +169,7 @@ class MaskCollection:
             return self.mask.cols[:0], np.zeros(0, dtype=bool)
         rows = np.asarray(rows, dtype=np.int64)
         n = len(rows)
-        order = np.argsort(rows, kind="stable")
+        order = _stable_order(rows)
         rank = np.argsort(order)
         # each row's arrivals are one range of the ranking, ending at `past`
         arrivals = np.bincount(rows, minlength=len(self._lo))

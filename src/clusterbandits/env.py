@@ -275,10 +275,9 @@ def generate_hard_instance(
     num_clusters: int,
     epsilon: float,
     optimal_arms: list[int],
-    seed: int = 0,
 ) -> Instance:
     """Bernoulli hard instance: every arm pays (1-eps)/2 except each cluster's
-    optimal arm, which pays (1+eps)/2."""
+    optimal arm, which pays (1+eps)/2.  It draws nothing, so it takes no seed."""
     check_dimensions(num_users, num_arms, num_clusters)
     check_epsilon(epsilon)
     optimal_arms = list(optimal_arms)

@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -268,30 +269,29 @@ def test_kmeans_once_matches_the_broadcast_reference_bit_for_bit(
 
 
 def test_simplified_config_defaults_match_experiment_settings():
-    cfg = SimplifiedConfig(num_clusters=4, sigma=0.5)
+    cfg = SimplifiedConfig(num_clusters=4)
     assert baselines.SIMPLIFIED_ELBOW_RATIO == 0.6
     assert baselines.SIMPLIFIED_OBJECTIVE_FLOOR == 100.0
-    assert cfg.L == 5
+    assert baselines.SIMPLIFIED_L == 5
+    assert baselines.SIMPLIFIED_RHO == 0.5
     assert cfg.schedule(60000)[:3] == [1500, 2000, 2500]
-    assert cfg.nu(1, 6.0) == pytest.approx(6.0 / 48.0)
+    # the first phase's slack is 1/48 of the largest |reward|
+    assert baselines.SIMPLIFIED_NU_SCALE / baselines.SIMPLIFIED_NU_BASE == pytest.approx(1 / 48)
     assert cfg.lam(1800) == pytest.approx(5.0 * np.sqrt(9.0))
 
 
 def test_simplified_noiseless_single_cluster_collapses_arms():
     inst = generate_cs_instance(10, 8, 1, RowDistribution.gaussian(0, 1), seed=6)
-    cfg = SimplifiedConfig(
-        num_clusters=1,
-        sigma=0.0,
-        phase_base=4000,
-        lam_coeff=0.05,
-        nu_scale=0.25,
-        nu_base=2.0,
-    )
-    hist, trace = run_policy(
-        run_simplified_lattice, inst, cfg, 4000, seed=2, noise=NoiseModel("none")
-    )
+    cfg = SimplifiedConfig(num_clusters=1, phase_base=4000, lam_coeff=0.05)
+    with (
+        mock.patch.object(baselines, "SIMPLIFIED_NU_SCALE", 0.25),
+        mock.patch.object(baselines, "SIMPLIFIED_NU_BASE", 2.0),
+    ):
+        hist, trace = run_policy(
+            run_simplified_lattice, inst, cfg, 4000, seed=2, noise=NoiseModel("none")
+        )
     rec = trace.records[0]
-    nu1 = cfg.nu(1, float(np.abs(inst.P).max()))
+    nu1 = float(np.abs(inst.P).max()) * 0.25 / 2.0
     best = inst.P[0].max()
     for arms in rec.arm_sets:
         assert int(inst.best_arm[0]) in arms
@@ -303,13 +303,17 @@ def test_simplified_rho_one_subset_of_rho_half():
     inst = generate_cs_instance(30, 12, 2, RowDistribution.gaussian(0, 1), seed=9)
     noise = NoiseModel("gaussian", 0.3)
     traces = {}
+    cfg = SimplifiedConfig(num_clusters=2, phase_base=800, phase_step=200, lam_coeff=1.0)
     for rho in (1.0, 0.5):
-        cfg = SimplifiedConfig(
-            num_clusters=2, sigma=0.3, L=1, rho=rho,
-            phase_base=800, phase_step=200, lam_coeff=1.0,
-            nu_scale=0.5, nu_base=1.5,
-        )
-        _, traces[rho] = run_policy(run_simplified_lattice, inst, cfg, 8000, seed=4, noise=noise)
+        with (
+            mock.patch.object(baselines, "SIMPLIFIED_L", 1),
+            mock.patch.object(baselines, "SIMPLIFIED_RHO", rho),
+            mock.patch.object(baselines, "SIMPLIFIED_NU_SCALE", 0.5),
+            mock.patch.object(baselines, "SIMPLIFIED_NU_BASE", 1.5),
+        ):
+            _, traces[rho] = run_policy(
+                run_simplified_lattice, inst, cfg, 8000, seed=4, noise=noise
+            )
     for r1, r5 in zip(traces[1.0].records, traces[0.5].records):
         if r1.mode != "shrink":
             continue
@@ -321,39 +325,36 @@ def test_simplified_rho_one_subset_of_rho_half():
             assert strict_arms <= loose_by_set[key]
 
 
+@mock.patch.object(baselines, "SIMPLIFIED_L", 2)
 def test_simplified_partition_refines_only_during_clustering_phases():
     inst = generate_cs_instance(20, 10, 2, RowDistribution.gaussian(0, 1), seed=2)
-    cfg = SimplifiedConfig(
-        num_clusters=2, sigma=0.2, L=2, phase_base=600, phase_step=200, lam_coeff=1.0
-    )
+    cfg = SimplifiedConfig(num_clusters=2, phase_base=600, phase_step=200, lam_coeff=1.0)
     _, trace = run_policy(
         run_simplified_lattice, inst, cfg, 9000, seed=8, noise=NoiseModel("gaussian", 0.2)
     )
-    after_L = [r for r in trace.records if r.phase > cfg.L]
+    after_L = [r for r in trace.records if r.phase > baselines.SIMPLIFIED_L]
     for earlier, later in zip(after_L, after_L[1:]):
         assert [sorted(s) for s in earlier.user_sets] == [sorted(s) for s in later.user_sets]
 
 
+@mock.patch.object(baselines, "SIMPLIFIED_L", 2)
 def test_simplified_arm_sets_nonincreasing_on_fixed_branch():
     inst = generate_cs_instance(20, 10, 2, RowDistribution.gaussian(0, 1), seed=2)
-    cfg = SimplifiedConfig(
-        num_clusters=2, sigma=0.2, L=2, phase_base=600, phase_step=200, lam_coeff=1.0
-    )
+    cfg = SimplifiedConfig(num_clusters=2, phase_base=600, phase_step=200, lam_coeff=1.0)
     _, trace = run_policy(
         run_simplified_lattice, inst, cfg, 9000, seed=8, noise=NoiseModel("gaussian", 0.2)
     )
-    after_L = [r for r in trace.records if r.phase > cfg.L]
+    after_L = [r for r in trace.records if r.phase > baselines.SIMPLIFIED_L]
     for earlier, later in zip(after_L, after_L[1:]):
         prev = {tuple(sorted(s)): set(a) for s, a in zip(earlier.user_sets, earlier.arm_sets)}
         for s, a in zip(later.user_sets, later.arm_sets):
             assert set(a) <= prev[tuple(sorted(s))]
 
 
+@mock.patch.object(baselines, "SIMPLIFIED_L", 2)
 def test_simplified_trace_counts_unconverged_solves(monkeypatch):
     inst = generate_cs_instance(20, 10, 2, RowDistribution.gaussian(0, 1), seed=2)
-    cfg = SimplifiedConfig(
-        num_clusters=2, sigma=0.2, L=2, phase_base=600, phase_step=200, lam_coeff=1.0
-    )
+    cfg = SimplifiedConfig(num_clusters=2, phase_base=600, phase_step=200, lam_coeff=1.0)
     noise = NoiseModel("gaussian", 0.2)
     infos = []
     solve = baselines.solve_nuclear_norm

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import gc
 import inspect
 import io
@@ -187,7 +188,7 @@ def test_config_booleans_are_true_or_false():
 @pytest.mark.parametrize("field, value", [("phase_base", 0), ("phase_step", -60)])
 def test_simplified_schedule_that_never_ends_is_rejected(field, value):
     with pytest.raises(ValueError, match=field):
-        baselines.SimplifiedConfig(num_clusters=2, sigma=0.2, **{field: value})
+        baselines.SimplifiedConfig(num_clusters=2, **{field: value})
     text = SMALL_CONFIG + f"[algorithm simplified-lattice]\n{field} = {value}\n"
     config = bench.parse_config(text)
     instance = bench.build_instance(config.instance)
@@ -200,7 +201,10 @@ def test_config_out_of_range_value_fails_before_any_cell(monkeypatch, tmp_path):
     ran = []
     monkeypatch.setattr(baselines, "run_per_user_ucb", lambda *a: ran.append(a))
     cases = [
-        ("[algorithm simplified-lattice]\nrho = 2\n", "algorithm simplified-lattice: rho"),
+        (
+            "[algorithm simplified-lattice]\nphase_base = 0\n",
+            "algorithm simplified-lattice: phase_base",
+        ),
         ("[algorithm etc]\nexplore_fraction = 1.5\n", "algorithm etc: explore_fraction"),
     ]
     for section, message in cases:
@@ -259,7 +263,6 @@ num_users = 6
 num_arms = 5
 num_clusters = 2
 epsilon = 0.3
-seed = 1
 {optimal}
 [experiment]
 horizon = 50
@@ -461,6 +464,42 @@ def test_every_config_field_settable_from_text(algo, name, kind):
     assert type(built) is _CONFIG_CLASSES[algo]
     assert getattr(built, name) == want
     assert getattr(default, name) != want
+
+
+@functools.cache
+def _config_reads(algo):
+    """The names that a run of `algo` on FIREWALL_CONFIG reads off its config,
+    through a subclass of its config class that records every name read once
+    it is built, so that the checks run at construction do not count."""
+    config = bench.parse_config(FIREWALL_CONFIG)
+    instance = bench.build_instance(config.instance)
+    noise = bench.build_noise(config.instance, instance)
+    built = bench.build_algorithm(algo, dict(config.algorithms)[algo], instance, noise)
+    read = set()
+
+    class Spy(type(built)):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    spy = Spy(**{f.name: getattr(built, f.name) for f in dataclasses.fields(built)})
+    read.clear()
+    module, attr = _RUN_FUNCTIONS[algo]
+    run_policy(getattr(module, attr), instance, spy, 20000, 1, noise)
+    return frozenset(read)
+
+
+@pytest.mark.parametrize(
+    "algo, name",
+    [
+        pytest.param(algo, name, id=f"{algo}-{field_id}")
+        for algo, (cls, _, _) in bench._SECTIONS.items()
+        for field_id, name, _ in _settable_fields(cls)
+    ],
+)
+def test_every_config_field_is_read_by_its_run(algo, name):
+    # a key that its run never reads would be a knob that changes nothing
+    assert name in _config_reads(algo)
 
 
 def test_extra_keys_reach_the_run():
@@ -698,6 +737,9 @@ def test_no_policy_module_names_the_ground_truth(module):
 # the only `Environment` methods that may name the truth: building the
 # environment, and playing or pricing a round from the true means
 ENV_TRUTH_READERS = ("__init__", "play", "rewards_for")
+# the only module-level function of `env` that may name it: writing the
+# instance file
+ENV_MODULE_TRUTH_READERS = ["save_instance"]
 
 
 def test_no_policy_runs_in_a_module_that_reads_the_ground_truth():
@@ -718,9 +760,18 @@ def test_no_policy_runs_in_a_module_that_reads_the_ground_truth():
         source = inspect.getsource(method)
         assert [line for line in source.splitlines() if re.search(GROUND_TRUTH_NAMES, line)] == []
     assert {"run", "step"} <= set(scanned) and "_play" not in scanned
+    # nor may a module-level function of `env` but the instance file's writer,
+    # so that a policy helper added there fails here
+    named = [
+        name for name, function in vars(env).items()
+        if inspect.isfunction(function) and function.__module__ == env.__name__
+        and re.search(GROUND_TRUTH_NAMES, inspect.getsource(function))
+    ]
+    assert named == ENV_MODULE_TRUTH_READERS
     workflow = (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
     assert "bench._SECTIONS" in workflow
     assert f"readers = ({', '.join(f'E.{name}' for name in ENV_TRUTH_READERS)})" in workflow
+    assert f"assert named == {ENV_MODULE_TRUTH_READERS}, named" in workflow
 
 
 def test_parse_and_run_check_the_instance_spec_once(monkeypatch):
@@ -1565,10 +1616,49 @@ def test_scaling_slope_of_a_zero_regret_says_there_is_none(tmp_path, capsys):
         bench.scaling_slope(_scaling_finals(out / "scaling.csv"), "ucb")
 
 
+# each generated kind's [instance] values, and per argument of its `make`
+# a change of that argument; hard's third cluster takes an optimal arm along
+_CS_VALUES = {
+    "num_users": 6, "num_arms": 5, "num_clusters": 2,
+    "row_distribution": env.RowDistribution.gaussian(0, 1), "seed": 3,
+}
+_CS_CHANGES = {
+    "num_users": {"num_users": 7}, "num_arms": {"num_arms": 6},
+    "num_clusters": {"num_clusters": 3},
+    "row_distribution": {"row_distribution": env.RowDistribution.uniform(0, 1)},
+    "seed": {"seed": 4},
+}
+_GENERATED_KINDS = {
+    "cs": (_CS_VALUES, _CS_CHANGES),
+    "rcs": ({**_CS_VALUES, "nu": 0.01}, {**_CS_CHANGES, "nu": {"nu": 0.02}}),
+    "hard": (
+        {"num_users": 6, "num_arms": 5, "num_clusters": 2, "epsilon": 0.3, "optimal_arms": [0, 1]},
+        {
+            "num_users": {"num_users": 7}, "num_arms": {"num_arms": 6},
+            "num_clusters": {"num_clusters": 3, "optimal_arms": [0, 1, 2]},
+            "epsilon": {"epsilon": 0.5}, "optimal_arms": {"optimal_arms": [1, 0]},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, key) for kind, (_, changes) in _GENERATED_KINDS.items() for key in changes],
+)
+def test_every_argument_of_a_generated_kind_changes_its_instance(kind, key):
+    # an argument that changes no instance would be a key that changes nothing
+    values, changes = _GENERATED_KINDS[kind]
+    assert set(changes) == set(inspect.signature(bench.INSTANCE_KINDS[kind].make).parameters)
+    before = bench.build_instance({"kind": kind, **values}).P
+    after = bench.build_instance({"kind": kind, **values, **changes[key]}).P
+    assert before.shape != after.shape or not np.array_equal(before, after)
+
+
 def test_build_instance_kinds(tmp_path):
     inst = bench.build_instance(
         {"kind": "hard", "num_users": 4, "num_arms": 3, "num_clusters": 2,
-         "epsilon": 0.2, "optimal_arms": [0, 2], "seed": 0}
+         "epsilon": 0.2, "optimal_arms": [0, 2]}
     )
     assert inst.default_noise.kind == "bernoulli-reward"
     from clusterbandits.env import save_instance
@@ -2038,7 +2128,6 @@ horizon = 3000
 seeds = 8
 [algorithm ucb]
 [algorithm simplified-lattice]
-L = 2
 phase_base = 600
 phase_step = 200
 lam_coeff = 1.0

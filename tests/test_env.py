@@ -109,14 +109,14 @@ def test_rcs_separation_unsatisfiable():
 
 
 def test_hard_instance_reward_table():
-    inst = generate_hard_instance(4, 3, 2, 0.2, [0, 2], seed=0)
+    inst = generate_hard_instance(4, 3, 2, 0.2, [0, 2])
     expected = np.array([[0.6, 0.4, 0.4], [0.4, 0.4, 0.6]])
     assert np.allclose(inst.X, expected)
     assert inst.default_noise.kind == "bernoulli-reward"
 
 
 def test_hard_instance_single_arm_zero_regret():
-    inst = generate_hard_instance(3, 1, 1, 0.5, [0], seed=0)
+    inst = generate_hard_instance(3, 1, 1, 0.5, [0])
     assert np.allclose(inst.X, [[0.75]])
     env = Environment(inst, NoiseModel("none"), seed=0, horizon=50)
     while env.t < env.horizon:
@@ -125,7 +125,7 @@ def test_hard_instance_single_arm_zero_regret():
 
 
 def test_hard_instance_shared_best_arm_gaps():
-    inst = generate_hard_instance(6, 5, 3, 0.1, [0, 0, 0], seed=0)
+    inst = generate_hard_instance(6, 5, 3, 0.1, [0, 0, 0])
     gaps = inst.X.max(axis=1)[:, None] - inst.X
     for c in range(3):
         assert gaps[c, 0] == 0.0
@@ -135,7 +135,7 @@ def test_hard_instance_shared_best_arm_gaps():
 def test_hard_instance_invalid_epsilon():
     for eps in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(InvalidEpsilonError):
-            generate_hard_instance(2, 2, 1, eps, [0], seed=0)
+            generate_hard_instance(2, 2, 1, eps, [0])
 
 
 def test_env_step_optimal_policy_zero_regret():
