@@ -12,7 +12,7 @@ import numpy as np
 
 from .completion import OracleParams, p_and_lam, run_oracle, solve_nuclear_norm
 from .env import Environment, seed_sequence
-from .lattice import PhaseRecord, PhaseTrace, UcbTable
+from .lattice import PhaseRecord, PhaseTrace, UcbTable, good_arm_set
 
 
 @dataclass
@@ -254,15 +254,16 @@ def run_simplified_lattice(env: Environment, config: SimplifiedConfig, seed) -> 
         lam_ell = config.lam(length)
         new_users: list[list[int]] = []
         new_arms: list[np.ndarray] = []
-        for i, (us, arms) in enumerate(zip(user_sets, arm_sets)):
+        for us, arms in zip(user_sets, arm_sets):
             us_arr = np.asarray(us, dtype=int)
-            sub_counts = counts[np.ix_(us_arr, arms)]
+            block = np.ix_(us_arr, arms)
+            sub_counts = counts[block]
             obs_rows, obs_cols = np.nonzero(sub_counts)
             if len(obs_rows) == 0:
                 new_users.append(list(us))
                 new_arms.append(arms)
                 continue
-            obs_vals = sums[np.ix_(us_arr, arms)][obs_rows, obs_cols] / sub_counts[obs_rows, obs_cols]
+            obs_vals = sums[block][obs_rows, obs_cols] / sub_counts[obs_rows, obs_cols]
             estimate, info = solve_nuclear_norm(
                 obs_vals,
                 (obs_rows, obs_cols),
@@ -272,6 +273,7 @@ def run_simplified_lattice(env: Environment, config: SimplifiedConfig, seed) -> 
                 max_iters=SIMPLIFIED_SOLVER_MAX_ITERS,
             )
             trace.unconverged_solves += not info.converged
+            good = good_arm_set(estimate, nu_ell / 2.0)  # within nu_ell of each row's best
             if ell <= SIMPLIFIED_L:
                 labels = kmeans_elbow(
                     estimate,
@@ -282,20 +284,13 @@ def run_simplified_lattice(env: Environment, config: SimplifiedConfig, seed) -> 
                 )
                 for lab in np.unique(labels):
                     members = np.flatnonzero(labels == lab)
-                    row_max = estimate[members].max(axis=1)
-                    near = np.abs(estimate[members] - row_max[:, None]) <= nu_ell
-                    keep = np.flatnonzero(near.any(axis=0))
                     new_users.append([int(us_arr[m]) for m in members])
-                    new_arms.append(arms[keep])
+                    new_arms.append(arms[good[members].any(axis=0)])
             else:
-                row_max = estimate.max(axis=1)
-                near = np.abs(estimate - row_max[:, None]) <= nu_ell
-                approvals = near.sum(axis=0)
-                keep = np.flatnonzero(approvals >= SIMPLIFIED_RHO * len(us_arr))
-                if len(keep) == 0:
-                    keep = np.flatnonzero(approvals == approvals.max())
+                approvals = good.sum(axis=0)
+                keep = approvals >= SIMPLIFIED_RHO * len(us_arr)
                 new_users.append(list(us))
-                new_arms.append(arms[keep])
+                new_arms.append(arms[keep if keep.any() else approvals == approvals.max()])
         user_sets, arm_sets = new_users, new_arms
         trace.records.append(
             PhaseRecord(

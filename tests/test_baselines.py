@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clusterbandits import baselines
+from clusterbandits import baselines, lattice
 from clusterbandits.baselines import (
     EtcConfig,
     SimplifiedConfig,
@@ -278,6 +278,42 @@ def test_simplified_config_defaults_match_experiment_settings():
     # the first phase's slack is 1/48 of the largest |reward|
     assert baselines.SIMPLIFIED_NU_SCALE / baselines.SIMPLIFIED_NU_BASE == pytest.approx(1 / 48)
     assert cfg.lam(1800) == pytest.approx(5.0 * np.sqrt(9.0))
+
+
+# an estimate entry: any finite float, a grid value that ties, a signed zero,
+# or None, which the test places exactly nu below its row's other entries
+_ESTIMATE_ENTRIES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    num_rows=st.integers(1, 6),
+    width=st.integers(1, 6),
+    entries=st.lists(_ESTIMATE_ENTRIES, min_size=36, max_size=36),
+    nu=st.floats(1e-20, 1e3),
+)
+@example(num_rows=1, width=1, entries=[0.0] * 36, nu=1.0)
+@example(num_rows=2, width=2, entries=[0.0, -0.0, -0.0, 0.0] * 9, nu=1e-20)
+@example(num_rows=1, width=2, entries=[1.0, 0.75] * 18, nu=0.25)
+@example(num_rows=2, width=3, entries=[0.0, None, 0.5] * 12, nu=0.5)
+@example(num_rows=1, width=3, entries=[None] * 36, nu=1e3)
+def test_good_arm_set_at_half_nu_keeps_the_arms_within_nu_of_the_row_best(
+    num_rows, width, entries, nu
+):
+    # run_simplified_lattice keeps good_arm_set(estimate, nu_ell / 2.0), the
+    # arms it once kept as |estimate - row max| <= nu_ell
+    rows = [entries[i * width:(i + 1) * width] for i in range(num_rows)]
+    estimate = np.array([
+        [(max([x for x in row if x is not None], default=0.0) - nu) if x is None else x
+         for x in row]
+        for row in rows
+    ])
+    want = np.abs(estimate - estimate.max(axis=1, keepdims=True)) <= nu
+    assert np.array_equal(lattice.good_arm_set(estimate, nu / 2), want)
 
 
 def test_simplified_noiseless_single_cluster_collapses_arms():

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import functools
@@ -740,6 +741,25 @@ ENV_TRUTH_READERS = ("__init__", "play", "rewards_for")
 # the only module-level function of `env` that may name it: writing the
 # instance file
 ENV_MODULE_TRUTH_READERS = ["save_instance"]
+# the truth's readers that no policy module may import, directly or through
+# another package module (every policy plays through `env.Environment`)
+POLICY_UNREACHABLE = ("bench", "checker", "cli")
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules that an import statement anywhere in `module`
+    names, as dotted names: `from .x import y` names x, and x.y if that is a
+    module; `from . import x` and `import clusterbandits.x` name x."""
+    package = {f"clusterbandits.{path.stem}" for path in _PACKAGE.glob("*.py")}
+    source = (_PACKAGE / (module.rpartition(".")[2] + ".py")).read_text()
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["clusterbandits" if node.level else "", node.module]))
+            named.update([base] + [f"{base}.{alias.name}" for alias in node.names])
+    return named & package
 
 
 def test_no_policy_runs_in_a_module_that_reads_the_ground_truth():
@@ -748,9 +768,21 @@ def test_no_policy_runs_in_a_module_that_reads_the_ground_truth():
     # no `Environment` method but its truth readers may name the truth: the
     # round loop that the policies drive, and any helper it calls.  Methods
     # are compared as functions, since `_play` is `play` under another name.
+    todo = set()
     for _, module, name in bench._SECTIONS.values():
         for owner in (module.__name__, getattr(module, name).__module__):
             assert owner.rpartition(".")[2] + ".py" not in TRUTH_READERS, (name, owner)
+            todo.add(owner)
+    # nor may those modules import bench, checker or cli, nor may any package
+    # module they import, followed transitively: a policy helper moved into
+    # one of them would escape the source scan
+    reached = set()
+    while todo:
+        module = todo.pop()
+        reached.add(module)
+        todo |= _package_imports(module) - reached
+    assert {"clusterbandits.lattice", "clusterbandits.completion", "clusterbandits.env"} <= reached
+    assert [m for m in sorted(reached) if m.rpartition(".")[2] in POLICY_UNREACHABLE] == []
     readers = [getattr(env.Environment, name) for name in ENV_TRUTH_READERS]
     scanned = []
     for name, method in vars(env.Environment).items():
@@ -770,6 +802,7 @@ def test_no_policy_runs_in_a_module_that_reads_the_ground_truth():
     assert named == ENV_MODULE_TRUTH_READERS
     workflow = (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
     assert "bench._SECTIONS" in workflow
+    assert "ast.walk" in workflow and f"in {POLICY_UNREACHABLE}]" in workflow
     assert f"readers = ({', '.join(f'E.{name}' for name in ENV_TRUTH_READERS)})" in workflow
     assert f"assert named == {ENV_MODULE_TRUTH_READERS}, named" in workflow
 
